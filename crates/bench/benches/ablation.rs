@@ -1,4 +1,4 @@
-//! Ablation benches for the design choices called out in DESIGN.md §5:
+//! Ablation benches for the paper's design choices:
 //!
 //! 1. intra-node **trie vs binary search** (the String-B-tree trie is the
 //!    paper's intra-node index);

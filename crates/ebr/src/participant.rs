@@ -8,6 +8,11 @@
 use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, Ordering};
 
 /// State encoding: bit 0 = active (pinned), bits 1.. = epoch at pin time.
+///
+/// Aligned to two cache lines (the adjacent-line prefetcher pairs them) so
+/// two threads' pin words — written on every outermost pin and unpin —
+/// never share a line.
+#[repr(align(128))]
 pub(crate) struct Participant {
     state: AtomicU64,
     owned: AtomicBool,
@@ -144,6 +149,12 @@ impl Registry {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn participants_never_share_a_cache_line() {
+        assert_eq!(std::mem::align_of::<Participant>(), 128);
+        assert_eq!(std::mem::size_of::<Participant>() % 128, 0);
+    }
 
     #[test]
     fn participant_state_roundtrip() {

@@ -10,7 +10,8 @@ use crate::node::MAX_LEVEL_CAP;
 /// transactions. However, this alternative proved to have a larger
 /// negative impact on performance with the current GCC-TM implementation.
 /// Nevertheless, we expect it will exhibit the best performance with HTM
-/// support." Both are implemented here (ablation 4 in DESIGN.md).
+/// support." Both are implemented here (`benches/ablation.rs` compares
+/// them).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Traversal {
     /// Read pointers nakedly; retry on a mark or a dead node (the paper's

@@ -125,7 +125,7 @@ impl Trie {
 }
 
 /// Plain binary search used as the ablation baseline for the trie
-/// (DESIGN.md §5.3).
+/// (`benches/ablation.rs`).
 pub fn binary_search_index(keys: &[u64], key: u64) -> Option<usize> {
     keys.binary_search(&key).ok()
 }

@@ -605,7 +605,8 @@ pub struct RegistryDocs {
 ///   `--require` list silently goes stale);
 /// * every `EventKind` name, fault-point name, and metric series name
 ///   (`store_op_*_ns` / `table_op_*_ns` / `stm_txn_retries` /
-///   `store_events`) in source must appear in README.md (brace groups like
+///   `store_events` / `store_view_swaps` / `store_stamp_retries`) in
+///   source must appear in README.md (brace groups like
 ///   `table_op_{a,b}_ns` are expanded before matching).
 pub fn registry_drift(files: &[SourceFile], docs: &RegistryDocs) -> Vec<Finding> {
     let mut findings = Vec::new();
@@ -631,8 +632,13 @@ pub fn registry_drift(files: &[SourceFile], docs: &RegistryDocs) -> Vec<Finding>
                 let metric = plain
                     && ((s.starts_with("store_op_") || s.starts_with("table_op_"))
                         && s.ends_with("_ns")
-                        || s == "stm_txn_retries"
-                        || s == "store_events");
+                        || [
+                            "stm_txn_retries",
+                            "store_events",
+                            "store_view_swaps",
+                            "store_stamp_retries",
+                        ]
+                        .contains(&s.as_str()));
                 if metric {
                     named.push((s.clone(), f.path.clone(), t[i].line, "metric series"));
                 }
@@ -965,13 +971,14 @@ mod tests {
             ),
             file(
                 "crates/store/src/obs.rs",
-                r#"const OPS: &[&str] = &["store_op_get_ns", "store_op_put_ns"];"#,
+                r#"const OPS: &[&str] = &["store_op_get_ns", "store_op_put_ns", "store_view_swaps"];"#,
             ),
         ];
         let docs = RegistryDocs {
             ci_yml: None,
             readme: Some(
-                "events: `epoch_flip`, `shed`; series `store_op_{get,put}_ns`".to_string(),
+                "events: `epoch_flip`, `shed`; series `store_op_{get,put}_ns`, `store_view_swaps`"
+                    .to_string(),
             ),
         };
         assert!(registry_drift(&files, &docs).is_empty());
@@ -981,7 +988,7 @@ mod tests {
             readme: Some("events: `epoch_flip`; series `store_op_get_ns`".to_string()),
         };
         let f = registry_drift(&files, &stale);
-        assert_eq!(f.len(), 2, "{f:?}");
+        assert_eq!(f.len(), 3, "{f:?}");
     }
 
     #[test]

@@ -10,14 +10,16 @@ use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
 
 /// Stripes per counter. A power of two; more than typical core counts
 /// collide on, small enough that summing stays cheap.
-const STRIPES: usize = 16;
+pub const STRIPES: usize = 16;
 
 /// Pads an atomic to its own cache line.
 #[repr(align(128))]
 struct PaddedU64(AtomicU64);
 
-/// Per-thread stripe slot, assigned round-robin on first use.
-fn stripe_of() -> usize {
+/// The calling thread's stripe slot in `0..STRIPES`, assigned round-robin
+/// on first use. Public so other striped instruments (the store's
+/// per-shard counter rows) spread threads exactly as [`Counter`] does.
+pub fn stripe_of() -> usize {
     static NEXT: AtomicUsize = AtomicUsize::new(0);
     thread_local! {
         // ORDERING: round-robin ticket; uniqueness comes from the RMW,

@@ -43,7 +43,7 @@ mod registry;
 pub mod trace;
 mod window;
 
-pub use counter::{Counter, Gauge};
+pub use counter::{stripe_of, Counter, Gauge, STRIPES};
 pub use events::{Event, EventKind, EventRing, RingSnapshot, DEFAULT_RING_CAPACITY};
 pub use hist::{HistSnapshot, Histogram};
 pub use json::Json;

@@ -422,7 +422,9 @@ impl<V: Clone + Send + Sync + 'static> Batcher<V> {
         // The whole submission is one traced op: queue wait, combining and
         // the grouped apply all land in this span's phase breakdown (the
         // combiner's inner `store.apply` begin is nested, hence inert).
-        let _span = self.store.span_keyed(leap_obs::OpClass::Batch, key);
+        // No view is loaded here (the combiner's apply loads one later,
+        // possibly on another thread), so the label routes on its own.
+        let _span = self.store.span_routed(leap_obs::OpClass::Batch, key);
         // Admission control: a full queue refuses the op at the door —
         // the caller learns *now* that the batcher is not keeping up,
         // instead of blocking behind a backlog that is not draining.
@@ -437,16 +439,23 @@ impl<V: Clone + Send + Sync + 'static> Batcher<V> {
             return Err(StoreError::Overloaded { queued });
         }
         let slot = Arc::new(Slot::empty());
-        self.queue
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .push(Pending {
+        {
+            let mut queue = self
+                .queue
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            // Counted under the queue lock, before the push: a combiner
+            // (which drains under the same lock) must never subtract an
+            // op before it was added — the depth would wrap to
+            // `usize::MAX` and refuse a bystander's op.
+            // ORDERING: approximate depth counter for admission only.
+            self.queue_len.fetch_add(1, Ordering::Relaxed);
+            queue.push(Pending {
                 op,
                 slot: slot.clone(),
                 enqueued: Instant::now(),
             });
-        // ORDERING: approximate depth counter for admission only.
-        self.queue_len.fetch_add(1, Ordering::Relaxed);
+        }
         // While another thread holds the combiner lock it is (or soon will
         // be) draining the queue — ops pile up behind it and the next
         // holder combines them all. Blocking here is the coalescing (bounded

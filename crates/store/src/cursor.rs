@@ -9,9 +9,9 @@
 //!   landing between pages is seen by later pages only. Pages keep
 //!   working while a [`crate::Rebalancer`] moves the very keys being
 //!   scanned — each page's plan includes both sides of every overlay it
-//!   overlaps, and its range-scoped stamp ignores overlays elsewhere, so
-//!   a disjoint range rebalancing never forces a page to retry. This is
-//!   also the primitive the migration driver itself pages with.
+//!   overlaps, and it retries only when a migration begins, completes or
+//!   aborts mid-page, never per chunk moved. This is also the primitive
+//!   the migration driver itself pages with.
 //!
 //! * **Pinned snapshot** ([`SnapshotCursor`], via
 //!   [`LeapStore::scan_snapshot`]): the first cursor operation pins the
@@ -492,5 +492,27 @@ mod tests {
         assert_eq!(s.scan_snapshot(30, 10).next(), None, "inverted range");
         let depth = s.stats().bundle_depth;
         assert!(depth >= 1, "bundle depth gauge starts at 1, got {depth}");
+    }
+
+    /// A live `SnapshotCursor` holds an epoch guard for its whole life, so
+    /// a routing change that waited for pre-existing pins to drain would
+    /// wait on the very thread making it. Resharding from the thread that
+    /// holds the cursor must finish, and the scan must still equal the
+    /// model at its pin.
+    #[test]
+    fn snapshot_cursor_holder_can_reshard_without_waiting_on_itself() {
+        let s = store(Partitioning::Range);
+        for k in 0..200u64 {
+            s.put(k * 2, k);
+        }
+        let model = s.range(0, 999);
+        let mut scan = s.scan_snapshot_pages(0, 999, 16);
+        let mut seen = scan.next_page().expect("first page");
+        s.split_shard(0, 100).expect("valid split");
+        s.rebalance_until_idle();
+        assert!(s.router().epoch() >= 1, "the split completed under the pin");
+        s.put(1, 999);
+        seen.extend(scan.flatten());
+        assert_eq!(seen, model, "later pages still read at the pin");
     }
 }

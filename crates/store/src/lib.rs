@@ -77,7 +77,6 @@
 mod batch;
 mod cursor;
 mod error;
-mod interval;
 mod obs;
 mod rebalance;
 mod router;
@@ -94,7 +93,7 @@ pub use rebalance::{
 };
 pub use router::{MigrationView, Partitioning, Router, RoutingEpoch};
 pub use stats::{ShardStats, StoreStats};
-pub use store::{LeapStore, StoreConfig};
+pub use store::{LeapStore, ShardSlot, StoreConfig};
 pub use subspace::{Subspace, SubspaceStats, MAX_PAYLOAD, PAYLOAD_BITS, TAG_BITS};
 
 // Re-exported so store users can build mixed batches without importing

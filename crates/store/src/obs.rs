@@ -29,9 +29,13 @@
 //! `store_op_snapshot_page_ns` (pinned-timestamp pages served by
 //! [`crate::SnapshotCursor`]) and `stm_txn_retries` (attempts per
 //! committed transaction, via [`leap_stm::StmRecorder`]). Event ring:
-//! `store_events`.
+//! `store_events`. Counters: `store_view_swaps` (routing views published
+//! — every migration begin / complete / cancel / rollback flip and every
+//! new slot) and `store_stamp_retries` (stamped reads re-planned because
+//! a view was published under them); together they price the global
+//! read stamp.
 
-use leap_obs::{EventRing, HistSnapshot, Histogram, Json, Registry, RingSnapshot};
+use leap_obs::{Counter, EventRing, HistSnapshot, Histogram, Json, Registry, RingSnapshot};
 use std::cell::Cell;
 use std::sync::Arc;
 
@@ -83,6 +87,11 @@ pub struct StoreObs {
     pub(crate) txn_retries: Arc<Histogram>,
     /// The migration/drain timeline.
     events: Arc<EventRing>,
+    /// Routing views published (`store_view_swaps`), bumped by the router.
+    pub(crate) view_swaps: Arc<Counter>,
+    /// Stamped reads re-planned because the view moved under them
+    /// (`store_stamp_retries`).
+    pub(crate) stamp_retries: Arc<Counter>,
 }
 
 /// Index into [`StoreObs::ops`] per op kind (kept in [`OP_KINDS`] order).
@@ -106,6 +115,8 @@ impl StoreObs {
         StoreObs {
             txn_retries: registry.histogram("stm_txn_retries"),
             events: registry.ring("store_events", ring_capacity),
+            view_swaps: registry.counter("store_view_swaps"),
+            stamp_retries: registry.counter("store_stamp_retries"),
             ops,
             registry,
         }

@@ -12,9 +12,10 @@
 //! round-robins one bounded chunk over the in-flight set, so k disjoint
 //! hot ranges drain in parallel. Each migration proceeds in three phases:
 //!
-//! 1. **Begin** — the router installs a [`crate::MigrationView`] overlay
-//!    under its exclusive writer gate: once `begin` returns, every write
-//!    routes through the overlay. Table ownership does *not* change yet.
+//! 1. **Begin** — the router publishes a view carrying a
+//!    [`crate::MigrationView`] overlay under its exclusive writer gate:
+//!    once `begin` returns, every write routes through the overlay. Table
+//!    ownership does *not* change yet.
 //! 2. **Drain** — [`LeapStore::rebalance_step`] moves up to
 //!    `policy.chunk` keys per call: one page read off the source
 //!    ([`leaplist::LeapListLt::range_page`]) followed by **one**
@@ -26,17 +27,16 @@
 //!    a racing write can neither be clobbered by a stale chunk nor strand
 //!    a second copy in the source.
 //! 3. **Complete** — when a page comes back empty the range is drained;
-//!    the router installs the next [`crate::RoutingEpoch`] (ownership
-//!    flips to the destination) and clears the overlay, again under the
-//!    exclusive writer gate. A source emptied entirely (merge) parks in
-//!    the free-slot pool for the next split to reuse.
+//!    the router publishes the view with the next [`crate::RoutingEpoch`]
+//!    (ownership flips to the destination) and without the overlay, again
+//!    under the exclusive writer gate. A source emptied entirely (merge)
+//!    parks in the free-slot pool for the next split to reuse.
 //!
-//! Linearizable multi-shard reads do not lock anything: they capture the
-//! **range-scoped** overlay stamp before planning, include both sides of
-//! every migration overlapping their range in their single snapshot
-//! transaction, and retry only if a migration *overlapping their range*
-//! began or completed in between (rare lifecycle events, not per-chunk
-//! events — and never events of a disjoint migration).
+//! Linearizable multi-shard reads do not lock anything: they plan off the
+//! routing view they pinned, include both sides of every migration
+//! overlapping their range in their single snapshot transaction, and
+//! retry only if a new view was published in between (rare lifecycle
+//! events — begin, complete, abort — never per-chunk events).
 
 use crate::router::Partitioning;
 use crate::store::LeapStore;
@@ -390,7 +390,7 @@ impl<V: Clone + Send + Sync + 'static> LeapStore<V> {
             .step_lock
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
-        let inflight = self.router().overlay_states();
+        let inflight = self.router().pin().overlays().to_vec();
         if self.router().mode() == Partitioning::Range
             && inflight.len() < self.policy.max_concurrent_migrations
         {
@@ -563,26 +563,28 @@ impl<V: Clone + Send + Sync + 'static> LeapStore<V> {
         m: &Arc<crate::router::MigrationState>,
     ) -> Result<AbortOutcome, RebalanceError> {
         let (src, dst) = (self.list(m.src), self.list(m.dst));
-        {
-            let guard = m.write_lock.lock().unwrap_or_else(PoisonError::into_inner);
-            if src.range_page(m.lo, m.hi, 1).is_empty() {
-                // The range already drained: completing forward is
-                // strictly cheaper than sweeping it all back, and equally
-                // final for the caller.
-                drop(guard);
-                return match self.complete_locked(m) {
-                    RebalanceAction::Completed { epoch } => Ok(AbortOutcome::Completed { epoch }),
-                    _ => Err(RebalanceError::NoSuchMigration),
-                };
-            }
-            // Flip the overlay into the aborting state while holding the
-            // write lock: every in-range writer serializes on this lock,
-            // so any write that landed in dst happens-before the sweep
-            // below, and every later write routes source-ward again (see
-            // `put_inner`). The flipped overlay stamp invalidates
-            // concurrent stamped range reads.
-            m.aborting.store(true, Ordering::Release);
+        let drained = {
+            let _guard = m.write_lock.lock().unwrap_or_else(PoisonError::into_inner);
+            src.range_page(m.lo, m.hi, 1).is_empty()
+        };
+        if drained {
+            // The range already drained (and in-range writes land in dst,
+            // so it stays drained): completing forward is strictly
+            // cheaper than sweeping it all back, and equally final for
+            // the caller.
+            return match self.complete_locked(m) {
+                RebalanceAction::Completed { epoch } => Ok(AbortOutcome::Completed { epoch }),
+                _ => Err(RebalanceError::NoSuchMigration),
+            };
         }
+        // Flip the overlay into the aborting state under the exclusive
+        // gate — never while holding the write lock, which writers take
+        // *inside* the gate: every in-flight in-range write has committed
+        // (so whatever it put in dst happens-before the sweep below), and
+        // every later write routes source-ward again (see `put_inner`).
+        // The flip publishes a new view, which invalidates concurrent
+        // stamped reads.
+        self.router().begin_abort(m);
         // Sweep dst's copy of [lo, hi] back into src in bounded chunks,
         // holding the write lock only per chunk. A writer interleaving
         // between chunks removes its key from dst (aborting direction),
@@ -1374,6 +1376,92 @@ mod tests {
             .filter(|e| matches!(e.kind, EventKind::RebalancerPanic { .. }))
             .count();
         assert!(panics_seen > 0, "panics must land on the event timeline");
+    }
+
+    /// The published-view contract under churn: readers `get` preloaded
+    /// keys — no lock, borrowed lists — while one thread cycles split /
+    /// drain / merge and split / abort, each step publishing views. Every
+    /// get must return the model value (a miss that raced a swap retries),
+    /// and at quiescence every retired view has been freed: exactly the
+    /// current one is live.
+    #[test]
+    fn readers_stay_exact_while_views_churn_and_retired_views_are_freed() {
+        const KEYS: u64 = 400;
+        const READERS: u64 = 3;
+        const ROUNDS: usize = 40;
+        // Thresholds no load can trip: only the explicit calls reshard.
+        let store: LeapStore<u64> = LeapStore::new(cfg(2).with_rebalancing(RebalancePolicy {
+            chunk: 16,
+            split_ratio: 1e9,
+            merge_ratio: 0.0,
+            ..RebalancePolicy::default()
+        }));
+        for k in 0..KEYS {
+            store.put(k, k * 7);
+        }
+        let stop = AtomicBool::new(false);
+        let start = std::sync::Barrier::new(READERS as usize + 1);
+        let drain = |store: &LeapStore<u64>| loop {
+            match store.rebalance_step() {
+                RebalanceAction::Completed { .. } => break,
+                RebalanceAction::Moved { .. } => {}
+                other => panic!("unexpected action {other:?}"),
+            }
+        };
+        let gets = std::thread::scope(|scope| {
+            let readers: Vec<_> = (0..READERS)
+                .map(|t| {
+                    let (store, stop, start) = (&store, &stop, &start);
+                    scope.spawn(move || {
+                        start.wait();
+                        let (mut k, mut gets) = (t, 0u64);
+                        while !stop.load(Ordering::Acquire) {
+                            assert_eq!(store.get(k % KEYS), Some(k % KEYS * 7));
+                            k += 7;
+                            gets += 1;
+                        }
+                        gets
+                    })
+                })
+                .collect();
+            start.wait();
+            for round in 0..ROUNDS {
+                let dst = store.split_shard(0, KEYS / 2).expect("valid split");
+                if round % 2 == 0 {
+                    drain(&store);
+                    store.merge_shards(dst, 0).expect("adjacent merge");
+                    drain(&store);
+                } else {
+                    assert!(matches!(
+                        store.rebalance_step(),
+                        RebalanceAction::Moved { .. }
+                    ));
+                    let id = store.router().migration().expect("in flight").id;
+                    assert!(matches!(
+                        store.abort_migration(id),
+                        Ok(AbortOutcome::RolledBack { .. })
+                    ));
+                }
+            }
+            stop.store(true, Ordering::Release);
+            readers
+                .into_iter()
+                .map(|r| r.join().expect("reader panicked"))
+                .sum::<u64>()
+        });
+        assert!(gets > 0);
+        assert!(store.router().migrations().is_empty());
+        assert_eq!(store.shard(0).len() as u64, KEYS, "everything merged back");
+        let swaps = store
+            .obs()
+            .expect("obs on by default")
+            .registry()
+            .counter("store_view_swaps")
+            .get();
+        // One new slot; begin + complete twice per even round; begin,
+        // rollback flip and cancel per odd round.
+        assert_eq!(swaps as usize, 1 + ROUNDS / 2 * 4 + ROUNDS / 2 * 3);
+        crate::router::reclaim_until(|| store.router().live_views() == 1);
     }
 
     /// Op-rate awareness: a shard that is read-hot but key-light must

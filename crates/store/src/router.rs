@@ -1,28 +1,46 @@
-//! The shard router: deterministic key → shard placement plus the inverse
-//! question a range query asks — *which shards can hold keys in `[lo, hi]`?*
+//! The shard router: deterministic key → shard placement, the inverse
+//! question a range query asks — *which shards can hold keys in
+//! `[lo, hi]`?* — and the one place the store's routing state lives.
 //!
-//! Since live resharding landed, range-mode placement is no longer a fixed
-//! arithmetic function but an **epoch-versioned routing table**
-//! ([`RoutingEpoch`]): a sorted list of interval starts with one owning
-//! shard slot per interval. Splitting a hot shard or merging a cold pair
-//! installs a new table (epoch + 1) *after* the keys have migrated; while
-//! migrations are in flight the router carries an **overlay set**
-//! ([`MigrationState`], one per migration) naming each source, destination
-//! and migrating sub-range, so the store can consult source-then-
-//! destination for keys whose new home is still filling up.
+//! # One published view
+//!
+//! Everything an operation needs to route — the epoch-versioned table
+//! ([`RoutingEpoch`]), the in-flight migration overlays
+//! ([`MigrationState`], sorted by `lo`) and the shard slots themselves — is
+//! one immutable [`RoutingView`] published through a single atomic
+//! pointer. An operation pins the `leap-ebr` epoch (the pin the list walk
+//! takes anyway; nested pins are free), loads the pointer and routes off
+//! plain borrowed data: no lock, no reference-count traffic, no store to
+//! any line another thread uses.
+//!
+//! Every routing change — a migration beginning, completing, being
+//! cancelled or flipping into its rollback direction, a slot being added —
+//! builds the successor view and swaps the pointer while holding the
+//! writer **gate** exclusively; the replaced view is retired through the
+//! epoch collector, so a pinned reader keeps borrowing it safely. That
+//! makes the pointer itself the read stamp: a reader that finds the same
+//! pointer after its lookup or snapshot transaction as before it (same
+//! pointer under one pin means same view — a retired view cannot be freed
+//! and its address reused while the pin lives) knows no routing change
+//! happened in between, and otherwise re-plans ([`Pinned::is_current`]).
+//! The stamp is global: a migration of a disjoint range also forces a
+//! retry, which costs a re-plan a few times per migration — the
+//! `store_view_swaps` and `store_stamp_retries` counters measure it.
+//!
+//! Writers hold the gate shared for their whole op, so the view they
+//! load cannot be replaced under them and needs no re-check; the
+//! exclusive holder thereby also drains every write that routed under the
+//! previous view before the migration driver trusts the new one.
 //!
 //! Overlays are **pairwise disjoint**: every in-flight migration moves a
 //! suffix of a distinct source interval, and no shard slot participates in
 //! two migrations at once ([`RebalanceError::SlotBusy`]), which makes the
-//! ranges disjoint by construction. Linearizable reads therefore stamp
-//! only the overlays *overlapping their own range* ([`OverlayStamp`]):
-//! a migration of some other key range beginning or completing never
-//! forces a retry.
+//! ranges disjoint by construction.
 
-use crate::interval::CompletionTree;
 use crate::rebalance::RebalanceError;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::marker::PhantomData;
+use std::sync::atomic::{fence, AtomicBool, AtomicPtr, AtomicU32, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// How the keyspace is partitioned across shards.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -165,8 +183,8 @@ impl RoutingEpoch {
 /// consult source-then-destination never see a key absent or doubled.
 #[derive(Debug)]
 pub struct MigrationState {
-    /// Unique, monotone overlay identity (never reused, so a stamp can
-    /// never confuse a completed migration with a later identical one).
+    /// Unique, monotone overlay identity: the sequence number of the view
+    /// that installed it (never reused, never 0).
     pub(crate) id: u64,
     /// Slot keys migrate out of (the current table owner of `[lo, hi]`).
     pub src: usize,
@@ -186,11 +204,11 @@ pub struct MigrationState {
     /// transaction, which must not interleave (a chunk move committing a
     /// stale value over a racing write would lose the write).
     pub(crate) write_lock: Mutex<()>,
-    /// Set (under `write_lock`) when the migration is being rolled back:
-    /// in-range writes then land in `src` (clearing any `dst` copy) and
-    /// lookups consult destination-then-source, mirroring the reversed
-    /// drain direction. Participates in the overlay stamp, so a flip
-    /// forces concurrent stamped reads to retry.
+    /// Set (by [`Router::begin_abort`], under the exclusive gate) when the
+    /// migration is being rolled back: in-range writes then land in `src`
+    /// (clearing any `dst` copy) and lookups consult
+    /// destination-then-source, mirroring the reversed drain direction.
+    /// The flip publishes a new view, so concurrent stamped reads retry.
     pub(crate) aborting: AtomicBool,
     /// Consecutive drain steps that failed to advance the frontier (e.g.
     /// injected chunk faults); reset by every successful chunk. The
@@ -217,70 +235,190 @@ pub struct MigrationView {
     pub moved: u64,
 }
 
-/// Where a write must go: its table owner, or — for a key inside an
-/// in-flight migration — the source/destination pair it must update as one
-/// cross-list transaction.
-pub(crate) enum WriteRoute {
-    Direct(usize),
-    Migrating(Arc<MigrationState>),
+/// Counts the live [`RoutingView`]s of one router, so tests can show
+/// every retired view is freed exactly once.
+#[cfg(test)]
+#[derive(Debug)]
+struct LiveCount(Arc<std::sync::atomic::AtomicUsize>);
+
+#[cfg(test)]
+impl Clone for LiveCount {
+    fn clone(&self) -> Self {
+        self.0.fetch_add(1, Ordering::SeqCst);
+        LiveCount(self.0.clone())
+    }
 }
 
-/// The **range-scoped** overlay identity a linearizable read of `[lo, hi]`
-/// captures before planning and re-checks after committing: equal stamps
-/// mean no migration *overlapping the read's range* began or completed in
-/// between, so the planned list set was exhaustive for the whole read.
-///
-/// Two monotone-protected components make equality sound:
-///
-/// * `overlays` — the unique ids of in-flight migrations overlapping the
-///   range. Ids are never reused, so "the same overlay set" really means
-///   the same overlays (no ABA through complete-then-identical-rebegin).
-/// * `completed` — the newest completion sequence number among completed
-///   migrations overlapping the range, answered exactly by the router's
-///   completion interval tree. Completions only insert with increasing
-///   sequence numbers, so any overlapping completion between the two
-///   stamps raises it — and a completion elsewhere never moves it (the
-///   tree never widens a stored range).
-///
-/// A migration of a *disjoint* range changes neither component — its
-/// begin/complete bumps the global epoch but cannot change where the
-/// read's own keys live (a transfer only reassigns ownership inside the
-/// migrated range; clipped to any disjoint range the table is unchanged).
-#[derive(PartialEq, Eq, Clone, Debug)]
-pub(crate) struct OverlayStamp {
-    overlays: Vec<u64>,
-    completed: u64,
+#[cfg(test)]
+impl Drop for LiveCount {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::SeqCst);
+    }
 }
 
-/// The migration overlay set plus the completion log, guarded together so
-/// a stamp sees a consistent pair.
-#[derive(Debug, Default)]
-struct OverlaySet {
+/// One immutable version of the store's whole routing state (see the
+/// module docs). `S` is the per-slot payload the store hangs off each
+/// shard slot (its list and counters); a bare [`Router`] carries `()`.
+#[derive(Debug, Clone)]
+pub(crate) struct RoutingView<S> {
+    /// Publish count: 0 for the construction-time view, +1 per swap.
+    /// Doubles as the id source for migrations (unique, never reused).
+    seq: u64,
+    mode: Partitioning,
+    /// Current routing table (range mode; hash mode routes arithmetically).
+    table: Arc<RoutingEpoch>,
     /// In-flight migrations, sorted by `lo`; pairwise disjoint ranges and
     /// pairwise disjoint `{src, dst}` slot sets.
-    inflight: Vec<Arc<MigrationState>>,
-    /// Completed migration ranges, stored exactly (no cap, no
-    /// gap-spanning coalescing) — see [`CompletionTree`].
-    completed: CompletionTree,
-    /// Monotone id source for new migrations.
-    next_id: u64,
-    /// Monotone completion sequence (1 for the first completion).
-    completed_seq: u64,
+    overlays: Vec<Arc<MigrationState>>,
+    /// Shard slots; grows when a split allocates one, never shrinks.
+    slots: Vec<S>,
     /// Most concurrent in-flight migrations ever observed.
     peak_inflight: u64,
+    #[cfg(test)]
+    _live: LiveCount,
 }
 
-impl OverlaySet {
-    /// Records a completed migration's range in the interval tree under
-    /// the next completion sequence number.
-    fn log_completion(&mut self, lo: u64, hi: u64) {
-        self.completed_seq += 1;
-        self.completed.insert(lo, hi, self.completed_seq);
+impl<S> RoutingView<S> {
+    /// The routing table of this view.
+    pub(crate) fn table(&self) -> &Arc<RoutingEpoch> {
+        &self.table
     }
 
-    /// The newest completion sequence overlapping `[lo, hi]` (0 if none).
-    fn completed_overlapping(&self, lo: u64, hi: u64) -> u64 {
-        self.completed.max_seq_overlapping(lo, hi)
+    /// The in-flight overlay set, sorted by `lo`.
+    pub(crate) fn overlays(&self) -> &[Arc<MigrationState>] {
+        &self.overlays
+    }
+
+    /// The shard slots.
+    pub(crate) fn slots(&self) -> &[S] {
+        &self.slots
+    }
+
+    /// The slot owning `key` **per the table** (an in-flight migration
+    /// does not change ownership until it completes).
+    pub(crate) fn owner_of(&self, key: u64) -> usize {
+        match self.mode {
+            Partitioning::Hash => {
+                // Fibonacci multiply then fold the high bits in, so both
+                // low- and high-entropy keys spread.
+                let h = key.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                ((h ^ (h >> 32)) % self.slots.len() as u64) as usize
+            }
+            Partitioning::Range => self.table.owner_of(key),
+        }
+    }
+
+    /// The in-flight overlay covering `key`, if any (ranges are disjoint
+    /// and sorted, so at most the last one starting at or below `key`).
+    pub(crate) fn overlay_for(&self, key: u64) -> Option<&Arc<MigrationState>> {
+        let after = self.overlays.partition_point(|m| m.lo <= key);
+        self.overlays[..after].last().filter(|m| key <= m.hi)
+    }
+
+    /// `(slot, lo, hi)` for every slot that may hold a key in `[lo, hi]`
+    /// per the table, in key order, each clipped to the query. Hash mode
+    /// scatters, so every slot overlaps every range.
+    fn table_plan(&self, lo: u64, hi: u64) -> Vec<(usize, u64, u64)> {
+        if lo > hi {
+            return Vec::new();
+        }
+        match self.mode {
+            Partitioning::Hash => (0..self.slots.len()).map(|s| (s, lo, hi)).collect(),
+            Partitioning::Range => self.table.overlapping(lo, hi),
+        }
+    }
+
+    /// The slots a linearizable `[lo, hi]` read must visit: the table's,
+    /// plus the destination of **every** overlapping in-flight migration
+    /// clipped to its migrating sub-range. The flag is whether the merged
+    /// result needs sorting (hash interleaving, or an overlay whose
+    /// destination keys interleave with the source interval's).
+    pub(crate) fn visit_plan(&self, lo: u64, hi: u64) -> (Vec<(usize, u64, u64)>, bool) {
+        let mut plan = self.table_plan(lo, hi);
+        let mut sort = self.mode == Partitioning::Hash;
+        for m in self.overlays.iter().filter(|m| m.lo <= hi && lo <= m.hi) {
+            plan.push((m.dst, m.lo.max(lo), m.hi.min(hi)));
+            sort = true;
+        }
+        (plan, sort)
+    }
+
+    /// Most concurrent in-flight migrations ever observed.
+    pub(crate) fn peak_inflight(&self) -> u64 {
+        self.peak_inflight
+    }
+
+    /// Snapshots of every in-flight migration, in key order.
+    pub(crate) fn migration_views(&self) -> Vec<MigrationView> {
+        self.overlays
+            .iter()
+            .map(|m| MigrationView {
+                id: m.id,
+                src: m.src,
+                dst: m.dst,
+                lo: m.lo,
+                hi: m.hi,
+                // ORDERING: progress gauge; staleness only lags the report.
+                moved: m.moved.load(Ordering::Relaxed),
+            })
+            .collect()
+    }
+}
+
+impl<S: Clone> RoutingView<S> {
+    /// A copy of this view carrying the next sequence number, for the
+    /// caller to edit and [`Router::publish`].
+    fn successor(&self) -> Self {
+        RoutingView {
+            seq: self.seq + 1,
+            ..self.clone()
+        }
+    }
+}
+
+/// The published view pointer, alone on its cache-line pair: every read
+/// loads it, so it must not share a line with the gate word that every
+/// write locks and unlocks.
+#[repr(align(128))]
+struct Published<S>(AtomicPtr<RoutingView<S>>);
+
+/// An epoch pin plus the routing view it protects: what every store
+/// operation routes through. Dereferences to the [`RoutingView`].
+pub(crate) struct Pinned<'r, S> {
+    router: &'r Router<S>,
+    /// Loaded from `router.view` under `_guard`, so valid while it lives.
+    view: *const RoutingView<S>,
+    _guard: leap_ebr::Guard,
+}
+
+impl<S> std::ops::Deref for Pinned<'_, S> {
+    type Target = RoutingView<S>;
+
+    fn deref(&self) -> &RoutingView<S> {
+        // SAFETY: `view` was loaded from the router's pointer after
+        // `_guard` pinned the epoch; a view is only freed through
+        // `defer_drop_box` after being swapped out, i.e. not before every
+        // guard pinned at the swap — ours included — has dropped.
+        unsafe { &*self.view }
+    }
+}
+
+impl<S> Pinned<'_, S> {
+    /// Whether the router still publishes this view — the read stamp.
+    /// Call it **after** the reads it validates: equal pointers under one
+    /// pin prove no routing change was published in between.
+    pub(crate) fn is_current(&self) -> bool {
+        // ORDERING: the Acquire fence keeps the caller's preceding list
+        // reads from sinking below the pointer reload (the seqlock reader
+        // recipe); the reload itself pairs with `publish`'s Release swap.
+        fence(Ordering::Acquire);
+        std::ptr::eq(self.router.view.0.load(Ordering::Acquire), self.view)
+    }
+
+    /// Re-loads the router's current view under the same pin.
+    pub(crate) fn refresh(&mut self) {
+        // ORDERING: Acquire pairs with `publish`'s Release swap.
+        self.view = self.router.view.0.load(Ordering::Acquire);
     }
 }
 
@@ -297,20 +435,22 @@ impl OverlaySet {
 /// assert_eq!(r.shards_for_range(200, 600), vec![0, 1, 2]);
 /// assert_eq!(r.epoch(), 0);
 /// ```
-#[derive(Debug)]
-pub struct Router {
+pub struct Router<S = ()> {
     mode: Partitioning,
-    /// Total shard slots (grows when a split allocates a new shard).
-    slots: AtomicUsize,
-    /// Current routing table (range mode; hash mode routes arithmetically).
-    table: RwLock<Arc<RoutingEpoch>>,
-    /// The in-flight migration overlay set plus the completion log.
-    overlays: RwLock<OverlaySet>,
-    /// Writer gate: every write holds it shared for the whole op; starting
-    /// or completing a migration holds it exclusively for the instant the
-    /// overlay or table flips. This drains writes that routed under the
-    /// old view before the migration driver trusts the new one.
+    /// The current [`RoutingView`]; never null. Swapped only by
+    /// [`Router::publish`], read only through [`Router::pin`].
+    view: Published<S>,
+    /// Writer gate: every write holds it shared for the whole op; every
+    /// view swap holds it exclusively. This serializes publishers and
+    /// drains writes that routed under the old view before the migration
+    /// driver trusts the new one.
     gate: RwLock<()>,
+    /// Bumped once per view swap (`store_view_swaps`), when wired.
+    swaps: Option<Arc<leap_obs::Counter>>,
+    #[cfg(test)]
+    live: Arc<std::sync::atomic::AtomicUsize>,
+    /// The router owns its views: `Send`/`Sync` exactly when `S` is.
+    _owns: PhantomData<Box<RoutingView<S>>>,
 }
 
 impl Router {
@@ -324,21 +464,97 @@ impl Router {
     ///
     /// Panics if `shards` or `key_space` is zero.
     pub fn new(mode: Partitioning, shards: usize, key_space: u64) -> Self {
-        assert!(shards > 0, "a store needs at least one shard");
+        Router::with_slots(mode, key_space, vec![(); shards], None)
+    }
+}
+
+impl<S: Clone + Send + Sync + 'static> Router<S> {
+    /// A router whose initial view carries one slot per element of
+    /// `slots`; `swaps`, when given, counts every later view swap.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slots` is empty or `key_space` is zero.
+    pub(crate) fn with_slots(
+        mode: Partitioning,
+        key_space: u64,
+        slots: Vec<S>,
+        swaps: Option<Arc<leap_obs::Counter>>,
+    ) -> Self {
+        assert!(!slots.is_empty(), "a store needs at least one shard");
         assert!(key_space > 0, "key_space must be non-zero");
+        #[cfg(test)]
+        let live = Arc::new(std::sync::atomic::AtomicUsize::new(1));
+        let first = RoutingView {
+            seq: 0,
+            mode,
+            table: Arc::new(RoutingEpoch::initial(slots.len(), key_space)),
+            overlays: Vec::new(),
+            slots,
+            peak_inflight: 0,
+            #[cfg(test)]
+            _live: LiveCount(live.clone()),
+        };
         Router {
             mode,
-            slots: AtomicUsize::new(shards),
-            table: RwLock::new(Arc::new(RoutingEpoch::initial(shards, key_space))),
-            overlays: RwLock::new(OverlaySet::default()),
+            view: Published(AtomicPtr::new(Box::into_raw(Box::new(first)))),
             gate: RwLock::new(()),
+            swaps,
+            #[cfg(test)]
+            live,
+            _owns: PhantomData,
         }
+    }
+
+    /// Pins the epoch and loads the current view — the first step of
+    /// every store operation.
+    pub(crate) fn pin(&self) -> Pinned<'_, S> {
+        let guard = leap_ebr::pin();
+        Pinned {
+            router: self,
+            // ORDERING: Acquire pairs with `publish`'s Release swap, so the
+            // view's contents are visible; loaded after the pin, which is
+            // what lets `Pinned::deref` borrow it.
+            view: self.view.0.load(Ordering::Acquire),
+            _guard: guard,
+        }
+    }
+
+    /// Installs `next` as the current view and retires its predecessor
+    /// through the epoch collector. The caller must hold the gate
+    /// exclusively, which makes it the only publisher.
+    fn publish(&self, next: RoutingView<S>, _gate: &RwLockWriteGuard<'_, ()>) {
+        let new = Box::into_raw(Box::new(next));
+        let guard = leap_ebr::pin();
+        // ORDERING: Release publishes the new view's contents to the
+        // Acquire loads in `pin` / `Pinned`; Acquire orders the retired
+        // view's own publication before its deferred drop.
+        let old = self.view.0.swap(new, Ordering::AcqRel);
+        // SAFETY: `old` came from `Box::into_raw` (in `with_slots` or an
+        // earlier `publish`) and the swap made it unreachable for every
+        // later pin; the exclusive gate rules out a second publisher
+        // retiring the same pointer, and no `Box` is ever rebuilt from it
+        // elsewhere (`Drop` frees only the then-current view).
+        unsafe { guard.defer_drop_box(old) };
+        if let Some(swaps) = &self.swaps {
+            swaps.inc();
+        }
+    }
+
+    fn gate_exclusive(&self) -> RwLockWriteGuard<'_, ()> {
+        self.gate.write().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Shared hold on the writer gate for the duration of one write: the
+    /// view the write loads cannot be replaced until it is released.
+    pub(crate) fn enter_write(&self) -> RwLockReadGuard<'_, ()> {
+        self.gate.read().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Number of shard slots (including any emptied by merges and not yet
     /// reused by splits).
     pub fn shards(&self) -> usize {
-        self.slots.load(Ordering::Acquire)
+        self.pin().slots.len()
     }
 
     /// The partitioning mode.
@@ -349,15 +565,12 @@ impl Router {
     /// The current routing-table version (0 until the first completed
     /// split or merge; hash mode never reshards).
     pub fn epoch(&self) -> u64 {
-        self.routing().epoch
+        self.pin().table.epoch
     }
 
     /// A snapshot of the current routing table.
     pub fn routing(&self) -> Arc<RoutingEpoch> {
-        self.table
-            .read()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .clone()
+        self.pin().table.clone()
     }
 
     /// A snapshot of one in-flight migration (the lowest-keyed one), if
@@ -369,68 +582,19 @@ impl Router {
 
     /// Snapshots of every in-flight migration, in key order.
     pub fn migrations(&self) -> Vec<MigrationView> {
-        self.overlay_states()
-            .iter()
-            .map(|m| MigrationView {
-                id: m.id,
-                src: m.src,
-                dst: m.dst,
-                lo: m.lo,
-                hi: m.hi,
-                // ORDERING: progress gauge; staleness only lags the report.
-                moved: m.moved.load(Ordering::Relaxed),
-            })
-            .collect()
+        self.pin().migration_views()
     }
 
     /// Most concurrent in-flight migrations ever observed.
     pub fn peak_concurrent_migrations(&self) -> u64 {
-        self.overlays_read().peak_inflight
-    }
-
-    fn overlays_read(&self) -> std::sync::RwLockReadGuard<'_, OverlaySet> {
-        self.overlays
-            .read()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    /// The whole in-flight overlay set, sorted by `lo`.
-    pub(crate) fn overlay_states(&self) -> Vec<Arc<MigrationState>> {
-        self.overlays_read().inflight.clone()
-    }
-
-    /// The in-flight overlay covering `key`, if any.
-    pub(crate) fn overlay_for(&self, key: u64) -> Option<Arc<MigrationState>> {
-        self.overlays_read()
-            .inflight
-            .iter()
-            .find(|m| (m.lo..=m.hi).contains(&key))
-            .cloned()
-    }
-
-    /// Every in-flight overlay overlapping `[lo, hi]`, in key order.
-    pub(crate) fn overlays_overlapping(&self, lo: u64, hi: u64) -> Vec<Arc<MigrationState>> {
-        self.overlays_read()
-            .inflight
-            .iter()
-            .filter(|m| m.lo <= hi && lo <= m.hi)
-            .cloned()
-            .collect()
+        self.pin().peak_inflight()
     }
 
     /// The shard owning `key` **per the current table** (an in-flight
     /// migration does not change ownership until it completes). Total:
     /// every key maps to exactly one slot.
     pub fn shard_of(&self, key: u64) -> usize {
-        match self.mode {
-            Partitioning::Hash => {
-                // Fibonacci multiply then fold the high bits in, so both
-                // low- and high-entropy keys spread.
-                let h = key.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                ((h ^ (h >> 32)) % self.shards() as u64) as usize
-            }
-            Partitioning::Range => self.routing().owner_of(key),
-        }
+        self.pin().owner_of(key)
     }
 
     /// Every shard that may hold a key in `[lo, hi]` per the current
@@ -438,20 +602,10 @@ impl Router {
     /// reshard permutes interval ownership). Empty when `lo > hi`; hash
     /// mode scatters, so every slot overlaps every range. Does **not**
     /// include an in-flight migration's destination — linearizable reads
-    /// use the store's overlay-aware visit plan.
+    /// use the view's overlay-aware visit plan.
     pub fn shards_for_range(&self, lo: u64, hi: u64) -> Vec<usize> {
-        if lo > hi {
-            return Vec::new();
-        }
-        match self.mode {
-            Partitioning::Hash => (0..self.shards()).collect(),
-            Partitioning::Range => self
-                .routing()
-                .overlapping(lo, hi)
-                .into_iter()
-                .map(|(s, _, _)| s)
-                .collect(),
-        }
+        let plan = self.pin().table_plan(lo, hi);
+        plan.into_iter().map(|(s, _, _)| s).collect()
     }
 
     /// Every shard a scan of `subspace` visits per the current table — the
@@ -469,54 +623,23 @@ impl Router {
     ///
     /// Panics if `s` is out of bounds.
     pub fn shard_interval(&self, s: usize) -> Option<(u64, u64)> {
-        assert!(s < self.shards(), "shard {s} out of bounds");
+        let view = self.pin();
+        assert!(s < view.slots.len(), "shard {s} out of bounds");
         match self.mode {
             Partitioning::Hash => None,
-            Partitioning::Range => self.routing().interval_of(s),
+            Partitioning::Range => view.table.interval_of(s),
         }
     }
 
-    /// Registers a new (initially interval-less) shard slot; returns its
-    /// index. The store grows its shard vector in lock step.
-    pub(crate) fn add_slot(&self) -> usize {
-        self.slots.fetch_add(1, Ordering::AcqRel)
-    }
-
-    /// Where a write to `key` must go right now. The caller must hold the
-    /// writer gate ([`Router::enter_write`]) across both this decision and
-    /// the write itself.
-    pub(crate) fn write_route(&self, key: u64) -> WriteRoute {
-        if let Some(m) = self.overlay_for(key) {
-            return WriteRoute::Migrating(m);
-        }
-        WriteRoute::Direct(self.shard_of(key))
-    }
-
-    /// Shared hold on the writer gate for the duration of one write.
-    pub(crate) fn enter_write(&self) -> std::sync::RwLockReadGuard<'_, ()> {
-        self.gate
-            .read()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    /// The overlay identity of `[lo, hi]` for linearizable multi-shard
-    /// reads (see [`OverlayStamp`]). Capture it **before** planning the
-    /// visit (it must precede the table read the plan derives from) and
-    /// compare after the snapshot transaction.
-    pub(crate) fn overlay_stamp(&self, lo: u64, hi: u64) -> OverlayStamp {
-        let set = self.overlays_read();
-        OverlayStamp {
-            overlays: set
-                .inflight
-                .iter()
-                .filter(|m| m.lo <= hi && lo <= m.hi)
-                // The aborting bit rides along: reversing a migration's
-                // drain direction mid-read must invalidate the stamp just
-                // like the overlay appearing or vanishing would.
-                .map(|m| (m.id << 1) | m.aborting.load(Ordering::Acquire) as u64)
-                .collect(),
-            completed: set.completed_overlapping(lo, hi),
-        }
+    /// Publishes a view with `slot` appended as a new (initially
+    /// interval-less) shard slot; returns its index.
+    pub(crate) fn add_slot(&self, slot: S) -> usize {
+        let gate = self.gate_exclusive();
+        let mut next = self.pin().successor();
+        next.slots.push(slot);
+        let index = next.slots.len() - 1;
+        self.publish(next, &gate);
+        index
     }
 
     /// Installs a migration overlay for `[lo, hi]`, a suffix of `src`'s
@@ -527,8 +650,7 @@ impl Router {
     ///
     /// Disjointness: in-flight migrations move suffixes of **distinct**
     /// source intervals (the slot-busy check rejects a shared source or
-    /// destination), so their key ranges can never overlap — which is
-    /// what lets reads stamp only the overlays over their own range.
+    /// destination), so their key ranges can never overlap.
     pub(crate) fn begin_migration(
         &self,
         src: usize,
@@ -538,31 +660,25 @@ impl Router {
         if self.mode != Partitioning::Range {
             return Err(RebalanceError::HashPartitioning);
         }
-        let slots = self.shards();
+        // Exclusive gate: after this returns, every in-flight write that
+        // routed under the previous view has committed, so the chunk
+        // mover can trust that all in-range writes go through the new
+        // overlay.
+        let gate = self.gate_exclusive();
+        let cur = self.pin();
+        let slots = cur.slots.len();
         if src >= slots || dst >= slots || src == dst {
             return Err(RebalanceError::BadShard);
         }
-        // Exclusive gate: after this returns, every in-flight write that
-        // routed under the previous overlay view has committed, so the
-        // chunk mover can trust that all in-range writes go through the
-        // new overlay.
-        let _g = self
-            .gate
-            .write()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let mut set = self
+        if cur
             .overlays
-            .write()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if set
-            .inflight
             .iter()
             .any(|m| [m.src, m.dst].iter().any(|&s| s == src || s == dst))
         {
             return Err(RebalanceError::SlotBusy);
         }
-        let table = self.routing();
-        let (slo, shi) = table
+        let (slo, shi) = cur
+            .table
             .interval_of(src)
             .ok_or(RebalanceError::NothingToMove)?;
         if !(slo..=shi).contains(&lo) {
@@ -570,19 +686,19 @@ impl Router {
         }
         // dst must stay contiguous: it owns nothing, or its interval abuts
         // the migrating range (shi <= u64::MAX - 1, so shi + 1 is safe).
-        if let Some((dlo, dhi)) = table.interval_of(dst) {
+        if let Some((dlo, dhi)) = cur.table.interval_of(dst) {
             let abuts = dlo == shi + 1 || (lo > 0 && dhi == lo - 1);
             if !abuts {
                 return Err(RebalanceError::NonAdjacent);
             }
         }
         debug_assert!(
-            set.inflight.iter().all(|m| shi < m.lo || m.hi < lo),
+            cur.overlays.iter().all(|m| shi < m.lo || m.hi < lo),
             "slot-disjoint migrations must be range-disjoint"
         );
-        set.next_id += 1;
+        let mut next = cur.successor();
         let m = Arc::new(MigrationState {
-            id: set.next_id,
+            id: next.seq,
             src,
             dst,
             lo,
@@ -593,31 +709,42 @@ impl Router {
             aborting: AtomicBool::new(false),
             stalls: AtomicU32::new(0),
         });
-        let at = set.inflight.partition_point(|o| o.lo < lo);
-        set.inflight.insert(at, m.clone());
-        set.peak_inflight = set.peak_inflight.max(set.inflight.len() as u64);
+        let at = next.overlays.partition_point(|o| o.lo < lo);
+        next.overlays.insert(at, m.clone());
+        next.peak_inflight = next.peak_inflight.max(next.overlays.len() as u64);
+        self.publish(next, &gate);
         Ok(m)
     }
 
     /// The in-flight overlay with migration id `id`, if any.
     pub(crate) fn overlay_by_id(&self, id: u64) -> Option<Arc<MigrationState>> {
-        self.overlays_read()
-            .inflight
-            .iter()
-            .find(|m| m.id == id)
-            .cloned()
+        self.pin().overlays.iter().find(|m| m.id == id).cloned()
     }
 
-    /// Installs the post-migration table (epoch + 1), removes `m` from
-    /// the overlay set and logs its range in the completion log. The
-    /// caller must have fully drained `[m.lo, m.hi]` out of the source
-    /// list first. Returns the new epoch.
+    /// The successor of the current view with `m` removed from its
+    /// overlay set, for the caller to finish and publish.
+    fn without_overlay(&self, m: &Arc<MigrationState>) -> Result<RoutingView<S>, RebalanceError> {
+        let cur = self.pin();
+        let at = cur
+            .overlays
+            .iter()
+            .position(|o| Arc::ptr_eq(o, m))
+            .ok_or(RebalanceError::NoSuchMigration)?;
+        let mut next = cur.successor();
+        next.overlays.remove(at);
+        Ok(next)
+    }
+
+    /// Publishes the post-migration view: table at epoch + 1 with
+    /// `[m.lo, m.hi]` owned by `m.dst`, and `m` gone from the overlay
+    /// set. The caller must have fully drained `[m.lo, m.hi]` out of the
+    /// source list first. Returns the new epoch.
     ///
     /// # Errors
     ///
     /// [`RebalanceError::NoSuchMigration`] if `m` is no longer installed —
     /// e.g. a concurrent [`Router::cancel_migration`] already removed it.
-    /// The table is untouched in that case.
+    /// Nothing is published in that case.
     pub(crate) fn complete_migration(
         &self,
         m: &Arc<MigrationState>,
@@ -625,37 +752,18 @@ impl Router {
         // Exclusive gate: writes that routed under the overlay have
         // committed before ownership flips; later writes route directly
         // to the destination.
-        let _g = self
-            .gate
-            .write()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let mut set = self
-            .overlays
-            .write()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let at = set
-            .inflight
-            .iter()
-            .position(|cur| Arc::ptr_eq(cur, m))
-            .ok_or(RebalanceError::NoSuchMigration)?;
-        set.inflight.remove(at);
-        set.log_completion(m.lo, m.hi);
-        let mut table = self
-            .table
-            .write()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let next = table.transferred(m.lo, m.hi, m.src, m.dst);
-        let epoch = next.epoch;
-        *table = Arc::new(next);
+        let gate = self.gate_exclusive();
+        let mut next = self.without_overlay(m)?;
+        next.table = Arc::new(next.table.transferred(m.lo, m.hi, m.src, m.dst));
+        let epoch = next.table.epoch;
+        self.publish(next, &gate);
         Ok(epoch)
     }
 
-    /// Removes `m` from the overlay set **without** flipping the routing
+    /// Publishes a view without `m` and **without** flipping the routing
     /// table: ownership of `[m.lo, m.hi]` stays with `m.src`. The caller
     /// (the store's migration abort) must have moved every in-range key
-    /// back into the source list first. The removal changes the overlay
-    /// stamp of any read overlapping the range, forcing those reads to
-    /// retry against the restored single-list placement.
+    /// back into the source list first.
     ///
     /// # Errors
     ///
@@ -664,21 +772,65 @@ impl Router {
         // Exclusive gate, like completion: in-flight writes that routed
         // under the overlay commit before it vanishes, and later writes
         // route directly to the (unchanged) table owner.
-        let _g = self
-            .gate
-            .write()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let mut set = self
-            .overlays
-            .write()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let at = set
-            .inflight
-            .iter()
-            .position(|cur| Arc::ptr_eq(cur, m))
-            .ok_or(RebalanceError::NoSuchMigration)?;
-        set.inflight.remove(at);
+        let gate = self.gate_exclusive();
+        let next = self.without_overlay(m)?;
+        self.publish(next, &gate);
         Ok(())
+    }
+
+    /// Flips `m` into its rollback direction (see
+    /// [`MigrationState::aborting`]) and publishes a successor view, so
+    /// every stamped read spanning the flip retries. Under the exclusive
+    /// gate no write is in flight, and writers (who hold the gate shared)
+    /// see one direction for their whole op.
+    pub(crate) fn begin_abort(&self, m: &Arc<MigrationState>) {
+        let gate = self.gate_exclusive();
+        m.aborting.store(true, Ordering::Release);
+        let next = self.pin().successor();
+        self.publish(next, &gate);
+    }
+
+    /// Views of this router not yet freed (the current one included).
+    #[cfg(test)]
+    pub(crate) fn live_views(&self) -> usize {
+        self.live.load(Ordering::SeqCst)
+    }
+}
+
+impl<S> Drop for Router<S> {
+    fn drop(&mut self) {
+        // SAFETY: the pointer is never null and came from `Box::into_raw`;
+        // `&mut self` proves no `Pinned` borrows it, and retired views
+        // were swapped out of this field, so this frees the last one once.
+        drop(unsafe { Box::from_raw(*self.view.0.get_mut()) });
+    }
+}
+
+impl<S: Clone + Send + Sync + 'static> std::fmt::Debug for Router<S> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let view = self.pin();
+        f.debug_struct("Router")
+            .field("mode", &self.mode)
+            .field("seq", &view.seq)
+            .field("epoch", &view.table.epoch)
+            .field("shards", &view.slots.len())
+            .field("migrations", &view.overlays.len())
+            .finish()
+    }
+}
+
+/// Drives epoch reclamation from the calling (unpinned) thread until
+/// `done` holds; other tests' transient pins only delay it.
+#[cfg(test)]
+pub(crate) fn reclaim_until(done: impl Fn() -> bool) {
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+    while !done() {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "retired views never freed"
+        );
+        leap_ebr::pin().flush();
+        std::thread::yield_now();
     }
 }
 
@@ -750,7 +902,7 @@ mod tests {
         let r = Router::new(Partitioning::Range, 2, 1000);
         assert_eq!(r.epoch(), 0);
         // Split shard 0's [0, 499] at 250 into a fresh slot.
-        let s = r.add_slot();
+        let s = r.add_slot(());
         assert_eq!(s, 2);
         let m = r.begin_migration(0, 2, 250).expect("valid split");
         assert_eq!((m.lo, m.hi), (250, 499));
@@ -816,58 +968,60 @@ mod tests {
         ));
     }
 
-    /// The acceptance property of the range-scoped stamp: a read over one
-    /// overlay's range must not retry when a *disjoint* overlay begins or
-    /// completes — only events overlapping its own range move the stamp.
+    /// Every routing change publishes a new view, so a stamp taken before
+    /// it fails afterwards — including changes to a disjoint range (the
+    /// stamp is global) and the `aborting` flip, which changes no
+    /// placement data at all. Migration ids are never reused.
     #[test]
-    fn stamp_ignores_disjoint_overlay_flips() {
+    fn every_routing_change_moves_the_view_identity() {
         let r = Router::new(Partitioning::Range, 4, 1000);
+        let mut stamp = r.pin();
+        assert!(stamp.is_current());
         let a = r.begin_migration(0, 1, 100).expect("overlay A [100,249]");
-        let before = r.overlay_stamp(120, 200);
-        // Overlay B over a disjoint range begins and completes: the
-        // A-range stamp must not move.
+        assert!(!stamp.is_current(), "begin moves the view");
+        stamp.refresh();
+        assert!(stamp.is_current());
+        assert_eq!(stamp.overlay_for(120).map(|m| m.id), Some(a.id));
+        assert!(stamp.overlay_for(99).is_none() && stamp.overlay_for(250).is_none());
         let b = r.begin_migration(2, 3, 600).expect("overlay B [600,749]");
-        assert_eq!(r.overlay_stamp(120, 200), before, "B began: no move");
-        r.complete_migration(&b).unwrap();
-        assert_eq!(r.overlay_stamp(120, 200), before, "B completed: no move");
-        // A stamp straddling B's range does see both events.
-        assert_ne!(r.overlay_stamp(120, 700), r.overlay_stamp(120, 200));
-        // Completing A moves the A-range stamp (overlay gone AND the
-        // completion log now overlaps).
+        assert!(!stamp.is_current(), "a disjoint begin moves it too");
+        stamp.refresh();
+        r.begin_abort(&b);
+        assert!(!stamp.is_current(), "the aborting flip moves it");
+        assert!(b.aborting.load(Ordering::Acquire));
+        stamp.refresh();
         r.complete_migration(&a).unwrap();
-        let after = r.overlay_stamp(120, 200);
-        assert_ne!(after, before);
-        // Re-beginning an identical-looking migration yields a fresh id:
-        // no ABA back to any earlier stamp.
+        assert!(!stamp.is_current(), "completion moves it");
+        stamp.refresh();
+        r.cancel_migration(&b).unwrap();
+        assert!(!stamp.is_current(), "cancellation moves it");
+        stamp.refresh();
+        r.add_slot(());
+        assert!(!stamp.is_current(), "a new slot moves it");
         let a2 = r.begin_migration(1, 0, 100).expect("merge back");
         r.complete_migration(&a2).unwrap();
         let a3 = r.begin_migration(0, 1, 100).expect("same shape as A");
-        assert_ne!(r.overlay_stamp(120, 200), before);
+        assert!(
+            a.id < a2.id && a2.id < a3.id,
+            "ids are monotone, never reused"
+        );
         r.complete_migration(&a3).unwrap();
     }
 
     /// Cancellation semantics: the overlay vanishes but ownership never
-    /// flips — and the aborting bit moves the stamp *before* removal, so
-    /// a read that raced the abort is forced to retry.
+    /// flips.
     #[test]
     fn cancel_removes_the_overlay_without_flipping_the_table() {
         let r = Router::new(Partitioning::Range, 2, 1000);
-        let s = r.add_slot();
+        let s = r.add_slot(());
         let m = r.begin_migration(0, s, 250).expect("valid split");
         assert!(r.overlay_by_id(m.id).is_some());
-        let clean = r.overlay_stamp(250, 499);
-        // Flagging the overlay as aborting flips the stamp's low bit even
-        // before removal: mid-abort stamped reads can't validate.
-        m.aborting.store(true, Ordering::Release);
-        let aborting = r.overlay_stamp(250, 499);
-        assert_ne!(aborting, clean);
+        r.begin_abort(&m);
         r.cancel_migration(&m).expect("installed overlay cancels");
         assert_eq!(r.epoch(), 0, "cancel must not flip the routing table");
         assert_eq!(r.shard_of(300), 0, "ownership stays with the source");
         assert!(r.migration().is_none());
         assert!(r.overlay_by_id(m.id).is_none());
-        let gone = r.overlay_stamp(250, 499);
-        assert!(gone != clean && gone != aborting, "removal moves the stamp");
         // Gone means gone: double-cancel and complete-after-cancel both
         // report NoSuchMigration, and the table stays untouched.
         assert!(matches!(
@@ -886,71 +1040,26 @@ mod tests {
         assert_eq!(r.shard_of(300), s);
     }
 
-    /// The completion log is an exact interval tree: overlapping
-    /// completions overwrite (newest seq wins on the overlap), while
-    /// ranges no completion ever covered always answer 0 — there is no
-    /// cap whose overflow used to smear entries across the gaps.
+    /// The publish/retire cycle: a replaced view stays readable through a
+    /// pin taken before the swap, is freed once that pin is gone and the
+    /// epoch has moved on, and the router's drop frees the last one.
     #[test]
-    fn completion_log_is_exact_and_unbounded() {
-        let mut set = OverlaySet::default();
-        set.log_completion(10, 19);
-        set.log_completion(30, 39);
-        set.log_completion(20, 25);
-        assert_eq!(set.completed_overlapping(0, 9), 0);
-        assert_eq!(set.completed_overlapping(12, 14), 1);
-        assert_eq!(set.completed_overlapping(25, 28), 3);
-        assert_eq!(set.completed_overlapping(26, 29), 0, "the gap stays a gap");
-        assert_eq!(set.completed_overlapping(30, 100), 2);
-        // A later completion covering part of an old range wins there,
-        // and only there.
-        set.log_completion(35, 50);
-        assert_eq!(set.completed_overlapping(30, 34), 2);
-        assert_eq!(set.completed_overlapping(36, 60), 4);
-        // Monotone: the newest logged seq is always reachable.
-        assert_eq!(
-            set.completed_overlapping(0, u64::MAX - 1),
-            set.completed_seq
-        );
-    }
-
-    /// Regression (ROADMAP carry-over): with the old 32-entry coalescing
-    /// log, 100+ disjoint completed migrations overflowed the cap and the
-    /// closest-gap merges swallowed the gaps between them — a read over a
-    /// never-migrated range then saw its stamp move on every unrelated
-    /// completion and retried for nothing. The interval tree keeps every
-    /// range exact: stamps outside all migrated ranges never move.
-    #[test]
-    fn disjoint_completions_never_move_disjoint_stamps() {
-        let r = Router::new(Partitioning::Range, 4, 1000);
-        // A read range no migration will ever touch.
-        let quiet_before = r.overlay_stamp(900, 950);
-        let mut set = OverlaySet::default();
-        for i in 0..150u64 {
-            set.log_completion(1_000 + 20 * i, 1_009 + 20 * i);
-        }
-        // Every migrated range answers its own completion...
-        assert_eq!(set.completed_overlapping(1_000, 1_009), 1);
-        assert_eq!(set.completed_overlapping(1_000 + 20 * 149, 2_000_000), 150);
-        // ...and every gap between them answers 0: a read outside every
-        // migrated range is untouched by all 150 completions.
-        for i in 0..149u64 {
-            assert_eq!(
-                set.completed_overlapping(1_010 + 20 * i, 1_019 + 20 * i),
-                0,
-                "gap {i} must stay clean after 150 disjoint completions"
-            );
-        }
-        // End-to-end through the router: complete two real migrations on
-        // disjoint ranges; the quiet range's stamp never moves.
-        let m = r.begin_migration(0, 1, 100).expect("suffix migration");
-        let m2 = r.begin_migration(2, 3, 600).expect("disjoint migration");
+    fn views_are_published_and_retired_exactly_once() {
+        let r = Router::new(Partitioning::Range, 2, 1000);
+        assert_eq!(r.live_views(), 1);
+        let old = r.pin();
+        let s = r.add_slot(());
+        let m = r.begin_migration(0, s, 250).expect("valid split");
         r.complete_migration(&m).unwrap();
-        r.complete_migration(&m2).unwrap();
-        assert_eq!(
-            r.overlay_stamp(900, 950),
-            quiet_before,
-            "completions on [100,249] and [600,749] must not stamp [900,950]"
-        );
+        assert_eq!(r.live_views(), 4, "three swaps, nothing freed under a pin");
+        assert_eq!((old.slots().len(), old.table().epoch), (2, 0));
+        assert!(old.overlays().is_empty(), "the pinned view is unchanged");
+        drop(old);
+        reclaim_until(|| r.live_views() == 1);
+        assert_eq!((r.shards(), r.epoch()), (3, 1));
+        let live = r.live.clone();
+        drop(r);
+        assert_eq!(live.load(Ordering::SeqCst), 0);
     }
 
     #[test]

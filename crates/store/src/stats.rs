@@ -15,10 +15,12 @@ use leap_obs::Json;
 use leap_stm::StatsSnapshot;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Live operation counters for one shard (relaxed atomics; advisory while
-/// operations run, exact at quiescence).
+/// One stripe of a shard's live operation counters. A whole row sits on
+/// its own cache-line pair, so threads on different stripes never write a
+/// line another thread uses.
 #[derive(Debug, Default)]
-pub(crate) struct ShardCounters {
+#[repr(align(128))]
+pub(crate) struct CounterRow {
     pub gets: AtomicU64,
     pub puts: AtomicU64,
     pub deletes: AtomicU64,
@@ -27,23 +29,49 @@ pub(crate) struct ShardCounters {
     pub batch_parts: AtomicU64,
 }
 
-impl ShardCounters {
+impl CounterRow {
     pub(crate) fn bump(counter: &AtomicU64) {
         // ORDERING: monotonic stat counter; no publication rides on it.
         counter.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+/// Live operation counters for one shard: one [`CounterRow`] per
+/// [`leap_obs::STRIPES`] stripe, each thread bumping the row
+/// [`leap_obs::stripe_of`] assigns it (relaxed atomics; advisory while
+/// operations run, exact at quiescence).
+#[derive(Debug)]
+pub(crate) struct ShardCounters {
+    rows: [CounterRow; leap_obs::STRIPES],
+}
+
+impl Default for ShardCounters {
+    fn default() -> Self {
+        ShardCounters {
+            rows: std::array::from_fn(|_| CounterRow::default()),
+        }
+    }
+}
+
+impl ShardCounters {
+    /// The calling thread's row.
+    #[inline]
+    pub(crate) fn row(&self) -> &CounterRow {
+        &self.rows[leap_obs::stripe_of()]
     }
 
     pub(crate) fn snapshot(&self, shard: usize, keys: u64, owned: bool) -> ShardStats {
         // ORDERING: monotonic stat counters; a snapshot only needs
         // eventually-consistent values.
         let ld = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        let sum = |pick: fn(&CounterRow) -> &AtomicU64| self.rows.iter().map(|r| ld(pick(r))).sum();
         ShardStats {
             shard,
-            gets: ld(&self.gets),
-            puts: ld(&self.puts),
-            deletes: ld(&self.deletes),
-            ranges: ld(&self.ranges),
-            batch_parts: ld(&self.batch_parts),
+            gets: sum(|r| &r.gets),
+            puts: sum(|r| &r.puts),
+            deletes: sum(|r| &r.deletes),
+            ranges: sum(|r| &r.ranges),
+            batch_parts: sum(|r| &r.batch_parts),
             keys,
             owned,
         }
@@ -613,5 +641,46 @@ mod tests {
         assert!(pstats.obs.is_none());
         assert!(!pstats.to_json().contains("op_latency"));
         assert!(!pstats.to_prometheus().contains("store_op_put_ns"));
+    }
+
+    /// Striped rows lose nothing: after 8 threads (two per shard, on
+    /// whatever stripes they drew) run known op counts, every per-shard
+    /// counter is exact.
+    #[test]
+    fn per_shard_counters_are_exact_at_quiescence() {
+        use crate::router::Partitioning;
+        use crate::store::StoreConfig;
+        use crate::BatchOp;
+        const N: u64 = 50;
+        let store: crate::LeapStore<u64> =
+            crate::LeapStore::new(StoreConfig::new(4, Partitioning::Range).with_key_space(1_000));
+        let start = std::sync::Barrier::new(8);
+        std::thread::scope(|scope| {
+            for t in 0..8u64 {
+                let (store, start) = (&store, &start);
+                scope.spawn(move || {
+                    // Shard `t % 4` owns [base, base + 249].
+                    let base = (t % 4) * 250 + (t / 4) * 100;
+                    start.wait();
+                    for i in 0..N {
+                        store.put(base + i, i);
+                        store.get(base + i);
+                        store.get(base + i);
+                        store.range(base, base + 10);
+                        store.apply(&[BatchOp::Update(base + 60, i), BatchOp::Remove(base + 61)]);
+                        store.apply(&[BatchOp::Update(base + 62, i)]);
+                        if i % 2 == 0 {
+                            store.delete(base + i);
+                        }
+                    }
+                });
+            }
+        });
+        let stats = store.stats();
+        assert_eq!(stats.shards.len(), 4);
+        for s in &stats.shards {
+            let got = (s.gets, s.puts, s.deletes, s.ranges, s.batch_parts);
+            assert_eq!(got, (4 * N, 2 * N, N, 2 * N, 6 * N), "shard {}", s.shard);
+        }
     }
 }

@@ -1,22 +1,35 @@
-//! The store proper: Leap-List shards on one transactional domain and an
-//! epoch-versioned router deciding placement. Every batch — including one
-//! mapping several keys to a single shard — commits through **one**
-//! multi-list transaction (`LeapListLt::apply_batch_grouped`), and the
-//! shard set itself can change online: a [`crate::Rebalancer`] migrates
-//! key sub-ranges between shards in bounded cross-list transactions while
-//! readers and writers proceed (see `rebalance.rs` for the protocol).
+//! The store proper: Leap-List shards on one transactional domain, routed
+//! through the router's single published view (`router.rs`). Every
+//! operation starts the same way — pin the epoch, load the view — and then
+//! works off borrowed data: the table, the in-flight overlays and the
+//! shard lists themselves all come out of that one immutable value.
+//!
+//! * A **read** takes no lock and writes no shared line: its op counter
+//!   is a per-thread stripe row, its list is borrowed from the view, and
+//!   its stamp is the view pointer — re-loaded after the lookup or the
+//!   snapshot transaction; an unchanged pointer proves no routing change
+//!   was published in between, anything else re-plans.
+//! * A **write** additionally holds the router's gate shared, which keeps
+//!   the view it loaded current for the whole op — no re-check at all.
+//!
+//! Every batch — including one mapping several keys to a single shard —
+//! commits through **one** multi-list transaction
+//! (`LeapListLt::apply_batch_grouped`), and the shard set itself can
+//! change online: a [`crate::Rebalancer`] migrates key sub-ranges between
+//! shards in bounded cross-list transactions while readers and writers
+//! proceed (see `rebalance.rs` for the protocol).
 
 use crate::error::StoreError;
 use crate::obs::{OpKind, StoreObs};
 use crate::rebalance::RebalancePolicy;
-use crate::router::{Partitioning, Router, WriteRoute};
-use crate::stats::{ShardCounters, ShardStats, StoreStats};
+use crate::router::{MigrationState, Partitioning, Pinned, Router};
+use crate::stats::{CounterRow, ShardCounters, ShardStats, StoreStats};
 use leap_fault::{FaultInjector, FaultPlan, FaultPoint};
 use leap_stm::{RetryPolicy, StmDomain, StmFaultPoint, StmRecorder};
 use leaplist::{BatchOp, LeapListLt, Params};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 /// Construction parameters for a [`LeapStore`].
@@ -153,12 +166,35 @@ impl StoreConfig {
 /// merged result needs sorting.
 pub(crate) type VisitPlan<V> = (Vec<Arc<LeapListLt<V>>>, Vec<(u64, u64)>, bool);
 
-/// One shard slot: the Leap-List and its op counters, kept side by side
-/// so the hot paths reach both with a single lock acquisition.
-struct ShardSlot<V> {
-    list: Arc<LeapListLt<V>>,
-    counters: Arc<ShardCounters>,
+/// One shard slot — the Leap-List and its op counters — as carried by
+/// the router's published view ([`LeapStore::router`]'s slot payload).
+/// Opaque: reach the list through [`LeapStore::shard`] and the counters
+/// through [`LeapStore::stats`].
+pub struct ShardSlot<V> {
+    pub(crate) list: Arc<LeapListLt<V>>,
+    pub(crate) counters: Arc<ShardCounters>,
 }
+
+impl<V> ShardSlot<V> {
+    fn new(list: LeapListLt<V>) -> Self {
+        ShardSlot {
+            list: Arc::new(list),
+            counters: Arc::new(ShardCounters::default()),
+        }
+    }
+}
+
+impl<V> Clone for ShardSlot<V> {
+    fn clone(&self) -> Self {
+        ShardSlot {
+            list: self.list.clone(),
+            counters: self.counters.clone(),
+        }
+    }
+}
+
+/// The pinned routing view a store operation works off.
+type View<'a, V> = Pinned<'a, ShardSlot<V>>;
 
 /// A sharded, concurrent range-store over Leap-List shards sharing one
 /// transactional domain, with **online resharding**.
@@ -211,10 +247,10 @@ struct ShardSlot<V> {
 /// assert_eq!(store.range(0, 999).len(), 5);
 /// ```
 pub struct LeapStore<V> {
-    /// Shard slots; grows when a split allocates a new slot, never
-    /// shrinks (merged-away slots are recycled through `free_slots`).
-    slots: RwLock<Vec<ShardSlot<V>>>,
-    router: Router,
+    /// Placement **and** the shard slots themselves, as one published
+    /// view; slots grow when a split allocates one and never shrink
+    /// (merged-away slots are recycled through `free_slots`).
+    router: Router<ShardSlot<V>>,
     domain: Arc<StmDomain>,
     params: Params,
     pub(crate) policy: RebalancePolicy,
@@ -280,23 +316,15 @@ impl<V: Clone + Send + Sync + 'static> LeapStore<V> {
             // policy must fail loudly at build time, not livelock later.
             panic!("rejected rebalance policy: {e}");
         }
-        // The router owns the shard-count validation; build it first so a
-        // zero-shard config panics with the router's diagnostic.
-        let router = Router::new(config.partitioning, config.shards, config.key_space);
-        let slots: Vec<ShardSlot<V>> = LeapListLt::group(config.shards, config.params.clone())
-            .into_iter()
-            .map(|list| ShardSlot {
-                list: Arc::new(list),
-                counters: Arc::new(ShardCounters::default()),
+        let domain = Arc::new(StmDomain::new());
+        let slots: Vec<ShardSlot<V>> = (0..config.shards)
+            .map(|_| {
+                ShardSlot::new(LeapListLt::with_domain(
+                    config.params.clone(),
+                    domain.clone(),
+                ))
             })
             .collect();
-        let domain = slots
-            .first()
-            // INVARIANT: Router::new panicked on shards == 0 above.
-            .expect("router rejected shards == 0 above")
-            .list
-            .domain()
-            .clone();
         let obs = config.obs.then(|| {
             let obs = Arc::new(StoreObs::new(config.obs_ring_capacity));
             // The domain reports attempts-per-commit straight into the
@@ -306,6 +334,13 @@ impl<V: Clone + Send + Sync + 'static> LeapStore<V> {
             domain.set_recorder(StmRecorder::new(obs.txn_retries.clone()));
             obs
         });
+        // The router owns the shard-count and key-space validation.
+        let router = Router::with_slots(
+            config.partitioning,
+            config.key_space,
+            slots,
+            obs.as_ref().map(|o| o.view_swaps.clone()),
+        );
         let tracer = config
             .trace
             .as_ref()
@@ -323,7 +358,6 @@ impl<V: Clone + Send + Sync + 'static> LeapStore<V> {
             }));
         }
         LeapStore {
-            slots: RwLock::new(slots),
             router,
             domain,
             params: config.params,
@@ -368,14 +402,40 @@ impl<V: Clone + Send + Sync + 'static> LeapStore<V> {
 
     /// Begins a leap-trace span for a public op when tracing is armed; the
     /// returned guard measures, applies the retention rule and publishes
-    /// on drop. Declare it before doing any work so it brackets the whole
-    /// op. The routed shard is only computed when a tracer is armed.
+    /// on drop. Declare it right after pinning so it brackets the whole
+    /// op. The span's shard label comes off the view the op already
+    /// loaded, and only when a tracer is armed.
     #[inline]
-    pub(crate) fn span_keyed(&self, kind: leap_obs::OpClass, key: u64) -> leap_obs::SpanGuard<'_> {
+    fn span_keyed(
+        &self,
+        kind: leap_obs::OpClass,
+        key: u64,
+        view: &View<'_, V>,
+    ) -> leap_obs::SpanGuard<'_> {
+        match &self.tracer {
+            Some(t) => t.begin(kind, key, view.owner_of(key) as u32),
+            None => leap_obs::SpanGuard::inactive(),
+        }
+    }
+
+    /// [`Self::span_keyed`] for call sites with no view loaded: routes the
+    /// label on its own, and only when a tracer is armed.
+    #[inline]
+    pub(crate) fn span_routed(&self, kind: leap_obs::OpClass, key: u64) -> leap_obs::SpanGuard<'_> {
         match &self.tracer {
             Some(t) => t.begin(kind, key, self.router.shard_of(key) as u32),
             None => leap_obs::SpanGuard::inactive(),
         }
+    }
+
+    /// Counts one stamped read re-planned because a routing change was
+    /// published under it; `overlay` names the migration in the way (0
+    /// when unknown) on the active trace span.
+    fn note_stamp_retry(&self, overlay: u64) {
+        if let Some(obs) = &self.obs {
+            obs.stamp_retries.inc();
+        }
+        leap_obs::trace::note_stamp_retry(overlay);
     }
 
     /// Appends one event to the timeline when observability is on.
@@ -412,7 +472,7 @@ impl<V: Clone + Send + Sync + 'static> LeapStore<V> {
     }
 
     /// The router (placement inspection: epochs, intervals, migrations).
-    pub fn router(&self) -> &Router {
+    pub fn router(&self) -> &Router<ShardSlot<V>> {
         &self.router
     }
 
@@ -451,25 +511,13 @@ impl<V: Clone + Send + Sync + 'static> LeapStore<V> {
         &self.domain
     }
 
-    fn slots_read(&self) -> std::sync::RwLockReadGuard<'_, Vec<ShardSlot<V>>> {
-        self.slots.read().unwrap_or_else(PoisonError::into_inner)
-    }
-
     pub(crate) fn list(&self, s: usize) -> Arc<LeapListLt<V>> {
-        self.slots_read()[s].list.clone()
-    }
-
-    /// Bumps `bump` on slot `s`'s counters and returns its list — one
-    /// lock acquisition for the single-key hot paths.
-    fn routed(&self, s: usize, bump: impl FnOnce(&ShardCounters)) -> Arc<LeapListLt<V>> {
-        let slots = self.slots_read();
-        bump(&slots[s].counters);
-        slots[s].list.clone()
+        self.router.pin().slots()[s].list.clone()
     }
 
     /// Allocates a shard slot for a split destination: reuses a slot a
-    /// completed merge emptied, or grows the slot vector (and the
-    /// router's slot count) by one. Returns the slot index.
+    /// completed merge emptied, or publishes a view with one more slot.
+    /// Returns the slot index.
     pub(crate) fn allocate_slot(&self) -> usize {
         if let Some(s) = self
             .free_slots
@@ -480,24 +528,18 @@ impl<V: Clone + Send + Sync + 'static> LeapStore<V> {
             debug_assert!(self.list(s).is_empty(), "free slots must be drained");
             return s;
         }
-        let mut slots = self.slots.write().unwrap_or_else(PoisonError::into_inner);
-        let slot = self.router.add_slot();
-        debug_assert_eq!(slot, slots.len(), "router and slot vector in lock step");
-        slots.push(ShardSlot {
-            list: Arc::new(LeapListLt::with_domain(
-                self.params.clone(),
-                self.domain.clone(),
-            )),
-            counters: Arc::new(ShardCounters::default()),
-        });
-        slot
+        self.router.add_slot(ShardSlot::new(LeapListLt::with_domain(
+            self.params.clone(),
+            self.domain.clone(),
+        )))
     }
 
     /// The per-slot op-rate signal for the rebalance policy: a decaying
     /// average (halved each census, then fed the new delta) of the
     /// operations each slot served since the previous census.
     pub(crate) fn op_rate_census(&self) -> Vec<f64> {
-        let slots = self.slots_read();
+        let view = self.router.pin();
+        let slots = view.slots();
         let mut census = self
             .op_census
             .lock()
@@ -514,80 +556,72 @@ impl<V: Clone + Send + Sync + 'static> LeapStore<V> {
         ema.clone()
     }
 
-    /// Point lookup. During a migration of the key's sub-range the lookup
-    /// consults source-then-destination; a miss re-checks that no
-    /// migration **of that key's range** began or completed mid-lookup
-    /// (and retries if one did), so the result is always explained by
-    /// some linearization. Migrations of disjoint ranges never force a
-    /// retry.
+    /// Point lookup: pin, load the view, route, look the key up in the
+    /// borrowed list. During a migration of the key's sub-range the lookup
+    /// consults source-then-destination; a miss re-checks that no routing
+    /// change was published mid-lookup (and retries if one was), so the
+    /// result is always explained by some linearization.
     ///
     /// # Panics
     ///
     /// Panics if `key == u64::MAX`.
     pub fn get(&self, key: u64) -> Option<V> {
-        // Point gets are tens of nanoseconds; timing every one would
-        // dominate the op. Sample 1 in `sample_period` per thread — and
-        // only a sampled get begins a trace span (the span's own two
-        // `Instant` reads would otherwise blow the overhead budget at
-        // point-get scale); the shared tick already elected it, so the
-        // span is marked head-sampled directly.
+        // Timing every point get would dominate the op. Sample 1 in
+        // `sample_period` per thread — and only a sampled get begins a
+        // trace span (the span's own two `Instant` reads would otherwise
+        // blow the overhead budget at point-get scale); the shared tick
+        // already elected it, so the span is marked head-sampled directly.
         match &self.obs {
             Some(obs) if crate::obs::sample_get(self.sample_period) => {
+                let start = Instant::now();
+                let mut view = self.router.pin();
                 let _span = match &self.tracer {
-                    Some(t) => t.begin_elected(
-                        leap_obs::OpClass::Get,
-                        key,
-                        self.router.shard_of(key) as u32,
-                    ),
+                    Some(t) => {
+                        t.begin_elected(leap_obs::OpClass::Get, key, view.owner_of(key) as u32)
+                    }
                     None => leap_obs::SpanGuard::inactive(),
                 };
-                let start = Instant::now();
-                let r = self.get_inner(key);
+                let r = self.get_inner(&mut view, key);
                 obs.record_op(OpKind::Get, start.elapsed().as_nanos() as u64);
                 r
             }
-            _ => self.get_inner(key),
+            _ => self.get_inner(&mut self.router.pin(), key),
         }
     }
 
-    fn get_inner(&self, key: u64) -> Option<V> {
+    fn get_inner(&self, view: &mut View<'_, V>, key: u64) -> Option<V> {
         loop {
-            let stamp = self.router.overlay_stamp(key, key);
-            let mut overlay_id = 0;
-            let res = match self.router.overlay_for(key) {
+            let slots = view.slots();
+            let (res, overlay_id) = match view.overlay_for(key) {
                 Some(m) => {
-                    overlay_id = m.id;
-                    let (src, dst) = {
-                        let slots = self.slots_read();
-                        ShardCounters::bump(&slots[m.src].counters.gets);
-                        (slots[m.src].list.clone(), slots[m.dst].list.clone())
-                    };
+                    CounterRow::bump(&slots[m.src].counters.row().gets);
+                    let (src, dst) = (&slots[m.src].list, &slots[m.dst].list);
                     // Keys move atomically in one direction: src -> dst
                     // while draining, dst -> src while a rollback sweeps
                     // them back. Probing the from-side first means a miss
                     // there reads "absent or already moved", and the
                     // to-side lookup happens after — so a present key is
-                    // always found. A direction flip mid-lookup changes
-                    // the overlay stamp (the aborting bit is part of it),
-                    // which the caller's stamp re-check turns into a
+                    // always found. A direction flip mid-lookup publishes
+                    // a new view, which the re-check below turns into a
                     // retry.
-                    if m.aborting.load(Ordering::Acquire) {
+                    let res = if m.aborting.load(Ordering::Acquire) {
                         dst.lookup(key).or_else(|| src.lookup(key))
                     } else {
                         src.lookup(key).or_else(|| dst.lookup(key))
-                    }
+                    };
+                    (res, m.id)
                 }
                 None => {
-                    let s = self.router.shard_of(key);
-                    self.routed(s, |c| ShardCounters::bump(&c.gets)).lookup(key)
+                    let slot = &slots[view.owner_of(key)];
+                    CounterRow::bump(&slot.counters.row().gets);
+                    (slot.list.lookup(key), 0)
                 }
             };
-            if res.is_some() || self.router.overlay_stamp(key, key) == stamp {
+            if res.is_some() || view.is_current() {
                 return res;
             }
-            // The overlay set changed under the lookup: annotate which
-            // migration forced the retry before going around again.
-            leap_obs::trace::note_stamp_retry(overlay_id);
+            self.note_stamp_retry(overlay_id);
+            view.refresh();
         }
     }
 
@@ -597,50 +631,74 @@ impl<V: Clone + Send + Sync + 'static> LeapStore<V> {
     ///
     /// Panics if `key == u64::MAX`.
     pub fn put(&self, key: u64, value: V) -> Option<V> {
-        let _span = self.span_keyed(leap_obs::OpClass::Put, key);
-        self.timed(OpKind::Put, || self.put_inner(key, value))
+        let mut view = self.router.pin();
+        let _span = self.span_keyed(leap_obs::OpClass::Put, key, &view);
+        self.timed(OpKind::Put, || self.put_inner(&mut view, key, value))
     }
 
-    fn put_inner(&self, key: u64, value: V) -> Option<V> {
+    /// Enters the writer gate and re-loads `view` under it: until the
+    /// returned guard drops no view can be published, so what the write
+    /// routes by — table, overlay set, each overlay's drain direction —
+    /// stays exact for the whole op.
+    fn enter_write(&self, view: &mut View<'_, V>) -> std::sync::RwLockReadGuard<'_, ()> {
+        let gate = self.router.enter_write();
+        view.refresh();
+        gate
+    }
+
+    /// Runs the cross-list transaction `f` of a write to a migrating key
+    /// under overlay `m`'s write lock — which the chunk mover and the
+    /// rollback sweeper also hold, so neither can clobber this write with
+    /// a stale value — noting lock wait/hold and commit time on the
+    /// active trace span.
+    fn under_overlay_lock<T>(m: &MigrationState, f: impl FnOnce() -> T) -> T {
+        let traced = leap_obs::trace::in_span();
+        let lock_requested = traced.then(Instant::now);
+        let _l = m.write_lock.lock().unwrap_or_else(PoisonError::into_inner);
+        let lock_acquired = traced.then(Instant::now);
+        let r = Self::commit_phase(f);
+        if let (Some(req), Some(acq)) = (lock_requested, lock_acquired) {
+            leap_obs::trace::note_overlay_lock(
+                m.id,
+                acq.saturating_duration_since(req).as_nanos() as u64,
+                acq.elapsed().as_nanos() as u64,
+            );
+        }
+        r
+    }
+
+    fn put_inner(&self, view: &mut View<'_, V>, key: u64, value: V) -> Option<V> {
         assert!(key < u64::MAX, "key u64::MAX is reserved");
-        let _w = self.router.enter_write();
-        match self.router.write_route(key) {
-            WriteRoute::Direct(s) => {
+        let _w = self.enter_write(view);
+        let slots = view.slots();
+        match view.overlay_for(key) {
+            None => {
                 // No commit_phase here: a direct put is one transaction
                 // with no queue/combine/lock around it, so the phase
                 // would re-measure what the span total already says —
                 // two clock reads on the hottest write path for nothing.
                 // Phases are timed where they genuinely diverge (batched
                 // and migrating ops).
-                let list = self.routed(s, |c| ShardCounters::bump(&c.puts));
-                list.update(key, value)
+                let slot = &slots[view.owner_of(key)];
+                CounterRow::bump(&slot.counters.row().puts);
+                slot.list.update(key, value)
             }
-            WriteRoute::Migrating(m) => {
-                let (src, dst) = {
-                    let slots = self.slots_read();
-                    ShardCounters::bump(&slots[m.src].counters.puts);
-                    (slots[m.src].list.clone(), slots[m.dst].list.clone())
-                };
+            Some(m) => {
+                CounterRow::bump(&slots[m.src].counters.row().puts);
+                let (src, dst) = (&*slots[m.src].list, &*slots[m.dst].list);
                 // One cross-list transaction removes the from-side copy
                 // and writes the to-side: the key has a single home from
-                // here on, and the chunk mover / rollback sweeper (which
-                // holds the same lock) can never clobber this write with a
-                // stale value. The direction follows the overlay's state —
+                // here on. The direction follows the overlay's state —
                 // dst-ward while draining, src-ward while a rollback is
-                // sweeping keys back — checked under the lock, which is
-                // exactly where the aborting flag flips.
-                let traced = leap_obs::trace::in_span();
-                let lock_requested = traced.then(Instant::now);
-                let _l = m.write_lock.lock().unwrap_or_else(PoisonError::into_inner);
-                let lock_acquired = traced.then(Instant::now);
+                // sweeping keys back.
+                let (from, to) = if m.aborting.load(Ordering::Acquire) {
+                    (dst, src)
+                } else {
+                    (src, dst)
+                };
                 let rm = [BatchOp::Remove(key)];
                 let up = [BatchOp::Update(key, value)];
-                let (from, to) = if m.aborting.load(Ordering::Acquire) {
-                    (&*dst, &*src)
-                } else {
-                    (&*src, &*dst)
-                };
-                let mut res = Self::commit_phase(|| {
+                let mut res = Self::under_overlay_lock(m, || {
                     LeapListLt::apply_batch_grouped(&[from, to], &[&rm, &up])
                 });
                 // INVARIANT: each group above holds exactly one op, and
@@ -648,13 +706,6 @@ impl<V: Clone + Send + Sync + 'static> LeapStore<V> {
                 let to_prev = res[1].pop().expect("one op in to group");
                 // INVARIANT: as above — one op, one result.
                 let from_prev = res[0].pop().expect("one op in from group");
-                if let (Some(req), Some(acq)) = (lock_requested, lock_acquired) {
-                    leap_obs::trace::note_overlay_lock(
-                        m.id,
-                        acq.saturating_duration_since(req).as_nanos() as u64,
-                        acq.elapsed().as_nanos() as u64,
-                    );
-                }
                 from_prev.or(to_prev)
             }
         }
@@ -666,49 +717,40 @@ impl<V: Clone + Send + Sync + 'static> LeapStore<V> {
     ///
     /// Panics if `key == u64::MAX`.
     pub fn delete(&self, key: u64) -> Option<V> {
-        let _span = self.span_keyed(leap_obs::OpClass::Delete, key);
-        self.timed(OpKind::Delete, || self.delete_inner(key))
+        let mut view = self.router.pin();
+        let _span = self.span_keyed(leap_obs::OpClass::Delete, key, &view);
+        self.timed(OpKind::Delete, || self.delete_inner(&mut view, key))
     }
 
-    fn delete_inner(&self, key: u64) -> Option<V> {
+    fn delete_inner(&self, view: &mut View<'_, V>, key: u64) -> Option<V> {
         assert!(key < u64::MAX, "key u64::MAX is reserved");
-        let _w = self.router.enter_write();
-        match self.router.write_route(key) {
-            WriteRoute::Direct(s) => {
+        let _w = self.enter_write(view);
+        let slots = view.slots();
+        match view.overlay_for(key) {
+            None => {
                 // Unphased for the same reason as the direct put arm.
-                let list = self.routed(s, |c| ShardCounters::bump(&c.deletes));
-                list.remove(key)
+                let slot = &slots[view.owner_of(key)];
+                CounterRow::bump(&slot.counters.row().deletes);
+                slot.list.remove(key)
             }
-            WriteRoute::Migrating(m) => {
-                let (src, dst) = {
-                    let slots = self.slots_read();
-                    ShardCounters::bump(&slots[m.src].counters.deletes);
-                    (slots[m.src].list.clone(), slots[m.dst].list.clone())
-                };
+            Some(m) => {
+                CounterRow::bump(&slots[m.src].counters.row().deletes);
                 // Deletes are direction-agnostic: removing the key from
                 // both lists in one transaction is correct whether the
                 // overlay is draining or rolling back (at most one list
                 // holds it, by the migration invariant).
-                let traced = leap_obs::trace::in_span();
-                let lock_requested = traced.then(Instant::now);
-                let _l = m.write_lock.lock().unwrap_or_else(PoisonError::into_inner);
-                let lock_acquired = traced.then(Instant::now);
                 let rm = [BatchOp::Remove(key)];
-                let mut res = Self::commit_phase(|| {
-                    LeapListLt::apply_batch_grouped(&[&*src, &*dst], &[&rm, &rm])
+                let mut res = Self::under_overlay_lock(m, || {
+                    LeapListLt::apply_batch_grouped(
+                        &[&*slots[m.src].list, &*slots[m.dst].list],
+                        &[&rm, &rm],
+                    )
                 });
                 // INVARIANT: each group above holds exactly one op, and
                 // apply_batch_grouped returns one result per op.
                 let dst_prev = res[1].pop().expect("one op in dst group");
                 // INVARIANT: as above — one op, one result.
                 let src_prev = res[0].pop().expect("one op in src group");
-                if let (Some(req), Some(acq)) = (lock_requested, lock_acquired) {
-                    leap_obs::trace::note_overlay_lock(
-                        m.id,
-                        acq.saturating_duration_since(req).as_nanos() as u64,
-                        acq.elapsed().as_nanos() as u64,
-                    );
-                }
                 src_prev.or(dst_prev)
             }
         }
@@ -751,34 +793,13 @@ impl<V: Clone + Send + Sync + 'static> LeapStore<V> {
     ///
     /// Panics if any key is `u64::MAX`.
     pub fn apply(&self, ops: &[BatchOp<V>]) -> Vec<Option<V>> {
+        let mut view = self.router.pin();
         let _span = self.span_keyed(
             leap_obs::OpClass::Apply,
             ops.first().map(Self::key_of).unwrap_or(0),
+            &view,
         );
-        self.timed(OpKind::Apply, || self.apply_inner(ops))
-    }
-
-    fn apply_inner(&self, ops: &[BatchOp<V>]) -> Vec<Option<V>> {
-        if ops.is_empty() {
-            return Vec::new();
-        }
-        // Validate every key before touching any shard, so a documented
-        // caller error cannot panic with part of the batch planned.
-        for op in ops {
-            assert!(Self::key_of(op) < u64::MAX, "key u64::MAX is reserved");
-        }
-        let _w = self.router.enter_write();
-        // The overlay *set* is stable while we hold the writer gate, but
-        // an overlay's drain direction can flip (a rollback setting its
-        // aborting flag) between planning and locking; `try_apply`
-        // detects the flip after acquiring the locks and asks for a
-        // replan. At most one retry per concurrent abort — the flag only
-        // ever flips once per migration.
-        loop {
-            if let Some(res) = self.try_apply(ops) {
-                return res;
-            }
-        }
+        self.timed(OpKind::Apply, || self.apply_inner(&mut view, ops))
     }
 
     fn key_of(op: &BatchOp<V>) -> u64 {
@@ -788,35 +809,33 @@ impl<V: Clone + Send + Sync + 'static> LeapStore<V> {
         }
     }
 
-    /// One planning-and-commit attempt for `apply_inner`; returns `None`
-    /// when an overlay's drain direction flipped between planning and
-    /// locking (the plan's group directions are stale — replan).
-    fn try_apply(&self, ops: &[BatchOp<V>]) -> Option<Vec<Option<V>>> {
+    fn apply_inner(&self, view: &mut View<'_, V>, ops: &[BatchOp<V>]) -> Vec<Option<V>> {
+        if ops.is_empty() {
+            return Vec::new();
+        }
+        // Validate every key before touching any shard, so a documented
+        // caller error cannot panic with part of the batch planned.
+        for op in ops {
+            assert!(Self::key_of(op) < u64::MAX, "key u64::MAX is reserved");
+        }
+        let _w = self.enter_write(view);
+        let slots = view.slots();
         // The overlay set, sorted by lo (disjoint ranges, so at most one
         // can cover any key).
-        let migs = self.router.overlay_states();
-        let overlay_of = |k: u64| migs.iter().find(|m| (m.lo..=m.hi).contains(&k));
+        let migs = view.overlays();
         // Single-op batches (the Batcher's uncontended hot path) route
         // straight to their shard: no grouping vectors.
         if let [op] = ops {
-            if overlay_of(Self::key_of(op)).is_none() {
-                let shard = self.router.shard_of(Self::key_of(op));
-                let list = self.routed(shard, |c| {
-                    // ORDERING: monotonic stat counter; no publication rides on it.
-                    c.batch_parts.fetch_add(1, Ordering::Relaxed);
-                });
-                return Some(vec![match op {
-                    BatchOp::Update(k, v) => list.update(*k, v.clone()),
-                    BatchOp::Remove(k) => list.remove(*k),
-                }]);
+            let k = Self::key_of(op);
+            if view.overlay_for(k).is_none() {
+                let slot = &slots[view.owner_of(k)];
+                CounterRow::bump(&slot.counters.row().batch_parts);
+                return vec![match op {
+                    BatchOp::Update(k, v) => slot.list.update(*k, v.clone()),
+                    BatchOp::Remove(k) => slot.list.remove(*k),
+                }];
             }
         }
-        // Each overlay's drain direction at planning time; re-checked
-        // under the locks below.
-        let flags: Vec<bool> = migs
-            .iter()
-            .map(|m| m.aborting.load(Ordering::Acquire))
-            .collect();
         // Group ops per shard slot, preserving input order within each
         // group. A migrating key contributes a Remove to the overlay's
         // from-side group (source while draining, destination while
@@ -824,8 +843,7 @@ impl<V: Clone + Send + Sync + 'static> LeapStore<V> {
         // one transaction, and the key's previous value is whichever of
         // the two groups saw it (exactly one can, by the migration
         // invariant).
-        let slots = self.shards();
-        let mut groups: Vec<Vec<BatchOp<V>>> = vec![Vec::new(); slots];
+        let mut groups: Vec<Vec<BatchOp<V>>> = vec![Vec::new(); slots.len()];
         // Where each op's previous value comes from:
         // (slot, index) plus, for migrating keys, the from-side remove.
         struct OpSource {
@@ -841,7 +859,7 @@ impl<V: Clone + Send + Sync + 'static> LeapStore<V> {
             if let Some(i) = migs.iter().position(|m| (m.lo..=m.hi).contains(&k)) {
                 let m = &migs[i];
                 locked[i] = true;
-                let (from, to) = if flags[i] {
+                let (from, to) = if m.aborting.load(Ordering::Acquire) {
                     (m.dst, m.src)
                 } else {
                     (m.src, m.dst)
@@ -855,7 +873,7 @@ impl<V: Clone + Send + Sync + 'static> LeapStore<V> {
                     src,
                 });
             } else {
-                let s = self.router.shard_of(k);
+                let s = view.owner_of(k);
                 groups[s].push(op.clone());
                 sources.push(OpSource {
                     slot: s,
@@ -876,75 +894,53 @@ impl<V: Clone + Send + Sync + 'static> LeapStore<V> {
         // serialize against each chunk mover (see `put`), taking every
         // involved overlay's lock in ascending key order — the one total
         // order all multi-overlay writers share, so they cannot deadlock.
-        // Lock order: migration locks strictly before the slot-vector
-        // read lock.
         let _locks: Vec<MutexGuard<'_, ()>> = migs
             .iter()
             .zip(&locked)
             .filter(|(_, l)| **l)
             .map(|(m, _)| m.write_lock.lock().unwrap_or_else(PoisonError::into_inner))
             .collect();
-        // The aborting flag only flips while holding the overlay's write
-        // lock, so this check (now that we hold the locks) is exact: a
-        // stale direction means the groups above point the wrong way.
-        if migs
-            .iter()
-            .zip(&flags)
-            .zip(&locked)
-            .any(|((m, f), l)| *l && m.aborting.load(Ordering::Acquire) != *f)
-        {
-            return None;
-        }
-        {
-            let slots_guard = self.slots_read();
-            for (s, g) in groups.iter().enumerate() {
-                if !g.is_empty() {
-                    slots_guard[s]
-                        .counters
-                        .batch_parts
-                        // ORDERING: monotonic stat counter; no publication rides on it.
-                        .fetch_add(g.len() as u64, Ordering::Relaxed);
-                }
-            }
-        }
         if groups.iter().any(|g| g.len() >= 2) {
             // ORDERING: monotonic stat counter; no publication rides on it.
             self.collision_batches.fetch_add(1, Ordering::Relaxed);
         }
-        let slots_guard = self.slots_read();
         let mut lists: Vec<&LeapListLt<V>> = Vec::new();
         let mut shard_ops: Vec<&[BatchOp<V>]> = Vec::new();
         // results_of[slot] = index into `results` for that slot's group.
-        let mut results_of: Vec<Option<usize>> = vec![None; slots];
+        let mut results_of: Vec<Option<usize>> = vec![None; slots.len()];
         for (s, g) in groups.iter().enumerate() {
             if !g.is_empty() {
+                slots[s]
+                    .counters
+                    .row()
+                    .batch_parts
+                    // ORDERING: monotonic stat counter; no publication rides on it.
+                    .fetch_add(g.len() as u64, Ordering::Relaxed);
                 results_of[s] = Some(lists.len());
-                lists.push(&slots_guard[s].list);
+                lists.push(&slots[s].list);
                 shard_ops.push(g);
             }
         }
         let results = LeapListLt::apply_batch_grouped(&lists, &shard_ops);
-        Some(
-            sources
-                .iter()
-                .map(|src| {
-                    // INVARIANT: every op source was assigned a group when
-                    // the plan was built; `results_of` mirrors that plan.
-                    let own = results[results_of[src.slot].expect("op slot has a group")][src.idx]
-                        .clone();
-                    match src.src {
-                        None => own,
-                        Some((s, i)) => {
-                            // INVARIANT: as above — the migration source
-                            // slot was planned into a group too.
-                            let g = results_of[s].expect("src slot has a group");
-                            let removed = results[g][i].clone();
-                            removed.or(own)
-                        }
+        sources
+            .iter()
+            .map(|src| {
+                // INVARIANT: every op source was assigned a group when
+                // the plan was built; `results_of` mirrors that plan.
+                let own_group = results_of[src.slot].expect("op slot has a group");
+                let own = results[own_group][src.idx].clone();
+                match src.src {
+                    None => own,
+                    Some((s, i)) => {
+                        // INVARIANT: as above — the migration source
+                        // slot was planned into a group too.
+                        let g = results_of[s].expect("src slot has a group");
+                        let removed = results[g][i].clone();
+                        removed.or(own)
                     }
-                })
-                .collect(),
-        )
+                }
+            })
+            .collect()
     }
 
     /// Runs `f` under a thread-local STM retry budget
@@ -977,7 +973,8 @@ impl<V: Clone + Send + Sync + 'static> LeapStore<V> {
     ///
     /// [`StoreError::Timeout`] once `policy` is exhausted.
     pub fn get_within(&self, key: u64, policy: RetryPolicy) -> Result<Option<V>, StoreError> {
-        let _span = self.span_keyed(leap_obs::OpClass::Get, key);
+        let view = self.router.pin();
+        let _span = self.span_keyed(leap_obs::OpClass::Get, key, &view);
         self.bounded(policy, || self.get(key))
     }
 
@@ -999,7 +996,8 @@ impl<V: Clone + Send + Sync + 'static> LeapStore<V> {
         value: V,
         policy: RetryPolicy,
     ) -> Result<Option<V>, StoreError> {
-        let _span = self.span_keyed(leap_obs::OpClass::Put, key);
+        let view = self.router.pin();
+        let _span = self.span_keyed(leap_obs::OpClass::Put, key, &view);
         self.bounded(policy, || self.put(key, value))
     }
 
@@ -1014,7 +1012,8 @@ impl<V: Clone + Send + Sync + 'static> LeapStore<V> {
     ///
     /// Panics if `key == u64::MAX`.
     pub fn delete_within(&self, key: u64, policy: RetryPolicy) -> Result<Option<V>, StoreError> {
-        let _span = self.span_keyed(leap_obs::OpClass::Delete, key);
+        let view = self.router.pin();
+        let _span = self.span_keyed(leap_obs::OpClass::Delete, key, &view);
         self.bounded(policy, || self.delete(key))
     }
 
@@ -1034,7 +1033,8 @@ impl<V: Clone + Send + Sync + 'static> LeapStore<V> {
         hi: u64,
         policy: RetryPolicy,
     ) -> Result<Vec<(u64, V)>, StoreError> {
-        let _span = self.span_keyed(leap_obs::OpClass::Range, lo);
+        let view = self.router.pin();
+        let _span = self.span_keyed(leap_obs::OpClass::Range, lo, &view);
         self.bounded(policy, || self.range(lo, hi))
     }
 
@@ -1054,9 +1054,11 @@ impl<V: Clone + Send + Sync + 'static> LeapStore<V> {
         ops: &[BatchOp<V>],
         policy: RetryPolicy,
     ) -> Result<Vec<Option<V>>, StoreError> {
+        let view = self.router.pin();
         let _span = self.span_keyed(
             leap_obs::OpClass::Apply,
             ops.first().map(Self::key_of).unwrap_or(0),
+            &view,
         );
         self.bounded(policy, || self.apply(ops))
     }
@@ -1072,69 +1074,80 @@ impl<V: Clone + Send + Sync + 'static> LeapStore<V> {
     ///
     /// Panics if `hi == u64::MAX`.
     pub fn range(&self, lo: u64, hi: u64) -> Vec<(u64, V)> {
-        let _span = self.span_keyed(leap_obs::OpClass::Range, lo);
-        self.timed(OpKind::Range, || self.range_inner(lo, hi))
+        let mut view = self.router.pin();
+        let _span = self.span_keyed(leap_obs::OpClass::Range, lo, &view);
+        self.timed(OpKind::Range, || {
+            let (per_shard, sort) =
+                self.stamped_read(&mut view, lo, hi, LeapListLt::range_query_group);
+            Self::merged(per_shard, sort)
+        })
     }
 
-    fn range_inner(&self, lo: u64, hi: u64) -> Vec<(u64, V)> {
+    /// One linearizable multi-shard read of `[lo, hi]`: plans the lists
+    /// to visit off `view` (the table's, plus both sides of every
+    /// overlapping in-flight migration — bumping each visited shard's
+    /// range counter), runs `read` over them — one snapshot transaction —
+    /// and re-plans until the view it planned against is still the
+    /// published one afterwards, i.e. until the visited list set was
+    /// exhaustive for the whole read. Also returns whether the merged
+    /// result needs sorting. An inverted range reads nothing.
+    fn stamped_read<T: Default>(
+        &self,
+        view: &mut View<'_, V>,
+        lo: u64,
+        hi: u64,
+        read: impl Fn(&[&LeapListLt<V>], &[(u64, u64)]) -> T,
+    ) -> (T, bool) {
         assert!(hi < u64::MAX, "key u64::MAX is reserved");
         if lo > hi {
-            return Vec::new();
+            return (T::default(), false);
         }
         loop {
-            let stamp = self.router.overlay_stamp(lo, hi);
-            let (lists, ranges, sort) = self.visit_plan(lo, hi);
-            let refs: Vec<&LeapListLt<V>> = lists.iter().map(|l| &**l).collect();
-            let per_shard = LeapListLt::range_query_group(&refs, &ranges);
-            if self.router.overlay_stamp(lo, hi) != stamp {
-                // A migration overlapping [lo, hi] began or completed
-                // mid-plan: the visited list set may not have been
-                // exhaustive. Retry. (Disjoint migrations never trip
-                // this — their flips cannot move this range's keys.)
-                leap_obs::trace::note_stamp_retry(0);
-                continue;
+            let (plan, sort) = view.visit_plan(lo, hi);
+            let slots = view.slots();
+            let (lists, ranges): (Vec<&LeapListLt<V>>, Vec<(u64, u64)>) = plan
+                .iter()
+                .map(|&(s, l, h)| {
+                    CounterRow::bump(&slots[s].counters.row().ranges);
+                    (&*slots[s].list, (l, h))
+                })
+                .unzip();
+            let out = read(&lists, &ranges);
+            if view.is_current() {
+                return (out, sort);
             }
-            let mut merged: Vec<(u64, V)> = per_shard.into_iter().flatten().collect();
-            if sort {
-                // Contiguous shards concatenate in key order; hashed
-                // shards (and migration overlays) interleave.
-                merged.sort_unstable_by_key(|(k, _)| *k);
-            }
-            return merged;
+            self.note_stamp_retry(0);
+            view.refresh();
         }
+    }
+
+    /// Concatenates per-shard results; contiguous shards concatenate in
+    /// key order, hashed shards (and migration overlays) interleave and
+    /// need the sort.
+    fn merged(per_shard: Vec<Vec<(u64, V)>>, sort: bool) -> Vec<(u64, V)> {
+        let mut merged: Vec<(u64, V)> = per_shard.into_iter().flatten().collect();
+        if sort {
+            merged.sort_unstable_by_key(|(k, _)| *k);
+        }
+        merged
     }
 
     /// One bounded page of `[lo, hi]`: the first at-most-`limit` pairs, in
     /// one linearizable transaction. The engine under [`LeapStore::scan`].
     pub(crate) fn range_page_merged(&self, lo: u64, hi: u64, limit: usize) -> Vec<(u64, V)> {
-        let _span = self.span_keyed(leap_obs::OpClass::ScanPage, lo);
-        self.timed(OpKind::ScanPage, || self.range_page_inner(lo, hi, limit))
-    }
-
-    fn range_page_inner(&self, lo: u64, hi: u64, limit: usize) -> Vec<(u64, V)> {
-        assert!(hi < u64::MAX, "key u64::MAX is reserved");
         assert!(limit > 0, "a page must hold at least one pair");
-        if lo > hi {
-            return Vec::new();
-        }
-        loop {
-            let stamp = self.router.overlay_stamp(lo, hi);
-            let (lists, ranges, sort) = self.visit_plan(lo, hi);
-            let refs: Vec<&LeapListLt<V>> = lists.iter().map(|l| &**l).collect();
-            let per_shard = LeapListLt::range_page_group(&refs, &ranges, limit);
-            if self.router.overlay_stamp(lo, hi) != stamp {
-                leap_obs::trace::note_stamp_retry(0);
-                continue;
-            }
-            let mut merged: Vec<(u64, V)> = per_shard.into_iter().flatten().collect();
-            if sort {
-                merged.sort_unstable_by_key(|(k, _)| *k);
-            }
+        let mut view = self.router.pin();
+        let _span = self.span_keyed(leap_obs::OpClass::ScanPage, lo, &view);
+        self.timed(OpKind::ScanPage, || {
+            let (per_shard, sort) = self.stamped_read(&mut view, lo, hi, |lists, ranges| {
+                LeapListLt::range_page_group(lists, ranges, limit)
+            });
             // Each list returned its first `limit` pairs, so the globally
             // first `limit` pairs are all present in the merge.
-            merged.truncate(limit);
-            return merged;
-        }
+            let mut page = Self::merged(per_shard, sort);
+            page.truncate(limit);
+            page
+        })
     }
 
     /// Number of keys in `[lo, hi]` from one consistent cross-shard
@@ -1145,56 +1158,12 @@ impl<V: Clone + Send + Sync + 'static> LeapStore<V> {
     ///
     /// Panics if `hi == u64::MAX`.
     pub fn count_range(&self, lo: u64, hi: u64) -> usize {
-        let _span = self.span_keyed(leap_obs::OpClass::Len, lo);
-        self.timed(OpKind::Len, || self.count_range_inner(lo, hi))
-    }
-
-    fn count_range_inner(&self, lo: u64, hi: u64) -> usize {
-        assert!(hi < u64::MAX, "key u64::MAX is reserved");
-        if lo > hi {
-            return 0;
-        }
-        loop {
-            let stamp = self.router.overlay_stamp(lo, hi);
-            let (lists, ranges, _) = self.visit_plan(lo, hi);
-            let refs: Vec<&LeapListLt<V>> = lists.iter().map(|l| &**l).collect();
-            let counts = LeapListLt::count_range_group(&refs, &ranges);
-            if self.router.overlay_stamp(lo, hi) == stamp {
-                return counts.iter().sum();
-            }
-            leap_obs::trace::note_stamp_retry(0);
-        }
-    }
-
-    /// The shards a `[lo, hi]` query must visit — per the current table,
-    /// plus the destination of **every** overlapping in-flight migration
-    /// (clipped to its migrating sub-range) — with per-shard range
-    /// arguments, bumping each visited shard's range counter. The third
-    /// component is whether the caller must sort the merged result (hash
-    /// interleaving or an overlay, whose destination keys interleave with
-    /// the source interval's).
-    fn visit_plan(&self, lo: u64, hi: u64) -> VisitPlan<V> {
-        let mut plan: Vec<(usize, u64, u64)> = match self.router.mode() {
-            Partitioning::Hash => (0..self.shards()).map(|s| (s, lo, hi)).collect(),
-            Partitioning::Range => self.router.routing().overlapping(lo, hi),
-        };
-        let mut sort = self.router.mode() == Partitioning::Hash;
-        for m in self.router.overlays_overlapping(lo, hi) {
-            let (mlo, mhi) = (m.lo.max(lo), m.hi.min(hi));
-            if mlo <= mhi {
-                plan.push((m.dst, mlo, mhi));
-                sort = true;
-            }
-        }
-        let slots_guard = self.slots_read();
-        let mut lists = Vec::with_capacity(plan.len());
-        let mut ranges = Vec::with_capacity(plan.len());
-        for (s, l, h) in plan {
-            ShardCounters::bump(&slots_guard[s].counters.ranges);
-            lists.push(slots_guard[s].list.clone());
-            ranges.push((l, h));
-        }
-        (lists, ranges, sort)
+        let mut view = self.router.pin();
+        let _span = self.span_keyed(leap_obs::OpClass::Len, lo, &view);
+        self.timed(OpKind::Len, || {
+            let (counts, _) = self.stamped_read(&mut view, lo, hi, LeapListLt::count_range_group);
+            counts.iter().sum()
+        })
     }
 
     /// Pins a snapshot timestamp and captures the `[lo, hi]` visit plan
@@ -1205,12 +1174,12 @@ impl<V: Clone + Send + Sync + 'static> LeapStore<V> {
     /// invisible by construction.
     ///
     /// The stamp bracket here is the only race window: a migration
-    /// overlapping `[lo, hi]` completing between the pin and the plan
-    /// capture could install a table that routes the migrated range only
-    /// to its destination, while moves committed *after* the pinned
-    /// timestamp are still only visible on the source side. Equal stamps
-    /// prove no overlapping migration began or completed inside the
-    /// bracket, which rules that out:
+    /// overlapping `[lo, hi]` that begins and moves keys between the view
+    /// load and the pin leaves a plan that routes the migrating range
+    /// only to its source, while those moves — committed *before* the
+    /// pinned timestamp — are visible only on the destination side. A
+    /// view still current after the pin proves no migration began or
+    /// completed inside the bracket, which rules that out:
     ///
     /// * completed before the bracket — every move's wiring finished
     ///   before the pin, so the moved keys are visible in the destination
@@ -1225,23 +1194,32 @@ impl<V: Clone + Send + Sync + 'static> LeapStore<V> {
         lo: u64,
         hi: u64,
     ) -> (leaplist::ListSnapshot, VisitPlan<V>) {
+        let mut view = self.router.pin();
         loop {
-            let stamp = self.router.overlay_stamp(lo, hi);
             let snap = leaplist::ListSnapshot::pin(&self.domain);
-            let plan = self.visit_plan(lo, hi);
-            if self.router.overlay_stamp(lo, hi) == stamp {
+            if view.is_current() {
                 // ORDERING: monotonic stat counter; no publication rides on it.
                 self.snapshot_scans.fetch_add(1, Ordering::Relaxed);
-                return (snap, plan);
+                let (plan, sort) = view.visit_plan(lo, hi);
+                let slots = view.slots();
+                let (lists, clips) = plan
+                    .iter()
+                    .map(|&(s, l, h)| {
+                        CounterRow::bump(&slots[s].counters.row().ranges);
+                        (slots[s].list.clone(), (l, h))
+                    })
+                    .unzip();
+                return (snap, (lists, clips, sort));
             }
-            leap_obs::trace::note_stamp_retry(0);
+            self.note_stamp_retry(0);
+            view.refresh();
         }
     }
 
     /// Times one snapshot page into the `snapshot_page` histogram (the
     /// cursor calls this; the plan and timestamp are already captured).
     pub(crate) fn timed_snapshot_page<T>(&self, f: impl FnOnce() -> T) -> T {
-        let _span = self.span_keyed(leap_obs::OpClass::ScanPage, 0);
+        let _span = self.span_routed(leap_obs::OpClass::ScanPage, 0);
         self.timed(OpKind::SnapshotPage, f)
     }
 
@@ -1277,14 +1255,15 @@ impl<V: Clone + Send + Sync + 'static> LeapStore<V> {
     /// counts, routing epoch and migration progress, plus the shared
     /// domain's commit/abort counters.
     pub fn stats(&self) -> StoreStats {
-        let slots_guard = self.slots_read();
-        let shards: Vec<ShardStats> = slots_guard
+        let view = self.router.pin();
+        let shards: Vec<ShardStats> = view
+            .slots()
             .iter()
             .enumerate()
             .map(|(s, slot)| {
                 let owned = match self.router.mode() {
                     Partitioning::Hash => true,
-                    Partitioning::Range => self.router.shard_interval(s).is_some(),
+                    Partitioning::Range => view.table().interval_of(s).is_some(),
                 };
                 slot.counters.snapshot(s, slot.list.len() as u64, owned)
             })
@@ -1296,14 +1275,15 @@ impl<V: Clone + Send + Sync + 'static> LeapStore<V> {
             shards,
             stm: self.domain.stats(),
             collision_batches: ld(&self.collision_batches),
-            epoch: self.router.epoch(),
-            migrations: self.router.migrations(),
-            peak_concurrent_migrations: self.router.peak_concurrent_migrations(),
+            epoch: view.table().epoch,
+            migrations: view.migration_views(),
+            peak_concurrent_migrations: view.peak_inflight(),
             migrations_completed: ld(&self.migrations_completed),
             aborted_migrations: ld(&self.aborted_migrations),
             shed_ops: ld(&self.shed_ops),
             snapshot_scans: ld(&self.snapshot_scans),
-            bundle_depth: slots_guard
+            bundle_depth: view
+                .slots()
                 .iter()
                 .map(|slot| slot.list.max_bundle_depth())
                 .max()
@@ -1318,7 +1298,7 @@ impl<V: Clone + Send + Sync + 'static> std::fmt::Debug for LeapStore<V> {
         // Cheap per-shard length sum, NOT the exact transactional count:
         // debug-printing a large store must not walk a snapshot
         // transaction (which can retry under write contention).
-        let approx_len: usize = self.slots_read().iter().map(|s| s.list.len()).sum();
+        let approx_len: usize = self.router.pin().slots().iter().map(|s| s.list.len()).sum();
         f.debug_struct("LeapStore")
             .field("shards", &self.shards())
             .field("partitioning", &self.router.mode())

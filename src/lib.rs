@@ -13,8 +13,7 @@
 //!   (`leap-memdb`).
 //! * [`mod@bench`] — workload generator and figure harness (`leap-bench`).
 //!
-//! See the repository README for the architecture overview, DESIGN.md for
-//! the system inventory, and EXPERIMENTS.md for paper-vs-measured results.
+//! See the repository README for the architecture overview.
 //!
 //! ```
 //! use leaplist_repro::leaplist::{LeapListLt, Params};
