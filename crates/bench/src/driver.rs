@@ -233,7 +233,6 @@ mod tests {
             Params {
                 node_size: 16,
                 max_level: 6,
-                use_trie: true,
                 ..Params::default()
             },
         );
@@ -307,7 +306,6 @@ mod tests {
             Params {
                 node_size: 16,
                 max_level: 6,
-                use_trie: true,
                 ..Params::default()
             },
         );
@@ -346,7 +344,6 @@ mod tests {
             Params {
                 node_size: 16,
                 max_level: 6,
-                use_trie: true,
                 ..Params::default()
             },
         );

@@ -523,7 +523,6 @@ mod tests {
                 Params {
                     node_size: 8,
                     max_level: 6,
-                    use_trie: true,
                     ..Params::default()
                 },
             );
@@ -551,7 +550,6 @@ mod tests {
             Params {
                 node_size: 8,
                 max_level: 6,
-                use_trie: true,
                 ..Params::default()
             },
         );
@@ -575,7 +573,6 @@ mod tests {
             Params {
                 node_size: 8,
                 max_level: 6,
-                use_trie: true,
                 ..Params::default()
             },
         );

@@ -4,8 +4,11 @@
 //! TM-Supported Range Queries"** (Avni, Shavit, Suissa — PODC 2013).
 //!
 //! A Leap-List is a skip-list whose nodes are *fat*: each node stores up to
-//! `K` immutable key-value pairs covering a key range, plus an embedded
-//! bitwise trie for intra-node lookup. Because node contents never mutate
+//! `K` immutable, sorted key-value pairs covering a key range, searched by
+//! binary search. (The paper also embeds a bitwise trie in each node for
+//! intra-node lookup; with `u64` keys it cost more than it saved, so nodes
+//! here carry none — [`Trie`] remains as a tested library item for the
+//! ablation bench.) Because node contents never mutate
 //! (nodes are replaced wholesale, splitting or merging as they grow and
 //! shrink), a linearizable range query only has to validate one pointer per
 //! `K` keys instead of protecting every key — which is how it beats a

@@ -6,10 +6,19 @@
 //! node is replaced wholesale by one (update / remove / merge) or two
 //! (split) freshly built nodes, which is what makes range queries cheap —
 //! a consistent set of node pointers *is* a consistent set of keys.
+//!
+//! **Departure from the paper:** the paper's node also embeds an immutable
+//! bitwise trie over its keys (§1.2, §2.1). Ours does not: keys here are
+//! `u64`s, a binary search over the sorted pairs is faster than the trie
+//! walk, and rebuilding the trie was about half of every replacement build
+//! (root README, "Departures from the paper"). The trie survives as a
+//! library item in `trie.rs`, measured by `benches/ablation.rs`.
+//!
+//! Replacement `data` is assembled at its final length from slices of the
+//! source node(s), so a build is one allocation and one copy per new node.
 
 use crate::bundle::Bundle;
 use crate::params::Params;
-use crate::trie::Trie;
 use leap_stm::{TPtr, TVar, TaggedPtr};
 use rand::Rng;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -47,8 +56,6 @@ pub(crate) struct Node<V> {
     pub next: Box<[TPtr<Node<V>>]>,
     /// Sorted, immutable internal-key/value pairs.
     pub data: Box<[(u64, V)]>,
-    /// Immutable index: internal key -> position in `data`.
-    pub trie: Trie,
     /// Commit timestamp that published this node; `u64::MAX` until the
     /// publishing commit's post-commit stamping (sentinels are seeded 0).
     pub created_ts: AtomicU64,
@@ -60,18 +67,18 @@ pub(crate) struct Node<V> {
 
 impl<V> Node<V> {
     /// Allocates an unpublished (non-live) node; returns a raw pointer
-    /// owned by the caller until it is wired into the list.
+    /// owned by the caller until it is wired into the list. Callers on the
+    /// write path pass `data` with `capacity == len`, which makes the
+    /// conversion to a boxed slice free.
     pub fn alloc(high: u64, level: usize, data: Vec<(u64, V)>) -> *mut Node<V> {
         debug_assert!((1..=MAX_LEVEL_CAP).contains(&level));
         debug_assert!(data.windows(2).all(|w| w[0].0 < w[1].0));
-        let keys: Vec<u64> = data.iter().map(|(k, _)| *k).collect();
         Box::into_raw(Box::new(Node {
             high,
             live: TVar::new(false),
             level,
             next: (0..level).map(|_| TVar::new(TaggedPtr::null())).collect(),
             data: data.into_boxed_slice(),
-            trie: Trie::build(&keys),
             created_ts: AtomicU64::new(u64::MAX),
             retired_ts: AtomicU64::new(u64::MAX),
             bundle: Bundle::new(),
@@ -90,22 +97,25 @@ impl<V> Node<V> {
         self.data.len()
     }
 
-    /// Index of internal key `ik` using the configured intra-node search.
-    pub fn index_of(&self, ik: u64, params: &Params) -> Option<usize> {
-        if params.use_trie {
-            self.trie_index_of(ik)
-        } else {
-            self.data.binary_search_by_key(&ik, |(k, _)| *k).ok()
-        }
+    /// Binary search for internal key `ik`: `Ok(i)` when `data[i]` holds
+    /// it, otherwise `Err(i)` with the position it would be inserted at.
+    pub fn search(&self, ik: u64) -> Result<usize, usize> {
+        self.data.binary_search_by_key(&ik, |(k, _)| *k)
     }
 
-    /// Trie-based index lookup (always available, for the ablation).
-    pub fn trie_index_of(&self, ik: u64) -> Option<usize> {
-        // The trie stores positions in `data`; keys slice view is rebuilt
-        // on the fly — data is `(key, value)` pairs, so probe through a
-        // closure-free comparison path.
-        self.trie.get_by(ik, |i| self.data[i].0, self.data.len())
+    /// Index of internal key `ik` in `data`, if present.
+    pub fn index_of(&self, ik: u64) -> Option<usize> {
+        self.search(ik).ok()
     }
+}
+
+/// `head ++ [pair] ++ tail` in one allocation of exactly that length.
+fn spliced<V: Clone>(head: &[(u64, V)], pair: (u64, V), tail: &[(u64, V)]) -> Vec<(u64, V)> {
+    let mut data = Vec::with_capacity(head.len() + 1 + tail.len());
+    data.extend_from_slice(head);
+    data.push(pair);
+    data.extend_from_slice(tail);
+    data
 }
 
 /// Frees an unpublished or unlinked node.
@@ -157,22 +167,32 @@ pub(crate) fn build_update<V: Clone, R: Rng + ?Sized>(
     rng: &mut R,
 ) -> UpdateBuild<V> {
     debug_assert!(ik <= n.high);
-    let mut data: Vec<(u64, V)> = n.data.to_vec();
-    let old_value = match data.binary_search_by_key(&ik, |(k, _)| *k) {
-        Ok(i) => Some(std::mem::replace(&mut data[i], (ik, value)).1),
-        Err(i) => {
-            data.insert(i, (ik, value));
-            None
-        }
+    // The replacement contents are `head ++ [(ik, value)] ++ tail`, with the
+    // overwritten pair (if any) left out between the two.
+    let (head, tail, old_value) = match n.search(ik) {
+        Ok(i) => (&n.data[..i], &n.data[i + 1..], Some(n.data[i].1.clone())),
+        Err(i) => (&n.data[..i], &n.data[i..], None),
     };
     if n.count() == params.node_size {
-        // Split (at most one, only at this node — paper §1.2).
-        let mid = data.len() / 2;
-        let upper = data.split_off(mid);
-        let lower = data;
+        // Split (at most one, only at this node — paper §1.2): the lower
+        // half takes the first `mid` pairs of the replacement contents, and
+        // each half is copied straight from the source.
+        let mid = (head.len() + 1 + tail.len()) / 2;
+        let (lower, upper) = if head.len() < mid {
+            let cut = mid - head.len() - 1;
+            (
+                spliced(head, (ik, value), &tail[..cut]),
+                tail[cut..].to_vec(),
+            )
+        } else {
+            (
+                head[..mid].to_vec(),
+                spliced(&head[mid..], (ik, value), tail),
+            )
+        };
         // INVARIANT: a split fires only at count == node_size, and
-        // `Params::validate` rejects node_size < 2, so len >= 2 and the
-        // lower half holds mid = len/2 >= 1 keys.
+        // `Params::validate` rejects node_size < 2, so the contents hold at
+        // least 2 pairs and the lower half holds mid = len/2 >= 1 of them.
         let lower_high = lower.last().expect("split halves are non-empty").0;
         let l0 = random_level(params.max_level, rng);
         let l1 = n.level;
@@ -185,7 +205,7 @@ pub(crate) fn build_update<V: Clone, R: Rng + ?Sized>(
             max_height: l0.max(l1),
         }
     } else {
-        let n0 = Node::alloc(n.high, n.level, data);
+        let n0 = Node::alloc(n.high, n.level, spliced(head, (ik, value), tail));
         UpdateBuild {
             n0,
             n1: None,
@@ -213,47 +233,25 @@ pub(crate) fn build_remove<V: Clone>(
     ik: u64,
     merge: bool,
 ) -> Option<RemoveBuild<V>> {
-    let pos = n0.data.binary_search_by_key(&ik, |(k, _)| *k).ok()?;
-    let mut data: Vec<(u64, V)> = Vec::with_capacity(
-        n0.count() - 1
-            + if merge {
-                n1.map_or(0, |n| n.count())
-            } else {
-                0
-            },
-    );
-    data.extend(n0.data.iter().filter(|(k, _)| *k != ik).cloned());
-    let old_value = n0.data[pos].1.clone();
-    let (high, level) = if merge {
-        // INVARIANT: the plan layer sets `merge` only after locating (and
-        // locking) the successor it passes as `n1` (plan.rs absorb path).
-        let n1 = n1.expect("merge requires a successor");
-        data.extend(n1.data.iter().cloned());
-        (n1.high, n0.level.max(n1.level))
-    } else {
-        (n0.high, n0.level)
+    let pos = n0.index_of(ik)?;
+    // INVARIANT: the plan layer sets `merge` only after locating (and
+    // locking) the successor it passes as `n1` (plan.rs absorb path).
+    let absorbed = merge.then(|| n1.expect("merge requires a successor"));
+    let mut data: Vec<(u64, V)> =
+        Vec::with_capacity(n0.count() - 1 + absorbed.map_or(0, Node::count));
+    data.extend_from_slice(&n0.data[..pos]);
+    data.extend_from_slice(&n0.data[pos + 1..]);
+    let (high, level) = match absorbed {
+        Some(n1) => {
+            data.extend_from_slice(&n1.data);
+            (n1.high, n0.level.max(n1.level))
+        }
+        None => (n0.high, n0.level),
     };
     Some(RemoveBuild {
         n_new: Node::alloc(high, level, data),
-        old_value,
+        old_value: n0.data[pos].1.clone(),
     })
-}
-
-impl Trie {
-    /// Variant of [`Trie::get`] that reads keys through an accessor, used
-    /// by [`Node::trie_index_of`] where keys live interleaved with values.
-    pub(crate) fn get_by(
-        &self,
-        key: u64,
-        key_at: impl Fn(usize) -> u64,
-        len: usize,
-    ) -> Option<usize> {
-        if len == 0 {
-            return None;
-        }
-        let idx = self.descend(key)?;
-        (key_at(idx) == key).then_some(idx)
-    }
 }
 
 #[cfg(test)]
@@ -282,16 +280,157 @@ mod tests {
         unsafe { free_node(p) }
     }
 
+    fn keys_of(n: &Node<u64>) -> Vec<u64> {
+        n.data.iter().map(|(k, _)| *k).collect()
+    }
+
     #[test]
     fn alloc_and_index() {
-        let p = Params::default();
         let n = mk_node(&[5, 9, 12], 3, 100);
         let node = node_ref(n);
         assert_eq!(node.count(), 3);
-        assert_eq!(node.index_of(9, &p), Some(1));
-        assert_eq!(node.index_of(10, &p), None);
-        assert_eq!(node.trie_index_of(12), Some(2));
+        assert_eq!(node.index_of(9), Some(1));
+        assert_eq!(node.index_of(10), None);
+        assert_eq!(node.index_of(12), Some(2));
         assert!(!node.live.naked_load());
+        free(n);
+    }
+
+    #[test]
+    fn index_of_probes_every_position() {
+        let empty = mk_node(&[], 1, 100);
+        assert_eq!(node_ref(empty).index_of(7), None);
+        assert_eq!(node_ref(empty).search(7), Err(0));
+        free(empty);
+
+        let single = mk_node(&[7], 1, 100);
+        assert_eq!(node_ref(single).index_of(7), Some(0));
+        assert_eq!(node_ref(single).index_of(6), None);
+        assert_eq!(node_ref(single).index_of(8), None);
+        free(single);
+
+        let keys: Vec<u64> = (1..=300).map(|i| i * 3).collect();
+        let full = mk_node(&keys, 2, u64::MAX);
+        let node = node_ref(full);
+        assert_eq!(node.index_of(3), Some(0), "first");
+        assert_eq!(node.index_of(900), Some(299), "last");
+        assert_eq!(node.index_of(450), Some(149), "middle");
+        assert_eq!(node.index_of(451), None, "between two keys");
+        assert_eq!(node.search(451), Err(150));
+        assert_eq!(node.index_of(2), None, "below the first key");
+        assert_eq!(node.search(2), Err(0));
+        assert_eq!(node.index_of(901), None, "above the last key");
+        assert_eq!(node.search(901), Err(300));
+        for (i, &k) in keys.iter().enumerate() {
+            assert_eq!(node.index_of(k), Some(i));
+        }
+        free(full);
+    }
+
+    type Pairs = Vec<(u64, u64)>;
+
+    /// The replacement contents as the multi-pass build derived them: clone
+    /// the node, insert or overwrite in place, then cut at `len / 2` when
+    /// the source was full. The one-pass build must agree with it.
+    fn update_reference(
+        src: &[(u64, u64)],
+        ik: u64,
+        value: u64,
+        node_size: usize,
+    ) -> (Pairs, Option<Pairs>, Option<u64>) {
+        let mut data = src.to_vec();
+        let old = match data.binary_search_by_key(&ik, |(k, _)| *k) {
+            Ok(i) => Some(std::mem::replace(&mut data[i], (ik, value)).1),
+            Err(i) => {
+                data.insert(i, (ik, value));
+                None
+            }
+        };
+        if src.len() == node_size {
+            let upper = data.split_off(data.len() / 2);
+            (data, Some(upper), old)
+        } else {
+            (data, None, old)
+        }
+    }
+
+    #[test]
+    fn build_update_matches_the_multi_pass_reference() {
+        let mut rng = rand::thread_rng();
+        // Below, at and (for the split) on both sides of the cut, for an
+        // even and an odd node size; every probe position of each node.
+        for node_size in [2usize, 4, 5, 8] {
+            let p = Params {
+                node_size,
+                max_level: 6,
+                ..Params::default()
+            };
+            for len in 0..=node_size {
+                let keys: Vec<u64> = (1..=len as u64).map(|i| i * 10).collect();
+                let n = mk_node(&keys, 3, 1000);
+                // Front, every gap, every present key, end.
+                for ik in 1..=(len as u64 * 10 + 5) {
+                    let b = build_update(node_ref(n), ik, 7, &p, &mut rng);
+                    let (lower, upper, old) = update_reference(&node_ref(n).data, ik, 7, node_size);
+                    assert_eq!(b.old_value, old, "K={node_size} len={len} ik={ik}");
+                    let n0 = node_ref(b.n0);
+                    assert_eq!(n0.data.to_vec(), lower, "K={node_size} len={len} ik={ik}");
+                    match (b.n1, upper) {
+                        (Some(n1), Some(upper)) => {
+                            let n1 = node_ref(n1);
+                            assert_eq!(n1.data.to_vec(), upper, "K={node_size} ik={ik}");
+                            assert_eq!(n0.high, lower.last().unwrap().0);
+                            assert_eq!((n1.high, n1.level), (1000, 3));
+                            assert_eq!(b.max_height, n0.level.max(3));
+                            free(b.n1.unwrap());
+                        }
+                        (None, None) => {
+                            assert_eq!((n0.high, n0.level, b.max_height), (1000, 3, 3));
+                        }
+                        (got, want) => panic!(
+                            "K={node_size} len={len} ik={ik}: split {} but reference {}",
+                            got.is_some(),
+                            want.is_some()
+                        ),
+                    }
+                    free(b.n0);
+                }
+                free(n);
+            }
+        }
+    }
+
+    #[test]
+    fn build_update_split_places_the_new_key_in_either_half() {
+        let p = Params {
+            node_size: 4,
+            max_level: 6,
+            ..Params::default()
+        };
+        let mut rng = rand::thread_rng();
+        let n = mk_node(&[10, 20, 30, 40], 3, 1000);
+        for (ik, lower, upper) in [
+            (5u64, vec![5, 10], vec![20, 30, 40]),
+            (15, vec![10, 15], vec![20, 30, 40]),
+            (25, vec![10, 20], vec![25, 30, 40]),
+            (45, vec![10, 20], vec![30, 40, 45]),
+            // Overwriting a key of a full node splits too (4 pairs, 2/2).
+            (20, vec![10, 20], vec![30, 40]),
+            (30, vec![10, 20], vec![30, 40]),
+        ] {
+            let b = build_update(node_ref(n), ik, 1, &p, &mut rng);
+            let n1 = b.n1.expect("full node must split");
+            assert_eq!(keys_of(node_ref(b.n0)), lower, "ik={ik}");
+            assert_eq!(keys_of(node_ref(n1)), upper, "ik={ik}");
+            let new_pair = node_ref(b.n0)
+                .data
+                .iter()
+                .chain(node_ref(n1).data.iter())
+                .find(|(k, _)| *k == ik);
+            assert_eq!(new_pair, Some(&(ik, 1)), "new value stored once");
+            free(b.n0);
+            free(n1);
+        }
         free(n);
     }
 
@@ -385,6 +524,33 @@ mod tests {
         free(a);
         free(b_);
         free(r.n_new);
+    }
+
+    #[test]
+    fn build_remove_matches_filter_and_append_at_every_position() {
+        let keys: Vec<u64> = (1..=6).map(|i| i * 10).collect();
+        let a = mk_node(&keys, 2, 100);
+        let succ = mk_node(&[150, 180], 4, 200);
+        for &ik in &keys {
+            for merge in [false, true] {
+                let r = build_remove(node_ref(a), Some(node_ref(succ)), ik, merge).unwrap();
+                let mut want: Vec<(u64, u64)> = keys
+                    .iter()
+                    .filter(|&&k| k != ik)
+                    .map(|&k| (k, k * 10))
+                    .collect();
+                if merge {
+                    want.extend([(150, 1500), (180, 1800)]);
+                }
+                let nn = node_ref(r.n_new);
+                assert_eq!(nn.data.to_vec(), want, "ik={ik} merge={merge}");
+                assert_eq!(r.old_value, ik * 10);
+                assert_eq!((nn.high, nn.level), if merge { (200, 4) } else { (100, 2) });
+                free(r.n_new);
+            }
+        }
+        free(a);
+        free(succ);
     }
 
     #[test]

@@ -28,7 +28,9 @@ pub enum Traversal {
 ///
 /// The defaults are the paper's experimental settings (§3 "Settings"):
 /// node size `K = 300` and a maximal tower level of 10, values found by the
-/// authors to perform well.
+/// authors to perform well. There is no intra-node search option: nodes
+/// binary-search their sorted pairs (the paper's embedded trie is a
+/// library item, see `trie.rs`).
 ///
 /// # Example
 ///
@@ -47,9 +49,6 @@ pub struct Params {
     pub node_size: usize,
     /// Maximum tower height.
     pub max_level: usize,
-    /// Whether intra-node lookups use the embedded trie (the paper's
-    /// design) or plain binary search (ablation baseline).
-    pub use_trie: bool,
     /// COP traversal style (see [`Traversal`]).
     pub traversal: Traversal,
 }
@@ -59,7 +58,6 @@ impl Default for Params {
         Params {
             node_size: 300,
             max_level: 10,
-            use_trie: true,
             traversal: Traversal::MarkCheck,
         }
     }
@@ -90,7 +88,7 @@ mod tests {
         let p = Params::default();
         assert_eq!(p.node_size, 300);
         assert_eq!(p.max_level, 10);
-        assert!(p.use_trie);
+        assert_eq!(p.traversal, Traversal::MarkCheck);
         p.validate();
     }
 

@@ -29,9 +29,11 @@
 //!    marks the *old* window pointers, in two passes (validate everything,
 //!    then mark everything) so a shared window TVar is never read after
 //!    another segment marked it.
-//! 4. **Rebuild** — per segment, concatenate the old nodes' immutable data,
-//!    apply the segment's ops *in batch input order* (duplicate keys keep
-//!    sequential semantics), and re-chunk the result into a fresh chain of
+//! 4. **Rebuild** — per segment, run the segment's ops *in batch input
+//!    order* (duplicate keys keep sequential semantics) over the keys they
+//!    touch, which gives each op's previous value and each touched key's
+//!    final state; then copy the old nodes' immutable data once, splicing
+//!    those final states in, and re-chunk the result into a fresh chain of
 //!    `ceil(total / K)` balanced nodes: every node but the last takes a
 //!    fresh random level and a high bound equal to its largest key; the
 //!    last keeps the old segment's high bound and its maximum level, so
@@ -134,7 +136,8 @@ pub(crate) struct RemovePlan<V> {
     pub merge: bool,
     /// Replacement node.
     pub n_new: *mut Node<V>,
-    pub old_value: V,
+    /// The removed value; `Some` until a caller takes it.
+    pub old_value: Option<V>,
     pub(crate) published: Cell<bool>,
 }
 
@@ -175,9 +178,7 @@ pub(crate) unsafe fn plan_remove<V: Clone>(raw: &RawLeapList<V>, ik: u64) -> Opt
         let n0 = w.target();
         // SAFETY: observed live; guard held.
         let n0_ref = unsafe { &*n0 };
-        if n0_ref.data.binary_search_by_key(&ik, |(k, _)| *k).is_err() {
-            return None;
-        }
+        n0_ref.index_of(ik)?;
         // Read the successor; retry while a committed update is mid-release
         // on it (paper lines 159-162).
         let s = n0_ref.next[0].naked_load();
@@ -215,7 +216,7 @@ pub(crate) unsafe fn plan_remove<V: Clone>(raw: &RawLeapList<V>, ik: u64) -> Opt
             n1,
             merge,
             n_new: b.n_new,
-            old_value: b.old_value,
+            old_value: Some(b.old_value),
             published: Cell::new(false),
         });
     }
@@ -308,7 +309,7 @@ unsafe fn plan_single<V: Clone>(raw: &RawLeapList<V>, op: &ListOp<'_, V>) -> Mul
     match op {
         ListOp::Put(ik, v) => {
             // SAFETY: forwards this fn's own guard contract.
-            let p = unsafe { plan_update(raw, *ik, (*v).clone()) };
+            let mut p = unsafe { plan_update(raw, *ik, (*v).clone()) };
             // The segment takes ownership of the freshly built nodes.
             p.mark_published();
             // SAFETY: guard-protected plan pointers; immutable fields.
@@ -330,7 +331,7 @@ unsafe fn plan_single<V: Clone>(raw: &RawLeapList<V>, op: &ListOp<'_, V>) -> Mul
             };
             MultiUpdatePlan {
                 segments: vec![seg],
-                results: vec![p.old_value.clone()],
+                results: vec![p.old_value.take()],
                 published: Cell::new(false),
             }
         }
@@ -341,7 +342,7 @@ unsafe fn plan_single<V: Clone>(raw: &RawLeapList<V>, op: &ListOp<'_, V>) -> Mul
                 results: vec![None],
                 published: Cell::new(false),
             },
-            Some(p) => {
+            Some(mut p) => {
                 p.mark_published();
                 // SAFETY: guard-protected plan pointers; immutable fields.
                 let wire_height = unsafe { &*p.n_new }.level;
@@ -364,7 +365,7 @@ unsafe fn plan_single<V: Clone>(raw: &RawLeapList<V>, op: &ListOp<'_, V>) -> Mul
                 };
                 MultiUpdatePlan {
                     segments: vec![seg],
-                    results: vec![Some(p.old_value.clone())],
+                    results: vec![p.old_value.take()],
                     published: Cell::new(false),
                 }
             }
@@ -389,9 +390,15 @@ fn last_new_above<V>(seg: &ChainSegment<V>, i: usize) -> *mut Node<V> {
 }
 
 /// An affected-node run still under construction.
-struct SegDraft<V> {
+struct SegDraft<'a, V> {
     nodes: Vec<*mut Node<V>>,
     w: SearchWindow<V>,
+    /// What each distinct key this segment's ops touch maps to once they
+    /// have all applied (`None` = absent), ascending by key.
+    edits: Vec<(u64, Option<&'a V>)>,
+    /// Whether any op changes the segment (anything but an absent-key
+    /// remove).
+    changed: bool,
     /// Planned population after this segment's ops apply.
     count: usize,
     /// Planned replacement-chain levels (last entry = the old chain's
@@ -400,7 +407,7 @@ struct SegDraft<V> {
     levels: Vec<usize>,
 }
 
-impl<V> SegDraft<V> {
+impl<V> SegDraft<'_, V> {
     fn wire_height(&self) -> usize {
         // INVARIANT: `plan_shape` always pushes at least one level before
         // this is read.
@@ -476,7 +483,7 @@ pub(crate) unsafe fn plan_multi<V: Clone>(
         keys.sort_unstable();
         keys.dedup();
         let mut key_node: Vec<(u64, *mut Node<V>)> = Vec::with_capacity(keys.len());
-        let mut segs: Vec<SegDraft<V>> = Vec::new();
+        let mut segs: Vec<SegDraft<'_, V>> = Vec::new();
         for &ik in &keys {
             // SAFETY: caller holds the epoch guard (this fn's `# Safety`
             // contract).
@@ -509,6 +516,8 @@ pub(crate) unsafe fn plan_multi<V: Clone>(
             segs.push(SegDraft {
                 nodes: vec![n],
                 w,
+                edits: Vec::new(),
+                changed: false,
                 count: 0,
                 levels: Vec::new(),
             });
@@ -526,55 +535,61 @@ pub(crate) unsafe fn plan_multi<V: Clone>(
                 key_node[i].1
             })
             .collect();
-        // 2b. Plan each segment's population and chain shape. The
-        //     population comes from a presence simulation over the op keys
-        //     alone (one intra-node probe per distinct key — no data
-        //     cloning). When the ops shrink the segment and the residual
-        //     plus its level-0 successor fits one node, the successor is
-        //     absorbed so the rebuild merges them — the k-op
+        // 2b. Run each segment's ops, in batch input order so duplicate
+        //     keys keep sequential semantics, over the keys they touch
+        //     alone (one intra-node probe per distinct key — no data is
+        //     copied yet). That yields every op's previous value, each
+        //     touched key's final state and the segment's population, hence
+        //     its chain shape. When the ops shrink the segment and the
+        //     residual plus its level-0 successor fits one node, the
+        //     successor is absorbed so the rebuild merges them — the k-op
         //     generalization of the paper's remove-and-merge (Fig. 11),
         //     skipped (it is only an optimization) whenever the successor
         //     cannot be read cleanly.
+        let mut results: Vec<Option<V>> = Vec::new();
+        results.resize_with(ops.len(), || None);
         let mut rng = rand::thread_rng();
         for s in segs.iter_mut() {
             // SAFETY: guard-protected; counts and data immutable.
             let mut count: usize = s.nodes.iter().map(|&o| unsafe { &*o }.count()).sum();
-            let mut present: Vec<(u64, bool)> = Vec::new();
             let mut shrank = false;
-            for (op, &n) in ops.iter().zip(&op_nodes) {
+            for (i, (op, &n)) in ops.iter().zip(&op_nodes).enumerate() {
                 if !s.nodes.contains(&n) {
                     continue;
                 }
                 let ik = op.ik();
-                let slot = match present.iter().position(|(k, _)| *k == ik) {
-                    Some(i) => i,
+                let slot = match s.edits.iter().position(|(k, _)| *k == ik) {
+                    Some(slot) => slot,
                     None => {
                         // SAFETY: affected node observed live under the
-                        // guard; `data` is immutable.
-                        let here = unsafe { &*n }
-                            .data
-                            .binary_search_by_key(&ik, |(k, _)| *k)
-                            .is_ok();
-                        present.push((ik, here));
-                        present.len() - 1
+                        // guard; `data` is immutable, and the guard outlives
+                        // the plan (this fn's contract), so the borrowed
+                        // value does too.
+                        let node = unsafe { &*n };
+                        let here = node.index_of(ik).map(|p| &node.data[p].1);
+                        s.edits.push((ik, here));
+                        s.edits.len() - 1
                     }
                 };
+                let state = &mut s.edits[slot].1;
+                results[i] = state.cloned();
                 match op {
-                    ListOp::Put(..) => {
-                        if !present[slot].1 {
-                            present[slot].1 = true;
+                    ListOp::Put(_, v) => {
+                        if state.replace(v).is_none() {
                             count += 1;
                         }
+                        s.changed = true;
                     }
-                    ListOp::Del(..) => {
-                        if present[slot].1 {
-                            present[slot].1 = false;
+                    ListOp::Del(_) => {
+                        if state.take().is_some() {
                             count -= 1;
                             shrank = true;
+                            s.changed = true;
                         }
                     }
                 }
             }
+            s.edits.sort_unstable_by_key(|(k, _)| *k);
             if shrank {
                 // INVARIANT: drafts are pushed with one node and never
                 // emptied.
@@ -618,59 +633,45 @@ pub(crate) unsafe fn plan_multi<V: Clone>(
                 continue 'retry;
             }
         }
-        // 4. Rebuild each segment's chain (to the planned shape) and
-        //    compute per-op results.
-        let mut results: Vec<Option<V>> = Vec::new();
-        results.resize_with(ops.len(), || None);
+        // 4. Rebuild each segment's chain to the planned shape: one pass
+        //    over the old nodes' pairs, splicing the edits in where they
+        //    fall, into a buffer of exactly the planned population. Edit
+        //    keys lie in the key range of the node they were located in,
+        //    and a live-or-dead node's range never changes, so cutting the
+        //    ascending edits at each node's `high` keeps the output sorted
+        //    whatever the locate loop raced with.
         let mut segments: Vec<ChainSegment<V>> = Vec::with_capacity(segs.len());
         for sd in segs {
-            let mut data: Vec<(u64, V)> = Vec::with_capacity(sd.count);
-            for &o in &sd.nodes {
-                // SAFETY: guard-protected node pointer; `data` is immutable.
-                data.extend(unsafe { &*o }.data.iter().cloned());
-            }
-            // Apply this segment's ops in batch input order so duplicate
-            // keys keep sequential semantics.
-            let mut changed = false;
-            for (i, (op, &node)) in ops.iter().zip(&op_nodes).enumerate() {
-                if !sd.nodes.contains(&node) {
-                    continue;
-                }
-                match op {
-                    ListOp::Put(ik, v) => {
-                        match data.binary_search_by_key(ik, |(k, _)| *k) {
-                            Ok(p) => {
-                                results[i] =
-                                    Some(std::mem::replace(&mut data[p], (*ik, (*v).clone())).1);
-                            }
-                            Err(p) => {
-                                data.insert(p, (*ik, (*v).clone()));
-                                results[i] = None;
-                            }
-                        }
-                        changed = true;
-                    }
-                    ListOp::Del(ik) => match data.binary_search_by_key(ik, |(k, _)| *k) {
-                        Ok(p) => {
-                            results[i] = Some(data.remove(p).1);
-                            changed = true;
-                        }
-                        Err(_) => results[i] = None,
-                    },
-                }
-            }
-            if !changed {
+            if !sd.changed {
                 // Only absent-key removes hit this segment: the list is
                 // left untouched (the paper's `changed[j] = false`).
                 continue;
             }
-            if data.len() != sd.count {
-                // The interference analysis ran against a shape this data
-                // no longer matches (a racing op moved keys between the
-                // probes): redo the whole plan rather than adapt, so the
-                // wiring height the check cleared stays the one built.
-                continue 'retry;
+            let mut data: Vec<(u64, V)> = Vec::with_capacity(sd.count);
+            let mut edits = sd.edits.iter().peekable();
+            for &o in &sd.nodes {
+                // SAFETY: guard-protected node pointer; `data` and `high`
+                // are immutable.
+                let node = unsafe { &*o };
+                let mut from = 0;
+                while let Some(&(ik, state)) = edits.next_if(|(ik, _)| *ik <= node.high) {
+                    let (upto, resume) = match node.search(ik) {
+                        Ok(p) => (p, p + 1),
+                        Err(p) => (p, p),
+                    };
+                    data.extend_from_slice(&node.data[from..upto]);
+                    if let Some(v) = state {
+                        data.push((ik, v.clone()));
+                    }
+                    from = resume;
+                }
+                data.extend_from_slice(&node.data[from..]);
             }
+            // INVARIANT: every edit key is at most the `high` of the node it
+            // was located in, which is one of `sd.nodes`; and step 2b counted
+            // exactly these edits against these (immutable) nodes.
+            assert!(edits.next().is_none(), "edits lie within the segment");
+            assert_eq!(data.len(), sd.count, "step 2b simulated these edits");
             let r = sd.levels.len();
             // INVARIANT: `plan_shape` always pushes at least one level.
             let old_max = *sd.levels.last().expect("chains are non-empty");
@@ -680,8 +681,8 @@ pub(crate) unsafe fn plan_multi<V: Clone>(
             let wire_height = sd.wire_height();
             let mut new_nodes = Vec::with_capacity(r);
             if r == 1 {
-                // Common case: the whole segment collapses into one node;
-                // hand the rebuilt data over without re-chunking.
+                // Common case: the whole segment collapses into one node,
+                // whose data was just built at its final length.
                 new_nodes.push(Node::alloc(last_high, old_max, data));
             } else {
                 let total = data.len();
@@ -761,7 +762,6 @@ mod tests {
         RawLeapList::new(Params {
             node_size: 4,
             max_level: 4,
-            use_trie: true,
             ..Params::default()
         })
     }
@@ -827,7 +827,6 @@ mod tests {
         let l: RawLeapList<D> = RawLeapList::new(Params {
             node_size: 4,
             max_level: 4,
-            use_trie: true,
             ..Params::default()
         });
         {
@@ -933,7 +932,6 @@ mod tests {
         let l: RawLeapList<D> = RawLeapList::new(Params {
             node_size: 4,
             max_level: 4,
-            use_trie: true,
             ..Params::default()
         });
         let vals: Vec<D> = (0..6).map(|_| D(drops.clone())).collect();

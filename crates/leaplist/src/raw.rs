@@ -209,7 +209,6 @@ mod tests {
         Params {
             node_size: 4,
             max_level: 4,
-            use_trie: true,
             ..Params::default()
         }
     }

@@ -1,13 +1,22 @@
-//! The immutable intra-node bitwise trie.
+//! The paper's immutable intra-node bitwise trie, kept as a stand-alone
+//! library item.
 //!
-//! Each Leap-List node embeds "an immutable bitwise trie … to facilitate
-//! fast lookups when K is large", a technique borrowed from the String
-//! B-tree of Ferragina and Grossi (paper §1.2, §2.1). We implement it as a
-//! crit-bit (PATRICIA) trie over the node's keys: internal nodes test a
-//! single bit position and the leaves hold indexes into the node's sorted
-//! key-value array, using "the minimal number of levels to represent all
-//! the keys" — one internal node per distinguishing bit, `count - 1` in
-//! total.
+//! Each Leap-List node of the paper embeds "an immutable bitwise trie … to
+//! facilitate fast lookups when K is large", a technique borrowed from the
+//! String B-tree of Ferragina and Grossi (paper §1.2, §2.1). We implement
+//! it as a crit-bit (PATRICIA) trie over a sorted key array: internal nodes
+//! test a single bit position and the leaves hold indexes into the array,
+//! using "the minimal number of levels to represent all the keys" — one
+//! internal node per distinguishing bit, `count - 1` in total.
+//!
+//! **No list variant uses it.** `Node` (`node.rs`) answers lookups with a
+//! binary search over its sorted pairs: with `u64` keys a comparison costs
+//! the same as a bit test, the search touches fewer cache lines than the
+//! trie walk, and building the trie was about half the cost of every node
+//! replacement. The type stays so the paper's §2.1 choice remains
+//! reproducible: `benches/ablation.rs` (`ablation_intra_node`) measures
+//! [`Trie::get`] and [`Trie::build`] against [`binary_search_index`] on
+//! node-sized arrays.
 
 /// Child encoding: high bit set = leaf (payload = array index), otherwise
 /// an index into `nodes`.
@@ -21,11 +30,11 @@ struct TrieNode {
     right: u32,
 }
 
-/// An immutable crit-bit trie mapping each key of a Leap-List node to its
-/// index in the node's sorted keys-values array.
+/// An immutable crit-bit trie mapping each key of a sorted array to its
+/// index in that array.
 ///
-/// Built once when a node is created and never mutated, mirroring the
-/// immutability of the node contents it indexes.
+/// Built once over an array that never changes afterwards, mirroring the
+/// immutability of the node contents the paper indexes with it.
 ///
 /// # Example
 ///
@@ -105,7 +114,7 @@ impl Trie {
     /// Walks the trie for `key` and returns the candidate index. The caller
     /// must verify that the key at the returned index actually matches
     /// (crit-bit tries identify one candidate, not membership).
-    pub(crate) fn descend(&self, key: u64) -> Option<usize> {
+    fn descend(&self, key: u64) -> Option<usize> {
         let mut cursor = self.root;
         while cursor & LEAF_BIT == 0 {
             let n = self.nodes[cursor as usize];
@@ -124,8 +133,8 @@ impl Trie {
     }
 }
 
-/// Plain binary search used as the ablation baseline for the trie
-/// (`benches/ablation.rs`).
+/// Plain binary search over a key array: what `Node` does over its pairs,
+/// and the other side of the trie ablation (`benches/ablation.rs`).
 pub fn binary_search_index(keys: &[u64], key: u64) -> Option<usize> {
     keys.binary_search(&key).ok()
 }

@@ -402,7 +402,7 @@ pub(crate) unsafe fn cop_lookup<V: Clone>(raw: &RawLeapList<V>, ik: u64) -> Opti
     let w = unsafe { raw.search_predecessors(ik) };
     // SAFETY: observed live under the guard; contents immutable.
     let n = unsafe { &*w.target() };
-    n.index_of(ik, &raw.params).map(|i| n.data[i].1.clone())
+    n.index_of(ik).map(|i| n.data[i].1.clone())
 }
 
 /// COP range query (paper Fig. 5): search uninstrumented, then collect the

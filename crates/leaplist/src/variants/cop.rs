@@ -193,7 +193,7 @@ impl<V: Clone + Send + Sync + 'static> LeapListCop<V> {
                                 // no snapshot readers, plain EBR suffices.
                                 unsafe { guard.defer_drop_box(p.n1) };
                             }
-                            out.push(Some(p.old_value.clone()));
+                            out.push(p.old_value.clone());
                         }
                     }
                 }
@@ -295,7 +295,6 @@ mod tests {
         Params {
             node_size: 4,
             max_level: 6,
-            use_trie: true,
             ..Params::default()
         }
     }

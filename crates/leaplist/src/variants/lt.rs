@@ -858,7 +858,6 @@ mod tests {
         Params {
             node_size: 4,
             max_level: 6,
-            use_trie: true,
             ..Params::default()
         }
     }
@@ -1320,7 +1319,6 @@ mod tests {
         let l: LeapListLt<u64> = LeapListLt::new(Params {
             node_size: 2,
             max_level: 8,
-            use_trie: true,
             ..Params::default()
         });
         for k in 0..200u64 {

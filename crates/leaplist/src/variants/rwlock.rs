@@ -77,7 +77,7 @@ impl<V: Clone + Send + Sync + 'static> LeapListRwlock<V> {
             if plan.merge {
                 free_node(plan.n1);
             }
-            Some(plan.old_value.clone())
+            plan.old_value.clone()
         }
     }
 
@@ -132,7 +132,7 @@ impl<V: Clone + Send + Sync + 'static> LeapListRwlock<V> {
                     if plan.merge {
                         free_node(plan.n1);
                     }
-                    Some(plan.old_value.clone())
+                    plan.old_value.clone()
                 }
             })
             .collect()
@@ -218,7 +218,6 @@ mod tests {
         Params {
             node_size: 4,
             max_level: 6,
-            use_trie: true,
             ..Params::default()
         }
     }

@@ -234,7 +234,7 @@ impl<V: Clone + Send + Sync + 'static> LeapListTm<V> {
                     let n0 = w.target();
                     // SAFETY: as in update_batch.
                     let n0_ref = unsafe { &*n0 };
-                    if n0_ref.data.binary_search_by_key(&ik, |(p, _)| *p).is_err() {
+                    if n0_ref.index_of(ik).is_none() {
                         out.push(None);
                         plans.push(None);
                         continue;
@@ -256,7 +256,7 @@ impl<V: Clone + Send + Sync + 'static> LeapListTm<V> {
                         n1,
                         merge,
                         n_new: b.n_new,
-                        old_value: b.old_value.clone(),
+                        old_value: Some(b.old_value.clone()),
                         published: Cell::new(false),
                     };
                     let mut n0_next = [TaggedPtr::null(); MAX_LEVEL_CAP];
@@ -345,8 +345,7 @@ impl<V: Clone + Send + Sync + 'static> LeapListTm<V> {
                 let w = unsafe { Self::search_tx(&self.raw, &mut tx, ik) }?;
                 // SAFETY: under guard; data immutable.
                 let n = unsafe { &*w.target() };
-                Ok(n.index_of(ik, &self.raw.params)
-                    .map(|i| n.data[i].1.clone()))
+                Ok(n.index_of(ik).map(|i| n.data[i].1.clone()))
             })();
             if let Ok(v) = body {
                 if tx.commit().is_ok() {
@@ -432,7 +431,6 @@ mod tests {
         Params {
             node_size: 4,
             max_level: 6,
-            use_trie: true,
             ..Params::default()
         }
     }

@@ -18,7 +18,6 @@ fn small_params() -> Params {
     Params {
         node_size: 4,
         max_level: 8,
-        use_trie: true,
         ..Params::default()
     }
 }
@@ -107,7 +106,6 @@ fn lt_range_query_never_inverts_writer_order() {
     let map = Arc::new(LeapListLt::<u64>::new(Params {
         node_size: 64,
         max_level: 4,
-        use_trie: true,
         ..Params::default()
     }));
     map.update(10, 0);

@@ -19,7 +19,6 @@ fn tiny_params() -> Params {
     Params {
         node_size: 3,
         max_level: 6,
-        use_trie: true,
         ..Params::default()
     }
 }
@@ -181,7 +180,6 @@ fn split_merge_storm_with_batches() {
         Params {
             node_size: 2,
             max_level: 6,
-            use_trie: true,
             ..Params::default()
         },
     ));
@@ -224,7 +222,6 @@ fn single_location_read_traversal_matches_model() {
     let map = LeapListLt::<u64>::new(Params {
         node_size: 3,
         max_level: 6,
-        use_trie: true,
         traversal: Traversal::SingleLocationRead,
     });
     let mut model = BTreeMap::new();
@@ -248,7 +245,6 @@ fn single_location_read_traversal_under_churn() {
     let map = Arc::new(LeapListLt::<u64>::new(Params {
         node_size: 4,
         max_level: 6,
-        use_trie: true,
         traversal: Traversal::SingleLocationRead,
     }));
     let handles: Vec<_> = (0..3u64)

@@ -14,14 +14,28 @@ enum Op {
     Range(u64, u64),
 }
 
-fn op_strategy() -> impl Strategy<Value = Op> {
-    let key = 0..96u64;
+/// A mixed update / remove / lookup / range stream over keys `0..keys`,
+/// ranges up to `keys / 2` wide.
+fn ops_over(keys: u64) -> impl Strategy<Value = Op> {
+    let key = 0..keys;
     prop_oneof![
         3 => (key.clone(), any::<u64>()).prop_map(|(k, v)| Op::Update(k, v)),
         2 => key.clone().prop_map(Op::Remove),
         1 => key.clone().prop_map(Op::Lookup),
-        1 => (key.clone(), 0..48u64).prop_map(|(a, w)| Op::Range(a, a + w)),
+        1 => (key.clone(), 0..keys / 2).prop_map(|(a, w)| Op::Range(a, a + w)),
     ]
+}
+
+fn op_strategy() -> impl Strategy<Value = Op> {
+    ops_over(96)
+}
+
+const WIDE_KEYS: u64 = 1024;
+
+/// The same mix over a key space several paper-sized nodes wide, with
+/// ranges long enough to cross node boundaries at `K = 300`.
+fn wide_op_strategy() -> impl Strategy<Value = Op> {
+    ops_over(WIDE_KEYS)
 }
 
 fn run_against_model(map: &dyn RangeMap<u64>, ops: &[Op]) -> Result<(), TestCaseError> {
@@ -52,7 +66,6 @@ fn params(node_size: usize) -> Params {
     Params {
         node_size,
         max_level: 6,
-        use_trie: true,
         ..Params::default()
     }
 }
@@ -85,10 +98,20 @@ proptest! {
     }
 
     #[test]
-    fn lt_without_trie_matches_btreemap(ops in prop::collection::vec(op_strategy(), 1..120)) {
-        // Ablation path: binary-search intra-node lookup.
-        let p = Params { node_size: 4, max_level: 6, use_trie: false, ..Params::default() };
-        run_against_model(&LeapListLt::<u64>::new(p), &ops)?;
+    fn lt_matches_btreemap_with_full_nodes(
+        k in prop_oneof![Just(2usize), Just(4), Just(300)],
+        preload in 0..700u64,
+        ops in prop::collection::vec(wide_op_strategy(), 1..300),
+    ) {
+        // A scattered preload of up to 700 of 1024 keys fills nodes to
+        // exactly K (also at the paper's 300), so the mixed ops that follow
+        // overwrite in full nodes, split them, and remove-and-merge the
+        // halves again — all answered by the in-node binary search.
+        let mut all: Vec<Op> = (0..preload)
+            .map(|i| Op::Update(i * 7919 % WIDE_KEYS, i))
+            .collect();
+        all.extend(ops);
+        run_against_model(&LeapListLt::<u64>::new(params(k)), &all)?;
     }
 
     #[test]

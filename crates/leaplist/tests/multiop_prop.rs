@@ -11,7 +11,6 @@ fn small() -> Params {
     Params {
         node_size: 4,
         max_level: 6,
-        use_trie: true,
         ..Params::default()
     }
 }

@@ -38,7 +38,6 @@ fn table() -> Table {
             params: Params {
                 node_size: 4,
                 max_level: 6,
-                use_trie: true,
                 ..Params::default()
             },
             shards: None,

@@ -940,7 +940,6 @@ mod tests {
             .with_params(Params {
                 node_size: 4,
                 max_level: 6,
-                use_trie: true,
                 ..Params::default()
             })
             .with_rebalancing(RebalancePolicy {
@@ -1173,7 +1172,6 @@ mod tests {
                 .with_params(Params {
                     node_size: 4,
                     max_level: 6,
-                    use_trie: true,
                     ..Params::default()
                 })
                 .with_rebalancing(RebalancePolicy {
@@ -1475,7 +1473,6 @@ mod tests {
                 .with_params(Params {
                     node_size: 4,
                     max_level: 6,
-                    use_trie: true,
                     ..Params::default()
                 })
                 .with_rebalancing(RebalancePolicy {

@@ -1318,7 +1318,6 @@ mod tests {
             .with_params(Params {
                 node_size: 4,
                 max_level: 6,
-                use_trie: true,
                 ..Params::default()
             })
     }

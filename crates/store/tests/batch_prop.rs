@@ -19,7 +19,6 @@ fn store(mode: Partitioning) -> LeapStore<u64> {
             .with_params(Params {
                 node_size: 4,
                 max_level: 6,
-                use_trie: true,
                 ..Params::default()
             }),
     )

@@ -14,7 +14,6 @@ fn small_params() -> Params {
     Params {
         node_size: 4,
         max_level: 6,
-        use_trie: true,
         ..Params::default()
     }
 }

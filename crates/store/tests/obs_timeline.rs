@@ -16,7 +16,6 @@ fn cfg(shards: usize) -> StoreConfig {
         .with_params(Params {
             node_size: 4,
             max_level: 6,
-            use_trie: true,
             ..Params::default()
         })
         .with_rebalancing(RebalancePolicy {
@@ -225,7 +224,6 @@ fn colliding_workload_keeps_cause_partition_and_feeds_retry_histogram() {
         StoreConfig::new(4, Partitioning::Hash).with_params(Params {
             node_size: 4,
             max_level: 6,
-            use_trie: true,
             ..Params::default()
         }),
     ));

@@ -43,7 +43,6 @@ fn store() -> LeapStore<u64> {
             .with_params(Params {
                 node_size: 4,
                 max_level: 6,
-                use_trie: true,
                 ..Params::default()
             })
             // Tiny chunks: most migrations stay in flight across several

@@ -22,7 +22,6 @@ fn store() -> LeapStore<u64> {
             .with_params(Params {
                 node_size: 4,
                 max_level: 6,
-                use_trie: true,
                 ..Params::default()
             })
             .with_rebalancing(RebalancePolicy {
@@ -120,7 +119,6 @@ fn store4() -> LeapStore<u64> {
             .with_params(Params {
                 node_size: 4,
                 max_level: 6,
-                use_trie: true,
                 ..Params::default()
             })
             .with_rebalancing(RebalancePolicy {

@@ -19,7 +19,6 @@ fn small_params() -> Params {
     Params {
         node_size: 4,
         max_level: 8,
-        use_trie: true,
         ..Params::default()
     }
 }
