@@ -1,9 +1,8 @@
 //! Criterion micro-benchmarks for the memdb application layer: row
-//! mutations and index scans on both table backends — per-op cost
-//! companion to the `memdb` throughput panel (`cargo run -p leap-bench
-//! --bin figures -- memdb`). The interesting comparison is
-//! `update_age` (indexed-column update: covering entry moves between
-//! buckets in ONE transaction) raw vs sharded.
+//! mutations and index scans on both table backends, the repo's only
+//! raw-vs-sharded comparison. The interesting one is `update_age`
+//! (indexed-column update: covering entry moves between buckets in ONE
+//! transaction) raw vs sharded.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use leap_memdb::{Backend, RowId, Schema, Table};

@@ -1,8 +1,7 @@
 //! Criterion micro-benchmarks for the LeapStore service layer:
 //! single-key ops, cross-shard batches and cross-shard range queries,
-//! under both partitioning modes — the per-op cost companion to the
-//! `leapstore` throughput panel (`cargo run -p leap-bench --bin figures
-//! -- leapstore`).
+//! under both partitioning modes — quiet single-thread per-op costs; the
+//! numbers of record under load are `benchmark/`'s (`BENCHMARK.json`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use leap_store::{LeapStore, Partitioning, StoreConfig};

@@ -4,14 +4,9 @@
 
 use crate::driver::{run_throughput, RunCfg};
 use crate::scale::Scale;
-use crate::target::{
-    make_memdb_target, make_reshard_store_target, make_snapshot_store_target, make_store_target,
-    make_target, Algo, BenchTarget,
-};
+use crate::target::{make_target, Algo, BenchTarget};
 use crate::workload::{Mix, Workload};
-use leap_store::Partitioning;
 use leaplist::Params;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// One plotted line.
@@ -363,274 +358,6 @@ pub fn fig17d(scale: &Scale) -> Figure {
     )
 }
 
-/// A figure panel plus per-series machine-readable statistics lines —
-/// the LeapStore extension output: `crates/bench/src/bin/collect.rs`
-/// parses the `stats` entries into `BENCH_leapstore.json` to track
-/// shard-level op counts, abort rates and latency percentiles.
-#[derive(Debug, Clone)]
-pub struct StoreFigure {
-    /// Throughput sweep (threads on x, one series per store scenario).
-    pub figure: Figure,
-    /// `(series label, stats JSON object)` captured after each series'
-    /// sweep finished; the JSON carries the store's per-shard op counters
-    /// and commit/abort counters (`"store"`) plus per-op latency
-    /// percentiles sampled at the fixed thread count (`"latency"`).
-    pub stats: Vec<(&'static str, String)>,
-}
-
-impl StoreFigure {
-    /// The throughput table followed by one `stats <label> <json>` line
-    /// per series (grep-able by benchmark post-processing).
-    pub fn to_table(&self) -> String {
-        let mut out = self.figure.to_table();
-        for (label, json) in &self.stats {
-            out.push_str(&format!("stats {label} {json}\n"));
-        }
-        out
-    }
-}
-
-/// One scenario of a stats-carrying panel: its legend label, the (not
-/// yet prefilled) target, the workload, and whether a background
-/// rebalance driver runs for the whole measurement.
-struct StatScenario {
-    label: &'static str,
-    target: Arc<dyn BenchTarget>,
-    workload: Workload,
-    reshard: bool,
-}
-
-/// The shared measurement protocol of the stats-carrying panels
-/// (`leapstore`, `memdb`): prefill each scenario's target, optionally run
-/// a background rebalance driver across the whole measurement (thread
-/// sweep **and** latency pass), sweep throughput over the scale's thread
-/// counts, snapshot the target's counters **before** the latency pass
-/// (so the recorded op counts and abort rate describe the sweep alone),
-/// then sample p50/p95/p99/p99.9 per-op latency at the fixed thread
-/// count. Targets without a stats surface record `"store":null`.
-fn sweep_stat_scenarios(
-    id: &'static str,
-    title: String,
-    scenarios: Vec<StatScenario>,
-    scale: &Scale,
-) -> StoreFigure {
-    let mut series = Vec::new();
-    let mut stats = Vec::new();
-    for sc in scenarios {
-        sc.target.prefill(scale.elements);
-        let stop = Arc::new(AtomicBool::new(false));
-        let driver = sc.reshard.then(|| {
-            let (t, stop) = (sc.target.clone(), stop.clone());
-            std::thread::spawn(move || {
-                while !stop.load(Ordering::Relaxed) {
-                    if !t.rebalance_step() {
-                        std::thread::sleep(std::time::Duration::from_millis(1));
-                    }
-                }
-            })
-        });
-        let mut points = Vec::new();
-        for &t in &scale.threads {
-            let ops = run_throughput(&sc.target, &sc.workload, &cfg(scale, t));
-            points.push((t as f64, ops));
-        }
-        let store_json = sc.target.stats_json().unwrap_or_else(|| "null".into());
-        let lat =
-            crate::driver::run_latency(&sc.target, &sc.workload, &cfg(scale, scale.fixed_threads));
-        stop.store(true, Ordering::Relaxed);
-        if let Some(d) = driver {
-            d.join().expect("rebalance driver panicked");
-        }
-        series.push(Series {
-            label: sc.label,
-            points,
-        });
-        stats.push((
-            sc.label,
-            leap_obs::Json::obj()
-                // The target's own snapshot, already rendered (or the
-                // literal `null` for targets without a stats surface).
-                .field("store", leap_obs::Json::raw(store_json))
-                .field(
-                    "latency",
-                    leap_obs::Json::obj()
-                        .field("p50_ns", leap_obs::Json::U64(lat.p50_ns))
-                        .field("p95_ns", leap_obs::Json::U64(lat.p95_ns))
-                        .field("p99_ns", leap_obs::Json::U64(lat.p99_ns))
-                        .field("p999_ns", leap_obs::Json::U64(lat.p999_ns))
-                        .field("mean_ns", leap_obs::Json::U64(lat.mean_ns))
-                        .field("samples", leap_obs::Json::U64(lat.samples as u64)),
-                )
-                .render(),
-        ));
-    }
-    StoreFigure {
-        figure: Figure {
-            id,
-            title,
-            x_label: "threads",
-            series,
-        },
-        stats,
-    }
-}
-
-/// LeapStore extension panel: the store scenario ([`Mix::store_mixed`] —
-/// gets, cross-shard ranges, multi-shard transactions) swept over threads
-/// for both partitioning modes, under uniform and zipfian (θ = 0.99) key
-/// distributions, plus the `batch_collide` scenario (adjacent-key batches
-/// on range partitioning: nearly every transaction piles its keys onto
-/// one shard, the multi-op chain-rebuild path), plus `Store-reshard`
-/// (zipfian load on range partitioning **with a background rebalancer**
-/// splitting the hot shard and merging cold pairs mid-measurement), plus
-/// `Store-scan-snapshot` (a write-heavy zipfian mix with doubled scan
-/// spans where every range query is a **pinned-timestamp paged scan**
-/// through the version bundles, racing the same background rebalancer —
-/// the series whose flat scan tail the SLO gate watches). Each series
-/// additionally captures p50/p95/p99 per-op latency at the fixed thread
-/// count.
-pub fn leapstore(scale: &Scale) -> StoreFigure {
-    let shards = 4;
-    let key_space = scale.elements.max(2);
-    let mix = Mix::store_mixed();
-    // Write-heavy with a large scan share and doubled spans: long pinned
-    // scans must hold their snapshot while most threads commit against it.
-    let long_scans = {
-        let mut w = Workload::zipfian(Mix::new(10, 30, 60), key_space, 0.99);
-        w.span_min *= 2;
-        w.span_max *= 2;
-        w
-    };
-    let scenarios: [(&'static str, Partitioning, Workload, bool, bool); 7] = [
-        (
-            "Store-hash",
-            Partitioning::Hash,
-            Workload::paper(mix, key_space),
-            false,
-            false,
-        ),
-        (
-            "Store-range",
-            Partitioning::Range,
-            Workload::paper(mix, key_space),
-            false,
-            false,
-        ),
-        (
-            "Store-hash-zipf",
-            Partitioning::Hash,
-            Workload::zipfian(mix, key_space, 0.99),
-            false,
-            false,
-        ),
-        (
-            "Store-range-zipf",
-            Partitioning::Range,
-            Workload::zipfian(mix, key_space, 0.99),
-            false,
-            false,
-        ),
-        (
-            "Store-collide",
-            Partitioning::Range,
-            Workload::colliding(mix, key_space),
-            false,
-            false,
-        ),
-        (
-            "Store-reshard",
-            Partitioning::Range,
-            Workload::zipfian(mix, key_space, 0.99),
-            true,
-            false,
-        ),
-        (
-            "Store-scan-snapshot",
-            Partitioning::Range,
-            long_scans,
-            true,
-            true,
-        ),
-    ];
-    let scenarios = scenarios
-        .into_iter()
-        .map(|(label, mode, workload, reshard, snapshot)| StatScenario {
-            label,
-            target: if snapshot {
-                make_snapshot_store_target(shards, key_space, paper_params())
-            } else if reshard {
-                make_reshard_store_target(shards, key_space, paper_params())
-            } else {
-                make_store_target(shards, mode, key_space, paper_params())
-            },
-            workload,
-            reshard,
-        })
-        .collect();
-    sweep_stat_scenarios(
-        "leapstore",
-        format!(
-            "LeapStore store_mixed (40% get, 10% range, 50% multi-shard txn), \
-             {shards} shards, {} elements, uniform/zipf/collide/reshard/snapshot ({})",
-            scale.elements, scale.name
-        ),
-        scenarios,
-        scale,
-    )
-}
-
-/// The memdb application panel: the paper's §4 in-memory database on
-/// both table backends, swept over threads.
-///
-/// * `Memdb-raw-update` / `Memdb-sharded-update` — 100% modifications,
-///   split between **indexed-column updates** (the covering entry moves
-///   between age buckets, one transaction) and non-indexed rewrites.
-/// * `Memdb-raw-scan` / `Memdb-sharded-scan` — the scan mix: 60%
-///   `scan_by` index scans (odd windows run through the paged
-///   `scan_by_pages` cursor), 20% point gets, 20% modifications.
-/// * `Memdb-reshard` — the sharded update mix with a **background
-///   rebalancer** splitting and merging index-heavy shards
-///   mid-measurement.
-///
-/// Each series captures p50/p95/p99 per-op latency at the fixed thread
-/// count plus (for the sharded backend) the backing store's stats JSON,
-/// in the same `stats <series> <json>` format the `collect` bin appends
-/// to `BENCH_leapstore.json`.
-pub fn memdb(scale: &Scale) -> StoreFigure {
-    let age_domain = scale.elements.max(2);
-    let update_mix = Mix::write_only();
-    let scan_mix = Mix::new(20, 60, 20);
-    let scenarios: [(&'static str, bool, Mix, bool); 5] = [
-        ("Memdb-raw-update", false, update_mix, false),
-        ("Memdb-sharded-update", true, update_mix, false),
-        ("Memdb-raw-scan", false, scan_mix, false),
-        ("Memdb-sharded-scan", true, scan_mix, false),
-        ("Memdb-reshard", true, update_mix, true),
-    ];
-    let scenarios = scenarios
-        .into_iter()
-        .map(|(label, sharded, mix, reshard)| StatScenario {
-            label,
-            // The reshard series starts on a deliberately skewed 4-shard
-            // layout (each subspace's live keys piled on one shard) that
-            // the background rebalancer must repair mid-measurement.
-            target: make_memdb_target(sharded, reshard.then_some(4), age_domain, paper_params()),
-            workload: Workload::paper(mix, age_domain),
-            reshard,
-        })
-        .collect();
-    sweep_stat_scenarios(
-        "memdb",
-        format!(
-            "leap-memdb table (raw vs sharded backend): indexed-update and \
-             scan_by mixes, {} rows, age domain {} ({})",
-            scale.elements, age_domain, scale.name
-        ),
-        scenarios,
-        scale,
-    )
-}
-
 /// All four Fig. 17 panels sharing one prefill per algorithm (the paper
 /// reuses the same initialized structure per configuration).
 pub fn fig17_all(scale: &Scale) -> Vec<Figure> {
@@ -703,124 +430,5 @@ mod tests {
         assert!(labels.contains(&"Skiplist-tm"));
         assert!(labels.contains(&"Skiplist-cas"));
         assert!(labels.contains(&"Leap-LT"));
-    }
-
-    #[test]
-    fn memdb_panel_carries_latency_and_sharded_store_stats() {
-        let f = memdb(&tiny());
-        assert_eq!(
-            f.figure.series.len(),
-            5,
-            "raw/sharded × update/scan + reshard"
-        );
-        for s in &f.figure.series {
-            for (_, ops) in &s.points {
-                assert!(*ops > 0.0, "{} produced zero throughput", s.label);
-            }
-        }
-        assert_eq!(f.stats.len(), 5);
-        for (label, json) in &f.stats {
-            assert!(
-                crate::check::balanced_json_object(json),
-                "{label}: every emitted snapshot must pass the collect gate: {json}"
-            );
-            assert!(json.contains("\"latency\":{"), "{label}: {json}");
-            assert!(json.contains("\"p50_ns\":"), "{label}");
-            assert!(json.contains("\"p95_ns\":"), "{label}");
-            assert!(json.contains("\"p99_ns\":"), "{label}");
-            assert!(json.contains("\"p999_ns\":"), "{label}");
-            if label.contains("raw") {
-                assert!(json.contains("\"store\":null"), "{label}: {json}");
-            } else {
-                assert!(json.contains("\"store\":{"), "{label}: {json}");
-                assert!(json.contains("\"shards\":["), "{label}: {json}");
-            }
-        }
-        let (_, reshard_json) = f
-            .stats
-            .iter()
-            .find(|(l, _)| *l == "Memdb-reshard")
-            .expect("reshard series present");
-        assert!(reshard_json.contains("\"epoch\":"));
-        let table = f.to_table();
-        assert!(table.contains("stats Memdb-sharded-update {"));
-        assert!(table.contains("stats Memdb-reshard {"));
-    }
-
-    #[test]
-    fn leapstore_panel_carries_shard_stats_and_latency() {
-        let f = leapstore(&tiny());
-        assert_eq!(
-            f.figure.series.len(),
-            7,
-            "hash/range × uniform/zipf plus collide plus reshard plus snapshot"
-        );
-        for s in &f.figure.series {
-            for (_, ops) in &s.points {
-                assert!(*ops > 0.0, "{} produced zero throughput", s.label);
-            }
-        }
-        assert_eq!(f.stats.len(), 7);
-        for (label, json) in &f.stats {
-            assert!(
-                crate::check::balanced_json_object(json),
-                "{label}: every emitted snapshot must pass the collect gate: {json}"
-            );
-            assert!(json.contains("\"store\":{"), "{label}: {json}");
-            assert!(json.contains("\"shards\":["), "{label}: {json}");
-            assert!(json.contains("abort_rate"), "{label}");
-            assert!(
-                json.contains("\"conflict_read_aborts\":"),
-                "{label}: abort-cause breakdown rides along: {json}"
-            );
-            assert!(json.contains("\"op_latency\":{"), "{label}: {json}");
-            assert!(json.contains("\"latency\":{"), "{label}: {json}");
-            assert!(json.contains("\"p50_ns\":"), "{label}");
-            assert!(json.contains("\"p99_ns\":"), "{label}");
-            assert!(json.contains("\"p999_ns\":"), "{label}");
-        }
-        let table = f.to_table();
-        assert!(table.contains("stats Store-hash {"));
-        assert!(table.contains("stats Store-range {"));
-        assert!(table.contains("stats Store-hash-zipf {"));
-        assert!(table.contains("stats Store-collide {"));
-        assert!(table.contains("stats Store-reshard {"));
-        assert!(table.contains("stats Store-scan-snapshot {"));
-        let (_, reshard_json) = f
-            .stats
-            .iter()
-            .find(|(l, _)| *l == "Store-reshard")
-            .expect("reshard series present");
-        assert!(
-            reshard_json.contains("\"epoch\":"),
-            "reshard stats carry the routing epoch: {reshard_json}"
-        );
-        assert!(reshard_json.contains("\"migrations_completed\":"));
-        assert!(
-            reshard_json.contains("\"concurrent_migrations\":"),
-            "reshard stats report the in-flight migration count: {reshard_json}"
-        );
-        assert!(
-            reshard_json.contains("\"peak_concurrent_migrations\":"),
-            "reshard stats report the peak migration concurrency: {reshard_json}"
-        );
-        assert!(reshard_json.contains("\"key_spread_ratio\":"));
-        let (_, snap_json) = f
-            .stats
-            .iter()
-            .find(|(l, _)| *l == "Store-scan-snapshot")
-            .expect("snapshot-scan series present");
-        assert!(
-            !snap_json.contains("\"snapshot_scans\":0,"),
-            "the series actually pinned snapshots: {snap_json}"
-        );
-        assert!(
-            snap_json.contains("\"bundle_depth\":"),
-            "version-bundle depth rides along for the collect gate: {snap_json}"
-        );
-        assert!(
-            snap_json.contains("\"snapshot_page\":{"),
-            "pinned pages are timed per-op (the gated scan tail): {snap_json}"
-        );
     }
 }

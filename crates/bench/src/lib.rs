@@ -9,10 +9,16 @@
 //! every panel, or name panels individually (`fig14a`, `fig17d`, ...).
 //! Scale presets (`quick` / `medium` / `paper`) trade fidelity for runtime;
 //! see [`scale::Scale`].
+//!
+//! That is the whole of this crate's measurement surface: the paper's own
+//! panels plus the criterion benches under `benches/` (`micro`, `ablation`,
+//! `store`, `memdb`). Numbers of record for the store and the memdb table
+//! under load come from the separate `benchmark/` package
+//! (`BENCHMARK.json`), not from here. [`rng`] and [`zipf`] are shared with
+//! the `chaos` bin and the workspace examples.
 
 #![deny(missing_docs)]
 
-pub mod check;
 pub mod driver;
 pub mod figures;
 pub mod rng;

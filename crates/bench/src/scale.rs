@@ -30,7 +30,7 @@ pub struct Scale {
 }
 
 impl Scale {
-    /// Seconds-long smoke preset (CI, `cargo bench` default).
+    /// Seconds-long smoke preset (CI).
     pub fn quick() -> Self {
         Scale {
             name: "quick",
@@ -44,7 +44,7 @@ impl Scale {
         }
     }
 
-    /// Minutes-long preset used for EXPERIMENTS.md on this host.
+    /// Minutes-long preset, the `figures` default.
     pub fn medium() -> Self {
         Scale {
             name: "medium",

@@ -78,40 +78,6 @@ impl Mix {
     pub fn range_only() -> Self {
         Mix::new(0, 100, 0)
     }
-
-    /// The LeapStore service mix: 40% point gets, 10% cross-shard range
-    /// queries, 50% modifications — and every modification is a
-    /// **multi-shard transaction** (the driver draws one key per
-    /// list/shard, which the store target applies as `multi_put` /
-    /// `multi_delete`). This is the OLTP-with-scans shape the paper's
-    /// in-memory-database application (§4) implies.
-    pub fn store_mixed() -> Self {
-        Mix::new(40, 10, 50)
-    }
-}
-
-/// Key distribution for a workload.
-#[derive(Debug, Clone, Default)]
-pub enum KeyDist {
-    /// Uniform over the key range (the paper's setting).
-    #[default]
-    Uniform,
-    /// Zipfian-skewed (extension experiment; see [`crate::zipf`]).
-    Zipfian(std::sync::Arc<crate::zipf::Zipf>),
-}
-
-/// How a composite modification draws its per-list (per-shard) keys.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum BatchKeys {
-    /// One independent key per list — the paper's composite `Update` /
-    /// `Remove` (under a sharded store, keys usually spread over shards).
-    #[default]
-    PerList,
-    /// One base key plus its successors (`base, base+1, ...`) — under
-    /// range partitioning almost every batch piles all its keys onto one
-    /// shard, the collision-heavy load that exercises the multi-op
-    /// chain-rebuild path (`batch_collide` mix).
-    CollideAdjacent,
 }
 
 /// A complete workload description.
@@ -125,10 +91,6 @@ pub struct Workload {
     pub span_min: u64,
     /// Maximum range-query span (paper: 2000).
     pub span_max: u64,
-    /// How keys are drawn.
-    pub key_dist: KeyDist,
-    /// How composite modifications draw their key vectors.
-    pub batch_keys: BatchKeys,
 }
 
 impl Workload {
@@ -139,48 +101,14 @@ impl Workload {
             key_range,
             span_min: 1000,
             span_max: 2000,
-            key_dist: KeyDist::Uniform,
-            batch_keys: BatchKeys::PerList,
         }
     }
 
-    /// The paper's settings but with zipfian-skewed keys (`theta` in
-    /// (0, 1); 0.99 = YCSB default).
-    pub fn zipfian(mix: Mix, key_range: u64, theta: f64) -> Self {
-        Workload {
-            key_dist: KeyDist::Zipfian(std::sync::Arc::new(crate::zipf::Zipf::new(
-                key_range.max(1),
-                theta,
-            ))),
-            ..Self::paper(mix, key_range)
-        }
-    }
-
-    /// The `batch_collide` mix: the paper's settings, but every composite
-    /// modification draws **adjacent** keys, so under range partitioning
-    /// batches collide onto one shard.
-    pub fn colliding(mix: Mix, key_range: u64) -> Self {
-        Workload {
-            batch_keys: BatchKeys::CollideAdjacent,
-            ..Self::paper(mix, key_range)
-        }
-    }
-
-    /// Fills `keys` with one key per list according to
-    /// [`Workload::batch_keys`].
+    /// Fills `keys` with one independent key per list — the paper's
+    /// composite `Update` / `Remove`.
     pub fn sample_batch_keys(&self, rng: &mut Rng64, keys: &mut [u64]) {
-        match self.batch_keys {
-            BatchKeys::PerList => {
-                for k in keys.iter_mut() {
-                    *k = self.sample_key(rng);
-                }
-            }
-            BatchKeys::CollideAdjacent => {
-                let base = self.sample_key(rng);
-                for (j, k) in keys.iter_mut().enumerate() {
-                    *k = (base + j as u64) % self.key_range.max(1);
-                }
-            }
+        for k in keys.iter_mut() {
+            *k = self.sample_key(rng);
         }
     }
 
@@ -198,12 +126,9 @@ impl Workload {
         }
     }
 
-    /// Draws a key.
+    /// Draws a key, uniform over the key range.
     pub fn sample_key(&self, rng: &mut Rng64) -> u64 {
-        match &self.key_dist {
-            KeyDist::Uniform => rng.below(self.key_range),
-            KeyDist::Zipfian(z) => z.sample(rng) - 1,
-        }
+        rng.below(self.key_range)
     }
 
     /// Draws a range `[lo, hi]` whose span is uniform in
@@ -272,43 +197,5 @@ mod tests {
     #[should_panic(expected = "sum to 100")]
     fn bad_mix_rejected() {
         Mix::new(50, 50, 50);
-    }
-
-    #[test]
-    fn colliding_batches_draw_adjacent_keys() {
-        let wl = Workload::colliding(Mix::write_only(), 1_000);
-        assert_eq!(wl.batch_keys, BatchKeys::CollideAdjacent);
-        let mut rng = Rng64::new(3);
-        let mut keys = [0u64; 4];
-        for _ in 0..1_000 {
-            wl.sample_batch_keys(&mut rng, &mut keys);
-            for w in keys.windows(2) {
-                assert!(
-                    w[1] == w[0] + 1 || w[1] == (w[0] + 1) % 1_000,
-                    "keys not adjacent: {keys:?}"
-                );
-            }
-            for k in keys {
-                assert!(k < 1_000);
-            }
-        }
-        // The default draws independent keys.
-        let wl = Workload::paper(Mix::write_only(), 1_000);
-        assert_eq!(wl.batch_keys, BatchKeys::PerList);
-        let mut distinct = false;
-        for _ in 0..100 {
-            wl.sample_batch_keys(&mut rng, &mut keys);
-            if keys.windows(2).any(|w| w[1] != w[0] + 1) {
-                distinct = true;
-            }
-        }
-        assert!(distinct, "independent draws must not always be adjacent");
-    }
-
-    #[test]
-    fn store_mix_sums_and_modifies_half() {
-        let m = Mix::store_mixed();
-        assert_eq!(m.lookup_pct + m.range_pct + m.modify_pct, 100);
-        assert_eq!(m.modify_pct, 50, "half the ops are multi-shard txns");
     }
 }

@@ -1,9 +1,9 @@
 //! Zipfian key distribution (YCSB-style, Gray et al.'s quick method).
 //!
-//! The paper's workloads draw keys uniformly; real database index traffic
-//! is skewed, so the harness also offers a zipfian generator as an
-//! extension experiment (hot keys concentrate conflicts on a few
-//! Leap-List nodes, stressing the validation/retry paths).
+//! The paper's workloads draw keys uniformly, and so does every panel in
+//! [`crate::figures`]. Real database index traffic is skewed — hot keys
+//! concentrate conflicts on a few Leap-List nodes — and
+//! `examples/leapstore.rs` uses this sampler to build such a load.
 
 use crate::rng::Rng64;
 

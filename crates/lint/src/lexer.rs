@@ -2,8 +2,7 @@
 //!
 //! The environment has no crates.io, so leap-lint cannot lean on `syn` or
 //! `proc-macro2`; instead this module hand-rolls the small token model the
-//! lints need, in the style of `leap_bench::check::balanced_json_object`: a
-//! character scanner that knows exactly which constructs can *hide* source
+//! lints need: a character scanner that knows exactly which constructs can *hide* source
 //! text (line comments, nested block comments, plain/raw/byte strings, char
 //! literals) so that `unsafe` inside a string or a doc comment never counts
 //! as an unsafe site, while `// SAFETY:` comments are captured — with their

@@ -51,7 +51,7 @@ pub const LINTS: &[(&str, &str)] = &[
     ),
     (
         "registry-drift",
-        "metric/event/fault-point names in source must match the CI --require list and the README registry docs",
+        "metric/event/fault-point names in source must appear in the README registry docs",
     ),
     (
         "bad-suppression",
@@ -590,30 +590,20 @@ pub fn lint_file(file: &SourceFile, enabled: &Enabled) -> FileReport {
 
 /// Inputs for [`registry_drift`] that live outside the Rust source tree.
 pub struct RegistryDocs {
-    /// Contents of `.github/workflows/ci.yml`.
-    pub ci_yml: Option<String>,
     /// Contents of `README.md`.
     pub readme: Option<String>,
 }
 
-/// Cross-check instrument names between source, CI's `--require` schema
-/// gate, and the README registry docs.
-///
-/// * every `--require KEY` in ci.yml must appear inside a string literal in
-///   non-test source (a renamed stats key would otherwise pass CI's shell
-///   but fail the schema gate only at runtime — or worse, the gate's
-///   `--require` list silently goes stale);
-/// * every `EventKind` name, fault-point name, and metric series name
-///   (`store_op_*_ns` / `table_op_*_ns` / `stm_txn_retries` /
-///   `store_events` / `store_view_swaps` / `store_stamp_retries`) in
-///   source must appear in README.md (brace groups like
-///   `table_op_{a,b}_ns` are expanded before matching).
+/// Cross-check instrument names between source and the README registry
+/// docs: every `EventKind` name, fault-point name, and metric series name
+/// (`store_op_*_ns` / `table_op_*_ns` / `stm_txn_retries` /
+/// `store_events` / `store_view_swaps` / `store_stamp_retries`) in source
+/// must appear in README.md (brace groups like `table_op_{a,b}_ns` are
+/// expanded before matching).
 pub fn registry_drift(files: &[SourceFile], docs: &RegistryDocs) -> Vec<Finding> {
     let mut findings = Vec::new();
 
-    // Corpus of string literals in non-test source, and the doc-facing name
-    // sets, gathered in one pass.
-    let mut literals: Vec<String> = Vec::new();
+    // The doc-facing names in non-test source.
     let mut named: Vec<(String, String, u32, &'static str)> = Vec::new(); // (name, file, line, what)
     for f in files {
         if exempt_path(&f.path) {
@@ -624,7 +614,6 @@ pub fn registry_drift(files: &[SourceFile], docs: &RegistryDocs) -> Vec<Finding>
         let in_test = |i: usize| regions.iter().any(|&(a, b)| a <= i && i <= b);
         for i in 0..t.len() {
             if t[i].kind == TokKind::Str && !in_test(i) {
-                literals.push(t[i].text.clone());
                 let s = &t[i].text;
                 let plain = s
                     .chars()
@@ -676,33 +665,7 @@ pub fn registry_drift(files: &[SourceFile], docs: &RegistryDocs) -> Vec<Finding>
         }
     }
 
-    // (a) CI --require keys must exist in source literals.
-    if let Some(ci) = &docs.ci_yml {
-        for (lineno, line) in ci.lines().enumerate() {
-            let words: Vec<&str> = line.split_whitespace().collect();
-            for w in 0..words.len() {
-                if words[w] == "--require" {
-                    if let Some(key) = words.get(w + 1) {
-                        let key = key.trim_end_matches('\\').trim();
-                        if !key.is_empty() && !literals.iter().any(|l| l.contains(key)) {
-                            findings.push(Finding {
-                                file: ".github/workflows/ci.yml".to_string(),
-                                line: (lineno + 1) as u32,
-                                lint: "registry-drift",
-                                message: format!(
-                                    "CI requires stats key `{key}` but no non-test source \
-                                     string literal mentions it — the schema gate would \
-                                     fail at runtime or the gate list is stale"
-                                ),
-                            });
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    // (b) registry names must be documented in README.
+    // Registry names must be documented in README.
     if let Some(readme) = &docs.readme {
         let corpus = expand_braces(readme);
         let mut seen = std::collections::BTreeSet::new();
@@ -717,7 +680,7 @@ pub fn registry_drift(files: &[SourceFile], docs: &RegistryDocs) -> Vec<Finding>
                     lint: "registry-drift",
                     message: format!(
                         "{what} `{name}` is not documented in README.md — a renamed series \
-                         silently escapes the schema/SLO gates and the scrape docs"
+                         silently escapes the scrape docs"
                     ),
                 });
             }
@@ -948,21 +911,6 @@ mod tests {
     }
 
     #[test]
-    fn registry_drift_require_keys() {
-        let files = vec![file(
-            "crates/store/src/stats.rs",
-            r#"fn f() { emit("latency"); }"#,
-        )];
-        let docs = RegistryDocs {
-            ci_yml: Some("run: collect --require latency --require gone_key".to_string()),
-            readme: Some(String::new()),
-        };
-        let f = registry_drift(&files, &docs);
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert!(f[0].message.contains("gone_key"));
-    }
-
-    #[test]
     fn registry_drift_readme_names() {
         let files = vec![
             file(
@@ -975,7 +923,6 @@ mod tests {
             ),
         ];
         let docs = RegistryDocs {
-            ci_yml: None,
             readme: Some(
                 "events: `epoch_flip`, `shed`; series `store_op_{get,put}_ns`, `store_view_swaps`"
                     .to_string(),
@@ -984,7 +931,6 @@ mod tests {
         assert!(registry_drift(&files, &docs).is_empty());
 
         let stale = RegistryDocs {
-            ci_yml: None,
             readme: Some("events: `epoch_flip`; series `store_op_get_ns`".to_string()),
         };
         let f = registry_drift(&files, &stale);

@@ -6,10 +6,10 @@
 //!
 //! With no PATH arguments the whole workspace is linted (everything under
 //! the root except `target/`, `vendor/`, and `.git/`) including the
-//! workspace-level `registry-drift` cross-check against
-//! `.github/workflows/ci.yml` and `README.md`. With explicit PATHs only
-//! those files/directories run (registry-drift is skipped unless requested
-//! via `--lint registry-drift`, since its doc inputs live at the root).
+//! workspace-level `registry-drift` cross-check against `README.md`. With
+//! explicit PATHs only those files/directories run (registry-drift is
+//! skipped unless requested via `--lint registry-drift`, since its doc
+//! input lives at the root).
 //!
 //! Exit codes: 0 clean, 1 findings, 2 usage/IO error.
 
@@ -227,14 +227,16 @@ fn self_test() -> Result<(), String> {
         }
     }
     let drift = lints::registry_drift(
-        &[],
+        &[SourceFile {
+            path: "crates/store/src/obs.rs".to_string(),
+            lex: lexer::lex(r#"const S: &str = "store_op_ghost_ns";"#),
+        }],
         &RegistryDocs {
-            ci_yml: Some("collect --require ghost_key".into()),
             readme: Some(String::new()),
         },
     );
     if drift.is_empty() {
-        return Err("self-test: registry-drift missed a ghost --require key".into());
+        return Err("self-test: registry-drift missed an undocumented metric series".into());
     }
     println!(
         "leap-lint: self-test ok ({} lints verified)",
@@ -296,7 +298,7 @@ fn run() -> Result<bool, String> {
         suppressed += rep.suppressed;
     }
 
-    // registry-drift needs the root-level docs; in full-workspace mode it
+    // registry-drift needs the root-level README; in full-workspace mode it
     // always runs, with explicit PATHs only on request.
     let drift_requested = args.lints.iter().any(|l| l == "registry-drift");
     let drift_on = if args.paths.is_empty() {
@@ -306,7 +308,6 @@ fn run() -> Result<bool, String> {
     };
     if drift_on {
         let docs = RegistryDocs {
-            ci_yml: std::fs::read_to_string(root.join(".github/workflows/ci.yml")).ok(),
             readme: std::fs::read_to_string(root.join("README.md")).ok(),
         };
         findings.extend(lints::registry_drift(&files, &docs));

@@ -225,7 +225,7 @@ fn bad_suppression_is_itself_a_finding() {
 
 // -- registry-drift ---------------------------------------------------------
 
-fn drift(files: &[(&str, &str)], ci: &str, readme: &str) -> Vec<&'static str> {
+fn drift(files: &[(&str, &str)], readme: &str) -> Vec<&'static str> {
     let files: Vec<SourceFile> = files
         .iter()
         .map(|(p, s)| SourceFile {
@@ -234,7 +234,6 @@ fn drift(files: &[(&str, &str)], ci: &str, readme: &str) -> Vec<&'static str> {
         })
         .collect();
     let docs = RegistryDocs {
-        ci_yml: Some(ci.to_string()),
         readme: Some(readme.to_string()),
     };
     registry_drift(&files, &docs)
@@ -248,26 +247,12 @@ fn registry_drift_catches_undocumented_metric() {
     let src = r#"fn name() -> &'static str { "store_op_frob_ns" }"#;
     // Documented (brace-group expansion): clean.
     assert_eq!(
-        drift(&[(P, src)], "", "metrics: `store_op_{get,frob}_ns` series"),
+        drift(&[(P, src)], "metrics: `store_op_{get,frob}_ns` series"),
         Vec::<&str>::new()
     );
     // Absent from the README: drift.
     assert_eq!(
-        drift(&[(P, src)], "", "metrics: `store_op_get_ns` only"),
-        vec!["registry-drift"]
-    );
-}
-
-#[test]
-fn registry_drift_catches_stale_ci_require() {
-    let ci = "run: cargo run -- collect --require store_op_get_ns\n";
-    let src = r#"fn k() -> &'static str { "store_op_get_ns" }"#;
-    let readme = "`store_op_get_ns`";
-    assert_eq!(drift(&[(P, src)], ci, readme), Vec::<&str>::new());
-    // The key vanished from source (renamed): the --require list is stale.
-    let renamed = r#"fn k() -> &'static str { "store_op_fetch_ns" }"#;
-    assert_eq!(
-        drift(&[(P, renamed)], ci, "`store_op_fetch_ns`"),
+        drift(&[(P, src)], "metrics: `store_op_get_ns` only"),
         vec!["registry-drift"]
     );
 }

@@ -242,8 +242,6 @@ fn bench_harness_smoke() {
             key_range: 400,
             span_min: 5,
             span_max: 25,
-            key_dist: Default::default(),
-            batch_keys: Default::default(),
         };
         let cfg = RunCfg {
             threads: 2,
