@@ -1,7 +1,8 @@
-//! Table-level observability: per-op-kind latency histograms registered
-//! in one [`leap_obs::Registry`], so a table scrape (JSON or Prometheus)
-//! sits beside the store- and STM-level series from the same `leap-obs`
-//! core.
+//! Table-level observability: per-op-kind latency histograms — the same
+//! [`leap_obs::OpLatency`] table the store keeps — registered in one
+//! [`leap_obs::Registry`], so a table scrape (JSON or Prometheus) sits
+//! beside the backing store's one page (`StoreStats::to_prometheus`)
+//! without sharing a series name.
 //!
 //! Every table op is microsecond-scale — each commits at least one
 //! transaction, or walks an index snapshot — so unlike the store's
@@ -14,7 +15,7 @@
 //! `table_op_count_ns`, `table_op_snapshot_page_ns` (pinned-timestamp
 //! pages served by [`crate::TableSnapshotScan`]).
 
-use leap_obs::{HistSnapshot, Histogram, Json, Registry};
+use leap_obs::{HistSnapshot, Json, OpLatency, Registry};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -31,7 +32,10 @@ const OP_KINDS: [(&str, &str); 8] = [
     ("snapshot_page", "table_op_snapshot_page_ns"),
 ];
 
-/// Index into [`TableObs`]'s histogram set (kept in [`OP_KINDS`] order).
+/// A table's op-latency table, one histogram per [`OP_KINDS`] entry.
+type OpTable = OpLatency<{ OP_KINDS.len() }>;
+
+/// Index into a table's op-latency table (kept in [`OP_KINDS`] order).
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum TableOp {
     Insert = 0,
@@ -50,13 +54,13 @@ pub(crate) enum TableOp {
 pub struct TableObs {
     registry: Arc<Registry>,
     /// Per-op-kind latency histograms, in [`OP_KINDS`] order.
-    ops: [Arc<Histogram>; 8],
+    ops: OpTable,
 }
 
 impl TableObs {
     pub(crate) fn new() -> Self {
         let registry = Arc::new(Registry::new());
-        let ops = OP_KINDS.map(|(_, series)| registry.histogram(series));
+        let ops = OpTable::new(&registry, OP_KINDS);
         TableObs { registry, ops }
     }
 
@@ -71,21 +75,18 @@ impl TableObs {
     /// under `f` carries which table op drove it.
     #[inline]
     pub(crate) fn timed<T>(&self, op: TableOp, f: impl FnOnce() -> T) -> T {
-        let _ctx = leap_obs::trace::op_context(OP_KINDS[op as usize].0);
+        let _ctx = leap_obs::trace::op_context(self.ops.kind(op as usize));
         let start = Instant::now();
         let r = f();
-        self.ops[op as usize].record(start.elapsed().as_nanos() as u64);
+        self.ops
+            .record(op as usize, start.elapsed().as_nanos() as u64);
         r
     }
 
     /// A point-in-time copy of every op histogram.
     pub fn snapshot(&self) -> TableObsSnapshot {
         TableObsSnapshot {
-            op_latency: OP_KINDS
-                .iter()
-                .zip(&self.ops)
-                .map(|(&(kind, _), h)| (kind, h.snapshot()))
-                .collect(),
+            op_latency: self.ops.snapshot(),
         }
     }
 }
@@ -102,15 +103,7 @@ impl TableObsSnapshot {
     /// The snapshot as one JSON object, keyed by op kind:
     /// `{"op_latency":{"insert":{"count",..},..}}`.
     pub fn to_json_value(&self) -> Json {
-        Json::obj().field(
-            "op_latency",
-            Json::Obj(
-                self.op_latency
-                    .iter()
-                    .map(|(kind, snap)| (kind.to_string(), snap.to_json_ns()))
-                    .collect(),
-            ),
-        )
+        Json::obj().field("op_latency", OpTable::to_json(&self.op_latency))
     }
 
     /// [`Self::to_json_value`], rendered.

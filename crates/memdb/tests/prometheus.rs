@@ -3,8 +3,9 @@
 //! The scrape surface is consumed by an external system, so its contract
 //! is pinned here: histogram buckets must be cumulative and monotone in
 //! `le`, `_sum`/`_count` must agree with the JSON snapshot of the same
-//! instruments, and scraping a sharded table's two registries (table-level
-//! and store-level) into one page must never produce a duplicate series.
+//! instruments, and scraping a sharded table's registry beside the
+//! backing store's registry — or beside the store's one complete page,
+//! `stats().to_prometheus()` — must never produce a duplicate series.
 
 use leap_memdb::{Schema, Table};
 use std::collections::HashSet;
@@ -169,23 +170,30 @@ fn no_duplicate_series_across_table_and_store_registries() {
     let table = exercised_table();
     let store = table.store().expect("sharded backend");
     let table_page = table.obs().registry().to_prometheus();
-    let store_page = store
+    let store_registry_page = store
         .obs()
         .expect("obs on by default")
         .registry()
         .to_prometheus();
-    let mut seen = HashSet::new();
-    for name in series_names(&table_page)
-        .into_iter()
-        .chain(series_names(&store_page))
-    {
-        assert!(
-            seen.insert(name.clone()),
-            "series {name} declared twice across the combined scrape"
-        );
+    let store_stats_page = store.stats().to_prometheus();
+    for store_page in [&store_registry_page, &store_stats_page] {
+        let mut seen = HashSet::new();
+        for name in series_names(&table_page)
+            .into_iter()
+            .chain(series_names(store_page))
+        {
+            assert!(
+                seen.insert(name.clone()),
+                "series {name} declared twice across the combined scrape"
+            );
+        }
+        // The two layers are distinguishable by prefix, which is what keeps
+        // the combined page collision-free by construction.
+        assert!(seen.iter().any(|n| n.starts_with("table_op_")));
+        assert!(seen.iter().any(|n| n.starts_with("store_op_")));
     }
-    // The two layers are distinguishable by prefix, which is what keeps
-    // the combined page collision-free by construction.
-    assert!(seen.iter().any(|n| n.starts_with("table_op_")));
-    assert!(seen.iter().any(|n| n.starts_with("store_op_")));
+    // The stats page is the complete one: shard series beside every
+    // registry series.
+    assert!(store_stats_page.contains("# TYPE store_shard_keys gauge\n"));
+    assert!(store_stats_page.contains("# TYPE store_view_swaps counter\n"));
 }

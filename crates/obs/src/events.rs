@@ -2,27 +2,15 @@
 //!
 //! The ring records [`Event`]s — small structured facts with a global
 //! sequence number and a monotonic timestamp — from any thread without
-//! blocking. Capacity is fixed at construction; on overflow the ring
-//! **drops the oldest events** and the loss is *never silent*: every
-//! [`RingSnapshot`] carries a monotone [`RingSnapshot::dropped`] counter
-//! (`total events published − capacity`, floored at zero), so a consumer
-//! can always tell how much of the timeline it missed.
-//!
-//! # Protocol
-//!
-//! Publishing claims a global ticket `t` with one `fetch_add` on `head`,
-//! then owns slot `t % capacity` via a per-slot sequence word: the slot
-//! is CASed from its previous state to `2t+1` ("ticket t writing"), the
-//! payload words are stored, and the sequence is released as `2t+2`
-//! ("ticket t complete"). A writer that finds the slot already claimed by
-//! a *newer* ticket abandons its write (its event is part of the dropped
-//! prefix by then); a writer that finds an *older* ticket mid-write spins
-//! for the handful of stores that write takes. All payload words are
-//! plain atomics, so even a misbehaving interleaving cannot produce
-//! undefined behavior — a reader validates the sequence word before and
-//! after reading the payload and discards torn slots.
+//! blocking. It is an encoder over the crate's one drop-oldest ring
+//! (`ring.rs`, which documents the slot protocol): capacity is fixed at
+//! construction; on overflow the ring **drops the oldest events** and
+//! the loss is *never silent*: every [`RingSnapshot`] carries a monotone
+//! [`RingSnapshot::dropped`] counter (`total events published −
+//! capacity`, floored at zero), so a consumer can always tell how much of
+//! the timeline it missed.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use crate::ring::Ring;
 use std::time::Instant;
 
 /// Default ring capacity: ample for full migration timelines (a reshard
@@ -30,8 +18,29 @@ use std::time::Instant;
 /// drops, small enough to snapshot cheaply.
 pub const DEFAULT_RING_CAPACITY: usize = 1024;
 
-/// Payload words per slot (the widest [`EventKind`] uses 5).
+/// Payload words per event (the widest [`EventKind`] uses 5).
 const WORDS: usize = 5;
+
+/// Words per ring entry: `at_ns`, the kind tag, then the payload — with
+/// the ring's sequence word, an 8-word slot.
+const SLOT_WORDS: usize = 2 + WORDS;
+
+/// Payload field names per kind tag (see [`EventKind::encode`]), in
+/// declaration order.
+const FIELDS: [&[&str]; 12] = [
+    &["id", "src", "dst", "lo", "hi"],
+    &["id", "moved"],
+    &["id", "epoch"],
+    &["epoch"],
+    &["shard", "load"],
+    &["left", "right"],
+    &["ops", "drain_ns", "window_ns"],
+    &["index"],
+    &["id", "moved_back"],
+    &["attempts"],
+    &["ops", "queued"],
+    &["panics"],
+];
 
 /// What happened — the structured payload of one [`Event`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -154,44 +163,12 @@ impl EventKind {
 
     /// The kind's named payload fields, in declaration order.
     pub fn fields(&self) -> Vec<(&'static str, u64)> {
-        match *self {
-            EventKind::MigrationBegin {
-                id,
-                src,
-                dst,
-                lo,
-                hi,
-            } => vec![
-                ("id", id),
-                ("src", src),
-                ("dst", dst),
-                ("lo", lo),
-                ("hi", hi),
-            ],
-            EventKind::MigrationChunk { id, moved } => vec![("id", id), ("moved", moved)],
-            EventKind::MigrationComplete { id, epoch } => vec![("id", id), ("epoch", epoch)],
-            EventKind::EpochFlip { epoch } => vec![("epoch", epoch)],
-            EventKind::PolicySplit { shard, load } => vec![("shard", shard), ("load", load)],
-            EventKind::PolicyMerge { left, right } => vec![("left", left), ("right", right)],
-            EventKind::BatcherDrain {
-                ops,
-                drain_ns,
-                window_ns,
-            } => vec![
-                ("ops", ops),
-                ("drain_ns", drain_ns),
-                ("window_ns", window_ns),
-            ],
-            EventKind::PoisonedOp { index } => vec![("index", index)],
-            EventKind::MigrationAbort { id, moved_back } => {
-                vec![("id", id), ("moved_back", moved_back)]
-            }
-            EventKind::TxnDeadline { attempts } => vec![("attempts", attempts)],
-            EventKind::Shed { ops, queued } => vec![("ops", ops), ("queued", queued)],
-            EventKind::RebalancerPanic { panics } => vec![("panics", panics)],
-        }
+        let (tag, words) = self.encode();
+        FIELDS[tag as usize].iter().copied().zip(words).collect()
     }
 
+    /// Encodes the kind as its tag (an index into [`FIELDS`]) and its
+    /// payload fields in declaration order, zero-padded.
     fn encode(&self) -> (u64, [u64; WORDS]) {
         let mut w = [0u64; WORDS];
         let tag = match *self {
@@ -364,20 +341,11 @@ impl RingSnapshot {
     }
 }
 
-struct Slot {
-    /// `2t+1` = ticket `t` writing, `2t+2` = ticket `t` complete,
-    /// `0` = never written.
-    seq: AtomicU64,
-    at_ns: AtomicU64,
-    tag: AtomicU64,
-    words: [AtomicU64; WORDS],
-}
-
-/// The fixed-capacity event ring (see module docs for the protocol and
-/// the drop-oldest overflow contract).
+/// The fixed-capacity event ring (see module docs for the drop-oldest
+/// overflow contract).
+#[derive(Debug)]
 pub struct EventRing {
-    slots: Box<[Slot]>,
-    head: AtomicU64,
+    ring: Ring<SLOT_WORDS>,
     origin: Instant,
 }
 
@@ -388,145 +356,59 @@ impl EventRing {
     ///
     /// Panics if `capacity` is zero.
     pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "an event ring must hold at least one event");
         EventRing {
-            slots: (0..capacity)
-                .map(|_| Slot {
-                    seq: AtomicU64::new(0),
-                    at_ns: AtomicU64::new(0),
-                    tag: AtomicU64::new(0),
-                    words: Default::default(),
-                })
-                .collect(),
-            head: AtomicU64::new(0),
+            ring: Ring::new(capacity),
             origin: Instant::now(),
         }
     }
 
-    /// A ring of [`DEFAULT_RING_CAPACITY`].
-    pub fn with_default_capacity() -> Self {
-        EventRing::new(DEFAULT_RING_CAPACITY)
-    }
-
     /// The ring's fixed capacity.
     pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.ring.capacity()
     }
 
     /// Total events ever published (dropped ones included).
     pub fn published(&self) -> u64 {
-        self.head.load(Ordering::Acquire)
+        self.ring.published()
     }
 
     /// Events lost to overflow so far: monotone, `published − capacity`
     /// floored at zero.
     pub fn dropped(&self) -> u64 {
-        self.published().saturating_sub(self.capacity() as u64)
+        self.ring.dropped()
     }
 
     /// Publishes one event; returns its sequence number. Never blocks on
     /// readers; on overflow the oldest event is overwritten.
     pub fn push(&self, kind: EventKind) -> u64 {
         let at_ns = self.origin.elapsed().as_nanos() as u64;
-        let ticket = self.head.fetch_add(1, Ordering::AcqRel);
-        let slot = &self.slots[(ticket % self.slots.len() as u64) as usize];
-        let busy = 2 * ticket + 1;
-        let done = busy + 1;
-        let mut cur = slot.seq.load(Ordering::Acquire);
-        loop {
-            if cur >= busy {
-                // A newer ticket owns this slot: our event is already part
-                // of the dropped prefix — abandon the write.
-                return ticket;
-            }
-            if cur & 1 == 1 {
-                // An older ticket is mid-write (a handful of stores): wait
-                // it out rather than tearing its payload.
-                std::hint::spin_loop();
-                cur = slot.seq.load(Ordering::Acquire);
-                continue;
-            }
-            match slot
-                .seq
-                .compare_exchange_weak(cur, busy, Ordering::AcqRel, Ordering::Acquire)
-            {
-                Ok(_) => break,
-                Err(c) => cur = c,
-            }
-        }
-        let (tag, words) = kind.encode();
-        // ORDERING: payload writes are Relaxed; the Release store of `seq`
-        // below publishes them, and readers re-check `seq` (Acquire) after
-        // reading to discard torn slots.
-        slot.at_ns.store(at_ns, Ordering::Relaxed);
-        // ORDERING: as above — published by the `seq` Release store.
-        slot.tag.store(tag, Ordering::Relaxed);
-        for (dst, w) in slot.words.iter().zip(words) {
-            // ORDERING: as above — published by the `seq` Release store.
-            dst.store(w, Ordering::Relaxed);
-        }
-        slot.seq.store(done, Ordering::Release);
-        ticket
+        let (tag, [a, b, c, d, e]) = kind.encode();
+        self.ring.push([at_ns, tag, a, b, c, d, e])
     }
 
     /// A point-in-time snapshot: surviving events in sequence order plus
     /// the monotone dropped counter. Slots mid-write at snapshot time are
     /// skipped (they will appear in the next snapshot).
     pub fn snapshot(&self) -> RingSnapshot {
-        let head = self.head.load(Ordering::Acquire);
-        let cap = self.slots.len() as u64;
-        let lo = head.saturating_sub(cap);
-        let mut events = Vec::with_capacity((head - lo) as usize);
-        for ticket in lo..head {
-            let slot = &self.slots[(ticket % cap) as usize];
-            let done = 2 * ticket + 2;
-            if slot.seq.load(Ordering::Acquire) != done {
-                continue; // mid-write, or already overwritten by a newer ticket
-            }
-            // ORDERING: the `seq` Acquire load above ordered the writer's
-            // payload before these reads; the re-check below discards
-            // anything torn by a concurrent overwrite.
-            let at_ns = slot.at_ns.load(Ordering::Relaxed);
-            // ORDERING: as above — seqlock-style validated read.
-            let tag = slot.tag.load(Ordering::Relaxed);
-            let mut words = [0u64; WORDS];
-            for (dst, w) in words.iter_mut().zip(&slot.words) {
-                // ORDERING: as above — seqlock-style validated read.
-                *dst = w.load(Ordering::Relaxed);
-            }
-            if slot.seq.load(Ordering::Acquire) != done {
-                continue; // torn by a concurrent overwrite — discard
-            }
-            if let Some(kind) = EventKind::decode(tag, words) {
-                events.push(Event {
-                    seq: ticket,
-                    at_ns,
-                    kind,
-                });
-            }
-        }
+        let (entries, dropped) = self.ring.read();
+        let events = entries
+            .into_iter()
+            .filter_map(|(seq, [at_ns, tag, a, b, c, d, e])| {
+                let kind = EventKind::decode(tag, [a, b, c, d, e])?;
+                Some(Event { seq, at_ns, kind })
+            })
+            .collect();
         RingSnapshot {
             events,
-            dropped: head.saturating_sub(cap),
-            capacity: self.slots.len(),
+            dropped,
+            capacity: self.capacity(),
         }
-    }
-}
-
-impl std::fmt::Debug for EventRing {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("EventRing")
-            .field("capacity", &self.capacity())
-            .field("published", &self.published())
-            .field("dropped", &self.dropped())
-            .finish()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     #[test]
     fn events_round_trip_every_kind() {
@@ -567,74 +449,22 @@ mod tests {
         for (i, (e, k)) in snap.events.iter().zip(kinds).enumerate() {
             assert_eq!(e.seq, i as u64, "gap-free sequence");
             assert_eq!(e.kind, k, "payload survives encode/decode");
-            assert_eq!(e.kind.fields().len(), k.fields().len());
+            // Named fields follow the variant's declaration, as its
+            // derived Debug spells it.
+            let listed: Vec<String> = k
+                .fields()
+                .iter()
+                .map(|(n, v)| format!("{n}: {v}"))
+                .collect();
+            let debug = format!("{k:?}");
+            assert!(
+                debug.ends_with(&format!("{{ {} }}", listed.join(", "))),
+                "{debug}"
+            );
         }
         // Timestamps are monotone non-decreasing in sequence order.
         for w in snap.events.windows(2) {
             assert!(w[0].at_ns <= w[1].at_ns);
-        }
-    }
-
-    /// Satellite: overflow drops the OLDEST events and says so — the
-    /// `dropped` counter is exact and monotone, never silent.
-    #[test]
-    fn overflow_drops_oldest_with_monotone_counter() {
-        let ring = EventRing::new(4);
-        for epoch in 0..10u64 {
-            ring.push(EventKind::EpochFlip { epoch });
-        }
-        let snap = ring.snapshot();
-        assert_eq!(snap.dropped, 6, "10 published - capacity 4");
-        assert_eq!(snap.capacity, 4);
-        let seqs: Vec<u64> = snap.events.iter().map(|e| e.seq).collect();
-        assert_eq!(seqs, vec![6, 7, 8, 9], "the newest survive, oldest drop");
-        for e in &snap.events {
-            assert_eq!(e.kind, EventKind::EpochFlip { epoch: e.seq });
-        }
-        // More pushes: dropped only grows.
-        ring.push(EventKind::EpochFlip { epoch: 10 });
-        assert_eq!(ring.snapshot().dropped, 7);
-        assert_eq!(ring.dropped(), 7);
-    }
-
-    #[test]
-    fn concurrent_publishers_never_tear_events() {
-        let ring = Arc::new(EventRing::new(8)); // tiny: constant overflow
-        let threads = 4u64;
-        let per = 2_000u64;
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                let ring = ring.clone();
-                std::thread::spawn(move || {
-                    for i in 0..per {
-                        // Payload redundantly encodes the writer, so a torn
-                        // event would decode to an inconsistent pair.
-                        ring.push(EventKind::MigrationChunk {
-                            id: t * 1_000_000 + i,
-                            moved: t * 1_000_000 + i,
-                        });
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        let snap = ring.snapshot();
-        assert_eq!(ring.published(), threads * per);
-        assert_eq!(snap.dropped, threads * per - 8);
-        let mut prev = None;
-        for e in &snap.events {
-            match e.kind {
-                EventKind::MigrationChunk { id, moved } => {
-                    assert_eq!(id, moved, "torn payload detected");
-                }
-                other => panic!("unexpected kind {other:?}"),
-            }
-            if let Some(p) = prev {
-                assert!(e.seq > p, "snapshot must be in sequence order");
-            }
-            prev = Some(e.seq);
         }
     }
 }

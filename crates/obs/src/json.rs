@@ -2,8 +2,8 @@
 //!
 //! Every stats surface in the stack used to hand-roll `format!` strings;
 //! this module replaces them with one value tree whose rendering is
-//! unit-tested (escaping included) and whose output is accepted by the
-//! bench `collect` bin's balanced-object validator by construction.
+//! unit-tested (escaping included) and whose output is one balanced JSON
+//! value by construction.
 //!
 //! Object keys keep **insertion order** — existing consumers pin exact
 //! key sequences in tests, so `Obj` is a vec of pairs, not a map.
@@ -33,9 +33,6 @@ pub enum Json {
     Arr(Vec<Json>),
     /// An object; key order is preserved.
     Obj(Vec<(String, Json)>),
-    /// A pre-rendered JSON fragment, embedded verbatim (see
-    /// [`Json::raw`]).
-    Raw(String),
 }
 
 impl Json {
@@ -84,14 +81,6 @@ impl Json {
         }
     }
 
-    /// Embeds an already-rendered JSON fragment verbatim — for splicing a
-    /// snapshot another emitter produced (e.g. a store's `to_json()`
-    /// inside a bench stats line). The caller vouches that `fragment` is
-    /// valid JSON; nothing is validated or escaped here.
-    pub fn raw(fragment: impl Into<String>) -> Json {
-        Json::Raw(fragment.into())
-    }
-
     /// Renders the tree as compact JSON (no whitespace).
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -105,7 +94,7 @@ impl Json {
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             Json::U64(v) => out.push_str(&v.to_string()),
             Json::I64(v) => out.push_str(&v.to_string()),
-            Json::Num(tok) | Json::Raw(tok) => out.push_str(tok),
+            Json::Num(tok) => out.push_str(tok),
             Json::Str(s) => write_escaped(s, out),
             Json::Arr(items) => {
                 out.push('[');
@@ -205,7 +194,7 @@ mod tests {
         let j = Json::obj()
             .field("z", Json::U64(1))
             .field("a", Json::Arr(vec![Json::Null, Json::Bool(true)]))
-            .field("r", Json::raw("{\"pre\":1}"));
+            .field("r", Json::obj().field("pre", Json::U64(1)));
         assert_eq!(j.render(), "{\"z\":1,\"a\":[null,true],\"r\":{\"pre\":1}}");
     }
 

@@ -5,12 +5,14 @@
 //! get-or-create by name — call it at setup, hold the returned `Arc`, and
 //! record through the `Arc` on the hot path (lock-free). Snapshotting
 //! walks the registry under the same mutexes; it never blocks recorders.
+//!
+//! [`OpLatency`] is the one per-op-kind latency table built on it (the
+//! store's `store_op_*_ns` and a memdb table's `table_op_*_ns`).
 
 use crate::counter::{Counter, Gauge};
 use crate::events::EventRing;
-use crate::hist::Histogram;
+use crate::hist::{HistSnapshot, Histogram};
 use crate::json::Json;
-use crate::DEFAULT_RING_CAPACITY;
 use std::sync::{Arc, Mutex};
 
 /// A named collection of instruments (see module docs).
@@ -64,11 +66,6 @@ impl Registry {
         get_or_insert(&self.rings, name, || EventRing::new(capacity))
     }
 
-    /// The event ring named `name` at [`DEFAULT_RING_CAPACITY`].
-    pub fn default_ring(&self, name: &str) -> Arc<EventRing> {
-        self.ring(name, DEFAULT_RING_CAPACITY)
-    }
-
     /// One coherent snapshot of every instrument as a JSON tree:
     /// `{"counters":{..},"gauges":{..},"histograms":{..},"events":{..}}`.
     /// Histograms carry count/mean/max and the standard quantiles (`_ns`
@@ -76,43 +73,23 @@ impl Registry {
     /// carry `capacity`, the monotone `dropped` counter and the surviving
     /// timeline.
     pub fn snapshot_json(&self) -> Json {
-        let counters: Vec<(String, Json)> = self
-            .counters
-            .lock()
-            // INVARIANT: no code path panics while holding a registry lock.
-            .expect("registry poisoned")
-            .iter()
-            .map(|(n, c)| (n.clone(), Json::U64(c.get())))
-            .collect();
-        let gauges: Vec<(String, Json)> = self
-            .gauges
-            .lock()
-            // INVARIANT: no code path panics while holding a registry lock.
-            .expect("registry poisoned")
-            .iter()
-            .map(|(n, g)| (n.clone(), Json::I64(g.get())))
-            .collect();
-        let hists: Vec<(String, Json)> = self
-            .hists
-            .lock()
-            // INVARIANT: no code path panics while holding a registry lock.
-            .expect("registry poisoned")
-            .iter()
-            .map(|(n, h)| (n.clone(), h.snapshot().to_json_ns()))
-            .collect();
-        let rings: Vec<(String, Json)> = self
-            .rings
-            .lock()
-            // INVARIANT: no code path panics while holding a registry lock.
-            .expect("registry poisoned")
-            .iter()
-            .map(|(n, r)| (n.clone(), r.snapshot().to_json()))
-            .collect();
         Json::obj()
-            .field("counters", Json::Obj(counters))
-            .field("gauges", Json::Obj(gauges))
-            .field("histograms", Json::Obj(hists))
-            .field("events", Json::Obj(rings))
+            .field(
+                "counters",
+                Json::Obj(each(&self.counters, |c| Json::U64(c.get()))),
+            )
+            .field(
+                "gauges",
+                Json::Obj(each(&self.gauges, |g| Json::I64(g.get()))),
+            )
+            .field(
+                "histograms",
+                Json::Obj(each(&self.hists, |h| h.snapshot().to_json_ns())),
+            )
+            .field(
+                "events",
+                Json::Obj(each(&self.rings, |r| r.snapshot().to_json())),
+            )
     }
 
     /// The snapshot in Prometheus text exposition format: counters and
@@ -121,34 +98,84 @@ impl Registry {
     /// event ring's monotone loss accounting as `_published`/`_dropped`
     /// counters (the timeline itself is a JSON-side concept).
     pub fn to_prometheus(&self) -> String {
-        let mut out = String::new();
-        // INVARIANT: no code path panics while holding a registry lock.
-        for (name, c) in self.counters.lock().expect("registry poisoned").iter() {
+        let sample = |name: &str, kind: &str, v: &dyn std::fmt::Display| {
             let n = sanitize(name);
-            out.push_str(&format!("# TYPE {n} counter\n{n} {}\n", c.get()));
+            format!("# TYPE {n} {kind}\n{n} {v}\n")
+        };
+        let mut out = Vec::new();
+        for (n, c) in each(&self.counters, |c| c.get()) {
+            out.push(sample(&n, "counter", &c));
         }
-        // INVARIANT: no code path panics while holding a registry lock.
-        for (name, g) in self.gauges.lock().expect("registry poisoned").iter() {
-            let n = sanitize(name);
-            out.push_str(&format!("# TYPE {n} gauge\n{n} {}\n", g.get()));
+        for (n, g) in each(&self.gauges, |g| g.get()) {
+            out.push(sample(&n, "gauge", &g));
         }
-        // INVARIANT: no code path panics while holding a registry lock.
-        for (name, h) in self.hists.lock().expect("registry poisoned").iter() {
-            out.push_str(&h.snapshot().to_prometheus(&sanitize(name)));
+        for (n, h) in each(&self.hists, |h| h.snapshot()) {
+            out.push(h.to_prometheus(&sanitize(&n)));
         }
-        // INVARIANT: no code path panics while holding a registry lock.
-        for (name, r) in self.rings.lock().expect("registry poisoned").iter() {
-            let n = sanitize(name);
-            out.push_str(&format!(
-                "# TYPE {n}_published counter\n{n}_published {}\n",
-                r.published()
-            ));
-            out.push_str(&format!(
-                "# TYPE {n}_dropped counter\n{n}_dropped {}\n",
-                r.dropped()
-            ));
+        for (n, (published, dropped)) in each(&self.rings, |r| (r.published(), r.dropped())) {
+            out.push(sample(&format!("{n}_published"), "counter", &published));
+            out.push(sample(&format!("{n}_dropped"), "counter", &dropped));
         }
-        out
+        out.concat()
+    }
+}
+
+/// `(name, read(instrument))` for every instrument of one list, in
+/// registration order, read under the list's lock.
+fn each<T, R>(list: &Mutex<Vec<(String, Arc<T>)>>, read: impl Fn(&T) -> R) -> Vec<(String, R)> {
+    // INVARIANT: no code path panics while holding a registry lock.
+    let list = list.lock().expect("registry poisoned");
+    list.iter().map(|(n, v)| (n.clone(), read(v))).collect()
+}
+
+/// A fixed table of per-op-kind latency histograms, one registry series
+/// per kind: the embedder names each `(kind, series)` pair, records by
+/// kind index on the hot path (one lock-free histogram record), and gets
+/// back `(kind, snapshot)` pairs in table order plus their JSON object
+/// (`{"<kind>":{"count",..},..}`).
+#[derive(Debug)]
+pub struct OpLatency<const N: usize> {
+    kinds: [&'static str; N],
+    hists: [Arc<Histogram>; N],
+}
+
+impl<const N: usize> OpLatency<N> {
+    /// Registers one histogram per `(kind, series)` pair in `registry`.
+    pub fn new(registry: &Registry, table: [(&'static str, &'static str); N]) -> Self {
+        OpLatency {
+            kinds: table.map(|(kind, _)| kind),
+            hists: table.map(|(_, series)| registry.histogram(series)),
+        }
+    }
+
+    /// The name of kind `i`.
+    pub fn kind(&self, i: usize) -> &'static str {
+        self.kinds[i]
+    }
+
+    /// Records one latency sample for kind `i`.
+    #[inline]
+    pub fn record(&self, i: usize, ns: u64) {
+        self.hists[i].record(ns);
+    }
+
+    /// Every kind's latency snapshot, in table order.
+    pub fn snapshot(&self) -> Vec<(&'static str, HistSnapshot)> {
+        self.kinds
+            .iter()
+            .zip(&self.hists)
+            .map(|(&kind, h)| (kind, h.snapshot()))
+            .collect()
+    }
+
+    /// A [`OpLatency::snapshot`] as one JSON object keyed by kind.
+    pub fn to_json(snapshot: &[(&'static str, HistSnapshot)]) -> Json {
+        Json::Obj(
+            snapshot
+                .iter()
+                .map(|(kind, snap)| (kind.to_string(), snap.to_json_ns()))
+                .collect(),
+        )
     }
 }
 

@@ -24,8 +24,9 @@
 //!
 //! # Storage and export
 //!
-//! Retained spans land in a fixed-capacity [`SpanRing`] with the event
-//! ring's drop-oldest slot protocol and an exact monotone `dropped`
+//! Retained spans are encoded as 16 words each into the crate's one
+//! drop-oldest ring (`ring.rs`, the event ring's slot protocol) of
+//! [`DEFAULT_SPAN_RING_CAPACITY`] spans, with an exact monotone `dropped`
 //! counter — loss is visible, never silent. A [`SpanSnapshot`] exports as
 //! plain JSON ([`SpanSnapshot::to_json`]), as Chrome trace-event JSON
 //! loadable in Perfetto ([`SpanSnapshot::to_chrome_trace`]), or — per
@@ -42,14 +43,15 @@
 //! submit) are inert, so a batch span absorbs its inner STM annotations.
 
 use crate::json::Json;
+use crate::ring::Ring;
 use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-/// Default capacity of a [`SpanRing`].
+/// Spans a [`Tracer`] built from a [`TraceConfig`] retains.
 pub const DEFAULT_SPAN_RING_CAPACITY: usize = 512;
 
-/// Payload words per span slot (the fixed wire encoding of one span).
+/// Words per span entry (the fixed wire encoding of one span).
 const SPAN_WORDS: usize = 16;
 
 /// Most abort causes encoded positionally in the per-attempt sequence;
@@ -218,9 +220,6 @@ pub struct TraceConfig {
     /// Tail-capture SLO threshold: any op slower than this many
     /// nanoseconds is always retained, sampled or not.
     pub slo_ns: u64,
-    /// Span ring capacity (drop-oldest on overflow, exact `dropped`
-    /// counter).
-    pub ring_capacity: usize,
 }
 
 impl Default for TraceConfig {
@@ -228,7 +227,6 @@ impl Default for TraceConfig {
         TraceConfig {
             sample_period: None,
             slo_ns: 1_000_000,
-            ring_capacity: DEFAULT_SPAN_RING_CAPACITY,
         }
     }
 }
@@ -243,12 +241,6 @@ impl TraceConfig {
     /// Sets the tail-capture SLO threshold in nanoseconds.
     pub fn with_slo_ns(mut self, slo_ns: u64) -> Self {
         self.slo_ns = slo_ns;
-        self
-    }
-
-    /// Sets the span ring capacity.
-    pub fn with_ring_capacity(mut self, capacity: usize) -> Self {
-        self.ring_capacity = capacity;
         self
     }
 }
@@ -274,6 +266,74 @@ struct ActiveSpan {
     combine_ns: u64,
     commit_ns: u64,
     outcome: u64,
+}
+
+impl ActiveSpan {
+    /// A span with no annotations yet, starting now.
+    fn new(
+        trace_id: u64,
+        kind: OpClass,
+        key: u64,
+        shard: u32,
+        sampled: bool,
+        ctx: [u64; 2],
+    ) -> Self {
+        ActiveSpan {
+            trace_id,
+            kind: kind.code(),
+            ctx,
+            key,
+            shard,
+            start: Instant::now(),
+            sampled,
+            retries: 0,
+            cause_seq: 0,
+            cause_counts: [0; 4],
+            stamp_retries: 0,
+            overlay: 0,
+            lock_wait_ns: 0,
+            lock_hold_ns: 0,
+            queue_ns: 0,
+            combine_ns: 0,
+            commit_ns: 0,
+            outcome: 0,
+        }
+    }
+
+    /// The span's fixed 16-word ring entry ([`Span::decode`] reads it
+    /// back), its start stamped relative to the tracer's `origin`.
+    fn encode(&self, origin: Instant, total_ns: u64, tail: bool) -> [u64; SPAN_WORDS] {
+        let flags = u64::from(self.sampled) | (u64::from(tail) << 1);
+        let meta = (self.kind & 0xff)
+            | ((self.outcome & 0xff) << 8)
+            | ((flags & 0xff) << 16)
+            | ((self.shard as u64) << 32);
+        let counts = self
+            .cause_counts
+            .iter()
+            .enumerate()
+            .fold(0u64, |acc, (i, &c)| {
+                acc | ((u64::from(c.min(0xffff))) << (16 * i))
+            });
+        [
+            self.trace_id,
+            meta,
+            self.key,
+            self.start.saturating_duration_since(origin).as_nanos() as u64,
+            total_ns,
+            self.queue_ns,
+            self.combine_ns,
+            self.commit_ns,
+            u64::from(self.retries) | (u64::from(self.stamp_retries) << 32),
+            self.cause_seq,
+            counts,
+            self.overlay,
+            self.lock_wait_ns,
+            self.lock_hold_ns,
+            self.ctx[0],
+            self.ctx[1],
+        ]
+    }
 }
 
 thread_local! {
@@ -447,136 +507,10 @@ impl Drop for SpanGuard<'_> {
     }
 }
 
-/// One slot of the span ring; same per-slot sequence protocol as the
-/// event ring (`2t+1` = writing, `2t+2` = complete, `0` = never).
-struct SpanSlot {
-    seq: AtomicU64,
-    words: [AtomicU64; SPAN_WORDS],
-}
-
-/// Fixed-capacity drop-oldest span store with an exact monotone
-/// `dropped` counter. Writers to different slots never interact, and a
-/// snapshot never blocks a writer.
-pub struct SpanRing {
-    slots: Box<[SpanSlot]>,
-    head: AtomicU64,
-}
-
-impl SpanRing {
-    /// A ring retaining the last `capacity` spans.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "a span ring must hold at least one span");
-        SpanRing {
-            slots: (0..capacity)
-                .map(|_| SpanSlot {
-                    seq: AtomicU64::new(0),
-                    words: Default::default(),
-                })
-                .collect(),
-            head: AtomicU64::new(0),
-        }
-    }
-
-    /// The ring's fixed capacity.
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Total spans ever published (dropped ones included).
-    pub fn published(&self) -> u64 {
-        self.head.load(Ordering::Acquire)
-    }
-
-    /// Spans lost to overflow: monotone, `published − capacity` floored
-    /// at zero.
-    pub fn dropped(&self) -> u64 {
-        self.published().saturating_sub(self.capacity() as u64)
-    }
-
-    fn push(&self, words: [u64; SPAN_WORDS]) -> u64 {
-        let ticket = self.head.fetch_add(1, Ordering::AcqRel);
-        let slot = &self.slots[(ticket % self.slots.len() as u64) as usize];
-        let busy = 2 * ticket + 1;
-        let done = busy + 1;
-        let mut cur = slot.seq.load(Ordering::Acquire);
-        loop {
-            if cur >= busy {
-                // A newer ticket owns the slot: this span is part of the
-                // dropped prefix already.
-                return ticket;
-            }
-            if cur & 1 == 1 {
-                std::hint::spin_loop();
-                cur = slot.seq.load(Ordering::Acquire);
-                continue;
-            }
-            match slot
-                .seq
-                .compare_exchange_weak(cur, busy, Ordering::AcqRel, Ordering::Acquire)
-            {
-                Ok(_) => break,
-                Err(c) => cur = c,
-            }
-        }
-        for (dst, w) in slot.words.iter().zip(words) {
-            // ORDERING: payload write published by the `seq` Release store
-            // below; readers re-validate `seq` after reading.
-            dst.store(w, Ordering::Relaxed);
-        }
-        slot.seq.store(done, Ordering::Release);
-        ticket
-    }
-
-    /// Surviving spans oldest-first, plus the exact dropped counter.
-    /// Slots mid-write are skipped (they appear in the next snapshot).
-    pub fn snapshot(&self) -> SpanSnapshot {
-        let head = self.head.load(Ordering::Acquire);
-        let cap = self.slots.len() as u64;
-        let lo = head.saturating_sub(cap);
-        let mut spans = Vec::with_capacity((head - lo) as usize);
-        for ticket in lo..head {
-            let slot = &self.slots[(ticket % cap) as usize];
-            let done = 2 * ticket + 2;
-            if slot.seq.load(Ordering::Acquire) != done {
-                continue;
-            }
-            let mut words = [0u64; SPAN_WORDS];
-            for (dst, w) in words.iter_mut().zip(&slot.words) {
-                // ORDERING: the `seq` Acquire load above ordered the
-                // writer's payload; the re-check below discards torn reads.
-                *dst = w.load(Ordering::Relaxed);
-            }
-            if slot.seq.load(Ordering::Acquire) != done {
-                continue; // torn by a concurrent overwrite
-            }
-            spans.push(Span::decode(ticket, words));
-        }
-        SpanSnapshot {
-            spans,
-            dropped: head.saturating_sub(cap),
-            capacity: self.slots.len(),
-        }
-    }
-}
-
-impl std::fmt::Debug for SpanRing {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SpanRing")
-            .field("capacity", &self.capacity())
-            .field("published", &self.published())
-            .field("dropped", &self.dropped())
-            .finish()
-    }
-}
-
 /// The armed span layer: owns the ring, the sampling/SLO knobs and the
 /// trace-id source. One per store; absent entirely when tracing is off.
 pub struct Tracer {
-    ring: SpanRing,
+    ring: Ring<SPAN_WORDS>,
     sample_period: u32,
     slo_ns: u64,
     next_id: AtomicU64,
@@ -589,7 +523,7 @@ impl Tracer {
     /// `slo_ns`, retaining the last `capacity` spans.
     pub fn new(sample_period: u32, slo_ns: u64, capacity: usize) -> Self {
         Tracer {
-            ring: SpanRing::new(capacity),
+            ring: Ring::new(capacity),
             sample_period,
             slo_ns,
             next_id: AtomicU64::new(1),
@@ -598,12 +532,13 @@ impl Tracer {
     }
 
     /// Builds from a [`TraceConfig`], inheriting `default_period` when
-    /// the config leaves the sampling period unset.
+    /// the config leaves the sampling period unset, retaining the last
+    /// [`DEFAULT_SPAN_RING_CAPACITY`] spans.
     pub fn from_config(cfg: &TraceConfig, default_period: u32) -> Self {
         Tracer::new(
             cfg.sample_period.unwrap_or(default_period),
             cfg.slo_ns,
-            cfg.ring_capacity,
+            DEFAULT_SPAN_RING_CAPACITY,
         )
     }
 
@@ -617,14 +552,19 @@ impl Tracer {
         self.sample_period
     }
 
-    /// The span ring (tests and exporters read it directly).
-    pub fn ring(&self) -> &SpanRing {
-        &self.ring
-    }
-
-    /// A point-in-time copy of the retained spans.
+    /// A point-in-time copy of the retained spans: survivors oldest
+    /// first, plus the exact dropped counter. Slots mid-write are skipped
+    /// (they appear in the next snapshot).
     pub fn snapshot(&self) -> SpanSnapshot {
-        self.ring.snapshot()
+        let (entries, dropped) = self.ring.read();
+        SpanSnapshot {
+            spans: entries
+                .into_iter()
+                .map(|(seq, words)| Span::decode(seq, words))
+                .collect(),
+            dropped,
+            capacity: self.ring.capacity(),
+        }
     }
 
     /// Whether this thread's head-sampling tick elects the next op.
@@ -665,27 +605,9 @@ impl Tracer {
         if in_span() {
             return SpanGuard::inactive();
         }
-        let span = ActiveSpan {
-            // ORDERING: id allocator; uniqueness comes from the RMW.
-            trace_id: self.next_id.fetch_add(1, Ordering::Relaxed),
-            kind: kind.code(),
-            ctx: CTX.with(Cell::get),
-            key,
-            shard,
-            start: Instant::now(),
-            sampled,
-            retries: 0,
-            cause_seq: 0,
-            cause_counts: [0; 4],
-            stamp_retries: 0,
-            overlay: 0,
-            lock_wait_ns: 0,
-            lock_hold_ns: 0,
-            queue_ns: 0,
-            combine_ns: 0,
-            commit_ns: 0,
-            outcome: 0,
-        };
+        // ORDERING: id allocator; uniqueness comes from the RMW.
+        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
+        let span = ActiveSpan::new(id, kind, key, shard, sampled, CTX.with(Cell::get));
         ACTIVE.with(|a| *a.borrow_mut() = Some(span));
         SpanGuard { tracer: Some(self) }
     }
@@ -701,31 +623,12 @@ impl Tracer {
         shard: u32,
         overlay: u64,
     ) {
-        let words = SpanEncoder {
-            // ORDERING: id allocator; uniqueness comes from the RMW.
-            trace_id: self.next_id.fetch_add(1, Ordering::Relaxed),
-            kind: kind.code(),
-            outcome: outcome.code(),
-            sampled: false,
-            tail: false,
-            key,
-            shard,
-            start_ns: self.origin.elapsed().as_nanos() as u64,
-            total_ns: 0,
-            queue_ns: 0,
-            combine_ns: 0,
-            commit_ns: 0,
-            retries: 0,
-            stamp_retries: 0,
-            cause_seq: 0,
-            cause_counts: [0; 4],
-            overlay,
-            lock_wait_ns: 0,
-            lock_hold_ns: 0,
-            ctx: [0; 2],
-        }
-        .encode();
-        self.ring.push(words);
+        // ORDERING: id allocator; uniqueness comes from the RMW.
+        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
+        let mut span = ActiveSpan::new(id, kind, key, shard, false, [0; 2]);
+        span.outcome = outcome.code();
+        span.overlay = overlay;
+        self.ring.push(span.encode(self.origin, 0, false));
     }
 
     /// Finishes `span`: total time, retention rule, publish.
@@ -735,31 +638,7 @@ impl Tracer {
         if !(span.sampled || tail || span.outcome != 0) {
             return;
         }
-        let start_ns = span.start.saturating_duration_since(self.origin).as_nanos() as u64;
-        let words = SpanEncoder {
-            trace_id: span.trace_id,
-            kind: span.kind,
-            outcome: span.outcome,
-            sampled: span.sampled,
-            tail,
-            key: span.key,
-            shard: span.shard,
-            start_ns,
-            total_ns,
-            queue_ns: span.queue_ns,
-            combine_ns: span.combine_ns,
-            commit_ns: span.commit_ns,
-            retries: span.retries,
-            stamp_retries: span.stamp_retries,
-            cause_seq: span.cause_seq,
-            cause_counts: span.cause_counts,
-            overlay: span.overlay,
-            lock_wait_ns: span.lock_wait_ns,
-            lock_hold_ns: span.lock_hold_ns,
-            ctx: span.ctx,
-        }
-        .encode();
-        self.ring.push(words);
+        self.ring.push(span.encode(self.origin, total_ns, tail));
     }
 }
 
@@ -770,65 +649,6 @@ impl std::fmt::Debug for Tracer {
             .field("slo_ns", &self.slo_ns)
             .field("ring", &self.ring)
             .finish()
-    }
-}
-
-/// The full field set one span encodes to / decodes from.
-struct SpanEncoder {
-    trace_id: u64,
-    kind: u64,
-    outcome: u64,
-    sampled: bool,
-    tail: bool,
-    key: u64,
-    shard: u32,
-    start_ns: u64,
-    total_ns: u64,
-    queue_ns: u64,
-    combine_ns: u64,
-    commit_ns: u64,
-    retries: u32,
-    stamp_retries: u32,
-    cause_seq: u64,
-    cause_counts: [u32; 4],
-    overlay: u64,
-    lock_wait_ns: u64,
-    lock_hold_ns: u64,
-    ctx: [u64; 2],
-}
-
-impl SpanEncoder {
-    fn encode(self) -> [u64; SPAN_WORDS] {
-        let flags = u64::from(self.sampled) | (u64::from(self.tail) << 1);
-        let meta = (self.kind & 0xff)
-            | ((self.outcome & 0xff) << 8)
-            | ((flags & 0xff) << 16)
-            | ((self.shard as u64) << 32);
-        let counts = self
-            .cause_counts
-            .iter()
-            .enumerate()
-            .fold(0u64, |acc, (i, &c)| {
-                acc | ((u64::from(c.min(0xffff))) << (16 * i))
-            });
-        [
-            self.trace_id,
-            meta,
-            self.key,
-            self.start_ns,
-            self.total_ns,
-            self.queue_ns,
-            self.combine_ns,
-            self.commit_ns,
-            u64::from(self.retries) | (u64::from(self.stamp_retries) << 32),
-            self.cause_seq,
-            counts,
-            self.overlay,
-            self.lock_wait_ns,
-            self.lock_hold_ns,
-            self.ctx[0],
-            self.ctx[1],
-        ]
     }
 }
 
@@ -1227,20 +1047,6 @@ mod tests {
         assert_eq!(snap.spans[0].kind, "batch");
         assert_eq!(snap.spans[0].retries, 1);
         assert_eq!(snap.spans[0].causes, vec![AbortCause::Explicit]);
-    }
-
-    #[test]
-    fn ring_drops_oldest_with_exact_counter() {
-        drain_active();
-        let t = Tracer::new(1, u64::MAX, 4);
-        for k in 0..10 {
-            let _g = t.begin(OpClass::Get, k, 0);
-        }
-        let snap = t.snapshot();
-        assert_eq!(snap.dropped, 6, "published 10 into capacity 4");
-        assert_eq!(snap.capacity, 4);
-        let keys: Vec<u64> = snap.spans.iter().map(|s| s.key).collect();
-        assert_eq!(keys, vec![6, 7, 8, 9], "survivors are the newest, in order");
     }
 
     #[test]

@@ -17,13 +17,14 @@
 //! drain, and a coalesced drain only doubles the window when its latency
 //! did not degrade against the previous drain's — batching that makes the
 //! underlying transactions slower (e.g. chain rebuilds colliding on one
-//! node) stops growing instead of compounding. [`BatcherStats::p99_ns`]
-//! exposes the p99 drain latency over a sliding window of recent drains.
+//! node) stops growing instead of compounding. Each drain's latency is
+//! published in its `batcher_drain` timeline event (`drain_ns`), and its
+//! grouped apply is one sample of the store's `apply` latency histogram.
 
 use crate::error::StoreError;
 use crate::store::LeapStore;
 use leap_fault::FaultPoint;
-use leap_obs::{EventKind, SlidingQuantile};
+use leap_obs::EventKind;
 use leaplist::BatchOp;
 use std::any::Any;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -37,8 +38,6 @@ const WINDOW_BASE_NS: u64 = 1_000;
 const WINDOW_MAX_NS: u64 = 20_000;
 /// Queue population at which the combiner stops waiting and drains.
 const COALESCE_CAP: usize = 8;
-/// Drain latencies kept for the sliding p99 window.
-const LAT_WINDOW: usize = 64;
 
 /// Next combining window: double (from at least the base) whenever the
 /// drain actually coalesced **and** did not run slower than the previous
@@ -146,9 +145,6 @@ pub struct BatcherStats {
     /// Current adaptive combining window in nanoseconds (0 = drain
     /// immediately).
     pub window_ns: u64,
-    /// p99 drain latency in nanoseconds over a sliding window of recent
-    /// drains (0 until the first drain).
-    pub p99_ns: u64,
     /// Operations shed — refused at the admission gate or dropped by an
     /// injected drain fault. Every shed op surfaced a typed
     /// [`StoreError::Overloaded`] to its submitter.
@@ -212,9 +208,6 @@ pub struct Batcher<V> {
     max_batch: AtomicU64,
     /// Latency of the most recent drain (the doubling guard's baseline).
     prev_drain_ns: AtomicU64,
-    /// Sliding window of the last [`LAT_WINDOW`] drain latencies; only the
-    /// combiner writes, so its lock is uncontended.
-    drain_lats: SlidingQuantile,
 }
 
 impl<V: Clone + Send + Sync + 'static> Batcher<V> {
@@ -233,7 +226,6 @@ impl<V: Clone + Send + Sync + 'static> Batcher<V> {
             ops: AtomicU64::new(0),
             max_batch: AtomicU64::new(0),
             prev_drain_ns: AtomicU64::new(0),
-            drain_lats: SlidingQuantile::new(LAT_WINDOW),
         }
     }
 
@@ -334,18 +326,8 @@ impl<V: Clone + Send + Sync + 'static> Batcher<V> {
             ops: ld(&self.ops),
             max_batch: ld(&self.max_batch),
             window_ns: ld(&self.window_ns),
-            p99_ns: self.drain_lats.p99(),
             shed: ld(&self.shed),
         }
-    }
-
-    /// Records one drain's latency into the sliding window and the
-    /// previous-drain baseline.
-    fn record_drain(&self, drain_ns: u64) {
-        // ORDERING: read only by the next combiner; the combiner mutex
-        // orders the hand-off.
-        self.prev_drain_ns.store(drain_ns, Ordering::Relaxed);
-        self.drain_lats.record(drain_ns);
     }
 
     /// Turns a filled outcome into the submitter's result — previous
@@ -603,7 +585,9 @@ impl<V: Clone + Send + Sync + 'static> Batcher<V> {
                 // ORDERING: tuning knob owned by the combiner lock we hold.
                 Ordering::Relaxed,
             );
-            self.record_drain(drain_ns);
+            // ORDERING: read only by the next combiner; the combiner mutex
+            // orders the hand-off.
+            self.prev_drain_ns.store(drain_ns, Ordering::Relaxed);
             self.store.emit(EventKind::BatcherDrain {
                 ops: ops.len() as u64,
                 drain_ns,
@@ -727,28 +711,38 @@ mod tests {
     }
 
     #[test]
-    fn stats_expose_drain_p99() {
+    fn drain_latency_lands_in_timeline_and_apply_histogram() {
         let store = Arc::new(LeapStore::<u64>::new(StoreConfig::new(
             2,
             Partitioning::Hash,
         )));
+        let obs = store.obs().expect("obs on by default");
         let b = Batcher::new(store.clone());
-        assert_eq!(b.stats().p99_ns, 0, "no drains yet");
         for k in 0..100u64 {
+            // A solo put is one drain: the latency it timed (the window's
+            // new baseline) rides in the newest timeline event.
             b.put(k, k);
+            let drain_ns = b.prev_drain_ns.load(Ordering::Relaxed);
+            let newest = obs.events().snapshot().events.pop();
+            assert_eq!(
+                newest.map(|e| e.kind),
+                Some(EventKind::BatcherDrain {
+                    ops: 1,
+                    drain_ns,
+                    window_ns: 0
+                }),
+                "drain {k}"
+            );
         }
-        assert!(b.stats().p99_ns > 0, "drains recorded a latency");
-        // The sliding window stays bounded at LAT_WINDOW drains.
-        assert!(b.drain_lats.len() <= LAT_WINDOW);
-        assert_eq!(b.drain_lats.len(), 64, "100 drains, last 64 kept");
-        // Every drain also landed on the store's event timeline.
-        let snap = store.obs().expect("obs on by default").events().snapshot();
-        assert!(
-            snap.events
-                .iter()
-                .any(|e| matches!(e.kind, EventKind::BatcherDrain { ops: 1, .. })),
-            "solo drains appear in the timeline"
-        );
+        // Every drain's grouped apply is one `store_op_apply_ns` sample.
+        let drains = b.stats().batches;
+        assert_eq!(drains, 100);
+        let apply = obs
+            .snapshot()
+            .op_latency
+            .into_iter()
+            .find(|(k, _)| *k == "apply");
+        assert_eq!(apply.map(|(_, h)| h.count), Some(drains));
     }
 
     #[test]

@@ -1,7 +1,10 @@
-//! Store-level observability: per-op-kind latency histograms, the shared
-//! STM retry histogram, and the migration/drain event timeline — all
-//! registered in one [`leap_obs::Registry`] so a single scrape (JSON or
-//! Prometheus) covers the whole store.
+//! Store-level observability: per-op-kind latency histograms (one
+//! [`leap_obs::OpLatency`] table), the shared STM retry histogram, and the
+//! migration/drain event timeline — all registered in one
+//! [`leap_obs::Registry`]. The registry renders every one of these series;
+//! [`crate::StoreStats::to_prometheus`] puts that page beside the shard,
+//! STM and migration series the stats snapshot owns, so one scrape covers
+//! the whole store with each series exactly once.
 //!
 //! Enabled by default ([`crate::StoreConfig::obs`]); when disabled the
 //! store carries no instruments at all and every hot path's overhead is a
@@ -29,13 +32,18 @@
 //! `store_op_snapshot_page_ns` (pinned-timestamp pages served by
 //! [`crate::SnapshotCursor`]) and `stm_txn_retries` (attempts per
 //! committed transaction, via [`leap_stm::StmRecorder`]). Event ring:
-//! `store_events`. Counters: `store_view_swaps` (routing views published
+//! `store_events`, fixed at [`leap_obs::DEFAULT_RING_CAPACITY`] (1 024)
+//! events and scraped as `store_events_published` / `_dropped`. Counters:
+//! `store_view_swaps` (routing views published
 //! — every migration begin / complete / cancel / rollback flip and every
 //! new slot) and `store_stamp_retries` (stamped reads re-planned because
 //! a view was published under them); together they price the global
 //! read stamp.
 
-use leap_obs::{Counter, EventRing, HistSnapshot, Histogram, Json, Registry, RingSnapshot};
+use leap_obs::{
+    Counter, EventRing, HistSnapshot, Histogram, Json, OpLatency, Registry, RingSnapshot,
+    DEFAULT_RING_CAPACITY,
+};
 use std::cell::Cell;
 use std::sync::Arc;
 
@@ -74,6 +82,9 @@ const OP_KINDS: [(&str, &str); 8] = [
     ("snapshot_page", "store_op_snapshot_page_ns"),
 ];
 
+/// The store's op-latency table, one histogram per [`OP_KINDS`] entry.
+type OpTable = OpLatency<{ OP_KINDS.len() }>;
+
 /// The store's instrument set (see the module docs for the series names).
 /// Held behind `Arc` by the store; the [`crate::Batcher`] and background
 /// [`crate::Rebalancer`] record through the same instance.
@@ -81,7 +92,7 @@ const OP_KINDS: [(&str, &str); 8] = [
 pub struct StoreObs {
     registry: Arc<Registry>,
     /// Per-op-kind latency histograms, in [`OP_KINDS`] order.
-    ops: [Arc<Histogram>; 8],
+    ops: OpTable,
     /// Attempts per committed transaction (1 = first try), recorded by
     /// the domain's [`leap_stm::StmRecorder`].
     pub(crate) txn_retries: Arc<Histogram>,
@@ -94,7 +105,8 @@ pub struct StoreObs {
     pub(crate) stamp_retries: Arc<Counter>,
 }
 
-/// Index into [`StoreObs::ops`] per op kind (kept in [`OP_KINDS`] order).
+/// Index into the op-latency table per op kind (kept in [`OP_KINDS`]
+/// order).
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum OpKind {
     Get = 0,
@@ -108,16 +120,15 @@ pub(crate) enum OpKind {
 }
 
 impl StoreObs {
-    /// A fresh instrument set with an event ring of `ring_capacity`.
-    pub(crate) fn new(ring_capacity: usize) -> Self {
+    /// A fresh instrument set.
+    pub(crate) fn new() -> Self {
         let registry = Arc::new(Registry::new());
-        let ops = OP_KINDS.map(|(_, series)| registry.histogram(series));
         StoreObs {
+            ops: OpTable::new(&registry, OP_KINDS),
             txn_retries: registry.histogram("stm_txn_retries"),
-            events: registry.ring("store_events", ring_capacity),
+            events: registry.ring("store_events", DEFAULT_RING_CAPACITY),
             view_swaps: registry.counter("store_view_swaps"),
             stamp_retries: registry.counter("store_stamp_retries"),
-            ops,
             registry,
         }
     }
@@ -136,19 +147,16 @@ impl StoreObs {
     /// Records one op latency sample.
     #[inline]
     pub(crate) fn record_op(&self, kind: OpKind, ns: u64) {
-        self.ops[kind as usize].record(ns);
+        self.ops.record(kind as usize, ns);
     }
 
     /// A point-in-time copy of every instrument.
     pub fn snapshot(&self) -> ObsSnapshot {
         ObsSnapshot {
-            op_latency: OP_KINDS
-                .iter()
-                .zip(&self.ops)
-                .map(|(&(kind, _), h)| (kind, h.snapshot()))
-                .collect(),
+            op_latency: self.ops.snapshot(),
             txn_retries: self.txn_retries.snapshot(),
             events: self.events.snapshot(),
+            registry_page: self.registry.to_prometheus(),
         }
     }
 }
@@ -164,18 +172,16 @@ pub struct ObsSnapshot {
     pub txn_retries: HistSnapshot,
     /// The surviving event timeline plus the monotone dropped counter.
     pub events: RingSnapshot,
+    /// Every registry series as Prometheus text, rendered by the registry
+    /// at snapshot time ([`crate::StoreStats::to_prometheus`] serves it).
+    pub(crate) registry_page: String,
 }
 
 impl ObsSnapshot {
     /// The per-op-kind latencies as one JSON object
     /// (`{"get":{"count",..},"put":..}`).
     pub fn op_latency_json(&self) -> Json {
-        Json::Obj(
-            self.op_latency
-                .iter()
-                .map(|(kind, snap)| (kind.to_string(), snap.to_json_ns()))
-                .collect(),
-        )
+        OpTable::to_json(&self.op_latency)
     }
 }
 
@@ -203,7 +209,7 @@ mod tests {
 
     #[test]
     fn snapshot_reports_all_kinds_in_order() {
-        let obs = StoreObs::new(16);
+        let obs = StoreObs::new();
         obs.record_op(OpKind::Get, 100);
         obs.record_op(OpKind::Len, 5_000);
         obs.record_op(OpKind::SnapshotPage, 7_000);

@@ -7,7 +7,8 @@
 //! or as Prometheus text ([`StoreStats::to_prometheus`]); when the store's
 //! observability instruments are enabled the snapshot additionally carries
 //! per-op-kind latency histograms, the per-transaction retry histogram and
-//! the migration/drain event timeline.
+//! the migration/drain event timeline, and the Prometheus page carries
+//! every instrument series as the store's registry renders it.
 
 use crate::obs::ObsSnapshot;
 use crate::router::MigrationView;
@@ -274,13 +275,12 @@ impl StoreStats {
         out
     }
 
-    /// Renders one `{...}` JSON object per line, machine-parseable for the
-    /// benchmark harness's `BENCH_*.json` outputs. The legacy keys (shard
-    /// counters, stm commits/aborts, rates, migration progress) keep their
-    /// historical order and formatting; stores with observability enabled
-    /// append `op_latency` (per-op-kind latency histograms), `txn_retries`
-    /// (attempts per committed transaction) and `events` (the
-    /// migration/drain timeline).
+    /// Renders the snapshot as one compact `{...}` JSON object. The legacy
+    /// keys (shard counters, stm commits/aborts, rates, migration
+    /// progress) keep their historical order and formatting; stores with
+    /// observability enabled append `op_latency` (per-op-kind latency
+    /// histograms), `txn_retries` (attempts per committed transaction) and
+    /// `events` (the migration/drain timeline).
     pub fn to_json(&self) -> String {
         self.to_json_value().render()
     }
@@ -288,8 +288,9 @@ impl StoreStats {
     /// The snapshot in Prometheus text exposition format: per-shard op
     /// counters as labelled series, the domain's commit/abort counters
     /// with abort-cause labels, migration/epoch gauges, and (when
-    /// observability is enabled) one histogram block per op kind plus the
-    /// retry histogram and the event ring's loss accounting.
+    /// observability is enabled) the store registry's own page — the op
+    /// and retry histograms, the view counters and the event ring's exact
+    /// loss accounting. Each series appears exactly once.
     pub fn to_prometheus(&self) -> String {
         let mut out = String::new();
         for (metric, pick) in [
@@ -349,18 +350,7 @@ impl StoreStats {
             self.stm.timeouts
         ));
         if let Some(obs) = &self.obs {
-            for (kind, snap) in &obs.op_latency {
-                out.push_str(&snap.to_prometheus(&format!("store_op_{kind}_ns")));
-            }
-            out.push_str(&obs.txn_retries.to_prometheus("stm_txn_retries"));
-            out.push_str(&format!(
-                "# TYPE store_events_published counter\nstore_events_published {}\n",
-                obs.events.dropped + obs.events.events.len() as u64
-            ));
-            out.push_str(&format!(
-                "# TYPE store_events_dropped counter\nstore_events_dropped {}\n",
-                obs.events.dropped
-            ));
+            out.push_str(&obs.registry_page);
         }
         out
     }
@@ -630,7 +620,11 @@ mod tests {
             prom.contains("# TYPE stm_txn_retries histogram\n"),
             "{prom}"
         );
-        assert!(prom.contains("store_events_dropped 0\n"), "{prom}");
+        let registry_page = store.obs().expect("obs on").registry().to_prometheus();
+        assert!(
+            prom.ends_with(&registry_page),
+            "the registry's own page closes the scrape: {prom}"
+        );
         assert!(prom.contains("store_snapshot_scans 0\n"), "{prom}");
         assert!(prom.contains("# TYPE store_bundle_depth gauge\n"), "{prom}");
         // A store built without obs renders neither instrument block.

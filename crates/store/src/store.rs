@@ -51,12 +51,10 @@ pub struct StoreConfig {
     pub rebalance: RebalancePolicy,
     /// Whether the store carries observability instruments ([`StoreObs`]:
     /// per-op latency histograms, the STM retry histogram and the event
-    /// timeline). On by default; when off the hot paths' only overhead is
-    /// one `Option` branch.
+    /// timeline of the last [`leap_obs::DEFAULT_RING_CAPACITY`] events).
+    /// On by default; when off the hot paths' only overhead is one
+    /// `Option` branch.
     pub obs: bool,
-    /// Capacity of the event timeline ring (drop-oldest on overflow, with
-    /// a monotone dropped counter — never silent).
-    pub obs_ring_capacity: usize,
     /// Per-thread sampling period shared by the `get` latency histogram
     /// and leap-trace head sampling: 1 op in `sample_period` is elected
     /// (`1` = every op, `0` = never). Default
@@ -86,7 +84,6 @@ impl Default for StoreConfig {
             params: Params::default(),
             rebalance: RebalancePolicy::default(),
             obs: true,
-            obs_ring_capacity: leap_obs::DEFAULT_RING_CAPACITY,
             sample_period: crate::obs::GET_SAMPLE_PERIOD,
             trace: None,
             faults: None,
@@ -127,14 +124,6 @@ impl StoreConfig {
     /// Enables or disables observability instruments (default: enabled).
     pub fn with_obs(mut self, obs: bool) -> Self {
         self.obs = obs;
-        self
-    }
-
-    /// Sets the event-timeline ring capacity (default
-    /// [`leap_obs::DEFAULT_RING_CAPACITY`]). Tiny capacities are useful in
-    /// tests that exercise the drop-oldest overflow contract.
-    pub fn with_obs_ring_capacity(mut self, capacity: usize) -> Self {
-        self.obs_ring_capacity = capacity;
         self
     }
 
@@ -326,7 +315,7 @@ impl<V: Clone + Send + Sync + 'static> LeapStore<V> {
             })
             .collect();
         let obs = config.obs.then(|| {
-            let obs = Arc::new(StoreObs::new(config.obs_ring_capacity));
+            let obs = Arc::new(StoreObs::new());
             // The domain reports attempts-per-commit straight into the
             // store's retry histogram. A domain records to at most one
             // recorder for its lifetime; only the first store sharing a

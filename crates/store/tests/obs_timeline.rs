@@ -121,22 +121,24 @@ fn migration_timeline_orders_begin_chunks_complete() {
     assert!(json.contains("\"dropped\":0"), "{json}");
 }
 
-/// A tiny ring under a background [`Rebalancer`] plus batcher traffic
-/// overflows: old events are dropped oldest-first, the `dropped` counter
-/// is monotone and exact, and the ring never exceeds its capacity.
+/// The store's fixed 1 024-slot ring under a background [`Rebalancer`]
+/// plus more than 1 024 batcher drains overflows: old events are dropped
+/// oldest-first, the `dropped` counter is monotone and exact, and the ring
+/// never exceeds its capacity.
 #[test]
 fn tiny_ring_drops_oldest_with_monotone_counter() {
-    const CAP: usize = 8;
-    let store: Arc<LeapStore<u64>> = Arc::new(LeapStore::new(cfg(2).with_obs_ring_capacity(CAP)));
+    const CAP: usize = leap_obs::DEFAULT_RING_CAPACITY;
+    let store: Arc<LeapStore<u64>> = Arc::new(LeapStore::new(cfg(2)));
     let obs = store.obs().expect("obs on by default").clone();
+    assert_eq!(obs.events().capacity(), CAP);
     let rebalancer = Rebalancer::spawn(store.clone(), Duration::from_micros(100));
     let batcher = Batcher::new(store.clone());
-    // Hammer: batcher drains emit events continuously while the
+    // Hammer: every solo batcher put is one drain event, while the
     // background rebalancer splits/merges the shifting key mass.
     let mut last_dropped = 0u64;
     for round in 0..6u64 {
-        for k in 0..120u64 {
-            batcher.put((round * 120 + k) % 900, k);
+        for k in 0..200u64 {
+            batcher.put((round * 200 + k) % 900, k);
         }
         let snap = obs.events().snapshot();
         assert!(snap.events.len() <= CAP, "ring never exceeds capacity");
@@ -152,13 +154,15 @@ fn tiny_ring_drops_oldest_with_monotone_counter() {
     let snap = obs.events().snapshot();
     assert!(
         snap.dropped > 0,
-        "6 x 120 drains through an 8-slot ring must overflow"
+        "6 x 200 drains through a 1 024-slot ring must overflow"
     );
     assert_eq!(snap.capacity, CAP);
-    assert!(snap.events.len() <= CAP);
-    // dropped is exact: published = dropped + survivors once full.
-    for w in snap.events.windows(2) {
-        assert!(w[0].seq < w[1].seq);
+    // At quiescence the ring is full and dropped is exact: published =
+    // dropped + survivors, and the survivors are the newest, in order.
+    assert_eq!(snap.events.len(), CAP);
+    assert_eq!(obs.events().published(), snap.dropped + CAP as u64);
+    for (i, e) in snap.events.iter().enumerate() {
+        assert_eq!(e.seq, snap.dropped + i as u64);
     }
 }
 

@@ -2,7 +2,8 @@
 //! schema is defined: after puts, a range, one split driven to completion
 //! and one pinned-timestamp scan, [`StoreStats::to_json`] is one balanced
 //! object carrying every key dashboards and post-processing read, and
-//! [`StoreStats::to_prometheus`] names the same counters.
+//! [`StoreStats::to_prometheus`] names the same counters — on one page
+//! that carries every series of the store's registry, each exactly once.
 //!
 //! [`StoreStats::to_json`]: leap_store::StoreStats::to_json
 //! [`StoreStats::to_prometheus`]: leap_store::StoreStats::to_prometheus
@@ -139,4 +140,34 @@ fn stats_json_and_prometheus_carry_every_schema_key() {
     ] {
         assert!(prom.contains(series), "{series:?}: {prom}");
     }
+
+    // One page: no series declared twice, and every series the store's
+    // registry renders — the view counters included — is on it.
+    let declared: Vec<&str> = prom.lines().filter(|l| l.starts_with("# TYPE ")).collect();
+    let mut seen = std::collections::HashSet::new();
+    for line in &declared {
+        let name = line
+            .split_whitespace()
+            .nth(2)
+            .expect("a TYPE line names a series");
+        assert!(seen.insert(name), "{name} declared twice: {prom}");
+    }
+    for series in ["store_view_swaps", "store_stamp_retries"] {
+        assert!(
+            prom.contains(&format!("# TYPE {series} counter\n{series} ")),
+            "{series}: {prom}"
+        );
+    }
+    let obs = store.obs().expect("obs on by default");
+    for line in obs
+        .registry()
+        .to_prometheus()
+        .lines()
+        .filter(|l| l.starts_with("# TYPE "))
+    {
+        assert!(declared.contains(&line), "{line} missing: {prom}");
+    }
+    // At quiescence the ring's loss accounting is exact, not estimated.
+    let published = format!("\nstore_events_published {}\n", obs.events().published());
+    assert!(prom.contains(&published), "{published:?}: {prom}");
 }
