@@ -247,6 +247,12 @@ impl<V> Drop for Bundle<V> {
 /// Parked nodes are bounded by the write volume per pin lifetime (the
 /// same bound as bundle depth); with no pins live the next committed
 /// batch drains everything, and the list's drop frees any residue.
+///
+/// A parked node carries the values that left the list at its retiring
+/// commit ([`Node::set_departed`]): they are dropped when the node is
+/// freed, so a snapshot that walks back onto it still reads them intact,
+/// and nothing else of its contents is dropped — every other pair is a
+/// bitwise copy of a value a younger node owns.
 pub(crate) struct Limbo<V> {
     parked: std::sync::Mutex<Vec<(u64, *mut Node<V>)>>,
 }
@@ -313,14 +319,16 @@ impl<V> Drop for Limbo<V> {
         // snapshot over it can still be live.
         // INVARIANT: no code path panics while holding this lock.
         for &(_, node) in self.parked.get_mut().expect("limbo poisoned").iter() {
-            // SAFETY: parked nodes are unlinked and owned by the limbo.
+            // SAFETY: parked nodes are unlinked and owned by the limbo;
+            // freeing one drops only its departures.
             unsafe { crate::node::free_node(node) };
         }
     }
 }
 
 /// Stamps one committed segment: seeds every replacement node's
-/// `created_ts` and bundle, retires the dying run, and appends the
+/// `created_ts` and bundle, retires the dying run (stamping `retired_ts`
+/// and recording the values that leave with each node), and appends the
 /// *about-to-be-swung* first chain node to the level-0 predecessor's
 /// bundle. Returns the predecessor bundle's resulting depth (the store's
 /// `bundle_depth` stat).
@@ -360,6 +368,9 @@ pub(crate) unsafe fn stamp_segment<V: 'static>(
         }
         for &o in &seg.old {
             (*o).retired_ts.store(wv, Ordering::Release);
+        }
+        for (&o, slots) in seg.old.iter().zip(&seg.departed) {
+            (*o).set_departed(slots);
         }
         // The level-0 swing target `publish_segment` will install: every
         // node has level >= 1, so it is the first chain node.
@@ -442,7 +453,7 @@ mod tests {
     use leap_ebr::pin;
 
     fn node(high: u64) -> *mut Node<u64> {
-        Node::alloc(high, 1, Vec::new())
+        Node::alloc(high, 1, Vec::new().into())
     }
 
     #[test]

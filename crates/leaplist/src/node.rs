@@ -16,12 +16,36 @@
 //!
 //! Replacement `data` is assembled at its final length from slices of the
 //! source node(s), so a build is one allocation and one copy per new node.
+//!
+//! # Who owns a value
+//!
+//! That copy is **bitwise** ([`Pairs::copy_from`]): no `V::clone` runs, so a
+//! value sits in every node version that carried it — the live one, and
+//! older ones a pinned snapshot may still walk back onto — while exactly
+//! one owner drops it. A node never drops the values it holds; a value is
+//! dropped at exactly one of three points:
+//!
+//! - **Plan discarded** (abort, failed validation, retry): nothing. The new
+//!   nodes hold copies of live nodes' values and of the batch's own op
+//!   values, which the batch keeps for its next attempt.
+//! - **Value leaves at a commit** (overwritten, or removed and not carried
+//!   into the replacement): the commit records its slot on the dying node
+//!   ([`Node::set_departed`]), and the node drops it when it is freed —
+//!   after the same `Limbo` / `prune_bound()` wait and EBR grace that keep
+//!   the node itself readable.
+//! - **List dropped**: every value of the live chain, by
+//!   [`Node::drop_values`].
+//!
+//! Returned old values, `get` and range reads still clone: the caller owns
+//! what it is given.
 
 use crate::bundle::Bundle;
 use crate::params::Params;
 use leap_stm::{TPtr, TVar, TaggedPtr};
 use rand::Rng;
+use std::mem::ManuallyDrop;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 
 /// Hard cap on tower heights (the paper's experiments use 10).
 pub const MAX_LEVEL_CAP: usize = 32;
@@ -54,8 +78,13 @@ pub(crate) struct Node<V> {
     /// Forward pointers, one per level; the low bit is the transactionally
     /// written mark of the paper's protocol.
     pub next: Box<[TPtr<Node<V>>]>,
-    /// Sorted, immutable internal-key/value pairs.
-    pub data: Box<[(u64, V)]>,
+    /// Sorted, immutable internal-key/value pairs. The node does not own
+    /// these values (see the module docs): freeing it drops only the ones
+    /// recorded in `departed`.
+    pub data: Pairs<V>,
+    /// Slots of `data` whose values left the list with this node, set once
+    /// by the commit that unlinked it ([`Node::set_departed`]).
+    departed: OnceLock<Box<[usize]>>,
     /// Commit timestamp that published this node; `u64::MAX` until the
     /// publishing commit's post-commit stamping (sentinels are seeded 0).
     pub created_ts: AtomicU64,
@@ -67,18 +96,20 @@ pub(crate) struct Node<V> {
 
 impl<V> Node<V> {
     /// Allocates an unpublished (non-live) node; returns a raw pointer
-    /// owned by the caller until it is wired into the list. Callers on the
-    /// write path pass `data` with `capacity == len`, which makes the
-    /// conversion to a boxed slice free.
-    pub fn alloc(high: u64, level: usize, data: Vec<(u64, V)>) -> *mut Node<V> {
+    /// owned by the caller until it is wired into the list. `data` is
+    /// shrunk to its length: a chain rebuild's `split_off` leaves each
+    /// chunk with the capacity of the whole remaining buffer.
+    pub fn alloc(high: u64, level: usize, mut data: Pairs<V>) -> *mut Node<V> {
         debug_assert!((1..=MAX_LEVEL_CAP).contains(&level));
         debug_assert!(data.windows(2).all(|w| w[0].0 < w[1].0));
+        data.0.shrink_to_fit();
         Box::into_raw(Box::new(Node {
             high,
             live: TVar::new(false),
             level,
             next: (0..level).map(|_| TVar::new(TaggedPtr::null())).collect(),
-            data: data.into_boxed_slice(),
+            data,
+            departed: OnceLock::new(),
             created_ts: AtomicU64::new(u64::MAX),
             retired_ts: AtomicU64::new(u64::MAX),
             bundle: Bundle::new(),
@@ -107,15 +138,130 @@ impl<V> Node<V> {
     pub fn index_of(&self, ik: u64) -> Option<usize> {
         self.search(ik).ok()
     }
+
+    /// Records the values that leave the list with this node: the `slots`
+    /// of `data` its retiring commit overwrote or removed. They are dropped
+    /// when the node is freed, and by nothing else. Called once, by the
+    /// commit that unlinked the node, before it is handed to reclamation.
+    /// A no-op when `V` needs no drop.
+    pub fn set_departed(&self, slots: &[usize]) {
+        if !std::mem::needs_drop::<V>() || slots.is_empty() {
+            return;
+        }
+        let first = self.departed.set(slots.into()).is_ok();
+        debug_assert!(first, "a node is retired by exactly one commit");
+    }
+
+    /// Drops every value this node holds; the list's own drop calls it on
+    /// each node of the live chain, which owns its values outright.
+    ///
+    /// # Safety
+    ///
+    /// The node must be on the live chain of a list being dropped: no
+    /// other node owns these values, and nothing reads them afterwards.
+    pub unsafe fn drop_values(&mut self) {
+        for pair in self.data.0.iter_mut() {
+            // SAFETY: contract forwarded from this fn's `# Safety` section;
+            // each slot is dropped once, here.
+            unsafe { ManuallyDrop::drop(pair) };
+        }
+    }
 }
 
-/// `head ++ [pair] ++ tail` in one allocation of exactly that length.
-fn spliced<V: Clone>(head: &[(u64, V)], pair: (u64, V), tail: &[(u64, V)]) -> Vec<(u64, V)> {
-    let mut data = Vec::with_capacity(head.len() + 1 + tail.len());
-    data.extend_from_slice(head);
-    data.push(pair);
-    data.extend_from_slice(tail);
-    data
+impl<V> Drop for Node<V> {
+    fn drop(&mut self) {
+        if let Some(slots) = self.departed.take() {
+            for &i in slots.iter() {
+                // SAFETY: `set_departed` recorded `i` at the one commit that
+                // took this value out of the list; every later node version
+                // was built without it, so this is its only drop, and the
+                // node is freed only once no reader can reach it.
+                unsafe { ManuallyDrop::drop(&mut self.data.0[i]) };
+            }
+        }
+    }
+}
+
+/// A node's sorted pairs, stored so that they are never dropped with the
+/// node (see the module docs). Pairs are copied in bitwise, never cloned.
+pub(crate) struct Pairs<V>(Vec<ManuallyDrop<(u64, V)>>);
+
+impl<V> Pairs<V> {
+    /// An empty buffer with room for exactly `n` pairs; the write path
+    /// sizes every buffer to its final length.
+    pub fn with_capacity(n: usize) -> Self {
+        Pairs(Vec::with_capacity(n))
+    }
+
+    /// Appends a bitwise copy of `src`. The copies are not owned by this
+    /// buffer: the values stay with whoever owned them before.
+    pub fn copy_from(&mut self, src: &[(u64, V)]) {
+        self.0.reserve(src.len());
+        let len = self.0.len();
+        // SAFETY: `reserve` made room for `src.len()` more elements past
+        // `len`; `ManuallyDrop<T>` is `repr(transparent)` over `T`, so the
+        // destination has `(u64, V)`'s layout; a fresh allocation cannot
+        // overlap `src`; and the copied values are never dropped through
+        // this buffer, so no value gains a second owner.
+        unsafe {
+            let dst = self.0.as_mut_ptr().add(len).cast::<(u64, V)>();
+            std::ptr::copy_nonoverlapping(src.as_ptr(), dst, src.len());
+            self.0.set_len(len + src.len());
+        }
+    }
+
+    /// Appends `(ik, value)` as a bitwise copy of `value`, which stays owned
+    /// by the caller (see `copy_from`).
+    pub fn push(&mut self, ik: u64, value: &V) {
+        // SAFETY: `ptr::read` of a valid `&V` makes a bitwise copy, which
+        // goes straight into `ManuallyDrop` and is never dropped through
+        // this buffer, so the value keeps its one owner.
+        let copy = unsafe { std::ptr::read(value) };
+        self.0.push(ManuallyDrop::new((ik, copy)));
+    }
+
+    /// `head ++ [(ik, value)] ++ tail` in one allocation of exactly that
+    /// length, every pair copied bitwise.
+    fn spliced(head: &[(u64, V)], ik: u64, value: &V, tail: &[(u64, V)]) -> Self {
+        let mut data = Pairs::with_capacity(head.len() + 1 + tail.len());
+        data.copy_from(head);
+        data.push(ik, value);
+        data.copy_from(tail);
+        data
+    }
+
+    /// A bitwise copy of `src` in a buffer of exactly its length.
+    fn copied(src: &[(u64, V)]) -> Self {
+        let mut data = Pairs::with_capacity(src.len());
+        data.copy_from(src);
+        data
+    }
+
+    /// Splits off `self[at..]` (moved bitwise, as `Vec::split_off` does).
+    pub fn split_off(&mut self, at: usize) -> Self {
+        Pairs(self.0.split_off(at))
+    }
+}
+
+impl<V> std::ops::Deref for Pairs<V> {
+    type Target = [(u64, V)];
+
+    fn deref(&self) -> &[(u64, V)] {
+        // SAFETY: `ManuallyDrop<T>` is `repr(transparent)` over `T`, so the
+        // buffer's elements have `(u64, V)`'s layout; a shared view drops
+        // nothing.
+        unsafe { std::slice::from_raw_parts(self.0.as_ptr().cast::<(u64, V)>(), self.0.len()) }
+    }
+}
+
+/// Takes ownership of `pairs` into a node, for tests that build nodes by
+/// hand. Like any pairs, they are dropped only as departures or by the
+/// list's drop.
+#[cfg(test)]
+impl<V> From<Vec<(u64, V)>> for Pairs<V> {
+    fn from(pairs: Vec<(u64, V)>) -> Self {
+        Pairs(pairs.into_iter().map(ManuallyDrop::new).collect())
+    }
 }
 
 /// Frees an unpublished or unlinked node.
@@ -149,11 +295,15 @@ pub(crate) struct UpdateBuild<V> {
     pub n1: Option<*mut Node<V>>,
     /// Previous value if `ik` was already present.
     pub old_value: Option<V>,
+    /// Slot of `n` whose value the update overwrites (it departs with `n`).
+    pub overwritten: Option<usize>,
     /// Height the wiring must cover: `max(level(n0), level(n1))`.
     pub max_height: usize,
 }
 
-/// Builds the replacement node(s) for updating `ik -> value` in `n`.
+/// Builds the replacement node(s) for updating `ik -> value` in `n`. The
+/// new pair is a bitwise copy of `*value`, which stays owned by the caller
+/// until the commit that publishes it.
 ///
 /// Splits when the node already holds `params.node_size` pairs (paper
 /// Fig. 8 line 82): the lower half receives a fresh random level and a high
@@ -162,17 +312,18 @@ pub(crate) struct UpdateBuild<V> {
 pub(crate) fn build_update<V: Clone, R: Rng + ?Sized>(
     n: &Node<V>,
     ik: u64,
-    value: V,
+    value: &V,
     params: &Params,
     rng: &mut R,
 ) -> UpdateBuild<V> {
     debug_assert!(ik <= n.high);
     // The replacement contents are `head ++ [(ik, value)] ++ tail`, with the
     // overwritten pair (if any) left out between the two.
-    let (head, tail, old_value) = match n.search(ik) {
-        Ok(i) => (&n.data[..i], &n.data[i + 1..], Some(n.data[i].1.clone())),
+    let (head, tail, overwritten) = match n.search(ik) {
+        Ok(i) => (&n.data[..i], &n.data[i + 1..], Some(i)),
         Err(i) => (&n.data[..i], &n.data[i..], None),
     };
+    let old_value = overwritten.map(|i| n.data[i].1.clone());
     if n.count() == params.node_size {
         // Split (at most one, only at this node — paper §1.2): the lower
         // half takes the first `mid` pairs of the replacement contents, and
@@ -181,13 +332,13 @@ pub(crate) fn build_update<V: Clone, R: Rng + ?Sized>(
         let (lower, upper) = if head.len() < mid {
             let cut = mid - head.len() - 1;
             (
-                spliced(head, (ik, value), &tail[..cut]),
-                tail[cut..].to_vec(),
+                Pairs::spliced(head, ik, value, &tail[..cut]),
+                Pairs::copied(&tail[cut..]),
             )
         } else {
             (
-                head[..mid].to_vec(),
-                spliced(&head[mid..], (ik, value), tail),
+                Pairs::copied(&head[..mid]),
+                Pairs::spliced(&head[mid..], ik, value, tail),
             )
         };
         // INVARIANT: a split fires only at count == node_size, and
@@ -202,14 +353,16 @@ pub(crate) fn build_update<V: Clone, R: Rng + ?Sized>(
             n0,
             n1: Some(n1),
             old_value,
+            overwritten,
             max_height: l0.max(l1),
         }
     } else {
-        let n0 = Node::alloc(n.high, n.level, spliced(head, (ik, value), tail));
+        let n0 = Node::alloc(n.high, n.level, Pairs::spliced(head, ik, value, tail));
         UpdateBuild {
             n0,
             n1: None,
             old_value,
+            overwritten,
             max_height: n.level,
         }
     }
@@ -220,6 +373,8 @@ pub(crate) fn build_update<V: Clone, R: Rng + ?Sized>(
 pub(crate) struct RemoveBuild<V> {
     pub n_new: *mut Node<V>,
     pub old_value: V,
+    /// Slot of `n0` whose value the remove takes out (it departs with `n0`).
+    pub removed: usize,
 }
 
 /// Builds the replacement for removing `ik` from `n0`, merging in `n1`'s
@@ -237,13 +392,12 @@ pub(crate) fn build_remove<V: Clone>(
     // INVARIANT: the plan layer sets `merge` only after locating (and
     // locking) the successor it passes as `n1` (plan.rs absorb path).
     let absorbed = merge.then(|| n1.expect("merge requires a successor"));
-    let mut data: Vec<(u64, V)> =
-        Vec::with_capacity(n0.count() - 1 + absorbed.map_or(0, Node::count));
-    data.extend_from_slice(&n0.data[..pos]);
-    data.extend_from_slice(&n0.data[pos + 1..]);
+    let mut data = Pairs::with_capacity(n0.count() - 1 + absorbed.map_or(0, Node::count));
+    data.copy_from(&n0.data[..pos]);
+    data.copy_from(&n0.data[pos + 1..]);
     let (high, level) = match absorbed {
         Some(n1) => {
-            data.extend_from_slice(&n1.data);
+            data.copy_from(&n1.data);
             (n1.high, n0.level.max(n1.level))
         }
         None => (n0.high, n0.level),
@@ -251,6 +405,7 @@ pub(crate) fn build_remove<V: Clone>(
     Some(RemoveBuild {
         n_new: Node::alloc(high, level, data),
         old_value: n0.data[pos].1.clone(),
+        removed: pos,
     })
 }
 
@@ -261,7 +416,7 @@ mod tests {
 
     fn mk_node(keys: &[u64], level: usize, high: u64) -> *mut Node<u64> {
         let data: Vec<(u64, u64)> = keys.iter().map(|&k| (k, k * 10)).collect();
-        Node::alloc(high, level, data)
+        Node::alloc(high, level, data.into())
     }
 
     /// Borrow a test-owned node. Centralizes the one safety argument every
@@ -370,7 +525,7 @@ mod tests {
                 let n = mk_node(&keys, 3, 1000);
                 // Front, every gap, every present key, end.
                 for ik in 1..=(len as u64 * 10 + 5) {
-                    let b = build_update(node_ref(n), ik, 7, &p, &mut rng);
+                    let b = build_update(node_ref(n), ik, &7, &p, &mut rng);
                     let (lower, upper, old) = update_reference(&node_ref(n).data, ik, 7, node_size);
                     assert_eq!(b.old_value, old, "K={node_size} len={len} ik={ik}");
                     let n0 = node_ref(b.n0);
@@ -418,7 +573,7 @@ mod tests {
             (20, vec![10, 20], vec![30, 40]),
             (30, vec![10, 20], vec![30, 40]),
         ] {
-            let b = build_update(node_ref(n), ik, 1, &p, &mut rng);
+            let b = build_update(node_ref(n), ik, &1, &p, &mut rng);
             let n1 = b.n1.expect("full node must split");
             assert_eq!(keys_of(node_ref(b.n0)), lower, "ik={ik}");
             assert_eq!(keys_of(node_ref(n1)), upper, "ik={ik}");
@@ -443,7 +598,7 @@ mod tests {
         let mut rng = rand::thread_rng();
         let n = mk_node(&[2, 4, 6], 2, 100);
         // Insert new key.
-        let b = build_update(node_ref(n), 5, 50, &p, &mut rng);
+        let b = build_update(node_ref(n), 5, &50, &p, &mut rng);
         assert!(b.n1.is_none());
         assert_eq!(b.old_value, None);
         let n0 = node_ref(b.n0);
@@ -454,7 +609,7 @@ mod tests {
         assert_eq!(n0.high, 100);
         assert_eq!(n0.level, 2);
         // Replace existing key.
-        let b2 = build_update(n0, 4, 999, &p, &mut rng);
+        let b2 = build_update(n0, 4, &999, &p, &mut rng);
         assert_eq!(b2.old_value, Some(40));
         let n02 = node_ref(b2.n0);
         assert_eq!(n02.data[1], (4, 999));
@@ -472,7 +627,7 @@ mod tests {
         };
         let mut rng = rand::thread_rng();
         let n = mk_node(&[10, 20, 30, 40], 3, 1000);
-        let b = build_update(node_ref(n), 25, 1, &p, &mut rng);
+        let b = build_update(node_ref(n), 25, &1, &p, &mut rng);
         let n0 = node_ref(b.n0);
         let n1 = node_ref(b.n1.expect("full node must split"));
         // 5 keys split 2/3.

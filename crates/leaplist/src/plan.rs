@@ -1,7 +1,9 @@
 //! The *setup* phase of update and remove (paper Figs. 8 and 11): an
 //! uninstrumented search plus construction of the replacement node(s).
 //! Plans own their freshly built nodes until they are published; dropping
-//! an unpublished plan (an aborted attempt) frees them.
+//! an unpublished plan (an aborted attempt) frees them. It drops no value:
+//! the nodes hold bitwise copies of values owned by the live list and by
+//! the batch's ops (see `node.rs`, "Who owns a value").
 //!
 //! # Multi-op plans: the chain rebuild
 //!
@@ -49,9 +51,10 @@
 //! (`wire::wire_chain` + `wire::publish_segment`) runs after commit as
 //! plain atomic stores.
 
-use crate::node::{build_remove, build_update, free_node, random_level, Node};
+use crate::node::{build_remove, build_update, free_node, random_level, Node, Pairs};
 use crate::raw::{RawLeapList, SearchWindow};
 use std::cell::Cell;
+use std::mem::ManuallyDrop;
 
 /// Everything an update needs to validate, lock and wire (one list).
 pub(crate) struct UpdatePlan<V> {
@@ -66,6 +69,8 @@ pub(crate) struct UpdatePlan<V> {
     /// Height the predecessor wiring covers.
     pub max_height: usize,
     pub old_value: Option<V>,
+    /// Slot of `n` whose value this update overwrites.
+    pub overwritten: Option<usize>,
     pub(crate) published: Cell<bool>,
 }
 
@@ -92,7 +97,8 @@ impl<V> Drop for UpdatePlan<V> {
 }
 
 /// Builds an update plan: search for the target node, then derive the
-/// replacement node(s) (split when full).
+/// replacement node(s) (split when full). The new pair is a bitwise copy of
+/// `*value`, which the caller keeps owning until the plan commits.
 ///
 /// # Safety
 ///
@@ -101,7 +107,7 @@ impl<V> Drop for UpdatePlan<V> {
 pub(crate) unsafe fn plan_update<V: Clone>(
     raw: &RawLeapList<V>,
     ik: u64,
-    value: V,
+    value: &V,
 ) -> UpdatePlan<V> {
     // SAFETY: caller holds the epoch guard (this fn's `# Safety` contract).
     let w = unsafe { raw.search_predecessors(ik) };
@@ -122,6 +128,7 @@ pub(crate) unsafe fn plan_update<V: Clone>(
         split: b.n1.is_some(),
         max_height: b.max_height,
         old_value: b.old_value,
+        overwritten: b.overwritten,
         published: Cell::new(false),
     }
 }
@@ -138,6 +145,8 @@ pub(crate) struct RemovePlan<V> {
     pub n_new: *mut Node<V>,
     /// The removed value; `Some` until a caller takes it.
     pub old_value: Option<V>,
+    /// Slot of `n0` whose value this remove takes out.
+    pub removed: usize,
     pub(crate) published: Cell<bool>,
 }
 
@@ -217,26 +226,52 @@ pub(crate) unsafe fn plan_remove<V: Clone>(raw: &RawLeapList<V>, ik: u64) -> Opt
             merge,
             n_new: b.n_new,
             old_value: Some(b.old_value),
+            removed: b.removed,
             published: Cell::new(false),
         });
     }
 }
 
 /// One component of a multi-op batch against a single list, in internal
-/// key space. Values are borrowed: they are cloned into replacement nodes
-/// once per planning attempt, exactly like the single-op plans.
-pub(crate) enum ListOp<'a, V> {
+/// key space. A `Put` owns its value for the whole batch: every planning
+/// attempt copies it bitwise into its nodes, so a discarded attempt leaves
+/// it intact for the next, and [`settle`] hands it over once a commit
+/// publishes it.
+pub(crate) enum ListOp<V> {
     /// Insert or update `ik -> value`.
-    Put(u64, &'a V),
+    Put(u64, ManuallyDrop<V>),
     /// Remove `ik`.
     Del(u64),
 }
 
-impl<V> ListOp<'_, V> {
+impl<V> ListOp<V> {
     fn ik(&self) -> u64 {
         match self {
             ListOp::Put(ik, _) => *ik,
             ListOp::Del(ik) => *ik,
+        }
+    }
+}
+
+/// Hands a committed group's values over to its list. A `Put` that no
+/// later op of the group touches left its value in a published node, which
+/// now owns it; any other `Put` value was overwritten or removed within the
+/// group, never reached a node, and is dropped here.
+pub(crate) fn settle<V>(mut ops: Vec<ListOp<V>>) {
+    if !std::mem::needs_drop::<V>() || ops.len() < 2 {
+        return;
+    }
+    let mut order: Vec<usize> = (0..ops.len()).collect();
+    order.sort_unstable_by_key(|&i| (ops[i].ik(), i));
+    for w in order.windows(2) {
+        if ops[w[0]].ik() == ops[w[1]].ik() {
+            if let ListOp::Put(_, v) = &mut ops[w[0]] {
+                // SAFETY: a later op of the group replaced or removed this
+                // value before any node could carry it, and each index is
+                // `w[0]` of one window only, so it is dropped once; `ops`
+                // is discarded right after without touching it again.
+                unsafe { ManuallyDrop::drop(v) };
+            }
         }
     }
 }
@@ -261,6 +296,11 @@ pub(crate) struct ChainSegment<V> {
     /// the same commit. Validation and marking always use the old window
     /// (`w.pa`); only the post-commit swing uses `pa_wire`.
     pub pa_wire: Vec<*mut Node<V>>,
+    /// Per dying node, in `old`'s order, the slots whose values this
+    /// segment overwrites or removes: they leave the list with that node
+    /// ([`Node::set_departed`]). Nodes past the end of the list lose none;
+    /// it is empty when `V` needs no drop.
+    pub departed: Vec<Vec<usize>>,
 }
 
 /// Everything a k-op batch against one list needs to validate, lock and
@@ -295,6 +335,15 @@ impl<V> Drop for MultiUpdatePlan<V> {
     }
 }
 
+/// A single-op plan's departure — at most one slot, in its first dying
+/// node — as a [`ChainSegment::departed`] list.
+fn departures<V>(slot: Option<usize>) -> Vec<Vec<usize>> {
+    match slot {
+        Some(s) if std::mem::needs_drop::<V>() => vec![vec![s]],
+        _ => Vec::new(),
+    }
+}
+
 /// Lean single-op plan: wraps the paper-shaped [`plan_update`] /
 /// [`plan_remove`] builders (split and remove-and-merge included) into a
 /// one-segment [`MultiUpdatePlan`], so the hottest case — one op against
@@ -305,11 +354,11 @@ impl<V> Drop for MultiUpdatePlan<V> {
 /// # Safety
 ///
 /// Same contract as [`plan_multi`].
-unsafe fn plan_single<V: Clone>(raw: &RawLeapList<V>, op: &ListOp<'_, V>) -> MultiUpdatePlan<V> {
+unsafe fn plan_single<V: Clone>(raw: &RawLeapList<V>, op: &ListOp<V>) -> MultiUpdatePlan<V> {
     match op {
         ListOp::Put(ik, v) => {
             // SAFETY: forwards this fn's own guard contract.
-            let mut p = unsafe { plan_update(raw, *ik, (*v).clone()) };
+            let mut p = unsafe { plan_update(raw, *ik, v) };
             // The segment takes ownership of the freshly built nodes.
             p.mark_published();
             // SAFETY: guard-protected plan pointers; immutable fields.
@@ -328,6 +377,7 @@ unsafe fn plan_single<V: Clone>(raw: &RawLeapList<V>, op: &ListOp<'_, V>) -> Mul
                 old_max,
                 wire_height: p.max_height,
                 pa_wire: p.w.pa[..p.max_height].to_vec(),
+                departed: departures::<V>(p.overwritten),
             };
             MultiUpdatePlan {
                 segments: vec![seg],
@@ -362,6 +412,7 @@ unsafe fn plan_single<V: Clone>(raw: &RawLeapList<V>, op: &ListOp<'_, V>) -> Mul
                     old_max: wire_height,
                     wire_height,
                     pa_wire: p.w.pa[..wire_height].to_vec(),
+                    departed: departures::<V>(Some(p.removed)),
                 };
                 MultiUpdatePlan {
                     segments: vec![seg],
@@ -461,7 +512,7 @@ fn plan_shape<V, R: rand::Rng + ?Sized>(
 /// pointers are used.
 pub(crate) unsafe fn plan_multi<V: Clone>(
     raw: &RawLeapList<V>,
-    ops: &[ListOp<'_, V>],
+    ops: &[ListOp<V>],
 ) -> MultiUpdatePlan<V> {
     // One op per list is the hottest case by far (every `update`/`remove`
     // and most Batcher traffic): skip the grouping machinery entirely.
@@ -575,7 +626,7 @@ pub(crate) unsafe fn plan_multi<V: Clone>(
                 results[i] = state.cloned();
                 match op {
                     ListOp::Put(_, v) => {
-                        if state.replace(v).is_none() {
+                        if state.replace(&**v).is_none() {
                             count += 1;
                         }
                         s.changed = true;
@@ -640,6 +691,9 @@ pub(crate) unsafe fn plan_multi<V: Clone>(
         //    and a live-or-dead node's range never changes, so cutting the
         //    ascending edits at each node's `high` keeps the output sorted
         //    whatever the locate loop raced with.
+        //    Every pair is copied bitwise; a key present in an old node whose
+        //    edit replaces or removes it departs with that node.
+        let track = std::mem::needs_drop::<V>();
         let mut segments: Vec<ChainSegment<V>> = Vec::with_capacity(segs.len());
         for sd in segs {
             if !sd.changed {
@@ -647,25 +701,35 @@ pub(crate) unsafe fn plan_multi<V: Clone>(
                 // left untouched (the paper's `changed[j] = false`).
                 continue;
             }
-            let mut data: Vec<(u64, V)> = Vec::with_capacity(sd.count);
+            let mut data = Pairs::with_capacity(sd.count);
+            let mut departed = Vec::new();
             let mut edits = sd.edits.iter().peekable();
             for &o in &sd.nodes {
                 // SAFETY: guard-protected node pointer; `data` and `high`
                 // are immutable.
                 let node = unsafe { &*o };
                 let mut from = 0;
+                let mut gone = Vec::new();
                 while let Some(&(ik, state)) = edits.next_if(|(ik, _)| *ik <= node.high) {
                     let (upto, resume) = match node.search(ik) {
-                        Ok(p) => (p, p + 1),
+                        Ok(p) => {
+                            if track {
+                                gone.push(p);
+                            }
+                            (p, p + 1)
+                        }
                         Err(p) => (p, p),
                     };
-                    data.extend_from_slice(&node.data[from..upto]);
+                    data.copy_from(&node.data[from..upto]);
                     if let Some(v) = state {
-                        data.push((ik, v.clone()));
+                        data.push(ik, v);
                     }
                     from = resume;
                 }
-                data.extend_from_slice(&node.data[from..]);
+                data.copy_from(&node.data[from..]);
+                if track {
+                    departed.push(gone);
+                }
             }
             // INVARIANT: every edit key is at most the `high` of the node it
             // was located in, which is one of `sd.nodes`; and step 2b counted
@@ -715,6 +779,7 @@ pub(crate) unsafe fn plan_multi<V: Clone>(
                 old_max,
                 wire_height,
                 pa_wire,
+                departed,
             });
         }
         // 5. Interference substitution (see the module docs). Segments are
@@ -771,7 +836,7 @@ mod tests {
     // is vacuously satisfied, and plan-owned nodes live until the plan
     // drops. The helpers centralize that argument.
 
-    fn plan_update_t<V: Clone>(l: &RawLeapList<V>, ik: u64, v: V) -> UpdatePlan<V> {
+    fn plan_update_t<V: Clone>(l: &RawLeapList<V>, ik: u64, v: &V) -> UpdatePlan<V> {
         // SAFETY: single-threaded test; see the module comment above.
         unsafe { plan_update(l, ik, v) }
     }
@@ -781,9 +846,22 @@ mod tests {
         unsafe { plan_remove(l, ik) }
     }
 
-    fn plan_multi_t<V: Clone>(l: &RawLeapList<V>, ops: &[ListOp<'_, V>]) -> MultiUpdatePlan<V> {
+    fn plan_multi_t<V: Clone>(l: &RawLeapList<V>, ops: &[ListOp<V>]) -> MultiUpdatePlan<V> {
         // SAFETY: single-threaded test; see the module comment above.
         unsafe { plan_multi(l, ops) }
+    }
+
+    fn put<V>(ik: u64, v: V) -> ListOp<V> {
+        ListOp::Put(ik, ManuallyDrop::new(v))
+    }
+
+    /// Drops every op value, as a batch that never committed would.
+    fn drop_ops<V>(ops: Vec<ListOp<V>>) {
+        for op in ops {
+            if let ListOp::Put(_, v) = op {
+                drop(ManuallyDrop::into_inner(v));
+            }
+        }
     }
 
     fn nref<'a, V>(p: *mut Node<V>) -> &'a Node<V> {
@@ -795,7 +873,7 @@ mod tests {
     #[test]
     fn plan_update_on_empty_list_targets_tail() {
         let l = raw();
-        let p = plan_update_t(&l, 100, 7u64);
+        let p = plan_update_t(&l, 100, &7u64);
         assert!(!p.split);
         assert_eq!(p.old_value, None);
         let n0 = nref(p.n0);
@@ -811,40 +889,55 @@ mod tests {
         assert!(plan_remove_t(&l, 55).is_none());
     }
 
+    /// Shared `[clones, drops]` counters of a [`D`] family.
+    type Counts = std::sync::Arc<[std::sync::atomic::AtomicUsize; 2]>;
+
+    /// Drop-counting value type for the discard tests: a clone or a drop
+    /// bumps the shared counters.
+    struct D(Counts);
+    impl Clone for D {
+        fn clone(&self) -> Self {
+            self.0[0].fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+            D(self.0.clone())
+        }
+    }
+    impl Drop for D {
+        fn drop(&mut self) {
+            self.0[1].fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+        }
+    }
+
+    fn counts(c: &Counts) -> (usize, usize) {
+        let o = std::sync::atomic::Ordering::SeqCst;
+        (c[0].load(o), c[1].load(o))
+    }
+
     #[test]
     fn unpublished_plans_free_their_nodes() {
-        // Drop-counting value type: every clone must be dropped again.
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        use std::sync::Arc;
-        #[derive(Clone)]
-        struct D(#[allow(dead_code)] Arc<()>, Arc<AtomicUsize>);
-        impl Drop for D {
-            fn drop(&mut self) {
-                self.1.fetch_add(1, Ordering::SeqCst);
-            }
-        }
-        let drops = Arc::new(AtomicUsize::new(0));
+        // The discarded node holds a bitwise copy of the caller's value: it
+        // is freed (ASan / Miri check the allocation) without cloning or
+        // dropping that value, which the caller still owns.
+        let c = Counts::default();
         let l: RawLeapList<D> = RawLeapList::new(Params {
             node_size: 4,
             max_level: 4,
             ..Params::default()
         });
-        {
-            let p = plan_update_t(&l, 9, D(Arc::new(()), drops.clone()));
-            drop(p);
-        }
-        // The original value plus any clones inside the discarded node.
-        assert!(drops.load(Ordering::SeqCst) >= 1);
+        let v = D(c.clone());
+        drop(plan_update_t(&l, 9, &v));
+        assert_eq!(
+            counts(&c),
+            (0, 0),
+            "a discarded plan clones and drops nothing"
+        );
+        drop(v);
+        assert_eq!(counts(&c), (0, 1));
     }
 
     #[test]
     fn plan_multi_groups_ops_into_one_tail_segment() {
         let l = raw();
-        let ops = [
-            ListOp::Put(10, &1u64),
-            ListOp::Put(30, &3),
-            ListOp::Put(20, &2),
-        ];
+        let ops = [put(10, 1u64), put(30, 3), put(20, 2)];
         let p = plan_multi_t(&l, &ops);
         assert_eq!(p.results, vec![None, None, None]);
         assert_eq!(p.segments.len(), 1, "empty list: everything hits the tail");
@@ -864,13 +957,7 @@ mod tests {
     #[test]
     fn plan_multi_duplicate_keys_keep_sequential_semantics() {
         let l = raw();
-        let v = [7u64, 8, 9];
-        let ops = [
-            ListOp::Put(5, &v[0]),
-            ListOp::Put(5, &v[1]),
-            ListOp::Del(5),
-            ListOp::Put(5, &v[2]),
-        ];
+        let ops = [put(5, 7u64), put(5, 8), ListOp::Del(5), put(5, 9)];
         let p = plan_multi_t(&l, &ops);
         assert_eq!(p.results, vec![None, Some(7), Some(8), None]);
         let n = nref(p.segments[0].new[0]);
@@ -889,10 +976,7 @@ mod tests {
     #[test]
     fn plan_multi_rechunks_overflow_into_a_balanced_chain() {
         let l = raw(); // node_size 4
-        let vals: Vec<u64> = (0..10).collect();
-        let ops: Vec<ListOp<u64>> = (0..10)
-            .map(|i| ListOp::Put(i * 2 + 1, &vals[i as usize]))
-            .collect();
+        let ops: Vec<ListOp<u64>> = (0..10).map(|i| put(i * 2 + 1, i)).collect();
         let p = plan_multi_t(&l, &ops);
         assert_eq!(p.segments.len(), 1);
         let seg = &p.segments[0];
@@ -919,36 +1003,75 @@ mod tests {
 
     #[test]
     fn unpublished_multi_plans_free_their_chains() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        use std::sync::Arc;
-        #[derive(Clone)]
-        struct D(Arc<AtomicUsize>);
-        impl Drop for D {
-            fn drop(&mut self) {
-                self.0.fetch_add(1, Ordering::SeqCst);
-            }
-        }
-        let drops = Arc::new(AtomicUsize::new(0));
+        let c = Counts::default();
         let l: RawLeapList<D> = RawLeapList::new(Params {
             node_size: 4,
             max_level: 4,
             ..Params::default()
         });
-        let vals: Vec<D> = (0..6).map(|_| D(drops.clone())).collect();
-        {
-            let ops: Vec<ListOp<D>> = vals
-                .iter()
-                .enumerate()
-                .map(|(i, v)| ListOp::Put(i as u64 + 1, v))
-                .collect();
+        // Six puts re-chunk into a two-node chain.
+        let ops: Vec<ListOp<D>> = (1..=6).map(|k| put(k, D(c.clone()))).collect();
+        // Two discarded attempts: the chains are freed, and the op values
+        // stay with the ops for the next attempt.
+        for _ in 0..2 {
             let p = plan_multi_t(&l, &ops);
-            assert!(!p.segments.is_empty());
+            assert_eq!(p.segments[0].new.len(), 2);
             drop(p);
+            assert_eq!(counts(&c), (0, 0), "a discarded chain drops nothing");
         }
+        drop_ops(ops);
+        assert_eq!(counts(&c), (0, 6));
+    }
+
+    #[test]
+    fn multi_plan_records_each_departure_on_its_dying_node() {
+        let c = Counts::default();
+        let l: RawLeapList<D> = RawLeapList::new(Params {
+            node_size: 4,
+            max_level: 4,
+            ..Params::default()
+        });
+        let head = l.head();
+        let pairs = vec![(10, D(c.clone())), (20, D(c.clone()))];
+        let a = Node::alloc(40, 1, pairs.into());
+        // SAFETY: single-threaded test; `a` is linked in by hand, unlinked
+        // again below before the list drops, and freed once at the end.
+        let tail = unsafe {
+            let tail = (*head).next[0].naked_load().as_ptr();
+            (*a).next[0].naked_store(leap_stm::TaggedPtr::new(tail));
+            (*head).next[0].naked_store(leap_stm::TaggedPtr::new(a));
+            (*a).live.naked_store(true);
+            tail
+        };
+        // Overwrite 20, remove 10, insert 50 past `a` into the tail.
+        let ops = [
+            put(20, D(c.clone())),
+            ListOp::Del(10),
+            put(50, D(c.clone())),
+        ];
+        let p = plan_multi_t(&l, &ops);
+        let seg = &p.segments[0];
+        assert_eq!(seg.old, vec![a, tail], "a and the tail form one run");
         assert_eq!(
-            drops.load(Ordering::SeqCst),
-            6,
-            "every clone inside the discarded chain was freed"
+            seg.departed,
+            vec![vec![0, 1], vec![]],
+            "both of a's values leave with a"
         );
+        assert_eq!(p.results.len(), 3);
+        drop(p);
+        assert_eq!(
+            counts(&c).1,
+            2,
+            "only the two returned old values were dropped"
+        );
+        // SAFETY: as above; `a` is unlinked and owns the values it was
+        // built from.
+        unsafe {
+            (*head).next[0].naked_store(leap_stm::TaggedPtr::new(tail));
+            (*a).drop_values();
+            free_node(a);
+        }
+        drop_ops(ops.into());
+        assert_eq!(counts(&c), (2, 6));
     }
 }

@@ -2,7 +2,7 @@
 //! predecessor search of Fig. 3, and structural helpers used by every
 //! synchronization variant.
 
-use crate::node::{free_node, Node, MAX_LEVEL_CAP};
+use crate::node::{free_node, Node, Pairs, MAX_LEVEL_CAP};
 use crate::params::Params;
 use leap_stm::TaggedPtr;
 
@@ -64,8 +64,8 @@ impl<V> RawLeapList<V> {
         domain: Option<std::sync::Arc<leap_stm::StmDomain>>,
     ) -> Self {
         params.validate();
-        let head = Node::alloc(0, params.max_level, Vec::new());
-        let tail = Node::alloc(u64::MAX, params.max_level, Vec::new());
+        let head = Node::alloc(0, params.max_level, Pairs::with_capacity(0));
+        let tail = Node::alloc(u64::MAX, params.max_level, Pairs::with_capacity(0));
         // SAFETY: both sentinels were just allocated and are unpublished;
         // this constructor has exclusive access.
         unsafe {
@@ -186,16 +186,22 @@ impl<V> RawLeapList<V> {
 
 impl<V> Drop for RawLeapList<V> {
     fn drop(&mut self) {
-        // Exclusive access: free every node linked at level 0. Replaced
-        // (unlinked) nodes are owned by the EBR deferral queues.
+        // Exclusive access: free every node linked at level 0, with the
+        // values it holds — the live chain owns every value still in the
+        // list. Replaced (unlinked) nodes are owned by the EBR deferral
+        // queues and drop only their departures.
         let mut cur = self.head;
         while !cur.is_null() {
             // SAFETY: `&mut self` proves exclusive access; every level-0
             // linked node is owned by the list.
             let next = unsafe { &*cur }.next[0].naked_load().as_ptr();
             // SAFETY: `cur` was unlinked from nothing — the whole list dies
-            // here, and each node is freed exactly once.
-            unsafe { free_node(cur) };
+            // here, each live value sits in exactly one live node, and each
+            // node is freed exactly once.
+            unsafe {
+                (*cur).drop_values();
+                free_node(cur);
+            }
             cur = next;
         }
     }
@@ -246,7 +252,7 @@ mod tests {
         // the list (freed by its drop) and nothing reclaims concurrently.
         unsafe {
             let tail = (*head).next[0].naked_load().as_ptr();
-            let a = Node::alloc(10, 2, vec![(5, 50u64)]);
+            let a = Node::alloc(10, 2, vec![(5, 50u64)].into());
             for i in 0..2 {
                 (*a).next[i].naked_store(TaggedPtr::new(tail));
                 (*head).next[i].naked_store(TaggedPtr::new(a));

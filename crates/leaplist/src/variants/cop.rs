@@ -13,6 +13,7 @@ use crate::variants::common;
 use crate::Params;
 use leap_ebr::pin;
 use leap_stm::{Backoff, Mode, StmDomain, TxResult, Txn};
+use std::mem::ManuallyDrop;
 use std::sync::Arc;
 
 /// A Leap-List synchronized with COP (validation + transactional writes).
@@ -75,7 +76,7 @@ impl<V: Clone + Send + Sync + 'static> LeapListCop<V> {
     ///
     /// Panics if `key == u64::MAX`.
     pub fn update(&self, key: u64, value: V) -> Option<V> {
-        Self::update_batch(&[self], &[key], std::slice::from_ref(&value))
+        Self::update_owned(&[self], &[key], vec![value])
             .pop()
             // INVARIANT: one input list produces exactly one result entry.
             .expect("one list yields one result")
@@ -100,11 +101,19 @@ impl<V: Clone + Send + Sync + 'static> LeapListCop<V> {
     /// Panics if slices differ in length, a key is `u64::MAX`, lists do
     /// not share a domain, or a list repeats.
     pub fn update_batch(lists: &[&Self], keys: &[u64], values: &[V]) -> Vec<Option<V>> {
-        assert_eq!(lists.len(), keys.len());
         assert_eq!(keys.len(), values.len());
+        Self::update_owned(lists, keys, values.to_vec())
+    }
+
+    /// [`Self::update_batch`] with the values moved in: each belongs to the
+    /// call until the commit hands it to its list, and every attempt only
+    /// copies it bitwise (see `node.rs`).
+    fn update_owned(lists: &[&Self], keys: &[u64], values: Vec<V>) -> Vec<Option<V>> {
+        assert_eq!(lists.len(), keys.len());
         // INVARIANT: documented panic — an empty batch is a caller bug.
         let first = lists.first().expect("batch must be non-empty");
         first.check_batch(lists, keys);
+        let values: Vec<ManuallyDrop<V>> = values.into_iter().map(ManuallyDrop::new).collect();
         let guard = pin();
         let mut backoff = Backoff::new();
         loop {
@@ -112,7 +121,7 @@ impl<V: Clone + Send + Sync + 'static> LeapListCop<V> {
                 .iter()
                 .zip(keys.iter().zip(values.iter()))
                 // SAFETY: `guard` pins the epoch for the whole attempt.
-                .map(|(l, (k, v))| unsafe { plan_update(&l.raw, internal_key(*k), v.clone()) })
+                .map(|(l, (k, v))| unsafe { plan_update(&l.raw, internal_key(*k), v) })
                 .collect();
             let mut tx = Txn::begin(&first.domain);
             let done: TxResult<()> = (|| {
@@ -127,16 +136,20 @@ impl<V: Clone + Send + Sync + 'static> LeapListCop<V> {
             })();
             if done.is_ok() && tx.commit().is_ok() {
                 let mut out = Vec::with_capacity(plans.len());
-                for plan in &plans {
+                for mut plan in plans {
                     plan.mark_published();
-                    // SAFETY: the committed swing unlinked `plan.n`; the
-                    // grace period covers in-flight readers.
-                    // lint:allow(reclamation-discipline): the COP variant has no version
-                    // bundles and no snapshot pins — every reader reaches nodes through
-                    // the live structure only, so the plain EBR grace period is the full
-                    // safety argument.
-                    unsafe { guard.defer_drop_box(plan.n) };
-                    out.push(plan.old_value.clone());
+                    // SAFETY: the committed swing unlinked `plan.n`, so this
+                    // commit alone retires it (with the value it overwrote);
+                    // the grace period covers in-flight readers.
+                    unsafe {
+                        (*plan.n).set_departed(plan.overwritten.as_slice());
+                        // lint:allow(reclamation-discipline): the COP variant has no version
+                        // bundles and no snapshot pins — every reader reaches nodes through
+                        // the live structure only, so the plain EBR grace period is the full
+                        // safety argument.
+                        guard.defer_drop_box(plan.n);
+                    }
+                    out.push(plan.old_value.take());
                 }
                 return out;
             }
@@ -177,23 +190,28 @@ impl<V: Clone + Send + Sync + 'static> LeapListCop<V> {
             })();
             if done.is_ok() && tx.commit().is_ok() {
                 let mut out = Vec::with_capacity(plans.len());
-                for plan in &plans {
+                for plan in plans {
                     match plan {
                         None => out.push(None),
-                        Some(p) => {
+                        Some(mut p) => {
                             p.mark_published();
-                            // SAFETY: the committed swing unlinked `n0`; the
-                            // grace period covers in-flight readers.
-                            // lint:allow(reclamation-discipline): COP has no snapshot
-                            // readers (no bundles, no pins); plain EBR suffices.
-                            unsafe { guard.defer_drop_box(p.n0) };
+                            // SAFETY: the committed swing unlinked `n0`, so
+                            // this commit alone retires it (with the removed
+                            // value); the grace period covers in-flight
+                            // readers.
+                            unsafe {
+                                (*p.n0).set_departed(&[p.removed]);
+                                // lint:allow(reclamation-discipline): COP has no snapshot
+                                // readers (no bundles, no pins); plain EBR suffices.
+                                guard.defer_drop_box(p.n0);
+                            }
                             if p.merge {
                                 // SAFETY: the merge swing unlinked `n1` too.
                                 // lint:allow(reclamation-discipline): as above — COP has
                                 // no snapshot readers, plain EBR suffices.
                                 unsafe { guard.defer_drop_box(p.n1) };
                             }
-                            out.push(p.old_value.clone());
+                            out.push(p.old_value.take());
                         }
                     }
                 }

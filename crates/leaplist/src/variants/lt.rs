@@ -7,7 +7,7 @@
 //! `K` keys.
 
 use crate::node::{internal_key, Node};
-use crate::plan::{plan_multi, ListOp, MultiUpdatePlan};
+use crate::plan::{plan_multi, settle, ListOp, MultiUpdatePlan};
 use crate::raw::RawLeapList;
 use crate::variants::common;
 use crate::{BatchOp, Params};
@@ -97,8 +97,7 @@ impl<V: Clone + Send + Sync + 'static> LeapListLt<V> {
     ///
     /// Panics if `key == u64::MAX` (reserved for the tail sentinel).
     pub fn update(&self, key: u64, value: V) -> Option<V> {
-        let ops = [BatchOp::Update(key, value)];
-        self.apply_grouped_on(&[self], &[&ops])
+        self.apply_owned(&[self], vec![vec![BatchOp::Update(key, value)]])
             .pop()
             // INVARIANT: one input list/op produces exactly one result entry.
             .expect("one list yields one result")
@@ -113,8 +112,7 @@ impl<V: Clone + Send + Sync + 'static> LeapListLt<V> {
     ///
     /// Panics if `key == u64::MAX`.
     pub fn remove(&self, key: u64) -> Option<V> {
-        let ops = [BatchOp::Remove(key)];
-        self.apply_grouped_on(&[self], &[&ops])
+        self.apply_owned(&[self], vec![vec![BatchOp::Remove(key)]])
             .pop()
             // INVARIANT: one input list/op produces exactly one result entry.
             .expect("one list yields one result")
@@ -134,14 +132,13 @@ impl<V: Clone + Send + Sync + 'static> LeapListLt<V> {
     /// Panics if the slices differ in length, any key is `u64::MAX`, lists
     /// do not share one domain, or the same list appears twice.
     pub fn update_batch(lists: &[&Self], keys: &[u64], values: &[V]) -> Vec<Option<V>> {
-        assert_eq!(lists.len(), keys.len());
         assert_eq!(keys.len(), values.len());
         let ops: Vec<BatchOp<V>> = keys
             .iter()
             .zip(values.iter())
             .map(|(k, v)| BatchOp::Update(*k, v.clone()))
             .collect();
-        Self::apply_batch(lists, &ops)
+        Self::apply_one_per_list(lists, ops)
     }
 
     /// The paper's composite `Remove(ll, k, s)`: removes `keys[j]` from
@@ -153,16 +150,12 @@ impl<V: Clone + Send + Sync + 'static> LeapListLt<V> {
     ///
     /// As for [`LeapListLt::update_batch`].
     pub fn remove_batch(lists: &[&Self], keys: &[u64]) -> Vec<Option<V>> {
-        assert_eq!(lists.len(), keys.len());
         let ops: Vec<BatchOp<V>> = keys.iter().map(|k| BatchOp::Remove(*k)).collect();
-        Self::apply_batch(lists, &ops)
+        Self::apply_one_per_list(lists, ops)
     }
 
-    fn check_batch(&self, lists: &[&Self], keys: &[u64]) {
+    fn check_batch(&self, lists: &[&Self]) {
         assert!(!lists.is_empty(), "batch must be non-empty");
-        for k in keys {
-            assert!(*k < u64::MAX, "key u64::MAX is reserved");
-        }
         for (i, l) in lists.iter().enumerate() {
             assert!(
                 Arc::ptr_eq(&l.domain, &self.domain),
@@ -192,11 +185,17 @@ impl<V: Clone + Send + Sync + 'static> LeapListLt<V> {
     /// Panics if the slices differ in length, any key is `u64::MAX`,
     /// lists do not share one domain, or the same list appears twice.
     pub fn apply_batch(lists: &[&Self], ops: &[BatchOp<V>]) -> Vec<Option<V>> {
+        Self::apply_one_per_list(lists, ops.to_vec())
+    }
+
+    fn apply_one_per_list(lists: &[&Self], ops: Vec<BatchOp<V>>) -> Vec<Option<V>> {
         assert_eq!(lists.len(), ops.len());
-        let groups: Vec<&[BatchOp<V>]> = ops.iter().map(std::slice::from_ref).collect();
-        Self::apply_batch_grouped(lists, &groups)
+        // INVARIANT: documented panic — an empty batch is a caller bug.
+        let first = lists.first().expect("batch must be non-empty");
+        first
+            .apply_owned(lists, ops.into_iter().map(|op| vec![op]).collect())
             .into_iter()
-            // INVARIANT: `from_ref` groups hold exactly one op each.
+            // INVARIANT: each group holds exactly one op.
             .map(|mut r| r.pop().expect("one op per list yields one result"))
             .collect()
     }
@@ -216,7 +215,8 @@ impl<V: Clone + Send + Sync + 'static> LeapListLt<V> {
     /// at any batch size.
     ///
     /// Returns the previous values per list, in group order. Empty groups
-    /// yield empty result vectors.
+    /// yield empty result vectors. Each update's value is cloned once, into
+    /// the list; [`LeapListLt::update`] moves its value in instead.
     ///
     /// # Panics
     ///
@@ -226,32 +226,32 @@ impl<V: Clone + Send + Sync + 'static> LeapListLt<V> {
     pub fn apply_batch_grouped(lists: &[&Self], ops: &[&[BatchOp<V>]]) -> Vec<Vec<Option<V>>> {
         // INVARIANT: documented panic — an empty batch is a caller bug.
         let first = lists.first().expect("batch must be non-empty");
-        first.apply_grouped_on(lists, ops)
+        first.apply_owned(lists, ops.iter().map(|g| g.to_vec()).collect())
     }
 
-    fn apply_grouped_on(&self, lists: &[&Self], ops: &[&[BatchOp<V>]]) -> Vec<Vec<Option<V>>> {
+    /// The one write path: `ops[j]` is moved into list `j`'s group. Each
+    /// update's value belongs to the batch until the commit, which hands it
+    /// to the list ([`settle`]); every attempt only copies it bitwise.
+    fn apply_owned(&self, lists: &[&Self], ops: Vec<Vec<BatchOp<V>>>) -> Vec<Vec<Option<V>>> {
         assert_eq!(lists.len(), ops.len());
-        let keys: Vec<u64> = ops
-            .iter()
-            .flat_map(|g| {
-                g.iter().map(|op| match op {
-                    BatchOp::Update(k, _) => *k,
-                    BatchOp::Remove(k) => *k,
-                })
-            })
-            .collect();
-        self.check_batch(lists, &keys);
-        let groups: Vec<Vec<ListOp<'_, V>>> = ops
-            .iter()
+        let groups: Vec<Vec<ListOp<V>>> = ops
+            .into_iter()
             .map(|g| {
-                g.iter()
+                g.into_iter()
                     .map(|op| match op {
-                        BatchOp::Update(k, v) => ListOp::Put(internal_key(*k), v),
-                        BatchOp::Remove(k) => ListOp::Del(internal_key(*k)),
+                        BatchOp::Update(k, v) => {
+                            assert!(k < u64::MAX, "key u64::MAX is reserved");
+                            ListOp::Put(internal_key(k), std::mem::ManuallyDrop::new(v))
+                        }
+                        BatchOp::Remove(k) => {
+                            assert!(k < u64::MAX, "key u64::MAX is reserved");
+                            ListOp::Del(internal_key(k))
+                        }
                     })
                     .collect()
             })
             .collect();
+        self.check_batch(lists);
         let guard = pin();
         let mut backoff = Backoff::new();
         loop {
@@ -348,6 +348,7 @@ impl<V: Clone + Send + Sync + 'static> LeapListLt<V> {
                         // dropped (wiring window closed).
                         unsafe { list.limbo.park_and_drain(wv, dying, drain_bound, &guard) };
                     }
+                    groups.into_iter().for_each(settle);
                     return out;
                 }
             }

@@ -10,6 +10,7 @@ use crate::variants::common;
 use crate::wire::{wire_remove, wire_update};
 use crate::Params;
 use parking_lot::RwLock;
+use std::mem::ManuallyDrop;
 
 /// A Leap-List guarded by one reader-writer lock.
 ///
@@ -51,13 +52,17 @@ impl<V: Clone + Send + Sync + 'static> LeapListRwlock<V> {
     pub fn update(&self, key: u64, value: V) -> Option<V> {
         assert!(key < u64::MAX, "key u64::MAX is reserved");
         let raw = self.inner.write();
+        // The published node takes the value over (see `node.rs`).
+        let value = ManuallyDrop::new(value);
         // SAFETY: the write lock excludes all other access, which subsumes
-        // the epoch-guard requirement; nothing is mid-release.
+        // the epoch-guard requirement; nothing is mid-release, and the
+        // unlinked `n` drops the value it lost.
         unsafe {
-            let plan = plan_update(&raw, internal_key(key), value);
+            let mut plan = plan_update(&raw, internal_key(key), &value);
             wire_update(&plan);
+            (*plan.n).set_departed(plan.overwritten.as_slice());
             free_node(plan.n);
-            plan.old_value.clone()
+            plan.old_value.take()
         }
     }
 
@@ -71,13 +76,14 @@ impl<V: Clone + Send + Sync + 'static> LeapListRwlock<V> {
         let raw = self.inner.write();
         // SAFETY: as in `update`.
         unsafe {
-            let plan = plan_remove(&raw, internal_key(key))?;
+            let mut plan = plan_remove(&raw, internal_key(key))?;
             wire_remove(&plan);
+            (*plan.n0).set_departed(&[plan.removed]);
             free_node(plan.n0);
             if plan.merge {
                 free_node(plan.n1);
             }
-            plan.old_value.clone()
+            plan.old_value.take()
         }
     }
 
@@ -98,13 +104,15 @@ impl<V: Clone + Send + Sync + 'static> LeapListRwlock<V> {
             .zip(keys.iter().zip(values.iter()))
             .map(|(l, (k, v))| {
                 assert!(*k < u64::MAX, "key u64::MAX is reserved");
-                // SAFETY: all write locks held.
+                let v = ManuallyDrop::new(v.clone());
+                // SAFETY: all write locks held; as in `update`.
                 unsafe {
                     let raw = &*l.inner.data_ptr();
-                    let plan = plan_update(raw, internal_key(*k), v.clone());
+                    let mut plan = plan_update(raw, internal_key(*k), &v);
                     wire_update(&plan);
+                    (*plan.n).set_departed(plan.overwritten.as_slice());
                     free_node(plan.n);
-                    plan.old_value.clone()
+                    plan.old_value.take()
                 }
             })
             .collect()
@@ -123,16 +131,17 @@ impl<V: Clone + Send + Sync + 'static> LeapListRwlock<V> {
             .zip(keys.iter())
             .map(|(l, k)| {
                 assert!(*k < u64::MAX, "key u64::MAX is reserved");
-                // SAFETY: all write locks held.
+                // SAFETY: all write locks held; as in `remove`.
                 unsafe {
                     let raw = &*l.inner.data_ptr();
-                    let plan = plan_remove(raw, internal_key(*k))?;
+                    let mut plan = plan_remove(raw, internal_key(*k))?;
                     wire_remove(&plan);
+                    (*plan.n0).set_departed(&[plan.removed]);
                     free_node(plan.n0);
                     if plan.merge {
                         free_node(plan.n1);
                     }
-                    plan.old_value.clone()
+                    plan.old_value.take()
                 }
             })
             .collect()

@@ -12,6 +12,7 @@ use crate::Params;
 use leap_ebr::pin;
 use leap_stm::{Backoff, Mode, StmDomain, TaggedPtr, TxResult, Txn};
 use std::cell::Cell;
+use std::mem::ManuallyDrop;
 use std::sync::Arc;
 
 /// A Leap-List in which every operation is one STM transaction.
@@ -105,7 +106,7 @@ impl<V: Clone + Send + Sync + 'static> LeapListTm<V> {
     ///
     /// Panics if `key == u64::MAX`.
     pub fn update(&self, key: u64, value: V) -> Option<V> {
-        Self::update_batch(&[self], &[key], std::slice::from_ref(&value))
+        Self::update_owned(&[self], &[key], vec![value])
             .pop()
             // INVARIANT: one input list produces exactly one result entry.
             .expect("one list yields one result")
@@ -129,15 +130,23 @@ impl<V: Clone + Send + Sync + 'static> LeapListTm<V> {
     ///
     /// Panics if slices differ in length, a key is `u64::MAX`, or lists do
     /// not share a domain.
+    pub fn update_batch(lists: &[&Self], keys: &[u64], values: &[V]) -> Vec<Option<V>> {
+        assert_eq!(keys.len(), values.len());
+        Self::update_owned(lists, keys, values.to_vec())
+    }
+
+    /// [`Self::update_batch`] with the values moved in: each belongs to the
+    /// call until the commit hands it to its list, and every attempt only
+    /// copies it bitwise (see `node.rs`).
     // Lock-step level-indexed walks over fixed-size pointer arrays: the
     // index couples several arrays, so iterator rewrites obscure the wiring.
     #[allow(clippy::needless_range_loop)]
-    pub fn update_batch(lists: &[&Self], keys: &[u64], values: &[V]) -> Vec<Option<V>> {
+    fn update_owned(lists: &[&Self], keys: &[u64], values: Vec<V>) -> Vec<Option<V>> {
         assert_eq!(lists.len(), keys.len());
-        assert_eq!(keys.len(), values.len());
         // INVARIANT: documented panic — an empty batch is a caller bug.
         let first = lists.first().expect("batch must be non-empty");
         first.check_batch(lists, keys);
+        let values: Vec<ManuallyDrop<V>> = values.into_iter().map(ManuallyDrop::new).collect();
         let guard = pin();
         let mut backoff = Backoff::new();
         loop {
@@ -155,18 +164,19 @@ impl<V: Clone + Send + Sync + 'static> LeapListTm<V> {
                         // guard; data is immutable.
                         unsafe { &*n },
                         ik,
-                        v.clone(),
+                        v,
                         &l.raw.params,
                         &mut rand::thread_rng(),
                     );
-                    let plan = UpdatePlan {
+                    let mut plan = UpdatePlan {
                         w,
                         n,
                         n0: b.n0,
                         n1: b.n1.unwrap_or(std::ptr::null_mut()),
                         split: b.n1.is_some(),
                         max_height: b.max_height,
-                        old_value: b.old_value.clone(),
+                        old_value: b.old_value,
+                        overwritten: b.overwritten,
                         published: Cell::new(false),
                     };
                     let mut n_next = [TaggedPtr::null(); MAX_LEVEL_CAP];
@@ -179,7 +189,7 @@ impl<V: Clone + Send + Sync + 'static> LeapListTm<V> {
                     // SAFETY: plan nodes are unpublished (exclusive) and
                     // window nodes validated by this transaction.
                     unsafe { common::wire_update_tx(&mut tx, &plan, &n_next) }?;
-                    out.push(b.old_value);
+                    out.push(plan.old_value.take());
                     plans.push(plan);
                 }
                 Ok(out)
@@ -189,13 +199,18 @@ impl<V: Clone + Send + Sync + 'static> LeapListTm<V> {
                     if tx.commit().is_ok() {
                         for plan in &plans {
                             plan.mark_published();
-                            // SAFETY: the committed swing unlinked `plan.n`;
-                            // the grace period covers in-flight readers.
-                            // lint:allow(reclamation-discipline): the TM variant has no version
-                            // bundles and no snapshot pins — every reader reaches nodes through
-                            // the live transactional structure only, so the plain EBR grace
-                            // period is the full safety argument.
-                            unsafe { guard.defer_drop_box(plan.n) };
+                            // SAFETY: the committed swing unlinked `plan.n`,
+                            // so this commit alone retires it (with the value
+                            // it overwrote); the grace period covers
+                            // in-flight readers.
+                            unsafe {
+                                (*plan.n).set_departed(plan.overwritten.as_slice());
+                                // lint:allow(reclamation-discipline): the TM variant has no version
+                                // bundles and no snapshot pins — every reader reaches nodes through
+                                // the live transactional structure only, so the plain EBR grace
+                                // period is the full safety argument.
+                                guard.defer_drop_box(plan.n);
+                            }
                         }
                         return out;
                     }
@@ -250,13 +265,14 @@ impl<V: Clone + Send + Sync + 'static> LeapListTm<V> {
                     let b = build_remove(n0_ref, n1_opt, ik, merge)
                         // INVARIANT: the binary search above found `ik`.
                         .expect("key present per the search above");
-                    let plan = RemovePlan {
+                    let mut plan = RemovePlan {
                         w,
                         n0,
                         n1,
                         merge,
                         n_new: b.n_new,
-                        old_value: Some(b.old_value.clone()),
+                        old_value: Some(b.old_value),
+                        removed: b.removed,
                         published: Cell::new(false),
                     };
                     let mut n0_next = [TaggedPtr::null(); MAX_LEVEL_CAP];
@@ -275,7 +291,7 @@ impl<V: Clone + Send + Sync + 'static> LeapListTm<V> {
                     // SAFETY: plan nodes are unpublished (exclusive) and
                     // window nodes validated by this transaction.
                     unsafe { common::wire_remove_tx(&mut tx, &plan, &n0_next, &n1_next) }?;
-                    out.push(Some(b.old_value));
+                    out.push(plan.old_value.take());
                     plans.push(Some(plan));
                 }
                 Ok(out)
@@ -285,13 +301,18 @@ impl<V: Clone + Send + Sync + 'static> LeapListTm<V> {
                     if tx.commit().is_ok() {
                         for plan in plans.iter().flatten() {
                             plan.mark_published();
-                            // SAFETY: the committed swing unlinked `n0`;
-                            // the grace period covers in-flight readers.
-                            // lint:allow(reclamation-discipline): the TM variant has no version
-                            // bundles and no snapshot pins — every reader reaches nodes through
-                            // the live transactional structure only, so the plain EBR grace
-                            // period is the full safety argument.
-                            unsafe { guard.defer_drop_box(plan.n0) };
+                            // SAFETY: the committed swing unlinked `n0`, so
+                            // this commit alone retires it (with the removed
+                            // value); the grace period covers in-flight
+                            // readers.
+                            unsafe {
+                                (*plan.n0).set_departed(&[plan.removed]);
+                                // lint:allow(reclamation-discipline): the TM variant has no version
+                                // bundles and no snapshot pins — every reader reaches nodes through
+                                // the live transactional structure only, so the plain EBR grace
+                                // period is the full safety argument.
+                                guard.defer_drop_box(plan.n0);
+                            }
                             if plan.merge {
                                 // SAFETY: the merge swing unlinked `n1` too.
                                 // lint:allow(reclamation-discipline): as above — TM has no

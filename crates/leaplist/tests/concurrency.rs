@@ -230,19 +230,25 @@ fn rwlock_striped_writers_deterministic_final_state() {
     striped_final_state(Arc::new(LeapListRwlock::<u64>::new(small_params())), 4);
 }
 
-/// Leak check: with a drop-counting value type, every value clone created
-/// by node replacement must eventually be dropped — no node may leak or be
-/// double-freed (canary asserts in Drop would abort).
+/// Leak and copy check under three-thread churn. Node copies are bitwise,
+/// so a value is cloned only when an op hands the caller its old value:
+/// clones stay at most one per update and remove (a cloning copy would make
+/// one per surviving pair, growing with K). Every value, inserted or
+/// cloned, must eventually be dropped exactly once — no node may leak its
+/// departures or drop a value a younger node still carries.
 #[test]
 fn lt_no_leaks_under_churn() {
-    use std::sync::atomic::AtomicI64;
+    use std::sync::atomic::{AtomicI64, AtomicU64};
     static LIVE: AtomicI64 = AtomicI64::new(0);
+    static CLONES: AtomicU64 = AtomicU64::new(0);
+    static OPS: AtomicU64 = AtomicU64::new(0);
 
     #[derive(Debug)]
     struct CountedCell(u64);
     impl Clone for CountedCell {
         fn clone(&self) -> Self {
             LIVE.fetch_add(1, Ordering::SeqCst);
+            CLONES.fetch_add(1, Ordering::SeqCst);
             CountedCell(self.0)
         }
     }
@@ -262,6 +268,7 @@ fn lt_no_leaks_under_churn() {
                     let mut rng = 0xFEEDu64 * (t + 1);
                     for i in 0..2_000u64 {
                         let k = xorshift(&mut rng) % 128;
+                        OPS.fetch_add(1, Ordering::SeqCst);
                         if i % 3 == 0 {
                             map.remove(k);
                         } else {
@@ -276,6 +283,11 @@ fn lt_no_leaks_under_churn() {
             h.join().unwrap();
         }
     }
+    let (clones, ops) = (CLONES.load(Ordering::SeqCst), OPS.load(Ordering::SeqCst));
+    assert!(
+        clones <= ops,
+        "{clones} clones for {ops} updates and removes: node copies must not clone"
+    );
     // Drain deferred reclamation, then drop the map itself.
     let collector = leap_ebr::default_collector().register();
     collector.advance_until_quiescent();

@@ -15,8 +15,10 @@ impl std::fmt::Display for RowId {
     }
 }
 
-/// An immutable row: a fixed-width tuple of `u64` columns behind an `Arc`
-/// (cloning a row is a pointer copy, which keeps covering indexes cheap).
+/// An immutable row: a fixed-width tuple of `u64` columns behind an `Arc`.
+/// A Leap-List node copy moves its rows bitwise and clones none of them;
+/// a row is cloned (one refcount increment) only when an index entry is
+/// written or a read hands it to the caller.
 ///
 /// # Example
 ///

@@ -8,8 +8,10 @@
 //! * Subspace 0 — **primary index**: `row id -> Row`.
 //! * Subspace `1 + i` — **covering secondary index** for the `i`-th
 //!   indexed column: `(column value, row id) -> Row`. Storing the full
-//!   (cheaply cloned, `Arc`-backed) row makes every range scan
-//!   self-contained and therefore a single linearizable range query.
+//!   (`Arc`-backed) row makes every range scan self-contained and
+//!   therefore a single linearizable range query. Each entry costs one
+//!   row clone when it is written; the node copies that later rewrite its
+//!   node move it bitwise and clone nothing.
 //!
 //! How subspaces map onto lists is the backend's business
 //! ([`crate::Backend`]): the default keeps one Leap-List per subspace
