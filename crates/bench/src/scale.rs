@@ -44,7 +44,10 @@ impl Scale {
         }
     }
 
-    /// Minutes-long preset, the `figures` default.
+    /// Minutes-long preset, the `figures` default. `EXPERIMENTS.md` records
+    /// every panel at this scale on a 2-vCPU guest (variant ordering at 1–2
+    /// threads and the range-vs-point crossover are readable there; scaling
+    /// is not).
     pub fn medium() -> Self {
         Scale {
             name: "medium",

@@ -375,7 +375,7 @@ pub(crate) unsafe fn stamp_segment<V: 'static>(
         // The level-0 swing target `publish_segment` will install: every
         // node has level >= 1, so it is the first chain node.
         let first = seg.new[0];
-        (*seg.pa_wire[0]).bundle.append(wv, first, bound, guard)
+        (*seg.pa_wire(0)).bundle.append(wv, first, bound, guard)
     }
 }
 

@@ -25,11 +25,12 @@
 //! | [`LeapListTm`] | Leap-tm | every operation inside one transaction |
 //! | [`LeapListRwlock`] | Leap-rwlock | one reader-writer lock per list |
 //!
-//! All four implement [`RangeMap`]. `LeapListLt`, `LeapListCop` and
-//! `LeapListTm` also offer the paper's composite multi-list
-//! `update_batch` / `remove_batch` (one linearizable action across `L`
-//! lists — the motivating use case is updating several database table
-//! indexes atomically).
+//! All four implement [`RangeMap`] and offer the paper's composite
+//! multi-list `update_batch` / `remove_batch` (one linearizable action
+//! across `L` lists — the motivating use case is updating several database
+//! table indexes atomically). They also share one plan shape: every write
+//! replaces a run of nodes by a freshly built chain, and the variants
+//! differ only in how they synchronise that replacement.
 //!
 //! # Quickstart
 //!

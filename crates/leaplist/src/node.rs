@@ -297,8 +297,6 @@ pub(crate) struct UpdateBuild<V> {
     pub old_value: Option<V>,
     /// Slot of `n` whose value the update overwrites (it departs with `n`).
     pub overwritten: Option<usize>,
-    /// Height the wiring must cover: `max(level(n0), level(n1))`.
-    pub max_height: usize,
 }
 
 /// Builds the replacement node(s) for updating `ik -> value` in `n`. The
@@ -354,7 +352,6 @@ pub(crate) fn build_update<V: Clone, R: Rng + ?Sized>(
             n1: Some(n1),
             old_value,
             overwritten,
-            max_height: l0.max(l1),
         }
     } else {
         let n0 = Node::alloc(n.high, n.level, Pairs::spliced(head, ik, value, tail));
@@ -363,7 +360,6 @@ pub(crate) fn build_update<V: Clone, R: Rng + ?Sized>(
             n1: None,
             old_value,
             overwritten,
-            max_height: n.level,
         }
     }
 }
@@ -377,21 +373,18 @@ pub(crate) struct RemoveBuild<V> {
     pub removed: usize,
 }
 
-/// Builds the replacement for removing `ik` from `n0`, merging in `n1`'s
-/// contents when `merge` (the combined population fits in one node).
+/// Builds the replacement for removing `ik` from `n0`, merging in the
+/// contents of `absorbed`, its level-0 successor, when given (the caller
+/// checked that the combined population fits in one node).
 ///
 /// Returns `None` if `ik` is not present in `n0` (the caller treats the
 /// list as unchanged).
 pub(crate) fn build_remove<V: Clone>(
     n0: &Node<V>,
-    n1: Option<&Node<V>>,
+    absorbed: Option<&Node<V>>,
     ik: u64,
-    merge: bool,
 ) -> Option<RemoveBuild<V>> {
     let pos = n0.index_of(ik)?;
-    // INVARIANT: the plan layer sets `merge` only after locating (and
-    // locking) the successor it passes as `n1` (plan.rs absorb path).
-    let absorbed = merge.then(|| n1.expect("merge requires a successor"));
     let mut data = Pairs::with_capacity(n0.count() - 1 + absorbed.map_or(0, Node::count));
     data.copy_from(&n0.data[..pos]);
     data.copy_from(&n0.data[pos + 1..]);
@@ -536,11 +529,10 @@ mod tests {
                             assert_eq!(n1.data.to_vec(), upper, "K={node_size} ik={ik}");
                             assert_eq!(n0.high, lower.last().unwrap().0);
                             assert_eq!((n1.high, n1.level), (1000, 3));
-                            assert_eq!(b.max_height, n0.level.max(3));
                             free(b.n1.unwrap());
                         }
                         (None, None) => {
-                            assert_eq!((n0.high, n0.level, b.max_height), (1000, 3, 3));
+                            assert_eq!((n0.high, n0.level), (1000, 3));
                         }
                         (got, want) => panic!(
                             "K={node_size} len={len} ik={ik}: split {} but reference {}",
@@ -642,7 +634,6 @@ mod tests {
         assert_eq!(n0.high, 20, "lower high = its largest key");
         assert_eq!(n1.high, 1000, "upper keeps the old high");
         assert_eq!(n1.level, 3, "upper keeps the old level");
-        assert_eq!(b.max_height, n0.level.max(3));
         free(n);
         free(b.n0);
         free(b.n1.unwrap());
@@ -651,7 +642,7 @@ mod tests {
     #[test]
     fn build_remove_without_merge() {
         let n = mk_node(&[1, 2, 3], 2, 50);
-        let b = build_remove(node_ref(n), None, 2, false).expect("present");
+        let b = build_remove(node_ref(n), None, 2).expect("present");
         assert_eq!(b.old_value, 20);
         let nn = node_ref(b.n_new);
         assert_eq!(
@@ -668,7 +659,7 @@ mod tests {
     fn build_remove_merges_with_successor() {
         let a = mk_node(&[1, 2], 2, 10);
         let b_ = mk_node(&[15, 18], 4, 20);
-        let r = build_remove(node_ref(a), Some(node_ref(b_)), 1, true).unwrap();
+        let r = build_remove(node_ref(a), Some(node_ref(b_)), 1).unwrap();
         let nn = node_ref(r.n_new);
         assert_eq!(
             nn.data.iter().map(|(k, _)| *k).collect::<Vec<_>>(),
@@ -688,7 +679,7 @@ mod tests {
         let succ = mk_node(&[150, 180], 4, 200);
         for &ik in &keys {
             for merge in [false, true] {
-                let r = build_remove(node_ref(a), Some(node_ref(succ)), ik, merge).unwrap();
+                let r = build_remove(node_ref(a), merge.then(|| node_ref(succ)), ik).unwrap();
                 let mut want: Vec<(u64, u64)> = keys
                     .iter()
                     .filter(|&&k| k != ik)
@@ -711,14 +702,14 @@ mod tests {
     #[test]
     fn build_remove_missing_key_is_none() {
         let n = mk_node(&[1, 2, 3], 2, 50);
-        assert!(build_remove(node_ref(n), None, 7, false).is_none());
+        assert!(build_remove(node_ref(n), None, 7).is_none());
         free(n);
     }
 
     #[test]
     fn build_remove_last_key_leaves_empty_node() {
         let n = mk_node(&[4], 1, 50);
-        let b = build_remove(node_ref(n), None, 4, false).unwrap();
+        let b = build_remove(node_ref(n), None, 4).unwrap();
         let nn = node_ref(b.n_new);
         assert_eq!(
             nn.count(),

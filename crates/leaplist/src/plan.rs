@@ -5,11 +5,30 @@
 //! the nodes hold bitwise copies of values owned by the live list and by
 //! the batch's ops (see `node.rs`, "Who owns a value").
 //!
+//! # One plan shape: the [`ChainSegment`]
+//!
+//! Every variant plans a write as a [`ListPlan`] of [`ChainSegment`]s: a
+//! run of adjacent dying nodes, the fresh chain that replaces it, and the
+//! search window the replacement is validated against. The paper's split
+//! (one node -> two) and remove-and-merge (two nodes -> one) are the
+//! one-op case, [`one_op_plan`]; [`plan_multi`] is the k-op case. The
+//! variants differ only in how they synchronise the same replacement:
+//!
+//! - **LT** plans outside any transaction; one transaction validates and
+//!   marks every segment (`validate_segment` / `mark_segment` in
+//!   `variants::common`), and the pointer surgery (`wire::wire_chain` +
+//!   `wire::publish_segment`) runs after commit as plain atomic stores.
+//! - **COP** plans outside the transaction, which validates each segment
+//!   and performs the surgery with transactional writes
+//!   (`wire::wire_segment_tx`).
+//! - **TM** plans inside its transaction, from a transactional search,
+//!   then validates and wires exactly as COP does.
+//! - **rwlock** plans, wires and publishes under its write lock.
+//!
 //! # Multi-op plans: the chain rebuild
 //!
-//! The paper's plans are one-op-per-list; [`plan_multi`] generalizes them
-//! to **k operations against one list, committed in a single locking
-//! transaction**. The algorithm:
+//! [`plan_multi`] generalizes the one-op plan to **k operations against
+//! one list, committed in a single locking transaction**. The algorithm:
 //!
 //! 1. **Locate** — sort the batch's keys and run one uninstrumented
 //!    predecessor search per distinct key, grouping ops by the node whose
@@ -45,192 +64,12 @@
 //!    is dropped, leaving the list untouched.
 //!
 //! All of the above runs *outside* any transaction — the paper's central
-//! lesson. The transaction (`validate_segment` / `mark_segment` in
-//! `variants::common`) only re-validates each segment's window, marks the
-//! frozen pointers and kills the dying nodes; the pointer surgery
-//! (`wire::wire_chain` + `wire::publish_segment`) runs after commit as
-//! plain atomic stores.
+//! lesson.
 
-use crate::node::{build_remove, build_update, free_node, random_level, Node, Pairs};
+use crate::node::{build_remove, build_update, free_node, internal_key, random_level, Node, Pairs};
+use crate::params::Params;
 use crate::raw::{RawLeapList, SearchWindow};
-use std::cell::Cell;
 use std::mem::ManuallyDrop;
-
-/// Everything an update needs to validate, lock and wire (one list).
-pub(crate) struct UpdatePlan<V> {
-    pub w: SearchWindow<V>,
-    /// The node being replaced (`na[0]`).
-    pub n: *mut Node<V>,
-    /// Lower (or only) replacement.
-    pub n0: *mut Node<V>,
-    /// Upper replacement when splitting, else null.
-    pub n1: *mut Node<V>,
-    pub split: bool,
-    /// Height the predecessor wiring covers.
-    pub max_height: usize,
-    pub old_value: Option<V>,
-    /// Slot of `n` whose value this update overwrites.
-    pub overwritten: Option<usize>,
-    pub(crate) published: Cell<bool>,
-}
-
-impl<V> UpdatePlan<V> {
-    /// Marks the new nodes as reachable so the plan's drop no longer owns
-    /// them.
-    pub fn mark_published(&self) {
-        self.published.set(true);
-    }
-}
-
-impl<V> Drop for UpdatePlan<V> {
-    fn drop(&mut self) {
-        if !self.published.get() {
-            // SAFETY: unpublished nodes are exclusively ours.
-            unsafe {
-                free_node(self.n0);
-                if !self.n1.is_null() {
-                    free_node(self.n1);
-                }
-            }
-        }
-    }
-}
-
-/// Builds an update plan: search for the target node, then derive the
-/// replacement node(s) (split when full). The new pair is a bitwise copy of
-/// `*value`, which the caller keeps owning until the plan commits.
-///
-/// # Safety
-///
-/// Caller holds an epoch guard and keeps it for as long as the plan's raw
-/// pointers are used.
-pub(crate) unsafe fn plan_update<V: Clone>(
-    raw: &RawLeapList<V>,
-    ik: u64,
-    value: &V,
-) -> UpdatePlan<V> {
-    // SAFETY: caller holds the epoch guard (this fn's `# Safety` contract).
-    let w = unsafe { raw.search_predecessors(ik) };
-    let n = w.target();
-    let b = build_update(
-        // SAFETY: `n` observed live by the search; guard keeps it allocated.
-        unsafe { &*n },
-        ik,
-        value,
-        &raw.params,
-        &mut rand::thread_rng(),
-    );
-    UpdatePlan {
-        w,
-        n,
-        n0: b.n0,
-        n1: b.n1.unwrap_or(std::ptr::null_mut()),
-        split: b.n1.is_some(),
-        max_height: b.max_height,
-        old_value: b.old_value,
-        overwritten: b.overwritten,
-        published: Cell::new(false),
-    }
-}
-
-/// Everything a remove needs to validate, lock and wire (one list).
-pub(crate) struct RemovePlan<V> {
-    pub w: SearchWindow<V>,
-    /// The node holding the key.
-    pub n0: *mut Node<V>,
-    /// Its level-0 successor (null when `n0` is the tail).
-    pub n1: *mut Node<V>,
-    pub merge: bool,
-    /// Replacement node.
-    pub n_new: *mut Node<V>,
-    /// The removed value; `Some` until a caller takes it.
-    pub old_value: Option<V>,
-    /// Slot of `n0` whose value this remove takes out.
-    pub removed: usize,
-    pub(crate) published: Cell<bool>,
-}
-
-impl<V> RemovePlan<V> {
-    pub fn mark_published(&self) {
-        self.published.set(true);
-    }
-}
-
-impl<V> Drop for RemovePlan<V> {
-    fn drop(&mut self) {
-        if !self.published.get() {
-            // SAFETY: unpublished node is exclusively ours.
-            unsafe { free_node(self.n_new) };
-        }
-    }
-}
-
-/// Builds a remove plan (paper Fig. 11), retrying internally while the
-/// neighbourhood is mid-replacement. Returns `None` when the key is absent
-/// (`changed[j] = false` in the paper — the list is left untouched).
-///
-/// # Safety
-///
-/// Same contract as [`plan_update`].
-pub(crate) unsafe fn plan_remove<V: Clone>(raw: &RawLeapList<V>, ik: u64) -> Option<RemovePlan<V>> {
-    let mut retries = 0u32;
-    loop {
-        retries += 1;
-        if retries > 16 {
-            // Some releaser is mid-flight; let it run (see
-            // `search_predecessors`).
-            std::thread::yield_now();
-        }
-        // SAFETY: caller holds the epoch guard (this fn's `# Safety`
-        // contract).
-        let w = unsafe { raw.search_predecessors(ik) };
-        let n0 = w.target();
-        // SAFETY: observed live; guard held.
-        let n0_ref = unsafe { &*n0 };
-        n0_ref.index_of(ik)?;
-        // Read the successor; retry while a committed update is mid-release
-        // on it (paper lines 159-162).
-        let s = n0_ref.next[0].naked_load();
-        if s.is_marked() {
-            std::hint::spin_loop();
-            continue;
-        }
-        let n1 = s.as_ptr();
-        let merge = if n1.is_null() {
-            false
-        } else {
-            // SAFETY: unmarked committed pointer under guard.
-            n0_ref.count() + unsafe { &*n1 }.count() <= raw.params.node_size
-        };
-        // Liveness pre-checks (paper lines 169-170); the LT transaction
-        // re-validates, this just avoids building nodes from dead data.
-        if !n0_ref.live.naked_load() {
-            continue;
-        }
-        // SAFETY: `n1` is the unmarked committed successor read above,
-        // non-null when `merge`; the guard keeps it allocated.
-        if merge && !unsafe { &*n1 }.live.naked_load() {
-            continue;
-        }
-        let n1_opt = if merge {
-            // SAFETY: checked non-null above when merge is true.
-            Some(unsafe { &*n1 })
-        } else {
-            None
-        };
-        let b = build_remove(n0_ref, n1_opt, ik, merge)?;
-        return Some(RemovePlan {
-            w,
-            n0,
-            n1,
-            merge,
-            n_new: b.n_new,
-            old_value: Some(b.old_value),
-            removed: b.removed,
-            published: Cell::new(false),
-        });
-    }
-}
 
 /// One component of a multi-op batch against a single list, in internal
 /// key space. A `Put` owns its value for the whole batch: every planning
@@ -245,7 +84,28 @@ pub(crate) enum ListOp<V> {
 }
 
 impl<V> ListOp<V> {
-    fn ik(&self) -> u64 {
+    /// A `Put` of public `key`, taking `value` over.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `key == u64::MAX` (reserved for the tail sentinel).
+    pub fn put(key: u64, value: V) -> Self {
+        assert!(key < u64::MAX, "key u64::MAX is reserved");
+        ListOp::Put(internal_key(key), ManuallyDrop::new(value))
+    }
+
+    /// A `Del` of public `key`.
+    ///
+    /// # Panics
+    ///
+    /// As for [`ListOp::put`].
+    pub fn del(key: u64) -> Self {
+        assert!(key < u64::MAX, "key u64::MAX is reserved");
+        ListOp::Del(internal_key(key))
+    }
+
+    /// The internal key the op targets.
+    pub fn ik(&self) -> u64 {
         match self {
             ListOp::Put(ik, _) => *ik,
             ListOp::Del(ik) => *ik,
@@ -276,151 +136,241 @@ pub(crate) fn settle<V>(mut ops: Vec<ListOp<V>>) {
     }
 }
 
+/// A short list of `Copy` items, inline up to `N` and on the heap past
+/// that: the node runs of a one-op plan (one or two nodes each) and their
+/// validated pointers cost no allocation.
+pub(crate) enum ShortVec<T: Copy, const N: usize> {
+    Inline(usize, [T; N]),
+    Heap(Vec<T>),
+}
+
+impl<T: Copy, const N: usize> ShortVec<T, N> {
+    /// An empty list; `fill` only initialises the unused inline slots.
+    pub fn new(fill: T) -> Self {
+        ShortVec::Inline(0, [fill; N])
+    }
+
+    /// Appends `item`, moving the list to the heap once `N` are inline.
+    pub fn push(&mut self, item: T) {
+        match self {
+            ShortVec::Inline(len, items) if *len < N => {
+                items[*len] = item;
+                *len += 1;
+            }
+            ShortVec::Inline(_, items) => {
+                let mut spilled = items.to_vec();
+                spilled.push(item);
+                *self = ShortVec::Heap(spilled);
+            }
+            ShortVec::Heap(v) => v.push(item),
+        }
+    }
+}
+
+impl<T: Copy, const N: usize> From<Vec<T>> for ShortVec<T, N> {
+    fn from(v: Vec<T>) -> Self {
+        ShortVec::Heap(v)
+    }
+}
+
+impl<'a, T: Copy, const N: usize> IntoIterator for &'a ShortVec<T, N> {
+    type Item = &'a T;
+    type IntoIter = std::slice::Iter<'a, T>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl<T: Copy, const N: usize> std::ops::Deref for ShortVec<T, N> {
+    type Target = [T];
+
+    fn deref(&self) -> &[T] {
+        match self {
+            ShortVec::Inline(len, items) => &items[..*len],
+            ShortVec::Heap(v) => v,
+        }
+    }
+}
+
+/// A run of node pointers; a one-op plan's fits inline.
+pub(crate) type NodeRun<V> = ShortVec<*mut Node<V>, 2>;
+
 /// One contiguous run of nodes being replaced by a freshly built chain.
+/// The segment owns its new chain until the commit publishes it; dropping
+/// an unpublished segment (an aborted attempt) frees the chain.
 pub(crate) struct ChainSegment<V> {
     /// Window of the segment's smallest op key; `w.na[0] == old[0]`.
     pub w: SearchWindow<V>,
     /// The adjacent nodes being replaced, in chain order (non-empty).
-    pub old: Vec<*mut Node<V>>,
+    pub old: NodeRun<V>,
     /// The replacement chain, in key order (non-empty).
-    pub new: Vec<*mut Node<V>>,
+    pub new: NodeRun<V>,
     /// Maximum tower height among `old`.
     pub old_max: usize,
     /// Maximum tower height among `new` (`>= old_max` by construction:
     /// the last chain node keeps `old_max`), which is the height the
     /// predecessor wiring covers.
     pub wire_height: usize,
-    /// Wiring target per level `i < wire_height`: normally `w.pa[i]`, but
-    /// substituted with an **earlier segment's replacement node** when
-    /// `w.pa[i]` (or that segment's exit into this one) is a node dying in
-    /// the same commit. Validation and marking always use the old window
-    /// (`w.pa`); only the post-commit swing uses `pa_wire`.
-    pub pa_wire: Vec<*mut Node<V>>,
+    /// Wiring substitutions `(i, node)`: the level-`i` swing targets
+    /// **an earlier segment's replacement `node`** instead of `w.pa[i]`
+    /// when `w.pa[i]` (or that segment's exit into this one) is a node
+    /// dying in the same commit; the latest entry for a level wins. Empty
+    /// for a one-op plan. Validation and marking always use the old window
+    /// (`w.pa`); only the post-commit swing uses [`ChainSegment::pa_wire`].
+    pub subst: Vec<(usize, *mut Node<V>)>,
     /// Per dying node, in `old`'s order, the slots whose values this
     /// segment overwrites or removes: they leave the list with that node
     /// ([`Node::set_departed`]). Nodes past the end of the list lose none;
     /// it is empty when `V` needs no drop.
     pub departed: Vec<Vec<usize>>,
+    published: bool,
+}
+
+impl<V> ChainSegment<V> {
+    /// The node whose level-`i` pointer the wiring swings onto the chain:
+    /// `w.pa[i]`, unless substituted.
+    pub fn pa_wire(&self, i: usize) -> *mut Node<V> {
+        let sub = self.subst.iter().rev().find(|&&(level, _)| level == i);
+        sub.map_or(self.w.pa[i], |&(_, node)| node)
+    }
+
+    /// Marks the new chain as reachable, so the segment's drop no longer
+    /// owns it.
+    pub fn mark_published(&mut self) {
+        self.published = true;
+    }
+}
+
+impl<V> Drop for ChainSegment<V> {
+    fn drop(&mut self) {
+        if !self.published {
+            for &c in &self.new {
+                // SAFETY: unpublished nodes are exclusively ours.
+                unsafe { free_node(c) };
+            }
+        }
+    }
 }
 
 /// Everything a k-op batch against one list needs to validate, lock and
-/// wire: the segments to replace plus the per-op previous values computed
-/// during the rebuild.
-pub(crate) struct MultiUpdatePlan<V> {
+/// wire: the segments to replace plus the per-op previous values.
+pub(crate) struct ListPlan<V> {
     /// Segments in key order; empty when every op was an absent-key remove.
     pub segments: Vec<ChainSegment<V>>,
     /// Previous value per op, in batch input order.
     pub results: Vec<Option<V>>,
-    published: Cell<bool>,
 }
 
-impl<V> MultiUpdatePlan<V> {
-    /// Marks every segment's new chain as reachable so the plan's drop no
-    /// longer owns the nodes.
-    pub fn mark_published(&self) {
-        self.published.set(true);
-    }
-}
+/// A one-op plan: the segment replacing the op's node (none for an
+/// absent-key remove, which leaves the list untouched) and the key's
+/// previous value.
+pub(crate) type OneOp<V> = (Option<ChainSegment<V>>, Option<V>);
 
-impl<V> Drop for MultiUpdatePlan<V> {
-    fn drop(&mut self) {
-        if !self.published.get() {
-            for seg in &self.segments {
-                for &c in &seg.new {
-                    // SAFETY: unpublished nodes are exclusively ours.
-                    unsafe { free_node(c) };
-                }
+/// The one-op plan for `op` on the node `w.target()`, in the paper's node
+/// shapes: an update replaces the node by one node, or by two when it is
+/// full (Fig. 8's split); a remove replaces it without the key, absorbing
+/// its level-0 successor `succ` when `n0.count + n1.count <= K` (Fig. 11's
+/// merge). At most one value departs, from the first dying node.
+///
+/// # Safety
+///
+/// `w` and `succ` (null, or `w.target()`'s level-0 successor) were read
+/// under the caller's epoch guard, or under a lock that excludes
+/// reclamation, and stay protected while the plan's pointers are used.
+pub(crate) unsafe fn one_op_plan<V: Clone>(
+    params: &Params,
+    w: SearchWindow<V>,
+    succ: *mut Node<V>,
+    op: &ListOp<V>,
+) -> OneOp<V> {
+    let n = w.target();
+    // SAFETY: this fn's contract; `data`, `level` and `high` are immutable.
+    let (node, succ_ref) = unsafe { (&*n, succ.as_ref()) };
+    let mut old = NodeRun::new(std::ptr::null_mut());
+    let mut new = NodeRun::new(std::ptr::null_mut());
+    old.push(n);
+    let (result, departed) = match op {
+        ListOp::Put(ik, v) => {
+            let b = build_update(node, *ik, v, params, &mut rand::thread_rng());
+            new.push(b.n0);
+            if let Some(n1) = b.n1 {
+                new.push(n1);
             }
+            (b.old_value, b.overwritten)
         }
-    }
+        ListOp::Del(ik) => {
+            let absorbed = succ_ref.filter(|s| node.count() + s.count() <= params.node_size);
+            let Some(b) = build_remove(node, absorbed, *ik) else {
+                return (None, None);
+            };
+            if absorbed.is_some() {
+                old.push(succ);
+            }
+            new.push(b.n_new);
+            (Some(b.old_value), Some(b.removed))
+        }
+    };
+    // SAFETY: plan-owned unpublished nodes and guarded old nodes; `level`
+    // is immutable.
+    let level = |p: &*mut Node<V>| unsafe { &**p }.level;
+    let seg = ChainSegment {
+        old_max: old.iter().map(level).max().unwrap_or(0),
+        wire_height: new.iter().map(level).max().unwrap_or(0),
+        subst: Vec::new(),
+        w,
+        old,
+        new,
+        departed: match departed {
+            Some(s) if std::mem::needs_drop::<V>() => vec![vec![s]],
+            _ => Vec::new(),
+        },
+        published: false,
+    };
+    (Some(seg), result)
 }
 
-/// A single-op plan's departure — at most one slot, in its first dying
-/// node — as a [`ChainSegment::departed`] list.
-fn departures<V>(slot: Option<usize>) -> Vec<Vec<usize>> {
-    match slot {
-        Some(s) if std::mem::needs_drop::<V>() => vec![vec![s]],
-        _ => Vec::new(),
-    }
-}
-
-/// Lean single-op plan: wraps the paper-shaped [`plan_update`] /
-/// [`plan_remove`] builders (split and remove-and-merge included) into a
-/// one-segment [`MultiUpdatePlan`], so the hottest case — one op against
-/// one list — pays exactly the original setup cost, while still
-/// committing through the same segment validation/marking/wiring as any
-/// k-op batch.
+/// The one-op plan for `op` from an uninstrumented search (paper Figs. 8
+/// and 11): retries internally while a remove's neighbourhood is
+/// mid-replacement. The LT, COP and rwlock variants plan single ops here;
+/// the transaction (or lock) then validates the plan like any segment.
 ///
 /// # Safety
 ///
 /// Same contract as [`plan_multi`].
-unsafe fn plan_single<V: Clone>(raw: &RawLeapList<V>, op: &ListOp<V>) -> MultiUpdatePlan<V> {
-    match op {
-        ListOp::Put(ik, v) => {
-            // SAFETY: forwards this fn's own guard contract.
-            let mut p = unsafe { plan_update(raw, *ik, v) };
-            // The segment takes ownership of the freshly built nodes.
-            p.mark_published();
-            // SAFETY: guard-protected plan pointers; immutable fields.
-            let old_max = unsafe { &*p.n }.level;
-            let seg = ChainSegment {
-                w: SearchWindow {
-                    pa: p.w.pa,
-                    na: p.w.na,
-                },
-                old: vec![p.n],
-                new: if p.split {
-                    vec![p.n0, p.n1]
-                } else {
-                    vec![p.n0]
-                },
-                old_max,
-                wire_height: p.max_height,
-                pa_wire: p.w.pa[..p.max_height].to_vec(),
-                departed: departures::<V>(p.overwritten),
-            };
-            MultiUpdatePlan {
-                segments: vec![seg],
-                results: vec![p.old_value.take()],
-                published: Cell::new(false),
-            }
+pub(crate) unsafe fn plan_single<V: Clone>(raw: &RawLeapList<V>, op: &ListOp<V>) -> OneOp<V> {
+    let mut retries = 0u32;
+    loop {
+        retries += 1;
+        if retries > 16 {
+            // Some releaser is mid-flight; let it run (see
+            // `search_predecessors`).
+            std::thread::yield_now();
         }
-        // SAFETY: forwards this fn's own guard contract.
-        ListOp::Del(ik) => match unsafe { plan_remove(raw, *ik) } {
-            None => MultiUpdatePlan {
-                segments: Vec::new(),
-                results: vec![None],
-                published: Cell::new(false),
-            },
-            Some(mut p) => {
-                p.mark_published();
-                // SAFETY: guard-protected plan pointers; immutable fields.
-                let wire_height = unsafe { &*p.n_new }.level;
-                let seg = ChainSegment {
-                    w: SearchWindow {
-                        pa: p.w.pa,
-                        na: p.w.na,
-                    },
-                    old: if p.merge {
-                        vec![p.n0, p.n1]
-                    } else {
-                        vec![p.n0]
-                    },
-                    new: vec![p.n_new],
-                    // `n_new` keeps the tallest dying tower in both the
-                    // merge and plain cases.
-                    old_max: wire_height,
-                    wire_height,
-                    pa_wire: p.w.pa[..wire_height].to_vec(),
-                    departed: departures::<V>(Some(p.removed)),
-                };
-                MultiUpdatePlan {
-                    segments: vec![seg],
-                    results: vec![p.old_value.take()],
-                    published: Cell::new(false),
+        // SAFETY: caller holds the epoch guard (this fn's `# Safety`
+        // contract).
+        let w = unsafe { raw.search_predecessors(op.ik()) };
+        // SAFETY: observed live by the search; the guard keeps it allocated.
+        let n = unsafe { &*w.target() };
+        let succ = match op {
+            ListOp::Del(ik) if n.index_of(*ik).is_some() => {
+                // Retry while a committed update is mid-release on the
+                // successor (paper lines 159-162), or while either node
+                // already died (lines 169-170): validation would abort.
+                let s = n.next[0].naked_load();
+                // SAFETY: a committed pointer read under the guard.
+                let next = unsafe { s.as_ptr().as_ref() };
+                let dead_succ = next.is_some_and(|s| !s.live.naked_load());
+                if s.is_marked() || !n.live.naked_load() || dead_succ {
+                    std::hint::spin_loop();
+                    continue;
                 }
+                s.as_ptr()
             }
-        },
+            _ => std::ptr::null_mut(),
+        };
+        // SAFETY: `w` and `succ` were read under the caller's guard.
+        return unsafe { one_op_plan(&raw.params, w, succ, op) };
     }
 }
 
@@ -510,15 +460,16 @@ fn plan_shape<V, R: rand::Rng + ?Sized>(
 ///
 /// Caller holds an epoch guard and keeps it for as long as the plan's raw
 /// pointers are used.
-pub(crate) unsafe fn plan_multi<V: Clone>(
-    raw: &RawLeapList<V>,
-    ops: &[ListOp<V>],
-) -> MultiUpdatePlan<V> {
+pub(crate) unsafe fn plan_multi<V: Clone>(raw: &RawLeapList<V>, ops: &[ListOp<V>]) -> ListPlan<V> {
     // One op per list is the hottest case by far (every `update`/`remove`
     // and most Batcher traffic): skip the grouping machinery entirely.
     if let [op] = ops {
         // SAFETY: forwards this fn's own guard contract.
-        return unsafe { plan_single(raw, op) };
+        let (seg, result) = unsafe { plan_single(raw, op) };
+        return ListPlan {
+            segments: seg.into_iter().collect(),
+            results: vec![result],
+        };
     }
     let mut retries = 0u32;
     'retry: loop {
@@ -771,15 +722,15 @@ pub(crate) unsafe fn plan_multi<V: Clone>(
                     new_nodes.push(Node::alloc(high, level, chunk));
                 }
             }
-            let pa_wire = sd.w.pa[..wire_height].to_vec();
             segments.push(ChainSegment {
+                subst: Vec::new(),
                 w: sd.w,
-                old: sd.nodes,
-                new: new_nodes,
+                old: sd.nodes.into(),
+                new: new_nodes.into(),
                 old_max,
                 wire_height,
-                pa_wire,
                 departed,
+                published: false,
             });
         }
         // 5. Interference substitution (see the module docs). Segments are
@@ -805,23 +756,18 @@ pub(crate) unsafe fn plan_multi<V: Clone>(
                             && segments[b].w.pa[i] == segments[a].w.pa[i]);
                     if redirect {
                         let sub = last_new_above(&segments[a], i);
-                        segments[b].pa_wire[i] = sub;
+                        segments[b].subst.push((i, sub));
                     }
                 }
             }
         }
-        return MultiUpdatePlan {
-            segments,
-            results,
-            published: Cell::new(false),
-        };
+        return ListPlan { segments, results };
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::params::Params;
 
     fn raw() -> RawLeapList<u64> {
         RawLeapList::new(Params {
@@ -836,17 +782,12 @@ mod tests {
     // is vacuously satisfied, and plan-owned nodes live until the plan
     // drops. The helpers centralize that argument.
 
-    fn plan_update_t<V: Clone>(l: &RawLeapList<V>, ik: u64, v: &V) -> UpdatePlan<V> {
+    fn plan_single_t<V: Clone>(l: &RawLeapList<V>, op: &ListOp<V>) -> OneOp<V> {
         // SAFETY: single-threaded test; see the module comment above.
-        unsafe { plan_update(l, ik, v) }
+        unsafe { plan_single(l, op) }
     }
 
-    fn plan_remove_t<V: Clone>(l: &RawLeapList<V>, ik: u64) -> Option<RemovePlan<V>> {
-        // SAFETY: single-threaded test; see the module comment above.
-        unsafe { plan_remove(l, ik) }
-    }
-
-    fn plan_multi_t<V: Clone>(l: &RawLeapList<V>, ops: &[ListOp<V>]) -> MultiUpdatePlan<V> {
+    fn plan_multi_t<V: Clone>(l: &RawLeapList<V>, ops: &[ListOp<V>]) -> ListPlan<V> {
         // SAFETY: single-threaded test; see the module comment above.
         unsafe { plan_multi(l, ops) }
     }
@@ -871,22 +812,73 @@ mod tests {
     }
 
     #[test]
-    fn plan_update_on_empty_list_targets_tail() {
+    fn short_vec_spills_past_its_inline_capacity() {
+        let mut v: ShortVec<u32, 2> = ShortVec::new(0);
+        assert!(v.is_empty());
+        for x in 1..=5 {
+            v.push(x);
+            assert_eq!(*v, (1..=x).collect::<Vec<_>>()[..]);
+        }
+        assert!(matches!(v, ShortVec::Heap(_)));
+    }
+
+    #[test]
+    fn plan_single_put_on_empty_list_targets_tail() {
         let l = raw();
-        let p = plan_update_t(&l, 100, &7u64);
-        assert!(!p.split);
-        assert_eq!(p.old_value, None);
-        let n0 = nref(p.n0);
+        let op = put(100, 7u64);
+        let (seg, old_value) = plan_single_t(&l, &op);
+        assert_eq!(old_value, None);
+        let seg = seg.expect("an update always replaces a node");
+        assert_eq!((seg.old.len(), seg.new.len()), (1, 1), "no split");
+        let n0 = nref(seg.new[0]);
         assert_eq!(n0.high, u64::MAX, "replacement of the tail keeps +inf");
         assert_eq!(n0.data.to_vec(), vec![(100, 7)]);
+        assert_eq!(seg.wire_height, seg.old_max);
         // Dropping the unpublished plan must free n0 (checked by miri/asan
         // and the leak-count integration tests).
     }
 
     #[test]
-    fn plan_remove_absent_key_is_none() {
+    fn plan_single_absent_remove_touches_nothing() {
         let l = raw();
-        assert!(plan_remove_t(&l, 55).is_none());
+        let (seg, old_value) = plan_single_t(&l, &ListOp::Del(55));
+        assert!(seg.is_none());
+        assert_eq!(old_value, None);
+    }
+
+    #[test]
+    fn plan_single_remove_merges_with_successor() {
+        let l = raw();
+        let head = l.head();
+        let a = Node::alloc(40, 1, vec![(10, 1u64), (20, 2)].into());
+        // SAFETY: single-threaded test; `a` is linked in by hand, unlinked
+        // again below before the list drops, and freed once at the end.
+        let tail = unsafe {
+            let tail = (*head).next[0].naked_load().as_ptr();
+            (*a).next[0].naked_store(leap_stm::TaggedPtr::new(tail));
+            (*head).next[0].naked_store(leap_stm::TaggedPtr::new(a));
+            (*a).live.naked_store(true);
+            tail
+        };
+        // `a` keeps one pair and the empty tail fits beside it (1 + 0 <= K).
+        let (seg, old_value) = plan_single_t(&l, &ListOp::Del(10));
+        assert_eq!(old_value, Some(1));
+        let seg = seg.expect("a present key is removed");
+        assert_eq!(*seg.old, [a, tail], "the successor is absorbed");
+        let n = nref(seg.new[0]);
+        assert_eq!(n.data.to_vec(), vec![(20, 2)]);
+        assert_eq!(
+            (n.high, n.level),
+            (u64::MAX, 4),
+            "the tail's bound and tower"
+        );
+        assert_eq!((seg.old_max, seg.wire_height), (4, 4));
+        drop(seg);
+        // SAFETY: as above.
+        unsafe {
+            (*head).next[0].naked_store(leap_stm::TaggedPtr::new(tail));
+            free_node(a);
+        }
     }
 
     /// Shared `[clones, drops]` counters of a [`D`] family.
@@ -923,14 +915,14 @@ mod tests {
             max_level: 4,
             ..Params::default()
         });
-        let v = D(c.clone());
-        drop(plan_update_t(&l, 9, &v));
+        let op = put(9, D(c.clone()));
+        drop(plan_single_t(&l, &op));
         assert_eq!(
             counts(&c),
             (0, 0),
             "a discarded plan clones and drops nothing"
         );
-        drop(v);
+        drop_ops(vec![op]);
         assert_eq!(counts(&c), (0, 1));
     }
 
@@ -1051,7 +1043,7 @@ mod tests {
         ];
         let p = plan_multi_t(&l, &ops);
         let seg = &p.segments[0];
-        assert_eq!(seg.old, vec![a, tail], "a and the tail form one run");
+        assert_eq!(*seg.old, [a, tail], "a and the tail form one run");
         assert_eq!(
             seg.departed,
             vec![vec![0, 1], vec![]],

@@ -7,13 +7,13 @@
 //! cost of transactional writes.
 
 use crate::node::internal_key;
-use crate::plan::{plan_remove, plan_update, RemovePlan, UpdatePlan};
+use crate::plan::{plan_single, ListOp, OneOp};
 use crate::raw::RawLeapList;
 use crate::variants::common;
+use crate::wire::wire_segment_tx;
 use crate::Params;
 use leap_ebr::pin;
 use leap_stm::{Backoff, Mode, StmDomain, TxResult, Txn};
-use std::mem::ManuallyDrop;
 use std::sync::Arc;
 
 /// A Leap-List synchronized with COP (validation + transactional writes).
@@ -76,10 +76,7 @@ impl<V: Clone + Send + Sync + 'static> LeapListCop<V> {
     ///
     /// Panics if `key == u64::MAX`.
     pub fn update(&self, key: u64, value: V) -> Option<V> {
-        Self::update_owned(&[self], &[key], vec![value])
-            .pop()
-            // INVARIANT: one input list produces exactly one result entry.
-            .expect("one list yields one result")
+        Self::write(&[self], vec![ListOp::put(key, value)]).remove(0)
     }
 
     /// Removes `key`, returning its value if present.
@@ -88,10 +85,7 @@ impl<V: Clone + Send + Sync + 'static> LeapListCop<V> {
     ///
     /// Panics if `key == u64::MAX`.
     pub fn remove(&self, key: u64) -> Option<V> {
-        Self::remove_batch(&[self], &[key])
-            .pop()
-            // INVARIANT: one input list produces exactly one result entry.
-            .expect("one list yields one result")
+        Self::write(&[self], vec![ListOp::del(key)]).remove(0)
     }
 
     /// Composite multi-list update (one transaction across all lists).
@@ -102,60 +96,11 @@ impl<V: Clone + Send + Sync + 'static> LeapListCop<V> {
     /// not share a domain, or a list repeats.
     pub fn update_batch(lists: &[&Self], keys: &[u64], values: &[V]) -> Vec<Option<V>> {
         assert_eq!(keys.len(), values.len());
-        Self::update_owned(lists, keys, values.to_vec())
-    }
-
-    /// [`Self::update_batch`] with the values moved in: each belongs to the
-    /// call until the commit hands it to its list, and every attempt only
-    /// copies it bitwise (see `node.rs`).
-    fn update_owned(lists: &[&Self], keys: &[u64], values: Vec<V>) -> Vec<Option<V>> {
-        assert_eq!(lists.len(), keys.len());
-        // INVARIANT: documented panic — an empty batch is a caller bug.
-        let first = lists.first().expect("batch must be non-empty");
-        first.check_batch(lists, keys);
-        let values: Vec<ManuallyDrop<V>> = values.into_iter().map(ManuallyDrop::new).collect();
-        let guard = pin();
-        let mut backoff = Backoff::new();
-        loop {
-            let plans: Vec<UpdatePlan<V>> = lists
-                .iter()
-                .zip(keys.iter().zip(values.iter()))
-                // SAFETY: `guard` pins the epoch for the whole attempt.
-                .map(|(l, (k, v))| unsafe { plan_update(&l.raw, internal_key(*k), v) })
-                .collect();
-            let mut tx = Txn::begin(&first.domain);
-            let done: TxResult<()> = (|| {
-                for plan in &plans {
-                    // SAFETY: plan pointers are protected by `guard`.
-                    let v = unsafe { common::validate_update(&mut tx, plan) }?;
-                    // SAFETY: plan nodes are unpublished (exclusive); window
-                    // nodes validated by this transaction.
-                    unsafe { common::wire_update_tx(&mut tx, plan, &v.n_next) }?;
-                }
-                Ok(())
-            })();
-            if done.is_ok() && tx.commit().is_ok() {
-                let mut out = Vec::with_capacity(plans.len());
-                for mut plan in plans {
-                    plan.mark_published();
-                    // SAFETY: the committed swing unlinked `plan.n`, so this
-                    // commit alone retires it (with the value it overwrote);
-                    // the grace period covers in-flight readers.
-                    unsafe {
-                        (*plan.n).set_departed(plan.overwritten.as_slice());
-                        // lint:allow(reclamation-discipline): the COP variant has no version
-                        // bundles and no snapshot pins — every reader reaches nodes through
-                        // the live structure only, so the plain EBR grace period is the full
-                        // safety argument.
-                        guard.defer_drop_box(plan.n);
-                    }
-                    out.push(plan.old_value.take());
-                }
-                return out;
-            }
-            drop(plans);
-            backoff.snooze();
-        }
+        let ops = keys
+            .iter()
+            .zip(values)
+            .map(|(&k, v)| ListOp::put(k, v.clone()));
+        Self::write(lists, ops.collect())
     }
 
     /// Composite multi-list remove (one transaction across all lists).
@@ -164,80 +109,56 @@ impl<V: Clone + Send + Sync + 'static> LeapListCop<V> {
     ///
     /// As for [`LeapListCop::update_batch`].
     pub fn remove_batch(lists: &[&Self], keys: &[u64]) -> Vec<Option<V>> {
-        assert_eq!(lists.len(), keys.len());
-        // INVARIANT: documented panic — an empty batch is a caller bug.
-        let first = lists.first().expect("batch must be non-empty");
-        first.check_batch(lists, keys);
+        Self::write(lists, keys.iter().map(|&k| ListOp::del(k)).collect())
+    }
+
+    /// The one write path: `ops[j]` against `lists[j]`. Each op is planned
+    /// outside the transaction as a one-op segment; one transaction then
+    /// validates every segment and performs all of the pointer surgery
+    /// with transactional writes. A `Put` value goes to its list with the
+    /// commit; every attempt only copies it bitwise (see `node.rs`).
+    fn write(lists: &[&Self], ops: Vec<ListOp<V>>) -> Vec<Option<V>> {
+        assert_eq!(lists.len(), ops.len());
+        common::check_group(lists, |l| &l.domain);
         let guard = pin();
         let mut backoff = Backoff::new();
         loop {
-            let plans: Vec<Option<RemovePlan<V>>> = lists
+            let plans: Vec<OneOp<V>> = lists
                 .iter()
-                .zip(keys.iter())
+                .zip(&ops)
                 // SAFETY: `guard` pins the epoch for the whole attempt.
-                .map(|(l, k)| unsafe { plan_remove(&l.raw, internal_key(*k)) })
+                .map(|(l, op)| unsafe { plan_single(&l.raw, op) })
                 .collect();
-            let mut tx = Txn::begin(&first.domain);
+            let mut tx = Txn::begin(&lists[0].domain);
             let done: TxResult<()> = (|| {
-                for plan in plans.iter().flatten() {
+                for seg in plans.iter().filter_map(|(seg, _)| seg.as_ref()) {
                     // SAFETY: plan pointers are protected by `guard`.
-                    let v = unsafe { common::validate_remove(&mut tx, plan) }?;
-                    // SAFETY: plan nodes are unpublished (exclusive); window
-                    // nodes validated by this transaction.
-                    unsafe { common::wire_remove_tx(&mut tx, plan, &v.n0_next, &v.n1_next) }?;
+                    let v = unsafe { common::validate_segment(&mut tx, seg) }?;
+                    // SAFETY: `v` validated `seg` in `tx`; its chain is
+                    // unpublished (exclusive).
+                    unsafe { wire_segment_tx(&mut tx, seg, &v) }?;
                 }
                 Ok(())
             })();
             if done.is_ok() && tx.commit().is_ok() {
-                let mut out = Vec::with_capacity(plans.len());
-                for plan in plans {
-                    match plan {
-                        None => out.push(None),
-                        Some(mut p) => {
-                            p.mark_published();
-                            // SAFETY: the committed swing unlinked `n0`, so
-                            // this commit alone retires it (with the removed
-                            // value); the grace period covers in-flight
-                            // readers.
-                            unsafe {
-                                (*p.n0).set_departed(&[p.removed]);
-                                // lint:allow(reclamation-discipline): COP has no snapshot
-                                // readers (no bundles, no pins); plain EBR suffices.
-                                guard.defer_drop_box(p.n0);
-                            }
-                            if p.merge {
-                                // SAFETY: the merge swing unlinked `n1` too.
-                                // lint:allow(reclamation-discipline): as above — COP has
-                                // no snapshot readers, plain EBR suffices.
-                                unsafe { guard.defer_drop_box(p.n1) };
-                            }
-                            out.push(p.old_value.take());
-                        }
-                    }
-                }
-                return out;
+                return plans
+                    .into_iter()
+                    // SAFETY: the committed swings unlinked every dying
+                    // node, which this commit alone retires (with its
+                    // departures); the grace period covers in-flight readers.
+                    .map(|plan| unsafe {
+                        common::retire_plan(plan, |o| {
+                            // lint:allow(reclamation-discipline): the COP variant has no version
+                            // bundles and no snapshot pins — every reader reaches nodes through
+                            // the live structure only, so the plain EBR grace period is the full
+                            // safety argument.
+                            guard.defer_drop_box(o)
+                        })
+                    })
+                    .collect();
             }
             drop(plans);
             backoff.snooze();
-        }
-    }
-
-    fn check_batch(&self, lists: &[&Self], keys: &[u64]) {
-        assert!(!lists.is_empty(), "batch must be non-empty");
-        for k in keys {
-            assert!(*k < u64::MAX, "key u64::MAX is reserved");
-        }
-        for (i, l) in lists.iter().enumerate() {
-            assert!(
-                Arc::ptr_eq(&l.domain, &self.domain),
-                "batched lists must share one StmDomain"
-            );
-            for m in &lists[..i] {
-                assert!(
-                    !std::ptr::eq(*l as *const Self, *m as *const Self),
-                    "a list may appear only once per batch"
-                );
-            }
         }
     }
 

@@ -7,7 +7,7 @@
 //! `K` keys.
 
 use crate::node::{internal_key, Node};
-use crate::plan::{plan_multi, settle, ListOp, MultiUpdatePlan};
+use crate::plan::{plan_multi, settle, ListOp, ListPlan};
 use crate::raw::RawLeapList;
 use crate::variants::common;
 use crate::{BatchOp, Params};
@@ -154,22 +154,6 @@ impl<V: Clone + Send + Sync + 'static> LeapListLt<V> {
         Self::apply_one_per_list(lists, ops)
     }
 
-    fn check_batch(&self, lists: &[&Self]) {
-        assert!(!lists.is_empty(), "batch must be non-empty");
-        for (i, l) in lists.iter().enumerate() {
-            assert!(
-                Arc::ptr_eq(&l.domain, &self.domain),
-                "batched lists must share one StmDomain"
-            );
-            for m in &lists[..i] {
-                assert!(
-                    !std::ptr::eq(*l as *const Self, *m as *const Self),
-                    "a list may appear only once per batch"
-                );
-            }
-        }
-    }
-
     /// Applies a **mixed** batch — updates and removes interleaved — to the
     /// given lists as one linearizable action, one op per list. This
     /// generalizes the paper's homogeneous `Update`/`Remove` composites
@@ -239,25 +223,19 @@ impl<V: Clone + Send + Sync + 'static> LeapListLt<V> {
             .map(|g| {
                 g.into_iter()
                     .map(|op| match op {
-                        BatchOp::Update(k, v) => {
-                            assert!(k < u64::MAX, "key u64::MAX is reserved");
-                            ListOp::Put(internal_key(k), std::mem::ManuallyDrop::new(v))
-                        }
-                        BatchOp::Remove(k) => {
-                            assert!(k < u64::MAX, "key u64::MAX is reserved");
-                            ListOp::Del(internal_key(k))
-                        }
+                        BatchOp::Update(k, v) => ListOp::put(k, v),
+                        BatchOp::Remove(k) => ListOp::del(k),
                     })
                     .collect()
             })
             .collect();
-        self.check_batch(lists);
+        common::check_group(lists, |l| &l.domain);
         let guard = pin();
         let mut backoff = Backoff::new();
         loop {
             // Setup: per-list chain rebuild (COP searches + replacement
             // chain construction), entirely outside the transaction.
-            let plans: Vec<MultiUpdatePlan<V>> = lists
+            let plans: Vec<ListPlan<V>> = lists
                 .iter()
                 .zip(groups.iter())
                 // SAFETY: `guard` pins the epoch for this whole loop body.
@@ -271,7 +249,8 @@ impl<V: Clone + Send + Sync + 'static> LeapListLt<V> {
             // segment already marked would abort forever.
             let mut tx = Txn::begin(&self.domain);
             let acquired: TxResult<()> = (|| {
-                let mut validated = Vec::new();
+                let segments = plans.iter().map(|p| p.segments.len()).sum();
+                let mut validated = Vec::with_capacity(segments);
                 for plan in &plans {
                     for seg in &plan.segments {
                         // SAFETY: plan pointers are protected by `guard`.
@@ -308,7 +287,7 @@ impl<V: Clone + Send + Sync + 'static> LeapListLt<V> {
                         let mut plan = plan;
                         let mut depth = 0u64;
                         let mut dying = Vec::new();
-                        for seg in &plan.segments {
+                        for seg in plan.segments.iter_mut() {
                             // SAFETY: the committed transaction owns every
                             // marked window, `guard` protects the plan's
                             // pointers, and the live wiring ticket hides
@@ -324,9 +303,9 @@ impl<V: Clone + Send + Sync + 'static> LeapListLt<V> {
                                             as u64);
                                 crate::wire::publish_segment(seg);
                             }
+                            seg.mark_published();
                             dying.extend_from_slice(&seg.old);
                         }
-                        plan.mark_published();
                         retired.push(dying);
                         list.bundle_depth
                             // ORDERING: monotonic stat counter; readers
@@ -438,9 +417,7 @@ impl<V: Clone + Send + Sync + 'static> LeapListLt<V> {
             ranges,
             // SAFETY: node pointers are guard-protected by `group_snapshot`
             // for the closure's whole call.
-            |tx, start, ilo, ihi| unsafe {
-                common::collect_range_bounded(tx, start, ilo, ihi, limit)
-            },
+            |tx, start, ilo, ihi| unsafe { collect_range_bounded(tx, start, ilo, ihi, limit) },
             |nodes, ilo, ihi| {
                 // SAFETY: as above; only nodes `collect` captured.
                 let mut pairs = unsafe { common::extract_pairs(&nodes, ilo, ihi) };
@@ -477,7 +454,7 @@ impl<V: Clone + Send + Sync + 'static> LeapListLt<V> {
             ranges,
             // SAFETY: node pointers are guard-protected by `group_snapshot`
             // for the closure's whole call.
-            |tx, start, ilo, ihi| unsafe { common::count_range_tx(tx, start, ilo, ihi) },
+            |tx, start, ilo, ihi| unsafe { count_range_tx(tx, start, ilo, ihi) },
             |count, _, _| count,
         )
     }
@@ -790,6 +767,86 @@ impl<V: Clone + Send + Sync + 'static> LeapListLt<V> {
             self.raw.for_each_node(|n| sizes.push(n.count()));
         }
         sizes
+    }
+}
+
+/// Number of pairs in `node` with internal keys in `[ilo, ihi]` — safe to
+/// compute mid-transaction because node contents are immutable once
+/// published; the commit validates that the node belonged to the snapshot.
+fn pairs_in<V>(node: &Node<V>, ilo: u64, ihi: u64) -> usize {
+    let start = node.data.partition_point(|(k, _)| *k < ilo);
+    node.data[start..]
+        .iter()
+        .take_while(|(k, _)| *k <= ihi)
+        .count()
+}
+
+/// Like [`common::collect_range`] but stops as soon as the collected nodes
+/// hold at least `limit` pairs in `[ilo, ihi]` — the engine of the paged
+/// range query: a bounded page never walks (or validates) more nodes than it
+/// needs, so page cost is `O(limit / K)` regardless of the range's width.
+///
+/// # Safety
+///
+/// As for [`common::collect_range`].
+unsafe fn collect_range_bounded<'t, V: 'static>(
+    tx: &mut Txn<'t>,
+    start: *mut Node<V>,
+    ilo: u64,
+    ihi: u64,
+    limit: usize,
+) -> TxResult<Vec<*mut Node<V>>> {
+    let mut nodes = Vec::new();
+    let mut pairs = 0usize;
+    let mut n = start;
+    loop {
+        // SAFETY: start observed by the search under the guard; successors
+        // reached through validated transactional reads.
+        let node = unsafe { &*n };
+        if !tx.read(&node.live)? {
+            return Err(tx.explicit_abort());
+        }
+        nodes.push(n);
+        pairs += pairs_in(node, ilo, ihi);
+        if node.high >= ihi || pairs >= limit {
+            return Ok(nodes);
+        }
+        let s = tx.read(&node.next[0])?;
+        let next = s.unmarked().as_ptr();
+        debug_assert!(!next.is_null(), "tail.high = +inf terminates the walk");
+        n = next;
+    }
+}
+
+/// Counts the pairs with internal keys in `[ilo, ihi]` inside the
+/// transactional walk itself: no node buffer, no value clones — the
+/// count-only path under `count_range` / `len`.
+///
+/// # Safety
+///
+/// As for [`common::collect_range`].
+unsafe fn count_range_tx<'t, V: 'static>(
+    tx: &mut Txn<'t>,
+    start: *mut Node<V>,
+    ilo: u64,
+    ihi: u64,
+) -> TxResult<usize> {
+    let mut count = 0usize;
+    let mut n = start;
+    loop {
+        // SAFETY: as for `collect_range_bounded`.
+        let node = unsafe { &*n };
+        if !tx.read(&node.live)? {
+            return Err(tx.explicit_abort());
+        }
+        count += pairs_in(node, ilo, ihi);
+        if node.high >= ihi {
+            return Ok(count);
+        }
+        let s = tx.read(&node.next[0])?;
+        let next = s.unmarked().as_ptr();
+        debug_assert!(!next.is_null(), "tail.high = +inf terminates the walk");
+        n = next;
     }
 }
 

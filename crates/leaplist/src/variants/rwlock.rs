@@ -4,13 +4,12 @@
 //! the whole list, which is exactly the bottleneck the evaluation shows.
 
 use crate::node::{free_node, internal_key};
-use crate::plan::{plan_remove, plan_update};
+use crate::plan::{plan_single, ListOp};
 use crate::raw::RawLeapList;
 use crate::variants::common;
-use crate::wire::{wire_remove, wire_update};
+use crate::wire::{publish_segment, wire_chain};
 use crate::Params;
 use parking_lot::RwLock;
-use std::mem::ManuallyDrop;
 
 /// A Leap-List guarded by one reader-writer lock.
 ///
@@ -50,20 +49,7 @@ impl<V: Clone + Send + Sync + 'static> LeapListRwlock<V> {
     ///
     /// Panics if `key == u64::MAX`.
     pub fn update(&self, key: u64, value: V) -> Option<V> {
-        assert!(key < u64::MAX, "key u64::MAX is reserved");
-        let raw = self.inner.write();
-        // The published node takes the value over (see `node.rs`).
-        let value = ManuallyDrop::new(value);
-        // SAFETY: the write lock excludes all other access, which subsumes
-        // the epoch-guard requirement; nothing is mid-release, and the
-        // unlinked `n` drops the value it lost.
-        unsafe {
-            let mut plan = plan_update(&raw, internal_key(key), &value);
-            wire_update(&plan);
-            (*plan.n).set_departed(plan.overwritten.as_slice());
-            free_node(plan.n);
-            plan.old_value.take()
-        }
+        Self::write(&[self], vec![ListOp::put(key, value)]).remove(0)
     }
 
     /// Removes `key` under the write lock.
@@ -72,19 +58,7 @@ impl<V: Clone + Send + Sync + 'static> LeapListRwlock<V> {
     ///
     /// Panics if `key == u64::MAX`.
     pub fn remove(&self, key: u64) -> Option<V> {
-        assert!(key < u64::MAX, "key u64::MAX is reserved");
-        let raw = self.inner.write();
-        // SAFETY: as in `update`.
-        unsafe {
-            let mut plan = plan_remove(&raw, internal_key(key))?;
-            wire_remove(&plan);
-            (*plan.n0).set_departed(&[plan.removed]);
-            free_node(plan.n0);
-            if plan.merge {
-                free_node(plan.n1);
-            }
-            plan.old_value.take()
-        }
+        Self::write(&[self], vec![ListOp::del(key)]).remove(0)
     }
 
     /// Applies all `(key, value)` updates to the given lists as one atomic
@@ -94,28 +68,14 @@ impl<V: Clone + Send + Sync + 'static> LeapListRwlock<V> {
     /// # Panics
     ///
     /// Panics if slices differ in length, a key is `u64::MAX`, or a list
-    /// repeats.
+    /// repeats; in every case before any list is written.
     pub fn update_batch(lists: &[&Self], keys: &[u64], values: &[V]) -> Vec<Option<V>> {
-        assert_eq!(lists.len(), keys.len());
         assert_eq!(keys.len(), values.len());
-        let _guards = Self::lock_all(lists);
-        lists
+        let ops = keys
             .iter()
-            .zip(keys.iter().zip(values.iter()))
-            .map(|(l, (k, v))| {
-                assert!(*k < u64::MAX, "key u64::MAX is reserved");
-                let v = ManuallyDrop::new(v.clone());
-                // SAFETY: all write locks held; as in `update`.
-                unsafe {
-                    let raw = &*l.inner.data_ptr();
-                    let mut plan = plan_update(raw, internal_key(*k), &v);
-                    wire_update(&plan);
-                    (*plan.n).set_departed(plan.overwritten.as_slice());
-                    free_node(plan.n);
-                    plan.old_value.take()
-                }
-            })
-            .collect()
+            .zip(values)
+            .map(|(&k, v)| ListOp::put(k, v.clone()));
+        Self::write(lists, ops.collect())
     }
 
     /// Removes all `keys` from the given lists as one atomic action.
@@ -124,24 +84,32 @@ impl<V: Clone + Send + Sync + 'static> LeapListRwlock<V> {
     ///
     /// As for [`LeapListRwlock::update_batch`].
     pub fn remove_batch(lists: &[&Self], keys: &[u64]) -> Vec<Option<V>> {
-        assert_eq!(lists.len(), keys.len());
+        Self::write(lists, keys.iter().map(|&k| ListOp::del(k)).collect())
+    }
+
+    /// The one write path: `ops[j]` against `lists[j]`, under every write
+    /// lock. Each op is planned as a one-op segment, wired and published
+    /// in place, and its dying nodes are freed at once: the locks exclude
+    /// every reader. The ops arrive checked, so nothing panics between the
+    /// first write and the last.
+    fn write(lists: &[&Self], ops: Vec<ListOp<V>>) -> Vec<Option<V>> {
+        assert_eq!(lists.len(), ops.len());
         let _guards = Self::lock_all(lists);
         lists
             .iter()
-            .zip(keys.iter())
-            .map(|(l, k)| {
-                assert!(*k < u64::MAX, "key u64::MAX is reserved");
-                // SAFETY: all write locks held; as in `remove`.
+            .zip(&ops)
+            .map(|(l, op)| {
+                // SAFETY: all write locks are held: they exclude every other
+                // access, which subsumes the epoch-guard contract of the
+                // plan and the wiring lease; nothing is mid-release, and the
+                // unlinked nodes are unreachable, so they are freed at once.
                 unsafe {
-                    let raw = &*l.inner.data_ptr();
-                    let mut plan = plan_remove(raw, internal_key(*k))?;
-                    wire_remove(&plan);
-                    (*plan.n0).set_departed(&[plan.removed]);
-                    free_node(plan.n0);
-                    if plan.merge {
-                        free_node(plan.n1);
+                    let plan = plan_single(&*l.inner.data_ptr(), op);
+                    if let Some(seg) = &plan.0 {
+                        wire_chain(seg);
+                        publish_segment(seg);
                     }
-                    plan.old_value.take()
+                    common::retire_plan(plan, |o| free_node(o))
                 }
             })
             .collect()
@@ -258,6 +226,27 @@ mod tests {
         assert_eq!(lists[2].lookup(1), Some(10));
         assert_eq!(lists[0].lookup(1), Some(20));
         assert_eq!(lists[1].lookup(1), Some(30));
+    }
+
+    #[test]
+    fn batch_with_a_reserved_key_writes_no_list() {
+        let lists = LeapListRwlock::<u64>::group(2, small());
+        let refs = [&lists[0], &lists[1]];
+        let update = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            LeapListRwlock::update_batch(&refs, &[1, u64::MAX], &[10, 20])
+        }));
+        assert!(update.is_err(), "the reserved key panics");
+        assert_eq!(lists[0].lookup(1), None, "the first list was not written");
+        lists[0].update(2, 20);
+        let remove = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            LeapListRwlock::remove_batch(&refs, &[2, u64::MAX])
+        }));
+        assert!(remove.is_err(), "the reserved key panics");
+        assert_eq!(
+            lists[0].lookup(2),
+            Some(20),
+            "the first list was not written"
+        );
     }
 
     #[test]

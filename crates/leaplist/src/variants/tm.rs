@@ -4,15 +4,14 @@
 //! paper found unacceptable; this variant exists to reproduce that
 //! comparison.
 
-use crate::node::{build_remove, build_update, internal_key, Node, MAX_LEVEL_CAP};
-use crate::plan::{RemovePlan, UpdatePlan};
+use crate::node::{internal_key, Node};
+use crate::plan::{one_op_plan, ListOp, OneOp};
 use crate::raw::{RawLeapList, SearchWindow};
 use crate::variants::common;
+use crate::wire::wire_segment_tx;
 use crate::Params;
 use leap_ebr::pin;
 use leap_stm::{Backoff, Mode, StmDomain, TaggedPtr, TxResult, Txn};
-use std::cell::Cell;
-use std::mem::ManuallyDrop;
 use std::sync::Arc;
 
 /// A Leap-List in which every operation is one STM transaction.
@@ -106,10 +105,7 @@ impl<V: Clone + Send + Sync + 'static> LeapListTm<V> {
     ///
     /// Panics if `key == u64::MAX`.
     pub fn update(&self, key: u64, value: V) -> Option<V> {
-        Self::update_owned(&[self], &[key], vec![value])
-            .pop()
-            // INVARIANT: one input list produces exactly one result entry.
-            .expect("one list yields one result")
+        Self::write(&[self], vec![ListOp::put(key, value)]).remove(0)
     }
 
     /// Removes `key` in one transaction.
@@ -118,108 +114,22 @@ impl<V: Clone + Send + Sync + 'static> LeapListTm<V> {
     ///
     /// Panics if `key == u64::MAX`.
     pub fn remove(&self, key: u64) -> Option<V> {
-        Self::remove_batch(&[self], &[key])
-            .pop()
-            // INVARIANT: one input list produces exactly one result entry.
-            .expect("one list yields one result")
+        Self::write(&[self], vec![ListOp::del(key)]).remove(0)
     }
 
     /// Composite multi-list update inside a single transaction.
     ///
     /// # Panics
     ///
-    /// Panics if slices differ in length, a key is `u64::MAX`, or lists do
-    /// not share a domain.
+    /// Panics if slices differ in length, a key is `u64::MAX`, lists do
+    /// not share a domain, or a list repeats.
     pub fn update_batch(lists: &[&Self], keys: &[u64], values: &[V]) -> Vec<Option<V>> {
         assert_eq!(keys.len(), values.len());
-        Self::update_owned(lists, keys, values.to_vec())
-    }
-
-    /// [`Self::update_batch`] with the values moved in: each belongs to the
-    /// call until the commit hands it to its list, and every attempt only
-    /// copies it bitwise (see `node.rs`).
-    // Lock-step level-indexed walks over fixed-size pointer arrays: the
-    // index couples several arrays, so iterator rewrites obscure the wiring.
-    #[allow(clippy::needless_range_loop)]
-    fn update_owned(lists: &[&Self], keys: &[u64], values: Vec<V>) -> Vec<Option<V>> {
-        assert_eq!(lists.len(), keys.len());
-        // INVARIANT: documented panic — an empty batch is a caller bug.
-        let first = lists.first().expect("batch must be non-empty");
-        first.check_batch(lists, keys);
-        let values: Vec<ManuallyDrop<V>> = values.into_iter().map(ManuallyDrop::new).collect();
-        let guard = pin();
-        let mut backoff = Backoff::new();
-        loop {
-            let mut tx = Txn::begin(&first.domain);
-            let mut plans: Vec<UpdatePlan<V>> = Vec::with_capacity(lists.len());
-            let body: TxResult<Vec<Option<V>>> = (|| {
-                let mut out = Vec::with_capacity(lists.len());
-                for ((l, k), v) in lists.iter().zip(keys.iter()).zip(values.iter()) {
-                    let ik = internal_key(*k);
-                    // SAFETY: `guard` pins the epoch for the whole attempt.
-                    let w = unsafe { Self::search_tx(&l.raw, &mut tx, ik) }?;
-                    let n = w.target();
-                    let b = build_update(
-                        // SAFETY: reached through validated reads, under
-                        // guard; data is immutable.
-                        unsafe { &*n },
-                        ik,
-                        v,
-                        &l.raw.params,
-                        &mut rand::thread_rng(),
-                    );
-                    let mut plan = UpdatePlan {
-                        w,
-                        n,
-                        n0: b.n0,
-                        n1: b.n1.unwrap_or(std::ptr::null_mut()),
-                        split: b.n1.is_some(),
-                        max_height: b.max_height,
-                        old_value: b.old_value,
-                        overwritten: b.overwritten,
-                        published: Cell::new(false),
-                    };
-                    let mut n_next = [TaggedPtr::null(); MAX_LEVEL_CAP];
-                    // SAFETY: `n` stays guard-protected; `level` is
-                    // immutable and bounds the live `next` array.
-                    for i in 0..unsafe { &*n }.level {
-                        // SAFETY: i < n.level indexes in-bounds TVars.
-                        n_next[i] = tx.read(unsafe { &(*n).next[i] })?;
-                    }
-                    // SAFETY: plan nodes are unpublished (exclusive) and
-                    // window nodes validated by this transaction.
-                    unsafe { common::wire_update_tx(&mut tx, &plan, &n_next) }?;
-                    out.push(plan.old_value.take());
-                    plans.push(plan);
-                }
-                Ok(out)
-            })();
-            match body {
-                Ok(out) => {
-                    if tx.commit().is_ok() {
-                        for plan in &plans {
-                            plan.mark_published();
-                            // SAFETY: the committed swing unlinked `plan.n`,
-                            // so this commit alone retires it (with the value
-                            // it overwrote); the grace period covers
-                            // in-flight readers.
-                            unsafe {
-                                (*plan.n).set_departed(plan.overwritten.as_slice());
-                                // lint:allow(reclamation-discipline): the TM variant has no version
-                                // bundles and no snapshot pins — every reader reaches nodes through
-                                // the live transactional structure only, so the plain EBR grace
-                                // period is the full safety argument.
-                                guard.defer_drop_box(plan.n);
-                            }
-                        }
-                        return out;
-                    }
-                }
-                Err(_) => drop(tx),
-            }
-            drop(plans); // frees unpublished nodes from the failed attempt
-            backoff.snooze();
-        }
+        let ops = keys
+            .iter()
+            .zip(values)
+            .map(|(&k, v)| ListOp::put(k, v.clone()));
+        Self::write(lists, ops.collect())
     }
 
     /// Composite multi-list remove inside a single transaction.
@@ -227,125 +137,67 @@ impl<V: Clone + Send + Sync + 'static> LeapListTm<V> {
     /// # Panics
     ///
     /// As for [`LeapListTm::update_batch`].
-    // Lock-step level-indexed walks over fixed-size pointer arrays: the
-    // index couples several arrays, so iterator rewrites obscure the wiring.
-    #[allow(clippy::needless_range_loop)]
     pub fn remove_batch(lists: &[&Self], keys: &[u64]) -> Vec<Option<V>> {
-        assert_eq!(lists.len(), keys.len());
-        // INVARIANT: documented panic — an empty batch is a caller bug.
-        let first = lists.first().expect("batch must be non-empty");
-        first.check_batch(lists, keys);
+        Self::write(lists, keys.iter().map(|&k| ListOp::del(k)).collect())
+    }
+
+    /// The one write path: `ops[j]` against `lists[j]`, all inside one
+    /// transaction. Each op searches transactionally, builds its one-op
+    /// segment from that window, then validates and wires it with
+    /// transactional writes. A `Put` value goes to its list with the
+    /// commit; every attempt only copies it bitwise (see `node.rs`).
+    fn write(lists: &[&Self], ops: Vec<ListOp<V>>) -> Vec<Option<V>> {
+        assert_eq!(lists.len(), ops.len());
+        common::check_group(lists, |l| &l.domain);
         let guard = pin();
         let mut backoff = Backoff::new();
         loop {
-            let mut tx = Txn::begin(&first.domain);
-            let mut plans: Vec<Option<RemovePlan<V>>> = Vec::with_capacity(lists.len());
-            let body: TxResult<Vec<Option<V>>> = (|| {
-                let mut out = Vec::with_capacity(lists.len());
-                for (l, k) in lists.iter().zip(keys.iter()) {
-                    let ik = internal_key(*k);
+            let mut tx = Txn::begin(&lists[0].domain);
+            let mut plans: Vec<OneOp<V>> = Vec::with_capacity(lists.len());
+            let body: TxResult<()> = (|| {
+                for (l, op) in lists.iter().zip(&ops) {
                     // SAFETY: `guard` pins the epoch for the whole attempt.
-                    let w = unsafe { Self::search_tx(&l.raw, &mut tx, ik) }?;
-                    let n0 = w.target();
-                    // SAFETY: as in update_batch.
-                    let n0_ref = unsafe { &*n0 };
-                    if n0_ref.index_of(ik).is_none() {
-                        out.push(None);
-                        plans.push(None);
-                        continue;
-                    }
-                    let s: TaggedPtr<Node<V>> = tx.read(&n0_ref.next[0])?;
-                    let n1 = s.as_ptr();
-                    let merge = !n1.is_null()
-                        // SAFETY: `n1` null-checked first; a validated
-                        // non-null successor is guard-protected.
-                        && n0_ref.count() + unsafe { &*n1 }.count() <= l.raw.params.node_size;
-                    // SAFETY: `merge` implies `n1` is non-null (see above).
-                    let n1_opt = if merge { Some(unsafe { &*n1 }) } else { None };
-                    let b = build_remove(n0_ref, n1_opt, ik, merge)
-                        // INVARIANT: the binary search above found `ik`.
-                        .expect("key present per the search above");
-                    let mut plan = RemovePlan {
-                        w,
-                        n0,
-                        n1,
-                        merge,
-                        n_new: b.n_new,
-                        old_value: Some(b.old_value),
-                        removed: b.removed,
-                        published: Cell::new(false),
+                    let w = unsafe { Self::search_tx(&l.raw, &mut tx, op.ik()) }?;
+                    // SAFETY: reached through validated reads, under guard.
+                    let n = unsafe { &*w.target() };
+                    let succ = match op {
+                        ListOp::Del(ik) if n.index_of(*ik).is_some() => {
+                            tx.read(&n.next[0])?.as_ptr()
+                        }
+                        _ => std::ptr::null_mut(),
                     };
-                    let mut n0_next = [TaggedPtr::null(); MAX_LEVEL_CAP];
-                    for i in 0..n0_ref.level {
-                        n0_next[i] = tx.read(&n0_ref.next[i])?;
+                    // SAFETY: window and successor read by `tx` under guard.
+                    let plan = unsafe { one_op_plan(&l.raw.params, w, succ, op) };
+                    if let Some(seg) = &plan.0 {
+                        // SAFETY: plan pointers are protected by `guard`.
+                        let v = unsafe { common::validate_segment(&mut tx, seg) }?;
+                        // SAFETY: `v` validated `seg` in `tx`; its chain is
+                        // unpublished (exclusive).
+                        unsafe { wire_segment_tx(&mut tx, seg, &v) }?;
                     }
-                    let mut n1_next = [TaggedPtr::null(); MAX_LEVEL_CAP];
-                    if merge {
-                        // SAFETY: `merge` implies non-null `n1`, guard-
-                        // protected; `level` bounds the live `next` array.
-                        for i in 0..unsafe { &*n1 }.level {
-                            // SAFETY: i < n1.level indexes in-bounds TVars.
-                            n1_next[i] = tx.read(unsafe { &(*n1).next[i] })?;
-                        }
-                    }
-                    // SAFETY: plan nodes are unpublished (exclusive) and
-                    // window nodes validated by this transaction.
-                    unsafe { common::wire_remove_tx(&mut tx, &plan, &n0_next, &n1_next) }?;
-                    out.push(plan.old_value.take());
-                    plans.push(Some(plan));
+                    plans.push(plan);
                 }
-                Ok(out)
+                Ok(())
             })();
-            match body {
-                Ok(out) => {
-                    if tx.commit().is_ok() {
-                        for plan in plans.iter().flatten() {
-                            plan.mark_published();
-                            // SAFETY: the committed swing unlinked `n0`, so
-                            // this commit alone retires it (with the removed
-                            // value); the grace period covers in-flight
-                            // readers.
-                            unsafe {
-                                (*plan.n0).set_departed(&[plan.removed]);
-                                // lint:allow(reclamation-discipline): the TM variant has no version
-                                // bundles and no snapshot pins — every reader reaches nodes through
-                                // the live transactional structure only, so the plain EBR grace
-                                // period is the full safety argument.
-                                guard.defer_drop_box(plan.n0);
-                            }
-                            if plan.merge {
-                                // SAFETY: the merge swing unlinked `n1` too.
-                                // lint:allow(reclamation-discipline): as above — TM has no
-                                // snapshot readers, plain EBR suffices.
-                                unsafe { guard.defer_drop_box(plan.n1) };
-                            }
-                        }
-                        return out;
-                    }
-                }
-                Err(_) => drop(tx),
+            if body.is_ok() && tx.commit().is_ok() {
+                return plans
+                    .into_iter()
+                    // SAFETY: the committed swings unlinked every dying
+                    // node, which this commit alone retires (with its
+                    // departures); the grace period covers in-flight readers.
+                    .map(|plan| unsafe {
+                        common::retire_plan(plan, |o| {
+                            // lint:allow(reclamation-discipline): the TM variant has no version
+                            // bundles and no snapshot pins — every reader reaches nodes through
+                            // the live transactional structure only, so the plain EBR grace
+                            // period is the full safety argument.
+                            guard.defer_drop_box(o)
+                        })
+                    })
+                    .collect();
             }
-            drop(plans);
+            drop(plans); // frees unpublished nodes from the failed attempt
             backoff.snooze();
-        }
-    }
-
-    fn check_batch(&self, lists: &[&Self], keys: &[u64]) {
-        assert!(!lists.is_empty(), "batch must be non-empty");
-        for k in keys {
-            assert!(*k < u64::MAX, "key u64::MAX is reserved");
-        }
-        for (i, l) in lists.iter().enumerate() {
-            assert!(
-                Arc::ptr_eq(&l.domain, &self.domain),
-                "batched lists must share one StmDomain"
-            );
-            for m in &lists[..i] {
-                assert!(
-                    !std::ptr::eq(*l as *const Self, *m as *const Self),
-                    "a list may appear only once per batch"
-                );
-            }
         }
     }
 

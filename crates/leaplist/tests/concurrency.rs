@@ -2,9 +2,12 @@
 //! paper's headline guarantee: **linearizable range queries** under
 //! concurrent structural churn (splits, merges, node replacement).
 
+mod support;
+
 use leaplist::{LeapListCop, LeapListLt, LeapListRwlock, LeapListTm, Params, RangeMap};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use support::Variant;
 
 fn xorshift(state: &mut u64) -> u64 {
     *state ^= *state << 13;
@@ -167,6 +170,61 @@ fn lt_batch_updates_are_atomic_across_lists() {
     writer.join().unwrap();
     assert_eq!(lists[0].lookup(7), Some(5_000));
     assert_eq!(lists[1].lookup(7), Some(5_000));
+}
+
+/// Cross-list batches are atomic on every variant: two writers race
+/// `update_batch` / `remove_batch` over the same key sequence of three K=4
+/// lists, each writing its own values. A batch torn between the writers
+/// leaves the lists disagreeing on a key, so at quiescence every list must
+/// read the same.
+fn racing_batches_keep_lists_identical<L: Variant<u64>>() {
+    let lists = Arc::new(L::group(3, small_params()));
+    let writers: Vec<_> = (0..2u64)
+        .map(|t| {
+            let lists = lists.clone();
+            std::thread::spawn(move || {
+                let refs: Vec<&L> = lists.iter().collect();
+                let mut rng = 0x5EEDu64;
+                for i in 0..1_500u64 {
+                    let k = xorshift(&mut rng) % 48;
+                    if i % 4 == 3 {
+                        L::remove_batch(&refs, &[k, k, k]);
+                    } else {
+                        let v = i * 2 + t;
+                        L::update_batch(&refs, &[k, k, k], &[v, v, v]);
+                    }
+                }
+            })
+        })
+        .collect();
+    for w in writers {
+        w.join().unwrap();
+    }
+    let first = lists[0].range_query(0, 1_000);
+    assert!(!first.is_empty());
+    for l in &lists[1..] {
+        assert_eq!(l.range_query(0, 1_000), first, "a batch tore across lists");
+    }
+}
+
+#[test]
+fn lt_racing_batches_keep_lists_identical() {
+    racing_batches_keep_lists_identical::<LeapListLt<u64>>();
+}
+
+#[test]
+fn cop_racing_batches_keep_lists_identical() {
+    racing_batches_keep_lists_identical::<LeapListCop<u64>>();
+}
+
+#[test]
+fn tm_racing_batches_keep_lists_identical() {
+    racing_batches_keep_lists_identical::<LeapListTm<u64>>();
+}
+
+#[test]
+fn rwlock_racing_batches_keep_lists_identical() {
+    racing_batches_keep_lists_identical::<LeapListRwlock<u64>>();
 }
 
 /// Remove/update storms on overlapping ranges: final state must equal the

@@ -33,30 +33,40 @@ fn lt_survives_pathological_orec_collisions() {
         tiny_params(),
         domain.clone(),
     ));
-    let handles: Vec<_> = (0..3u64)
-        .map(|t| {
-            let map = map.clone();
-            std::thread::spawn(move || {
-                let mut rng = 0xFA15E + t;
-                for i in 0..800u64 {
-                    let k = xorshift(&mut rng) % 64;
-                    if i % 3 == 0 {
-                        map.remove(k);
-                    } else {
-                        map.update(k, i);
-                    }
-                }
-            })
-        })
-        .collect();
-    for h in handles {
-        h.join().unwrap();
-    }
-    // Conflicts must have happened (sanity that the injection bites) — but
-    // only when the host can actually run the writers in parallel. On a
-    // single hardware thread, transactions conflict only if the scheduler
-    // preempts one mid-flight, so zero aborts is a legitimate outcome.
+    // Conflicts must happen (sanity that the injection bites) — but only
+    // when the writers actually run in parallel. On a single hardware
+    // thread, transactions conflict only if the scheduler preempts one
+    // mid-flight, so zero aborts is a legitimate outcome; sibling tests can
+    // leave a multi-core host in that state too, so the writers run again
+    // (from a common start) until their transactions have overlapped.
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    for round in 0..20u64 {
+        let start = Arc::new(std::sync::Barrier::new(3));
+        let handles: Vec<_> = (0..3u64)
+            .map(|t| {
+                let map = map.clone();
+                let start = start.clone();
+                std::thread::spawn(move || {
+                    start.wait();
+                    let mut rng = 0xFA15E + t + round * 3;
+                    for i in 0..800u64 {
+                        let k = xorshift(&mut rng) % 64;
+                        if i % 3 == 0 {
+                            map.remove(k);
+                        } else {
+                            map.update(k, i);
+                        }
+                    }
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap();
+        }
+        if cores == 1 || domain.stats().total_aborts() > 0 {
+            break;
+        }
+    }
     assert!(
         cores == 1 || domain.stats().total_aborts() > 0,
         "a 2-orec table should cause aborts on a {cores}-core host"
