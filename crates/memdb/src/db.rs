@@ -1,6 +1,6 @@
 //! A named collection of tables.
 
-use crate::{Backend, DbError, Schema, Table};
+use crate::{DbError, Schema, Table, TableConfig};
 use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -36,20 +36,10 @@ impl Db {
     ///
     /// [`DbError::TableExists`] if the name is taken.
     pub fn create_table(&self, name: &str, schema: Schema) -> Result<Arc<Table>, DbError> {
-        self.create_table_with(name, schema, Backend::default())
+        self.create_table_with(name, schema, TableConfig::default())
     }
 
-    /// Creates a table on the sharded [`Backend`]: every index lives in a
-    /// prefix-tagged subspace of one `LeapStore` (see [`Table::sharded`]).
-    ///
-    /// # Errors
-    ///
-    /// [`DbError::TableExists`] if the name is taken.
-    pub fn create_sharded_table(&self, name: &str, schema: Schema) -> Result<Arc<Table>, DbError> {
-        self.create_table_with(name, schema, Backend::sharded())
-    }
-
-    /// Creates a table on an explicit storage [`Backend`].
+    /// Creates a table on a store built from an explicit [`TableConfig`].
     ///
     /// # Errors
     ///
@@ -58,13 +48,13 @@ impl Db {
         &self,
         name: &str,
         schema: Schema,
-        backend: Backend,
+        config: TableConfig,
     ) -> Result<Arc<Table>, DbError> {
         let mut tables = self.tables.write();
         if tables.contains_key(name) {
             return Err(DbError::TableExists(name.to_string()));
         }
-        let table = Arc::new(Table::with_backend(schema, backend));
+        let table = Arc::new(Table::with_config(schema, config));
         tables.insert(name.to_string(), table.clone());
         Ok(table)
     }

@@ -17,15 +17,15 @@ pub enum DbError {
         /// Columns the caller supplied.
         got: usize,
     },
-    /// An indexed column value exceeds the bound imposed by the backend's
-    /// composite `(value, row id)` index keys (32 bits on raw lists,
-    /// 28 bits under the sharded backend's subspace tags).
+    /// An indexed column value exceeds the 28 bits that the composite
+    /// `(value, row id)` index keys grant it under the subspace tag
+    /// ([`MAX_INDEXED_VALUE`](crate::MAX_INDEXED_VALUE)).
     ValueOutOfRange {
         /// The offending column.
         column: String,
         /// The offending value.
         value: u64,
-        /// The backend's largest representable indexed value.
+        /// The largest representable indexed value.
         bound: u64,
     },
     /// The referenced row does not exist (anymore).
@@ -59,7 +59,7 @@ impl fmt::Display for DbError {
             } => {
                 write!(
                     f,
-                    "indexed column '{column}' value {value} exceeds the backend bound {bound}"
+                    "indexed column '{column}' value {value} exceeds the bound {bound}"
                 )
             }
             DbError::NoSuchRow(id) => write!(f, "row {} does not exist", id.0),

@@ -6,8 +6,8 @@
 //! concurrent table store whose **primary and secondary indexes are all
 //! Leap-Lists sharing one transactional domain**, so every row mutation —
 //! insert, delete, or an indexed-column update — maintains *all* indexes
-//! as one linearizable action (via `LeapListLt::apply_batch`), and every
-//! index scan is a consistent snapshot.
+//! as one linearizable action, and every index scan is a consistent
+//! snapshot.
 //!
 //! Rows are fixed-width tuples of `u64` columns (word-sized values, as in
 //! the paper's design). Secondary indexes are *covering*: they store the
@@ -15,19 +15,19 @@
 //! range scan over an index needs no second lookup and is linearizable
 //! end to end.
 //!
-//! Tables run on one of two storage [`Backend`]s: the default keeps one
-//! Leap-List per index (the paper's layout), while [`Table::sharded`]
-//! packs every index into a prefix-tagged subspace of **one**
-//! range-partitioned `leap_store::LeapStore` — index maintenance becomes
-//! a single cross-shard `Store::apply` transaction, index scans page
-//! through the store's `Cursor`, and a `leap_store::Rebalancer` can
-//! split index-heavy shards while the table serves traffic.
+//! Each [`Table`] keeps every index in a prefix-tagged subspace of **one**
+//! range-partitioned `leap_store::LeapStore` ([`TableConfig`] sets its
+//! Leap-List parameters, shard count and rebalancing policy): index
+//! maintenance is a single cross-shard `LeapStore::apply` transaction,
+//! index scans page through the store's `Cursor`, and a
+//! `leap_store::Rebalancer` can split index-heavy shards while the table
+//! serves traffic.
 //!
 //! Long scans that must stay coherent across pages use
 //! [`Table::scan_by_snapshot`]: the scan pins the commit timestamp once
 //! and serves every page from the indexes' version bundles at that
 //! instant — one consistent multi-page snapshot that never blocks or
-//! aborts concurrent writers (on either backend, even mid-resharding).
+//! aborts concurrent writers, even mid-resharding.
 //!
 //! # Example
 //!
@@ -63,7 +63,6 @@ mod obs;
 mod query;
 mod row;
 mod schema;
-mod storage;
 mod table;
 
 pub use db::Db;
@@ -72,8 +71,7 @@ pub use obs::{TableObs, TableObsSnapshot};
 pub use query::Query;
 pub use row::{Row, RowId};
 pub use schema::Schema;
-pub use storage::Backend;
-pub use table::{Table, TableScan, TableSnapshotScan, MAX_INDEXED_VALUE};
+pub use table::{Table, TableConfig, TableScan, TableSnapshotScan, MAX_INDEXED_VALUE};
 
 // Re-exported so bounded-retry callers ([`Table::insert_within`]) can
 // build policies without importing the stm crate directly.

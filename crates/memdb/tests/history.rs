@@ -1,4 +1,4 @@
-//! History-checked concurrency tests for the sharded table backend: every
+//! History-checked concurrency tests for the table: every
 //! worker thread records each operation's invocation/response through a
 //! `leap_history::Session`, and after the run an offline checker verifies
 //! the complete history is **strictly serializable** against the
@@ -219,10 +219,10 @@ fn run_workload(
     );
 }
 
-/// Workload 1: mixed table traffic on the sharded backend, no resharding.
+/// Workload 1: mixed table traffic, no resharding.
 #[test]
 fn history_sharded_table_mixed_ops() {
-    let table = Arc::new(Table::sharded(schema()));
+    let table = Arc::new(Table::new(schema()));
     run_workload(table, 3, 120, 40, |_| {});
 }
 
@@ -231,12 +231,12 @@ fn history_sharded_table_mixed_ops() {
 /// it back — the overlay straddles live index maintenance.
 #[test]
 fn history_sharded_table_under_manual_reshard() {
-    use leap_memdb::Backend;
+    use leap_memdb::TableConfig;
     use leap_store::RebalancePolicy;
     use leaplist::Params;
-    let table = Arc::new(Table::with_backend(
+    let table = Arc::new(Table::with_config(
         schema(),
-        Backend::Sharded {
+        TableConfig {
             params: Params {
                 node_size: 8,
                 max_level: 6,
@@ -250,7 +250,7 @@ fn history_sharded_table_under_manual_reshard() {
         },
     ));
     run_workload(table.clone(), 3, 100, 60, |t| {
-        let store = t.store().expect("sharded backend");
+        let store = t.store().expect("every table has a store");
         // Split the age-index shard (subspace 1) somewhere inside the
         // populated low end, drain it, then merge it back — all racing
         // the recorded workers.
@@ -276,12 +276,12 @@ fn history_sharded_table_under_manual_reshard() {
 /// policy races the recorded traffic end to end.
 #[test]
 fn history_sharded_table_with_background_rebalancer() {
-    use leap_memdb::Backend;
+    use leap_memdb::TableConfig;
     use leap_store::{RebalancePolicy, Rebalancer};
     use leaplist::Params;
-    let table = Arc::new(Table::with_backend(
+    let table = Arc::new(Table::with_config(
         schema(),
-        Backend::Sharded {
+        TableConfig {
             params: Params {
                 node_size: 8,
                 max_level: 6,
@@ -296,7 +296,7 @@ fn history_sharded_table_with_background_rebalancer() {
             },
         },
     ));
-    let store = table.store().expect("sharded backend").clone();
+    let store = table.store().expect("every table has a store").clone();
     let rebalancer = Rebalancer::spawn(store.clone(), Duration::from_millis(1));
     run_workload(table.clone(), 3, 120, 80, |_| {});
     rebalancer.stop().expect("rebalancer survived the run");
@@ -304,12 +304,4 @@ fn history_sharded_table_with_background_rebalancer() {
         store.router().migration().is_none(),
         "rebalancer stopped cleanly"
     );
-}
-
-/// Backend parity: the same recorded workload on the raw-list backend
-/// also checks out (the checker covers both table storage layouts).
-#[test]
-fn history_raw_table_mixed_ops() {
-    let table = Arc::new(Table::new(schema()));
-    run_workload(table, 3, 100, 40, |_| {});
 }

@@ -3,7 +3,7 @@
 //! The scrape surface is consumed by an external system, so its contract
 //! is pinned here: histogram buckets must be cumulative and monotone in
 //! `le`, `_sum`/`_count` must agree with the JSON snapshot of the same
-//! instruments, and scraping a sharded table's registry beside the
+//! instruments, and scraping a table's registry beside the
 //! backing store's registry — or beside the store's one complete page,
 //! `stats().to_prometheus()` — must never produce a duplicate series.
 
@@ -81,7 +81,7 @@ fn series_names(page: &str) -> Vec<String> {
 
 fn exercised_table() -> Table {
     let schema = Schema::new(&["user", "age"]).with_index("age");
-    let table = Table::sharded(schema);
+    let table = Table::new(schema);
     let mut ids = Vec::new();
     for i in 0..40 {
         ids.push(table.insert(&[1000 + i, i % 7]).expect("insert"));
@@ -99,7 +99,7 @@ fn exercised_table() -> Table {
 #[test]
 fn buckets_are_cumulative_and_monotone_in_le() {
     let table = exercised_table();
-    let store = table.store().expect("sharded backend");
+    let store = table.store().expect("every table has a store");
     for page in [
         table.obs().registry().to_prometheus(),
         store
@@ -168,7 +168,7 @@ fn sum_and_count_match_the_json_snapshot() {
 #[test]
 fn no_duplicate_series_across_table_and_store_registries() {
     let table = exercised_table();
-    let store = table.store().expect("sharded backend");
+    let store = table.store().expect("every table has a store");
     let table_page = table.obs().registry().to_prometheus();
     let store_registry_page = store
         .obs()

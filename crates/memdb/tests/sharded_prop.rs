@@ -1,5 +1,5 @@
-//! Property test for the sharded table backend: **any** interleaving of
-//! table mutations (insert / delete / update_column on indexed and
+//! Property test for a table over its sharded store: **any** interleaving
+//! of table mutations (insert / delete / update_column on indexed and
 //! non-indexed columns) with resharding actions on the backing store
 //! (explicit splits and merges of subspace shards, bounded
 //! `rebalance_step` drains) preserves the table exactly, compared against
@@ -9,7 +9,7 @@
 //! scans, per-shard key sums) must agree too. Mirrors
 //! `crates/store/tests/reshard_prop.rs` one layer up.
 
-use leap_memdb::{Backend, RowId, Schema, Table};
+use leap_memdb::{RowId, Schema, Table, TableConfig};
 use leap_store::RebalancePolicy;
 use leaplist::Params;
 use proptest::prelude::*;
@@ -32,9 +32,9 @@ enum Action {
 }
 
 fn table() -> Table {
-    Table::with_backend(
+    Table::with_config(
         Schema::new(&["user", "age"]).with_index("age"),
-        Backend::Sharded {
+        TableConfig {
             params: Params {
                 node_size: 4,
                 max_level: 6,
@@ -58,7 +58,7 @@ struct Model {
 }
 
 fn run(table: &Table, model: &mut Model, action: &Action) {
-    let store = table.store().expect("sharded backend");
+    let store = table.store().expect("every table has a store");
     match *action {
         Action::Insert(user, age) => {
             let age = age % AGE_DOM;
@@ -185,7 +185,7 @@ proptest! {
             prop_assert_eq!(&got_id, &want_id, "primary after {:?}", action);
         }
         // Quiesce any in-flight migration, then check every read surface.
-        let store = table.store().expect("sharded backend");
+        let store = table.store().expect("every table has a store");
         store.rebalance_until_idle();
         prop_assert!(store.router().migration().is_none());
         let (got_age, got_id) = observe(&table);
@@ -218,7 +218,7 @@ proptest! {
             2 * model.rows.len(),
             "shard key counts must add up to 2 entries per row"
         );
-        let ss = table.subspace_stats().expect("sharded stats");
+        let ss = table.subspace_stats();
         prop_assert_eq!(ss[0].keys, model.rows.len());
         prop_assert_eq!(ss[1].keys, model.rows.len());
     }

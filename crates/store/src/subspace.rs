@@ -5,7 +5,7 @@
 //! contiguous key interval that range partitioning can route, scan and
 //! reshard independently.
 //!
-//! This is the encoding `leap-memdb`'s sharded backend uses: subspace 0
+//! This is the encoding every `leap-memdb` table uses: subspace 0
 //! holds a table's primary index, subspace `1 + i` its `i`-th secondary
 //! index, and a row mutation touching several subspaces is one
 //! [`crate::LeapStore::apply`] batch — one cross-list transaction.

@@ -8,9 +8,8 @@
 //! cargo run --release --example memdb_sharded
 //! ```
 
-use leap_memdb::{Backend, Schema, Table};
+use leap_memdb::{Schema, Table, TableConfig};
 use leap_store::{RebalancePolicy, Rebalancer};
-use leaplist::Params;
 use std::time::Duration;
 
 fn main() {
@@ -18,12 +17,11 @@ fn main() {
     // subspaces, six shards. Even strides over the tagged keyspace put
     // each subspace's populated low end on one shard and leave every
     // other shard empty — a skew the rebalancer has to repair.
-    let table = Table::with_backend(
+    let table = Table::with_config(
         Schema::new(&["user", "age", "score"])
             .with_index("age")
             .with_index("score"),
-        Backend::Sharded {
-            params: Params::default(),
+        TableConfig {
             shards: Some(6),
             rebalance: RebalancePolicy {
                 chunk: 512,
@@ -31,6 +29,7 @@ fn main() {
                 min_split_keys: 256,
                 ..RebalancePolicy::default()
             },
+            ..TableConfig::default()
         },
     );
 
@@ -41,7 +40,7 @@ fn main() {
     }
     println!("table: {table:?}");
     println!("\nper-subspace placement before rebalancing:");
-    for ss in table.subspace_stats().expect("sharded backend") {
+    for ss in table.subspace_stats() {
         println!(
             "  subspace {} ({}): {:>6} keys on shards {:?}",
             ss.tag,
@@ -57,7 +56,7 @@ fn main() {
 
     // A background rebalancer splits the key-heavy shards (median-key
     // splits) while the table keeps answering queries.
-    let store = table.store().expect("sharded backend").clone();
+    let store = table.store().expect("every table has a store").clone();
     let rebalancer = Rebalancer::spawn(store.clone(), Duration::from_millis(1));
     let expect_thirties = (0..30_000u64)
         .filter(|i| (30..=39).contains(&(i % 90)))
@@ -79,7 +78,7 @@ fn main() {
     println!("\nrebalancer: {actions} actions, {snapshots} racing snapshots checked");
 
     println!("\nper-subspace placement after rebalancing:");
-    for ss in table.subspace_stats().expect("sharded backend") {
+    for ss in table.subspace_stats() {
         println!(
             "  subspace {}: {:>6} keys on shards {:?}",
             ss.tag, ss.keys, ss.shards

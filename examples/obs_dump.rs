@@ -47,7 +47,7 @@ fn main() {
     print!("{}", stats.to_prometheus());
 
     // The table layer keeps its own registry of op histograms.
-    let table = Table::sharded(
+    let table = Table::new(
         Schema::new(&["user", "age", "score"])
             .with_index("age")
             .with_index("score"),
