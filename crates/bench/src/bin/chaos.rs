@@ -127,7 +127,7 @@ fn run(seed: u64, ops: u64, shards: usize) -> Result<(), String> {
     // Convergence: every migration resolves (the chunk-fault budget is
     // finite, and the watchdog aborts anything that stays stuck).
     store.rebalance_until_idle();
-    if !store.router().migrations().is_empty() {
+    if store.router().migration().is_some() {
         return Err("migrations still in flight after rebalance_until_idle".into());
     }
     let got = store.range(0, KEY_SPACE - 1);

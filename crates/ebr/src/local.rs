@@ -84,7 +84,7 @@ impl LocalInner {
         }
     }
 
-    /// Tries to advance the epoch, then reclaims everything old enough.
+    /// Attempts to advance the epoch, then reclaims everything old enough.
     ///
     /// Note this may run destructors while the owner is pinned; destructors
     /// must not pin/defer on this same handle re-entrantly at `collect` time

@@ -7,8 +7,8 @@
 //! `K` immutable, sorted key-value pairs covering a key range, searched by
 //! binary search. (The paper also embeds a bitwise trie in each node for
 //! intra-node lookup; with `u64` keys it cost more than it saved, so nodes
-//! here carry none — [`Trie`] remains as a tested library item for the
-//! ablation bench.) Because node contents never mutate
+//! here carry none — the root README's "Nodes carry no trie" records the
+//! measurement.) Because node contents never mutate
 //! (nodes are replaced wholesale, splitting or merging as they grow and
 //! shrink), a linearizable range query only has to validate one pointer per
 //! `K` keys instead of protecting every key — which is how it beats a
@@ -63,13 +63,11 @@ mod node;
 mod params;
 mod plan;
 mod raw;
-mod trie;
 mod variants;
 mod wire;
 
 pub use api::{BatchOp, RangeMap};
 pub use params::{Params, Traversal};
-pub use trie::{binary_search_index, Trie};
 pub use variants::cop::LeapListCop;
 pub use variants::lt::{LeapListLt, ListSnapshot};
 pub use variants::rwlock::LeapListRwlock;

@@ -11,8 +11,7 @@
 //! bitwise trie over its keys (§1.2, §2.1). Ours does not: keys here are
 //! `u64`s, a binary search over the sorted pairs is faster than the trie
 //! walk, and rebuilding the trie was about half of every replacement build
-//! (root README, "Departures from the paper"). The trie survives as a
-//! library item in `trie.rs`, measured by `benches/ablation.rs`.
+//! (root README, "Nodes carry no trie", which keeps the measurement).
 //!
 //! Replacement `data` is assembled at its final length from slices of the
 //! source node(s), so a build is one allocation and one copy per new node.

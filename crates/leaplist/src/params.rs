@@ -29,8 +29,8 @@ pub enum Traversal {
 /// The defaults are the paper's experimental settings (§3 "Settings"):
 /// node size `K = 300` and a maximal tower level of 10, values found by the
 /// authors to perform well. There is no intra-node search option: nodes
-/// binary-search their sorted pairs (the paper's embedded trie is a
-/// library item, see `trie.rs`).
+/// binary-search their sorted pairs (the paper's embedded trie is gone;
+/// see the root README, "Nodes carry no trie").
 ///
 /// # Example
 ///

@@ -1039,7 +1039,7 @@ mod tests {
         assert_eq!(store.get(30).map(|v| v.val), Some(30), "bomb never landed");
         // The migration itself is still healthy and completes.
         store.rebalance_until_idle();
-        assert!(store.router().migrations().is_empty());
+        assert!(store.router().migration().is_none());
         assert!(store.router().epoch() >= 1);
         for k in 0..40u64 {
             let want = if k == 25 { 251 } else { k };

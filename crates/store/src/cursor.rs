@@ -8,8 +8,8 @@
 //!   consistent but the scan as a whole is not one snapshot — a writer
 //!   landing between pages is seen by later pages only. Pages keep
 //!   working while a [`crate::Rebalancer`] moves the very keys being
-//!   scanned — each page's plan includes both sides of every overlay it
-//!   overlaps, and it retries only when a migration begins, completes or
+//!   scanned — each page's plan includes both sides of the overlay when
+//!   it overlaps, and it retries only when a migration begins, completes or
 //!   aborts mid-page, never per chunk moved. This is also the primitive
 //!   the migration driver itself pages with.
 //!
@@ -121,7 +121,7 @@ impl<V: Clone + Send + Sync + 'static> Iterator for Cursor<'_, V> {
 /// timestamp, chosen when the cursor was created.
 ///
 /// The cursor captures its shard visit plan (including both sides of
-/// every in-flight migration it overlaps) **once**, together with the
+/// the in-flight migration when it overlaps) **once**, together with the
 /// timestamp; pages then walk the shards' version bundles with no
 /// transactions, no retries, and no sensitivity to concurrent commits or
 /// migrations. The resume key always comes from the snapshot-visible

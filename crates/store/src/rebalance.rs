@@ -6,11 +6,11 @@
 //!
 //! A migration moves a **suffix** `[lo, hi]` of the source shard's owned
 //! interval into a destination shard (a fresh slot for a split, the
-//! adjacent neighbour for a merge). Several migrations may be in flight
-//! at once provided they share no shard slot (which makes their key
-//! ranges disjoint by construction — see `router.rs`); the step driver
-//! round-robins one bounded chunk over the in-flight set, so k disjoint
-//! hot ranges drain in parallel. Each migration proceeds in three phases:
+//! adjacent neighbour for a merge). At most one migration is in flight at
+//! a time (see `router.rs`): the step driver moves one bounded chunk per
+//! call, so a second migration could only interleave with the first, and
+//! the policy takes its load census only when nothing is in flight. Each
+//! migration proceeds in three phases:
 //!
 //! 1. **Begin** — the router publishes a view carrying a
 //!    [`crate::MigrationView`] overlay under its exclusive writer gate:
@@ -33,8 +33,8 @@
 //!    parks in the free-slot pool for the next split to reuse.
 //!
 //! Linearizable multi-shard reads do not lock anything: they plan off the
-//! routing view they pinned, include both sides of every migration
-//! overlapping their range in their single snapshot transaction, and
+//! routing view they pinned, include both sides of the migration when it
+//! overlaps their range in their single snapshot transaction, and
 //! retry only if a new view was published in between (rare lifecycle
 //! events — begin, complete, abort — never per-chunk events).
 
@@ -54,10 +54,8 @@ pub enum RebalanceError {
     /// Hash partitioning scatters keys; there are no contiguous
     /// sub-ranges to migrate.
     HashPartitioning,
-    /// The source or destination slot already participates in an
-    /// in-flight migration (concurrent migrations must be slot-disjoint,
-    /// which keeps their key ranges disjoint by construction).
-    SlotBusy,
+    /// A migration is already in flight; the store runs one at a time.
+    MigrationInFlight,
     /// A shard index was out of bounds, or source equals destination.
     BadShard,
     /// The split key is outside the source shard's owned interval.
@@ -79,7 +77,7 @@ impl std::fmt::Display for RebalanceError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let msg = match self {
             RebalanceError::HashPartitioning => "hash partitioning cannot be resharded",
-            RebalanceError::SlotBusy => "shard slot already participates in a migration",
+            RebalanceError::MigrationInFlight => "a migration is already in flight",
             RebalanceError::BadShard => "shard index out of bounds or source == destination",
             RebalanceError::BadSplitKey => "split key outside the source shard's interval",
             RebalanceError::NonAdjacent => "destination interval not adjacent to the range",
@@ -122,18 +120,18 @@ pub struct RebalancePolicy {
     /// Weight of the op-rate term in the load score (`0.0` restores the
     /// pure key-count policy).
     pub op_weight: f64,
-    /// Most migrations the policy keeps in flight at once; the drain
-    /// round-robins over them. Explicit [`LeapStore::split_shard`] /
-    /// [`LeapStore::merge_shards`] calls are not bounded by this — only
-    /// by slot-disjointness.
+    /// Not a live knob: the store runs one migration at a time, so the
+    /// default is 1 and [`RebalancePolicy::validate`] rejects every other
+    /// value. The field stays only because `benchmark/` sets it in a
+    /// struct literal.
     pub max_concurrent_migrations: usize,
     /// Stuck-migration watchdog: once a migration's frontier has failed to
     /// advance for this many consecutive drain steps (e.g. injected chunk
     /// faults), [`LeapStore::rebalance_step`] force-resolves it —
     /// completing it forward if its source range is already drained,
-    /// rolling it back otherwise — so a wedged migration can never pin its
-    /// slots (and [`RebalanceError::SlotBusy`]) forever. `0` disables the
-    /// watchdog.
+    /// rolling it back otherwise — so a wedged migration can never refuse
+    /// every later one ([`RebalanceError::MigrationInFlight`]) forever.
+    /// `0` disables the watchdog.
     pub watchdog_stalls: u32,
 }
 
@@ -146,7 +144,7 @@ impl Default for RebalancePolicy {
             min_split_keys: 64,
             max_shards: 64,
             op_weight: 0.25,
-            max_concurrent_migrations: 4,
+            max_concurrent_migrations: 1,
             watchdog_stalls: 8,
         }
     }
@@ -197,9 +195,9 @@ impl RebalancePolicy {
                 "max_shards must be at least 1",
             ));
         }
-        if self.max_concurrent_migrations == 0 {
+        if self.max_concurrent_migrations != 1 {
             return Err(RebalanceError::InvalidPolicy(
-                "max_concurrent_migrations must be at least 1",
+                "max_concurrent_migrations must be 1 (one migration at a time)",
             ));
         }
         Ok(())
@@ -371,17 +369,17 @@ impl<V: Clone + Send + Sync + 'static> LeapStore<V> {
 
     /// Advances resharding by one bounded action and reports it:
     ///
-    /// * fewer migrations in flight than the policy's
-    ///   `max_concurrent_migrations` → consult the [`RebalancePolicy`]
-    ///   against per-shard load scores (key counts plus a decaying op
-    ///   rate) and start a split of the hottest eligible shard or a merge
-    ///   of the coldest adjacent pair, provided neither slot already
-    ///   participates in a migration;
-    /// * otherwise, migrations in flight → pick one **round-robin** and
-    ///   move one chunk (`policy.chunk` keys, one cross-list transaction),
-    ///   or complete it if its range has drained — k disjoint hot ranges
-    ///   drain in parallel instead of queueing behind one another;
+    /// * a migration in flight → move one chunk of it (`policy.chunk`
+    ///   keys, one cross-list transaction), complete it if its range has
+    ///   drained, or force-resolve it once the watchdog finds it stuck;
+    /// * otherwise, under range partitioning → consult the
+    ///   [`RebalancePolicy`] against per-shard load scores (key counts
+    ///   plus a decaying op rate) and start a split of the hottest
+    ///   eligible shard or a merge of the coldest adjacent pair;
     /// * otherwise → [`RebalanceAction::Idle`].
+    ///
+    /// The load census therefore only runs with nothing in flight, when
+    /// every key counts toward the shard that owns its interval.
     ///
     /// Deterministic and re-entrant: concurrent callers serialize, so a
     /// test can interleave steps with its own ops one at a time.
@@ -390,28 +388,21 @@ impl<V: Clone + Send + Sync + 'static> LeapStore<V> {
             .step_lock
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
-        let inflight = self.router().pin().overlays().to_vec();
-        if self.router().mode() == Partitioning::Range
-            && inflight.len() < self.policy.max_concurrent_migrations
-        {
-            if let Some(action) = self.policy_action(&inflight) {
-                return action;
-            }
-        }
-        if inflight.is_empty() {
-            return RebalanceAction::Idle;
-        }
-        // ORDERING: round-robin cursor; any interleaving is a fair pick.
-        let pick = self.rebalance_rr.fetch_add(1, Ordering::Relaxed) % inflight.len();
-        let m = &inflight[pick];
+        let inflight = self.router().pin().overlay().cloned();
+        let Some(m) = inflight else {
+            return match self.router().mode() {
+                Partitioning::Range => self.policy_action().unwrap_or(RebalanceAction::Idle),
+                Partitioning::Hash => RebalanceAction::Idle,
+            };
+        };
         // Stuck-migration watchdog: a frontier that has not advanced for
-        // `watchdog_stalls` consecutive steps is force-resolved so its
-        // slots (and `SlotBusy`) cannot stay pinned forever.
+        // `watchdog_stalls` consecutive steps is force-resolved, so it
+        // cannot refuse every later migration forever.
         let threshold = self.policy.watchdog_stalls;
         // ORDERING: stall counter read under the step lock that also
         // guards every write to it.
         if threshold > 0 && m.stalls.load(Ordering::Relaxed) >= threshold {
-            return match self.abort_locked(m) {
+            return match self.abort_locked(&m) {
                 Ok(AbortOutcome::Completed { epoch }) => RebalanceAction::Completed { epoch },
                 Ok(AbortOutcome::RolledBack { moved_back }) => RebalanceAction::Aborted {
                     id: m.id,
@@ -422,7 +413,7 @@ impl<V: Clone + Send + Sync + 'static> LeapStore<V> {
                 Err(_) => RebalanceAction::Idle,
             };
         }
-        self.drain_step(m)
+        self.drain_step(&m)
     }
 
     /// One bounded drain action on migration `m`: move a chunk, or
@@ -538,8 +529,8 @@ impl<V: Clone + Send + Sync + 'static> LeapStore<V> {
     /// writes proceed throughout, exactly as during a forward drain.
     ///
     /// This is the recovery path for cancelled or crashed migrations: a
-    /// partially-drained overlay never stays wedged, and the slots it
-    /// pinned (`SlotBusy`) are released either way.
+    /// partially-drained overlay never stays wedged, and the next
+    /// migration may begin either way.
     ///
     /// # Errors
     ///
@@ -643,13 +634,10 @@ impl<V: Clone + Send + Sync + 'static> LeapStore<V> {
         Ok(AbortOutcome::RolledBack { moved_back })
     }
 
-    /// Consults the policy for a new migration to start, skipping shards
-    /// already involved in one. Returns `None` when no threshold trips.
-    fn policy_action(
-        &self,
-        inflight: &[Arc<crate::router::MigrationState>],
-    ) -> Option<RebalanceAction> {
-        let involved = |s: usize| inflight.iter().any(|m| m.src == s || m.dst == s);
+    /// Consults the policy for a new migration to start. The caller holds
+    /// the step lock and has seen no migration in flight. Returns `None`
+    /// when no threshold trips.
+    fn policy_action(&self) -> Option<RebalanceAction> {
         // Load census over interval-owning shards, in key order: keys plus
         // the decaying op rate (see `RebalancePolicy` docs).
         let loads: Vec<(usize, u64, u64, u64)> = self
@@ -668,8 +656,8 @@ impl<V: Clone + Send + Sync + 'static> LeapStore<V> {
         if loads.len() < self.policy.max_shards {
             let candidate = loads
                 .iter()
-                .filter(|&&(s, lo, hi, keys)| {
-                    !involved(s) && lo < hi && keys as usize >= self.policy.min_split_keys.max(2)
+                .filter(|&&(_, lo, hi, keys)| {
+                    lo < hi && keys as usize >= self.policy.min_split_keys.max(2)
                 })
                 .max_by(|a, b| score(a).total_cmp(&score(b)));
             if let Some(&(s, lo, hi, keys)) = candidate {
@@ -709,10 +697,7 @@ impl<V: Clone + Send + Sync + 'static> LeapStore<V> {
                 .collect();
             let candidate = loads
                 .windows(2)
-                .filter(|w| {
-                    let pair = (w[0].0.min(w[1].0), w[0].0.max(w[1].0));
-                    !involved(w[0].0) && !involved(w[1].0) && !recent.contains(&pair)
-                })
+                .filter(|w| !recent.contains(&(w[0].0.min(w[1].0), w[0].0.max(w[1].0))))
                 .min_by(|a, b| {
                     (score(&a[0]) + score(&a[1])).total_cmp(&(score(&b[0]) + score(&b[1])))
                 });
@@ -1083,19 +1068,36 @@ mod tests {
             Err(RebalanceError::HashPartitioning)
         );
         assert_eq!(hash.rebalance_step(), RebalanceAction::Idle);
-        store.split_shard(0, 100).expect("valid");
+        assert_eq!(store.split_shard(0, 100), Ok(2));
+        let id = store.router().migration().expect("in flight").id;
         assert_eq!(
             store.split_shard(0, 200),
-            Err(RebalanceError::SlotBusy),
+            Err(RebalanceError::MigrationInFlight),
             "the source is already migrating"
         );
-        // A slot-disjoint split runs concurrently instead of failing.
-        store.split_shard(1, 600).expect("disjoint split");
-        assert_eq!(store.router().migrations().len(), 2);
+        assert_eq!(
+            store.split_shard(1, 600),
+            Err(RebalanceError::MigrationInFlight),
+            "one migration at a time, even on other slots"
+        );
+        assert_eq!(
+            store.merge_shards(1, 0),
+            Err(RebalanceError::MigrationInFlight)
+        );
+        assert_eq!(store.router().migration().map(|m| m.id), Some(id));
+        // The first refused split allocated slot 3 and parked it; the
+        // second took it from the pool and parked it again.
+        assert_eq!(store.shards(), 4, "refused splits grow the slots once");
         store.rebalance_until_idle();
-        assert!(store.router().migrations().is_empty());
+        assert!(store.router().migration().is_none());
+        assert_eq!(
+            store.split_shard(1, 600),
+            Ok(3),
+            "the parked slot is reused"
+        );
+        assert_eq!(store.shards(), 4);
         assert!(format!("{}", RebalanceError::NonAdjacent).contains("adjacent"));
-        assert!(format!("{}", RebalanceError::SlotBusy).contains("slot"));
+        assert!(format!("{}", RebalanceError::MigrationInFlight).contains("in flight"));
     }
 
     #[test]
@@ -1135,6 +1137,10 @@ mod tests {
             },
             RebalancePolicy {
                 max_concurrent_migrations: 0,
+                ..RebalancePolicy::default()
+            },
+            RebalancePolicy {
+                max_concurrent_migrations: 2,
                 ..RebalancePolicy::default()
             },
         ];
@@ -1181,8 +1187,7 @@ mod tests {
                     min_split_keys: 2,
                     max_shards: 64,
                     op_weight: 0.0,
-                    max_concurrent_migrations: 4,
-                    watchdog_stalls: 8,
+                    ..RebalancePolicy::default()
                 }),
         );
         // Everything on shard 0, nothing on shard 1: shard 0's count sits
@@ -1202,7 +1207,7 @@ mod tests {
                 "rebalance livelocked on a borderline layout"
             );
         }
-        assert!(store.router().migrations().is_empty());
+        assert!(store.router().migration().is_none());
         assert_eq!(store.len(), 128);
         assert_eq!(store.range(0, 999).len(), 128);
     }
@@ -1448,7 +1453,7 @@ mod tests {
                 .sum::<u64>()
         });
         assert!(gets > 0);
-        assert!(store.router().migrations().is_empty());
+        assert!(store.router().migration().is_none());
         assert_eq!(store.shard(0).len() as u64, KEYS, "everything merged back");
         let swaps = store
             .obs()
@@ -1482,8 +1487,7 @@ mod tests {
                     min_split_keys: 8,
                     max_shards: 8,
                     op_weight: 1.0,
-                    max_concurrent_migrations: 1,
-                    watchdog_stalls: 8,
+                    ..RebalancePolicy::default()
                 }),
         );
         // Perfectly even key placement: 16 keys per shard.

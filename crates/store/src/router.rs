@@ -5,8 +5,8 @@
 //! # One published view
 //!
 //! Everything an operation needs to route — the epoch-versioned table
-//! ([`RoutingEpoch`]), the in-flight migration overlays
-//! ([`MigrationState`], sorted by `lo`) and the shard slots themselves — is
+//! ([`RoutingEpoch`]), the in-flight migration overlay
+//! ([`MigrationState`], if any) and the shard slots themselves — is
 //! one immutable [`RoutingView`] published through a single atomic
 //! pointer. An operation pins the `leap-ebr` epoch (the pin the list walk
 //! takes anyway; nested pins are free), loads the pointer and routes off
@@ -23,19 +23,19 @@
 //! pointer under one pin means same view — a retired view cannot be freed
 //! and its address reused while the pin lives) knows no routing change
 //! happened in between, and otherwise re-plans ([`Pinned::is_current`]).
-//! The stamp is global: a migration of a disjoint range also forces a
-//! retry, which costs a re-plan a few times per migration — the
-//! `store_view_swaps` and `store_stamp_retries` counters measure it.
+//! The stamp is global: a migration of a range the read does not touch
+//! also forces a retry, which costs a re-plan a few times per migration —
+//! the `store_view_swaps` and `store_stamp_retries` counters measure it.
 //!
 //! Writers hold the gate shared for their whole op, so the view they
 //! load cannot be replaced under them and needs no re-check; the
 //! exclusive holder thereby also drains every write that routed under the
 //! previous view before the migration driver trusts the new one.
 //!
-//! Overlays are **pairwise disjoint**: every in-flight migration moves a
-//! suffix of a distinct source interval, and no shard slot participates in
-//! two migrations at once ([`RebalanceError::SlotBusy`]), which makes the
-//! ranges disjoint by construction.
+//! At most **one** migration is in flight: beginning a second while one
+//! is installed fails with [`RebalanceError::MigrationInFlight`]. The
+//! rebalance driver moves one chunk per step anyway, so a second overlay
+//! could only interleave with the first, never run beside it.
 
 use crate::rebalance::RebalanceError;
 use std::marker::PhantomData;
@@ -173,9 +173,9 @@ impl RoutingEpoch {
     }
 }
 
-/// An in-flight key migration: one member of the overlay set the router
-/// superimposes on the current [`RoutingEpoch`] while `[lo, hi]` moves
-/// from `src` to `dst`.
+/// An in-flight key migration: the overlay the router superimposes on
+/// the current [`RoutingEpoch`] while `[lo, hi]` moves from `src` to
+/// `dst`.
 ///
 /// Invariant maintained by the store: at every instant each key in
 /// `[lo, hi]` is present in **exactly one** of the two lists (moves and
@@ -267,13 +267,10 @@ pub(crate) struct RoutingView<S> {
     mode: Partitioning,
     /// Current routing table (range mode; hash mode routes arithmetically).
     table: Arc<RoutingEpoch>,
-    /// In-flight migrations, sorted by `lo`; pairwise disjoint ranges and
-    /// pairwise disjoint `{src, dst}` slot sets.
-    overlays: Vec<Arc<MigrationState>>,
+    /// The in-flight migration, if any.
+    overlay: Option<Arc<MigrationState>>,
     /// Shard slots; grows when a split allocates one, never shrinks.
     slots: Vec<S>,
-    /// Most concurrent in-flight migrations ever observed.
-    peak_inflight: u64,
     #[cfg(test)]
     _live: LiveCount,
 }
@@ -284,9 +281,9 @@ impl<S> RoutingView<S> {
         &self.table
     }
 
-    /// The in-flight overlay set, sorted by `lo`.
-    pub(crate) fn overlays(&self) -> &[Arc<MigrationState>] {
-        &self.overlays
+    /// The in-flight migration, if any.
+    pub(crate) fn overlay(&self) -> Option<&Arc<MigrationState>> {
+        self.overlay.as_ref()
     }
 
     /// The shard slots.
@@ -308,11 +305,9 @@ impl<S> RoutingView<S> {
         }
     }
 
-    /// The in-flight overlay covering `key`, if any (ranges are disjoint
-    /// and sorted, so at most the last one starting at or below `key`).
+    /// The in-flight migration, if its range covers `key`.
     pub(crate) fn overlay_for(&self, key: u64) -> Option<&Arc<MigrationState>> {
-        let after = self.overlays.partition_point(|m| m.lo <= key);
-        self.overlays[..after].last().filter(|m| key <= m.hi)
+        self.overlay().filter(|m| (m.lo..=m.hi).contains(&key))
     }
 
     /// `(slot, lo, hi)` for every slot that may hold a key in `[lo, hi]`
@@ -329,39 +324,31 @@ impl<S> RoutingView<S> {
     }
 
     /// The slots a linearizable `[lo, hi]` read must visit: the table's,
-    /// plus the destination of **every** overlapping in-flight migration
-    /// clipped to its migrating sub-range. The flag is whether the merged
-    /// result needs sorting (hash interleaving, or an overlay whose
+    /// plus the in-flight migration's destination clipped to its migrating
+    /// sub-range when that overlaps the query. The flag is whether the
+    /// merged result needs sorting (hash interleaving, or an overlay whose
     /// destination keys interleave with the source interval's).
     pub(crate) fn visit_plan(&self, lo: u64, hi: u64) -> (Vec<(usize, u64, u64)>, bool) {
         let mut plan = self.table_plan(lo, hi);
         let mut sort = self.mode == Partitioning::Hash;
-        for m in self.overlays.iter().filter(|m| m.lo <= hi && lo <= m.hi) {
+        if let Some(m) = self.overlay().filter(|m| m.lo <= hi && lo <= m.hi) {
             plan.push((m.dst, m.lo.max(lo), m.hi.min(hi)));
             sort = true;
         }
         (plan, sort)
     }
 
-    /// Most concurrent in-flight migrations ever observed.
-    pub(crate) fn peak_inflight(&self) -> u64 {
-        self.peak_inflight
-    }
-
-    /// Snapshots of every in-flight migration, in key order.
-    pub(crate) fn migration_views(&self) -> Vec<MigrationView> {
-        self.overlays
-            .iter()
-            .map(|m| MigrationView {
-                id: m.id,
-                src: m.src,
-                dst: m.dst,
-                lo: m.lo,
-                hi: m.hi,
-                // ORDERING: progress gauge; staleness only lags the report.
-                moved: m.moved.load(Ordering::Relaxed),
-            })
-            .collect()
+    /// A snapshot of the in-flight migration, if any.
+    pub(crate) fn migration_view(&self) -> Option<MigrationView> {
+        self.overlay().map(|m| MigrationView {
+            id: m.id,
+            src: m.src,
+            dst: m.dst,
+            lo: m.lo,
+            hi: m.hi,
+            // ORDERING: progress gauge; staleness only lags the report.
+            moved: m.moved.load(Ordering::Relaxed),
+        })
     }
 }
 
@@ -489,9 +476,8 @@ impl<S: Clone + Send + Sync + 'static> Router<S> {
             seq: 0,
             mode,
             table: Arc::new(RoutingEpoch::initial(slots.len(), key_space)),
-            overlays: Vec::new(),
+            overlay: None,
             slots,
-            peak_inflight: 0,
             #[cfg(test)]
             _live: LiveCount(live.clone()),
         };
@@ -573,21 +559,9 @@ impl<S: Clone + Send + Sync + 'static> Router<S> {
         self.pin().table.clone()
     }
 
-    /// A snapshot of one in-flight migration (the lowest-keyed one), if
-    /// any is running. See [`Router::migrations`] for the full overlay
-    /// set.
+    /// A snapshot of the in-flight migration, if one is running.
     pub fn migration(&self) -> Option<MigrationView> {
-        self.migrations().into_iter().next()
-    }
-
-    /// Snapshots of every in-flight migration, in key order.
-    pub fn migrations(&self) -> Vec<MigrationView> {
-        self.pin().migration_views()
-    }
-
-    /// Most concurrent in-flight migrations ever observed.
-    pub fn peak_concurrent_migrations(&self) -> u64 {
-        self.pin().peak_inflight()
+        self.pin().migration_view()
     }
 
     /// The shard owning `key` **per the current table** (an in-flight
@@ -643,14 +617,9 @@ impl<S: Clone + Send + Sync + 'static> Router<S> {
     }
 
     /// Installs a migration overlay for `[lo, hi]`, a suffix of `src`'s
-    /// owned interval, headed for `dst`. Fails in hash mode, when either
-    /// slot already participates in an in-flight migration, when the
-    /// geometry is wrong, or when the transfer would leave `dst` owning a
-    /// non-contiguous key set.
-    ///
-    /// Disjointness: in-flight migrations move suffixes of **distinct**
-    /// source intervals (the slot-busy check rejects a shared source or
-    /// destination), so their key ranges can never overlap.
+    /// owned interval, headed for `dst`. Fails in hash mode, while another
+    /// migration is in flight, when the geometry is wrong, or when the
+    /// transfer would leave `dst` owning a non-contiguous key set.
     pub(crate) fn begin_migration(
         &self,
         src: usize,
@@ -670,12 +639,8 @@ impl<S: Clone + Send + Sync + 'static> Router<S> {
         if src >= slots || dst >= slots || src == dst {
             return Err(RebalanceError::BadShard);
         }
-        if cur
-            .overlays
-            .iter()
-            .any(|m| [m.src, m.dst].iter().any(|&s| s == src || s == dst))
-        {
-            return Err(RebalanceError::SlotBusy);
+        if cur.overlay.is_some() {
+            return Err(RebalanceError::MigrationInFlight);
         }
         let (slo, shi) = cur
             .table
@@ -692,10 +657,6 @@ impl<S: Clone + Send + Sync + 'static> Router<S> {
                 return Err(RebalanceError::NonAdjacent);
             }
         }
-        debug_assert!(
-            cur.overlays.iter().all(|m| shi < m.lo || m.hi < lo),
-            "slot-disjoint migrations must be range-disjoint"
-        );
         let mut next = cur.successor();
         let m = Arc::new(MigrationState {
             id: next.seq,
@@ -709,35 +670,31 @@ impl<S: Clone + Send + Sync + 'static> Router<S> {
             aborting: AtomicBool::new(false),
             stalls: AtomicU32::new(0),
         });
-        let at = next.overlays.partition_point(|o| o.lo < lo);
-        next.overlays.insert(at, m.clone());
-        next.peak_inflight = next.peak_inflight.max(next.overlays.len() as u64);
+        next.overlay = Some(m.clone());
         self.publish(next, &gate);
         Ok(m)
     }
 
-    /// The in-flight overlay with migration id `id`, if any.
+    /// The in-flight migration, if its id is `id`.
     pub(crate) fn overlay_by_id(&self, id: u64) -> Option<Arc<MigrationState>> {
-        self.pin().overlays.iter().find(|m| m.id == id).cloned()
+        self.pin().overlay.clone().filter(|m| m.id == id)
     }
 
-    /// The successor of the current view with `m` removed from its
-    /// overlay set, for the caller to finish and publish.
+    /// The successor of the current view with `m` removed as its overlay,
+    /// for the caller to finish and publish.
     fn without_overlay(&self, m: &Arc<MigrationState>) -> Result<RoutingView<S>, RebalanceError> {
         let cur = self.pin();
-        let at = cur
-            .overlays
-            .iter()
-            .position(|o| Arc::ptr_eq(o, m))
-            .ok_or(RebalanceError::NoSuchMigration)?;
+        if !cur.overlay.as_ref().is_some_and(|o| Arc::ptr_eq(o, m)) {
+            return Err(RebalanceError::NoSuchMigration);
+        }
         let mut next = cur.successor();
-        next.overlays.remove(at);
+        next.overlay = None;
         Ok(next)
     }
 
     /// Publishes the post-migration view: table at epoch + 1 with
-    /// `[m.lo, m.hi]` owned by `m.dst`, and `m` gone from the overlay
-    /// set. The caller must have fully drained `[m.lo, m.hi]` out of the
+    /// `[m.lo, m.hi]` owned by `m.dst`, and `m` gone as the overlay. The
+    /// caller must have fully drained `[m.lo, m.hi]` out of the
     /// source list first. Returns the new epoch.
     ///
     /// # Errors
@@ -814,7 +771,7 @@ impl<S: Clone + Send + Sync + 'static> std::fmt::Debug for Router<S> {
             .field("seq", &view.seq)
             .field("epoch", &view.table.epoch)
             .field("shards", &view.slots.len())
-            .field("migrations", &view.overlays.len())
+            .field("migration", &view.migration_view())
             .finish()
     }
 }
@@ -946,18 +903,20 @@ mod tests {
             Err(RebalanceError::BadSplitKey)
         ));
         let m = r.begin_migration(0, 1, 100).expect("suffix into neighbour");
-        // A second migration sharing either slot is refused...
-        for (src, dst, lo) in [(1, 2, 300), (0, 3, 100)] {
+        // A second migration is refused while one is in flight, whether it
+        // shares a slot or not, and the refusal publishes nothing.
+        let stamp = r.pin();
+        for (src, dst, lo) in [(1, 2, 300), (0, 3, 100), (2, 3, 600)] {
             assert!(matches!(
                 r.begin_migration(src, dst, lo),
-                Err(RebalanceError::SlotBusy)
+                Err(RebalanceError::MigrationInFlight)
             ));
         }
-        // ...but a slot-disjoint one runs concurrently.
-        let m2 = r.begin_migration(2, 3, 600).expect("disjoint migration");
-        assert_eq!(r.migrations().len(), 2);
-        assert_eq!(r.peak_concurrent_migrations(), 2);
+        assert!(stamp.is_current(), "a refused begin publishes no view");
+        drop(stamp);
+        assert_eq!(r.migration().map(|v| v.id), Some(m.id));
         r.complete_migration(&m).unwrap();
+        let m2 = r.begin_migration(2, 3, 600).expect("free once m completed");
         r.complete_migration(&m2).unwrap();
         assert_eq!(r.shard_of(150), 1);
         assert_eq!(r.shard_of(650), 3);
@@ -983,15 +942,20 @@ mod tests {
         assert!(stamp.is_current());
         assert_eq!(stamp.overlay_for(120).map(|m| m.id), Some(a.id));
         assert!(stamp.overlay_for(99).is_none() && stamp.overlay_for(250).is_none());
+        assert!(matches!(
+            r.begin_migration(2, 3, 600),
+            Err(RebalanceError::MigrationInFlight)
+        ));
+        assert!(stamp.is_current(), "a refused begin does not move it");
+        r.complete_migration(&a).unwrap();
+        assert!(!stamp.is_current(), "completion moves it");
+        stamp.refresh();
         let b = r.begin_migration(2, 3, 600).expect("overlay B [600,749]");
-        assert!(!stamp.is_current(), "a disjoint begin moves it too");
+        assert!(!stamp.is_current(), "a begin of another range moves it too");
         stamp.refresh();
         r.begin_abort(&b);
         assert!(!stamp.is_current(), "the aborting flip moves it");
         assert!(b.aborting.load(Ordering::Acquire));
-        stamp.refresh();
-        r.complete_migration(&a).unwrap();
-        assert!(!stamp.is_current(), "completion moves it");
         stamp.refresh();
         r.cancel_migration(&b).unwrap();
         assert!(!stamp.is_current(), "cancellation moves it");
@@ -1053,7 +1017,7 @@ mod tests {
         r.complete_migration(&m).unwrap();
         assert_eq!(r.live_views(), 4, "three swaps, nothing freed under a pin");
         assert_eq!((old.slots().len(), old.table().epoch), (2, 0));
-        assert!(old.overlays().is_empty(), "the pinned view is unchanged");
+        assert!(old.overlay().is_none(), "the pinned view is unchanged");
         drop(old);
         reclaim_until(|| r.live_views() == 1);
         assert_eq!((r.shards(), r.epoch()), (3, 1));

@@ -129,11 +129,12 @@ pub struct StoreStats {
     /// Current routing-table version (0 until the first completed split
     /// or merge).
     pub epoch: u64,
-    /// Every in-flight migration, in key order (disjoint ranges; empty
-    /// when no reshard is running).
-    pub migrations: Vec<MigrationView>,
-    /// Most concurrent in-flight migrations ever observed — `>= 2` proves
-    /// disjoint hot ranges actually rebalanced in parallel.
+    /// The in-flight migration (`None` when no reshard is running).
+    pub migration: Option<MigrationView>,
+    /// 1 once any migration has begun (in flight, completed or aborted),
+    /// else 0. Kept only because `benchmark/` reports it as
+    /// `rebalance.peak_concurrent`: the store runs one migration at a
+    /// time, so there is no concurrency to measure.
     pub peak_concurrent_migrations: u64,
     /// Migrations (splits and merges) completed since construction.
     pub migrations_completed: u64,
@@ -208,11 +209,6 @@ impl StoreStats {
         max / (total as f64 / owned.len() as f64)
     }
 
-    /// Number of migrations currently in flight.
-    pub fn concurrent_migrations(&self) -> usize {
-        self.migrations.len()
-    }
-
     /// The snapshot as a `leap_obs` JSON tree — see
     /// [`StoreStats::to_json`] for the field contract.
     pub fn to_json_value(&self) -> Json {
@@ -254,7 +250,7 @@ impl StoreStats {
             .field("migrations_completed", Json::U64(self.migrations_completed))
             .field(
                 "concurrent_migrations",
-                Json::U64(self.concurrent_migrations() as u64),
+                Json::U64(u64::from(self.migration.is_some())),
             )
             .field(
                 "peak_concurrent_migrations",
@@ -327,7 +323,7 @@ impl StoreStats {
         ));
         out.push_str(&format!(
             "# TYPE store_migrations_in_flight gauge\nstore_migrations_in_flight {}\n",
-            self.concurrent_migrations()
+            u64::from(self.migration.is_some())
         ));
         out.push_str(&format!(
             "# TYPE store_migrations_aborted counter\nstore_migrations_aborted {}\n",
@@ -370,7 +366,7 @@ impl std::fmt::Display for StoreStats {
                 s.shard, s.gets, s.puts, s.deletes, s.ranges, s.batch_parts, s.keys, s.owned
             )?;
         }
-        for m in &self.migrations {
+        if let Some(m) = &self.migration {
             writeln!(
                 f,
                 "migrating [{}, {}] shard {} -> {} ({} keys moved)",
@@ -379,14 +375,13 @@ impl std::fmt::Display for StoreStats {
         }
         write!(
             f,
-            "stm: {} | collision_batches={} | abort_rate={:.4} | epoch={} | migrations={} (in flight {}, peak {}, aborted {}) | shed_ops={} | key_spread={} ({:.2}x mean) | snapshot_scans={} (bundle_depth {})",
+            "stm: {} | collision_batches={} | abort_rate={:.4} | epoch={} | migrations={} (in flight {}, aborted {}) | shed_ops={} | key_spread={} ({:.2}x mean) | snapshot_scans={} (bundle_depth {})",
             self.stm,
             self.collision_batches,
             self.abort_rate(),
             self.epoch,
             self.migrations_completed,
-            self.concurrent_migrations(),
-            self.peak_concurrent_migrations,
+            u64::from(self.migration.is_some()),
             self.aborted_migrations,
             self.shed_ops,
             self.key_spread(),
@@ -439,25 +434,15 @@ mod tests {
             },
             collision_batches: 7,
             epoch: 3,
-            migrations: vec![
-                MigrationView {
-                    id: 1,
-                    src: 0,
-                    dst: 2,
-                    lo: 100,
-                    hi: 199,
-                    moved: 12,
-                },
-                MigrationView {
-                    id: 2,
-                    src: 1,
-                    dst: 3,
-                    lo: 600,
-                    hi: 699,
-                    moved: 4,
-                },
-            ],
-            peak_concurrent_migrations: 2,
+            migration: Some(MigrationView {
+                id: 1,
+                src: 0,
+                dst: 2,
+                lo: 100,
+                hi: 199,
+                moved: 12,
+            }),
+            peak_concurrent_migrations: 1,
             migrations_completed: 3,
             aborted_migrations: 1,
             shed_ops: 6,
@@ -472,7 +457,6 @@ mod tests {
             30,
             "unowned slots must not drag the spread"
         );
-        assert_eq!(stats.concurrent_migrations(), 2);
         let json = stats.to_json();
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert_eq!(json.matches("\"shard\":").count(), 3);
@@ -481,8 +465,8 @@ mod tests {
         assert!(json.contains("\"owned\":false"));
         assert!(json.contains("\"epoch\":3"));
         assert!(json.contains("\"migrations_completed\":3"));
-        assert!(json.contains("\"concurrent_migrations\":2"));
-        assert!(json.contains("\"peak_concurrent_migrations\":2"));
+        assert!(json.contains("\"concurrent_migrations\":1"));
+        assert!(json.contains("\"peak_concurrent_migrations\":1"));
         assert!(json.contains("\"key_spread\":30"));
         assert!(json.contains("\"key_spread_ratio\":1.6000"));
         assert!(json.contains("\"aborted_migrations\":1"));
@@ -507,7 +491,10 @@ mod tests {
         assert!(text.contains("abort_rate=0.5000"));
         assert!(text.contains("collision_batches=7"));
         assert!(text.contains("migrating [100, 199] shard 0 -> 2"));
-        assert!(text.contains("migrating [600, 699] shard 1 -> 3"));
+        assert!(text.contains("migrations=3 (in flight 1, aborted 1)"));
+        assert!(stats
+            .to_prometheus()
+            .contains("store_migrations_in_flight 1\n"));
         assert!(text.contains("key_spread=30"));
         assert!(text.contains("snapshot_scans=5 (bundle_depth 4)"));
     }

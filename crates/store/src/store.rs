@@ -1,8 +1,8 @@
 //! The store proper: Leap-List shards on one transactional domain, routed
 //! through the router's single published view (`router.rs`). Every
 //! operation starts the same way — pin the epoch, load the view — and then
-//! works off borrowed data: the table, the in-flight overlays and the
-//! shard lists themselves all come out of that one immutable value.
+//! works off borrowed data: the table, the in-flight overlay and the shard
+//! lists themselves all come out of that one immutable value.
 //!
 //! * A **read** takes no lock and writes no shared line: its op counter
 //!   is a per-thread stripe row, its list is borrowed from the view, and
@@ -28,8 +28,8 @@ use leap_fault::{FaultInjector, FaultPlan, FaultPoint};
 use leap_stm::{RetryPolicy, StmDomain, StmFaultPoint, StmRecorder};
 use leaplist::{BatchOp, LeapListLt, Params};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
 /// Construction parameters for a [`LeapStore`].
@@ -247,9 +247,6 @@ pub struct LeapStore<V> {
     pub(crate) free_slots: Mutex<Vec<usize>>,
     /// Serializes rebalance steps and split/merge initiation.
     pub(crate) step_lock: Mutex<()>,
-    /// Round-robin cursor over the in-flight migration set (the drain
-    /// picks `rr % inflight.len()` each step).
-    pub(crate) rebalance_rr: AtomicUsize,
     /// Pairs created by recently completed splits with the completion
     /// count at the time, shielded from immediate auto-merging (policy
     /// hysteresis; the shield expires after later completions); newest
@@ -353,7 +350,6 @@ impl<V: Clone + Send + Sync + 'static> LeapStore<V> {
             policy: config.rebalance,
             free_slots: Mutex::new(Vec::new()),
             step_lock: Mutex::new(()),
-            rebalance_rr: AtomicUsize::new(0),
             recent_splits: Mutex::new(VecDeque::new()),
             op_census: Mutex::new((Vec::new(), Vec::new())),
             collision_batches: AtomicU64::new(0),
@@ -627,8 +623,8 @@ impl<V: Clone + Send + Sync + 'static> LeapStore<V> {
 
     /// Enters the writer gate and re-loads `view` under it: until the
     /// returned guard drops no view can be published, so what the write
-    /// routes by — table, overlay set, each overlay's drain direction —
-    /// stays exact for the whole op.
+    /// routes by — table, overlay, the overlay's drain direction — stays
+    /// exact for the whole op.
     fn enter_write(&self, view: &mut View<'_, V>) -> std::sync::RwLockReadGuard<'_, ()> {
         let gate = self.router.enter_write();
         view.refresh();
@@ -773,9 +769,8 @@ impl<V: Clone + Send + Sync + 'static> LeapStore<V> {
     /// Applies a mixed put/delete batch as one linearizable action;
     /// returns previous values in input order. Ops sharing a shard apply
     /// in input order within the single commit (so a batch may put and
-    /// then delete the same key). Ops on migrating keys re-group onto
-    /// **whichever** in-flight migration's source/destination pair covers
-    /// them — a batch may straddle several disjoint migrations and still
+    /// then delete the same key). Ops on migrating keys re-group onto the
+    /// in-flight migration's source/destination pair, and the batch still
     /// commits as one transaction.
     ///
     /// # Panics
@@ -809,9 +804,6 @@ impl<V: Clone + Send + Sync + 'static> LeapStore<V> {
         }
         let _w = self.enter_write(view);
         let slots = view.slots();
-        // The overlay set, sorted by lo (disjoint ranges, so at most one
-        // can cover any key).
-        let migs = view.overlays();
         // Single-op batches (the Batcher's uncontended hot path) route
         // straight to their shard: no grouping vectors.
         if let [op] = ops {
@@ -841,13 +833,9 @@ impl<V: Clone + Send + Sync + 'static> LeapStore<V> {
             src: Option<(usize, usize)>,
         }
         let mut sources: Vec<OpSource> = Vec::with_capacity(ops.len());
-        // Overlays this batch must serialize with (indices into `migs`).
-        let mut locked: Vec<bool> = vec![false; migs.len()];
         for op in ops {
             let k = Self::key_of(op);
-            if let Some(i) = migs.iter().position(|m| (m.lo..=m.hi).contains(&k)) {
-                let m = &migs[i];
-                locked[i] = true;
+            if let Some(m) = view.overlay_for(k) {
                 let (from, to) = if m.aborting.load(Ordering::Acquire) {
                     (m.dst, m.src)
                 } else {
@@ -871,24 +859,15 @@ impl<V: Clone + Send + Sync + 'static> LeapStore<V> {
                 });
             }
         }
-        // Also serialize with any overlay whose destination this batch
-        // writes directly (conservative, as the single-overlay code did).
-        for (i, m) in migs.iter().enumerate() {
-            if !locked[i] && sources.iter().any(|s| s.slot == m.dst) {
-                locked[i] = true;
-            }
-        }
         // One multi-list transaction over every touched shard, regardless
-        // of key -> shard collisions. Batches touching migrating ranges
-        // serialize against each chunk mover (see `put`), taking every
-        // involved overlay's lock in ascending key order — the one total
-        // order all multi-overlay writers share, so they cannot deadlock.
-        let _locks: Vec<MutexGuard<'_, ()>> = migs
-            .iter()
-            .zip(&locked)
-            .filter(|(_, l)| **l)
-            .map(|(m, _)| m.write_lock.lock().unwrap_or_else(PoisonError::into_inner))
-            .collect();
+        // of key -> shard collisions. A batch that touches the migrating
+        // range, or writes the overlay's destination directly
+        // (conservatively), serializes against the chunk mover (see `put`)
+        // by taking the overlay's one write lock.
+        let _lock = view
+            .overlay()
+            .filter(|m| sources.iter().any(|s| s.src.is_some() || s.slot == m.dst))
+            .map(|m| m.write_lock.lock().unwrap_or_else(PoisonError::into_inner));
         if groups.iter().any(|g| g.len() >= 2) {
             // ORDERING: monotonic stat counter; no publication rides on it.
             self.collision_batches.fetch_add(1, Ordering::Relaxed);
@@ -1073,8 +1052,8 @@ impl<V: Clone + Send + Sync + 'static> LeapStore<V> {
     }
 
     /// One linearizable multi-shard read of `[lo, hi]`: plans the lists
-    /// to visit off `view` (the table's, plus both sides of every
-    /// overlapping in-flight migration — bumping each visited shard's
+    /// to visit off `view` (the table's, plus both sides of the in-flight
+    /// migration when it overlaps the range — bumping each visited shard's
     /// range counter), runs `read` over them — one snapshot transaction —
     /// and re-plans until the view it planned against is still the
     /// published one afterwards, i.e. until the visited list set was
@@ -1111,7 +1090,7 @@ impl<V: Clone + Send + Sync + 'static> LeapStore<V> {
     }
 
     /// Concatenates per-shard results; contiguous shards concatenate in
-    /// key order, hashed shards (and migration overlays) interleave and
+    /// key order, hashed shards (and a migration overlay) interleave and
     /// need the sort.
     fn merged(per_shard: Vec<Vec<(u64, V)>>, sort: bool) -> Vec<(u64, V)> {
         let mut merged: Vec<(u64, V)> = per_shard.into_iter().flatten().collect();
@@ -1260,15 +1239,20 @@ impl<V: Clone + Send + Sync + 'static> LeapStore<V> {
         // ORDERING: monotonic stat counters; a snapshot only needs
         // eventually-consistent values.
         let ld = |c: &std::sync::atomic::AtomicU64| c.load(Ordering::Relaxed);
+        let (completed, aborted) = (ld(&self.migrations_completed), ld(&self.aborted_migrations));
         StoreStats {
             shards,
             stm: self.domain.stats(),
             collision_batches: ld(&self.collision_batches),
             epoch: view.table().epoch,
-            migrations: view.migration_views(),
-            peak_concurrent_migrations: view.peak_inflight(),
-            migrations_completed: ld(&self.migrations_completed),
-            aborted_migrations: ld(&self.aborted_migrations),
+            migration: view.migration_view(),
+            // Every migration that began is in flight, completed or
+            // aborted.
+            peak_concurrent_migrations: u64::from(
+                view.overlay().is_some() || completed + aborted > 0,
+            ),
+            migrations_completed: completed,
+            aborted_migrations: aborted,
             shed_ops: ld(&self.shed_ops),
             snapshot_scans: ld(&self.snapshot_scans),
             bundle_depth: view
@@ -1419,7 +1403,8 @@ mod tests {
         assert_eq!(st.shards.iter().map(|s| s.keys).sum::<u64>(), 1);
         assert!(st.shards.iter().all(|s| s.owned));
         assert_eq!(st.epoch, 0);
-        assert!(st.migrations.is_empty());
+        assert!(st.migration.is_none());
+        assert_eq!(st.peak_concurrent_migrations, 0);
         assert!(st.stm.total_commits() > 0, "ops commit through the domain");
         assert!(st.to_json().contains("\"stm\""));
     }

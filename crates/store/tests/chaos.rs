@@ -1,9 +1,9 @@
 //! Deterministic chaos suite: every fault point armed from one seed, a
 //! concurrent mixed workload over disjoint per-thread key sets, and the
-//! convergence contract checked at the end — every migration completes
-//! or aborts (no permanent `SlotBusy`), the store is model-equivalent,
-//! and the degradation counters (`aborted_migrations`, `shed_ops`,
-//! `timeouts`) surface in stats and on the event timeline.
+//! convergence contract checked at the end — every migration completes or
+//! aborts (no permanent `MigrationInFlight`), the store is
+//! model-equivalent, and the degradation counters (`aborted_migrations`,
+//! `shed_ops`, `timeouts`) surface in stats and on the event timeline.
 //!
 //! The fault schedule is a pure function of the seed
 //! ([`leap_fault::FaultPlan`]), so a CI failure is replayable verbatim:
@@ -196,7 +196,7 @@ fn converges_and_stays_model_equivalent_under_seeded_faults() {
         store.rebalance_until_idle();
         let dst = store
             .split_shard(store.router().shard_of(8_100), 8_100)
-            .unwrap_or_else(|e| panic!("seed {seed}: no permanent SlotBusy, got {e}"));
+            .unwrap_or_else(|e| panic!("seed {seed}: no permanent MigrationInFlight, got {e}"));
         let mut moved = false;
         for _ in 0..64 {
             match store.rebalance_step() {
@@ -226,7 +226,7 @@ fn converges_and_stays_model_equivalent_under_seeded_faults() {
         // Convergence: no overlay survives, and the map is the model.
         store.rebalance_until_idle();
         assert!(
-            store.router().migrations().is_empty(),
+            store.router().migration().is_none(),
             "seed {seed}: migrations still in flight"
         );
         let got = store.range(0, KEY_SPACE - 1);
@@ -269,7 +269,7 @@ fn converges_and_stays_model_equivalent_under_seeded_faults() {
                     .unwrap_or_else(|e| panic!("seed {seed}: post-convergence split: {e}"));
                 store.rebalance_until_idle();
                 assert!(
-                    store.router().migrations().is_empty(),
+                    store.router().migration().is_none(),
                     "seed {seed}: post-convergence split never resolved"
                 );
             }
@@ -364,7 +364,7 @@ fn dead_rebalancer_is_reported_and_manual_convergence_still_works() {
         store.split_shard(0, 256).expect("split after worker death");
         store.rebalance_until_idle();
         assert!(
-            store.router().migrations().is_empty(),
+            store.router().migration().is_none(),
             "seed {seed}: manual convergence failed"
         );
         for k in 0..512u64 {

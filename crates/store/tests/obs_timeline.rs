@@ -42,8 +42,10 @@ fn migration_timeline_orders_begin_chunks_complete() {
         store.put(k, k);
         store.put(500 + k, k);
     }
-    // Two disjoint migrations: a split of shard 0 and one of shard 1.
+    // Two migrations, one after the other: a split of shard 0, then one
+    // of shard 1.
     store.split_shard(0, 100).expect("split shard 0");
+    store.rebalance_until_idle();
     store.split_shard(1, 600).expect("split shard 1");
     store.rebalance_until_idle();
     let obs = store.obs().expect("obs on by default");

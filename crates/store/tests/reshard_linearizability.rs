@@ -26,7 +26,8 @@
 
 use leap_history::{check, check_snapshot_isolation, Op, Recorder, Ret, Session};
 use leap_store::{
-    LeapStore, Partitioning, RebalanceAction, RebalancePolicy, Rebalancer, StoreConfig,
+    LeapStore, Partitioning, RebalanceAction, RebalanceError, RebalancePolicy, Rebalancer,
+    StoreConfig,
 };
 use leaplist::Params;
 use std::collections::BTreeMap;
@@ -326,7 +327,7 @@ fn concurrent_traffic_survives_split_and_merge() {
     let st = store.stats();
     assert_eq!(st.migrations_completed, 2);
     assert_eq!(st.epoch, 2);
-    assert!(st.migrations.is_empty());
+    assert!(st.migration.is_none());
     assert_eq!(store.router().shard_interval(cold_src), None);
     assert!(
         st.key_spread() < spread_before,
@@ -336,16 +337,15 @@ fn concurrent_traffic_survives_split_and_merge() {
     );
 }
 
-/// Two **concurrent disjoint migrations** under full traffic: shard 0 and
-/// shard 2 split at the same time (slot-disjoint overlays, both provably
-/// in flight), their chunk drains interleaving round-robin, while writers
-/// and snapshot readers run — and a dedicated cursor repeatedly scans a
-/// window that **straddles both migrating ranges**, each page recorded as
-/// the `Range` it proves. The complete history must be strictly
-/// serializable; structurally, the peak migration concurrency must reach
-/// 2 and both epochs must install.
+/// Two **successive migrations** under full traffic: shard 0 splits, and
+/// once it completes shard 2 splits, each drained chunk by chunk while
+/// writers and snapshot readers run — and a dedicated cursor repeatedly
+/// scans a window that **straddles both migrating ranges**, each page
+/// recorded as the `Range` it proves. The second split is refused while
+/// the first is in flight. The complete history must be strictly
+/// serializable, and both epochs must install.
 #[test]
-fn two_concurrent_migrations_vs_straddling_cursor() {
+fn successive_migrations_vs_straddling_cursor() {
     let (store, initial) = build_store(64, false);
     let rec = Recorder::new();
     let stop = Arc::new(AtomicBool::new(false));
@@ -395,40 +395,31 @@ fn two_concurrent_migrations_vs_straddling_cursor() {
         }));
     }
 
-    // Begin BOTH migrations before draining either: slot-disjoint, so the
-    // overlay set holds two at once.
-    store.split_shard(0, 500).expect("split hot shard 0");
-    store
-        .split_shard(2, 2_500)
-        .expect("split shard 2 concurrently");
-    assert_eq!(
-        store.stats().concurrent_migrations(),
-        2,
-        "both overlays installed before any chunk moved"
-    );
-    // Drain round-robin, pacing chunks so worker traffic and cursor pages
-    // interleave with both overlays in flight.
-    let mut completions = 0;
-    while completions < 2 {
+    // Drain each split in turn, pacing chunks so worker traffic and
+    // cursor pages interleave with its overlay in flight.
+    let drain = || loop {
         match store.rebalance_step() {
-            RebalanceAction::Completed { .. } => completions += 1,
+            RebalanceAction::Completed { .. } => break,
             RebalanceAction::Moved { .. } => std::thread::sleep(Duration::from_millis(1)),
-            RebalanceAction::SplitStarted { .. } | RebalanceAction::MergeStarted { .. } => {}
-            RebalanceAction::Idle => panic!("idle with migrations outstanding"),
-            // No fault plan is armed, so a drain can neither fail nor
-            // trip the watchdog.
-            RebalanceAction::ChunkFailed { .. } | RebalanceAction::Aborted { .. } => {
-                panic!("chunk failure without an armed fault plan")
-            }
+            // The policy's thresholds are out of reach and no fault plan
+            // is armed: nothing else can happen mid-drain.
+            other => panic!("unexpected action during drain: {other:?}"),
         }
-    }
+    };
+    store.split_shard(0, 500).expect("split hot shard 0");
+    assert_eq!(
+        store.split_shard(2, 2_500),
+        Err(RebalanceError::MigrationInFlight),
+        "one migration at a time"
+    );
+    drain();
+    store.split_shard(2, 2_500).expect("split shard 2");
+    drain();
     stop.store(true, Ordering::Relaxed);
     for w in workers {
         w.join().unwrap();
     }
-    // Quiesce whatever the policy may have additionally started, then
-    // record a final full snapshot so the checker certifies totality.
-    store.rebalance_until_idle();
+    // A final full snapshot, so the checker certifies totality.
     {
         let mut session = rec.session();
         session.range(0, KEY_SPACE - 1, || store.range(0, KEY_SPACE - 1));
@@ -438,13 +429,9 @@ fn two_concurrent_migrations_vs_straddling_cursor() {
         .unwrap_or_else(|v| panic!("two-migration history is not serializable:\n{v}"));
     assert_eq!(report.events, history.len());
     let st = store.stats();
-    assert!(
-        st.peak_concurrent_migrations >= 2,
-        "two migrations must have been in flight at once"
-    );
-    assert!(st.migrations_completed >= 2);
-    assert!(st.epoch >= 2);
-    assert!(st.migrations.is_empty());
+    assert_eq!(st.migrations_completed, 2);
+    assert_eq!(st.epoch, 2);
+    assert!(st.migration.is_none());
 }
 
 /// The background [`Rebalancer`] under skewed load: policy-driven splits

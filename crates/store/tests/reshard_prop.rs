@@ -6,15 +6,15 @@
 //! equal the model; at the end, `get`, paged `Cursor` scans, `count_range`
 //! and `len` must all agree with the model too.
 //!
-//! Since the overlay-set router landed, generated `Split`/`Merge` actions
-//! on slot-disjoint shards **succeed while another migration is still
-//! draining**, so the random schedules exercise several concurrent
-//! overlays; the deterministic companion test below pins the
-//! two-concurrent-migrations interleaving explicitly (both overlays
-//! provably in flight, steps alternating between them, every read surface
-//! checked against the model after each step).
+//! A generated `Split` or `Merge` begun while another migration drains is
+//! refused (`MigrationInFlight`) and leaves the map untouched; the
+//! deterministic companion test below pins the drain/write interleaving
+//! explicitly, checking every read surface against the model after each
+//! step.
 
-use leap_store::{BatchOp, LeapStore, Partitioning, RebalancePolicy, StoreConfig};
+use leap_store::{
+    BatchOp, LeapStore, Partitioning, RebalanceAction, RebalanceError, RebalancePolicy, StoreConfig,
+};
 use leaplist::Params;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -122,12 +122,64 @@ fn action_strategy() -> impl Strategy<Value = Action> {
     ]
 }
 
-/// Two disjoint migrations provably in flight at once, their chunk drains
-/// interleaved round-robin with writes that straddle both overlays — the
-/// store must match the sequentially-replayed `BTreeMap` model after
-/// every single action.
+/// The policy census must only run at quiescence. Four hot shards
+/// alternate with four near-empty ones; splitting each hot shard once
+/// leaves every half below `split_ratio × mean`, so the pass must make
+/// exactly four splits, four completions and no merge. A census taken
+/// while a split drains would miss the keys already moved into its
+/// destination (which owns no interval until completion): the mean
+/// falls, finished halves cross the threshold, and they split again.
 #[test]
-fn two_concurrent_migrations_interleave_against_model() {
+fn policy_census_waits_for_the_drain_and_splits_each_hot_shard_once() {
+    let store: LeapStore<u64> = LeapStore::new(
+        StoreConfig::new(8, Partitioning::Range)
+            .with_key_space(8_000)
+            .with_params(Params {
+                node_size: 8,
+                max_level: 8,
+                ..Params::default()
+            })
+            .with_rebalancing(RebalancePolicy {
+                chunk: 16,
+                split_ratio: 1.5,
+                merge_ratio: 0.5,
+                op_weight: 0.0,
+                ..RebalancePolicy::default()
+            }),
+    );
+    // Shard s owns [1000 s, 1000 s + 999]: 400 keys in each even shard,
+    // 2 in each odd one.
+    for s in 0..8u64 {
+        let n = if s % 2 == 0 { 400 } else { 2 };
+        for j in 0..n {
+            store.put(s * 1_000 + 2 * j, j);
+        }
+    }
+    let (mut split, mut completions, mut merges) = (Vec::new(), 0, 0);
+    for step in 0.. {
+        assert!(step < 10_000, "rebalance never went idle");
+        match store.rebalance_step() {
+            RebalanceAction::Idle => break,
+            RebalanceAction::SplitStarted { shard, .. } => split.push(shard),
+            RebalanceAction::MergeStarted { .. } => merges += 1,
+            RebalanceAction::Completed { .. } => completions += 1,
+            RebalanceAction::Moved { .. } => {}
+            other => panic!("unexpected action {other:?}"),
+        }
+    }
+    split.sort_unstable();
+    assert_eq!((split, completions, merges), (vec![0, 2, 4, 6], 4, 0));
+    assert_eq!(store.len(), 4 * 400 + 4 * 2);
+}
+
+/// Two migrations, one after the other, each chunk drain interleaved
+/// with a put inside the overlay, a delete outside it and one atomic
+/// batch straddling the overlay and two stable shards — the store must
+/// match the sequentially-replayed `BTreeMap` model after every single
+/// action. A second split begun while the first drains is refused and
+/// changes nothing.
+#[test]
+fn migrations_interleave_with_straddling_writes_against_model() {
     let store = store();
     let mut model: BTreeMap<u64, u64> = BTreeMap::new();
     for k in 0..KEYS {
@@ -138,52 +190,62 @@ fn two_concurrent_migrations_interleave_against_model() {
         let want: Vec<(u64, u64)> = model.iter().map(|(&k, &v)| (k, v)).collect();
         assert_eq!(store.range(0, KEYS), want, "{what}");
     };
-    // KEYS = 64 over 4 shards: intervals of 16. Split shards 0 and 2 —
-    // slot-disjoint, so both overlays install concurrently.
+    // Drains the in-flight migration one bounded step at a time. `inside`
+    // is a key of its range; `outside` and the batch's other keys lie in
+    // shards it does not touch. Returns the steps taken.
+    let drain = |model: &mut BTreeMap<u64, u64>, inside: u64, outside: u64| {
+        let mut steps = 0u64;
+        while store.router().migration().is_some() {
+            store.rebalance_step();
+            steps += 1;
+            let i = steps;
+            assert_eq!(store.put(inside, i), model.insert(inside, i), "overlay put");
+            assert_eq!(store.delete(outside), model.remove(&outside), "delete");
+            let batch = [
+                BatchOp::Update(inside + 1, i),
+                BatchOp::Update(outside + 3, i),
+                BatchOp::Remove(inside + 2),
+                BatchOp::Update(30, i),
+            ];
+            let got = store.apply(&batch);
+            let want = vec![
+                model.insert(inside + 1, i),
+                model.insert(outside + 3, i),
+                model.remove(&(inside + 2)),
+                model.insert(30, i),
+            ];
+            assert_eq!(got, want, "straddling atomic batch, step {steps}");
+            check(model, "after interleaved step");
+            assert!(steps < 1_000, "drains must converge");
+        }
+        steps
+    };
+    // KEYS = 64 over 4 shards: intervals of 16.
     let d0 = store.split_shard(0, 8).expect("split shard 0 at 8");
+    let mig = store.router().migration().expect("in flight");
+    assert_eq!((mig.lo, mig.hi), (8, 15));
+    assert_eq!(
+        store.split_shard(2, 40),
+        Err(RebalanceError::MigrationInFlight),
+        "one migration at a time"
+    );
+    assert_eq!(
+        store.stats().migration,
+        Some(mig),
+        "the refusal changed nothing"
+    );
+    assert!(
+        drain(&mut model, 9, 41) > 2,
+        "the drain was actually chunked"
+    );
     let d2 = store.split_shard(2, 40).expect("split shard 2 at 40");
-    assert_eq!(store.router().migrations().len(), 2, "both in flight");
-    assert_eq!(store.stats().concurrent_migrations(), 2);
-    let ranges: Vec<(u64, u64)> = store
-        .router()
-        .migrations()
-        .iter()
-        .map(|m| (m.lo, m.hi))
-        .collect();
-    assert_eq!(ranges, vec![(8, 15), (40, 47)], "disjoint migrating ranges");
-    // Interleave: one bounded drain step (round-robin over the two
-    // overlays), then writes inside overlay 0, inside overlay 1,
-    // straddling both in ONE atomic batch, and outside both.
-    let mut steps = 0u64;
-    while !store.router().migrations().is_empty() {
-        store.rebalance_step();
-        steps += 1;
-        let i = steps;
-        assert_eq!(store.put(9, i), model.insert(9, i), "overlay-0 put");
-        assert_eq!(store.delete(41), model.remove(&41), "overlay-1 delete");
-        let batch = [
-            BatchOp::Update(10, i),
-            BatchOp::Update(44, i),
-            BatchOp::Remove(11),
-            BatchOp::Update(30, i),
-        ];
-        let got = store.apply(&batch);
-        let want = vec![
-            model.insert(10, i),
-            model.insert(44, i),
-            model.remove(&11),
-            model.insert(30, i),
-        ];
-        assert_eq!(got, want, "cross-overlay atomic batch, step {steps}");
-        check(&model, "after interleaved step");
-        assert!(steps < 1_000, "drains must converge");
-    }
-    // Both completed: ownership flipped to both destinations, and the
-    // peak concurrency is recorded for the stats surface.
-    assert!(steps > 2, "drains were actually chunked");
+    assert!(
+        drain(&mut model, 41, 9) > 2,
+        "the drain was actually chunked"
+    );
     let st = store.stats();
-    assert!(st.migrations_completed >= 2);
-    assert!(st.peak_concurrent_migrations >= 2);
+    assert_eq!(st.migrations_completed, 2);
+    assert_eq!(st.peak_concurrent_migrations, 1);
     assert_eq!(store.router().shard_of(12), d0);
     assert_eq!(store.router().shard_of(44), d2);
     check(&model, "after both completions");

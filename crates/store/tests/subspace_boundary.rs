@@ -10,7 +10,8 @@
 //! last key must *not* resume into the next subspace.
 
 use leap_store::{
-    LeapStore, Partitioning, RebalanceAction, RebalancePolicy, StoreConfig, Subspace,
+    LeapStore, Partitioning, RebalanceAction, RebalanceError, RebalancePolicy, StoreConfig,
+    Subspace,
 };
 use leaplist::Params;
 
@@ -110,8 +111,7 @@ fn cursor_pages_stay_inside_subspace_across_straddling_overlay() {
     );
 }
 
-/// Two subspaces over **four** shards (two shards each), for scenarios
-/// that need two slot-disjoint migrations in flight at once.
+/// Two subspaces over **four** shards (two shards each).
 fn store4() -> LeapStore<u64> {
     LeapStore::new(
         StoreConfig::new(4, Partitioning::Range)
@@ -128,14 +128,14 @@ fn store4() -> LeapStore<u64> {
     )
 }
 
-/// TWO disjoint overlays in flight at once — one straddling the subspace
-/// prefix boundary (shard 1's top-of-subspace-0 keys merging into the
-/// shard that holds subspace 1's bottom), one splitting subspace 0's low
-/// shard — while paged cursors scan each subspace and a third cursor
-/// straddles everything. No page may leak a neighbour's key, every scan
-/// must tile exactly, mid-flight and after both drains complete.
+/// Two overlays in turn — first one straddling the subspace prefix
+/// boundary (shard 1's top-of-subspace-0 keys merging into the shard that
+/// holds subspace 1's bottom), then one splitting subspace 0's low shard
+/// — while paged cursors scan each subspace and a third cursor straddles
+/// everything. No page may leak a neighbour's key, and every scan must
+/// tile exactly, with each overlay mid-flight and after both complete.
 #[test]
-fn two_concurrent_overlays_vs_subspace_cursors() {
+fn successive_overlays_vs_subspace_cursors() {
     let store = store4();
     let (a, b) = (Subspace::new(0), Subspace::new(1));
     // Keys hugging the boundary from both sides, plus subspace 0's low
@@ -149,65 +149,55 @@ fn two_concurrent_overlays_vs_subspace_cursors() {
         store.put(k, k);
     }
     let a_all: Vec<u64> = a_bottom.iter().chain(&a_top).copied().collect();
+    let scans_tile = |what: &str| {
+        for page in [1usize, 3, 10, 64] {
+            assert_eq!(paged_subspace(&store, a, page), a_all, "{what}: a, {page}");
+            assert_eq!(
+                paged_subspace(&store, b, page),
+                b_bottom,
+                "{what}: b, {page}"
+            );
+        }
+        // A cursor straddling the overlay and the boundary tiles exactly.
+        let straddle: Vec<u64> = store
+            .scan_pages(a.lo(), b.hi(), 7)
+            .flatten()
+            .map(|(k, _)| k)
+            .collect();
+        let mut want = a_all.clone();
+        want.extend(&b_bottom);
+        assert_eq!(straddle, want, "{what}: straddling scan sees each key once");
+        assert_eq!(store.range(a.lo(), a.hi()).len(), a_all.len());
+        assert_eq!(store.range(b.lo(), b.hi()).len(), b_bottom.len());
+    };
+    // One bounded chunk, leaving the overlay in flight with keys on both
+    // sides.
+    let one_chunk = || {
+        assert!(matches!(
+            store.rebalance_step(),
+            RebalanceAction::Moved { .. }
+        ));
+        let m = store.router().migration().expect("overlay in flight");
+        assert!(m.moved > 0, "a chunk of [{}, {}] moved", m.lo, m.hi);
+    };
 
-    // Overlay 1: shard 1 (subspace 0's upper half-interval) merges into
-    // shard 2, whose list holds subspace 1's bottom — migrated keys
-    // interleave across the prefix boundary. Overlay 2: slot-disjoint
-    // split of shard 0 inside subspace 0's low end.
+    // Overlay 1: migrated keys interleave across the prefix boundary.
     store.merge_shards(1, 2).expect("boundary merge begins");
-    store
-        .split_shard(0, a.key(5))
-        .expect("disjoint split begins");
-    assert_eq!(store.router().migrations().len(), 2, "both in flight");
-    // Two round-robin steps: one bounded chunk drained from EACH overlay,
-    // both still in flight afterwards.
-    assert!(matches!(
-        store.rebalance_step(),
-        RebalanceAction::Moved { .. }
-    ));
-    assert!(matches!(
-        store.rebalance_step(),
-        RebalanceAction::Moved { .. }
-    ));
-    let migs = store.router().migrations();
-    assert_eq!(migs.len(), 2, "chunked drains left both overlays live");
-    for m in &migs {
-        assert!(
-            m.moved > 0,
-            "round-robin drained overlay [{}, {}]",
-            m.lo,
-            m.hi
-        );
-    }
-
-    for page in [1usize, 3, 10, 64] {
-        assert_eq!(paged_subspace(&store, a, page), a_all, "subspace 0, {page}");
-        assert_eq!(
-            paged_subspace(&store, b, page),
-            b_bottom,
-            "subspace 1, {page}"
-        );
-    }
-    // A cursor straddling BOTH overlays and the boundary tiles exactly.
-    let straddle: Vec<u64> = store
-        .scan_pages(a.lo(), b.hi(), 7)
-        .flatten()
-        .map(|(k, _)| k)
-        .collect();
-    let mut want = a_all.clone();
-    want.extend(&b_bottom);
-    assert_eq!(straddle, want, "straddling scan sees each key exactly once");
-    assert_eq!(store.range(a.lo(), a.hi()).len(), a_all.len());
-    assert_eq!(store.range(b.lo(), b.hi()).len(), b_bottom.len());
-
-    // Drain both to completion: same story at rest.
+    one_chunk();
+    assert_eq!(
+        store.split_shard(0, a.key(5)),
+        Err(RebalanceError::MigrationInFlight),
+        "one overlay at a time"
+    );
+    scans_tile("boundary merge");
     store.rebalance_until_idle();
-    assert!(store.router().migrations().is_empty());
-    assert!(store.stats().peak_concurrent_migrations >= 2);
-    for page in [1usize, 3, 64] {
-        assert_eq!(paged_subspace(&store, a, page), a_all);
-        assert_eq!(paged_subspace(&store, b, page), b_bottom);
-    }
+    // Overlay 2: a split inside subspace 0's low end.
+    store.split_shard(0, a.key(5)).expect("split begins");
+    one_chunk();
+    scans_tile("low split");
+    store.rebalance_until_idle();
+    assert!(store.router().migration().is_none());
+    scans_tile("at rest");
     let ss = store.subspace_stats(&[a, b]);
     assert_eq!((ss[0].keys, ss[1].keys), (20, 10));
 }
