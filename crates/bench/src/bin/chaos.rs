@@ -1,7 +1,7 @@
 //! Deterministic chaos driver: one seeded run of a mixed workload against
 //! a [`leap_store::LeapStore`] with **every fault point armed** —
 //! injected stm commit/validation aborts, failing migration chunks, shed
-//! batcher drains and rebalancer-tick panics — then a convergence and
+//! batcher admissions and rebalancer-tick panics — then a convergence and
 //! model-equivalence check.
 //!
 //! ```text
@@ -34,8 +34,8 @@ fn plan_for(seed: u64) -> FaultPlan {
         .with_budget(FaultPoint::StmValidate, 500)
         .with_rate(FaultPoint::MigrationChunk, 100_000)
         .with_budget(FaultPoint::MigrationChunk, 200)
-        .with_rate(FaultPoint::BatcherDrain, 50_000)
-        .with_budget(FaultPoint::BatcherDrain, 200)
+        .with_rate(FaultPoint::Admission, 50_000)
+        .with_budget(FaultPoint::Admission, 200)
 }
 
 fn run(seed: u64, ops: u64, shards: usize) -> Result<(), String> {
@@ -77,7 +77,7 @@ fn run(seed: u64, ops: u64, shards: usize) -> Result<(), String> {
                     return Err(format!("delete({key}) returned a stale value"));
                 }
             }
-            // Batched ops degrade gracefully: a shed drain reports
+            // Gated ops degrade gracefully: a shed admission reports
             // Overloaded and the op provably did not run.
             65..=79 => match batcher.try_put(key, val) {
                 Ok(prev) => {

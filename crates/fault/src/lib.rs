@@ -18,7 +18,7 @@
 //! | `stm_commit` | [`Txn::commit`] entry — the transaction aborts as a commit-time conflict |
 //! | `stm_validate` | commit-time read validation — validation reports failure |
 //! | `migration_chunk` | a migration chunk transaction — the chunk is dropped, the frontier stalls |
-//! | `batcher_drain` | a flat-combining drain — the whole batch is shed with `Overloaded` |
+//! | `admission` | the `Batcher`'s admission gate — the op is refused with `Overloaded` before it runs |
 //! | `rebalancer_tick` | a background rebalancer step — the step panics (recovery is caught) |
 //!
 //! (`Txn::commit` is `leap_stm::Txn::commit`; this crate only names the
@@ -62,8 +62,8 @@ pub enum FaultPoint {
     StmValidate = 1,
     /// One migration drain chunk: the chunk transaction is skipped.
     MigrationChunk = 2,
-    /// One flat-combining batcher drain: the batch is shed.
-    BatcherDrain = 3,
+    /// The `Batcher`'s admission gate: the op is refused before it runs.
+    Admission = 3,
     /// One background rebalancer step: the step panics.
     RebalancerTick = 4,
 }
@@ -77,7 +77,7 @@ impl FaultPoint {
         FaultPoint::StmCommit,
         FaultPoint::StmValidate,
         FaultPoint::MigrationChunk,
-        FaultPoint::BatcherDrain,
+        FaultPoint::Admission,
         FaultPoint::RebalancerTick,
     ];
 
@@ -88,7 +88,7 @@ impl FaultPoint {
             FaultPoint::StmCommit => "stm_commit",
             FaultPoint::StmValidate => "stm_validate",
             FaultPoint::MigrationChunk => "migration_chunk",
-            FaultPoint::BatcherDrain => "batcher_drain",
+            FaultPoint::Admission => "admission",
             FaultPoint::RebalancerTick => "rebalancer_tick",
         }
     }
@@ -301,15 +301,15 @@ mod tests {
     #[test]
     fn always_fires_until_budget_spent() {
         let plan = FaultPlan::new(1)
-            .always(FaultPoint::BatcherDrain)
-            .with_budget(FaultPoint::BatcherDrain, 5);
+            .always(FaultPoint::Admission)
+            .with_budget(FaultPoint::Admission, 5);
         let inj = FaultInjector::new(plan);
         let fired = (0..100)
-            .filter(|_| inj.should_fire(FaultPoint::BatcherDrain))
+            .filter(|_| inj.should_fire(FaultPoint::Admission))
             .count();
         assert_eq!(fired, 5);
-        assert_eq!(inj.fires(FaultPoint::BatcherDrain), 5);
-        assert_eq!(inj.stats(FaultPoint::BatcherDrain).visits, 100);
+        assert_eq!(inj.fires(FaultPoint::Admission), 5);
+        assert_eq!(inj.stats(FaultPoint::Admission).visits, 100);
     }
 
     #[test]
@@ -382,7 +382,7 @@ mod tests {
                 "stm_commit",
                 "stm_validate",
                 "migration_chunk",
-                "batcher_drain",
+                "admission",
                 "rebalancer_tick"
             ]
         );

@@ -462,7 +462,7 @@ fn plan_shape<V, R: rand::Rng + ?Sized>(
 /// pointers are used.
 pub(crate) unsafe fn plan_multi<V: Clone>(raw: &RawLeapList<V>, ops: &[ListOp<V>]) -> ListPlan<V> {
     // One op per list is the hottest case by far (every `update`/`remove`
-    // and most Batcher traffic): skip the grouping machinery entirely.
+    // and every single-key store write): skip the grouping machinery.
     if let [op] = ops {
         // SAFETY: forwards this fn's own guard contract.
         let (seg, result) = unsafe { plan_single(raw, op) };

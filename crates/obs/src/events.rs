@@ -27,15 +27,13 @@ const SLOT_WORDS: usize = 2 + WORDS;
 
 /// Payload field names per kind tag (see [`EventKind::encode`]), in
 /// declaration order.
-const FIELDS: [&[&str]; 12] = [
+const FIELDS: [&[&str]; 10] = [
     &["id", "src", "dst", "lo", "hi"],
     &["id", "moved"],
     &["id", "epoch"],
     &["epoch"],
     &["shard", "load"],
     &["left", "right"],
-    &["ops", "drain_ns", "window_ns"],
-    &["index"],
     &["id", "moved_back"],
     &["attempts"],
     &["ops", "queued"],
@@ -94,21 +92,6 @@ pub enum EventKind {
         /// Right (drained) shard slot.
         right: u64,
     },
-    /// The batcher drained a combined batch of `ops` operations in
-    /// `drain_ns`, with its adaptive window at `window_ns`.
-    BatcherDrain {
-        /// Operations combined into the drain.
-        ops: u64,
-        /// Wall time of the drain in nanoseconds.
-        drain_ns: u64,
-        /// The adaptive wait-window after this drain, nanoseconds.
-        window_ns: u64,
-    },
-    /// A poisoned (panicking) op was isolated at `index` of its batch.
-    PoisonedOp {
-        /// Index of the poisoned op within the submitted batch.
-        index: u64,
-    },
     /// Migration `id` was aborted: its overlay was removed without a
     /// routing flip after `moved_back` keys were rolled back to the source
     /// shard (zero when the abort drained the migration forward instead —
@@ -125,13 +108,14 @@ pub enum EventKind {
         /// Failed attempts made before the deadline/budget cut the op off.
         attempts: u64,
     },
-    /// Admission control shed `ops` operation(s) with the batcher queue at
-    /// depth `queued` (overflow, an injected drain fault, or a wedged
-    /// combiner) — the submitters got a typed `Overloaded` error.
+    /// The batcher's admission gate shed `ops` operation(s) with `queued`
+    /// ops in flight through it (the bound was reached, or an injected
+    /// `admission` fault fired) — the submitters got a typed `Overloaded`
+    /// error.
     Shed {
         /// Operations shed.
         ops: u64,
-        /// Queue depth observed when shedding.
+        /// Ops in flight at the gate when shedding.
         queued: u64,
     },
     /// A background rebalancer step panicked and was contained; `panics`
@@ -152,8 +136,6 @@ impl EventKind {
             EventKind::EpochFlip { .. } => "epoch_flip",
             EventKind::PolicySplit { .. } => "policy_split",
             EventKind::PolicyMerge { .. } => "policy_merge",
-            EventKind::BatcherDrain { .. } => "batcher_drain",
-            EventKind::PoisonedOp { .. } => "poisoned_op",
             EventKind::MigrationAbort { .. } => "migration_abort",
             EventKind::TxnDeadline { .. } => "txn_deadline",
             EventKind::Shed { .. } => "shed",
@@ -206,35 +188,23 @@ impl EventKind {
                 w[1] = right;
                 5
             }
-            EventKind::BatcherDrain {
-                ops,
-                drain_ns,
-                window_ns,
-            } => {
-                w = [ops, drain_ns, window_ns, 0, 0];
-                6
-            }
-            EventKind::PoisonedOp { index } => {
-                w[0] = index;
-                7
-            }
             EventKind::MigrationAbort { id, moved_back } => {
                 w[0] = id;
                 w[1] = moved_back;
-                8
+                6
             }
             EventKind::TxnDeadline { attempts } => {
                 w[0] = attempts;
-                9
+                7
             }
             EventKind::Shed { ops, queued } => {
                 w[0] = ops;
                 w[1] = queued;
-                10
+                8
             }
             EventKind::RebalancerPanic { panics } => {
                 w[0] = panics;
-                11
+                9
             }
         };
         (tag, w)
@@ -266,22 +236,16 @@ impl EventKind {
                 left: w[0],
                 right: w[1],
             },
-            6 => EventKind::BatcherDrain {
-                ops: w[0],
-                drain_ns: w[1],
-                window_ns: w[2],
-            },
-            7 => EventKind::PoisonedOp { index: w[0] },
-            8 => EventKind::MigrationAbort {
+            6 => EventKind::MigrationAbort {
                 id: w[0],
                 moved_back: w[1],
             },
-            9 => EventKind::TxnDeadline { attempts: w[0] },
-            10 => EventKind::Shed {
+            7 => EventKind::TxnDeadline { attempts: w[0] },
+            8 => EventKind::Shed {
                 ops: w[0],
                 queued: w[1],
             },
-            11 => EventKind::RebalancerPanic { panics: w[0] },
+            9 => EventKind::RebalancerPanic { panics: w[0] },
             _ => return None,
         })
     }
@@ -425,12 +389,6 @@ mod tests {
             EventKind::EpochFlip { epoch: 9 },
             EventKind::PolicySplit { shard: 0, load: 77 },
             EventKind::PolicyMerge { left: 1, right: 2 },
-            EventKind::BatcherDrain {
-                ops: 8,
-                drain_ns: 1000,
-                window_ns: 500,
-            },
-            EventKind::PoisonedOp { index: 3 },
             EventKind::MigrationAbort {
                 id: 4,
                 moved_back: 96,

@@ -9,8 +9,8 @@
 //!   memory, lock-free concurrent recording, exact-rank
 //!   p50/p95/p99/p99.9/max within one bucket width of the true quantile.
 //! * [`EventRing`] — a fixed-capacity structured timeline of
-//!   [`Event`]s (migration begin/chunk/complete, epoch flips, batcher
-//!   drains, policy decisions, poisoned ops). Overflow drops the
+//!   [`Event`]s (migration begin/chunk/complete, epoch flips, policy
+//!   decisions, admission sheds). Overflow drops the
 //!   **oldest** events and exposes a monotone `dropped` counter in every
 //!   snapshot: loss is always visible, never silent.
 //! * [`Json`] — a serde-free JSON tree with unit-tested escaping, so the
@@ -20,8 +20,8 @@
 //!   snapshot as JSON ([`Registry::snapshot_json`]) or Prometheus text
 //!   exposition ([`Registry::to_prometheus`]); [`OpLatency`] is the
 //!   per-op-kind latency table the store and memdb tables register in it.
-//! * [`trace`] — leap-trace: per-op causal spans (queue/combine/commit
-//!   phases, STM abort causes per attempt, migration-interference marks)
+//! * [`trace`] — leap-trace: per-op causal spans (commit phase, STM
+//!   abort causes per attempt, migration-interference marks)
 //!   with head sampling plus tail capture, exported as Chrome trace-event
 //!   JSON.
 //!

@@ -2,12 +2,12 @@
 //!
 //! Aggregate histograms (PR 6) say *that* an op took 9 ms; a span says
 //! *where* the time went. Each traced op carries one [`Span`]: a trace
-//! id, the op kind and key/shard, nanosecond-stamped phases (queue wait
-//! vs combine vs commit inside the `Batcher`), per-attempt STM retry
-//! annotations (the abort cause of every aborted attempt, reusing the
-//! read/commit/explicit attribution), and migration-interference marks
-//! (which overlay id forced a stamp retry, how long the per-migration
-//! write lock was waited on and held).
+//! id, the op kind and key/shard, a nanosecond-stamped commit phase (the
+//! transaction of a `put` / `delete` on a migrating key), per-attempt
+//! STM retry annotations (the abort cause of every aborted attempt,
+//! reusing the read/commit/explicit attribution), and
+//! migration-interference marks (which overlay id forced a stamp retry,
+//! how long the per-migration write lock was waited on and held).
 //!
 //! # Sampling and tail capture
 //!
@@ -24,7 +24,7 @@
 //!
 //! # Storage and export
 //!
-//! Retained spans are encoded as 16 words each into the crate's one
+//! Retained spans are encoded as 14 words each into the crate's one
 //! drop-oldest ring (`ring.rs`, the event ring's slot protocol) of
 //! [`DEFAULT_SPAN_RING_CAPACITY`] spans, with an exact monotone `dropped`
 //! counter — loss is visible, never silent. A [`SpanSnapshot`] exports as
@@ -35,12 +35,12 @@
 //! # Propagation
 //!
 //! The active span lives in a thread-local: the store begins it at the
-//! public op boundary, and the layers below (batcher, STM engine,
-//! migration write path) annotate it through free functions without any
-//! dependency on the store — the same direction of travel as the STM
-//! retry budget. Only the **outermost** op on a thread owns a span;
-//! nested begins (e.g. the combiner's own `apply` inside a batched
-//! submit) are inert, so a batch span absorbs its inner STM annotations.
+//! public op boundary, and the layers below (STM engine, migration write
+//! path) annotate it through free functions without any dependency on
+//! the store — the same direction of travel as the STM retry budget.
+//! Only the **outermost** op on a thread owns a span; nested begins
+//! (e.g. the store `put` under a `Batcher::try_put` span) are inert, so
+//! the outer span absorbs its inner STM annotations.
 
 use crate::json::Json;
 use crate::ring::Ring;
@@ -52,7 +52,7 @@ use std::time::Instant;
 pub const DEFAULT_SPAN_RING_CAPACITY: usize = 512;
 
 /// Words per span entry (the fixed wire encoding of one span).
-const SPAN_WORDS: usize = 16;
+const SPAN_WORDS: usize = 14;
 
 /// Most abort causes encoded positionally in the per-attempt sequence;
 /// later aborts still count in the per-cause totals.
@@ -123,8 +123,6 @@ pub enum OpClass {
     ScanPage,
     /// Transactional key count.
     Len,
-    /// A batcher submission (queue → combine → grouped apply).
-    Batch,
     /// A migration lifecycle span (emitted by the rebalance layer).
     Migration,
 }
@@ -139,8 +137,7 @@ impl OpClass {
             OpClass::Range => 4,
             OpClass::ScanPage => 5,
             OpClass::Len => 6,
-            OpClass::Batch => 7,
-            OpClass::Migration => 8,
+            OpClass::Migration => 7,
         }
     }
 
@@ -153,8 +150,7 @@ impl OpClass {
             4 => "range",
             5 => "scan_page",
             6 => "len",
-            7 => "batch",
-            8 => "migration",
+            7 => "migration",
             _ => "unknown",
         }
     }
@@ -168,15 +164,9 @@ pub enum OpOutcome {
     Ok,
     /// A bounded retry budget expired (`StoreError::Timeout`).
     Timeout,
-    /// Admission control or an injected drain fault shed the op
+    /// The batcher's admission gate refused the op
     /// (`StoreError::Overloaded`).
     Overloaded,
-    /// The op's value poisoned a combined batch.
-    Poisoned,
-    /// A combining peer died mid-batch; the op's fate is unknown.
-    Aborted,
-    /// The combiner lock stayed held past the wedge timeout.
-    Wedged,
     /// A migration resolved by rollback rather than completing.
     MigrationAbort,
 }
@@ -187,10 +177,7 @@ impl OpOutcome {
             OpOutcome::Ok => 0,
             OpOutcome::Timeout => 1,
             OpOutcome::Overloaded => 2,
-            OpOutcome::Poisoned => 3,
-            OpOutcome::Aborted => 4,
-            OpOutcome::Wedged => 5,
-            OpOutcome::MigrationAbort => 6,
+            OpOutcome::MigrationAbort => 3,
         }
     }
 
@@ -199,10 +186,7 @@ impl OpOutcome {
             0 => "ok",
             1 => "timeout",
             2 => "overloaded",
-            3 => "poisoned",
-            4 => "aborted",
-            5 => "wedged",
-            6 => "migration_abort",
+            3 => "migration_abort",
             _ => "unknown",
         }
     }
@@ -262,8 +246,6 @@ struct ActiveSpan {
     overlay: u64,
     lock_wait_ns: u64,
     lock_hold_ns: u64,
-    queue_ns: u64,
-    combine_ns: u64,
     commit_ns: u64,
     outcome: u64,
 }
@@ -293,14 +275,12 @@ impl ActiveSpan {
             overlay: 0,
             lock_wait_ns: 0,
             lock_hold_ns: 0,
-            queue_ns: 0,
-            combine_ns: 0,
             commit_ns: 0,
             outcome: 0,
         }
     }
 
-    /// The span's fixed 16-word ring entry ([`Span::decode`] reads it
+    /// The span's fixed 14-word ring entry ([`Span::decode`] reads it
     /// back), its start stamped relative to the tracer's `origin`.
     fn encode(&self, origin: Instant, total_ns: u64, tail: bool) -> [u64; SPAN_WORDS] {
         let flags = u64::from(self.sampled) | (u64::from(tail) << 1);
@@ -321,8 +301,6 @@ impl ActiveSpan {
             self.key,
             self.start.saturating_duration_since(origin).as_nanos() as u64,
             total_ns,
-            self.queue_ns,
-            self.combine_ns,
             self.commit_ns,
             u64::from(self.retries) | (u64::from(self.stamp_retries) << 32),
             self.cause_seq,
@@ -449,20 +427,6 @@ pub fn note_commit_phase(ns: u64) {
     ACTIVE.with(|a| {
         if let Some(s) = a.borrow_mut().as_mut() {
             s.commit_ns = s.commit_ns.saturating_add(ns);
-        }
-    });
-}
-
-/// Sets the span's batcher phase breakdown: queue wait (enqueue to drain
-/// pickup), combine (pickup to the grouped apply), commit (the grouped
-/// apply itself).
-#[inline]
-pub fn note_batch_phases(queue_ns: u64, combine_ns: u64, commit_ns: u64) {
-    ACTIVE.with(|a| {
-        if let Some(s) = a.borrow_mut().as_mut() {
-            s.queue_ns = queue_ns;
-            s.combine_ns = combine_ns;
-            s.commit_ns = commit_ns;
         }
     });
 }
@@ -659,7 +623,7 @@ pub struct Span {
     pub seq: u64,
     /// Unique trace id within the tracer.
     pub trace_id: u64,
-    /// Op kind name (`get`, `put`, …, `batch`, `migration`).
+    /// Op kind name (`get`, `put`, …, `len`, `migration`).
     pub kind: &'static str,
     /// Outcome name (`ok`, `timeout`, `overloaded`, …).
     pub outcome: &'static str,
@@ -675,12 +639,9 @@ pub struct Span {
     pub start_ns: u64,
     /// Total measured latency in nanoseconds.
     pub total_ns: u64,
-    /// Batcher queue-wait phase (enqueue → drain pickup).
-    pub queue_ns: u64,
-    /// Batcher combine phase (pickup → grouped apply).
-    pub combine_ns: u64,
-    /// Commit phase: the grouped apply for batches, the shard
-    /// transaction (including retries) for direct ops.
+    /// Commit phase: the cross-list transaction (retries included) of a
+    /// `put` / `delete` on a migrating key, run under the overlay lock.
+    /// Every other op leaves it 0.
     pub commit_ns: u64,
     /// Aborted STM attempts under this span.
     pub retries: u32,
@@ -706,16 +667,16 @@ pub struct Span {
 impl Span {
     fn decode(seq: u64, w: [u64; SPAN_WORDS]) -> Span {
         let meta = w[1];
-        let retries = (w[8] & 0xffff_ffff) as u32;
+        let retries = (w[6] & 0xffff_ffff) as u32;
         let mut causes = Vec::new();
         for i in 0..retries.min(CAUSE_SEQ_CAP) {
-            if let Some(c) = AbortCause::from_code((w[9] >> (4 * i)) & 0xf) {
+            if let Some(c) = AbortCause::from_code((w[7] >> (4 * i)) & 0xf) {
                 causes.push(c);
             }
         }
         let mut cause_counts = [0u32; 4];
         for (i, c) in cause_counts.iter_mut().enumerate() {
-            *c = ((w[10] >> (16 * i)) & 0xffff) as u32;
+            *c = ((w[8] >> (16 * i)) & 0xffff) as u32;
         }
         Span {
             seq,
@@ -728,28 +689,23 @@ impl Span {
             shard: (meta >> 32) as u32,
             start_ns: w[3],
             total_ns: w[4],
-            queue_ns: w[5],
-            combine_ns: w[6],
-            commit_ns: w[7],
+            commit_ns: w[5],
             retries,
-            stamp_retries: (w[8] >> 32) as u32,
+            stamp_retries: (w[6] >> 32) as u32,
             causes,
             cause_counts,
-            overlay: w[11],
-            lock_wait_ns: w[12],
-            lock_hold_ns: w[13],
-            ctx: decode_ctx([w[14], w[15]]),
+            overlay: w[9],
+            lock_wait_ns: w[10],
+            lock_hold_ns: w[11],
+            ctx: decode_ctx([w[12], w[13]]),
         }
     }
 
-    /// Unattributed remainder: total minus the known phases (floored at
-    /// zero) — routing, lock waits, plan retries. The three phases plus
+    /// Unattributed remainder: total minus the commit phase (floored at
+    /// zero) — routing, lock waits, plan retries. The commit phase plus
     /// this always sum to [`Span::total_ns`].
     pub fn other_ns(&self) -> u64 {
-        self.total_ns
-            .saturating_sub(self.queue_ns)
-            .saturating_sub(self.combine_ns)
-            .saturating_sub(self.commit_ns)
+        self.total_ns.saturating_sub(self.commit_ns)
     }
 
     /// The span as one JSON object (the `spans` array entry format).
@@ -767,8 +723,6 @@ impl Span {
             .field(
                 "phases",
                 Json::obj()
-                    .field("queue_ns", Json::U64(self.queue_ns))
-                    .field("combine_ns", Json::U64(self.combine_ns))
                     .field("commit_ns", Json::U64(self.commit_ns))
                     .field("other_ns", Json::U64(self.other_ns())),
             )
@@ -813,9 +767,7 @@ impl Span {
             out.push_str(&format!(" ctx={}", self.ctx));
         }
         out.push_str(&format!(
-            "\n  phases: queue={}ns combine={}ns commit={}ns other={}ns",
-            self.queue_ns,
-            self.combine_ns,
+            "\n  phases: commit={}ns other={}ns",
             self.commit_ns,
             self.other_ns()
         ));
@@ -868,8 +820,8 @@ impl SpanSnapshot {
 
     /// The snapshot as Chrome trace-event JSON (the `traceEvents` array
     /// format Perfetto and `chrome://tracing` load): one complete
-    /// (`"ph":"X"`) event per span on its shard's track, with child
-    /// slices for each nonzero phase and the annotations in `args`.
+    /// (`"ph":"X"`) event per span on its shard's track, with a child
+    /// slice for a nonzero commit phase and the annotations in `args`.
     pub fn to_chrome_trace(&self) -> String {
         let mut events = Vec::new();
         for s in &self.spans {
@@ -899,28 +851,18 @@ impl SpanSnapshot {
                     .field("tid", Json::U64(u64::from(s.shard)))
                     .field("args", args),
             );
-            // Child slices: the phase decomposition laid back-to-back
-            // under the op slice.
-            let mut at = s.start_ns;
-            for (name, ns) in [
-                ("queue_wait", s.queue_ns),
-                ("combine", s.combine_ns),
-                ("commit", s.commit_ns),
-            ] {
-                if ns == 0 {
-                    continue;
-                }
+            // Child slice: the commit phase, under the op slice.
+            if s.commit_ns > 0 {
                 events.push(
                     Json::obj()
-                        .field("name", Json::str(name))
+                        .field("name", Json::str("commit"))
                         .field("cat", Json::str("leapstore_phase"))
                         .field("ph", Json::str("X"))
-                        .field("ts", us(at))
-                        .field("dur", us(ns))
+                        .field("ts", us(s.start_ns))
+                        .field("dur", us(s.commit_ns))
                         .field("pid", Json::U64(1))
                         .field("tid", Json::U64(u64::from(s.shard))),
                 );
-                at = at.saturating_add(ns);
             }
         }
         Json::obj()
@@ -1015,7 +957,7 @@ mod tests {
         assert_eq!((s.lock_wait_ns, s.lock_hold_ns), (50, 900));
         assert_eq!(s.commit_ns, 1_000);
         assert_eq!(
-            s.queue_ns + s.combine_ns + s.commit_ns + s.other_ns(),
+            s.commit_ns + s.other_ns(),
             s.total_ns,
             "phases always sum to the measured total"
         );
@@ -1033,7 +975,7 @@ mod tests {
         drain_active();
         let t = Tracer::new(1, u64::MAX, 16);
         {
-            let _outer = t.begin(OpClass::Batch, 1, 0);
+            let _outer = t.begin(OpClass::Put, 1, 0);
             {
                 let inner = t.begin(OpClass::Apply, 2, 0);
                 assert!(!inner.is_active());
@@ -1044,7 +986,7 @@ mod tests {
         }
         let snap = t.snapshot();
         assert_eq!(snap.spans.len(), 1);
-        assert_eq!(snap.spans[0].kind, "batch");
+        assert_eq!(snap.spans[0].kind, "put");
         assert_eq!(snap.spans[0].retries, 1);
         assert_eq!(snap.spans[0].causes, vec![AbortCause::Explicit]);
     }
@@ -1071,23 +1013,27 @@ mod tests {
     fn batch_phases_and_chrome_export() {
         drain_active();
         let t = Tracer::new(1, u64::MAX, 4);
+        // A cross-shard batch span with a commit phase, beside a get
+        // span without one.
         {
-            let _g = t.begin(OpClass::Batch, 42, 3);
-            note_batch_phases(100, 20, 300);
+            let _g = t.begin(OpClass::Apply, 42, 3);
+            note_commit_phase(300);
+        }
+        {
+            let _g = t.begin(OpClass::Get, 43, 3);
         }
         let snap = t.snapshot();
-        let s = &snap.spans[0];
-        assert_eq!((s.queue_ns, s.combine_ns, s.commit_ns), (100, 20, 300));
+        assert_eq!(snap.spans[0].commit_ns, 300);
         let chrome = snap.to_chrome_trace();
         assert!(chrome.starts_with("{\"traceEvents\":["), "{chrome}");
         assert!(chrome.contains("\"ph\":\"X\""), "{chrome}");
-        assert!(chrome.contains("\"name\":\"batch\""), "{chrome}");
-        assert!(chrome.contains("\"name\":\"queue_wait\""), "{chrome}");
-        assert!(chrome.contains("\"name\":\"combine\""), "{chrome}");
-        assert!(chrome.contains("\"name\":\"commit\""), "{chrome}");
+        assert!(chrome.contains("\"name\":\"apply\""), "{chrome}");
+        assert!(chrome.contains("\"name\":\"get\""), "{chrome}");
+        // One child slice, for the one span with a commit phase.
+        assert_eq!(chrome.matches("\"name\":\"commit\"").count(), 1, "{chrome}");
         // Also valid as the plain JSON snapshot.
         let json = snap.to_json().render();
-        assert!(json.contains("\"queue_ns\":100"), "{json}");
+        assert!(json.contains("\"commit_ns\":300"), "{json}");
     }
 
     #[test]
@@ -1109,7 +1055,6 @@ mod tests {
         note_abort(AbortCause::Timeout);
         note_stamp_retry(1);
         note_overlay_lock(1, 1, 1);
-        note_batch_phases(1, 1, 1);
         note_commit_phase(1);
         note_outcome(OpOutcome::Overloaded);
         assert!(!in_span());

@@ -1,7 +1,6 @@
 //! The store's graceful-degradation error surface: typed errors returned
-//! by the bounded (`*_within`) operations and the admission-controlled
-//! [`crate::Batcher`] front-end, instead of unbounded retry loops or
-//! silent blocking.
+//! by the bounded (`*_within`) operations and the [`crate::Batcher`]
+//! admission gate, instead of unbounded retry loops or silent blocking.
 
 /// Why a store operation was refused or gave up instead of blocking or
 /// livelocking.
@@ -14,18 +13,13 @@ pub enum StoreError {
         /// Transaction attempts consumed before giving up.
         attempts: u64,
     },
-    /// The batcher's admission queue was at its configured depth (or the
-    /// drain was shed under fault injection): the op was rejected at the
-    /// door rather than queued behind a backlog that is not draining.
+    /// The batcher's admission gate already had its configured number of
+    /// ops in flight (or an injected `admission` fault fired): the op was
+    /// refused at the door and did not run.
     Overloaded {
-        /// Queue population observed at rejection time.
+        /// Ops in flight through the gate at refusal time.
         queued: usize,
     },
-    /// The batcher's combiner lock did not become available within the
-    /// configured wedge timeout and the op was still unclaimed in the
-    /// queue: the submitter withdrew it rather than blocking forever
-    /// behind a wedged combiner.
-    CombinerWedged,
 }
 
 impl std::fmt::Display for StoreError {
@@ -38,10 +32,7 @@ impl std::fmt::Display for StoreError {
                 )
             }
             StoreError::Overloaded { queued } => {
-                write!(f, "batcher overloaded ({queued} ops queued); op shed")
-            }
-            StoreError::CombinerWedged => {
-                f.write_str("batcher combiner wedged past the configured timeout; op withdrawn")
+                write!(f, "batcher overloaded ({queued} ops in flight); op shed")
             }
         }
     }
@@ -68,11 +59,10 @@ mod tests {
             .contains("9 attempts"));
         assert!(StoreError::Overloaded { queued: 4 }
             .to_string()
-            .contains("4 ops"));
-        assert!(StoreError::CombinerWedged.to_string().contains("wedged"));
+            .contains("4 ops in flight"));
         let from: StoreError = leap_stm::Timeout { attempts: 3 }.into();
         assert_eq!(from, StoreError::Timeout { attempts: 3 });
-        let dyn_err: &dyn std::error::Error = &StoreError::CombinerWedged;
+        let dyn_err: &dyn std::error::Error = &StoreError::Overloaded { queued: 1 };
         assert!(dyn_err.source().is_none());
     }
 }

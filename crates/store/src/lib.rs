@@ -35,11 +35,10 @@
 //!   serves **every** page from the shards' version bundles at that
 //!   timestamp: the whole multi-page scan is one consistent snapshot,
 //!   retry-free under concurrent commits and in-flight migrations.
-//! * **Operation batching** — [`Batcher`] flat-combines single-key ops
-//!   from many threads into grouped multi-list transactions, with a
-//!   latency-aware adaptive window and **admission control**: a bounded
-//!   queue that sheds on overflow with a typed [`StoreError::Overloaded`],
-//!   never a silent block.
+//! * **Admission control** — [`Batcher`] is a gate in front of the
+//!   store's single-key puts and deletes: it bounds the ops in flight
+//!   through it and sheds an op at the bound with a typed
+//!   [`StoreError::Overloaded`], never a silent block.
 //! * **Fault model & graceful degradation** — a deterministic, seeded
 //!   fault-injection subsystem ([`leap_fault`], zero-cost when unarmed)
 //!   drives the recovery machinery: migration abort / forward completion
@@ -52,7 +51,7 @@
 //!   key counters, routing epoch and migration progress, the shared
 //!   domain's commit/abort counters with **abort-cause attribution**
 //!   ([`leap_stm::StatsSnapshot`]), per-op-kind latency histograms, the
-//!   per-transaction retry histogram and a structured migration/drain
+//!   per-transaction retry histogram and a structured migration/shed
 //!   event timeline ([`StoreObs`], on by default) — renderable as JSON
 //!   ([`StoreStats::to_json`]) or Prometheus text
 //!   ([`StoreStats::to_prometheus`]).
@@ -84,7 +83,7 @@ mod stats;
 mod store;
 mod subspace;
 
-pub use batch::{Batcher, BatcherStats, PoisonedOp};
+pub use batch::{Batcher, BatcherStats};
 pub use cursor::{Cursor, SnapshotCursor, DEFAULT_PAGE_SIZE};
 pub use error::StoreError;
 pub use obs::{ObsSnapshot, StoreObs, GET_SAMPLE_PERIOD};

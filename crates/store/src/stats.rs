@@ -142,8 +142,8 @@ pub struct StoreStats {
     /// [`crate::LeapStore::abort_migration`] call or the stuck-migration
     /// watchdog — rather than by completing forward.
     pub aborted_migrations: u64,
-    /// Operations refused by batcher admission control or dropped by an
-    /// injected drain fault; each surfaced to its caller as
+    /// Operations refused by the batcher's admission gate, at its bound or
+    /// by an injected `admission` fault; each surfaced to its caller as
     /// [`crate::StoreError::Overloaded`].
     pub shed_ops: u64,
     /// Snapshot-isolated scans started ([`crate::LeapStore::scan_snapshot`]

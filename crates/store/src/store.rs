@@ -70,7 +70,7 @@ pub struct StoreConfig {
     /// Deterministic fault-injection schedule ([`leap_fault::FaultPlan`]),
     /// `None` in production. When set, the store builds one
     /// [`FaultInjector`] shared by every injection point (STM
-    /// commit/validate, migration chunks, batcher drains, rebalancer
+    /// commit/validate, migration chunks, batcher admission, rebalancer
     /// ticks); when unset the hot paths carry only an `Option` branch.
     pub faults: Option<FaultPlan>,
 }
@@ -263,9 +263,9 @@ pub struct LeapStore<V> {
     /// Migrations resolved by rollback ([`LeapStore::abort_migration`] or
     /// the stuck-migration watchdog) rather than by completing forward.
     pub(crate) aborted_migrations: AtomicU64,
-    /// Operations refused by batcher admission control or dropped by an
-    /// injected drain fault (each one surfaced to its caller as
-    /// [`StoreError::Overloaded`], never silently).
+    /// Operations refused by the batcher's admission gate, at its bound or
+    /// by an injected `admission` fault (each one surfaced to its caller
+    /// as [`StoreError::Overloaded`], never silently).
     pub(crate) shed_ops: AtomicU64,
     /// Snapshot-isolated scans started ([`LeapStore::scan_snapshot`]
     /// cursors pinned).
@@ -431,13 +431,13 @@ impl<V: Clone + Send + Sync + 'static> LeapStore<V> {
         }
     }
 
-    /// Records `ops` operations shed by batcher admission control (or an
-    /// injected drain fault) against the store's counter and timeline.
-    pub(crate) fn note_shed(&self, ops: u64, queued: usize) {
+    /// Records one op shed by the batcher's admission gate, with `queued`
+    /// ops in flight through it, against the store's counter and timeline.
+    pub(crate) fn note_shed(&self, queued: usize) {
         // ORDERING: monotonic stat counter; no publication rides on it.
-        self.shed_ops.fetch_add(ops, Ordering::Relaxed);
+        self.shed_ops.fetch_add(1, Ordering::Relaxed);
         self.emit(leap_obs::EventKind::Shed {
-            ops,
+            ops: 1,
             queued: queued as u64,
         });
     }
@@ -659,11 +659,11 @@ impl<V: Clone + Send + Sync + 'static> LeapStore<V> {
         match view.overlay_for(key) {
             None => {
                 // No commit_phase here: a direct put is one transaction
-                // with no queue/combine/lock around it, so the phase
-                // would re-measure what the span total already says —
-                // two clock reads on the hottest write path for nothing.
-                // Phases are timed where they genuinely diverge (batched
-                // and migrating ops).
+                // with no lock around it, so the phase would re-measure
+                // what the span total already says — two clock reads on
+                // the hottest write path for nothing. The phase is timed
+                // where it genuinely diverges: migrating writes, under
+                // the overlay lock.
                 let slot = &slots[view.owner_of(key)];
                 CounterRow::bump(&slot.counters.row().puts);
                 slot.list.update(key, value)
@@ -804,8 +804,8 @@ impl<V: Clone + Send + Sync + 'static> LeapStore<V> {
         }
         let _w = self.enter_write(view);
         let slots = view.slots();
-        // Single-op batches (the Batcher's uncontended hot path) route
-        // straight to their shard: no grouping vectors.
+        // Single-op batches route straight to their shard: no grouping
+        // vectors.
         if let [op] = ops {
             let k = Self::key_of(op);
             if view.overlay_for(k).is_none() {
@@ -1440,5 +1440,119 @@ mod tests {
     fn max_key_rejected_in_batches() {
         let store: LeapStore<u64> = LeapStore::new(cfg(2, Partitioning::Hash));
         store.multi_put(&[(u64::MAX, 1)]);
+    }
+
+    /// A value whose shared clone counter detonates on exactly the
+    /// `fuse`-th clone (0 = never). Fuse 2 is calibrated to `apply` on a
+    /// migrating key: clone 1 is the per-shard grouping, clone 2 the copy
+    /// `apply_batch_grouped` takes into the lists — which runs *while the
+    /// migration overlay's write lock is held*. At detonation the bomb
+    /// records whether `lock` was held, so the test can check that it
+    /// went off under the lock.
+    #[derive(Debug)]
+    struct StagedBomb {
+        clones: Arc<AtomicU64>,
+        fuse: u64,
+        val: u64,
+        lock: Option<Arc<MigrationState>>,
+        fired_under_lock: Arc<std::sync::atomic::AtomicBool>,
+    }
+    impl StagedBomb {
+        fn healthy(val: u64) -> Self {
+            StagedBomb {
+                clones: Arc::new(AtomicU64::new(0)),
+                fuse: 0,
+                val,
+                lock: None,
+                fired_under_lock: Arc::default(),
+            }
+        }
+    }
+    impl Clone for StagedBomb {
+        fn clone(&self) -> Self {
+            let n = self.clones.fetch_add(1, Ordering::Relaxed) + 1;
+            if self.fuse != 0 && n == self.fuse {
+                // `try_lock` on a mutex this thread holds reports
+                // `WouldBlock`; it never deadlocks.
+                let held = self
+                    .lock
+                    .as_ref()
+                    .is_some_and(|m| m.write_lock.try_lock().is_err());
+                self.fired_under_lock.store(held, Ordering::Relaxed);
+                panic!("staged bomb detonated on clone {n}");
+            }
+            StagedBomb {
+                clones: self.clones.clone(),
+                fuse: self.fuse,
+                val: self.val,
+                lock: self.lock.clone(),
+                fired_under_lock: self.fired_under_lock.clone(),
+            }
+        }
+    }
+
+    /// A clone that panics inside `apply` while the batch holds the
+    /// migration overlay's write lock must release the lock on unwind,
+    /// land no op of the batch, and leave the migration completable.
+    #[test]
+    fn panicking_clone_mid_migration_releases_the_overlay_lock() {
+        use crate::rebalance::RebalanceAction;
+        let store = Arc::new(LeapStore::<StagedBomb>::new(
+            StoreConfig::new(2, Partitioning::Range)
+                .with_key_space(1_000)
+                .with_rebalancing(RebalancePolicy {
+                    chunk: 8,
+                    ..RebalancePolicy::default()
+                }),
+        ));
+        for k in 0..40u64 {
+            store.put(k, StagedBomb::healthy(k));
+        }
+        // Split [20, 499] away and move one chunk: the migration is live,
+        // its overlay routes in-range writes.
+        store.split_shard(0, 20).expect("valid split");
+        assert!(matches!(
+            store.rebalance_step(),
+            RebalanceAction::Moved { .. }
+        ));
+        let overlay = store.router.pin().overlay().cloned();
+        assert!(overlay.is_some(), "the split is in flight");
+        // Both ops target migrating keys: `apply` takes the overlay write
+        // lock, then the bomb detonates on the clone into the lists.
+        let bomb = StagedBomb {
+            fuse: 2,
+            lock: overlay,
+            ..StagedBomb::healthy(300)
+        };
+        let fired = bomb.fired_under_lock.clone();
+        let panicked = {
+            let store = store.clone();
+            std::thread::spawn(move || {
+                store.apply(&[
+                    BatchOp::Update(25, StagedBomb::healthy(250)),
+                    BatchOp::Update(30, bomb),
+                ])
+            })
+            .join()
+        };
+        assert!(panicked.is_err(), "the armed clone must panic the apply");
+        assert!(
+            fired.load(Ordering::Relaxed),
+            "the bomb went off under the overlay lock"
+        );
+        // The overlay write lock was released on unwind: in-range ops
+        // proceed, from this thread, without deadlock.
+        let prev = store.put(25, StagedBomb::healthy(251));
+        assert_eq!(prev.map(|v| v.val), Some(25), "the batch never landed");
+        assert_eq!(store.get(25).map(|v| v.val), Some(251));
+        assert_eq!(store.get(30).map(|v| v.val), Some(30), "bomb never landed");
+        // The migration itself is still healthy and completes.
+        store.rebalance_until_idle();
+        assert!(store.router().migration().is_none());
+        assert!(store.router().epoch() >= 1);
+        for k in 0..40u64 {
+            let want = if k == 25 { 251 } else { k };
+            assert_eq!(store.get(k).map(|v| v.val), Some(want), "key {k}");
+        }
     }
 }

@@ -5,8 +5,8 @@
 //! contents. This pins down the multi-op chain-rebuild path against the
 //! trivially correct sequential semantics.
 //!
-//! Beside it, a threaded regression test for the [`Batcher`]'s admission
-//! depth counter, which shares the batched-apply path.
+//! Beside it, a threaded regression test for the [`Batcher`]'s in-flight
+//! counter at its admission gate.
 
 use leap_store::{BatchOp, Batcher, LeapStore, Partitioning, StoreConfig};
 use leaplist::Params;
@@ -84,15 +84,13 @@ proptest! {
     }
 }
 
-/// Each of 4 threads has at most one op queued at a time, so a 64-deep
+/// Each of 4 threads has at most one op in flight at a time, so a 64-deep
 /// admission bound can never legitimately be reached: every refusal is a
-/// depth-accounting bug. (Before PR 15 a combiner could subtract an op
-/// from the depth counter before its submitter had added it; the counter
-/// wrapped to `usize::MAX` and the next bystander was refused.) The race
-/// window is a few instructions wide and nothing outside the crate can
-/// force it, so this is a statistical catch: against the old code it fails
-/// about 2 runs in 5 in release mode on 2 cores, which is why CI runs this
-/// file in its release step as well.
+/// counting bug. (A count decremented for an op that never incremented it
+/// wraps to `usize::MAX` and refuses the next bystander.) Such a race
+/// window is a few instructions wide and opens often enough only in
+/// release mode, which is why CI runs this file in its release step as
+/// well.
 #[test]
 fn admission_depth_never_wraps_under_concurrent_submitters() {
     const THREADS: u64 = 4;
@@ -113,7 +111,7 @@ fn admission_depth_never_wraps_under_concurrent_submitters() {
                         batcher.try_put(key, i)
                     };
                     if let Err(e) = res {
-                        panic!("thread {t} op {i} refused with one op per thread queued: {e}");
+                        panic!("thread {t} op {i} refused with one op per thread in flight: {e}");
                     }
                 }
             })

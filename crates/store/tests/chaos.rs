@@ -67,8 +67,8 @@ fn hostile_plan(seed: u64) -> FaultPlan {
         .with_budget(FaultPoint::StmValidate, 100)
         .always(FaultPoint::MigrationChunk)
         .with_budget(FaultPoint::MigrationChunk, 10)
-        .always(FaultPoint::BatcherDrain)
-        .with_budget(FaultPoint::BatcherDrain, 20)
+        .always(FaultPoint::Admission)
+        .with_budget(FaultPoint::Admission, 20)
 }
 
 fn chaos_store(seed: u64) -> Arc<LeapStore<u64>> {
@@ -121,8 +121,8 @@ fn worker(
                         "seed {seed}: batched put({key})"
                     );
                 }
-                // Shed (admission or injected drain drop): the op
-                // provably did not run — the model is untouched.
+                // Shed (admission bound or injected admission fault): the
+                // op provably did not run — the model is untouched.
                 Err(StoreError::Overloaded { .. }) => {}
                 Err(e) => panic!("seed {seed}: unexpected batcher error {e}"),
             },
@@ -233,7 +233,7 @@ fn converges_and_stays_model_equivalent_under_seeded_faults() {
         let want: Vec<(u64, u64)> = model.iter().map(|(k, v)| (*k, *v)).collect();
         assert_eq!(got, want, "seed {seed}: final state diverged from model");
 
-        // Degradation is observable: the injected drain sheds and the
+        // Degradation is observable: the injected admission sheds and the
         // explicit abort both surface in stats, JSON and the timeline.
         let stats = store.stats();
         assert!(
@@ -251,7 +251,7 @@ fn converges_and_stays_model_equivalent_under_seeded_faults() {
             kinds.contains(&"migration_abort"),
             "seed {seed}: no migration_abort event"
         );
-        // Sheds happen early in the run (the drain-fault budget), so on
+        // Sheds happen early in the run (the admission-fault budget), so on
         // a busy timeline the bounded ring may have evicted them — but
         // then the eviction counter must say so.
         assert!(
@@ -376,7 +376,7 @@ fn dead_rebalancer_is_reported_and_manual_convergence_still_works() {
 /// Tracing under chaos: with head sampling off and an SLO no op can
 /// exceed, the only retention path left is the failure arm of tail
 /// capture — and every typed failure the fault plan can produce
-/// (bounded-retry timeout, injected drain shed, explicit migration
+/// (bounded-retry timeout, injected admission shed, explicit migration
 /// abort) must land in the span ring with a matching cause annotation.
 #[test]
 fn typed_failures_are_always_retained_as_spans() {
@@ -384,8 +384,8 @@ fn typed_failures_are_always_retained_as_spans() {
         let plan = FaultPlan::new(seed)
             .always(FaultPoint::StmCommit)
             .with_budget(FaultPoint::StmCommit, 6)
-            .always(FaultPoint::BatcherDrain)
-            .with_budget(FaultPoint::BatcherDrain, 1);
+            .always(FaultPoint::Admission)
+            .with_budget(FaultPoint::Admission, 1);
         let store: Arc<LeapStore<u64>> = Arc::new(LeapStore::new(
             StoreConfig::new(2, Partitioning::Range)
                 .with_key_space(KEY_SPACE)
@@ -402,7 +402,7 @@ fn typed_failures_are_always_retained_as_spans() {
             Err(StoreError::Timeout { .. }) => {}
             other => panic!("seed {seed}: expected Timeout, got {other:?}"),
         }
-        // Overloaded: the first batcher drain drops its batch by injection.
+        // Overloaded: the first admission is refused by injection.
         let batcher = Batcher::new(store.clone());
         match batcher.try_put(8, 80) {
             Err(StoreError::Overloaded { .. }) => {}
@@ -435,7 +435,7 @@ fn typed_failures_are_always_retained_as_spans() {
             .iter()
             .find(|s| s.outcome == "overloaded")
             .unwrap_or_else(|| panic!("seed {seed}: shed span not retained"));
-        assert_eq!((shed.kind, shed.key), ("batch", 8), "seed {seed}");
+        assert_eq!((shed.kind, shed.key), ("put", 8), "seed {seed}");
         let abort = spans
             .iter()
             .find(|s| s.outcome == "migration_abort")
@@ -451,7 +451,7 @@ fn typed_failures_are_always_retained_as_spans() {
     }
 }
 
-/// Admission control under real contention: a tiny queue bound plus many
+/// Admission control under real contention: a tiny in-flight bound plus many
 /// threads must shed some ops with typed errors — and every op that
 /// reported success is actually in the store.
 #[test]

@@ -286,9 +286,9 @@ fn reserved_key_batch_panic_does_not_wedge_the_store() {
     );
 }
 
-/// The batcher front-end under concurrency: results must match what the
-/// bare store would return (per-key last-write-wins), and coalescing must
-/// actually group ops when threads contend.
+/// The batcher's admission gate under concurrency: results must match
+/// what the bare store would return (per-key last-write-wins), and an
+/// unbounded gate admits every op.
 #[test]
 fn batcher_preserves_store_semantics_under_concurrency() {
     let store = Arc::new(LeapStore::<u64>::new(cfg(8, Partitioning::Hash, 100_000)));
@@ -301,9 +301,9 @@ fn batcher_preserves_store_semantics_under_concurrency() {
             std::thread::spawn(move || {
                 for i in 0..per {
                     let k = t * 10_000 + i;
-                    assert_eq!(b.put(k, k), None);
+                    assert_eq!(b.try_put(k, k), Ok(None));
                     if i % 3 == 0 {
-                        assert_eq!(b.delete(k), Some(k));
+                        assert_eq!(b.try_delete(k), Ok(Some(k)));
                     }
                 }
             })
@@ -324,5 +324,5 @@ fn batcher_preserves_store_semantics_under_concurrency() {
     assert_eq!(store.len() as u64, expected);
     let s = batcher.stats();
     assert_eq!(s.ops, threads * per + threads * per.div_ceil(3));
-    assert!(s.max_batch >= 1);
+    assert_eq!(s.shed, 0);
 }

@@ -1,11 +1,14 @@
 //! Integration tests for the store's observability surface: the
-//! migration/drain event timeline (ordering and the drop-oldest overflow
+//! migration/shed event timeline (ordering and the drop-oldest overflow
 //! contract) and STM abort-cause attribution as exposed through
 //! [`LeapStore::stats`].
 
 use leap_obs::EventKind;
 use leap_stm::{TVar, Txn};
-use leap_store::{Batcher, LeapStore, Partitioning, RebalancePolicy, Rebalancer, StoreConfig};
+use leap_store::{
+    Batcher, FaultPlan, FaultPoint, LeapStore, Partitioning, RebalancePolicy, Rebalancer,
+    StoreConfig, StoreError,
+};
 use leaplist::Params;
 use std::sync::Arc;
 use std::time::Duration;
@@ -124,23 +127,29 @@ fn migration_timeline_orders_begin_chunks_complete() {
 }
 
 /// The store's fixed 1 024-slot ring under a background [`Rebalancer`]
-/// plus more than 1 024 batcher drains overflows: old events are dropped
+/// plus more than 1 024 admission sheds overflows: old events are dropped
 /// oldest-first, the `dropped` counter is monotone and exact, and the ring
 /// never exceeds its capacity.
 #[test]
 fn tiny_ring_drops_oldest_with_monotone_counter() {
     const CAP: usize = leap_obs::DEFAULT_RING_CAPACITY;
-    let store: Arc<LeapStore<u64>> = Arc::new(LeapStore::new(cfg(2)));
+    let plan = FaultPlan::new(1).always(FaultPoint::Admission);
+    let store: Arc<LeapStore<u64>> = Arc::new(LeapStore::new(cfg(2).with_faults(plan)));
     let obs = store.obs().expect("obs on by default").clone();
     assert_eq!(obs.events().capacity(), CAP);
     let rebalancer = Rebalancer::spawn(store.clone(), Duration::from_micros(100));
     let batcher = Batcher::new(store.clone());
-    // Hammer: every solo batcher put is one drain event, while the
-    // background rebalancer splits/merges the shifting key mass.
+    // Hammer: every refused batcher put is one shed event, while direct
+    // puts shift the key mass the background rebalancer splits/merges.
     let mut last_dropped = 0u64;
     for round in 0..6u64 {
         for k in 0..200u64 {
-            batcher.put((round * 200 + k) % 900, k);
+            let key = (round * 200 + k) % 900;
+            store.put(key, k);
+            assert_eq!(
+                batcher.try_put(key, k),
+                Err(StoreError::Overloaded { queued: 0 })
+            );
         }
         let snap = obs.events().snapshot();
         assert!(snap.events.len() <= CAP, "ring never exceeds capacity");
@@ -156,8 +165,10 @@ fn tiny_ring_drops_oldest_with_monotone_counter() {
     let snap = obs.events().snapshot();
     assert!(
         snap.dropped > 0,
-        "6 x 200 drains through a 1 024-slot ring must overflow"
+        "6 x 200 sheds through a 1 024-slot ring must overflow"
     );
+    assert_eq!(store.stats().shed_ops, 6 * 200, "one shed per refused put");
+    assert!(obs.events().published() >= 6 * 200);
     assert_eq!(snap.capacity, CAP);
     // At quiescence the ring is full and dropped is exact: published =
     // dropped + survivors, and the survivors are the newest, in order.

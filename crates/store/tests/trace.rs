@@ -64,7 +64,7 @@ fn retry_storm_put_is_tail_captured_with_full_phase_breakdown() {
     // Phase breakdown sums exactly to the measured latency.
     assert!(span.commit_ns > 0, "commit phase timed");
     assert_eq!(
-        span.queue_ns + span.combine_ns + span.commit_ns + span.other_ns(),
+        span.commit_ns + span.other_ns(),
         span.total_ns,
         "phases + remainder account for the whole span"
     );

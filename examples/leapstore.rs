@@ -1,5 +1,5 @@
 //! LeapStore demo: a sharded range-store with cross-shard transactions,
-//! linearizable cross-shard range queries, a coalescing batcher front-end,
+//! linearizable cross-shard range queries, an admission-gated batcher,
 //! the per-shard statistics surface — and live resharding: a zipfian load
 //! makes one shard hot, and an online split migrates half of it away while
 //! the store keeps serving.
@@ -52,15 +52,17 @@ fn main() {
     );
     assert!(page.windows(2).all(|w| w[0].0 < w[1].0));
 
-    // The batcher front-end: worker threads submit single-key ops; under
-    // contention they coalesce into grouped multi-list transactions.
-    let batcher = Arc::new(Batcher::new(store.clone()));
+    // The batcher's admission gate: worker threads submit single-key ops
+    // straight to the store, but at most two at a time. A submitter that
+    // finds the gate full gets a typed `Overloaded` back instead of
+    // queueing, and decides itself what to do with the op (here: drop it).
+    let batcher = Arc::new(Batcher::new(store.clone()).with_admission(2));
     let handles: Vec<_> = (0..4u64)
         .map(|t| {
             let b = batcher.clone();
             std::thread::spawn(move || {
                 for i in 0..2_000u64 {
-                    b.put(t * 250_000 + i, i);
+                    let _ = b.try_put(t * 250_000 + i, i);
                 }
             })
         })
@@ -70,12 +72,10 @@ fn main() {
     }
     let bs = batcher.stats();
     println!(
-        "batcher: {} ops in {} combined calls (avg batch {:.2}, max {})",
-        bs.ops,
-        bs.batches,
-        bs.avg_batch(),
-        bs.max_batch
+        "batcher: {} ops admitted, {} shed at the gate (bound 2)",
+        bs.ops, bs.shed
     );
+    assert_eq!(bs.ops + bs.shed, 4 * 2_000);
 
     // The stats surface: per-shard op counters plus the shared domain's
     // commit/abort counters (one JSON object for dashboards).

@@ -1,8 +1,8 @@
-//! Observability demo: drive a sharded store through puts, gets, batched
-//! drains and a live shard split, then scrape everything the `leap-obs`
-//! core recorded — once as one JSON document (`LeapStore::stats`), once
-//! as Prometheus text (what a scrape endpoint would serve), plus a
-//! table-level registry from `leap-memdb`.
+//! Observability demo: drive a sharded store through puts, gets, a
+//! cross-shard batch and a live shard split, then scrape everything the
+//! `leap-obs` core recorded — once as one JSON document
+//! (`LeapStore::stats`), once as Prometheus text (what a scrape endpoint
+//! would serve), plus a table-level registry from `leap-memdb`.
 //!
 //! ```sh
 //! cargo run --release --example obs_dump
@@ -10,7 +10,7 @@
 //! ```
 
 use leap_memdb::{Schema, Table};
-use leap_store::{Batcher, LeapStore, Partitioning, StoreConfig};
+use leap_store::{LeapStore, Partitioning, StoreConfig};
 use std::sync::Arc;
 
 fn main() {
@@ -27,12 +27,9 @@ fn main() {
         let _ = store.get(k);
     }
     let _ = store.range(100, 400);
-
-    // ...batched ops emit `batcher_drain` timeline events...
-    let batcher = Batcher::new(store.clone());
-    for k in 2_000..2_400u64 {
-        batcher.put(k, k);
-    }
+    // ...a cross-shard batch is one `store_op_apply_ns` sample...
+    let batch: Vec<(u64, u64)> = (0..8u64).map(|i| (i * 1_250 + 7, i)).collect();
+    store.multi_put(&batch);
 
     // ...and a live split writes `migration_begin` -> `migration_chunk`*
     // -> `migration_complete` -> `epoch_flip` onto the same timeline.
