@@ -16,8 +16,8 @@
 
 use leap_bench::rng::Rng64;
 use leap_store::{
-    AbortOutcome, Batcher, FaultPlan, FaultPoint, LeapStore, Partitioning, RebalancePolicy,
-    RetryPolicy, StoreConfig, StoreError,
+    Batcher, FaultPlan, FaultPoint, LeapStore, Partitioning, RebalancePolicy, RetryPolicy,
+    StoreConfig, StoreError,
 };
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -44,7 +44,6 @@ fn run(seed: u64, ops: u64, shards: usize) -> Result<(), String> {
             .with_key_space(KEY_SPACE)
             .with_rebalancing(RebalancePolicy {
                 chunk: 64,
-                watchdog_stalls: 4,
                 ..RebalancePolicy::default()
             })
             .with_faults(plan_for(seed)),
@@ -53,7 +52,7 @@ fn run(seed: u64, ops: u64, shards: usize) -> Result<(), String> {
     let mut model: BTreeMap<u64, u64> = BTreeMap::new();
     let mut rng = Rng64::new(seed ^ 0x9E37_79B9_7F4A_7C15);
     let policy = RetryPolicy::default().max_attempts(64);
-    let (mut shed, mut timeouts, mut aborts) = (0u64, 0u64, 0u64);
+    let (mut shed, mut timeouts) = (0u64, 0u64);
     for i in 0..ops {
         let key = rng.next_u64() % KEY_SPACE;
         let val = rng.next_u64();
@@ -108,24 +107,14 @@ fn run(seed: u64, ops: u64, shards: usize) -> Result<(), String> {
                 }
             }
         }
-        // Drive resharding (and its injected chunk failures / watchdog
-        // aborts) from the same deterministic loop.
+        // Drive resharding (and its injected chunk failures, which the
+        // next step retries) from the same deterministic loop.
         if i % 64 == 0 {
             store.rebalance_step();
         }
-        // Occasionally abort whatever migration is in flight: rollback
-        // and forward completion are both legal resolutions.
-        if i % 4096 == 2048 {
-            if let Some(m) = store.router().migration() {
-                match store.abort_migration(m.id) {
-                    Ok(AbortOutcome::RolledBack { .. }) => aborts += 1,
-                    Ok(AbortOutcome::Completed { .. }) | Err(_) => {}
-                }
-            }
-        }
     }
-    // Convergence: every migration resolves (the chunk-fault budget is
-    // finite, and the watchdog aborts anything that stays stuck).
+    // Convergence: every migration completes, because the chunk-fault
+    // budget is finite and a failed chunk is retried from its frontier.
     store.rebalance_until_idle();
     if store.router().migration().is_some() {
         return Err("migrations still in flight after rebalance_until_idle".into());
@@ -147,7 +136,7 @@ fn run(seed: u64, ops: u64, shards: usize) -> Result<(), String> {
         stats.migrations_completed,
         stats.aborted_migrations
     );
-    println!("chaos: driver-observed shed={shed} timeouts={timeouts} manual_aborts={aborts}");
+    println!("chaos: driver-observed shed={shed} timeouts={timeouts}");
     if let Some(inj) = store.faults() {
         for (name, visits, fires) in inj.report() {
             println!("fault {name}: visits={visits} fires={fires}");

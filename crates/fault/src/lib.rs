@@ -15,9 +15,9 @@
 //!
 //! | name | fires inside |
 //! |------|--------------|
-//! | `stm_commit` | [`Txn::commit`] entry — the transaction aborts as a commit-time conflict |
+//! | `stm_commit` | `Txn::commit` entry — the transaction aborts as a commit-time conflict |
 //! | `stm_validate` | commit-time read validation — validation reports failure |
-//! | `migration_chunk` | a migration chunk transaction — the chunk is dropped, the frontier stalls |
+//! | `migration_chunk` | a migration chunk transaction — the chunk is dropped, its frontier stays put, and the next rebalance step retries it |
 //! | `admission` | the `Batcher`'s admission gate — the op is refused with `Overloaded` before it runs |
 //! | `rebalancer_tick` | a background rebalancer step — the step panics (recovery is caught) |
 //!

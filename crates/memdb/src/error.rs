@@ -34,10 +34,10 @@ pub enum DbError {
     NoSuchTable(String),
     /// A table with this name already exists.
     TableExists(String),
-    /// A bounded-retry operation ([`Table::insert_within`]
-    /// (crate::Table::insert_within)) exhausted its retry budget before
-    /// the underlying storage transaction could commit. Nothing was
-    /// written.
+    /// A bounded-retry operation
+    /// ([`Table::insert_within`](crate::Table::insert_within)) exhausted
+    /// its retry budget before the underlying storage transaction could
+    /// commit. Nothing was written.
     Timeout {
         /// Failed commit attempts made before giving up.
         attempts: u64,

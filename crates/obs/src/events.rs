@@ -27,14 +27,13 @@ const SLOT_WORDS: usize = 2 + WORDS;
 
 /// Payload field names per kind tag (see [`EventKind::encode`]), in
 /// declaration order.
-const FIELDS: [&[&str]; 10] = [
+const FIELDS: [&[&str]; 9] = [
     &["id", "src", "dst", "lo", "hi"],
     &["id", "moved"],
     &["id", "epoch"],
     &["epoch"],
     &["shard", "load"],
     &["left", "right"],
-    &["id", "moved_back"],
     &["attempts"],
     &["ops", "queued"],
     &["panics"],
@@ -92,16 +91,6 @@ pub enum EventKind {
         /// Right (drained) shard slot.
         right: u64,
     },
-    /// Migration `id` was aborted: its overlay was removed without a
-    /// routing flip after `moved_back` keys were rolled back to the source
-    /// shard (zero when the abort drained the migration forward instead —
-    /// a `migration_complete` event accompanies it in that case).
-    MigrationAbort {
-        /// Migration id that was aborted.
-        id: u64,
-        /// Keys moved back from the destination to the source shard.
-        moved_back: u64,
-    },
     /// A bounded retry loop gave up after `attempts` attempts and the op
     /// surfaced a typed `Timeout` instead of spinning.
     TxnDeadline {
@@ -136,7 +125,6 @@ impl EventKind {
             EventKind::EpochFlip { .. } => "epoch_flip",
             EventKind::PolicySplit { .. } => "policy_split",
             EventKind::PolicyMerge { .. } => "policy_merge",
-            EventKind::MigrationAbort { .. } => "migration_abort",
             EventKind::TxnDeadline { .. } => "txn_deadline",
             EventKind::Shed { .. } => "shed",
             EventKind::RebalancerPanic { .. } => "rebalancer_panic",
@@ -188,23 +176,18 @@ impl EventKind {
                 w[1] = right;
                 5
             }
-            EventKind::MigrationAbort { id, moved_back } => {
-                w[0] = id;
-                w[1] = moved_back;
-                6
-            }
             EventKind::TxnDeadline { attempts } => {
                 w[0] = attempts;
-                7
+                6
             }
             EventKind::Shed { ops, queued } => {
                 w[0] = ops;
                 w[1] = queued;
-                8
+                7
             }
             EventKind::RebalancerPanic { panics } => {
                 w[0] = panics;
-                9
+                8
             }
         };
         (tag, w)
@@ -236,16 +219,12 @@ impl EventKind {
                 left: w[0],
                 right: w[1],
             },
-            6 => EventKind::MigrationAbort {
-                id: w[0],
-                moved_back: w[1],
-            },
-            7 => EventKind::TxnDeadline { attempts: w[0] },
-            8 => EventKind::Shed {
+            6 => EventKind::TxnDeadline { attempts: w[0] },
+            7 => EventKind::Shed {
                 ops: w[0],
                 queued: w[1],
             },
-            9 => EventKind::RebalancerPanic { panics: w[0] },
+            8 => EventKind::RebalancerPanic { panics: w[0] },
             _ => return None,
         })
     }
@@ -389,10 +368,6 @@ mod tests {
             EventKind::EpochFlip { epoch: 9 },
             EventKind::PolicySplit { shard: 0, load: 77 },
             EventKind::PolicyMerge { left: 1, right: 2 },
-            EventKind::MigrationAbort {
-                id: 4,
-                moved_back: 96,
-            },
             EventKind::TxnDeadline { attempts: 64 },
             EventKind::Shed { ops: 5, queued: 33 },
             EventKind::RebalancerPanic { panics: 2 },

@@ -15,8 +15,8 @@
 //! (the same knob as the store's sampled `get` histogram) **plus
 //! tail-captured**: when tracing is armed every op is measured, and any
 //! op slower than the configured SLO threshold — or ending in a typed
-//! failure (timeout, shed, migration abort) — is always retained, so the
-//! p99 spikes self-document. Arming follows the same
+//! failure (timeout, shed) — is always retained, so the p99 spikes
+//! self-document. Arming follows the same
 //! zero-cost-when-absent pattern as `StmRecorder`/`FaultPlan`: with no
 //! tracer configured the hot paths carry a single `Option` branch, and
 //! the cross-crate annotation hooks ([`note_abort`] and friends) are one
@@ -123,8 +123,6 @@ pub enum OpClass {
     ScanPage,
     /// Transactional key count.
     Len,
-    /// A migration lifecycle span (emitted by the rebalance layer).
-    Migration,
 }
 
 impl OpClass {
@@ -137,7 +135,6 @@ impl OpClass {
             OpClass::Range => 4,
             OpClass::ScanPage => 5,
             OpClass::Len => 6,
-            OpClass::Migration => 7,
         }
     }
 
@@ -150,7 +147,6 @@ impl OpClass {
             4 => "range",
             5 => "scan_page",
             6 => "len",
-            7 => "migration",
             _ => "unknown",
         }
     }
@@ -167,8 +163,6 @@ pub enum OpOutcome {
     /// The batcher's admission gate refused the op
     /// (`StoreError::Overloaded`).
     Overloaded,
-    /// A migration resolved by rollback rather than completing.
-    MigrationAbort,
 }
 
 impl OpOutcome {
@@ -177,7 +171,6 @@ impl OpOutcome {
             OpOutcome::Ok => 0,
             OpOutcome::Timeout => 1,
             OpOutcome::Overloaded => 2,
-            OpOutcome::MigrationAbort => 3,
         }
     }
 
@@ -186,7 +179,6 @@ impl OpOutcome {
             0 => "ok",
             1 => "timeout",
             2 => "overloaded",
-            3 => "migration_abort",
             _ => "unknown",
         }
     }
@@ -576,25 +568,6 @@ impl Tracer {
         SpanGuard { tracer: Some(self) }
     }
 
-    /// Publishes a synthetic failure span that never ran as a traced op —
-    /// the rebalance layer reports migration aborts this way. Always
-    /// retained (failures bypass sampling).
-    pub fn emit_failure(
-        &self,
-        kind: OpClass,
-        outcome: OpOutcome,
-        key: u64,
-        shard: u32,
-        overlay: u64,
-    ) {
-        // ORDERING: id allocator; uniqueness comes from the RMW.
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let mut span = ActiveSpan::new(id, kind, key, shard, false, [0; 2]);
-        span.outcome = outcome.code();
-        span.overlay = overlay;
-        self.ring.push(span.encode(self.origin, 0, false));
-    }
-
     /// Finishes `span`: total time, retention rule, publish.
     fn finish(&self, span: ActiveSpan) {
         let total_ns = span.start.elapsed().as_nanos() as u64;
@@ -623,9 +596,9 @@ pub struct Span {
     pub seq: u64,
     /// Unique trace id within the tracer.
     pub trace_id: u64,
-    /// Op kind name (`get`, `put`, …, `len`, `migration`).
+    /// Op kind name (`get`, `put`, …, `len`).
     pub kind: &'static str,
-    /// Outcome name (`ok`, `timeout`, `overloaded`, …).
+    /// Outcome name (`ok`, `timeout` or `overloaded`).
     pub outcome: &'static str,
     /// Whether head sampling elected this span.
     pub sampled: bool,
@@ -647,8 +620,8 @@ pub struct Span {
     pub retries: u32,
     /// Overlay-stamp retries the op's read plan suffered.
     pub stamp_retries: u32,
-    /// Per-attempt abort causes, first [`CAUSE_SEQ_CAP`] attempts in
-    /// order.
+    /// Per-attempt abort causes, first 16 attempts in order (later
+    /// aborts count only in `cause_counts`).
     pub causes: Vec<AbortCause>,
     /// Total aborts by cause: `[conflict_read, conflict_commit,
     /// explicit, timeout]`.
@@ -1034,19 +1007,6 @@ mod tests {
         // Also valid as the plain JSON snapshot.
         let json = snap.to_json().render();
         assert!(json.contains("\"commit_ns\":300"), "{json}");
-    }
-
-    #[test]
-    fn emit_failure_publishes_migration_abort_span() {
-        drain_active();
-        let t = Tracer::new(0, u64::MAX, 4);
-        t.emit_failure(OpClass::Migration, OpOutcome::MigrationAbort, 500, 1, 9);
-        let snap = t.snapshot();
-        assert_eq!(snap.spans.len(), 1);
-        let s = &snap.spans[0];
-        assert_eq!(s.kind, "migration");
-        assert_eq!(s.outcome, "migration_abort");
-        assert_eq!(s.overlay, 9);
     }
 
     #[test]

@@ -224,9 +224,8 @@ impl StmDomain {
         }
     }
 
-    /// Counts one bounded-retry timeout against this domain. Called by
-    /// [`atomically_with`](crate::atomically_with) internally; public so
-    /// wrappers that bound hand-rolled retry loops through
+    /// Counts one bounded-retry timeout against this domain. Public so
+    /// wrappers that bound retry loops through
     /// [`with_retry_budget`](crate::with_retry_budget) can attribute their
     /// timeouts to the domain they ran against.
     pub fn record_timeout(&self) {

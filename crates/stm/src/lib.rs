@@ -22,10 +22,10 @@
 //!     tentative data — precisely the weak-isolation hazard that motivates
 //!     the paper's marked-pointer protocol.
 //! * [`atomically`] — a retry loop with bounded exponential backoff.
-//! * [`atomically_with`] / [`with_retry_budget`] — the same loops bounded
-//!   by a [`RetryPolicy`] (deadline and/or attempt budget), surfacing a
-//!   typed [`Timeout`] instead of spinning forever under pathological
-//!   contention.
+//! * [`with_retry_budget`] — bounds every retry loop inside a call
+//!   (including hand-rolled ones) by a [`RetryPolicy`] (deadline and/or
+//!   attempt budget), surfacing a typed [`Timeout`] instead of spinning
+//!   forever under pathological contention.
 //!
 //! # Example: atomic transfer
 //!
@@ -75,7 +75,7 @@ pub use domain::{
     Mode, SnapshotPin, StmDomain, StmFaultHook, StmFaultPoint, WiringTicket, DEFAULT_OREC_BITS,
 };
 pub use recorder::StmRecorder;
-pub use retry::{atomically, atomically_with, with_retry_budget, Backoff, RetryPolicy, Timeout};
+pub use retry::{atomically, with_retry_budget, Backoff, RetryPolicy, Timeout};
 pub use stats::StatsSnapshot;
 pub use tagged::TaggedPtr;
 pub use tvar::TVar;

@@ -47,12 +47,6 @@ impl RetryPolicy {
     pub fn is_unbounded(&self) -> bool {
         self.max_attempts.is_none() && self.deadline.is_none()
     }
-
-    /// Whether a loop that has made `attempts` failed attempts should stop.
-    fn exhausted(&self, attempts: u64) -> bool {
-        self.max_attempts.is_some_and(|m| attempts >= m)
-            || self.deadline.is_some_and(|d| Instant::now() >= d)
-    }
 }
 
 /// A bounded retry loop gave up: the transaction kept aborting until the
@@ -214,62 +208,6 @@ pub fn atomically<'d, R>(
     }
 }
 
-/// Like [`atomically`], but bounded: gives up with a typed [`Timeout`] once
-/// `policy`'s deadline passes or its attempt budget is spent, instead of
-/// retrying forever. Timeouts are counted in the domain's
-/// [`StatsSnapshot::timeouts`](crate::StatsSnapshot); every individual
-/// aborted attempt still shows up under the regular abort counters.
-///
-/// On `Err(Timeout)` the transactional state is untouched — each attempt
-/// rolled back before the loop gave up.
-///
-/// # Errors
-///
-/// [`Timeout`] when the policy is exhausted before a commit succeeds.
-///
-/// # Example
-///
-/// ```
-/// use leap_stm::{atomically_with, RetryPolicy, StmDomain, TVar};
-/// let d = StmDomain::new();
-/// let v = TVar::new(0u64);
-/// // Uncontended: commits on the first attempt.
-/// let r = atomically_with(&d, RetryPolicy::default().max_attempts(3), |tx| {
-///     let x = tx.read(&v)?;
-///     tx.write(&v, x + 1)
-/// });
-/// assert!(r.is_ok());
-/// assert_eq!(v.naked_load(), 1);
-/// ```
-pub fn atomically_with<'d, R>(
-    domain: &'d StmDomain,
-    policy: RetryPolicy,
-    mut body: impl FnMut(&mut Txn<'d>) -> TxResult<R>,
-) -> Result<R, Timeout> {
-    let mut backoff = Backoff::new();
-    let mut attempts: u64 = 0;
-    loop {
-        attempts += 1;
-        let mut tx = Txn::begin(domain);
-        match body(&mut tx) {
-            Ok(r) => {
-                if tx.commit().is_ok() {
-                    if let Some(rec) = domain.recorder() {
-                        rec.record_attempts(attempts);
-                    }
-                    return Ok(r);
-                }
-            }
-            Err(_) => drop(tx),
-        }
-        if policy.exhausted(attempts) {
-            domain.record_timeout();
-            return Err(Timeout { attempts });
-        }
-        backoff.snooze();
-    }
-}
-
 /// Runs `f` with a thread-local retry budget installed: every
 /// [`Backoff::snooze`] on this thread (i.e. every failed transactional
 /// attempt, including those inside hand-rolled loops such as the Leap-List
@@ -378,50 +316,6 @@ mod tests {
     }
 
     #[test]
-    fn atomically_with_times_out_on_a_never_committing_body() {
-        let d = StmDomain::new();
-        let v = TVar::new(0u64);
-        // The body always requests an explicit abort: no schedule commits.
-        let r: Result<(), Timeout> =
-            atomically_with(&d, RetryPolicy::default().max_attempts(7), |tx| {
-                let _ = tx.read(&v)?;
-                Err(tx.explicit_abort())
-            });
-        assert_eq!(r, Err(Timeout { attempts: 7 }));
-        assert_eq!(d.stats().timeouts, 1);
-        assert_eq!(d.stats().explicit_aborts, 7, "every attempt still counted");
-        assert_eq!(v.naked_load(), 0);
-    }
-
-    #[test]
-    fn atomically_with_deadline_fires_without_attempt_cap() {
-        let d = StmDomain::new();
-        let v = TVar::new(0u64);
-        let policy = RetryPolicy::default().timeout(std::time::Duration::from_millis(10));
-        let r: Result<(), Timeout> = atomically_with(&d, policy, |tx| {
-            let _ = tx.read(&v)?;
-            Err(tx.explicit_abort())
-        });
-        let t = r.expect_err("never-committing body must time out");
-        assert!(t.attempts >= 1);
-        assert_eq!(d.stats().timeouts, 1);
-    }
-
-    #[test]
-    fn atomically_with_commits_normally_under_no_contention() {
-        let d = StmDomain::new();
-        let v = TVar::new(3u64);
-        let r = atomically_with(&d, RetryPolicy::default().max_attempts(1), |tx| {
-            let x = tx.read(&v)?;
-            tx.write(&v, x * 2)?;
-            Ok(x)
-        });
-        assert_eq!(r, Ok(3));
-        assert_eq!(v.naked_load(), 6);
-        assert_eq!(d.stats().timeouts, 0);
-    }
-
-    #[test]
     fn retry_budget_bounds_a_hand_rolled_loop() {
         let d = StmDomain::new();
         let v = TVar::new(0u64);
@@ -442,6 +336,26 @@ mod tests {
         let mut b = Backoff::new();
         b.snooze();
         assert_eq!(b.attempts(), 1, "no budget armed outside the scope");
+    }
+
+    #[test]
+    fn retry_budget_deadline_fires_without_attempt_cap() {
+        let d = StmDomain::new();
+        let v = TVar::new(0u64);
+        // A deadline alone, with no attempt cap, cuts a never-committing
+        // loop off.
+        let policy = RetryPolicy::default().timeout(std::time::Duration::from_millis(10));
+        let r = with_retry_budget(policy, || loop {
+            let mut backoff = Backoff::new();
+            let mut tx = Txn::begin(&d);
+            let _ = tx.read(&v);
+            let _ = tx.explicit_abort();
+            drop(tx);
+            backoff.snooze();
+        });
+        let t = r.expect_err("the deadline must fire");
+        assert!(t.attempts >= 1);
+        assert_eq!(v.naked_load(), 0);
     }
 
     #[test]

@@ -13,8 +13,9 @@ pub(crate) struct Stats {
     /// read-set validation failed).
     pub(crate) conflict_commit_aborts: AtomicU64,
     pub(crate) explicit_aborts: AtomicU64,
-    /// Bounded retry loops that gave up ([`crate::atomically_with`] /
-    /// [`crate::with_retry_budget`] returning `Timeout`).
+    /// Bounded retry loops that gave up: [`crate::with_retry_budget`]
+    /// timeouts that their caller attributed to this domain with
+    /// [`crate::StmDomain::record_timeout`].
     pub(crate) timeouts: AtomicU64,
 }
 

@@ -9,8 +9,8 @@
 //!   landing between pages is seen by later pages only. Pages keep
 //!   working while a [`crate::Rebalancer`] moves the very keys being
 //!   scanned — each page's plan includes both sides of the overlay when
-//!   it overlaps, and it retries only when a migration begins, completes or
-//!   aborts mid-page, never per chunk moved. This is also the primitive
+//!   it overlaps, and it retries only when a migration begins or
+//!   completes mid-page, never per chunk moved. This is also the primitive
 //!   the migration driver itself pages with.
 //!
 //! * **Pinned snapshot** ([`SnapshotCursor`], via

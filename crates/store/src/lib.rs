@@ -41,10 +41,10 @@
 //!   [`StoreError::Overloaded`], never a silent block.
 //! * **Fault model & graceful degradation** — a deterministic, seeded
 //!   fault-injection subsystem ([`leap_fault`], zero-cost when unarmed)
-//!   drives the recovery machinery: migration abort / forward completion
-//!   ([`LeapStore::abort_migration`]) with a stuck-migration watchdog,
-//!   bounded-retry ops ([`LeapStore::put_within`] and friends) returning
-//!   typed [`StoreError::Timeout`]s instead of livelocking, and a
+//!   drives the recovery machinery: a dropped migration chunk leaves the
+//!   frontier in place for the next [`LeapStore::rebalance_step`] to
+//!   retry, bounded-retry ops ([`LeapStore::put_within`] and friends)
+//!   return typed [`StoreError::Timeout`]s instead of livelocking, and a
 //!   [`Rebalancer`] that records worker panics and reports its own death
 //!   ([`RebalancerDied`]) instead of swallowing it.
 //! * **Observability** — [`LeapStore::stats`] exposes per-shard op and
@@ -87,9 +87,7 @@ pub use batch::{Batcher, BatcherStats};
 pub use cursor::{Cursor, SnapshotCursor, DEFAULT_PAGE_SIZE};
 pub use error::StoreError;
 pub use obs::{ObsSnapshot, StoreObs, GET_SAMPLE_PERIOD};
-pub use rebalance::{
-    AbortOutcome, RebalanceAction, RebalanceError, RebalancePolicy, Rebalancer, RebalancerDied,
-};
+pub use rebalance::{RebalanceAction, RebalanceError, RebalancePolicy, Rebalancer, RebalancerDied};
 pub use router::{MigrationView, Partitioning, Router, RoutingEpoch};
 pub use stats::{ShardStats, StoreStats};
 pub use store::{LeapStore, ShardSlot, StoreConfig};

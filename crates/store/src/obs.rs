@@ -35,8 +35,7 @@
 //! `store_events`, fixed at [`leap_obs::DEFAULT_RING_CAPACITY`] (1 024)
 //! events and scraped as `store_events_published` / `_dropped`. Counters:
 //! `store_view_swaps` (routing views published
-//! — every migration begin / complete / cancel / rollback flip and every
-//! new slot) and `store_stamp_retries` (stamped reads re-planned because
+//! — every migration begin and complete and every new slot) and `store_stamp_retries` (stamped reads re-planned because
 //! a view was published under them); together they price the global
 //! read stamp.
 

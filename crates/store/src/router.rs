@@ -13,9 +13,8 @@
 //! plain borrowed data: no lock, no reference-count traffic, no store to
 //! any line another thread uses.
 //!
-//! Every routing change — a migration beginning, completing, being
-//! cancelled or flipping into its rollback direction, a slot being added —
-//! builds the successor view and swaps the pointer while holding the
+//! Every routing change — a migration beginning or completing, a slot
+//! being added — builds the successor view and swaps the pointer while holding the
 //! writer **gate** exclusively; the replaced view is retired through the
 //! epoch collector, so a pinned reader keeps borrowing it safely. That
 //! makes the pointer itself the read stamp: a reader that finds the same
@@ -39,7 +38,7 @@
 
 use crate::rebalance::RebalanceError;
 use std::marker::PhantomData;
-use std::sync::atomic::{fence, AtomicBool, AtomicPtr, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{fence, AtomicPtr, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// How the keyspace is partitioned across shards.
@@ -204,24 +203,13 @@ pub struct MigrationState {
     /// transaction, which must not interleave (a chunk move committing a
     /// stale value over a racing write would lose the write).
     pub(crate) write_lock: Mutex<()>,
-    /// Set (by [`Router::begin_abort`], under the exclusive gate) when the
-    /// migration is being rolled back: in-range writes then land in `src`
-    /// (clearing any `dst` copy) and lookups consult
-    /// destination-then-source, mirroring the reversed drain direction.
-    /// The flip publishes a new view, so concurrent stamped reads retry.
-    pub(crate) aborting: AtomicBool,
-    /// Consecutive drain steps that failed to advance the frontier (e.g.
-    /// injected chunk faults); reset by every successful chunk. The
-    /// rebalance watchdog force-resolves the migration once this crosses
-    /// [`crate::RebalancePolicy::watchdog_stalls`].
-    pub(crate) stalls: AtomicU32,
 }
 
 /// A read-only snapshot of an in-flight migration (stats, tests).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MigrationView {
-    /// Migration id — the handle [`crate::LeapStore::abort_migration`]
-    /// takes.
+    /// Migration id: the sequence number of the view that installed it
+    /// (unique, never reused).
     pub id: u64,
     /// Source slot.
     pub src: usize,
@@ -667,29 +655,10 @@ impl<S: Clone + Send + Sync + 'static> Router<S> {
             frontier: AtomicU64::new(lo),
             moved: AtomicU64::new(0),
             write_lock: Mutex::new(()),
-            aborting: AtomicBool::new(false),
-            stalls: AtomicU32::new(0),
         });
         next.overlay = Some(m.clone());
         self.publish(next, &gate);
         Ok(m)
-    }
-
-    /// The in-flight migration, if its id is `id`.
-    pub(crate) fn overlay_by_id(&self, id: u64) -> Option<Arc<MigrationState>> {
-        self.pin().overlay.clone().filter(|m| m.id == id)
-    }
-
-    /// The successor of the current view with `m` removed as its overlay,
-    /// for the caller to finish and publish.
-    fn without_overlay(&self, m: &Arc<MigrationState>) -> Result<RoutingView<S>, RebalanceError> {
-        let cur = self.pin();
-        if !cur.overlay.as_ref().is_some_and(|o| Arc::ptr_eq(o, m)) {
-            return Err(RebalanceError::NoSuchMigration);
-        }
-        let mut next = cur.successor();
-        next.overlay = None;
-        Ok(next)
     }
 
     /// Publishes the post-migration view: table at epoch + 1 with
@@ -697,54 +666,28 @@ impl<S: Clone + Send + Sync + 'static> Router<S> {
     /// caller must have fully drained `[m.lo, m.hi]` out of the
     /// source list first. Returns the new epoch.
     ///
-    /// # Errors
+    /// # Panics
     ///
-    /// [`RebalanceError::NoSuchMigration`] if `m` is no longer installed —
-    /// e.g. a concurrent [`Router::cancel_migration`] already removed it.
-    /// Nothing is published in that case.
-    pub(crate) fn complete_migration(
-        &self,
-        m: &Arc<MigrationState>,
-    ) -> Result<u64, RebalanceError> {
+    /// Panics if `m` is not the installed overlay.
+    pub(crate) fn complete_migration(&self, m: &Arc<MigrationState>) -> u64 {
         // Exclusive gate: writes that routed under the overlay have
         // committed before ownership flips; later writes route directly
         // to the destination.
         let gate = self.gate_exclusive();
-        let mut next = self.without_overlay(m)?;
+        let cur = self.pin();
+        // INVARIANT: only the store's step driver completes a migration,
+        // under its step lock and on the overlay it read under that lock;
+        // nothing else removes an overlay, so `m` is still installed.
+        assert!(
+            cur.overlay.as_ref().is_some_and(|o| Arc::ptr_eq(o, m)),
+            "completing a migration that is not installed"
+        );
+        let mut next = cur.successor();
+        next.overlay = None;
         next.table = Arc::new(next.table.transferred(m.lo, m.hi, m.src, m.dst));
         let epoch = next.table.epoch;
         self.publish(next, &gate);
-        Ok(epoch)
-    }
-
-    /// Publishes a view without `m` and **without** flipping the routing
-    /// table: ownership of `[m.lo, m.hi]` stays with `m.src`. The caller
-    /// (the store's migration abort) must have moved every in-range key
-    /// back into the source list first.
-    ///
-    /// # Errors
-    ///
-    /// [`RebalanceError::NoSuchMigration`] if `m` is not installed.
-    pub(crate) fn cancel_migration(&self, m: &Arc<MigrationState>) -> Result<(), RebalanceError> {
-        // Exclusive gate, like completion: in-flight writes that routed
-        // under the overlay commit before it vanishes, and later writes
-        // route directly to the (unchanged) table owner.
-        let gate = self.gate_exclusive();
-        let next = self.without_overlay(m)?;
-        self.publish(next, &gate);
-        Ok(())
-    }
-
-    /// Flips `m` into its rollback direction (see
-    /// [`MigrationState::aborting`]) and publishes a successor view, so
-    /// every stamped read spanning the flip retries. Under the exclusive
-    /// gate no write is in flight, and writers (who hold the gate shared)
-    /// see one direction for their whole op.
-    pub(crate) fn begin_abort(&self, m: &Arc<MigrationState>) {
-        let gate = self.gate_exclusive();
-        m.aborting.store(true, Ordering::Release);
-        let next = self.pin().successor();
-        self.publish(next, &gate);
+        epoch
     }
 
     /// Views of this router not yet freed (the current one included).
@@ -865,7 +808,7 @@ mod tests {
         assert_eq!((m.lo, m.hi), (250, 499));
         assert_eq!(r.shard_of(300), 0, "ownership flips only at completion");
         assert!(r.migration().is_some());
-        assert_eq!(r.complete_migration(&m).unwrap(), 1);
+        assert_eq!(r.complete_migration(&m), 1);
         assert_eq!(r.shard_of(300), 2);
         assert_eq!(r.shard_of(200), 0);
         assert_eq!(r.shard_of(700), 1);
@@ -873,7 +816,7 @@ mod tests {
         assert!(r.migration().is_none());
         // Merge slot 2 back into slot 0 (adjacent on the left).
         let m = r.begin_migration(2, 0, 250).expect("valid merge");
-        assert_eq!(r.complete_migration(&m).unwrap(), 2);
+        assert_eq!(r.complete_migration(&m), 2);
         assert_eq!(r.shard_of(300), 0);
         assert_eq!(r.shard_interval(2), None, "slot 2 owns nothing now");
         assert_eq!(
@@ -915,9 +858,9 @@ mod tests {
         assert!(stamp.is_current(), "a refused begin publishes no view");
         drop(stamp);
         assert_eq!(r.migration().map(|v| v.id), Some(m.id));
-        r.complete_migration(&m).unwrap();
+        r.complete_migration(&m);
         let m2 = r.begin_migration(2, 3, 600).expect("free once m completed");
-        r.complete_migration(&m2).unwrap();
+        r.complete_migration(&m2);
         assert_eq!(r.shard_of(150), 1);
         assert_eq!(r.shard_of(650), 3);
         let rh = Router::new(Partitioning::Hash, 4, 1000);
@@ -929,8 +872,7 @@ mod tests {
 
     /// Every routing change publishes a new view, so a stamp taken before
     /// it fails afterwards — including changes to a disjoint range (the
-    /// stamp is global) and the `aborting` flip, which changes no
-    /// placement data at all. Migration ids are never reused.
+    /// stamp is global). Migration ids are never reused.
     #[test]
     fn every_routing_change_moves_the_view_identity() {
         let r = Router::new(Partitioning::Range, 4, 1000);
@@ -947,61 +889,25 @@ mod tests {
             Err(RebalanceError::MigrationInFlight)
         ));
         assert!(stamp.is_current(), "a refused begin does not move it");
-        r.complete_migration(&a).unwrap();
+        r.complete_migration(&a);
         assert!(!stamp.is_current(), "completion moves it");
         stamp.refresh();
         let b = r.begin_migration(2, 3, 600).expect("overlay B [600,749]");
         assert!(!stamp.is_current(), "a begin of another range moves it too");
         stamp.refresh();
-        r.begin_abort(&b);
-        assert!(!stamp.is_current(), "the aborting flip moves it");
-        assert!(b.aborting.load(Ordering::Acquire));
-        stamp.refresh();
-        r.cancel_migration(&b).unwrap();
-        assert!(!stamp.is_current(), "cancellation moves it");
+        r.complete_migration(&b);
+        assert!(!stamp.is_current(), "completing it moves it again");
         stamp.refresh();
         r.add_slot(());
         assert!(!stamp.is_current(), "a new slot moves it");
         let a2 = r.begin_migration(1, 0, 100).expect("merge back");
-        r.complete_migration(&a2).unwrap();
+        r.complete_migration(&a2);
         let a3 = r.begin_migration(0, 1, 100).expect("same shape as A");
         assert!(
             a.id < a2.id && a2.id < a3.id,
             "ids are monotone, never reused"
         );
-        r.complete_migration(&a3).unwrap();
-    }
-
-    /// Cancellation semantics: the overlay vanishes but ownership never
-    /// flips.
-    #[test]
-    fn cancel_removes_the_overlay_without_flipping_the_table() {
-        let r = Router::new(Partitioning::Range, 2, 1000);
-        let s = r.add_slot(());
-        let m = r.begin_migration(0, s, 250).expect("valid split");
-        assert!(r.overlay_by_id(m.id).is_some());
-        r.begin_abort(&m);
-        r.cancel_migration(&m).expect("installed overlay cancels");
-        assert_eq!(r.epoch(), 0, "cancel must not flip the routing table");
-        assert_eq!(r.shard_of(300), 0, "ownership stays with the source");
-        assert!(r.migration().is_none());
-        assert!(r.overlay_by_id(m.id).is_none());
-        // Gone means gone: double-cancel and complete-after-cancel both
-        // report NoSuchMigration, and the table stays untouched.
-        assert!(matches!(
-            r.cancel_migration(&m),
-            Err(RebalanceError::NoSuchMigration)
-        ));
-        assert!(matches!(
-            r.complete_migration(&m),
-            Err(RebalanceError::NoSuchMigration)
-        ));
-        assert_eq!(r.epoch(), 0);
-        // The slots are immediately reusable, under a fresh id (no ABA).
-        let m2 = r.begin_migration(0, s, 250).expect("slots free again");
-        assert_ne!(m2.id, m.id);
-        assert_eq!(r.complete_migration(&m2).unwrap(), 1);
-        assert_eq!(r.shard_of(300), s);
+        r.complete_migration(&a3);
     }
 
     /// The publish/retire cycle: a replaced view stays readable through a
@@ -1014,7 +920,7 @@ mod tests {
         let old = r.pin();
         let s = r.add_slot(());
         let m = r.begin_migration(0, s, 250).expect("valid split");
-        r.complete_migration(&m).unwrap();
+        r.complete_migration(&m);
         assert_eq!(r.live_views(), 4, "three swaps, nothing freed under a pin");
         assert_eq!((old.slots().len(), old.table().epoch), (2, 0));
         assert!(old.overlay().is_none(), "the pinned view is unchanged");

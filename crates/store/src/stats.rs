@@ -131,16 +131,15 @@ pub struct StoreStats {
     pub epoch: u64,
     /// The in-flight migration (`None` when no reshard is running).
     pub migration: Option<MigrationView>,
-    /// 1 once any migration has begun (in flight, completed or aborted),
-    /// else 0. Kept only because `benchmark/` reports it as
+    /// 1 once any migration has begun (in flight or completed), else 0. Kept only because `benchmark/` reports it as
     /// `rebalance.peak_concurrent`: the store runs one migration at a
     /// time, so there is no concurrency to measure.
     pub peak_concurrent_migrations: u64,
     /// Migrations (splits and merges) completed since construction.
     pub migrations_completed: u64,
-    /// Migrations resolved by rollback — an explicit
-    /// [`crate::LeapStore::abort_migration`] call or the stuck-migration
-    /// watchdog — rather than by completing forward.
+    /// Always 0: a migration only ends by completing. Kept only because
+    /// `benchmark/` reports it as `rebalance.aborted_migrations`; no
+    /// rendering of the stats includes it.
     pub aborted_migrations: u64,
     /// Operations refused by the batcher's admission gate, at its bound or
     /// by an injected `admission` fault; each surfaced to its caller as
@@ -258,7 +257,6 @@ impl StoreStats {
             )
             .field("key_spread", Json::U64(self.key_spread()))
             .field("key_spread_ratio", Json::fixed(self.key_spread_ratio(), 4))
-            .field("aborted_migrations", Json::U64(self.aborted_migrations))
             .field("shed_ops", Json::U64(self.shed_ops))
             .field("snapshot_scans", Json::U64(self.snapshot_scans))
             .field("bundle_depth", Json::U64(self.bundle_depth));
@@ -326,10 +324,6 @@ impl StoreStats {
             u64::from(self.migration.is_some())
         ));
         out.push_str(&format!(
-            "# TYPE store_migrations_aborted counter\nstore_migrations_aborted {}\n",
-            self.aborted_migrations
-        ));
-        out.push_str(&format!(
             "# TYPE store_shed_ops counter\nstore_shed_ops {}\n",
             self.shed_ops
         ));
@@ -375,14 +369,13 @@ impl std::fmt::Display for StoreStats {
         }
         write!(
             f,
-            "stm: {} | collision_batches={} | abort_rate={:.4} | epoch={} | migrations={} (in flight {}, aborted {}) | shed_ops={} | key_spread={} ({:.2}x mean) | snapshot_scans={} (bundle_depth {})",
+            "stm: {} | collision_batches={} | abort_rate={:.4} | epoch={} | migrations={} (in flight {}) | shed_ops={} | key_spread={} ({:.2}x mean) | snapshot_scans={} (bundle_depth {})",
             self.stm,
             self.collision_batches,
             self.abort_rate(),
             self.epoch,
             self.migrations_completed,
             u64::from(self.migration.is_some()),
-            self.aborted_migrations,
             self.shed_ops,
             self.key_spread(),
             self.key_spread_ratio(),
@@ -444,7 +437,7 @@ mod tests {
             }),
             peak_concurrent_migrations: 1,
             migrations_completed: 3,
-            aborted_migrations: 1,
+            aborted_migrations: 0,
             shed_ops: 6,
             snapshot_scans: 5,
             bundle_depth: 4,
@@ -469,7 +462,6 @@ mod tests {
         assert!(json.contains("\"peak_concurrent_migrations\":1"));
         assert!(json.contains("\"key_spread\":30"));
         assert!(json.contains("\"key_spread_ratio\":1.6000"));
-        assert!(json.contains("\"aborted_migrations\":1"));
         assert!(json.contains("\"shed_ops\":6"));
         assert!(json.contains("\"snapshot_scans\":5"));
         assert!(json.contains("\"bundle_depth\":4"));
@@ -491,7 +483,7 @@ mod tests {
         assert!(text.contains("abort_rate=0.5000"));
         assert!(text.contains("collision_batches=7"));
         assert!(text.contains("migrating [100, 199] shard 0 -> 2"));
-        assert!(text.contains("migrations=3 (in flight 1, aborted 1)"));
+        assert!(text.contains("migrations=3 (in flight 1) |"));
         assert!(stats
             .to_prometheus()
             .contains("store_migrations_in_flight 1\n"));

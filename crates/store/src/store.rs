@@ -260,9 +260,6 @@ pub struct LeapStore<V> {
     /// single transaction.
     collision_batches: AtomicU64,
     pub(crate) migrations_completed: AtomicU64,
-    /// Migrations resolved by rollback ([`LeapStore::abort_migration`] or
-    /// the stuck-migration watchdog) rather than by completing forward.
-    pub(crate) aborted_migrations: AtomicU64,
     /// Operations refused by the batcher's admission gate, at its bound or
     /// by an injected `admission` fault (each one surfaced to its caller
     /// as [`StoreError::Overloaded`], never silently).
@@ -354,7 +351,6 @@ impl<V: Clone + Send + Sync + 'static> LeapStore<V> {
             op_census: Mutex::new((Vec::new(), Vec::new())),
             collision_batches: AtomicU64::new(0),
             migrations_completed: AtomicU64::new(0),
-            aborted_migrations: AtomicU64::new(0),
             shed_ops: AtomicU64::new(0),
             snapshot_scans: AtomicU64::new(0),
             faults,
@@ -580,20 +576,15 @@ impl<V: Clone + Send + Sync + 'static> LeapStore<V> {
             let (res, overlay_id) = match view.overlay_for(key) {
                 Some(m) => {
                     CounterRow::bump(&slots[m.src].counters.row().gets);
-                    let (src, dst) = (&slots[m.src].list, &slots[m.dst].list);
-                    // Keys move atomically in one direction: src -> dst
-                    // while draining, dst -> src while a rollback sweeps
-                    // them back. Probing the from-side first means a miss
-                    // there reads "absent or already moved", and the
-                    // to-side lookup happens after — so a present key is
-                    // always found. A direction flip mid-lookup publishes
-                    // a new view, which the re-check below turns into a
-                    // retry.
-                    let res = if m.aborting.load(Ordering::Acquire) {
-                        dst.lookup(key).or_else(|| src.lookup(key))
-                    } else {
-                        src.lookup(key).or_else(|| dst.lookup(key))
-                    };
+                    // Keys move atomically in one direction, src -> dst.
+                    // Probing the source first means a miss there reads
+                    // "absent or already moved", and the destination
+                    // lookup happens after — so a present key is always
+                    // found.
+                    let res = slots[m.src]
+                        .list
+                        .lookup(key)
+                        .or_else(|| slots[m.dst].list.lookup(key));
                     (res, m.id)
                 }
                 None => {
@@ -623,8 +614,7 @@ impl<V: Clone + Send + Sync + 'static> LeapStore<V> {
 
     /// Enters the writer gate and re-loads `view` under it: until the
     /// returned guard drops no view can be published, so what the write
-    /// routes by — table, overlay, the overlay's drain direction — stays
-    /// exact for the whole op.
+    /// routes by — table and overlay — stays exact for the whole op.
     fn enter_write(&self, view: &mut View<'_, V>) -> std::sync::RwLockReadGuard<'_, ()> {
         let gate = self.router.enter_write();
         view.refresh();
@@ -632,10 +622,9 @@ impl<V: Clone + Send + Sync + 'static> LeapStore<V> {
     }
 
     /// Runs the cross-list transaction `f` of a write to a migrating key
-    /// under overlay `m`'s write lock — which the chunk mover and the
-    /// rollback sweeper also hold, so neither can clobber this write with
-    /// a stale value — noting lock wait/hold and commit time on the
-    /// active trace span.
+    /// under overlay `m`'s write lock — which the chunk mover also holds,
+    /// so it cannot clobber this write with a stale value — noting lock
+    /// wait/hold and commit time on the active trace span.
     fn under_overlay_lock<T>(m: &MigrationState, f: impl FnOnce() -> T) -> T {
         let traced = leap_obs::trace::in_span();
         let lock_requested = traced.then(Instant::now);
@@ -671,27 +660,20 @@ impl<V: Clone + Send + Sync + 'static> LeapStore<V> {
             Some(m) => {
                 CounterRow::bump(&slots[m.src].counters.row().puts);
                 let (src, dst) = (&*slots[m.src].list, &*slots[m.dst].list);
-                // One cross-list transaction removes the from-side copy
-                // and writes the to-side: the key has a single home from
-                // here on. The direction follows the overlay's state —
-                // dst-ward while draining, src-ward while a rollback is
-                // sweeping keys back.
-                let (from, to) = if m.aborting.load(Ordering::Acquire) {
-                    (dst, src)
-                } else {
-                    (src, dst)
-                };
+                // One cross-list transaction removes the source copy and
+                // writes the destination: the key has a single home from
+                // here on.
                 let rm = [BatchOp::Remove(key)];
                 let up = [BatchOp::Update(key, value)];
                 let mut res = Self::under_overlay_lock(m, || {
-                    LeapListLt::apply_batch_grouped(&[from, to], &[&rm, &up])
+                    LeapListLt::apply_batch_grouped(&[src, dst], &[&rm, &up])
                 });
                 // INVARIANT: each group above holds exactly one op, and
                 // apply_batch_grouped returns one result per op.
-                let to_prev = res[1].pop().expect("one op in to group");
+                let dst_prev = res[1].pop().expect("one op in dst group");
                 // INVARIANT: as above — one op, one result.
-                let from_prev = res[0].pop().expect("one op in from group");
-                from_prev.or(to_prev)
+                let src_prev = res[0].pop().expect("one op in src group");
+                src_prev.or(dst_prev)
             }
         }
     }
@@ -720,10 +702,8 @@ impl<V: Clone + Send + Sync + 'static> LeapStore<V> {
             }
             Some(m) => {
                 CounterRow::bump(&slots[m.src].counters.row().deletes);
-                // Deletes are direction-agnostic: removing the key from
-                // both lists in one transaction is correct whether the
-                // overlay is draining or rolling back (at most one list
-                // holds it, by the migration invariant).
+                // Remove the key from both lists in one transaction (at
+                // most one holds it, by the migration invariant).
                 let rm = [BatchOp::Remove(key)];
                 let mut res = Self::under_overlay_lock(m, || {
                     LeapListLt::apply_batch_grouped(
@@ -819,14 +799,13 @@ impl<V: Clone + Send + Sync + 'static> LeapStore<V> {
         }
         // Group ops per shard slot, preserving input order within each
         // group. A migrating key contributes a Remove to the overlay's
-        // from-side group (source while draining, destination while
-        // rolling back) and its op to the to-side group: the batch stays
-        // one transaction, and the key's previous value is whichever of
-        // the two groups saw it (exactly one can, by the migration
+        // source group and its op to the destination group: the batch
+        // stays one transaction, and the key's previous value is whichever
+        // of the two groups saw it (exactly one can, by the migration
         // invariant).
         let mut groups: Vec<Vec<BatchOp<V>>> = vec![Vec::new(); slots.len()];
         // Where each op's previous value comes from:
-        // (slot, index) plus, for migrating keys, the from-side remove.
+        // (slot, index) plus, for migrating keys, the source-side remove.
         struct OpSource {
             slot: usize,
             idx: usize,
@@ -836,17 +815,12 @@ impl<V: Clone + Send + Sync + 'static> LeapStore<V> {
         for op in ops {
             let k = Self::key_of(op);
             if let Some(m) = view.overlay_for(k) {
-                let (from, to) = if m.aborting.load(Ordering::Acquire) {
-                    (m.dst, m.src)
-                } else {
-                    (m.src, m.dst)
-                };
-                groups[from].push(BatchOp::Remove(k));
-                let src = Some((from, groups[from].len() - 1));
-                groups[to].push(op.clone());
+                groups[m.src].push(BatchOp::Remove(k));
+                let src = Some((m.src, groups[m.src].len() - 1));
+                groups[m.dst].push(op.clone());
                 sources.push(OpSource {
-                    slot: to,
-                    idx: groups[to].len() - 1,
+                    slot: m.dst,
+                    idx: groups[m.dst].len() - 1,
                     src,
                 });
             } else {
@@ -1239,20 +1213,17 @@ impl<V: Clone + Send + Sync + 'static> LeapStore<V> {
         // ORDERING: monotonic stat counters; a snapshot only needs
         // eventually-consistent values.
         let ld = |c: &std::sync::atomic::AtomicU64| c.load(Ordering::Relaxed);
-        let (completed, aborted) = (ld(&self.migrations_completed), ld(&self.aborted_migrations));
+        let completed = ld(&self.migrations_completed);
         StoreStats {
             shards,
             stm: self.domain.stats(),
             collision_batches: ld(&self.collision_batches),
             epoch: view.table().epoch,
             migration: view.migration_view(),
-            // Every migration that began is in flight, completed or
-            // aborted.
-            peak_concurrent_migrations: u64::from(
-                view.overlay().is_some() || completed + aborted > 0,
-            ),
+            // Every migration that began is in flight or completed.
+            peak_concurrent_migrations: u64::from(view.overlay().is_some() || completed > 0),
             migrations_completed: completed,
-            aborted_migrations: aborted,
+            aborted_migrations: 0,
             shed_ops: ld(&self.shed_ops),
             snapshot_scans: ld(&self.snapshot_scans),
             bundle_depth: view

@@ -1,9 +1,10 @@
 //! Deterministic chaos suite: every fault point armed from one seed, a
 //! concurrent mixed workload over disjoint per-thread key sets, and the
-//! convergence contract checked at the end — every migration completes or
-//! aborts (no permanent `MigrationInFlight`), the store is
-//! model-equivalent, and the degradation counters (`aborted_migrations`,
-//! `shed_ops`, `timeouts`) surface in stats and on the event timeline.
+//! convergence contract checked at the end — every migration completes
+//! once the chunk-fault budget is spent (no permanent
+//! `MigrationInFlight`), the store is model-equivalent, and the
+//! degradation counters (`shed_ops`, `timeouts`) surface in stats and on
+//! the event timeline.
 //!
 //! The fault schedule is a pure function of the seed
 //! ([`leap_fault::FaultPlan`]), so a CI failure is replayable verbatim:
@@ -12,8 +13,8 @@
 
 use leap_obs::{AbortCause, TraceConfig};
 use leap_store::{
-    AbortOutcome, Batcher, FaultPlan, FaultPoint, LeapStore, Partitioning, RebalanceAction,
-    RebalancePolicy, Rebalancer, RetryPolicy, StoreConfig, StoreError,
+    Batcher, FaultPlan, FaultPoint, LeapStore, Partitioning, RebalanceAction, RebalancePolicy,
+    Rebalancer, RetryPolicy, StoreConfig, StoreError,
 };
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -77,7 +78,6 @@ fn chaos_store(seed: u64) -> Arc<LeapStore<u64>> {
             .with_key_space(KEY_SPACE)
             .with_rebalancing(RebalancePolicy {
                 chunk: 32,
-                watchdog_stalls: 3,
                 ..RebalancePolicy::default()
             })
             .with_faults(hostile_plan(seed)),
@@ -144,36 +144,29 @@ fn worker(
 }
 
 /// The headline property: under any seeded fault schedule, a concurrent
-/// workload with live (and aborted) migrations converges to exactly the
-/// model, with no overlay left in flight and the keyspace still
-/// reshardable afterwards.
+/// workload with live migrations (whose chunks injected faults drop)
+/// converges to exactly the model, with no overlay left in flight and the
+/// keyspace still reshardable afterwards.
 #[test]
 fn converges_and_stays_model_equivalent_under_seeded_faults() {
     for seed in seeds() {
         let store = chaos_store(seed);
         let batcher = Arc::new(Batcher::new(store.clone()));
-        // Dense prefill of the abort playground [8000, 8399] — outside
+        // Dense prefill of the split playground [8000, 8399] — outside
         // every worker's key set.
         let mut main_model: BTreeMap<u64, u64> = BTreeMap::new();
         for k in 8_000..8_400u64 {
             store.put(k, k);
             main_model.insert(k, k);
         }
-        // Rebalance driver racing the workers: policy steps plus an
-        // occasional explicit abort of whatever is in flight.
+        // Rebalance driver racing the workers: policy steps, each of
+        // which may drop its chunk by injection.
         let stop = Arc::new(AtomicBool::new(false));
         let driver = {
             let (store, stop) = (store.clone(), stop.clone());
             std::thread::spawn(move || {
-                let mut i = 0u64;
                 while !stop.load(Ordering::Relaxed) {
                     store.rebalance_step();
-                    i += 1;
-                    if i.is_multiple_of(97) {
-                        if let Some(m) = store.router().migration() {
-                            let _ = store.abort_migration(m.id);
-                        }
-                    }
                     std::thread::yield_now();
                 }
             })
@@ -191,37 +184,33 @@ fn converges_and_stays_model_equivalent_under_seeded_faults() {
         stop.store(true, Ordering::Relaxed);
         driver.join().expect("driver must not panic");
 
-        // Deterministic mid-drain abort: split the dense playground,
-        // move at least one chunk, then roll the migration back.
+        // Deterministic split of the dense playground: failed chunks are
+        // retried from the frontier until the drain completes.
         store.rebalance_until_idle();
         let dst = store
             .split_shard(store.router().shard_of(8_100), 8_100)
             .unwrap_or_else(|e| panic!("seed {seed}: no permanent MigrationInFlight, got {e}"));
-        let mut moved = false;
-        for _ in 0..64 {
-            match store.rebalance_step() {
-                RebalanceAction::Moved { .. } => {
-                    moved = true;
-                    break;
-                }
-                RebalanceAction::ChunkFailed { .. } => {}
-                RebalanceAction::Aborted { .. } | RebalanceAction::Completed { .. } => break,
-                other => panic!("seed {seed}: unexpected action {other:?}"),
+        let mut moved = 0;
+        let completed = (0..10_000).any(|_| match store.rebalance_step() {
+            RebalanceAction::Moved { keys, .. } => {
+                moved += keys;
+                false
             }
-        }
-        if let Some(m) = store.router().migration() {
-            assert!(moved, "seed {seed}: drain never progressed");
-            match store.abort_migration(m.id) {
-                Ok(AbortOutcome::RolledBack { moved_back }) => {
-                    assert!(moved_back > 0, "seed {seed}: rollback swept nothing")
-                }
-                other => panic!("seed {seed}: expected rollback, got {other:?}"),
-            }
-            assert!(
-                store.shard(dst).is_empty(),
-                "seed {seed}: aborted destination not swept clean"
-            );
-        }
+            RebalanceAction::ChunkFailed { .. } => false,
+            RebalanceAction::Completed { .. } => true,
+            other => panic!("seed {seed}: unexpected action {other:?}"),
+        });
+        assert!(
+            completed,
+            "seed {seed}: the playground split never completed"
+        );
+        assert!(moved > 0, "seed {seed}: the drain moved nothing");
+        assert_eq!(store.router().shard_of(8_100), dst, "seed {seed}");
+        let injector = store.faults().expect("faults armed");
+        assert!(
+            injector.fires(FaultPoint::MigrationChunk) >= 1,
+            "seed {seed}: no chunk was ever dropped"
+        );
 
         // Convergence: no overlay survives, and the map is the model.
         store.rebalance_until_idle();
@@ -233,23 +222,20 @@ fn converges_and_stays_model_equivalent_under_seeded_faults() {
         let want: Vec<(u64, u64)> = model.iter().map(|(k, v)| (*k, *v)).collect();
         assert_eq!(got, want, "seed {seed}: final state diverged from model");
 
-        // Degradation is observable: the injected admission sheds and the
-        // explicit abort both surface in stats, JSON and the timeline.
+        // Degradation is observable: the injected admission sheds surface
+        // in stats, JSON and the timeline, and the playground split's
+        // completion is on the timeline too.
         let stats = store.stats();
-        assert!(
-            stats.aborted_migrations >= 1,
-            "seed {seed}: no abort recorded"
-        );
         assert!(stats.shed_ops >= 1, "seed {seed}: no shed recorded");
         let json = stats.to_json();
-        for key in ["\"aborted_migrations\":", "\"shed_ops\":", "\"timeouts\":"] {
+        for key in ["\"shed_ops\":", "\"timeouts\":"] {
             assert!(json.contains(key), "seed {seed}: stats JSON missing {key}");
         }
         let events = store.obs().expect("obs on by default").snapshot().events;
         let kinds: Vec<&str> = events.events.iter().map(|e| e.kind.name()).collect();
         assert!(
-            kinds.contains(&"migration_abort"),
-            "seed {seed}: no migration_abort event"
+            kinds.contains(&"migration_complete"),
+            "seed {seed}: no migration_complete event"
         );
         // Sheds happen early in the run (the admission-fault budget), so on
         // a busy timeline the bounded ring may have evicted them — but
@@ -376,8 +362,8 @@ fn dead_rebalancer_is_reported_and_manual_convergence_still_works() {
 /// Tracing under chaos: with head sampling off and an SLO no op can
 /// exceed, the only retention path left is the failure arm of tail
 /// capture — and every typed failure the fault plan can produce
-/// (bounded-retry timeout, injected admission shed, explicit migration
-/// abort) must land in the span ring with a matching cause annotation.
+/// (bounded-retry timeout, injected admission shed) must land in the span
+/// ring with a matching cause annotation.
 #[test]
 fn typed_failures_are_always_retained_as_spans() {
     for seed in seeds() {
@@ -408,17 +394,6 @@ fn typed_failures_are_always_retained_as_spans() {
             Err(StoreError::Overloaded { .. }) => {}
             other => panic!("seed {seed}: expected injected shed, got {other:?}"),
         }
-        // Migration abort: a live overlay over populated keys (so the
-        // abort rolls back instead of completing forward), never stepped.
-        for k in 600..640u64 {
-            store.put(k, k);
-        }
-        store.split_shard(0, 600).expect("split");
-        let m = store.router().migration().expect("overlay is live");
-        match store.abort_migration(m.id) {
-            Ok(AbortOutcome::RolledBack { .. }) => {}
-            other => panic!("seed {seed}: expected rollback, got {other:?}"),
-        }
 
         let spans = store.tracer().expect("tracing armed").snapshot().spans;
         let timeout = spans
@@ -436,12 +411,6 @@ fn typed_failures_are_always_retained_as_spans() {
             .find(|s| s.outcome == "overloaded")
             .unwrap_or_else(|| panic!("seed {seed}: shed span not retained"));
         assert_eq!((shed.kind, shed.key), ("put", 8), "seed {seed}");
-        let abort = spans
-            .iter()
-            .find(|s| s.outcome == "migration_abort")
-            .unwrap_or_else(|| panic!("seed {seed}: abort span not retained"));
-        assert_eq!(abort.kind, "migration", "seed {seed}");
-        assert_eq!(abort.overlay, m.id, "seed {seed}: wrong overlay named");
         // Retention really was failure-driven: nothing was head-sampled
         // and nothing crossed the (unreachable) SLO.
         assert!(

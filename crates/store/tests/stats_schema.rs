@@ -104,7 +104,6 @@ fn stats_json_and_prometheus_carry_every_schema_key() {
         "events",
         "conflict_read_aborts",
         "conflict_commit_aborts",
-        "aborted_migrations",
         "shed_ops",
         "timeouts",
         "snapshot_scans",
@@ -112,6 +111,7 @@ fn stats_json_and_prometheus_carry_every_schema_key() {
     ] {
         assert!(json.contains(&format!("\"{key}\":")), "{key}: {json}");
     }
+    assert!(!json.contains("aborted_migrations"), "{json}");
     assert!(json.contains("\"snapshot_scans\":1,"), "{json}");
     assert!(json.contains("\"migrations_completed\":1,"), "{json}");
     assert!(json.contains("\"kind\":\"migration_complete\""), "{json}");
@@ -131,7 +131,6 @@ fn stats_json_and_prometheus_carry_every_schema_key() {
         "store_events_dropped 0\n",
         "stm_aborts{cause=\"conflict_read\"} ",
         "stm_aborts{cause=\"conflict_commit\"} ",
-        "store_migrations_aborted 0\n",
         "store_migrations_completed 1\n",
         "store_shed_ops 0\n",
         "stm_timeouts 0\n",
@@ -140,6 +139,7 @@ fn stats_json_and_prometheus_carry_every_schema_key() {
     ] {
         assert!(prom.contains(series), "{series:?}: {prom}");
     }
+    assert!(!prom.contains("store_migrations_aborted"), "{prom}");
 
     // One page: no series declared twice, and every series the store's
     // registry renders — the view counters included — is on it.
