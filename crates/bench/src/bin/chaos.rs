@@ -89,7 +89,7 @@ fn run(seed: u64, ops: u64, shards: usize) -> Result<(), String> {
             },
             // Bounded ops trade livelock for a typed Timeout; nothing
             // commits on the timeout path, so the model is untouched.
-            80..=89 => match store.put_within(key, val, policy) {
+            80..=89 => match store.bounded(policy, || store.put(key, val)) {
                 Ok(prev) => {
                     if model.insert(key, val) != prev {
                         return Err(format!("bounded put({key}) stale previous value"));

@@ -75,7 +75,7 @@ use std::mem::ManuallyDrop;
 /// key space. A `Put` owns its value for the whole batch: every planning
 /// attempt copies it bitwise into its nodes, so a discarded attempt leaves
 /// it intact for the next, and [`settle`] hands it over once a commit
-/// publishes it.
+/// publishes it. A batch that never commits drops it ([`Unsettled`]).
 pub(crate) enum ListOp<V> {
     /// Insert or update `ik -> value`.
     Put(u64, ManuallyDrop<V>),
@@ -109,6 +109,33 @@ impl<V> ListOp<V> {
         match self {
             ListOp::Put(ik, _) => *ik,
             ListOp::Del(ik) => *ik,
+        }
+    }
+}
+
+/// A write loop's ops while their `Put` values still belong to the batch.
+/// Dropped before a commit took the values over — a retry budget unwinding
+/// out of the loop — it drops each of them, so every value is dropped once
+/// whether or not its batch committed.
+pub(crate) struct Unsettled<V>(pub Vec<ListOp<V>>);
+
+impl<V> Unsettled<V> {
+    /// The batch committed: its values now belong to the nodes that carry
+    /// them, or to [`settle`].
+    pub fn committed(mut self) -> Vec<ListOp<V>> {
+        std::mem::take(&mut self.0)
+    }
+}
+
+impl<V> Drop for Unsettled<V> {
+    fn drop(&mut self) {
+        for op in &mut self.0 {
+            if let ListOp::Put(_, v) = op {
+                // SAFETY: no commit took this value over (`committed`
+                // empties the vector first), so the batch still owns it,
+                // and each op is visited once.
+                unsafe { ManuallyDrop::drop(v) };
+            }
         }
     }
 }

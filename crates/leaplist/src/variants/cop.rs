@@ -7,7 +7,7 @@
 //! cost of transactional writes.
 
 use crate::node::internal_key;
-use crate::plan::{plan_single, ListOp, OneOp};
+use crate::plan::{plan_single, ListOp, OneOp, Unsettled};
 use crate::raw::RawLeapList;
 use crate::variants::common;
 use crate::wire::wire_segment_tx;
@@ -120,12 +120,13 @@ impl<V: Clone + Send + Sync + 'static> LeapListCop<V> {
     fn write(lists: &[&Self], ops: Vec<ListOp<V>>) -> Vec<Option<V>> {
         assert_eq!(lists.len(), ops.len());
         common::check_group(lists, |l| &l.domain);
+        let ops = Unsettled(ops);
         let guard = pin();
         let mut backoff = Backoff::new();
         loop {
             let plans: Vec<OneOp<V>> = lists
                 .iter()
-                .zip(&ops)
+                .zip(&ops.0)
                 // SAFETY: `guard` pins the epoch for the whole attempt.
                 .map(|(l, op)| unsafe { plan_single(&l.raw, op) })
                 .collect();
@@ -141,6 +142,8 @@ impl<V: Clone + Send + Sync + 'static> LeapListCop<V> {
                 Ok(())
             })();
             if done.is_ok() && tx.commit().is_ok() {
+                // The values went to the nodes that carry them.
+                ops.committed();
                 return plans
                     .into_iter()
                     // SAFETY: the committed swings unlinked every dying

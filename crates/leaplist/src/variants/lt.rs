@@ -7,7 +7,7 @@
 //! `K` keys.
 
 use crate::node::{internal_key, Node};
-use crate::plan::{plan_multi, settle, ListOp, ListPlan};
+use crate::plan::{plan_multi, settle, ListOp, ListPlan, Unsettled};
 use crate::raw::RawLeapList;
 use crate::variants::common;
 use crate::{BatchOp, Params};
@@ -215,18 +215,21 @@ impl<V: Clone + Send + Sync + 'static> LeapListLt<V> {
 
     /// The one write path: `ops[j]` is moved into list `j`'s group. Each
     /// update's value belongs to the batch until the commit, which hands it
-    /// to the list ([`settle`]); every attempt only copies it bitwise.
+    /// to the list ([`settle`]); every attempt only copies it bitwise. A
+    /// batch abandoned by a retry budget drops it ([`Unsettled`]).
     fn apply_owned(&self, lists: &[&Self], ops: Vec<Vec<BatchOp<V>>>) -> Vec<Vec<Option<V>>> {
         assert_eq!(lists.len(), ops.len());
-        let groups: Vec<Vec<ListOp<V>>> = ops
+        let groups: Vec<Unsettled<V>> = ops
             .into_iter()
             .map(|g| {
-                g.into_iter()
-                    .map(|op| match op {
-                        BatchOp::Update(k, v) => ListOp::put(k, v),
-                        BatchOp::Remove(k) => ListOp::del(k),
-                    })
-                    .collect()
+                Unsettled(
+                    g.into_iter()
+                        .map(|op| match op {
+                            BatchOp::Update(k, v) => ListOp::put(k, v),
+                            BatchOp::Remove(k) => ListOp::del(k),
+                        })
+                        .collect(),
+                )
             })
             .collect();
         common::check_group(lists, |l| &l.domain);
@@ -239,7 +242,7 @@ impl<V: Clone + Send + Sync + 'static> LeapListLt<V> {
                 .iter()
                 .zip(groups.iter())
                 // SAFETY: `guard` pins the epoch for this whole loop body.
-                .map(|(l, g)| unsafe { plan_multi(&l.raw, g) })
+                .map(|(l, g)| unsafe { plan_multi(&l.raw, &g.0) })
                 .collect();
             // LT: one transaction validates and acquires every segment of
             // every list — in two passes, validation before any marking,
@@ -277,6 +280,8 @@ impl<V: Clone + Send + Sync + 'static> LeapListLt<V> {
             let ticket = self.domain.begin_wiring();
             if acquired.is_ok() {
                 if let Ok(wv) = tx.commit_stamped() {
+                    let groups: Vec<Vec<ListOp<V>>> =
+                        groups.into_iter().map(Unsettled::committed).collect();
                     record_commit(&self.domain, &backoff);
                     let bound = self.domain.prune_bound();
                     // Release-and-update: wire every chain, stamp version

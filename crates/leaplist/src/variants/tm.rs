@@ -5,7 +5,7 @@
 //! comparison.
 
 use crate::node::{internal_key, Node};
-use crate::plan::{one_op_plan, ListOp, OneOp};
+use crate::plan::{one_op_plan, ListOp, OneOp, Unsettled};
 use crate::raw::{RawLeapList, SearchWindow};
 use crate::variants::common;
 use crate::wire::wire_segment_tx;
@@ -149,13 +149,14 @@ impl<V: Clone + Send + Sync + 'static> LeapListTm<V> {
     fn write(lists: &[&Self], ops: Vec<ListOp<V>>) -> Vec<Option<V>> {
         assert_eq!(lists.len(), ops.len());
         common::check_group(lists, |l| &l.domain);
+        let ops = Unsettled(ops);
         let guard = pin();
         let mut backoff = Backoff::new();
         loop {
             let mut tx = Txn::begin(&lists[0].domain);
             let mut plans: Vec<OneOp<V>> = Vec::with_capacity(lists.len());
             let body: TxResult<()> = (|| {
-                for (l, op) in lists.iter().zip(&ops) {
+                for (l, op) in lists.iter().zip(&ops.0) {
                     // SAFETY: `guard` pins the epoch for the whole attempt.
                     let w = unsafe { Self::search_tx(&l.raw, &mut tx, op.ik()) }?;
                     // SAFETY: reached through validated reads, under guard.
@@ -180,6 +181,8 @@ impl<V: Clone + Send + Sync + 'static> LeapListTm<V> {
                 Ok(())
             })();
             if body.is_ok() && tx.commit().is_ok() {
+                // The values went to the nodes that carry them.
+                ops.committed();
                 return plans
                     .into_iter()
                     // SAFETY: the committed swings unlinked every dying

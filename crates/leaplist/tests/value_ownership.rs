@@ -10,7 +10,7 @@
 //! leak. Single-threaded throughout, so these cases also run under Miri.
 
 use leap_fault::{FaultInjector, FaultPlan, FaultPoint};
-use leap_stm::{StmDomain, StmFaultPoint};
+use leap_stm::{with_retry_budget, RetryPolicy, StmDomain, StmFaultPoint, Timeout};
 use leaplist::{BatchOp, LeapListCop, LeapListLt, LeapListRwlock, LeapListTm, Params, RangeMap};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -389,6 +389,39 @@ fn tm_aborted_attempts_drop_nothing() {
     static T: Tally = Tally::new();
     let (domain, inj) = faulty_domain(13, 400_000);
     aborts_keep_values(&T, LeapListTm::with_domain(small(), domain), &inj);
+}
+
+/// An update abandoned by a retry budget drops its value once, on the
+/// unwind out of the write loop, and leaves the list untouched.
+fn timeouts_drop_values<L: RangeMap<Counted>>(tally: &'static Tally, map: L) {
+    let policy = RetryPolicy::default().max_attempts(3);
+    for k in 0..4 {
+        let out = with_retry_budget(policy, || map.update(k, tally.value(k)));
+        assert_eq!(out.map(payload), Err(Timeout { attempts: 3 }), "key {k}");
+    }
+    assert_eq!(map.len(), 0);
+    tally.quiesce_to(0);
+}
+
+#[test]
+fn lt_timed_out_updates_drop_their_values_once() {
+    static T: Tally = Tally::new();
+    let (domain, _inj) = faulty_domain(15, 1_000_000);
+    timeouts_drop_values(&T, LeapListLt::with_domain(small(), domain));
+}
+
+#[test]
+fn cop_timed_out_updates_drop_their_values_once() {
+    static T: Tally = Tally::new();
+    let (domain, _inj) = faulty_domain(16, 1_000_000);
+    timeouts_drop_values(&T, LeapListCop::with_domain(small(), domain));
+}
+
+#[test]
+fn tm_timed_out_updates_drop_their_values_once() {
+    static T: Tally = Tally::new();
+    let (domain, _inj) = faulty_domain(17, 1_000_000);
+    timeouts_drop_values(&T, LeapListTm::with_domain(small(), domain));
 }
 
 /// Aborted k-op groups: the duplicate-key chain's superseded values are

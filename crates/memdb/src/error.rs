@@ -34,14 +34,6 @@ pub enum DbError {
     NoSuchTable(String),
     /// A table with this name already exists.
     TableExists(String),
-    /// A bounded-retry operation
-    /// ([`Table::insert_within`](crate::Table::insert_within)) exhausted
-    /// its retry budget before the underlying storage transaction could
-    /// commit. Nothing was written.
-    Timeout {
-        /// Failed commit attempts made before giving up.
-        attempts: u64,
-    },
 }
 
 impl fmt::Display for DbError {
@@ -65,9 +57,6 @@ impl fmt::Display for DbError {
             DbError::NoSuchRow(id) => write!(f, "row {} does not exist", id.0),
             DbError::NoSuchTable(t) => write!(f, "no table named '{t}'"),
             DbError::TableExists(t) => write!(f, "table '{t}' already exists"),
-            DbError::Timeout { attempts } => {
-                write!(f, "retry budget exhausted after {attempts} attempts")
-            }
         }
     }
 }

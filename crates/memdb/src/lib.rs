@@ -72,7 +72,3 @@ pub use query::Query;
 pub use row::{Row, RowId};
 pub use schema::Schema;
 pub use table::{Table, TableConfig, TableScan, TableSnapshotScan, MAX_INDEXED_VALUE};
-
-// Re-exported so bounded-retry callers ([`Table::insert_within`]) can
-// build policies without importing the stm crate directly.
-pub use leap_stm::RetryPolicy;

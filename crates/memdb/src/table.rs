@@ -220,47 +220,24 @@ impl Table {
     /// Inserts a row, updating the primary and every secondary index as
     /// one linearizable action. Returns the new row id.
     ///
+    /// The commit retries until it succeeds; to bound it, run the insert
+    /// through the table's store with [`LeapStore::bounded`]. A timed-out
+    /// insert writes nothing, but its row id stays consumed.
+    ///
     /// # Errors
     ///
     /// [`DbError::WrongArity`] or [`DbError::ValueOutOfRange`].
     pub fn insert(&self, values: &[u64]) -> Result<RowId, DbError> {
-        // The default policy is unbounded, so this never times out.
-        self.insert_within(values, leap_stm::RetryPolicy::default())
-    }
-
-    /// [`Table::insert`] under a bounded retry budget: if the storage
-    /// transaction cannot commit within `policy` (attempt count and/or
-    /// deadline), the insert is abandoned with [`DbError::Timeout`]
-    /// instead of retrying forever — graceful degradation for callers
-    /// with their own latency contract. Nothing is written on timeout,
-    /// but the row id is consumed either way (ids are
-    /// allocation-ordered, not dense).
-    ///
-    /// # Errors
-    ///
-    /// [`DbError::WrongArity`], [`DbError::ValueOutOfRange`] or
-    /// [`DbError::Timeout`].
-    pub fn insert_within(
-        &self,
-        values: &[u64],
-        policy: leap_stm::RetryPolicy,
-    ) -> Result<RowId, DbError> {
         self.check_row(values)?;
         // ORDERING: row-id allocator; uniqueness comes from the RMW, and the
         // id is published to readers by the storage commit, not by this add.
         let id = RowId(self.next_row.fetch_add(1, Ordering::Relaxed));
         assert!(id.0 < ID_MASK, "row id space exhausted");
         let row = Row::new(values);
-        match leap_stm::with_retry_budget(policy, || {
-            self.obs.timed(TableOp::Insert, || {
-                self.store.apply(&self.write_ops(id, &row))
-            })
-        }) {
-            Ok(_) => Ok(id),
-            Err(t) => Err(DbError::Timeout {
-                attempts: t.attempts,
-            }),
-        }
+        self.obs.timed(TableOp::Insert, || {
+            self.store.apply(&self.write_ops(id, &row))
+        });
+        Ok(id)
     }
 
     /// The batch writing `row` under `id` into the primary and every
@@ -607,25 +584,6 @@ mod tests {
         assert!(t.get(id).is_none());
         assert!(t.is_empty());
         assert_eq!(t.delete(id), Err(DbError::NoSuchRow(id)));
-    }
-
-    #[test]
-    fn insert_within_bounds_the_retry_budget() {
-        let t = Table::new(people_schema());
-        // An uncontended insert never exhausts even the tightest budget:
-        // the budget only ticks on commit retries.
-        let policy = leap_stm::RetryPolicy::default().max_attempts(1);
-        let id = t.insert_within(&[7, 30, 99], policy).unwrap();
-        assert_eq!(t.get(id).unwrap().columns(), &[7, 30, 99]);
-        // Validation still runs before the budget is even armed.
-        assert_eq!(
-            t.insert_within(&[1, 2], policy),
-            Err(DbError::WrongArity {
-                expected: 3,
-                got: 2
-            })
-        );
-        assert!(DbError::Timeout { attempts: 4 }.to_string().contains('4'));
     }
 
     #[test]

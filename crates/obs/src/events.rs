@@ -91,8 +91,8 @@ pub enum EventKind {
         /// Right (drained) shard slot.
         right: u64,
     },
-    /// A bounded retry loop gave up after `attempts` attempts and the op
-    /// surfaced a typed `Timeout` instead of spinning.
+    /// An op run through `LeapStore::bounded` gave up after `attempts`
+    /// attempts and surfaced a typed `Timeout` instead of spinning.
     TxnDeadline {
         /// Failed attempts made before the deadline/budget cut the op off.
         attempts: u64,

@@ -158,7 +158,9 @@ impl OpClass {
 pub enum OpOutcome {
     /// The op completed normally.
     Ok,
-    /// A bounded retry budget expired (`StoreError::Timeout`).
+    /// A bounded retry budget expired (`StoreError::Timeout` from
+    /// `LeapStore::bounded`); the budget marks it just before unwinding
+    /// out of the op.
     Timeout,
     /// The batcher's admission gate refused the op
     /// (`StoreError::Overloaded`).

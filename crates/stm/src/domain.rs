@@ -225,13 +225,13 @@ impl StmDomain {
     }
 
     /// Counts one bounded-retry timeout against this domain. Public so
-    /// wrappers that bound retry loops through
+    /// callers that bound retry loops through
     /// [`with_retry_budget`](crate::with_retry_budget) can attribute their
-    /// timeouts to the domain they ran against.
+    /// timeouts to the domain they ran against; `LeapStore::bounded` is
+    /// the store-level form and calls it.
     pub fn record_timeout(&self) {
         // ORDERING: monotonic stat counter; no publication rides on it.
         self.stats.timeouts.fetch_add(1, Ordering::Relaxed);
-        leap_obs::trace::note_abort(leap_obs::trace::AbortCause::Timeout);
     }
 
     /// The domain's commit mode.

@@ -91,8 +91,9 @@ thread_local! {
 /// [`Timeout`].
 struct TimeoutUnwind(Timeout);
 
-/// Charges one retry against the installed budget, if any; unwinds with a
-/// [`TimeoutUnwind`] once the budget is spent.
+/// Charges one retry against the installed budget, if any; once the budget
+/// is spent, marks the active trace span timed out and unwinds with a
+/// [`TimeoutUnwind`].
 #[inline]
 fn budget_tick() {
     RETRY_BUDGET.with(|cell| {
@@ -104,6 +105,10 @@ fn budget_tick() {
             // Disarm before unwinding so backoffs run during cleanup (or
             // in an outer scope after recovery) don't re-trigger.
             cell.set(None);
+            // Mark the op's span while it is still open: it drops during
+            // the unwind with the timeout already attributed.
+            leap_obs::trace::note_abort(leap_obs::trace::AbortCause::Timeout);
+            leap_obs::trace::note_outcome(leap_obs::OpOutcome::Timeout);
             std::panic::resume_unwind(Box::new(TimeoutUnwind(Timeout { attempts: s.used })));
         }
         cell.set(Some(s));
@@ -221,9 +226,10 @@ pub fn atomically<'d, R>(
 /// timeout. Scopes nest; each installs its own budget and restores the
 /// outer one on exit. An unbounded policy makes this a plain call.
 ///
-/// The caller is responsible for attributing the timeout to a domain
-/// ([`StmDomain::record_timeout`]) if it wants it counted — this function
-/// cannot know which domain(s) `f` touched.
+/// The active trace span, if any, is marked timed out before the unwind.
+/// Counting the timeout on a domain ([`StmDomain::record_timeout`]) is the
+/// caller's job, because this function cannot know which domain(s) `f`
+/// touched. The store-level form that does both is `LeapStore::bounded`.
 ///
 /// # Errors
 ///

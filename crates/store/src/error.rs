@@ -1,6 +1,7 @@
 //! The store's graceful-degradation error surface: typed errors returned
-//! by the bounded (`*_within`) operations and the [`crate::Batcher`]
-//! admission gate, instead of unbounded retry loops or silent blocking.
+//! by ops run through [`crate::LeapStore::bounded`] and by the
+//! [`crate::Batcher`] admission gate, instead of unbounded retry loops or
+//! silent blocking.
 
 /// Why a store operation was refused or gave up instead of blocking or
 /// livelocking.

@@ -43,10 +43,10 @@
 //!   fault-injection subsystem ([`leap_fault`], zero-cost when unarmed)
 //!   drives the recovery machinery: a dropped migration chunk leaves the
 //!   frontier in place for the next [`LeapStore::rebalance_step`] to
-//!   retry, bounded-retry ops ([`LeapStore::put_within`] and friends)
-//!   return typed [`StoreError::Timeout`]s instead of livelocking, and a
-//!   [`Rebalancer`] that records worker panics and reports its own death
-//!   ([`RebalancerDied`]) instead of swallowing it.
+//!   retry, any op run through [`LeapStore::bounded`] returns a typed
+//!   [`StoreError::Timeout`] once its [`RetryPolicy`] is spent instead of
+//!   livelocking, and a [`Rebalancer`] that records worker panics and
+//!   reports its own death ([`RebalancerDied`]) instead of swallowing it.
 //! * **Observability** — [`LeapStore::stats`] exposes per-shard op and
 //!   key counters, routing epoch and migration progress, the shared
 //!   domain's commit/abort counters with **abort-cause attribution**
@@ -96,7 +96,7 @@ pub use subspace::{Subspace, SubspaceStats, MAX_PAYLOAD, PAYLOAD_BITS, TAG_BITS}
 // Re-exported so store users can build mixed batches without importing
 // leaplist directly.
 pub use leaplist::BatchOp;
-// Re-exported so chaos tests can build fault plans and bounded-retry
-// policies without importing the leaf crates directly.
+// Re-exported so callers can build fault plans and the policies that
+// `LeapStore::bounded` takes without importing the leaf crates directly.
 pub use leap_fault::{FaultInjector, FaultPlan, FaultPoint};
 pub use leap_stm::RetryPolicy;

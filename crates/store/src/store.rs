@@ -885,124 +885,42 @@ impl<V: Clone + Send + Sync + 'static> LeapStore<V> {
             .collect()
     }
 
-    /// Runs `f` under a thread-local STM retry budget
-    /// ([`leap_stm::with_retry_budget`]); on exhaustion records the
-    /// timeout (domain counter + [`leap_obs::EventKind::TxnDeadline`])
-    /// and surfaces [`StoreError::Timeout`]. The store is unchanged by
-    /// the failed attempt — every aborted transaction rolled back.
-    fn bounded<R>(&self, policy: RetryPolicy, f: impl FnOnce() -> R) -> Result<R, StoreError> {
-        match leap_stm::with_retry_budget(policy, f) {
-            Ok(r) => Ok(r),
-            Err(t) => {
-                self.domain.record_timeout();
-                self.emit(leap_obs::EventKind::TxnDeadline {
-                    attempts: t.attempts,
-                });
-                // The *_within wrappers own the op's span (the inner op's
-                // begin was nested, hence inert), so the timeout marks an
-                // open span and the failure is always retained.
-                leap_obs::trace::note_outcome(leap_obs::OpOutcome::Timeout);
-                Err(t.into())
-            }
-        }
-    }
-
-    /// [`LeapStore::get`] under a bounded retry budget: gives up with
-    /// [`StoreError::Timeout`] instead of retrying forever when the
-    /// domain cannot commit (pathological contention, injected faults).
+    /// Runs `f` — typically one store op, `|| store.put(k, v)` — under a
+    /// bounded retry budget: the stack's one bounded-retry entry point.
+    /// Every failed transactional attempt inside `f` charges `policy`
+    /// ([`leap_stm::with_retry_budget`]); once it is spent the op is
+    /// abandoned with [`StoreError::Timeout`] instead of retrying
+    /// forever. The timeout is counted on the domain and emitted as
+    /// [`leap_obs::EventKind::TxnDeadline`], and the op's own trace span
+    /// is retained with outcome `timeout`.
     ///
-    /// # Errors
-    ///
-    /// [`StoreError::Timeout`] once `policy` is exhausted.
-    pub fn get_within(&self, key: u64, policy: RetryPolicy) -> Result<Option<V>, StoreError> {
-        let view = self.router.pin();
-        let _span = self.span_keyed(leap_obs::OpClass::Get, key, &view);
-        self.bounded(policy, || self.get(key))
-    }
-
-    /// [`LeapStore::put`] under a bounded retry budget — graceful
-    /// degradation instead of livelock: the caller gets a typed
-    /// [`StoreError::Timeout`] and the store is untouched by the failed
-    /// attempt.
+    /// The store is unchanged by the abandoned op: every aborted
+    /// transaction rolled back, so a batch never applies a prefix. A
+    /// [`LeapStore::get`] runs no transaction and never times out.
     ///
     /// # Errors
     ///
     /// [`StoreError::Timeout`] once `policy` is exhausted.
     ///
-    /// # Panics
+    /// # Example
     ///
-    /// Panics if `key == u64::MAX`.
-    pub fn put_within(
-        &self,
-        key: u64,
-        value: V,
-        policy: RetryPolicy,
-    ) -> Result<Option<V>, StoreError> {
-        let view = self.router.pin();
-        let _span = self.span_keyed(leap_obs::OpClass::Put, key, &view);
-        self.bounded(policy, || self.put(key, value))
-    }
-
-    /// [`LeapStore::delete`] under a bounded retry budget; see
-    /// [`LeapStore::put_within`].
+    /// ```
+    /// use leap_store::{LeapStore, Partitioning, RetryPolicy, StoreConfig};
     ///
-    /// # Errors
-    ///
-    /// [`StoreError::Timeout`] once `policy` is exhausted.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `key == u64::MAX`.
-    pub fn delete_within(&self, key: u64, policy: RetryPolicy) -> Result<Option<V>, StoreError> {
-        let view = self.router.pin();
-        let _span = self.span_keyed(leap_obs::OpClass::Delete, key, &view);
-        self.bounded(policy, || self.delete(key))
-    }
-
-    /// [`LeapStore::range`] under a bounded retry budget; see
-    /// [`LeapStore::put_within`].
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::Timeout`] once `policy` is exhausted.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `hi == u64::MAX`.
-    pub fn range_within(
-        &self,
-        lo: u64,
-        hi: u64,
-        policy: RetryPolicy,
-    ) -> Result<Vec<(u64, V)>, StoreError> {
-        let view = self.router.pin();
-        let _span = self.span_keyed(leap_obs::OpClass::Range, lo, &view);
-        self.bounded(policy, || self.range(lo, hi))
-    }
-
-    /// [`LeapStore::apply`] under a bounded retry budget; see
-    /// [`LeapStore::put_within`]. The batch either commits whole or not
-    /// at all — a timeout never applies a prefix.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::Timeout`] once `policy` is exhausted.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any key is `u64::MAX`.
-    pub fn apply_within(
-        &self,
-        ops: &[BatchOp<V>],
-        policy: RetryPolicy,
-    ) -> Result<Vec<Option<V>>, StoreError> {
-        let view = self.router.pin();
-        let _span = self.span_keyed(
-            leap_obs::OpClass::Apply,
-            ops.first().map(Self::key_of).unwrap_or(0),
-            &view,
-        );
-        self.bounded(policy, || self.apply(ops))
+    /// let store: LeapStore<u64> =
+    ///     LeapStore::new(StoreConfig::new(2, Partitioning::Range).with_key_space(100));
+    /// let policy = RetryPolicy::default().max_attempts(8);
+    /// assert_eq!(store.bounded(policy, || store.put(7, 70)), Ok(None));
+    /// assert_eq!(store.bounded(policy, || store.get(7)), Ok(Some(70)));
+    /// ```
+    pub fn bounded<R>(&self, policy: RetryPolicy, f: impl FnOnce() -> R) -> Result<R, StoreError> {
+        leap_stm::with_retry_budget(policy, f).map_err(|t| {
+            self.domain.record_timeout();
+            self.emit(leap_obs::EventKind::TxnDeadline {
+                attempts: t.attempts,
+            });
+            t.into()
+        })
     }
 
     /// Linearizable cross-shard range query: all pairs with keys in
@@ -1525,5 +1443,64 @@ mod tests {
             let want = if k == 25 { 251 } else { k };
             assert_eq!(store.get(k).map(|v| v.val), Some(want), "key {k}");
         }
+    }
+
+    #[test]
+    fn bounded_times_out_every_retrying_op_and_leaves_the_store_unchanged() {
+        let store: LeapStore<u64> = LeapStore::new(cfg(2, Partitioning::Range));
+        // key_space 1000 over 2 shards: [0, 500) and [500, 1000).
+        for k in 0..20u64 {
+            store.put(k * 50, k);
+        }
+        let contents = store.range(0, 999);
+        // Arm the faults after the load: from here every commit fails
+        // until five ops' worth of three attempts each are spent.
+        let faults = Arc::new(FaultInjector::new(
+            FaultPlan::new(1)
+                .always(FaultPoint::StmCommit)
+                .with_budget(FaultPoint::StmCommit, 15),
+        ));
+        let hook = faults.clone();
+        assert!(store.domain.set_fault_hook(Arc::new(move |point| {
+            point == StmFaultPoint::Commit && hook.should_fire(FaultPoint::StmCommit)
+        })));
+        let policy = RetryPolicy::default().max_attempts(3);
+        let cross_shard = [BatchOp::Update(1, 9), BatchOp::Remove(600)];
+        fn timed_out<R>(r: Result<R, StoreError>) -> bool {
+            r.err() == Some(StoreError::Timeout { attempts: 3 })
+        }
+
+        assert!(timed_out(store.bounded(policy, || store.put(1, 9))));
+        assert!(timed_out(store.bounded(policy, || store.delete(50))));
+        assert!(timed_out(
+            store.bounded(policy, || store.apply(&cross_shard))
+        ));
+        assert!(timed_out(store.bounded(policy, || store.range(0, 999))));
+        assert!(timed_out(
+            store.bounded(policy, || store.count_range(0, 999))
+        ));
+        // A get runs no transaction, so it cannot time out.
+        assert_eq!(store.bounded(policy, || store.get(50)), Ok(Some(1)));
+        assert_eq!(faults.fires(FaultPoint::StmCommit), 15);
+        assert_eq!(store.stats().stm.timeouts, 5);
+        assert_eq!(
+            store.range(0, 999),
+            contents,
+            "a timed-out op wrote nothing"
+        );
+
+        // The fault budget is spent: the same ops now commit.
+        assert_eq!(store.bounded(policy, || store.put(1, 9)), Ok(None));
+        assert_eq!(store.bounded(policy, || store.delete(50)), Ok(Some(1)));
+        assert_eq!(
+            store.bounded(policy, || store.apply(&cross_shard)),
+            Ok(vec![Some(9), Some(12)])
+        );
+        assert_eq!(store.bounded(policy, || store.count_range(0, 999)), Ok(19));
+        assert_eq!(
+            store.bounded(policy, || store.range(0, 99)),
+            Ok(vec![(0, 0), (1, 9)])
+        );
+        assert_eq!(store.stats().stm.timeouts, 5);
     }
 }

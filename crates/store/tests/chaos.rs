@@ -126,7 +126,7 @@ fn worker(
                 Err(StoreError::Overloaded { .. }) => {}
                 Err(e) => panic!("seed {seed}: unexpected batcher error {e}"),
             },
-            _ => match store.put_within(key, val, policy) {
+            _ => match store.bounded(policy, || store.put(key, val)) {
                 Ok(prev) => {
                     assert_eq!(
                         model.insert(key, val),
@@ -269,7 +269,7 @@ fn converges_and_stays_model_equivalent_under_seeded_faults() {
 }
 
 /// Bounded retry under a workload that can never commit: every commit
-/// attempt is failed by injection (no budget), so `put_within` must give
+/// attempt is failed by injection (no budget), so a bounded put must give
 /// up with a typed `Timeout` — and the timeout must be attributed in stm
 /// stats and on the event timeline.
 #[test]
@@ -282,7 +282,7 @@ fn bounded_ops_time_out_when_commits_never_succeed() {
                 .with_faults(plan),
         );
         let policy = RetryPolicy::default().max_attempts(8);
-        match store.put_within(5, 50, policy) {
+        match store.bounded(policy, || store.put(5, 50)) {
             Err(StoreError::Timeout { attempts }) => {
                 assert!(attempts >= 8, "seed {seed}: gave up after {attempts}")
             }
@@ -292,7 +292,7 @@ fn bounded_ops_time_out_when_commits_never_succeed() {
         let policy = RetryPolicy::default().timeout(Duration::from_millis(10));
         assert!(
             matches!(
-                store.put_within(6, 60, policy),
+                store.bounded(policy, || store.put(6, 60)),
                 Err(StoreError::Timeout { .. })
             ),
             "seed {seed}: deadline budget must fire"
@@ -384,7 +384,7 @@ fn typed_failures_are_always_retained_as_spans() {
         ));
         // Timeout: the first four commits in the store's life are failed
         // by injection, exhausting the bounded put's attempt budget.
-        match store.put_within(5, 50, RetryPolicy::default().max_attempts(4)) {
+        match store.bounded(RetryPolicy::default().max_attempts(4), || store.put(5, 50)) {
             Err(StoreError::Timeout { .. }) => {}
             other => panic!("seed {seed}: expected Timeout, got {other:?}"),
         }

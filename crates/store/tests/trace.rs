@@ -140,7 +140,7 @@ fn timed_out_op_is_retained_despite_sampling_and_slo() {
                     .with_sample_period(0),
             ),
     );
-    match store.put_within(5, 50, RetryPolicy::default().max_attempts(4)) {
+    match store.bounded(RetryPolicy::default().max_attempts(4), || store.put(5, 50)) {
         Err(StoreError::Timeout { attempts }) => assert!(attempts >= 4),
         other => panic!("expected Timeout, got {other:?}"),
     }

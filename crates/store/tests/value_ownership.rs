@@ -3,9 +3,14 @@
 //! A split or merge migration re-puts every moved value into another
 //! shard's list and removes it from the source, so this checks that the
 //! rule holds across a move: at quiescence exactly the store's keys are
-//! alive, no value is dropped twice, and nothing outlives the store.
+//! alive, no value is dropped twice, and nothing outlives the store. A
+//! batch abandoned by a retry budget drops the values it owned once, on
+//! the unwind.
 
-use leap_store::{BatchOp, LeapStore, Partitioning, RebalanceAction, RebalancePolicy, StoreConfig};
+use leap_store::{
+    BatchOp, FaultPlan, FaultPoint, LeapStore, Partitioning, RebalanceAction, RebalancePolicy,
+    RetryPolicy, StoreConfig, StoreError,
+};
 use leaplist::Params;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -54,6 +59,15 @@ impl Drop for Counted {
             TALLY.double_drops.fetch_add(1, Ordering::SeqCst);
         }
     }
+}
+
+/// The tests share one tally, so they take turns.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> std::sync::MutexGuard<'static, ()> {
+    SERIAL
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 fn live() -> usize {
@@ -108,6 +122,7 @@ fn check(store: &LeapStore<Counted>, model: &BTreeMap<u64, u64>) {
 
 #[test]
 fn values_survive_split_and_merge_migrations() {
+    let _serial = serial();
     let store = LeapStore::new(
         StoreConfig::new(2, Partitioning::Range)
             .with_key_space(KEYS)
@@ -151,4 +166,46 @@ fn values_survive_split_and_merge_migrations() {
 
     drop(store);
     quiesce_to(0);
+}
+
+#[test]
+fn timed_out_batch_drops_its_values_once() {
+    let _serial = serial();
+    // The first three commits fail: exactly the bounded batch's budget.
+    let store = LeapStore::new(
+        StoreConfig::new(2, Partitioning::Range)
+            .with_key_space(KEYS)
+            .with_faults(
+                FaultPlan::new(3)
+                    .always(FaultPoint::StmCommit)
+                    .with_budget(FaultPoint::StmCommit, 3),
+            ),
+    );
+    let baseline = live();
+    let batch = || -> Vec<BatchOp<Counted>> {
+        (0..8)
+            .map(|i| BatchOp::Update(i * KEYS / 8, Counted::new(i)))
+            .collect()
+    };
+
+    let ops = batch();
+    let out = store.bounded(RetryPolicy::default().max_attempts(3), || store.apply(&ops));
+    assert!(matches!(out, Err(StoreError::Timeout { attempts: 3 })));
+    drop(ops);
+    assert!(
+        store.range(0, KEYS).is_empty(),
+        "no prefix of the batch landed"
+    );
+    quiesce_to(baseline);
+
+    // The fault budget is spent: the same batch now commits whole.
+    let ops = batch();
+    let out = store.bounded(RetryPolicy::default().max_attempts(3), || store.apply(&ops));
+    assert_eq!(out.map(|prev| prev.len()), Ok(8));
+    drop(ops);
+    assert_eq!(store.len(), 8);
+    quiesce_to(baseline + 8);
+
+    drop(store);
+    quiesce_to(baseline);
 }
