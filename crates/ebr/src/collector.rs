@@ -20,15 +20,10 @@ impl Inner {
         let Ok(mut orphans) = self.orphans.try_lock() else {
             return;
         };
-        let mut ready = Vec::new();
-        orphans.retain_mut(|(epoch, d)| {
-            if *epoch + SAFE_EPOCH_DISTANCE <= global {
-                ready.push(d.take());
-                false
-            } else {
-                true
-            }
-        });
+        let ready: Vec<Deferred> = orphans
+            .extract_if(.., |(epoch, _)| *epoch + SAFE_EPOCH_DISTANCE <= global)
+            .map(|(_, d)| d)
+            .collect();
         drop(orphans);
         for d in ready {
             d.call();

@@ -31,7 +31,21 @@ impl Guard {
     /// The closure runs at an unspecified later time on an unspecified
     /// thread participating in the same collector.
     pub fn defer<F: FnOnce() + Send + 'static>(&self, f: F) {
-        self.local.defer(Deferred::new(f));
+        /// Runs and frees the boxed closure behind `data`.
+        ///
+        /// # Safety
+        ///
+        /// `data` came from `Box::<F>::into_raw` and is consumed here once.
+        unsafe fn call_box<F: FnOnce()>(data: *mut ()) {
+            // SAFETY: this fn's contract.
+            let f = unsafe { Box::from_raw(data.cast::<F>()) };
+            f();
+        }
+        let data = Box::into_raw(Box::new(f)).cast::<()>();
+        // SAFETY: `data` is a fresh `Box<F>` with `F: Send + 'static`, and
+        // the collector calls the deferral exactly once.
+        let deferred = unsafe { Deferred::new(data, call_box::<F>) };
+        self.local.defer(deferred);
     }
 
     /// Schedules the boxed value behind `ptr` to be dropped after the grace
@@ -45,11 +59,20 @@ impl Guard {
     /// (it must already be unreachable from the shared structure for
     /// threads that pin later).
     pub unsafe fn defer_drop_box<T: Send + 'static>(&self, ptr: *mut T) {
-        let addr = ptr as usize;
-        self.local.defer(Deferred::new(move || {
-            // SAFETY: contract forwarded from `defer_drop_box`.
-            drop(unsafe { Box::from_raw(addr as *mut T) });
-        }));
+        /// Drops the box behind `data`: the monomorphised shim that lets a
+        /// node deferral store a bare pointer instead of a boxed closure.
+        ///
+        /// # Safety
+        ///
+        /// `data` came from `Box::<T>::into_raw` and is consumed here once.
+        unsafe fn drop_box<T>(data: *mut ()) {
+            // SAFETY: this fn's contract.
+            drop(unsafe { Box::from_raw(data.cast::<T>()) });
+        }
+        // SAFETY: contract forwarded from `defer_drop_box`; `T: Send +
+        // 'static`, and the collector calls the deferral exactly once.
+        let deferred = unsafe { Deferred::new(ptr.cast::<()>(), drop_box::<T>) };
+        self.local.defer(deferred);
     }
 
     /// Eagerly attempts epoch advancement and reclamation (of *older*

@@ -8,26 +8,32 @@ use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 use std::sync::Arc;
 
-/// A type-erased deferred destructor.
-///
-/// Wrapped in an `Option` so it can be moved out of collections in place
-/// (`take`) without unsafe code.
-pub(crate) struct Deferred(Option<Box<dyn FnOnce() + Send>>);
+/// A type-erased deferred destructor: a data pointer and the function
+/// that consumes it. [`Guard`] builds every one (the shims live in
+/// `guard.rs`), so a node deferral costs no allocation of its own.
+pub(crate) struct Deferred {
+    data: *mut (),
+    // SAFETY: sound to call once with `data` (`Deferred::new`'s contract).
+    call: unsafe fn(*mut ()),
+}
+
+// SAFETY: `Guard` only builds deferrals whose payload is `Send` (the
+// closure of `defer`, the `T: Send` box of `defer_drop_box`), so running
+// `call(data)` on another thread moves nothing that may not move.
+unsafe impl Send for Deferred {}
 
 impl Deferred {
-    pub(crate) fn new<F: FnOnce() + Send + 'static>(f: F) -> Self {
-        Deferred(Some(Box::new(f)))
+    /// # Safety
+    ///
+    /// `call(data)` must be sound to run once, on any thread, at any time
+    /// after the grace period.
+    pub(crate) unsafe fn new(data: *mut (), call: unsafe fn(*mut ())) -> Self {
+        Deferred { data, call }
     }
 
-    /// Extracts the closure, leaving an inert shell behind.
-    pub(crate) fn take(&mut self) -> Deferred {
-        Deferred(self.0.take())
-    }
-
-    pub(crate) fn call(mut self) {
-        if let Some(f) = self.0.take() {
-            f();
-        }
+    pub(crate) fn call(self) {
+        // SAFETY: `new`'s contract; `self` is consumed, so this runs once.
+        unsafe { (self.call)(self.data) }
     }
 }
 
@@ -37,6 +43,8 @@ pub(crate) struct LocalInner {
     pin_depth: Cell<u32>,
     pins_since_collect: Cell<u32>,
     garbage: RefCell<Vec<(u64, Deferred)>>,
+    /// `collect`'s buffer of ripe deferrals, kept between calls.
+    ready: Cell<Vec<Deferred>>,
 }
 
 impl LocalInner {
@@ -92,21 +100,19 @@ impl LocalInner {
     /// which is all the data-structure crates use, are always fine.
     pub(crate) fn collect(&self) {
         let global = self.collector.registry.try_advance();
-        let mut ready = Vec::new();
+        // Garbage is pushed in epoch order (the global epoch only grows),
+        // so the ripe deferrals are a prefix. A re-entrant `collect` from a
+        // destructor finds `ready` empty and just allocates its own.
+        let mut ready = self.ready.take();
         {
             let mut g = self.garbage.borrow_mut();
-            g.retain_mut(|(epoch, d)| {
-                if *epoch + SAFE_EPOCH_DISTANCE <= global {
-                    ready.push(d.take());
-                    false
-                } else {
-                    true
-                }
-            });
+            let ripe = g.partition_point(|(epoch, _)| *epoch + SAFE_EPOCH_DISTANCE <= global);
+            ready.extend(g.drain(..ripe).map(|(_, d)| d));
         }
-        for d in ready {
+        for d in ready.drain(..) {
             d.call();
         }
+        self.ready.set(ready);
         self.collector.drain_orphans(global);
     }
 
@@ -170,6 +176,7 @@ impl LocalHandle {
                 pin_depth: Cell::new(0),
                 pins_since_collect: Cell::new(0),
                 garbage: RefCell::new(Vec::new()),
+                ready: Cell::new(Vec::new()),
             }),
         }
     }

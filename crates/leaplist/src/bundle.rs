@@ -41,6 +41,8 @@
 use crate::node::{public_key, Node};
 use crate::raw::RawLeapList;
 use leap_ebr::Guard;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicPtr, Ordering};
 
 /// One timestamped version of a level-0 forward link.
@@ -246,7 +248,11 @@ impl<V> Drop for Bundle<V> {
 ///
 /// Parked nodes are bounded by the write volume per pin lifetime (the
 /// same bound as bundle depth); with no pins live the next committed
-/// batch drains everything, and the list's drop frees any residue.
+/// batch drains everything, and the list's drop frees any residue. They
+/// sit in a min-heap on the retiring `wv`, so a drain examines only the
+/// nodes it frees plus the one it stops at: parks arrive out of `wv`
+/// order across threads (each parks after its wiring ticket drops), and a
+/// pin held across N commits would otherwise cost O(N) per commit.
 ///
 /// A parked node carries the values that left the list at its retiring
 /// commit ([`Node::set_departed`]): they are dropped when the node is
@@ -254,8 +260,14 @@ impl<V> Drop for Bundle<V> {
 /// and nothing else of its contents is dropped — every other pair is a
 /// bitwise copy of a value a younger node owns.
 pub(crate) struct Limbo<V> {
-    parked: std::sync::Mutex<Vec<(u64, *mut Node<V>)>>,
+    parked: std::sync::Mutex<Parked<V>>,
+    /// Heap entries drains have looked at (tests: the O(drained) bound).
+    #[cfg(test)]
+    examined: std::sync::atomic::AtomicUsize,
 }
+
+/// Parked nodes with their retiring `wv`, smallest `wv` on top.
+type Parked<V> = BinaryHeap<Reverse<(u64, *mut Node<V>)>>;
 
 // SAFETY: the limbo owns unlinked nodes outright; parking and draining
 // move raw pointers whose referents no other structure mutates.
@@ -266,7 +278,9 @@ unsafe impl<V: Send> Sync for Limbo<V> {}
 impl<V> Limbo<V> {
     pub(crate) fn new() -> Self {
         Limbo {
-            parked: std::sync::Mutex::new(Vec::new()),
+            parked: std::sync::Mutex::new(BinaryHeap::new()),
+            #[cfg(test)]
+            examined: std::sync::atomic::AtomicUsize::new(0),
         }
     }
 
@@ -283,7 +297,7 @@ impl<V> Limbo<V> {
     pub(crate) unsafe fn park_and_drain(
         &self,
         wv: u64,
-        retired: Vec<*mut Node<V>>,
+        retired: impl IntoIterator<Item = *mut Node<V>>,
         bound: u64,
         guard: &Guard,
     ) where
@@ -291,18 +305,19 @@ impl<V> Limbo<V> {
     {
         // INVARIANT: no code path panics while holding this lock.
         let mut parked = self.parked.lock().expect("limbo poisoned");
-        parked.extend(retired.into_iter().map(|n| (wv, n)));
-        let mut i = 0;
-        while i < parked.len() {
-            if parked[i].0 <= bound {
-                let (_, node) = parked.swap_remove(i);
-                // SAFETY: no live pin can resolve onto a node retired
-                // at-or-below the bound (see type docs); the deferral
-                // covers readers that reached it pre-unlink.
-                unsafe { guard.defer_drop_box(node) };
-            } else {
-                i += 1;
+        parked.extend(retired.into_iter().map(|n| Reverse((wv, n))));
+        while let Some(&Reverse((retired_at, node))) = parked.peek() {
+            #[cfg(test)]
+            // ORDERING: test-only tally read after the drains it counts.
+            self.examined.fetch_add(1, Ordering::Relaxed);
+            if retired_at > bound {
+                break;
             }
+            parked.pop();
+            // SAFETY: no live pin can resolve onto a node retired
+            // at-or-below the bound (see type docs); the deferral covers
+            // readers that reached it pre-unlink.
+            unsafe { guard.defer_drop_box(node) };
         }
     }
 
@@ -311,6 +326,13 @@ impl<V> Limbo<V> {
     pub(crate) fn parked(&self) -> usize {
         self.parked.lock().expect("limbo poisoned").len()
     }
+
+    /// Heap entries examined by every drain so far (diagnostics).
+    #[cfg(test)]
+    pub(crate) fn examined(&self) -> usize {
+        // ORDERING: test-only tally; the caller's own drains precede it.
+        self.examined.load(Ordering::Relaxed)
+    }
 }
 
 impl<V> Drop for Limbo<V> {
@@ -318,7 +340,7 @@ impl<V> Drop for Limbo<V> {
         // Exclusive access: the owning list is being dropped, so no
         // snapshot over it can still be live.
         // INVARIANT: no code path panics while holding this lock.
-        for &(_, node) in self.parked.get_mut().expect("limbo poisoned").iter() {
+        for &Reverse((_, node)) in self.parked.get_mut().expect("limbo poisoned").iter() {
             // SAFETY: parked nodes are unlinked and owned by the limbo;
             // freeing one drops only its departures.
             unsafe { crate::node::free_node(node) };

@@ -69,6 +69,7 @@
 use crate::node::{build_remove, build_update, free_node, internal_key, random_level, Node, Pairs};
 use crate::params::Params;
 use crate::raw::{RawLeapList, SearchWindow};
+use crate::variants::common::ValidatedSegment;
 use std::mem::ManuallyDrop;
 
 /// One component of a multi-op batch against a single list, in internal
@@ -251,6 +252,9 @@ pub(crate) struct ChainSegment<V> {
     /// ([`Node::set_departed`]). Nodes past the end of the list lose none;
     /// it is empty when `V` needs no drop.
     pub departed: Vec<Vec<usize>>,
+    /// LT's validation of this segment, captured by the first pass of its
+    /// transaction for the marking pass; `None` until then.
+    pub validated: Option<ValidatedSegment<V>>,
     published: bool,
 }
 
@@ -352,6 +356,7 @@ pub(crate) unsafe fn one_op_plan<V: Clone>(
             Some(s) if std::mem::needs_drop::<V>() => vec![vec![s]],
             _ => Vec::new(),
         },
+        validated: None,
         published: false,
     };
     (Some(seg), result)
@@ -757,6 +762,7 @@ pub(crate) unsafe fn plan_multi<V: Clone>(raw: &RawLeapList<V>, ops: &[ListOp<V>
                 old_max,
                 wire_height,
                 departed,
+                validated: None,
                 published: false,
             });
         }

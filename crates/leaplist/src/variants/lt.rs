@@ -238,7 +238,7 @@ impl<V: Clone + Send + Sync + 'static> LeapListLt<V> {
         loop {
             // Setup: per-list chain rebuild (COP searches + replacement
             // chain construction), entirely outside the transaction.
-            let plans: Vec<ListPlan<V>> = lists
+            let mut plans: Vec<ListPlan<V>> = lists
                 .iter()
                 .zip(groups.iter())
                 // SAFETY: `guard` pins the epoch for this whole loop body.
@@ -252,23 +252,15 @@ impl<V: Clone + Send + Sync + 'static> LeapListLt<V> {
             // segment already marked would abort forever.
             let mut tx = Txn::begin(&self.domain);
             let acquired: TxResult<()> = (|| {
-                let segments = plans.iter().map(|p| p.segments.len()).sum();
-                let mut validated = Vec::with_capacity(segments);
-                for plan in &plans {
-                    for seg in &plan.segments {
-                        // SAFETY: plan pointers are protected by `guard`.
-                        validated.push(unsafe { common::validate_segment(&mut tx, seg) }?);
-                    }
+                for seg in plans.iter_mut().flat_map(|p| &mut p.segments) {
+                    // SAFETY: plan pointers are protected by `guard`.
+                    seg.validated = Some(unsafe { common::validate_segment(&mut tx, seg) }?);
                 }
-                let mut v = validated.iter();
-                for plan in &plans {
-                    for seg in &plan.segments {
-                        // INVARIANT: the first pass pushed one entry per
-                        // segment in the same iteration order.
-                        let vs = v.next().expect("one validation per segment");
-                        // SAFETY: plan pointers are protected by `guard`.
-                        unsafe { common::mark_segment(&mut tx, seg, vs) }?;
-                    }
+                for seg in plans.iter().flat_map(|p| &p.segments) {
+                    // INVARIANT: the first pass validated every segment.
+                    let vs = seg.validated.as_ref().expect("validated above");
+                    // SAFETY: plan pointers are protected by `guard`.
+                    unsafe { common::mark_segment(&mut tx, seg, vs) }?;
                 }
                 Ok(())
             })();
@@ -284,14 +276,11 @@ impl<V: Clone + Send + Sync + 'static> LeapListLt<V> {
                         groups.into_iter().map(Unsettled::committed).collect();
                     record_commit(&self.domain, &backoff);
                     let bound = self.domain.prune_bound();
-                    // Release-and-update: wire every chain, stamp version
-                    // bundles, collect the dying runs for parking.
+                    // Release-and-update: wire every chain and stamp
+                    // version bundles.
                     let mut out = Vec::with_capacity(plans.len());
-                    let mut retired: Vec<Vec<*mut _>> = Vec::with_capacity(plans.len());
-                    for (plan, list) in plans.into_iter().zip(lists.iter()) {
-                        let mut plan = plan;
+                    for (plan, list) in plans.iter_mut().zip(lists.iter()) {
                         let mut depth = 0u64;
-                        let mut dying = Vec::new();
                         for seg in plan.segments.iter_mut() {
                             // SAFETY: the committed transaction owns every
                             // marked window, `guard` protects the plan's
@@ -309,9 +298,7 @@ impl<V: Clone + Send + Sync + 'static> LeapListLt<V> {
                                 crate::wire::publish_segment(seg);
                             }
                             seg.mark_published();
-                            dying.extend_from_slice(&seg.old);
                         }
-                        retired.push(dying);
                         list.bundle_depth
                             // ORDERING: monotonic stat counter; readers
                             // only need an eventual high-water mark.
@@ -325,8 +312,9 @@ impl<V: Clone + Send + Sync + 'static> LeapListLt<V> {
                     // they park in the limbo until the prune bound passes
                     // `wv`, and only then enter the EBR queue.
                     let drain_bound = self.domain.prune_bound();
-                    for (list, dying) in lists.iter().zip(retired) {
-                        // SAFETY: `dying` nodes were unlinked by the
+                    for (plan, list) in plans.iter().zip(lists.iter()) {
+                        let dying = plan.segments.iter().flat_map(|s| s.old.iter().copied());
+                        // SAFETY: the dying nodes were unlinked by the
                         // publish swings above and stamped `retired_ts ==
                         // wv`; `drain_bound` was read after the ticket
                         // dropped (wiring window closed).
@@ -1339,6 +1327,31 @@ mod tests {
         // drains the lot, its own dying run included.
         l.update(999, 1);
         assert_eq!(l.limbo.parked(), 0, "pin released: limbo drains");
+    }
+
+    #[test]
+    fn limbo_drain_examines_only_what_it_frees() {
+        let l: LeapListLt<u64> = LeapListLt::new(small());
+        for k in 0..64u64 {
+            l.update(k, k);
+        }
+        let snap = l.pin_snapshot();
+        // Under the pin nothing can drain: each commit parks its one dying
+        // node and the drain stops at the heap's top, however many nodes
+        // are parked below it.
+        for i in 0..10_000u64 {
+            let (examined, parked) = (l.limbo.examined(), l.limbo.parked());
+            l.update(i % 64, i);
+            assert_eq!(l.limbo.parked(), parked + 1, "commit {i}");
+            assert_eq!(l.limbo.examined(), examined + 1, "commit {i}");
+        }
+        drop(snap);
+        // The releasing drain frees every parked node plus this commit's
+        // own dying node, and examines each once.
+        let (examined, parked) = (l.limbo.examined(), l.limbo.parked());
+        l.update(999, 1);
+        assert_eq!(l.limbo.parked(), 0, "pin released: limbo drains");
+        assert_eq!(l.limbo.examined(), examined + parked + 1);
     }
 
     #[test]

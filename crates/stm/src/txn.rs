@@ -3,6 +3,8 @@
 use crate::domain::{orec_is_locked, orec_version, Mode, StmDomain, StmFaultPoint};
 use crate::tvar::TVar;
 use crate::word::Word;
+use std::cell::Cell;
+use std::mem::ManuallyDrop;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Why a transactional operation could not proceed.
@@ -53,6 +55,59 @@ struct UndoEntry {
 /// How many times commit spins on a locked orec before giving up.
 const LOCK_SPIN_LIMIT: u32 = 64;
 
+/// Largest capacity a set may have and still go back to the pool: one
+/// huge transaction must not pin its buffers to the thread for good.
+const POOL_CAP: usize = 4096;
+
+/// A transaction's read, write and commit-lock sets. Each thread keeps one
+/// cleared, boxed set of buffers between transactions, so a transaction
+/// grows its sets from the last one's capacity instead of from empty. The
+/// box makes taking and returning the sets one pointer move.
+#[derive(Default)]
+struct Sets {
+    read: Vec<u32>,
+    write: Vec<WriteEntry>,
+    locks: Vec<(u32, u64)>,
+}
+
+thread_local! {
+    static POOL: Cell<Option<Box<Sets>>> = const { Cell::new(None) };
+}
+
+impl Sets {
+    /// The thread's pooled sets, or fresh ones when another live
+    /// transaction on this thread holds them (or the thread is exiting).
+    fn take() -> Box<Sets> {
+        POOL.try_with(Cell::take).ok().flatten().unwrap_or_default()
+    }
+
+    /// Clears the sets and pools them, dropping any that outgrew
+    /// [`POOL_CAP`]. A no-op while the thread's locals are torn down.
+    fn give_back(mut self: Box<Self>) {
+        fn reset<T>(v: &mut Vec<T>) {
+            v.clear();
+            if v.capacity() > POOL_CAP {
+                *v = Vec::new();
+            }
+        }
+        reset(&mut self.read);
+        reset(&mut self.write);
+        reset(&mut self.locks);
+        let _ = POOL.try_with(|p| p.set(Some(self)));
+    }
+
+    /// Capacity of the pooled read set, if the thread has pooled sets.
+    #[cfg(test)]
+    fn pooled_read_capacity() -> Option<usize> {
+        POOL.with(|p| {
+            let sets = p.take();
+            let cap = sets.as_ref().map(|s| s.read.capacity());
+            p.set(sets);
+            cap
+        })
+    }
+}
+
 /// An in-flight transaction on some [`StmDomain`].
 ///
 /// Create with [`Txn::begin`], finish with [`Txn::commit`]. Dropping a
@@ -85,8 +140,9 @@ const LOCK_SPIN_LIMIT: u32 = 64;
 pub struct Txn<'d> {
     domain: &'d StmDomain,
     rv: u64,
-    read_set: Vec<u32>,
-    write_set: Vec<WriteEntry>,
+    /// Read set, write set and commit lock list (`(orec, pre-lock word)`,
+    /// sorted by orec), pooled per thread; handed back by `Drop` only.
+    sets: ManuallyDrop<Box<Sets>>,
     wt_locks: Vec<WtLock>,
     undo: Vec<UndoEntry>,
     completed: bool,
@@ -104,8 +160,7 @@ impl<'d> Txn<'d> {
         Txn {
             domain,
             rv: domain.clock_load(),
-            read_set: Vec::new(),
-            write_set: Vec::new(),
+            sets: ManuallyDrop::new(Sets::take()),
             wt_locks: Vec::new(),
             undo: Vec::new(),
             completed: false,
@@ -157,7 +212,7 @@ impl<'d> Txn<'d> {
         let addr = var.addr();
         if self.domain.mode() == Mode::WriteBack {
             // Read-after-write: serve from the redo buffer.
-            if let Some(e) = self.write_set.iter().rev().find(|e| e.addr == addr) {
+            if let Some(e) = self.sets.write.iter().rev().find(|e| e.addr == addr) {
                 return Ok(T::from_word(e.val));
             }
         }
@@ -182,7 +237,7 @@ impl<'d> Txn<'d> {
                 return Err(self.conflict());
             }
         }
-        self.read_set.push(oi);
+        self.sets.read.push(oi);
         Ok(T::from_word(v))
     }
 
@@ -204,10 +259,10 @@ impl<'d> Txn<'d> {
         match self.domain.mode() {
             Mode::WriteBack => {
                 let val = value.to_word();
-                if let Some(e) = self.write_set.iter_mut().find(|e| e.addr == addr) {
+                if let Some(e) = self.sets.write.iter_mut().find(|e| e.addr == addr) {
                     e.val = val;
                 } else {
-                    self.write_set.push(WriteEntry {
+                    self.sets.write.push(WriteEntry {
                         addr,
                         cell: &var.cell,
                         val,
@@ -249,7 +304,7 @@ impl<'d> Txn<'d> {
     /// succeeds iff nothing read so far has changed.
     fn extend(&mut self) -> TxResult<()> {
         let new_rv = self.domain.clock_load();
-        for &oi in &self.read_set {
+        for &oi in &self.sets.read {
             let o = self.domain.orec_load(oi);
             if orec_is_locked(o) {
                 if !self.is_my_wt_lock(oi) {
@@ -271,7 +326,7 @@ impl<'d> Txn<'d> {
         if self.domain.fault_fires(StmFaultPoint::Validate) {
             return false;
         }
-        for &oi in &self.read_set {
+        for &oi in &self.sets.read {
             let o = self.domain.orec_load(oi);
             let version = if orec_is_locked(o) {
                 match mine.binary_search_by_key(&oi, |(i, _)| *i) {
@@ -326,7 +381,7 @@ impl<'d> Txn<'d> {
     }
 
     fn commit_wb(&mut self) -> Result<u64, Abort> {
-        if self.write_set.is_empty() {
+        if self.sets.write.is_empty() {
             self.completed = true;
             self.domain
                 .stats
@@ -337,23 +392,24 @@ impl<'d> Txn<'d> {
         }
         // Lock the write stripes in sorted order (deadlock avoidance with
         // bounded spinning as a safety net).
-        let mut locks: Vec<(u32, u64)> = self.write_set.iter().map(|e| (e.orec, 0)).collect();
+        let Sets { write, locks, .. } = &mut **self.sets;
+        locks.extend(write.iter().map(|e| (e.orec, 0)));
         locks.sort_unstable_by_key(|(oi, _)| *oi);
         locks.dedup_by_key(|(oi, _)| *oi);
         let mut acquired = 0usize;
-        'locking: for i in 0..locks.len() {
-            let oi = locks[i].0;
+        'locking: for i in 0..self.sets.locks.len() {
+            let oi = self.sets.locks[i].0;
             let mut spins = 0;
             loop {
                 let o = self.domain.orec_load(oi);
                 if !orec_is_locked(o) && self.domain.orec_try_lock(oi, o) {
-                    locks[i].1 = o;
+                    self.sets.locks[i].1 = o;
                     acquired = i + 1;
                     continue 'locking;
                 }
                 spins += 1;
                 if spins > LOCK_SPIN_LIMIT {
-                    for &(oj, old) in &locks[..acquired] {
+                    for &(oj, old) in &self.sets.locks[..acquired] {
                         self.domain.orec_restore(oj, old);
                     }
                     self.commit_conflict = true;
@@ -364,8 +420,8 @@ impl<'d> Txn<'d> {
             }
         }
         let wv = self.domain.clock_bump();
-        if self.rv + 1 != wv && !self.validate_reads(&locks) {
-            for &(oi, old) in &locks {
+        if self.rv + 1 != wv && !self.validate_reads(&self.sets.locks) {
+            for &(oi, old) in &self.sets.locks {
                 self.domain.orec_restore(oi, old);
             }
             self.commit_conflict = true;
@@ -373,12 +429,12 @@ impl<'d> Txn<'d> {
             return Err(Abort::Conflict);
         }
         // Publish the redo buffer, then release stripes at the new version.
-        for e in &self.write_set {
+        for e in &self.sets.write {
             // SAFETY: `cell` points into a TVar the caller kept alive for
             // 'd (enforced by `read`/`write` borrow lifetimes).
             unsafe { (*e.cell).store(e.val, Ordering::Release) };
         }
-        for &(oi, _) in &locks {
+        for &(oi, _) in &self.sets.locks {
             self.domain.orec_unlock_to(oi, wv);
         }
         self.completed = true;
@@ -463,6 +519,9 @@ impl Drop for Txn<'_> {
             self.rollback_wt();
             self.record_abort();
         }
+        // SAFETY: `sets` is taken once, here, and `self` is never used
+        // again.
+        unsafe { ManuallyDrop::take(&mut self.sets) }.give_back();
     }
 }
 
@@ -470,8 +529,8 @@ impl std::fmt::Debug for Txn<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Txn")
             .field("rv", &self.rv)
-            .field("reads", &self.read_set.len())
-            .field("writes", &self.write_set.len())
+            .field("reads", &self.sets.read.len())
+            .field("writes", &self.sets.write.len())
             .field("wt_locks", &self.wt_locks.len())
             .finish()
     }
@@ -763,5 +822,92 @@ mod tests {
         t2.commit().unwrap();
         assert_eq!(v.naked_load(), 5, "poisoned t1 must roll back v");
         assert_eq!(w.naked_load(), 7);
+    }
+
+    #[test]
+    fn two_live_txns_on_one_thread_both_commit() {
+        let d = StmDomain::new();
+        let (a, b) = (TVar::new(1u64), TVar::new(10u64));
+        let mut t1 = Txn::begin(&d);
+        let mut t2 = Txn::begin(&d);
+        let x = t1.read(&a).unwrap();
+        let y = t2.read(&b).unwrap();
+        t1.write(&a, x + 1).unwrap();
+        t2.write(&b, y + 1).unwrap();
+        assert_eq!(t2.read(&b).unwrap(), 11, "t2 reads its own write");
+        assert_eq!(t1.read(&a).unwrap(), 2, "t1 reads its own write");
+        t2.commit().unwrap();
+        t1.commit().unwrap();
+        assert_eq!((a.naked_load(), b.naked_load()), (2, 11));
+        // Both sets went back to the pool cleared: the next transaction
+        // sees none of their entries.
+        let mut t3 = Txn::begin(&d);
+        assert!(t3.sets.read.is_empty() && t3.sets.write.is_empty() && t3.sets.locks.is_empty());
+        t3.write(&a, 5).unwrap();
+        t3.commit().unwrap();
+        assert_eq!(a.naked_load(), 5);
+    }
+
+    #[test]
+    fn txn_in_a_thread_local_destructor_does_not_panic() {
+        use std::sync::atomic::AtomicBool;
+        static COMMITTED: AtomicBool = AtomicBool::new(false);
+        struct TxnOnDrop;
+        impl Drop for TxnOnDrop {
+            fn drop(&mut self) {
+                let d = StmDomain::new();
+                let v = TVar::new(1u64);
+                let mut tx = Txn::begin(&d);
+                tx.write(&v, 2).unwrap();
+                tx.commit().unwrap();
+                COMMITTED.store(v.naked_load() == 2, Ordering::SeqCst);
+            }
+        }
+        thread_local! {
+            static LATE: TxnOnDrop = const { TxnOnDrop };
+        }
+        // Both registration orders: the destructor's transaction runs
+        // before and after the pool itself is torn down.
+        for late_first in [true, false] {
+            COMMITTED.store(false, Ordering::SeqCst);
+            std::thread::spawn(move || {
+                if late_first {
+                    LATE.with(|_| ());
+                }
+                let d = StmDomain::new();
+                let v = TVar::new(0u64);
+                let mut tx = Txn::begin(&d);
+                tx.write(&v, 1).unwrap();
+                tx.commit().unwrap();
+                if !late_first {
+                    LATE.with(|_| ());
+                }
+            })
+            .join()
+            .unwrap();
+            assert!(COMMITTED.load(Ordering::SeqCst), "late_first {late_first}");
+        }
+    }
+
+    #[test]
+    fn an_oversized_read_set_is_not_pooled() {
+        let d = StmDomain::new();
+        let v = TVar::new(3u64);
+        let mut tx = Txn::begin(&d);
+        for _ in 0..100_000 {
+            assert_eq!(tx.read(&v).unwrap(), 3);
+        }
+        tx.commit().unwrap();
+        assert_eq!(Sets::pooled_read_capacity(), Some(0), "dropped, not pooled");
+        let mut tx = Txn::begin(&d);
+        for _ in 0..32 {
+            tx.read(&v).unwrap();
+        }
+        tx.commit().unwrap();
+        let kept = Sets::pooled_read_capacity().unwrap();
+        assert!(
+            (32..=POOL_CAP).contains(&kept),
+            "a small set is kept: {kept}"
+        );
     }
 }

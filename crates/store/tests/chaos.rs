@@ -185,10 +185,19 @@ fn converges_and_stays_model_equivalent_under_seeded_faults() {
         driver.join().expect("driver must not panic");
 
         // Deterministic split of the dense playground: failed chunks are
-        // retried from the frontier until the drain completes.
+        // retried from the frontier until the drain completes. The policy
+        // driver splits at a shard's median key, so it may already have
+        // cut the playground at 8 100; the split point stays strictly
+        // inside the shard that holds 8 100.
         store.rebalance_until_idle();
+        let src = store.router().shard_of(8_100);
+        let (lo, _) = store
+            .router()
+            .shard_interval(src)
+            .expect("the shard routing 8 100 owns an interval");
+        let at = 8_100.max(lo + 1);
         let dst = store
-            .split_shard(store.router().shard_of(8_100), 8_100)
+            .split_shard(src, at)
             .unwrap_or_else(|e| panic!("seed {seed}: no permanent MigrationInFlight, got {e}"));
         let mut moved = 0;
         let completed = (0..10_000).any(|_| match store.rebalance_step() {
@@ -205,7 +214,7 @@ fn converges_and_stays_model_equivalent_under_seeded_faults() {
             "seed {seed}: the playground split never completed"
         );
         assert!(moved > 0, "seed {seed}: the drain moved nothing");
-        assert_eq!(store.router().shard_of(8_100), dst, "seed {seed}");
+        assert_eq!(store.router().shard_of(at), dst, "seed {seed}");
         let injector = store.faults().expect("faults armed");
         assert!(
             injector.fires(FaultPoint::MigrationChunk) >= 1,
