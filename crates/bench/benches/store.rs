@@ -1,7 +1,7 @@
 //! Criterion micro-benchmarks for the LeapStore service layer:
-//! single-key ops, cross-shard batches and cross-shard range queries,
-//! under both partitioning modes — quiet single-thread per-op costs; the
-//! numbers of record under load are `benchmark/`'s (`BENCHMARK.json`).
+//! single-key ops, cross-shard batches and cross-shard range queries —
+//! quiet single-thread per-op costs; the numbers of record under load are
+//! `benchmark/`'s (`BENCHMARK.json`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use leap_store::{LeapStore, Partitioning, StoreConfig};
@@ -11,16 +11,12 @@ const PREFILL: u64 = 10_000;
 const SPAN: u64 = 500;
 const SHARDS: usize = 4;
 
-fn store(mode: Partitioning) -> LeapStore<u64> {
-    let s = LeapStore::new(StoreConfig::new(SHARDS, mode).with_key_space(PREFILL));
+fn bench_ops(c: &mut Criterion) {
+    let label = "range";
+    let s = LeapStore::new(StoreConfig::new(SHARDS, Partitioning::Range).with_key_space(PREFILL));
     for k in 0..PREFILL {
         s.put(k, k);
     }
-    s
-}
-
-fn bench_mode(c: &mut Criterion, label: &str, mode: Partitioning) {
-    let s = store(mode);
     let mut group = c.benchmark_group("leapstore");
     group
         .sample_size(20)
@@ -57,9 +53,8 @@ fn bench_mode(c: &mut Criterion, label: &str, mode: Partitioning) {
         })
     });
     // Three keys on one shard: the collision path — a single multi-op
-    // chain-rebuild transaction (range mode guarantees the collision;
-    // under hash mode adjacency usually spreads, so this doubles as the
-    // mixed comparison). The seed applied these in seqlock-guarded rounds.
+    // chain-rebuild transaction (adjacent keys share a shard). The seed
+    // applied these in seqlock-guarded rounds.
     group.bench_function(BenchmarkId::new("multi_put_collide", label), |b| {
         b.iter(|| {
             k = (k + 7919) % (stride - 3);
@@ -158,8 +153,7 @@ fn bench_trace_overhead(c: &mut Criterion) {
 }
 
 fn bench_leapstore(c: &mut Criterion) {
-    bench_mode(c, "hash", Partitioning::Hash);
-    bench_mode(c, "range", Partitioning::Range);
+    bench_ops(c);
     bench_obs_overhead(c);
     bench_trace_overhead(c);
 }

@@ -123,7 +123,6 @@ mod tests {
             Params {
                 node_size: 16,
                 max_level: 6,
-                ..Params::default()
             },
         );
         t.prefill(500);

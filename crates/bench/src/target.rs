@@ -223,7 +223,6 @@ mod tests {
                 Params {
                     node_size: 8,
                     max_level: 6,
-                    ..Params::default()
                 },
             );
             assert_eq!(t.lists(), lists);

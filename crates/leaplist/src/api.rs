@@ -138,7 +138,6 @@ mod tests {
         let p = Params {
             node_size: 4,
             max_level: 4,
-            ..Params::default()
         };
         exercise(&LeapListLt::<u64>::new(p.clone()));
         exercise(&LeapListCop::<u64>::new(p.clone()));
@@ -163,7 +162,6 @@ mod tests {
         let l: LeapListLt<u64> = LeapListLt::new(Params {
             node_size: 3,
             max_level: 4,
-            ..Params::default()
         });
         assert_eq!(l.first_key_value(), None);
         assert_eq!(l.last_key_value(), None);

@@ -67,7 +67,7 @@ mod variants;
 mod wire;
 
 pub use api::{BatchOp, RangeMap};
-pub use params::{Params, Traversal};
+pub use params::Params;
 pub use variants::cop::LeapListCop;
 pub use variants::lt::{LeapListLt, ListSnapshot};
 pub use variants::rwlock::LeapListRwlock;

@@ -510,7 +510,6 @@ mod tests {
             let p = Params {
                 node_size,
                 max_level: 6,
-                ..Params::default()
             };
             for len in 0..=node_size {
                 let keys: Vec<u64> = (1..=len as u64).map(|i| i * 10).collect();
@@ -551,7 +550,6 @@ mod tests {
         let p = Params {
             node_size: 4,
             max_level: 6,
-            ..Params::default()
         };
         let mut rng = rand::thread_rng();
         let n = mk_node(&[10, 20, 30, 40], 3, 1000);
@@ -614,7 +612,6 @@ mod tests {
         let p = Params {
             node_size: 4,
             max_level: 6,
-            ..Params::default()
         };
         let mut rng = rand::thread_rng();
         let n = mk_node(&[10, 20, 30, 40], 3, 1000);

@@ -2,28 +2,6 @@
 
 use crate::node::MAX_LEVEL_CAP;
 
-/// How the uninstrumented (COP) predecessor search reads `next` pointers.
-///
-/// The paper (§2) implements marked-pointer checking and *discusses* the
-/// alternative of single-location read transactions: "Another alternative
-/// we explored was to access pointers in single-location read
-/// transactions. However, this alternative proved to have a larger
-/// negative impact on performance with the current GCC-TM implementation.
-/// Nevertheless, we expect it will exhibit the best performance with HTM
-/// support." Both are implemented here (`benches/ablation.rs` compares
-/// them).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Traversal {
-    /// Read pointers nakedly; retry on a mark or a dead node (the paper's
-    /// deployed design, Fig. 3).
-    #[default]
-    MarkCheck,
-    /// Read each pointer through a single-location read transaction
-    /// (`TVar::read_single`): never observes a torn orec, still retries on
-    /// marks/dead nodes.
-    SingleLocationRead,
-}
-
 /// Configuration of a Leap-List instance.
 ///
 /// The defaults are the paper's experimental settings (§3 "Settings"):
@@ -49,8 +27,6 @@ pub struct Params {
     pub node_size: usize,
     /// Maximum tower height.
     pub max_level: usize,
-    /// COP traversal style (see [`Traversal`]).
-    pub traversal: Traversal,
 }
 
 impl Default for Params {
@@ -58,7 +34,6 @@ impl Default for Params {
         Params {
             node_size: 300,
             max_level: 10,
-            traversal: Traversal::MarkCheck,
         }
     }
 }
@@ -88,7 +63,6 @@ mod tests {
         let p = Params::default();
         assert_eq!(p.node_size, 300);
         assert_eq!(p.max_level, 10);
-        assert_eq!(p.traversal, Traversal::MarkCheck);
         p.validate();
     }
 

@@ -806,7 +806,6 @@ mod tests {
         RawLeapList::new(Params {
             node_size: 4,
             max_level: 4,
-            ..Params::default()
         })
     }
 
@@ -946,7 +945,6 @@ mod tests {
         let l: RawLeapList<D> = RawLeapList::new(Params {
             node_size: 4,
             max_level: 4,
-            ..Params::default()
         });
         let op = put(9, D(c.clone()));
         drop(plan_single_t(&l, &op));
@@ -1032,7 +1030,6 @@ mod tests {
         let l: RawLeapList<D> = RawLeapList::new(Params {
             node_size: 4,
             max_level: 4,
-            ..Params::default()
         });
         // Six puts re-chunk into a two-node chain.
         let ops: Vec<ListOp<D>> = (1..=6).map(|k| put(k, D(c.clone()))).collect();
@@ -1054,7 +1051,6 @@ mod tests {
         let l: RawLeapList<D> = RawLeapList::new(Params {
             node_size: 4,
             max_level: 4,
-            ..Params::default()
         });
         let head = l.head();
         let pairs = vec![(10, D(c.clone())), (20, D(c.clone()))];

@@ -34,10 +34,6 @@ impl<V> SearchWindow<V> {
 pub(crate) struct RawLeapList<V> {
     head: *mut Node<V>,
     pub params: Params,
-    /// Set when `params.traversal == Traversal::SingleLocationRead`: next
-    /// pointers are read through single-location read transactions on this
-    /// domain (the paper's HTM-oriented alternative, §2.1).
-    slr_domain: Option<std::sync::Arc<leap_stm::StmDomain>>,
 }
 
 // SAFETY: the raw list is a set of heap nodes reached through atomic
@@ -53,16 +49,6 @@ impl<V> RawLeapList<V> {
     /// `(0, +inf]` at full height so every level terminates at a node with
     /// `high == u64::MAX`.
     pub fn new(params: Params) -> Self {
-        Self::with_slr_domain(params, None)
-    }
-
-    /// As [`RawLeapList::new`], additionally wiring the domain used by the
-    /// single-location-read traversal (ignored under
-    /// [`Traversal::MarkCheck`](crate::params::Traversal::MarkCheck)).
-    pub fn with_slr_domain(
-        params: Params,
-        domain: Option<std::sync::Arc<leap_stm::StmDomain>>,
-    ) -> Self {
         params.validate();
         let head = Node::alloc(0, params.max_level, Pairs::with_capacity(0));
         let tail = Node::alloc(u64::MAX, params.max_level, Pairs::with_capacity(0));
@@ -86,15 +72,7 @@ impl<V> RawLeapList<V> {
                 .store(0, std::sync::atomic::Ordering::Release);
             (*head).bundle.seed(0, tail);
         }
-        let slr_domain = match params.traversal {
-            crate::params::Traversal::MarkCheck => None,
-            crate::params::Traversal::SingleLocationRead => domain,
-        };
-        RawLeapList {
-            head,
-            params,
-            slr_domain,
-        }
+        RawLeapList { head, params }
     }
 
     pub fn head(&self) -> *mut Node<V> {
@@ -104,6 +82,11 @@ impl<V> RawLeapList<V> {
     /// The paper's Search Predecessors (Fig. 3): an uninstrumented
     /// traversal that restarts whenever it meets a marked pointer or a
     /// non-live node, so it only ever walks committed, valid nodes.
+    ///
+    /// Pointers are read nakedly: the paper (§2) also tried reading each
+    /// one in a single-location read transaction and found it slower under
+    /// GCC-TM, and so do the measurements in EXPERIMENTS.md ("One
+    /// traversal, one STM mode").
     ///
     /// # Safety
     ///
@@ -130,12 +113,7 @@ impl<V> RawLeapList<V> {
                     // SAFETY: x is the head or a node observed live below;
                     // the guard keeps it allocated.
                     let slot = &unsafe { &*x }.next[i];
-                    let nxt = match &self.slr_domain {
-                        None => slot.naked_load(),
-                        // The paper's alternative: a single-location read
-                        // transaction per pointer (ideal under HTM).
-                        Some(d) => slot.read_single(d),
-                    };
+                    let nxt = slot.naked_load();
                     if nxt.is_marked() {
                         continue 'retry;
                     }
@@ -215,7 +193,6 @@ mod tests {
         Params {
             node_size: 4,
             max_level: 4,
-            ..Params::default()
         }
     }
 

@@ -13,7 +13,7 @@ use crate::variants::common;
 use crate::wire::wire_segment_tx;
 use crate::Params;
 use leap_ebr::pin;
-use leap_stm::{Backoff, Mode, StmDomain, TxResult, Txn};
+use leap_stm::{Backoff, StmDomain, TxResult, Txn};
 use std::sync::Arc;
 
 /// A Leap-List synchronized with COP (validation + transactional writes).
@@ -33,26 +33,15 @@ pub struct LeapListCop<V> {
 }
 
 impl<V: Clone + Send + Sync + 'static> LeapListCop<V> {
-    /// Creates an empty list with its own write-back domain.
+    /// Creates an empty list with its own domain.
     pub fn new(params: Params) -> Self {
         Self::with_domain(params, Arc::new(StmDomain::new()))
     }
 
     /// Creates an empty list on a shared domain.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the domain is write-through: COP publishes new nodes via
-    /// transactional pointer writes and relies on them being invisible
-    /// until commit.
     pub fn with_domain(params: Params, domain: Arc<StmDomain>) -> Self {
-        assert_eq!(
-            domain.mode(),
-            Mode::WriteBack,
-            "LeapListCop requires a write-back domain"
-        );
         LeapListCop {
-            raw: RawLeapList::with_slr_domain(params, Some(domain.clone())),
+            raw: RawLeapList::new(params),
             domain,
         }
     }
@@ -237,7 +226,6 @@ mod tests {
         Params {
             node_size: 4,
             max_level: 6,
-            ..Params::default()
         }
     }
 
@@ -277,12 +265,5 @@ mod tests {
         assert_eq!(lists[0].lookup(7), Some(1));
         assert_eq!(lists[1].lookup(7), Some(2));
         assert_eq!(lists[2].lookup(7), Some(3));
-    }
-
-    #[test]
-    #[should_panic(expected = "write-back")]
-    fn rejects_write_through_domains() {
-        let d = Arc::new(StmDomain::with_config(Mode::WriteThrough, 10));
-        let _l: LeapListCop<u64> = LeapListCop::with_domain(small(), d);
     }
 }

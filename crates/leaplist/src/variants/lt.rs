@@ -65,7 +65,7 @@ impl<V: Clone + Send + Sync + 'static> LeapListLt<V> {
     /// the same batched updates must share a domain.
     pub fn with_domain(params: Params, domain: Arc<StmDomain>) -> Self {
         LeapListLt {
-            raw: RawLeapList::with_slr_domain(params, Some(domain.clone())),
+            raw: RawLeapList::new(params),
             domain,
             bundle_depth: std::sync::atomic::AtomicU64::new(1),
             limbo: crate::bundle::Limbo::new(),
@@ -909,7 +909,6 @@ mod tests {
         Params {
             node_size: 4,
             max_level: 6,
-            ..Params::default()
         }
     }
 
@@ -1395,7 +1394,6 @@ mod tests {
         let l: LeapListLt<u64> = LeapListLt::new(Params {
             node_size: 2,
             max_level: 8,
-            ..Params::default()
         });
         for k in 0..200u64 {
             l.update(k * 3 % 601, k);

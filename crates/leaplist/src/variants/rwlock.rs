@@ -195,7 +195,6 @@ mod tests {
         Params {
             node_size: 4,
             max_level: 6,
-            ..Params::default()
         }
     }
 

@@ -11,7 +11,7 @@ use crate::variants::common;
 use crate::wire::wire_segment_tx;
 use crate::Params;
 use leap_ebr::pin;
-use leap_stm::{Backoff, Mode, StmDomain, TaggedPtr, TxResult, Txn};
+use leap_stm::{Backoff, StmDomain, TaggedPtr, TxResult, Txn};
 use std::sync::Arc;
 
 /// A Leap-List in which every operation is one STM transaction.
@@ -31,23 +31,13 @@ pub struct LeapListTm<V> {
 }
 
 impl<V: Clone + Send + Sync + 'static> LeapListTm<V> {
-    /// Creates an empty list with its own write-back domain.
+    /// Creates an empty list with its own domain.
     pub fn new(params: Params) -> Self {
         Self::with_domain(params, Arc::new(StmDomain::new()))
     }
 
-    /// Creates an empty list on a shared (write-back) domain.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the domain is write-through (new nodes are published by
-    /// transactional pointer writes and must stay invisible until commit).
+    /// Creates an empty list on a shared domain.
     pub fn with_domain(params: Params, domain: Arc<StmDomain>) -> Self {
-        assert_eq!(
-            domain.mode(),
-            Mode::WriteBack,
-            "LeapListTm requires a write-back domain"
-        );
         LeapListTm {
             raw: RawLeapList::new(params),
             domain,
@@ -307,7 +297,6 @@ mod tests {
         Params {
             node_size: 4,
             max_level: 6,
-            ..Params::default()
         }
     }
 

@@ -21,7 +21,6 @@ fn small_params() -> Params {
     Params {
         node_size: 4,
         max_level: 8,
-        ..Params::default()
     }
 }
 
@@ -109,7 +108,6 @@ fn lt_range_query_never_inverts_writer_order() {
     let map = Arc::new(LeapListLt::<u64>::new(Params {
         node_size: 64,
         max_level: 4,
-        ..Params::default()
     }));
     map.update(10, 0);
     map.update(20, 0);

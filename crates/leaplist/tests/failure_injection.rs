@@ -1,11 +1,10 @@
 //! Failure injection: force the pathological paths — constant false
-//! conflicts from a tiny ownership-record table, write-through domains,
-//! single-key pile-ups and key-space churn at node boundaries — and check
-//! that every operation still completes correctly.
+//! conflicts from a tiny ownership-record table, single-key pile-ups and
+//! key-space churn at node boundaries — and check that every operation
+//! still completes correctly.
 
-use leap_stm::{Mode, StmDomain};
+use leap_stm::StmDomain;
 use leaplist::{LeapListCop, LeapListLt, Params};
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 fn xorshift(state: &mut u64) -> u64 {
@@ -19,7 +18,6 @@ fn tiny_params() -> Params {
     Params {
         node_size: 3,
         max_level: 6,
-        ..Params::default()
     }
 }
 
@@ -28,7 +26,7 @@ fn tiny_params() -> Params {
 /// still linearize (progress comes from retry + backoff).
 #[test]
 fn lt_survives_pathological_orec_collisions() {
-    let domain = Arc::new(StmDomain::with_config(Mode::WriteBack, 1));
+    let domain = Arc::new(StmDomain::with_orec_bits(1));
     let map = Arc::new(LeapListLt::<u64>::with_domain(
         tiny_params(),
         domain.clone(),
@@ -81,7 +79,7 @@ fn lt_survives_pathological_orec_collisions() {
 
 #[test]
 fn cop_survives_pathological_orec_collisions() {
-    let domain = Arc::new(StmDomain::with_config(Mode::WriteBack, 1));
+    let domain = Arc::new(StmDomain::with_orec_bits(1));
     let map = Arc::new(LeapListCop::<u64>::with_domain(
         tiny_params(),
         domain.clone(),
@@ -108,40 +106,6 @@ fn cop_survives_pathological_orec_collisions() {
     let snap = map.range_query(0, 100);
     for w in snap.windows(2) {
         assert!(w[0].0 < w[1].0);
-    }
-}
-
-/// Sequential model equivalence on a write-through domain (the GCC-TM
-/// configuration): single-threaded, every op must behave exactly like the
-/// write-back build.
-#[test]
-fn lt_write_through_matches_model_sequentially() {
-    let domain = Arc::new(StmDomain::with_config(Mode::WriteThrough, 12));
-    let map = LeapListLt::<u64>::with_domain(tiny_params(), domain);
-    let mut model = BTreeMap::new();
-    let mut rng = 0x77u64;
-    for i in 0..4_000u64 {
-        let k = xorshift(&mut rng) % 128;
-        match xorshift(&mut rng) % 4 {
-            0 => assert_eq!(map.remove(k), model.remove(&k), "remove {k} at step {i}"),
-            1 => assert_eq!(
-                map.lookup(k),
-                model.get(&k).copied(),
-                "lookup {k} at step {i}"
-            ),
-            _ => assert_eq!(
-                map.update(k, i),
-                model.insert(k, i),
-                "update {k} at step {i}"
-            ),
-        }
-        if i % 256 == 0 {
-            let lo = xorshift(&mut rng) % 128;
-            let hi = lo + xorshift(&mut rng) % 64;
-            let got = map.range_query(lo, hi);
-            let want: Vec<(u64, u64)> = model.range(lo..=hi).map(|(a, b)| (*a, *b)).collect();
-            assert_eq!(got, want, "range [{lo}, {hi}] at step {i}");
-        }
     }
 }
 
@@ -190,7 +154,6 @@ fn split_merge_storm_with_batches() {
         Params {
             node_size: 2,
             max_level: 6,
-            ..Params::default()
         },
     ));
     let handles: Vec<_> = (0..3u64)
@@ -221,66 +184,6 @@ fn split_merge_storm_with_batches() {
         }
         assert_eq!(snap.len(), l.len());
     }
-}
-
-/// The paper's alternative traversal (§2.1): every pointer hop a
-/// single-location read transaction. Must behave identically to the
-/// mark-check traversal, sequentially and under churn.
-#[test]
-fn single_location_read_traversal_matches_model() {
-    use leaplist::Traversal;
-    let map = LeapListLt::<u64>::new(Params {
-        node_size: 3,
-        max_level: 6,
-        traversal: Traversal::SingleLocationRead,
-    });
-    let mut model = BTreeMap::new();
-    let mut rng = 0x511u64;
-    for i in 0..3_000u64 {
-        let k = xorshift(&mut rng) % 128;
-        match xorshift(&mut rng) % 4 {
-            0 => assert_eq!(map.remove(k), model.remove(&k)),
-            1 => assert_eq!(map.lookup(k), model.get(&k).copied()),
-            _ => assert_eq!(map.update(k, i), model.insert(k, i)),
-        }
-    }
-    let got = map.range_query(0, 200);
-    let want: Vec<(u64, u64)> = model.iter().map(|(a, b)| (*a, *b)).collect();
-    assert_eq!(got, want);
-}
-
-#[test]
-fn single_location_read_traversal_under_churn() {
-    use leaplist::Traversal;
-    let map = Arc::new(LeapListLt::<u64>::new(Params {
-        node_size: 4,
-        max_level: 6,
-        traversal: Traversal::SingleLocationRead,
-    }));
-    let handles: Vec<_> = (0..3u64)
-        .map(|t| {
-            let map = map.clone();
-            std::thread::spawn(move || {
-                let mut rng = 0x51F + t;
-                for i in 0..1_500u64 {
-                    let k = xorshift(&mut rng) % 100;
-                    if i % 4 == 0 {
-                        map.remove(k);
-                    } else {
-                        map.update(k, i);
-                    }
-                }
-            })
-        })
-        .collect();
-    for h in handles {
-        h.join().unwrap();
-    }
-    let snap = map.range_query(0, 200);
-    for w in snap.windows(2) {
-        assert!(w[0].0 < w[1].0);
-    }
-    assert_eq!(snap.len(), map.len());
 }
 
 /// Mixed apply_batch under contention: a "move" workload (remove from one

@@ -69,7 +69,6 @@ fn params(node_size: usize) -> Params {
     Params {
         node_size,
         max_level: 6,
-        ..Params::default()
     }
 }
 

@@ -107,7 +107,6 @@ fn small() -> Params {
     Params {
         node_size: 4,
         max_level: 6,
-        ..Params::default()
     }
 }
 

@@ -240,7 +240,6 @@ fn history_sharded_table_under_manual_reshard() {
             params: Params {
                 node_size: 8,
                 max_level: 6,
-                ..Params::default()
             },
             shards: None,
             rebalance: RebalancePolicy {
@@ -285,7 +284,6 @@ fn history_sharded_table_with_background_rebalancer() {
             params: Params {
                 node_size: 8,
                 max_level: 6,
-                ..Params::default()
             },
             shards: None,
             rebalance: RebalancePolicy {

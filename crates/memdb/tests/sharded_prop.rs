@@ -38,7 +38,6 @@ fn table() -> Table {
             params: Params {
                 node_size: 4,
                 max_level: 6,
-                ..Params::default()
             },
             shards: None,
             // Tiny chunks: most migrations stay in flight across several

@@ -79,21 +79,6 @@ impl SlotRegistry {
     }
 }
 
-/// Commit strategy for transactions in a domain.
-///
-/// See the crate docs for the behavioural difference; the Leap-List paper's
-/// GCC-TM corresponds to [`Mode::WriteThrough`], while [`Mode::WriteBack`]
-/// is the TL2 strategy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Mode {
-    /// Lazy versioning: writes buffered, published at commit (TL2).
-    #[default]
-    WriteBack,
-    /// Eager versioning: encounter-time locking with an undo log (GCC-TM
-    /// `ml_wt`). Naked readers may observe tentative data.
-    WriteThrough,
-}
-
 /// Places inside the STM engine where an attached fault hook may force a
 /// failure (see [`StmDomain::set_fault_hook`]). The hook decides *whether*
 /// the visit fails; the engine decides what failing means:
@@ -138,17 +123,16 @@ pub(crate) fn orec_make(version: u64) -> u64 {
 /// # Example
 ///
 /// ```
-/// use leap_stm::{StmDomain, Mode};
-/// let wb = StmDomain::new();
-/// let wt = StmDomain::with_config(Mode::WriteThrough, 8);
-/// assert_eq!(wt.mode(), Mode::WriteThrough);
-/// assert!(wb.clock() <= 1);
+/// use leap_stm::StmDomain;
+/// let d = StmDomain::new();
+/// let small = StmDomain::with_orec_bits(8);
+/// assert_eq!(small.orec_count(), 256);
+/// assert_eq!(d.clock(), 0);
 /// ```
 pub struct StmDomain {
     clock: AtomicU64,
     orecs: Box<[AtomicU64]>,
     shift: u32,
-    mode: Mode,
     pub(crate) stats: Stats,
     /// Optional observability hooks; absent = zero-cost disabled path
     /// (one relaxed load on the retry loop's commit).
@@ -164,19 +148,18 @@ pub struct StmDomain {
 }
 
 impl StmDomain {
-    /// Creates a write-back domain with the default orec table size.
+    /// Creates a domain with the default orec table size.
     pub fn new() -> Self {
-        Self::with_config(Mode::WriteBack, DEFAULT_OREC_BITS)
+        Self::with_orec_bits(DEFAULT_OREC_BITS)
     }
 
-    /// Creates a domain with an explicit commit mode and orec table size
-    /// (`2^orec_bits` records). Small tables are useful in tests to force
-    /// orec collisions (false conflicts).
+    /// Creates a domain with `2^orec_bits` ownership records. Small tables
+    /// are useful in tests to force orec collisions (false conflicts).
     ///
     /// # Panics
     ///
     /// Panics if `orec_bits` is 0 or greater than 28.
-    pub fn with_config(mode: Mode, orec_bits: u32) -> Self {
+    pub fn with_orec_bits(orec_bits: u32) -> Self {
         assert!((1..=28).contains(&orec_bits), "orec_bits must be in 1..=28");
         let n = 1usize << orec_bits;
         let orecs = (0..n).map(|_| AtomicU64::new(0)).collect();
@@ -184,7 +167,6 @@ impl StmDomain {
             clock: AtomicU64::new(0),
             orecs,
             shift: 64 - orec_bits,
-            mode,
             stats: Stats::default(),
             recorder: OnceLock::new(),
             fault_hook: OnceLock::new(),
@@ -232,11 +214,6 @@ impl StmDomain {
     pub fn record_timeout(&self) {
         // ORDERING: monotonic stat counter; no publication rides on it.
         self.stats.timeouts.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// The domain's commit mode.
-    pub fn mode(&self) -> Mode {
-        self.mode
     }
 
     /// Current value of the global version clock.
@@ -447,7 +424,6 @@ impl Default for StmDomain {
 impl std::fmt::Debug for StmDomain {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("StmDomain")
-            .field("mode", &self.mode)
             .field("clock", &self.clock())
             .field("orecs", &self.orecs.len())
             .finish()
@@ -477,7 +453,7 @@ mod tests {
 
     #[test]
     fn orec_index_in_range_and_deterministic() {
-        let d = StmDomain::with_config(Mode::WriteBack, 4);
+        let d = StmDomain::with_orec_bits(4);
         for addr in (0..4096usize).step_by(8) {
             let i = d.orec_index(addr);
             assert!((i as usize) < d.orec_count());
@@ -513,7 +489,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "orec_bits")]
     fn rejects_zero_orec_bits() {
-        let _ = StmDomain::with_config(Mode::WriteBack, 0);
+        let _ = StmDomain::with_orec_bits(0);
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //! Substrate crate for the Leap-List reproduction (PODC 2013). The paper
 //! implements Leap-List on top of GCC 4.7's experimental transactional
 //! memory (GCC-TM), a word-based STM whose default configuration is
-//! *weakly isolated* and *write-through*. This crate rebuilds that
-//! programming model in Rust:
+//! *weakly isolated* and *write-through*. This crate keeps that
+//! programming model — transactional and naked access to the same words —
+//! on a TL2-style write-back engine instead:
 //!
 //! * [`TVar<T>`] — a transactional word (any [`Word`]-sized value: integers,
 //!   booleans, tagged pointers). Supports both *instrumented* access inside
@@ -12,15 +13,14 @@
 //!   Consistency-Oblivious Programming (COP) traversals use.
 //! * [`StmDomain`] — a transactional domain: a global version clock plus a
 //!   striped table of versioned write-locks (ownership records, "orecs").
-//! * [`Txn`] — a transaction. Two commit strategies, selected per domain:
-//!   - [`Mode::WriteBack`] (default): TL2-style lazy versioning. Writes are
-//!     buffered and published at commit while holding the orec locks.
-//!     Naked readers can never observe tentative data (strong isolation
-//!     for uninstrumented reads).
-//!   - [`Mode::WriteThrough`]: GCC-TM-style eager versioning with an undo
-//!     log and encounter-time locking. Naked readers *can* observe
-//!     tentative data — precisely the weak-isolation hazard that motivates
-//!     the paper's marked-pointer protocol.
+//! * [`Txn`] — a transaction with TL2-style lazy versioning. Reads are
+//!   validated against the orecs and the read snapshot is extended lazily;
+//!   writes are buffered and published at commit while the orec locks are
+//!   held. Naked readers therefore never observe tentative data, which is
+//!   stronger than GCC-TM's write-through weak isolation: the paper's
+//!   marked-pointer protocol is still what makes a naked traversal
+//!   consistent, but it never has to step around another transaction's
+//!   uncommitted store.
 //! * [`atomically`] — a retry loop with bounded exponential backoff.
 //! * [`with_retry_budget`] — bounds every retry loop inside a call
 //!   (including hand-rolled ones) by a [`RetryPolicy`] (deadline and/or
@@ -72,7 +72,7 @@ mod txn;
 mod word;
 
 pub use domain::{
-    Mode, SnapshotPin, StmDomain, StmFaultHook, StmFaultPoint, WiringTicket, DEFAULT_OREC_BITS,
+    SnapshotPin, StmDomain, StmFaultHook, StmFaultPoint, WiringTicket, DEFAULT_OREC_BITS,
 };
 pub use recorder::StmRecorder;
 pub use retry::{atomically, with_retry_budget, Backoff, RetryPolicy, Timeout};

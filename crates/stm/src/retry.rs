@@ -267,7 +267,20 @@ pub fn with_retry_budget<R>(policy: RetryPolicy, f: impl FnOnce() -> R) -> Resul
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Mode, TVar};
+    use crate::{StmFaultPoint, TVar};
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
+
+    /// Attaches a fault hook that fails the next commit once `arm` is set,
+    /// then disarms itself.
+    fn fail_one_commit(d: &StmDomain) -> Arc<AtomicBool> {
+        let arm = Arc::new(AtomicBool::new(false));
+        let hook_arm = arm.clone();
+        assert!(d.set_fault_hook(Arc::new(move |p| {
+            p == StmFaultPoint::Commit && hook_arm.swap(false, Ordering::SeqCst)
+        })));
+        arm
+    }
 
     #[test]
     fn backoff_grows() {
@@ -291,34 +304,20 @@ mod tests {
 
     #[test]
     fn atomically_retries_until_commit() {
-        // Single-threaded determinism: force one failure by pre-locking the
-        // var's orec through a competing write-through transaction that we
-        // release from within the body on the second attempt.
-        let d = StmDomain::with_config(Mode::WriteThrough, 10);
+        // Single-threaded determinism: an injected commit-time conflict
+        // fails the first attempt, and the retry commits.
+        let d = StmDomain::with_orec_bits(10);
+        fail_one_commit(&d).store(true, Ordering::SeqCst);
         let v = TVar::new(0u64);
-        let mut blocker = Some({
-            let mut t = Txn::begin(&d);
-            t.write(&v, 99).unwrap();
-            t
-        });
         let mut calls = 0;
         atomically(&d, |tx| {
             calls += 1;
-            if calls == 1 {
-                // First attempt conflicts with the blocker...
-                let r = tx.write(&v, 1);
-                assert!(r.is_err());
-                r
-            } else {
-                // ...which we then abort so the retry can succeed.
-                if let Some(b) = blocker.take() {
-                    drop(b);
-                }
-                tx.write(&v, 1)
-            }
+            let x = tx.read(&v)?;
+            tx.write(&v, x + 1)
         });
-        assert!(calls >= 2);
-        assert_eq!(v.naked_load(), 1);
+        assert_eq!(calls, 2);
+        assert_eq!(v.naked_load(), 1, "the failed attempt published nothing");
+        assert_eq!(d.stats().conflict_commit_aborts, 1);
     }
 
     #[test]
@@ -399,15 +398,15 @@ mod tests {
     #[test]
     fn recorder_sees_per_txn_attempt_counts() {
         use crate::StmRecorder;
-        use std::sync::Arc;
 
-        let d = StmDomain::with_config(Mode::WriteThrough, 10);
+        let d = StmDomain::with_orec_bits(10);
         let retries = Arc::new(leap_obs::Histogram::new());
         assert!(d.set_recorder(StmRecorder::new(retries.clone())));
         assert!(
             !d.set_recorder(StmRecorder::new(retries.clone())),
             "second attach is refused"
         );
+        let fail_next = fail_one_commit(&d);
 
         let v = TVar::new(0u64);
         // First-try success.
@@ -415,24 +414,9 @@ mod tests {
             let x = tx.read(&v)?;
             tx.write(&v, x + 1)
         });
-        // One forced retry: a blocker holds v's orec on the first attempt.
-        let mut blocker = Some({
-            let mut t = Txn::begin(&d);
-            t.write(&v, 99).unwrap();
-            t
-        });
-        let mut calls = 0;
-        atomically(&d, |tx| {
-            calls += 1;
-            if calls == 1 {
-                tx.write(&v, 1)
-            } else {
-                if let Some(b) = blocker.take() {
-                    drop(b);
-                }
-                tx.write(&v, 1)
-            }
-        });
+        // One forced retry: the first commit attempt fails.
+        fail_next.store(true, Ordering::SeqCst);
+        atomically(&d, |tx| tx.write(&v, 1));
         let s = retries.snapshot();
         assert_eq!(s.count, 2, "two successful transactions recorded");
         assert_eq!(s.quantile_permille(1), 1, "one committed first try");

@@ -1,6 +1,5 @@
 //! Transactional variables.
 
-use crate::domain::{orec_is_locked, StmDomain};
 use crate::word::Word;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -39,8 +38,8 @@ impl<T: Word> TVar<T> {
     /// Uninstrumented atomic load (acquire ordering).
     ///
     /// This is the access used by the read-only prefix of a COP operation:
-    /// no orec is consulted, so under a [write-through
-    /// domain](crate::Mode::WriteThrough) the value may be tentative.
+    /// no orec is consulted. Transactions publish their writes only at
+    /// commit, so the value is always a committed one.
     #[inline]
     pub fn naked_load(&self) -> T {
         T::from_word(self.cell.load(Ordering::Acquire))
@@ -73,24 +72,6 @@ impl<T: Word> TVar<T> {
             )
             .map(T::from_word)
             .map_err(T::from_word)
-    }
-
-    /// A single-location read transaction (the alternative the paper
-    /// explored for HTM): loops until it observes a value with a stable,
-    /// unlocked orec. Unlike [`TVar::naked_load`], the result is never
-    /// tentative, even in write-through mode.
-    pub fn read_single(&self, domain: &StmDomain) -> T {
-        let idx = domain.orec_index(self.addr());
-        loop {
-            let o1 = domain.orec_load(idx);
-            if !orec_is_locked(o1) {
-                let v = self.cell.load(Ordering::Acquire);
-                if domain.orec_load(idx) == o1 {
-                    return T::from_word(v);
-                }
-            }
-            std::hint::spin_loop();
-        }
     }
 
     #[inline]
@@ -134,13 +115,6 @@ mod tests {
         assert_eq!(v.naked_load().as_ptr(), node);
         // SAFETY: the test owns `node`; freed exactly once.
         drop(unsafe { Box::from_raw(node) });
-    }
-
-    #[test]
-    fn read_single_returns_committed_value() {
-        let d = StmDomain::new();
-        let v = TVar::new(123u64);
-        assert_eq!(v.read_single(&d), 123);
     }
 
     #[test]

@@ -1,6 +1,6 @@
-//! Transactions: TL2-style write-back and GCC-TM-style write-through.
+//! Transactions: TL2-style write-back.
 
-use crate::domain::{orec_is_locked, orec_version, Mode, StmDomain, StmFaultPoint};
+use crate::domain::{orec_is_locked, orec_version, StmDomain, StmFaultPoint};
 use crate::tvar::TVar;
 use crate::word::Word;
 use std::cell::Cell;
@@ -40,16 +40,6 @@ struct WriteEntry {
     cell: *const AtomicUsize,
     val: usize,
     orec: u32,
-}
-
-struct WtLock {
-    orec: u32,
-    old: u64,
-}
-
-struct UndoEntry {
-    cell: *const AtomicUsize,
-    old: usize,
 }
 
 /// How many times commit spins on a locked orec before giving up.
@@ -111,8 +101,7 @@ impl Sets {
 /// An in-flight transaction on some [`StmDomain`].
 ///
 /// Create with [`Txn::begin`], finish with [`Txn::commit`]. Dropping a
-/// transaction without committing rolls it back (relevant in
-/// [write-through](Mode::WriteThrough) mode, where writes are eager).
+/// transaction without committing discards its buffered writes.
 ///
 /// The paper's operations use hand-written retry loops around `begin` /
 /// `commit` because the non-transactional COP prefix must also be
@@ -143,8 +132,6 @@ pub struct Txn<'d> {
     /// Read set, write set and commit lock list (`(orec, pre-lock word)`,
     /// sorted by orec), pooled per thread; handed back by `Drop` only.
     sets: ManuallyDrop<Box<Sets>>,
-    wt_locks: Vec<WtLock>,
-    undo: Vec<UndoEntry>,
     completed: bool,
     explicit: bool,
     poisoned: bool,
@@ -161,8 +148,6 @@ impl<'d> Txn<'d> {
             domain,
             rv: domain.clock_load(),
             sets: ManuallyDrop::new(Sets::take()),
-            wt_locks: Vec::new(),
-            undo: Vec::new(),
             completed: false,
             explicit: false,
             poisoned: false,
@@ -189,14 +174,9 @@ impl<'d> Txn<'d> {
         Abort::Conflict
     }
 
-    fn is_my_wt_lock(&self, orec: u32) -> bool {
-        self.wt_locks.iter().any(|l| l.orec == orec)
-    }
-
     /// Transactional read.
     ///
-    /// In write-back mode, returns the buffered value if this transaction
-    /// already wrote `var`. The borrow of `var` must outlive the
+    /// Returns the buffered value if this transaction already wrote `var`. The borrow of `var` must outlive the
     /// transaction's lifetime `'d` — in the Leap-List this is guaranteed by
     /// epoch pinning.
     ///
@@ -210,17 +190,11 @@ impl<'d> Txn<'d> {
             return Err(Abort::Conflict);
         }
         let addr = var.addr();
-        if self.domain.mode() == Mode::WriteBack {
-            // Read-after-write: serve from the redo buffer.
-            if let Some(e) = self.sets.write.iter().rev().find(|e| e.addr == addr) {
-                return Ok(T::from_word(e.val));
-            }
+        // Read-after-write: serve from the redo buffer.
+        if let Some(e) = self.sets.write.iter().rev().find(|e| e.addr == addr) {
+            return Ok(T::from_word(e.val));
         }
         let oi = self.domain.orec_index(addr);
-        if self.domain.mode() == Mode::WriteThrough && self.is_my_wt_lock(oi) {
-            // We own the stripe: the in-place value is ours and stable.
-            return Ok(T::from_word(var.cell.load(Ordering::Acquire)));
-        }
         let o1 = self.domain.orec_load(oi);
         if orec_is_locked(o1) {
             return Err(self.conflict());
@@ -241,63 +215,29 @@ impl<'d> Txn<'d> {
         Ok(T::from_word(v))
     }
 
-    /// Transactional write.
-    ///
-    /// Write-back buffers the value until commit; write-through locks the
-    /// ownership record, logs the old value and stores in place (naked
-    /// readers may observe it before commit — GCC-TM's weak isolation).
+    /// Transactional write: buffers the value until commit, so no other
+    /// thread, naked or transactional, sees it before then.
     ///
     /// # Errors
     ///
-    /// [`Abort::Conflict`] under contention on `var`'s ownership record.
+    /// [`Abort::Conflict`] if the transaction is already poisoned.
     pub fn write<T: Word>(&mut self, var: &'d TVar<T>, value: T) -> TxResult<()> {
         if self.poisoned {
             return Err(Abort::Conflict);
         }
         let addr = var.addr();
-        let oi = self.domain.orec_index(addr);
-        match self.domain.mode() {
-            Mode::WriteBack => {
-                let val = value.to_word();
-                if let Some(e) = self.sets.write.iter_mut().find(|e| e.addr == addr) {
-                    e.val = val;
-                } else {
-                    self.sets.write.push(WriteEntry {
-                        addr,
-                        cell: &var.cell,
-                        val,
-                        orec: oi,
-                    });
-                }
-                Ok(())
-            }
-            Mode::WriteThrough => {
-                if !self.is_my_wt_lock(oi) {
-                    let o = self.domain.orec_load(oi);
-                    if orec_is_locked(o) {
-                        return Err(self.conflict());
-                    }
-                    if orec_version(o) > self.rv {
-                        self.extend()?;
-                        if orec_version(o) > self.rv {
-                            return Err(self.conflict());
-                        }
-                    }
-                    if !self.domain.orec_try_lock(oi, o) {
-                        return Err(self.conflict());
-                    }
-                    self.wt_locks.push(WtLock { orec: oi, old: o });
-                }
-                self.undo.push(UndoEntry {
-                    cell: &var.cell,
-                    // ORDERING: we hold this stripe's orec lock, so the cell
-                    // cannot change under us; a plain read suffices.
-                    old: var.cell.load(Ordering::Relaxed),
-                });
-                var.cell.store(value.to_word(), Ordering::Release);
-                Ok(())
-            }
+        let val = value.to_word();
+        if let Some(e) = self.sets.write.iter_mut().find(|e| e.addr == addr) {
+            e.val = val;
+        } else {
+            self.sets.write.push(WriteEntry {
+                addr,
+                cell: &var.cell,
+                val,
+                orec: self.domain.orec_index(addr),
+            });
         }
+        Ok(())
     }
 
     /// Attempts to move the read snapshot forward (lazy snapshot extension):
@@ -306,11 +246,7 @@ impl<'d> Txn<'d> {
         let new_rv = self.domain.clock_load();
         for &oi in &self.sets.read {
             let o = self.domain.orec_load(oi);
-            if orec_is_locked(o) {
-                if !self.is_my_wt_lock(oi) {
-                    return Err(self.conflict());
-                }
-            } else if orec_version(o) > self.rv {
+            if orec_is_locked(o) || orec_version(o) > self.rv {
                 return Err(self.conflict());
             }
         }
@@ -365,22 +301,15 @@ impl<'d> Txn<'d> {
     /// [`Abort::Conflict`] exactly as [`Txn::commit`].
     pub fn commit_stamped(mut self) -> Result<u64, Abort> {
         if self.poisoned {
-            // Drop impl performs the rollback and stats accounting.
+            // The Drop impl discards the writes and counts the abort.
             return Err(Abort::Conflict);
         }
         if self.domain.fault_fires(StmFaultPoint::Commit) {
-            // Injected commit-time conflict: the Drop impl rolls back and
-            // attributes the abort like any other commit conflict.
+            // Injected commit-time conflict: the Drop impl discards the
+            // writes and attributes the abort like any other commit conflict.
             self.commit_conflict = true;
             return Err(Abort::Conflict);
         }
-        match self.domain.mode() {
-            Mode::WriteBack => self.commit_wb(),
-            Mode::WriteThrough => self.commit_wt(),
-        }
-    }
-
-    fn commit_wb(&mut self) -> Result<u64, Abort> {
         if self.sets.write.is_empty() {
             self.completed = true;
             self.domain
@@ -443,47 +372,6 @@ impl<'d> Txn<'d> {
         Ok(wv)
     }
 
-    fn commit_wt(&mut self) -> Result<u64, Abort> {
-        if self.wt_locks.is_empty() {
-            self.completed = true;
-            self.domain
-                .stats
-                .read_only_commits
-                // ORDERING: monotonic stat counter; no publication rides on it.
-                .fetch_add(1, Ordering::Relaxed);
-            return Ok(self.rv);
-        }
-        let wv = self.domain.clock_bump();
-        let mut mine: Vec<(u32, u64)> = self.wt_locks.iter().map(|l| (l.orec, l.old)).collect();
-        mine.sort_unstable_by_key(|(oi, _)| *oi);
-        if self.rv + 1 != wv && !self.validate_reads(&mine) {
-            self.rollback_wt();
-            self.commit_conflict = true;
-            self.record_abort();
-            return Err(Abort::Conflict);
-        }
-        for l in &self.wt_locks {
-            self.domain.orec_unlock_to(l.orec, wv);
-        }
-        self.wt_locks.clear();
-        self.undo.clear();
-        self.completed = true;
-        // ORDERING: monotonic stat counter; no publication rides on it.
-        self.domain.stats.commits.fetch_add(1, Ordering::Relaxed);
-        Ok(wv)
-    }
-
-    /// Undoes in-place writes (reverse order) and restores orec words.
-    fn rollback_wt(&mut self) {
-        for u in self.undo.drain(..).rev() {
-            // SAFETY: same liveness argument as in `commit_wb`.
-            unsafe { (*u.cell).store(u.old, Ordering::Release) };
-        }
-        for l in self.wt_locks.drain(..) {
-            self.domain.orec_restore(l.orec, l.old);
-        }
-    }
-
     fn record_abort(&mut self) {
         self.completed = true;
         let (ctr, cause) = if self.explicit {
@@ -516,7 +404,6 @@ impl<'d> Txn<'d> {
 impl Drop for Txn<'_> {
     fn drop(&mut self) {
         if !self.completed {
-            self.rollback_wt();
             self.record_abort();
         }
         // SAFETY: `sets` is taken once, here, and `self` is never used
@@ -531,7 +418,6 @@ impl std::fmt::Debug for Txn<'_> {
             .field("rv", &self.rv)
             .field("reads", &self.sets.read.len())
             .field("writes", &self.sets.write.len())
-            .field("wt_locks", &self.wt_locks.len())
             .finish()
     }
 }
@@ -539,86 +425,44 @@ impl std::fmt::Debug for Txn<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::domain::Mode;
 
-    fn both_modes() -> Vec<StmDomain> {
-        vec![
-            StmDomain::with_config(Mode::WriteBack, 10),
-            StmDomain::with_config(Mode::WriteThrough, 10),
-        ]
+    fn domain() -> StmDomain {
+        StmDomain::with_orec_bits(10)
     }
 
     #[test]
     fn read_own_write() {
-        for d in both_modes() {
-            let v = TVar::new(1u64);
-            let mut tx = Txn::begin(&d);
-            tx.write(&v, 5).unwrap();
-            assert_eq!(tx.read(&v).unwrap(), 5, "mode {:?}", d.mode());
-            tx.commit().unwrap();
-            assert_eq!(v.naked_load(), 5);
-        }
+        let d = domain();
+        let v = TVar::new(1u64);
+        let mut tx = Txn::begin(&d);
+        tx.write(&v, 5).unwrap();
+        assert_eq!(tx.read(&v).unwrap(), 5);
+        tx.commit().unwrap();
+        assert_eq!(v.naked_load(), 5);
     }
 
     #[test]
     fn write_skew_on_same_var_is_detected() {
-        for d in both_modes() {
-            let v = TVar::new(0u64);
-            let mut t1 = Txn::begin(&d);
-            let _ = t1.read(&v).unwrap();
-
-            // t2 commits an update to v while t1 is live.
-            let mut t2 = Txn::begin(&d);
-            let x = t2.read(&v).unwrap();
-            t2.write(&v, x + 1).unwrap();
-            t2.commit().unwrap();
-
-            // t1 read v before t2's commit; writing based on it must fail.
-            let r = t1.write(&v, 99).and_then(|_| t1.commit());
-            assert_eq!(r, Err(Abort::Conflict), "mode {:?}", d.mode());
-            assert_eq!(v.naked_load(), 1, "t1 must not clobber t2's update");
-        }
-    }
-
-    #[test]
-    fn wt_write_write_conflict_immediate() {
-        let d = StmDomain::with_config(Mode::WriteThrough, 10);
+        let d = domain();
         let v = TVar::new(0u64);
         let mut t1 = Txn::begin(&d);
-        t1.write(&v, 1).unwrap();
-        let mut t2 = Txn::begin(&d);
-        assert_eq!(t2.write(&v, 2), Err(Abort::Conflict));
-        t1.commit().unwrap();
-        assert_eq!(v.naked_load(), 1);
-    }
+        let _ = t1.read(&v).unwrap();
 
-    #[test]
-    fn wt_read_of_locked_var_conflicts() {
-        let d = StmDomain::with_config(Mode::WriteThrough, 10);
-        let v = TVar::new(0u64);
-        let mut t1 = Txn::begin(&d);
-        t1.write(&v, 1).unwrap();
+        // t2 commits an update to v while t1 is live.
         let mut t2 = Txn::begin(&d);
-        assert_eq!(t2.read(&v), Err(Abort::Conflict));
-        drop(t1); // rollback
-        assert_eq!(v.naked_load(), 0, "rollback must restore the old value");
-    }
+        let x = t2.read(&v).unwrap();
+        t2.write(&v, x + 1).unwrap();
+        t2.commit().unwrap();
 
-    #[test]
-    fn wt_naked_reader_sees_tentative_then_rollback() {
-        let d = StmDomain::with_config(Mode::WriteThrough, 10);
-        let v = TVar::new(7u64);
-        let mut t1 = Txn::begin(&d);
-        t1.write(&v, 1234).unwrap();
-        // Weak isolation: tentative value visible to naked reads.
-        assert_eq!(v.naked_load(), 1234);
-        drop(t1);
-        assert_eq!(v.naked_load(), 7);
+        // t1 read v before t2's commit; writing based on it must fail.
+        let r = t1.write(&v, 99).and_then(|_| t1.commit());
+        assert_eq!(r, Err(Abort::Conflict));
+        assert_eq!(v.naked_load(), 1, "t1 must not clobber t2's update");
     }
 
     #[test]
     fn wb_naked_reader_never_sees_uncommitted() {
-        let d = StmDomain::with_config(Mode::WriteBack, 10);
+        let d = domain();
         let v = TVar::new(7u64);
         let mut t1 = Txn::begin(&d);
         t1.write(&v, 1234).unwrap();
@@ -629,199 +473,191 @@ mod tests {
 
     #[test]
     fn snapshot_extension_allows_reading_newer_vars() {
-        for d in both_modes() {
-            let a = TVar::new(0u64);
-            let b = TVar::new(0u64);
-            let mut t1 = Txn::begin(&d);
-            // Another transaction commits to b after t1 began.
-            let mut t2 = Txn::begin(&d);
-            t2.write(&b, 42).unwrap();
-            t2.commit().unwrap();
-            // t1 has an empty read set, so extension succeeds.
-            assert_eq!(t1.read(&b).unwrap(), 42, "mode {:?}", d.mode());
-            assert_eq!(t1.read(&a).unwrap(), 0);
-            t1.commit().unwrap();
-        }
+        let d = domain();
+        let a = TVar::new(0u64);
+        let b = TVar::new(0u64);
+        let mut t1 = Txn::begin(&d);
+        // Another transaction commits to b after t1 began.
+        let mut t2 = Txn::begin(&d);
+        t2.write(&b, 42).unwrap();
+        t2.commit().unwrap();
+        // t1 has an empty read set, so extension succeeds.
+        assert_eq!(t1.read(&b).unwrap(), 42);
+        assert_eq!(t1.read(&a).unwrap(), 0);
+        t1.commit().unwrap();
     }
 
     #[test]
     fn snapshot_extension_fails_when_reads_are_stale() {
-        for d in both_modes() {
-            let a = TVar::new(0u64);
-            let b = TVar::new(0u64);
-            let mut t1 = Txn::begin(&d);
-            assert_eq!(t1.read(&a).unwrap(), 0);
-            // t2 commits to BOTH a and b: t1's read of a is now stale.
-            let mut t2 = Txn::begin(&d);
-            t2.write(&a, 1).unwrap();
-            t2.write(&b, 1).unwrap();
-            t2.commit().unwrap();
-            assert_eq!(
-                t1.read(&b),
-                Err(Abort::Conflict),
-                "mode {:?}: extension must fail, a changed",
-                d.mode()
-            );
-        }
+        let d = domain();
+        let a = TVar::new(0u64);
+        let b = TVar::new(0u64);
+        let mut t1 = Txn::begin(&d);
+        assert_eq!(t1.read(&a).unwrap(), 0);
+        // t2 commits to BOTH a and b: t1's read of a is now stale.
+        let mut t2 = Txn::begin(&d);
+        t2.write(&a, 1).unwrap();
+        t2.write(&b, 1).unwrap();
+        t2.commit().unwrap();
+        assert_eq!(
+            t1.read(&b),
+            Err(Abort::Conflict),
+            "extension must fail, a changed"
+        );
     }
 
     #[test]
     fn explicit_abort_counts_and_poisons() {
-        for d in both_modes() {
-            let v = TVar::new(0u64);
-            let mut tx = Txn::begin(&d);
-            tx.write(&v, 9).unwrap();
-            let a = tx.explicit_abort();
-            assert_eq!(a, Abort::Explicit);
-            assert_eq!(tx.read(&v), Err(Abort::Conflict), "poisoned tx");
-            drop(tx);
-            assert_eq!(v.naked_load(), 0, "mode {:?}", d.mode());
-            assert_eq!(d.stats().explicit_aborts, 1);
-        }
+        let d = domain();
+        let v = TVar::new(0u64);
+        let mut tx = Txn::begin(&d);
+        tx.write(&v, 9).unwrap();
+        let a = tx.explicit_abort();
+        assert_eq!(a, Abort::Explicit);
+        assert_eq!(tx.read(&v), Err(Abort::Conflict), "poisoned tx");
+        drop(tx);
+        assert_eq!(v.naked_load(), 0);
+        assert_eq!(d.stats().explicit_aborts, 1);
     }
 
     #[test]
     fn commit_stamped_returns_the_installed_version() {
-        for d in both_modes() {
-            let v = TVar::new(0u64);
-            let mut tx = Txn::begin(&d);
-            tx.write(&v, 1).unwrap();
-            let wv = tx.commit_stamped().unwrap();
-            assert_eq!(wv, d.clock(), "mode {:?}", d.mode());
-            // A second writing commit gets a strictly newer stamp.
-            let mut tx = Txn::begin(&d);
-            tx.write(&v, 2).unwrap();
-            let wv2 = tx.commit_stamped().unwrap();
-            assert!(wv2 > wv);
-            // Read-only commits return the read snapshot without bumping.
-            let clock = d.clock();
-            let mut tx = Txn::begin(&d);
-            assert_eq!(tx.read(&v).unwrap(), 2);
-            assert_eq!(tx.commit_stamped().unwrap(), clock);
-            assert_eq!(d.clock(), clock);
-        }
+        let d = domain();
+        let v = TVar::new(0u64);
+        let mut tx = Txn::begin(&d);
+        tx.write(&v, 1).unwrap();
+        let wv = tx.commit_stamped().unwrap();
+        assert_eq!(wv, d.clock());
+        // A second writing commit gets a strictly newer stamp.
+        let mut tx = Txn::begin(&d);
+        tx.write(&v, 2).unwrap();
+        let wv2 = tx.commit_stamped().unwrap();
+        assert!(wv2 > wv);
+        // Read-only commits return the read snapshot without bumping.
+        let clock = d.clock();
+        let mut tx = Txn::begin(&d);
+        assert_eq!(tx.read(&v).unwrap(), 2);
+        assert_eq!(tx.commit_stamped().unwrap(), clock);
+        assert_eq!(d.clock(), clock);
     }
 
     #[test]
     fn read_only_commit_counted() {
-        for d in both_modes() {
-            let v = TVar::new(3u64);
-            let mut tx = Txn::begin(&d);
-            assert_eq!(tx.read(&v).unwrap(), 3);
-            tx.commit().unwrap();
-            assert_eq!(d.stats().read_only_commits, 1);
-            assert_eq!(d.stats().commits, 0);
-        }
-    }
-
-    #[test]
-    fn wt_rollback_restores_multiple_writes_in_order() {
-        let d = StmDomain::with_config(Mode::WriteThrough, 10);
-        let v = TVar::new(1u64);
+        let d = domain();
+        let v = TVar::new(3u64);
         let mut tx = Txn::begin(&d);
-        tx.write(&v, 2).unwrap();
-        tx.write(&v, 3).unwrap();
-        assert_eq!(v.naked_load(), 3);
-        drop(tx);
-        assert_eq!(v.naked_load(), 1, "reverse-order undo must restore v=1");
+        assert_eq!(tx.read(&v).unwrap(), 3);
+        tx.commit().unwrap();
+        assert_eq!(d.stats().read_only_commits, 1);
+        assert_eq!(d.stats().commits, 0);
     }
 
     #[test]
     fn orec_collisions_are_safe() {
         // 2 orecs: nearly everything collides. Transactions must still be
         // serializable (no lost updates), just with more false conflicts.
-        for mode in [Mode::WriteBack, Mode::WriteThrough] {
-            let d = StmDomain::with_config(mode, 1);
-            let vars: Vec<TVar<u64>> = (0..8).map(|_| TVar::new(0)).collect();
-            for i in 0..64u64 {
-                let vi = (i % 8) as usize;
-                loop {
-                    let mut tx = Txn::begin(&d);
-                    let body = (|| {
-                        let x = tx.read(&vars[vi])?;
-                        tx.write(&vars[vi], x + 1)
-                    })();
-                    if body.is_ok() && tx.commit().is_ok() {
-                        break;
-                    }
+        let d = StmDomain::with_orec_bits(1);
+        let vars: Vec<TVar<u64>> = (0..8).map(|_| TVar::new(0)).collect();
+        for i in 0..64u64 {
+            let vi = (i % 8) as usize;
+            loop {
+                let mut tx = Txn::begin(&d);
+                let body = (|| {
+                    let x = tx.read(&vars[vi])?;
+                    tx.write(&vars[vi], x + 1)
+                })();
+                if body.is_ok() && tx.commit().is_ok() {
+                    break;
                 }
             }
-            let total: u64 = vars.iter().map(|v| v.naked_load()).sum();
-            assert_eq!(total, 64, "mode {mode:?}");
         }
+        let total: u64 = vars.iter().map(|v| v.naked_load()).sum();
+        assert_eq!(total, 64);
     }
 
     #[test]
     fn conflict_causes_are_attributed_read_vs_commit() {
-        for d in both_modes() {
-            let v = TVar::new(0u64);
+        let d = domain();
+        let v = TVar::new(0u64);
+        let mut t1 = Txn::begin(&d);
+        let _ = t1.read(&v).unwrap();
+        let mut t2 = Txn::begin(&d);
+        let x = t2.read(&v).unwrap();
+        t2.write(&v, x + 1).unwrap();
+        t2.commit().unwrap();
+        // t1's snapshot is stale; the buffered write goes through and the
+        // commit-time validation catches it.
+        let r = t1.write(&v, 99).and_then(|_| t1.commit());
+        assert_eq!(r, Err(Abort::Conflict));
 
-            // Encounter-time conflict: reading a var whose orec another
-            // live transaction holds (WT) or whose orec advanced past the
-            // snapshot mid-read is detected inside the body.
-            let mut t1 = Txn::begin(&d);
-            let _ = t1.read(&v).unwrap();
-            let mut t2 = Txn::begin(&d);
-            let x = t2.read(&v).unwrap();
-            t2.write(&v, x + 1).unwrap();
-            t2.commit().unwrap();
-            // t1's snapshot is stale; its write-then-commit must abort.
-            // In WT mode the conflict surfaces at the write (encounter
-            // time); in WB mode at commit validation.
-            let r = t1.write(&v, 99).and_then(|_| t1.commit());
-            assert_eq!(r, Err(Abort::Conflict), "mode {:?}", d.mode());
+        let s = d.stats();
+        assert_eq!(
+            s.conflict_aborts,
+            s.conflict_read_aborts + s.conflict_commit_aborts,
+            "sum invariant"
+        );
+        assert_eq!(s.conflict_aborts, 1);
+        assert_eq!(
+            s.conflict_commit_aborts, 1,
+            "stale reads are detected at commit validation"
+        );
+    }
 
-            let s = d.stats();
-            assert_eq!(
-                s.conflict_aborts,
-                s.conflict_read_aborts + s.conflict_commit_aborts,
-                "mode {:?}: sum invariant",
-                d.mode()
-            );
-            assert_eq!(s.conflict_aborts, 1, "mode {:?}", d.mode());
-            match d.mode() {
-                Mode::WriteBack => assert_eq!(
-                    s.conflict_commit_aborts, 1,
-                    "WB detects stale reads at commit validation"
-                ),
-                Mode::WriteThrough => assert_eq!(
-                    s.conflict_read_aborts, 1,
-                    "WT detects the stale snapshot at the write"
-                ),
-            }
+    /// Holds `var`'s orec locked, as a committing writer would, until
+    /// dropped.
+    struct OrecHold<'d> {
+        domain: &'d StmDomain,
+        idx: u32,
+        old: u64,
+    }
+
+    impl<'d> OrecHold<'d> {
+        fn lock<T: Word>(domain: &'d StmDomain, var: &TVar<T>) -> Self {
+            let idx = domain.orec_index(var.addr());
+            let old = domain.orec_load(idx);
+            assert!(domain.orec_try_lock(idx, old));
+            OrecHold { domain, idx, old }
+        }
+    }
+
+    impl Drop for OrecHold<'_> {
+        fn drop(&mut self) {
+            self.domain.orec_restore(self.idx, self.old);
         }
     }
 
     #[test]
     fn encounter_conflicts_count_as_read_aborts() {
-        let d = StmDomain::with_config(Mode::WriteThrough, 10);
+        let d = domain();
         let v = TVar::new(0u64);
-        let mut t1 = Txn::begin(&d);
-        t1.write(&v, 1).unwrap();
+        let hold = OrecHold::lock(&d, &v);
         let mut t2 = Txn::begin(&d);
         assert_eq!(t2.read(&v), Err(Abort::Conflict), "orec is locked");
         drop(t2);
         let s = d.stats();
         assert_eq!(s.conflict_read_aborts, 1);
         assert_eq!(s.conflict_commit_aborts, 0);
-        t1.commit().unwrap();
+        drop(hold);
+        let mut t3 = Txn::begin(&d);
+        t3.write(&v, 1).unwrap();
+        t3.commit().unwrap();
     }
 
     #[test]
     fn commit_after_poison_fails_and_rolls_back() {
-        let d = StmDomain::with_config(Mode::WriteThrough, 10);
+        let d = domain();
         let v = TVar::new(5u64);
         let w = TVar::new(5u64);
         let mut t1 = Txn::begin(&d);
         t1.write(&v, 6).unwrap();
-        // Force a conflict: another tx owns w.
-        let mut t2 = Txn::begin(&d);
-        t2.write(&w, 7).unwrap();
-        assert_eq!(t1.write(&w, 8), Err(Abort::Conflict));
+        // Force a conflict: a committing writer holds w's orec.
+        let hold = OrecHold::lock(&d, &w);
+        assert_eq!(t1.read(&w), Err(Abort::Conflict));
+        drop(hold);
+        assert_eq!(t1.write(&w, 8), Err(Abort::Conflict), "poisoned t1");
         assert_eq!(t1.commit(), Err(Abort::Conflict));
-        t2.commit().unwrap();
-        assert_eq!(v.naked_load(), 5, "poisoned t1 must roll back v");
-        assert_eq!(w.naked_load(), 7);
+        assert_eq!(v.naked_load(), 5, "poisoned t1 must not publish v");
+        assert_eq!(w.naked_load(), 5);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Property-based tests: transactional execution must agree with a
 //! sequential model, and aborted transactions must leave no trace.
 
-use leap_stm::{Abort, Mode, StmDomain, TVar, Txn};
+use leap_stm::{Abort, StmDomain, TVar, Txn};
 use proptest::prelude::*;
 
 const N_VARS: usize = 6;
@@ -60,8 +60,8 @@ fn run_model(scripts: &[TxnScript]) -> Vec<u64> {
 
 /// Runs the same script through real transactions (single-threaded, so
 /// there are no conflicts; commits must all succeed).
-fn run_stm(scripts: &[TxnScript], mode: Mode) -> Vec<u64> {
-    let domain = StmDomain::with_config(mode, 10);
+fn run_stm(scripts: &[TxnScript]) -> Vec<u64> {
+    let domain = StmDomain::with_orec_bits(10);
     let vars: Vec<TVar<u64>> = (0..N_VARS).map(|_| TVar::new(0)).collect();
     for s in scripts {
         let mut tx = Txn::begin(&domain);
@@ -94,27 +94,14 @@ proptest! {
 
     #[test]
     fn write_back_matches_sequential_model(scripts in script_strategy()) {
-        prop_assert_eq!(run_stm(&scripts, Mode::WriteBack), run_model(&scripts));
-    }
-
-    #[test]
-    fn write_through_matches_sequential_model(scripts in script_strategy()) {
-        prop_assert_eq!(run_stm(&scripts, Mode::WriteThrough), run_model(&scripts));
-    }
-
-    #[test]
-    fn modes_agree_with_each_other(scripts in script_strategy()) {
-        prop_assert_eq!(
-            run_stm(&scripts, Mode::WriteBack),
-            run_stm(&scripts, Mode::WriteThrough)
-        );
+        prop_assert_eq!(run_stm(&scripts), run_model(&scripts));
     }
 
     #[test]
     fn tiny_orec_table_matches_model(scripts in script_strategy()) {
         // Orec collisions galore: correctness must be unaffected
         // single-threaded (collisions only matter across transactions).
-        let domain = StmDomain::with_config(Mode::WriteBack, 1);
+        let domain = StmDomain::with_orec_bits(1);
         let vars: Vec<TVar<u64>> = (0..N_VARS).map(|_| TVar::new(0)).collect();
         for s in &scripts {
             let mut tx = Txn::begin(&domain);

@@ -206,10 +206,9 @@ mod tests {
 
     #[test]
     fn sequential_ops_behave_like_the_store() {
-        let store = Arc::new(LeapStore::<u64>::new(StoreConfig::new(
-            4,
-            Partitioning::Hash,
-        )));
+        let store = Arc::new(LeapStore::<u64>::new(
+            StoreConfig::new(4, Partitioning::Range).with_key_space(100),
+        ));
         let b = Batcher::new(store.clone());
         assert_eq!(b.try_put(1, 10), Ok(None));
         assert_eq!(b.try_put(1, 11), Ok(Some(10)));
@@ -225,10 +224,9 @@ mod tests {
 
     #[test]
     fn reserved_key_panic_does_not_wedge_the_batcher() {
-        let store = Arc::new(LeapStore::<u64>::new(StoreConfig::new(
-            2,
-            Partitioning::Hash,
-        )));
+        let store = Arc::new(LeapStore::<u64>::new(
+            StoreConfig::new(2, Partitioning::Range).with_key_space(100),
+        ));
         let b = Arc::new(Batcher::new(store.clone()).with_admission(1));
         let panicked = {
             let b = b.clone();
@@ -247,10 +245,9 @@ mod tests {
 
     #[test]
     fn admission_refuses_ops_at_the_bound() {
-        let store = Arc::new(LeapStore::<u64>::new(StoreConfig::new(
-            2,
-            Partitioning::Hash,
-        )));
+        let store = Arc::new(LeapStore::<u64>::new(
+            StoreConfig::new(2, Partitioning::Range).with_key_space(100),
+        ));
         let b = Batcher::new(store.clone()).with_admission(1);
         // Plant an in-flight op (as if its thread were inside the store):
         // the gate sits at the bound, so the next arrival is shed at the
@@ -283,7 +280,9 @@ mod tests {
             .always(FaultPoint::Admission)
             .with_budget(FaultPoint::Admission, 1);
         let store = Arc::new(LeapStore::<u64>::new(
-            StoreConfig::new(2, Partitioning::Hash).with_faults(plan),
+            StoreConfig::new(2, Partitioning::Range)
+                .with_key_space(100)
+                .with_faults(plan),
         ));
         let b = Batcher::new(store.clone());
         // The first admission hits the injected fault: the op never runs,
@@ -300,10 +299,9 @@ mod tests {
 
     #[test]
     fn concurrent_ops_all_land() {
-        let store = Arc::new(LeapStore::<u64>::new(StoreConfig::new(
-            8,
-            Partitioning::Hash,
-        )));
+        let store = Arc::new(LeapStore::<u64>::new(
+            StoreConfig::new(8, Partitioning::Range).with_key_space(800),
+        ));
         let b = Arc::new(Batcher::new(store.clone()));
         let threads = 4;
         let per = 200u64;
@@ -326,5 +324,7 @@ mod tests {
         }
         assert_eq!(b.stats().ops, threads * per);
         assert_eq!(b.in_flight.load(Ordering::Relaxed), 0);
+        let busy = store.stats().shards.iter().filter(|s| s.puts > 0).count();
+        assert_eq!(busy, 8, "the key space spreads the puts over every shard");
     }
 }

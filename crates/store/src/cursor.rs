@@ -160,8 +160,8 @@ pub struct SnapshotCursor<'a, V> {
     /// visible at the timestamp, with per-list clipped ranges.
     lists: Vec<Arc<LeapListLt<V>>>,
     clips: Vec<(u64, u64)>,
-    /// Whether merged pages interleave (hash placement or an overlay) and
-    /// need sorting.
+    /// Whether merged pages interleave (a migration overlay was in the
+    /// plan) and need sorting.
     sort: bool,
     hi: u64,
     /// Next key to resume from; `None` once exhausted.
@@ -293,29 +293,20 @@ impl<V: Clone + Send + Sync + 'static> LeapStore<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::router::Partitioning;
-    use crate::store::StoreConfig;
-    use leaplist::Params;
+    use crate::store::tests::{cfg, enter, Layout};
 
-    fn store(mode: Partitioning) -> LeapStore<u64> {
-        LeapStore::new(
-            StoreConfig::new(4, mode)
-                .with_key_space(1_000)
-                .with_params(Params {
-                    node_size: 4,
-                    max_level: 6,
-                    ..Params::default()
-                }),
-        )
+    fn store() -> LeapStore<u64> {
+        LeapStore::new(cfg(4))
     }
 
     #[test]
     fn pages_tile_the_range_in_both_modes() {
-        for mode in [Partitioning::Hash, Partitioning::Range] {
-            let s = store(mode);
+        for mode in [Layout::Settled, Layout::Migrating { at: 100 }] {
+            let s = store();
             for k in 0..150u64 {
                 s.put(k * 3, k);
             }
+            enter(&s, mode);
             for page_size in [1usize, 7, 64, 1_000] {
                 let mut seen = Vec::new();
                 let mut pages = 0;
@@ -333,7 +324,7 @@ mod tests {
 
     #[test]
     fn cursor_respects_bounds_and_resumes() {
-        let s = store(Partitioning::Range);
+        let s = store();
         for k in 0..50u64 {
             s.put(k, k);
         }
@@ -359,7 +350,7 @@ mod tests {
 
     #[test]
     fn cursor_sees_each_key_once_across_a_split() {
-        let s = store(Partitioning::Range);
+        let s = store();
         for k in 0..120u64 {
             s.put(k, k);
         }
@@ -382,17 +373,18 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one pair")]
     fn zero_page_size_rejected() {
-        let s = store(Partitioning::Hash);
+        let s = store();
         s.scan_pages(0, 10, 0);
     }
 
     #[test]
     fn snapshot_pages_ignore_later_writes_in_both_modes() {
-        for mode in [Partitioning::Hash, Partitioning::Range] {
-            let s = store(mode);
+        for mode in [Layout::Settled, Layout::Migrating { at: 20 }] {
+            let s = store();
             for k in 0..100u64 {
                 s.put(k, k);
             }
+            enter(&s, mode);
             let expected: Vec<_> = (0..100u64).map(|k| (k, k)).collect();
             let mut scan = s.scan_snapshot_pages(0, 999, 16);
             let mut seen = scan.next_page().expect("first page");
@@ -425,7 +417,7 @@ mod tests {
     /// still see every pre-pin key.
     #[test]
     fn snapshot_resume_key_survives_boundary_deletion() {
-        let s = store(Partitioning::Range);
+        let s = store();
         for k in 0..60u64 {
             s.put(k, k);
         }
@@ -455,7 +447,7 @@ mod tests {
     /// value, whether it moved before or after the pin.
     #[test]
     fn snapshot_pages_span_a_completing_migration() {
-        let s = store(Partitioning::Range);
+        let s = store();
         for k in 0..120u64 {
             s.put(k, k);
         }
@@ -483,7 +475,7 @@ mod tests {
 
     #[test]
     fn snapshot_cursor_reports_ts_and_empty_ranges() {
-        let s = store(Partitioning::Range);
+        let s = store();
         s.put(3, 30);
         let scan = s.scan_snapshot(10, 20);
         assert!(scan.ts() > 0, "commits moved the clock before the pin");
@@ -500,7 +492,7 @@ mod tests {
     /// model at its pin.
     #[test]
     fn snapshot_cursor_holder_can_reshard_without_waiting_on_itself() {
-        let s = store(Partitioning::Range);
+        let s = store();
         for k in 0..200u64 {
             s.put(k * 2, k);
         }

@@ -18,10 +18,9 @@
 //!   assembles per-shard snapshots *inside one transaction*
 //!   ([`leaplist::LeapListLt::range_query_group`]): the merged result is a
 //!   single consistent snapshot of the whole keyspace.
-//! * **Configurable placement** — [`Router`] supports hash and
-//!   contiguous-range partitioning; range mode lets a range query visit
-//!   only the overlapping shards.
-//! * **Live resharding** — range-mode placement is an epoch-versioned
+//! * **Contiguous placement** — [`Router`] gives each shard a contiguous
+//!   key interval, so a range query visits only the overlapping shards.
+//! * **Live resharding** — placement is an epoch-versioned
 //!   routing table ([`RoutingEpoch`]): [`LeapStore::split_shard`] /
 //!   [`LeapStore::merge_shards`] migrate key sub-ranges between shards in
 //!   bounded single-transaction chunks while reads and writes proceed,

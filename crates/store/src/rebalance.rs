@@ -42,7 +42,6 @@
 //! `migration_chunk` fault drops it before any lock is taken) leaves the
 //! frontier where it was, and the next step retries from there.
 
-use crate::router::Partitioning;
 use crate::store::LeapStore;
 use leap_fault::FaultPoint;
 use leap_obs::EventKind;
@@ -55,9 +54,6 @@ use std::time::Duration;
 /// Why a split, merge or rebalance step could not proceed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RebalanceError {
-    /// Hash partitioning scatters keys; there are no contiguous
-    /// sub-ranges to migrate.
-    HashPartitioning,
     /// A migration is already in flight; the store runs one at a time.
     MigrationInFlight,
     /// A shard index was out of bounds, or source equals destination.
@@ -77,7 +73,6 @@ pub enum RebalanceError {
 impl std::fmt::Display for RebalanceError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let msg = match self {
-            RebalanceError::HashPartitioning => "hash partitioning cannot be resharded",
             RebalanceError::MigrationInFlight => "a migration is already in flight",
             RebalanceError::BadShard => "shard index out of bounds or source == destination",
             RebalanceError::BadSplitKey => "split key outside the source shard's interval",
@@ -198,8 +193,7 @@ impl RebalancePolicy {
 /// What one [`LeapStore::rebalance_step`] call did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RebalanceAction {
-    /// Nothing to do: no migration in flight and the load is balanced
-    /// (or the store is hash-partitioned).
+    /// Nothing to do: no migration in flight and the load is balanced.
     Idle,
     /// Started splitting `shard` at key `at`; keys `>= at` will migrate
     /// into `dst`.
@@ -247,7 +241,7 @@ impl<V: Clone + Send + Sync + 'static> LeapStore<V> {
     /// inside the shard's owned interval) will migrate to a fresh slot,
     /// whose index is returned. The split is **online**: keys move in
     /// bounded chunks as [`LeapStore::rebalance_step`] is driven; reads
-    /// and writes proceed throughout. Range partitioning only.
+    /// and writes proceed throughout.
     pub fn split_shard(&self, shard: usize, at: u64) -> Result<usize, RebalanceError> {
         let _step = self
             .step_lock
@@ -257,9 +251,6 @@ impl<V: Clone + Send + Sync + 'static> LeapStore<V> {
     }
 
     fn split_locked(&self, shard: usize, at: u64) -> Result<usize, RebalanceError> {
-        if self.router().mode() != Partitioning::Range {
-            return Err(RebalanceError::HashPartitioning);
-        }
         if shard >= self.shards() {
             return Err(RebalanceError::BadShard);
         }
@@ -308,9 +299,6 @@ impl<V: Clone + Send + Sync + 'static> LeapStore<V> {
     }
 
     fn merge_locked(&self, src: usize, dst: usize) -> Result<(), RebalanceError> {
-        if self.router().mode() != Partitioning::Range {
-            return Err(RebalanceError::HashPartitioning);
-        }
         if src >= self.shards() || dst >= self.shards() {
             return Err(RebalanceError::BadShard);
         }
@@ -334,11 +322,10 @@ impl<V: Clone + Send + Sync + 'static> LeapStore<V> {
     /// * a migration in flight → move one chunk of it (`policy.chunk`
     ///   keys, one cross-list transaction), or complete it if its range
     ///   has drained;
-    /// * otherwise, under range partitioning → consult the
-    ///   [`RebalancePolicy`] against per-shard load scores (key counts
-    ///   plus a decaying op rate) and start a split of the hottest
-    ///   eligible shard or a merge of the coldest adjacent pair;
-    /// * otherwise → [`RebalanceAction::Idle`].
+    /// * otherwise → consult the [`RebalancePolicy`] against per-shard
+    ///   load scores (key counts plus a decaying op rate) and start a split
+    ///   of the hottest eligible shard or a merge of the coldest adjacent
+    ///   pair, or report [`RebalanceAction::Idle`] if neither is due.
     ///
     /// The load census therefore only runs with nothing in flight, when
     /// every key counts toward the shard that owns its interval.
@@ -353,10 +340,7 @@ impl<V: Clone + Send + Sync + 'static> LeapStore<V> {
         let inflight = self.router().pin().overlay().cloned();
         match inflight {
             Some(m) => self.drain_step(&m),
-            None => match self.router().mode() {
-                Partitioning::Range => self.policy_action().unwrap_or(RebalanceAction::Idle),
-                Partitioning::Hash => RebalanceAction::Idle,
-            },
+            None => self.policy_action().unwrap_or(RebalanceAction::Idle),
         }
     }
 
@@ -735,6 +719,7 @@ impl Drop for Rebalancer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::router::Partitioning;
     use crate::store::StoreConfig;
     use leaplist::Params;
 
@@ -744,7 +729,6 @@ mod tests {
             .with_params(Params {
                 node_size: 4,
                 max_level: 6,
-                ..Params::default()
             })
             .with_rebalancing(RebalancePolicy {
                 chunk: 16,
@@ -877,16 +861,6 @@ mod tests {
         );
         assert_eq!(store.merge_shards(9, 0), Err(RebalanceError::BadShard));
         assert_eq!(store.merge_shards(0, 9), Err(RebalanceError::BadShard));
-        let hash: LeapStore<u64> = LeapStore::new(StoreConfig::new(2, Partitioning::Hash));
-        assert_eq!(
-            hash.split_shard(0, 10),
-            Err(RebalanceError::HashPartitioning)
-        );
-        assert_eq!(
-            hash.merge_shards(0, 1),
-            Err(RebalanceError::HashPartitioning)
-        );
-        assert_eq!(hash.rebalance_step(), RebalanceAction::Idle);
         assert_eq!(store.split_shard(0, 100), Ok(2));
         let id = store.router().migration().expect("in flight").id;
         assert_eq!(
@@ -997,7 +971,6 @@ mod tests {
                 .with_params(Params {
                     node_size: 4,
                     max_level: 6,
-                    ..Params::default()
                 })
                 .with_rebalancing(RebalancePolicy {
                     chunk: 8,
@@ -1194,7 +1167,6 @@ mod tests {
                 .with_params(Params {
                     node_size: 4,
                     max_level: 6,
-                    ..Params::default()
                 })
                 .with_rebalancing(RebalancePolicy {
                     chunk: 16,

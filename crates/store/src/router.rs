@@ -41,21 +41,20 @@ use std::marker::PhantomData;
 use std::sync::atomic::{fence, AtomicPtr, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-/// How the keyspace is partitioned across shards.
+/// How the keyspace is partitioned across shards. The store has one
+/// layout, contiguous ranges, so this enum is kept for `benchmark/` only:
+/// it still passes `Partitioning::Range` to [`StoreConfig::new`].
+///
+/// [`StoreConfig::new`]: crate::StoreConfig::new
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Partitioning {
-    /// Keys scatter by a Fibonacci hash: uniform load under any key
-    /// distribution, but every range query must visit every shard and the
-    /// placement cannot be resharded (there are no contiguous sub-ranges
-    /// to migrate).
-    Hash,
     /// Contiguous slices of the keyspace: a range query visits only the
     /// shards whose slice overlaps it, at the cost of load skew when the
     /// workload is skewed — which live resharding repairs online.
     Range,
 }
 
-/// One version of the range-mode routing table: interval `i` is
+/// One version of the routing table: interval `i` is
 /// `[starts[i], starts[i+1])` (the last interval extends to the end of the
 /// keyspace) and is owned by shard slot `owners[i]`.
 ///
@@ -252,8 +251,7 @@ pub(crate) struct RoutingView<S> {
     /// Publish count: 0 for the construction-time view, +1 per swap.
     /// Doubles as the id source for migrations (unique, never reused).
     seq: u64,
-    mode: Partitioning,
-    /// Current routing table (range mode; hash mode routes arithmetically).
+    /// Current routing table.
     table: Arc<RoutingEpoch>,
     /// The in-flight migration, if any.
     overlay: Option<Arc<MigrationState>>,
@@ -282,15 +280,7 @@ impl<S> RoutingView<S> {
     /// The slot owning `key` **per the table** (an in-flight migration
     /// does not change ownership until it completes).
     pub(crate) fn owner_of(&self, key: u64) -> usize {
-        match self.mode {
-            Partitioning::Hash => {
-                // Fibonacci multiply then fold the high bits in, so both
-                // low- and high-entropy keys spread.
-                let h = key.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                ((h ^ (h >> 32)) % self.slots.len() as u64) as usize
-            }
-            Partitioning::Range => self.table.owner_of(key),
-        }
+        self.table.owner_of(key)
     }
 
     /// The in-flight migration, if its range covers `key`.
@@ -298,27 +288,15 @@ impl<S> RoutingView<S> {
         self.overlay().filter(|m| (m.lo..=m.hi).contains(&key))
     }
 
-    /// `(slot, lo, hi)` for every slot that may hold a key in `[lo, hi]`
-    /// per the table, in key order, each clipped to the query. Hash mode
-    /// scatters, so every slot overlaps every range.
-    fn table_plan(&self, lo: u64, hi: u64) -> Vec<(usize, u64, u64)> {
-        if lo > hi {
-            return Vec::new();
-        }
-        match self.mode {
-            Partitioning::Hash => (0..self.slots.len()).map(|s| (s, lo, hi)).collect(),
-            Partitioning::Range => self.table.overlapping(lo, hi),
-        }
-    }
-
-    /// The slots a linearizable `[lo, hi]` read must visit: the table's,
-    /// plus the in-flight migration's destination clipped to its migrating
-    /// sub-range when that overlaps the query. The flag is whether the
-    /// merged result needs sorting (hash interleaving, or an overlay whose
-    /// destination keys interleave with the source interval's).
+    /// The slots a linearizable `[lo, hi]` read must visit: the table's
+    /// ([`RoutingEpoch::overlapping`]), plus the in-flight migration's
+    /// destination clipped to its migrating sub-range when that overlaps
+    /// the query. The flag is whether the merged result needs sorting: the
+    /// table's slots concatenate in key order, but an overlay's destination
+    /// keys interleave with the source interval's.
     pub(crate) fn visit_plan(&self, lo: u64, hi: u64) -> (Vec<(usize, u64, u64)>, bool) {
-        let mut plan = self.table_plan(lo, hi);
-        let mut sort = self.mode == Partitioning::Hash;
+        let mut plan = self.table.overlapping(lo, hi);
+        let mut sort = false;
         if let Some(m) = self.overlay().filter(|m| m.lo <= hi && lo <= m.hi) {
             plan.push((m.dst, m.lo.max(lo), m.hi.min(hi)));
             sort = true;
@@ -402,8 +380,8 @@ impl<S> Pinned<'_, S> {
 /// # Example
 ///
 /// ```
-/// use leap_store::{Partitioning, Router};
-/// let r = Router::new(Partitioning::Range, 4, 1000);
+/// use leap_store::Router;
+/// let r = Router::new(4, 1000);
 /// assert_eq!(r.shard_of(0), 0);
 /// assert_eq!(r.shard_of(999), 3);
 /// assert_eq!(r.shards_for_range(0, 249), vec![0]);
@@ -411,7 +389,6 @@ impl<S> Pinned<'_, S> {
 /// assert_eq!(r.epoch(), 0);
 /// ```
 pub struct Router<S = ()> {
-    mode: Partitioning,
     /// The current [`RoutingView`]; never null. Swapped only by
     /// [`Router::publish`], read only through [`Router::pin`].
     view: Published<S>,
@@ -430,16 +407,15 @@ pub struct Router<S = ()> {
 
 impl Router {
     /// Creates a router over `shards` shards. `key_space` bounds the keys
-    /// the contiguous mode slices evenly; keys at or beyond it fall in the
-    /// trailing shards (exactly the last shard whenever
-    /// `key_space >= shards`, the non-degenerate configuration). Hash mode
-    /// ignores it.
+    /// sliced evenly into contiguous intervals; keys at or beyond it fall
+    /// in the trailing shards (exactly the last shard whenever
+    /// `key_space >= shards`, the non-degenerate configuration).
     ///
     /// # Panics
     ///
     /// Panics if `shards` or `key_space` is zero.
-    pub fn new(mode: Partitioning, shards: usize, key_space: u64) -> Self {
-        Router::with_slots(mode, key_space, vec![(); shards], None)
+    pub fn new(shards: usize, key_space: u64) -> Self {
+        Router::with_slots(key_space, vec![(); shards], None)
     }
 }
 
@@ -451,7 +427,6 @@ impl<S: Clone + Send + Sync + 'static> Router<S> {
     ///
     /// Panics if `slots` is empty or `key_space` is zero.
     pub(crate) fn with_slots(
-        mode: Partitioning,
         key_space: u64,
         slots: Vec<S>,
         swaps: Option<Arc<leap_obs::Counter>>,
@@ -462,7 +437,6 @@ impl<S: Clone + Send + Sync + 'static> Router<S> {
         let live = Arc::new(std::sync::atomic::AtomicUsize::new(1));
         let first = RoutingView {
             seq: 0,
-            mode,
             table: Arc::new(RoutingEpoch::initial(slots.len(), key_space)),
             overlay: None,
             slots,
@@ -470,7 +444,6 @@ impl<S: Clone + Send + Sync + 'static> Router<S> {
             _live: LiveCount(live.clone()),
         };
         Router {
-            mode,
             view: Published(AtomicPtr::new(Box::into_raw(Box::new(first)))),
             gate: RwLock::new(()),
             swaps,
@@ -531,13 +504,8 @@ impl<S: Clone + Send + Sync + 'static> Router<S> {
         self.pin().slots.len()
     }
 
-    /// The partitioning mode.
-    pub fn mode(&self) -> Partitioning {
-        self.mode
-    }
-
     /// The current routing-table version (0 until the first completed
-    /// split or merge; hash mode never reshards).
+    /// split or merge).
     pub fn epoch(&self) -> u64 {
         self.pin().table.epoch
     }
@@ -561,12 +529,11 @@ impl<S: Clone + Send + Sync + 'static> Router<S> {
 
     /// Every shard that may hold a key in `[lo, hi]` per the current
     /// table, in key order (which is ascending slot order until the first
-    /// reshard permutes interval ownership). Empty when `lo > hi`; hash
-    /// mode scatters, so every slot overlaps every range. Does **not**
-    /// include an in-flight migration's destination — linearizable reads
-    /// use the view's overlay-aware visit plan.
+    /// reshard permutes interval ownership). Empty when `lo > hi`. Does
+    /// **not** include an in-flight migration's destination — linearizable
+    /// reads use the view's overlay-aware visit plan.
     pub fn shards_for_range(&self, lo: u64, hi: u64) -> Vec<usize> {
-        let plan = self.pin().table_plan(lo, hi);
+        let plan = self.pin().table.overlapping(lo, hi);
         plan.into_iter().map(|(s, _, _)| s).collect()
     }
 
@@ -578,8 +545,8 @@ impl<S: Clone + Send + Sync + 'static> Router<S> {
     }
 
     /// The inclusive key interval slot `s` owns per the current table.
-    /// `None` in hash mode (ownership is scattered) and for range-mode
-    /// slots that currently own no interval (emptied by a merge).
+    /// `None` for slots that currently own no interval (emptied by a
+    /// merge).
     ///
     /// # Panics
     ///
@@ -587,10 +554,7 @@ impl<S: Clone + Send + Sync + 'static> Router<S> {
     pub fn shard_interval(&self, s: usize) -> Option<(u64, u64)> {
         let view = self.pin();
         assert!(s < view.slots.len(), "shard {s} out of bounds");
-        match self.mode {
-            Partitioning::Hash => None,
-            Partitioning::Range => view.table.interval_of(s),
-        }
+        view.table.interval_of(s)
     }
 
     /// Publishes a view with `slot` appended as a new (initially
@@ -605,8 +569,8 @@ impl<S: Clone + Send + Sync + 'static> Router<S> {
     }
 
     /// Installs a migration overlay for `[lo, hi]`, a suffix of `src`'s
-    /// owned interval, headed for `dst`. Fails in hash mode, while another
-    /// migration is in flight, when the geometry is wrong, or when the
+    /// owned interval, headed for `dst`. Fails while another migration is
+    /// in flight, when the geometry is wrong, or when the
     /// transfer would leave `dst` owning a non-contiguous key set.
     pub(crate) fn begin_migration(
         &self,
@@ -614,9 +578,6 @@ impl<S: Clone + Send + Sync + 'static> Router<S> {
         dst: usize,
         lo: u64,
     ) -> Result<Arc<MigrationState>, RebalanceError> {
-        if self.mode != Partitioning::Range {
-            return Err(RebalanceError::HashPartitioning);
-        }
         // Exclusive gate: after this returns, every in-flight write that
         // routed under the previous view has committed, so the chunk
         // mover can trust that all in-range writes go through the new
@@ -710,7 +671,6 @@ impl<S: Clone + Send + Sync + 'static> std::fmt::Debug for Router<S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let view = self.pin();
         f.debug_struct("Router")
-            .field("mode", &self.mode)
             .field("seq", &view.seq)
             .field("epoch", &view.table.epoch)
             .field("shards", &view.slots.len())
@@ -740,7 +700,7 @@ mod tests {
 
     #[test]
     fn range_mode_is_contiguous_and_total() {
-        let r = Router::new(Partitioning::Range, 8, 1 << 20);
+        let r = Router::new(8, 1 << 20);
         let mut last = 0;
         for k in (0..(1u64 << 20)).step_by(997) {
             let s = r.shard_of(k);
@@ -753,32 +713,16 @@ mod tests {
     }
 
     #[test]
-    fn hash_mode_spreads_sequential_keys() {
-        let r = Router::new(Partitioning::Hash, 8, 1 << 20);
-        let mut hit = [false; 8];
-        for k in 0..64u64 {
-            hit[r.shard_of(k)] = true;
-        }
-        assert!(
-            hit.iter().all(|h| *h),
-            "64 sequential keys must touch all 8 shards"
-        );
-    }
-
-    #[test]
     fn range_queries_visit_overlapping_shards_only() {
-        let r = Router::new(Partitioning::Range, 4, 1000);
+        let r = Router::new(4, 1000);
         assert_eq!(r.shards_for_range(0, 999), vec![0, 1, 2, 3]);
         assert_eq!(r.shards_for_range(250, 499), vec![1]);
         assert_eq!(r.shards_for_range(5, 3), Vec::<usize>::new());
-        let rh = Router::new(Partitioning::Hash, 4, 1000);
-        assert_eq!(rh.shards_for_range(250, 499), vec![0, 1, 2, 3]);
-        assert_eq!(rh.shards_for_range(5, 3), Vec::<usize>::new());
     }
 
     #[test]
     fn intervals_tile_the_keyspace() {
-        let r = Router::new(Partitioning::Range, 5, 100);
+        let r = Router::new(5, 100);
         let mut next = 0u64;
         for s in 0..5 {
             let (lo, hi) = r.shard_interval(s).unwrap();
@@ -786,20 +730,17 @@ mod tests {
             assert!(hi >= lo);
             next = hi + 1;
         }
-        assert!(Router::new(Partitioning::Hash, 5, 100)
-            .shard_interval(2)
-            .is_none());
     }
 
     #[test]
     #[should_panic(expected = "at least one shard")]
     fn zero_shards_rejected() {
-        Router::new(Partitioning::Hash, 0, 100);
+        Router::new(0, 100);
     }
 
     #[test]
     fn split_then_merge_roundtrips_the_table() {
-        let r = Router::new(Partitioning::Range, 2, 1000);
+        let r = Router::new(2, 1000);
         assert_eq!(r.epoch(), 0);
         // Split shard 0's [0, 499] at 250 into a fresh slot.
         let s = r.add_slot(());
@@ -828,7 +769,7 @@ mod tests {
 
     #[test]
     fn migration_rejects_bad_geometry() {
-        let r = Router::new(Partitioning::Range, 4, 1000);
+        let r = Router::new(4, 1000);
         assert!(matches!(
             r.begin_migration(0, 0, 10),
             Err(RebalanceError::BadShard)
@@ -863,11 +804,6 @@ mod tests {
         r.complete_migration(&m2);
         assert_eq!(r.shard_of(150), 1);
         assert_eq!(r.shard_of(650), 3);
-        let rh = Router::new(Partitioning::Hash, 4, 1000);
-        assert!(matches!(
-            rh.begin_migration(0, 1, 10),
-            Err(RebalanceError::HashPartitioning)
-        ));
     }
 
     /// Every routing change publishes a new view, so a stamp taken before
@@ -875,7 +811,7 @@ mod tests {
     /// stamp is global). Migration ids are never reused.
     #[test]
     fn every_routing_change_moves_the_view_identity() {
-        let r = Router::new(Partitioning::Range, 4, 1000);
+        let r = Router::new(4, 1000);
         let mut stamp = r.pin();
         assert!(stamp.is_current());
         let a = r.begin_migration(0, 1, 100).expect("overlay A [100,249]");
@@ -915,7 +851,7 @@ mod tests {
     /// epoch has moved on, and the router's drop frees the last one.
     #[test]
     fn views_are_published_and_retired_exactly_once() {
-        let r = Router::new(Partitioning::Range, 2, 1000);
+        let r = Router::new(2, 1000);
         assert_eq!(r.live_views(), 1);
         let old = r.pin();
         let s = r.add_slot(());
@@ -937,7 +873,7 @@ mod tests {
         // key_space < shards: stride clamps to 1, keys 0..7 spread over
         // the slots one apiece, the tail clamps to the last slot — the
         // arithmetic router's historical behavior.
-        let r = Router::new(Partitioning::Range, 8, 3);
+        let r = Router::new(8, 3);
         for s in 0..8 {
             assert!(r.shard_interval(s).is_some());
         }

@@ -97,8 +97,8 @@ pub struct ShardStats {
     /// Keys currently held (approximate while operations run).
     pub keys: u64,
     /// Whether the shard owns a key interval in the current routing
-    /// epoch (always true under hash partitioning; false for range-mode
-    /// slots a merge emptied that no split has reused yet).
+    /// epoch (false for slots a merge emptied that no split has reused
+    /// yet).
     pub owned: bool,
 }
 
@@ -558,12 +558,17 @@ mod tests {
         use crate::router::Partitioning;
         use crate::store::StoreConfig;
         let store: crate::LeapStore<u64> =
-            crate::LeapStore::new(StoreConfig::new(2, Partitioning::Hash));
+            crate::LeapStore::new(StoreConfig::new(2, Partitioning::Range).with_key_space(50));
         for k in 0..50u64 {
             store.put(k, k);
         }
         assert_eq!(store.len(), 50);
         let stats = store.stats();
+        assert!(
+            stats.shards.iter().all(|s| s.puts > 0),
+            "both shards served puts: {:?}",
+            stats.shards
+        );
         let obs = stats.obs.as_ref().expect("obs on by default");
         assert!(
             obs.op_latency
@@ -608,7 +613,7 @@ mod tests {
         assert!(prom.contains("# TYPE store_bundle_depth gauge\n"), "{prom}");
         // A store built without obs renders neither instrument block.
         let plain: crate::LeapStore<u64> =
-            crate::LeapStore::new(StoreConfig::new(2, Partitioning::Hash).with_obs(false));
+            crate::LeapStore::new(StoreConfig::new(2, Partitioning::Range).with_obs(false));
         plain.put(1, 1);
         let pstats = plain.stats();
         assert!(pstats.obs.is_none());

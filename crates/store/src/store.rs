@@ -37,12 +37,13 @@ use std::time::Instant;
 pub struct StoreConfig {
     /// Number of Leap-List shards at construction (splits may add more).
     pub shards: usize,
-    /// How keys map to shards.
-    pub partitioning: Partitioning,
-    /// Expected key upper bound (exclusive) — range partitioning slices
-    /// `[0, key_space)` into equal strides; keys at or beyond it fall in
-    /// the trailing shards (exactly the last shard whenever
-    /// `key_space >= shards`). Hash partitioning ignores it.
+    /// Expected key upper bound (exclusive): the shards own `[0,
+    /// key_space)` in equal contiguous strides; keys at or beyond it fall
+    /// in the trailing shards (exactly the last shard whenever
+    /// `key_space >= shards`). The default is `u64::MAX`: without an
+    /// explicit key space every key below `u64::MAX / shards` (about 2⁶¹
+    /// with the default 8 shards) starts in shard 0 until the rebalancer
+    /// splits it.
     pub key_space: u64,
     /// Per-shard Leap-List structure parameters.
     pub params: Params,
@@ -79,7 +80,6 @@ impl Default for StoreConfig {
     fn default() -> Self {
         StoreConfig {
             shards: 8,
-            partitioning: Partitioning::Hash,
             key_space: u64::MAX,
             params: Params::default(),
             rebalance: RebalancePolicy::default(),
@@ -92,11 +92,11 @@ impl Default for StoreConfig {
 }
 
 impl StoreConfig {
-    /// A config with the given shard count and partitioning mode.
-    pub fn new(shards: usize, partitioning: Partitioning) -> Self {
+    /// A config with the given shard count. The store is always range
+    /// partitioned; the second argument is kept for `benchmark/` only.
+    pub fn new(shards: usize, _partitioning: Partitioning) -> Self {
         StoreConfig {
             shards,
-            partitioning,
             ..Default::default()
         }
     }
@@ -206,9 +206,8 @@ type View<'a, V> = Pinned<'a, ShardSlot<V>>;
 ///   the whole scan is one consistent snapshot, and pages never retry
 ///   against concurrent commits or migrations.
 /// * [`LeapStore::split_shard`] / [`LeapStore::merge_shards`] /
-///   [`LeapStore::rebalance_step`] — online shard migration (range
-///   partitioning), driven deterministically or by a background
-///   [`crate::Rebalancer`].
+///   [`LeapStore::rebalance_step`] — online shard migration, driven
+///   deterministically or by a background [`crate::Rebalancer`].
 ///
 /// # Batch atomicity
 ///
@@ -319,7 +318,6 @@ impl<V: Clone + Send + Sync + 'static> LeapStore<V> {
         });
         // The router owns the shard-count and key-space validation.
         let router = Router::with_slots(
-            config.partitioning,
             config.key_space,
             slots,
             obs.as_ref().map(|o| o.view_swaps.clone()),
@@ -982,8 +980,8 @@ impl<V: Clone + Send + Sync + 'static> LeapStore<V> {
     }
 
     /// Concatenates per-shard results; contiguous shards concatenate in
-    /// key order, hashed shards (and a migration overlay) interleave and
-    /// need the sort.
+    /// key order, and only a migration overlay's destination interleaves
+    /// and needs the sort.
     fn merged(per_shard: Vec<Vec<(u64, V)>>, sort: bool) -> Vec<(u64, V)> {
         let mut merged: Vec<(u64, V)> = per_shard.into_iter().flatten().collect();
         if sort {
@@ -1121,10 +1119,7 @@ impl<V: Clone + Send + Sync + 'static> LeapStore<V> {
             .iter()
             .enumerate()
             .map(|(s, slot)| {
-                let owned = match self.router.mode() {
-                    Partitioning::Hash => true,
-                    Partitioning::Range => view.table().interval_of(s).is_some(),
-                };
+                let owned = view.table().interval_of(s).is_some();
                 slot.counters.snapshot(s, slot.list.len() as u64, owned)
             })
             .collect();
@@ -1163,7 +1158,6 @@ impl<V: Clone + Send + Sync + 'static> std::fmt::Debug for LeapStore<V> {
         let approx_len: usize = self.router.pin().slots().iter().map(|s| s.list.len()).sum();
         f.debug_struct("LeapStore")
             .field("shards", &self.shards())
-            .field("partitioning", &self.router.mode())
             .field("epoch", &self.router.epoch())
             .field("approx_len", &approx_len)
             .finish()
@@ -1171,23 +1165,49 @@ impl<V: Clone + Send + Sync + 'static> std::fmt::Debug for LeapStore<V> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
-    fn cfg(shards: usize, mode: Partitioning) -> StoreConfig {
-        StoreConfig::new(shards, mode)
+    pub(crate) fn cfg(shards: usize) -> StoreConfig {
+        StoreConfig::new(shards, Partitioning::Range)
             .with_key_space(1_000)
             .with_params(Params {
                 node_size: 4,
                 max_level: 6,
-                ..Params::default()
             })
+            .with_rebalancing(RebalancePolicy {
+                chunk: 8,
+                ..RebalancePolicy::default()
+            })
+    }
+
+    /// The two modes the `*_both_modes` tests run in: settled contiguous
+    /// shards, and a split of shard 0 at `at` in flight. With more than a
+    /// chunk of keys at or above `at` in shard 0, one chunk is moved, so
+    /// those keys sit partly in the source and partly in the destination
+    /// and a read across them must sort.
+    #[derive(Debug, Clone, Copy)]
+    pub(crate) enum Layout {
+        Settled,
+        Migrating { at: u64 },
+    }
+
+    pub(crate) fn enter(store: &LeapStore<u64>, layout: Layout) {
+        if let Layout::Migrating { at } = layout {
+            store.split_shard(0, at).expect("valid split");
+            if !store.is_empty() {
+                // An empty range would drain and complete in one step.
+                store.rebalance_step();
+            }
+            assert!(store.router().migration().is_some(), "split in flight");
+        }
     }
 
     #[test]
     fn single_key_roundtrip_both_modes() {
-        for mode in [Partitioning::Hash, Partitioning::Range] {
-            let store: LeapStore<u64> = LeapStore::new(cfg(4, mode));
+        for mode in [Layout::Settled, Layout::Migrating { at: 5 }] {
+            let store: LeapStore<u64> = LeapStore::new(cfg(4));
+            enter(&store, mode);
             assert!(store.is_empty());
             assert_eq!(store.put(7, 70), None);
             assert_eq!(store.put(7, 71), Some(70));
@@ -1200,11 +1220,12 @@ mod tests {
 
     #[test]
     fn range_merges_across_shards_sorted() {
-        for mode in [Partitioning::Hash, Partitioning::Range] {
-            let store: LeapStore<u64> = LeapStore::new(cfg(4, mode));
+        for mode in [Layout::Settled, Layout::Migrating { at: 120 }] {
+            let store: LeapStore<u64> = LeapStore::new(cfg(4));
             for k in (0..100u64).rev() {
                 store.put(k * 10, k);
             }
+            enter(&store, mode);
             let r = store.range(100, 200);
             assert_eq!(
                 r,
@@ -1214,12 +1235,17 @@ mod tests {
             assert_eq!(store.range(5, 3), vec![]);
             assert_eq!(store.count_range(100, 200), 11);
             assert_eq!(store.len(), 100);
+            assert_eq!(
+                store.range(0, 999),
+                (0..100u64).map(|k| (k * 10, k)).collect::<Vec<_>>(),
+                "mode {mode:?}: every shard's keys, in order"
+            );
         }
     }
 
     #[test]
     fn distinct_shard_batch_hits_each_shard_once() {
-        let store: LeapStore<u64> = LeapStore::new(cfg(4, Partitioning::Range));
+        let store: LeapStore<u64> = LeapStore::new(cfg(4));
         // key_space 1000 over 4 shards: strides of 250.
         let old = store.multi_put(&[(10, 1), (260, 2), (510, 3), (760, 4)]);
         assert_eq!(old, vec![None; 4]);
@@ -1234,7 +1260,7 @@ mod tests {
 
     #[test]
     fn same_shard_collisions_commit_in_one_transaction_in_order() {
-        let store: LeapStore<u64> = LeapStore::new(cfg(4, Partitioning::Range));
+        let store: LeapStore<u64> = LeapStore::new(cfg(4));
         let commits_before = store.stats().stm.total_commits();
         // All four keys land in shard 0 (0..250).
         let old = store.multi_put(&[(1, 10), (2, 20), (1, 11), (3, 30)]);
@@ -1254,7 +1280,7 @@ mod tests {
 
     #[test]
     fn collision_batch_overflowing_one_node_still_lands_whole() {
-        let store: LeapStore<u64> = LeapStore::new(cfg(4, Partitioning::Range));
+        let store: LeapStore<u64> = LeapStore::new(cfg(4));
         // 20 keys in shard 0 with node_size 4: the chain rebuild must
         // split into several nodes inside one commit.
         let entries: Vec<(u64, u64)> = (0..20u64).map(|k| (k, k * 2)).collect();
@@ -1271,14 +1297,14 @@ mod tests {
 
     #[test]
     fn empty_batch_is_a_noop() {
-        let store: LeapStore<u64> = LeapStore::new(cfg(2, Partitioning::Hash));
+        let store: LeapStore<u64> = LeapStore::new(cfg(2));
         assert_eq!(store.multi_put(&[]), vec![]);
         assert_eq!(store.stats().collision_batches, 0);
     }
 
     #[test]
     fn stats_count_routed_ops() {
-        let store: LeapStore<u64> = LeapStore::new(cfg(2, Partitioning::Range));
+        let store: LeapStore<u64> = LeapStore::new(cfg(2));
         store.put(1, 1);
         store.put(600, 2);
         store.get(1);
@@ -1327,7 +1353,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "reserved")]
     fn max_key_rejected_in_batches() {
-        let store: LeapStore<u64> = LeapStore::new(cfg(2, Partitioning::Hash));
+        let store: LeapStore<u64> = LeapStore::new(cfg(2));
         store.multi_put(&[(u64::MAX, 1)]);
     }
 
@@ -1447,7 +1473,7 @@ mod tests {
 
     #[test]
     fn bounded_times_out_every_retrying_op_and_leaves_the_store_unchanged() {
-        let store: LeapStore<u64> = LeapStore::new(cfg(2, Partitioning::Range));
+        let store: LeapStore<u64> = LeapStore::new(cfg(2));
         // key_space 1000 over 2 shards: [0, 500) and [500, 1000).
         for k in 0..20u64 {
             store.put(k * 50, k);
@@ -1502,5 +1528,28 @@ mod tests {
             Ok(vec![(0, 0), (1, 9)])
         );
         assert_eq!(store.stats().stm.timeouts, 5);
+    }
+
+    /// Without an explicit key space (`u64::MAX`), small keys all start
+    /// in shard 0; the rebalancer then spreads them.
+    #[test]
+    fn default_key_space_starts_in_shard_0_until_rebalanced() {
+        let store: LeapStore<u64> = LeapStore::new(StoreConfig::default());
+        for k in 0..1_000u64 {
+            store.put(k, k);
+        }
+        let keys = |st: &StoreStats| -> Vec<u64> { st.shards.iter().map(|s| s.keys).collect() };
+        let before = keys(&store.stats());
+        assert_eq!(before[0], 1_000, "{before:?}");
+        assert_eq!(before.iter().sum::<u64>(), 1_000);
+        store.rebalance_until_idle();
+        let after = keys(&store.stats());
+        assert!(
+            after.iter().filter(|&&n| n > 0).count() >= 2,
+            "the rebalancer split shard 0: {after:?}"
+        );
+        for k in 0..1_000u64 {
+            assert_eq!(store.get(k), Some(k), "key {k}");
+        }
     }
 }

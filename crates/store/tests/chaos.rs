@@ -435,7 +435,7 @@ fn typed_failures_are_always_retained_as_spans() {
 #[test]
 fn admission_overflow_sheds_with_typed_errors_under_contention() {
     let store: Arc<LeapStore<u64>> = Arc::new(LeapStore::new(
-        StoreConfig::new(4, Partitioning::Hash).with_key_space(KEY_SPACE),
+        StoreConfig::new(4, Partitioning::Range).with_key_space(KEY_SPACE),
     ));
     let batcher = Arc::new(Batcher::new(store.clone()).with_admission(2));
     let handles: Vec<_> = (0..8u64)

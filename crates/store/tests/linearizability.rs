@@ -14,12 +14,11 @@ fn small_params() -> Params {
     Params {
         node_size: 4,
         max_level: 6,
-        ..Params::default()
     }
 }
 
-fn cfg(shards: usize, mode: Partitioning, key_space: u64) -> StoreConfig {
-    StoreConfig::new(shards, mode)
+fn cfg(shards: usize, key_space: u64) -> StoreConfig {
+    StoreConfig::new(shards, Partitioning::Range)
         .with_key_space(key_space)
         .with_params(small_params())
 }
@@ -30,67 +29,68 @@ fn cfg(shards: usize, mode: Partitioning, key_space: u64) -> StoreConfig {
 /// tore.
 #[test]
 fn cross_shard_batches_are_never_torn_fast_path() {
-    for mode in [Partitioning::Range, Partitioning::Hash] {
-        let shards = 4;
-        let store = Arc::new(LeapStore::<u64>::new(cfg(shards, mode, 1_000)));
-        // One key per shard under range partitioning (stride 250); under
-        // hash partitioning the same keys may collide on a shard, which
-        // exercises the slow path too — the invariant must hold either way.
-        let keys: Vec<u64> = (0..shards as u64).map(|s| s * 250 + 7).collect();
-        let stop = Arc::new(AtomicBool::new(false));
+    let shards = 4;
+    let store = Arc::new(LeapStore::<u64>::new(cfg(shards, 1_000)));
+    // One key per shard (stride 250).
+    let keys: Vec<u64> = (0..shards as u64).map(|s| s * 250 + 7).collect();
+    let stop = Arc::new(AtomicBool::new(false));
 
-        let writer = {
+    let writer = {
+        let (store, keys, stop) = (store.clone(), keys.clone(), stop.clone());
+        std::thread::spawn(move || {
+            let mut version = 1u64;
+            while !stop.load(Ordering::Relaxed) {
+                let entries: Vec<(u64, u64)> = keys.iter().map(|&k| (k, version)).collect();
+                store.multi_put(&entries);
+                version += 1;
+            }
+            version
+        })
+    };
+
+    let readers: Vec<_> = (0..2)
+        .map(|_| {
             let (store, keys, stop) = (store.clone(), keys.clone(), stop.clone());
             std::thread::spawn(move || {
-                let mut version = 1u64;
+                let mut snapshots = 0u64;
                 while !stop.load(Ordering::Relaxed) {
-                    let entries: Vec<(u64, u64)> = keys.iter().map(|&k| (k, version)).collect();
-                    store.multi_put(&entries);
-                    version += 1;
+                    let snap = store.range(0, 999);
+                    let versions: Vec<u64> = keys
+                        .iter()
+                        .filter_map(|k| snap.iter().find(|(sk, _)| sk == k).map(|(_, v)| *v))
+                        .collect();
+                    // Before the first batch commits the snapshot may be
+                    // partial; afterwards all keys exist. Either way all
+                    // *present* versions must be identical.
+                    assert!(
+                        versions.windows(2).all(|w| w[0] == w[1]),
+                        "torn batch observed: versions {versions:?}"
+                    );
+                    snapshots += 1;
                 }
-                version
+                snapshots
             })
-        };
+        })
+        .collect();
 
-        let readers: Vec<_> = (0..2)
-            .map(|_| {
-                let (store, keys, stop) = (store.clone(), keys.clone(), stop.clone());
-                std::thread::spawn(move || {
-                    let mut snapshots = 0u64;
-                    while !stop.load(Ordering::Relaxed) {
-                        let snap = store.range(0, 999);
-                        let versions: Vec<u64> = keys
-                            .iter()
-                            .filter_map(|k| snap.iter().find(|(sk, _)| sk == k).map(|(_, v)| *v))
-                            .collect();
-                        // Before the first batch commits the snapshot may be
-                        // partial; afterwards all keys exist. Either way all
-                        // *present* versions must be identical.
-                        assert!(
-                            versions.windows(2).all(|w| w[0] == w[1]),
-                            "torn batch observed ({mode:?}): versions {versions:?}"
-                        );
-                        snapshots += 1;
-                    }
-                    snapshots
-                })
-            })
-            .collect();
-
-        std::thread::sleep(std::time::Duration::from_millis(400));
-        stop.store(true, Ordering::Relaxed);
-        let rounds = writer.join().unwrap();
-        let mut total_snaps = 0;
-        for r in readers {
-            total_snaps += r.join().unwrap();
-        }
-        assert!(rounds > 1, "writer made progress");
-        assert!(total_snaps > 0, "readers made progress");
-        // Quiescent check: final state holds exactly one version everywhere.
-        let snap = store.range(0, 999);
-        assert_eq!(snap.len(), keys.len());
-        assert!(snap.windows(2).all(|w| w[0].1 == w[1].1));
+    std::thread::sleep(std::time::Duration::from_millis(400));
+    stop.store(true, Ordering::Relaxed);
+    let rounds = writer.join().unwrap();
+    let mut total_snaps = 0;
+    for r in readers {
+        total_snaps += r.join().unwrap();
     }
+    assert!(rounds > 1, "writer made progress");
+    assert!(total_snaps > 0, "readers made progress");
+    // Quiescent check: final state holds exactly one version everywhere.
+    let snap = store.range(0, 999);
+    assert_eq!(snap.len(), keys.len());
+    assert!(snap.windows(2).all(|w| w[0].1 == w[1].1));
+    let parts: Vec<u64> = store.stats().shards.iter().map(|s| s.batch_parts).collect();
+    assert!(
+        parts.iter().all(|&n| n > 0),
+        "every batch spans all {shards} shards: {parts:?}"
+    );
 }
 
 /// Collision path: every batch deliberately maps several keys to ONE
@@ -102,7 +102,7 @@ fn cross_shard_batches_are_never_torn_fast_path() {
 /// because atomicity now comes from the transaction itself.
 #[test]
 fn same_shard_collisions_are_never_torn() {
-    let store = Arc::new(LeapStore::<u64>::new(cfg(4, Partitioning::Range, 1_000)));
+    let store = Arc::new(LeapStore::<u64>::new(cfg(4, 1_000)));
     // Keys 1, 2, 3 all in shard 0; key 700 in shard 2.
     let keys = [1u64, 2, 3, 700];
     let stop = Arc::new(AtomicBool::new(false));
@@ -162,7 +162,7 @@ fn same_shard_collisions_are_never_torn() {
 /// and every surviving key readable.
 #[test]
 fn mixed_churn_keeps_structure_coherent() {
-    let store = Arc::new(LeapStore::<u64>::new(cfg(8, Partitioning::Hash, 10_000)));
+    let store = Arc::new(LeapStore::<u64>::new(cfg(8, 10_000)));
     let stop = Arc::new(AtomicBool::new(false));
     let mut handles = Vec::new();
     for t in 0..3u64 {
@@ -208,6 +208,13 @@ fn mixed_churn_keeps_structure_coherent() {
     for (k, v) in snap.iter().take(50) {
         assert_eq!(store.get(*k), Some(*v));
     }
+    let busy = store
+        .stats()
+        .shards
+        .iter()
+        .filter(|s| s.total_ops() > 0)
+        .count();
+    assert!(busy >= 2, "the churn spans shards: {busy} served ops");
 }
 
 /// Writer-vs-collision-batch linearizability: a duplicate-key batch
@@ -220,7 +227,7 @@ fn mixed_churn_keeps_structure_coherent() {
 /// transaction, with no writer serialization at all.
 #[test]
 fn single_key_put_never_observes_batch_intermediate() {
-    let store = Arc::new(LeapStore::<u64>::new(cfg(4, Partitioning::Range, 1_000)));
+    let store = Arc::new(LeapStore::<u64>::new(cfg(4, 1_000)));
     let k = 5u64; // shard 0
     let stop = Arc::new(AtomicBool::new(false));
     let batcher_thread = {
@@ -262,7 +269,7 @@ fn single_key_put_never_observes_batch_intermediate() {
 /// other threads afterwards.
 #[test]
 fn reserved_key_batch_panic_does_not_wedge_the_store() {
-    let store = Arc::new(LeapStore::<u64>::new(cfg(4, Partitioning::Range, 1_000)));
+    let store = Arc::new(LeapStore::<u64>::new(cfg(4, 1_000)));
     store.put(1, 1);
     let panicked = {
         let store = store.clone();
@@ -291,7 +298,7 @@ fn reserved_key_batch_panic_does_not_wedge_the_store() {
 /// unbounded gate admits every op.
 #[test]
 fn batcher_preserves_store_semantics_under_concurrency() {
-    let store = Arc::new(LeapStore::<u64>::new(cfg(8, Partitioning::Hash, 100_000)));
+    let store = Arc::new(LeapStore::<u64>::new(cfg(8, 40_000)));
     let batcher = Arc::new(Batcher::new(store.clone()));
     let threads = 4u64;
     let per = 300u64;

@@ -19,7 +19,6 @@ fn cfg(shards: usize) -> StoreConfig {
         .with_params(Params {
             node_size: 4,
             max_level: 6,
-            ..Params::default()
         })
         .with_rebalancing(RebalancePolicy {
             chunk: 16,
@@ -238,11 +237,12 @@ fn stats_attribute_abort_causes() {
 #[test]
 fn colliding_workload_keeps_cause_partition_and_feeds_retry_histogram() {
     let store: Arc<LeapStore<u64>> = Arc::new(LeapStore::new(
-        StoreConfig::new(4, Partitioning::Hash).with_params(Params {
-            node_size: 4,
-            max_level: 6,
-            ..Params::default()
-        }),
+        StoreConfig::new(4, Partitioning::Range)
+            .with_key_space(16)
+            .with_params(Params {
+                node_size: 4,
+                max_level: 6,
+            }),
     ));
     let threads = 8;
     let per = 200u64;
@@ -274,4 +274,6 @@ fn colliding_workload_keeps_cause_partition_and_feeds_retry_histogram() {
         "every committed batch recorded its attempt count"
     );
     assert!(obs.txn_retries.max >= 1);
+    let busy = stats.shards.iter().filter(|s| s.batch_parts > 0).count();
+    assert_eq!(busy, 4, "each batch's two keys sit on different shards");
 }

@@ -81,7 +81,6 @@ fn build_store(chunk: usize, auto: bool) -> (Arc<LeapStore<u64>>, BTreeMap<u64, 
             .with_params(Params {
                 node_size: 8,
                 max_level: 8,
-                ..Params::default()
             })
             .with_rebalancing(policy),
     ));

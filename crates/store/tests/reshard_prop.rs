@@ -43,7 +43,6 @@ fn store() -> LeapStore<u64> {
             .with_params(Params {
                 node_size: 4,
                 max_level: 6,
-                ..Params::default()
             })
             // Tiny chunks: most migrations stay in flight across several
             // interleaved ops, which is the interesting schedule.
@@ -137,7 +136,6 @@ fn policy_census_waits_for_the_drain_and_splits_each_hot_shard_once() {
             .with_params(Params {
                 node_size: 8,
                 max_level: 8,
-                ..Params::default()
             })
             .with_rebalancing(RebalancePolicy {
                 chunk: 16,

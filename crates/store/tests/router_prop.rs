@@ -1,17 +1,13 @@
-//! Property tests for the shard router, under both partitioning modes:
+//! Property tests for the shard router:
 //!
 //! 1. every key maps to exactly one shard (total + deterministic + in
 //!    bounds);
 //! 2. `shards_for_range(lo, hi)` visits **exactly** the shards that can
 //!    hold a key in `[lo, hi]` — no shard that owns a key in the range is
-//!    missed, and (in range mode) no returned shard is disjoint from it.
+//!    missed, and no returned shard is disjoint from it.
 
-use leap_store::{Partitioning, Router};
+use leap_store::Router;
 use proptest::prelude::*;
-
-fn modes() -> [Partitioning; 2] {
-    [Partitioning::Hash, Partitioning::Range]
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
@@ -23,12 +19,10 @@ proptest! {
         key_space in 1u64..1_000_000,
         key in any::<u64>(),
     ) {
-        for mode in modes() {
-            let r = Router::new(mode, shards, key_space);
-            let s = r.shard_of(key);
-            prop_assert!(s < shards, "{mode:?}: shard {} out of {}", s, shards);
-            prop_assert_eq!(s, r.shard_of(key), "{mode:?}: routing must be deterministic");
-        }
+        let r = Router::new(shards, key_space);
+        let s = r.shard_of(key);
+        prop_assert!(s < shards, "shard {} out of {}", s, shards);
+        prop_assert_eq!(s, r.shard_of(key), "routing must be deterministic");
     }
 
     /// Soundness: for any key within the queried range, the key's shard is
@@ -42,21 +36,19 @@ proptest! {
         offsets in prop::collection::vec(any::<u64>(), 1..20),
     ) {
         let hi = lo + width;
-        for mode in modes() {
-            let r = Router::new(mode, shards, key_space);
-            let visited = r.shards_for_range(lo, hi);
-            for off in &offsets {
-                let key = lo + off % (width + 1); // uniform in [lo, hi]
-                prop_assert!(
-                    visited.contains(&r.shard_of(key)),
-                    "{mode:?}: key {} in [{}, {}] maps to shard {} not visited ({:?})",
-                    key, lo, hi, r.shard_of(key), visited
-                );
-            }
+        let r = Router::new(shards, key_space);
+        let visited = r.shards_for_range(lo, hi);
+        for off in &offsets {
+            let key = lo + off % (width + 1); // uniform in [lo, hi]
+            prop_assert!(
+                visited.contains(&r.shard_of(key)),
+                "key {} in [{}, {}] maps to shard {} not visited ({:?})",
+                key, lo, hi, r.shard_of(key), visited
+            );
         }
     }
 
-    /// Tightness (range mode): every visited shard's owned interval
+    /// Tightness: every visited shard's owned interval
     /// actually overlaps `[lo, hi]`, and unvisited shards are disjoint
     /// from it — the visited set is exactly the overlapping shards.
     #[test]
@@ -67,10 +59,10 @@ proptest! {
         width in 0u64..100_000,
     ) {
         let hi = lo + width;
-        let r = Router::new(Partitioning::Range, shards, key_space);
+        let r = Router::new(shards, key_space);
         let visited = r.shards_for_range(lo, hi);
         for s in 0..shards {
-            let (slo, shi) = r.shard_interval(s).expect("range mode has intervals");
+            let (slo, shi) = r.shard_interval(s).expect("every slot owns an interval");
             let overlaps = slo <= hi && lo <= shi;
             prop_assert_eq!(
                 visited.contains(&s),
@@ -83,33 +75,18 @@ proptest! {
         prop_assert!(visited.windows(2).all(|w| w[0] < w[1]));
     }
 
-    /// Hash mode must visit all shards for any non-empty range: scattered
-    /// placement means any shard may own any key.
-    #[test]
-    fn hash_mode_visits_all_shards(
-        shards in 1usize..32,
-        lo in 0u64..1_000_000,
-        width in 0u64..100_000,
-    ) {
-        let r = Router::new(Partitioning::Hash, shards, 1_000_000);
-        let visited = r.shards_for_range(lo, lo + width);
-        prop_assert_eq!(visited, (0..shards).collect::<Vec<_>>());
-    }
-
-    /// Inverted ranges visit nothing in either mode.
+    /// Inverted ranges visit nothing.
     #[test]
     fn inverted_ranges_visit_nothing(
         shards in 1usize..32,
         lo in 1u64..1_000_000,
         gap in 1u64..1_000,
     ) {
-        for mode in modes() {
-            let r = Router::new(mode, shards, 1_000_000);
-            prop_assert_eq!(r.shards_for_range(lo, lo - gap.min(lo)), Vec::<usize>::new());
-        }
+        let r = Router::new(shards, 1_000_000);
+        prop_assert_eq!(r.shards_for_range(lo, lo - gap.min(lo)), Vec::<usize>::new());
     }
 
-    /// Range-mode contiguity: shard ids are monotone in the key, so a
+    /// Contiguity: shard ids are monotone in the key, so a
     /// shard's key set is one interval — the property the tight range
     /// visiting relies on.
     #[test]
@@ -119,7 +96,7 @@ proptest! {
         a in any::<u64>(),
         b in any::<u64>(),
     ) {
-        let r = Router::new(Partitioning::Range, shards, key_space);
+        let r = Router::new(shards, key_space);
         let (x, y) = (a.min(b), a.max(b));
         prop_assert!(r.shard_of(x) <= r.shard_of(y), "key {} -> {}, key {} -> {}",
             x, r.shard_of(x), y, r.shard_of(y));

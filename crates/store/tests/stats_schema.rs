@@ -72,7 +72,6 @@ fn stats_json_and_prometheus_carry_every_schema_key() {
             .with_params(Params {
                 node_size: 4,
                 max_level: 6,
-                ..Params::default()
             })
             .with_rebalancing(RebalancePolicy {
                 chunk: 16,

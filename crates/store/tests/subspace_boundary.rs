@@ -23,7 +23,6 @@ fn store() -> LeapStore<u64> {
             .with_params(Params {
                 node_size: 4,
                 max_level: 6,
-                ..Params::default()
             })
             .with_rebalancing(RebalancePolicy {
                 chunk: 2,
@@ -119,7 +118,6 @@ fn store4() -> LeapStore<u64> {
             .with_params(Params {
                 node_size: 4,
                 max_level: 6,
-                ..Params::default()
             })
             .with_rebalancing(RebalancePolicy {
                 chunk: 2,

@@ -95,7 +95,7 @@ fn retry_storm_put_is_tail_captured_with_full_phase_breakdown() {
 fn get_spans_follow_the_shared_sampling_knob() {
     let every = |period: u32| -> LeapStore<u64> {
         LeapStore::new(
-            StoreConfig::new(2, Partitioning::Hash)
+            StoreConfig::new(2, Partitioning::Range)
                 .with_key_space(KEY_SPACE)
                 .with_sample_period(period)
                 .with_tracing(TraceConfig::default().with_slo_ns(u64::MAX)),

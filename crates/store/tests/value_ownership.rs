@@ -129,7 +129,6 @@ fn values_survive_split_and_merge_migrations() {
             .with_params(Params {
                 node_size: 4,
                 max_level: 6,
-                ..Params::default()
             })
             // Explicit migrations only, moved a few keys at a time.
             .with_rebalancing(RebalancePolicy {

@@ -1,20 +1,19 @@
-//! Tour of the `leap-stm` substrate on its own: word-based transactions,
-//! the two commit strategies (TL2-style write-back vs GCC-TM-style
-//! write-through), naked access, and abort statistics — the machinery the
-//! Leap-List's Locking Transactions are built from.
+//! Tour of the `leap-stm` substrate on its own: word-based TL2-style
+//! write-back transactions, naked access, and abort statistics — the
+//! machinery the Leap-List's Locking Transactions are built from.
 //!
 //! ```sh
 //! cargo run --release --example stm_bank
 //! ```
 
-use leap_stm::{atomically, Mode, StmDomain, TVar};
+use leap_stm::{atomically, StmDomain, TVar};
 use std::sync::Arc;
 
 const ACCOUNTS: usize = 64;
 const INITIAL: u64 = 1_000;
 
-fn run_bank(mode: Mode) {
-    let domain = Arc::new(StmDomain::with_config(mode, 14));
+fn run_bank() {
+    let domain = Arc::new(StmDomain::with_orec_bits(14));
     let accounts: Arc<Vec<TVar<u64>>> =
         Arc::new((0..ACCOUNTS).map(|_| TVar::new(INITIAL)).collect());
 
@@ -66,11 +65,7 @@ fn run_bank(mode: Mode) {
                     }
                     Ok(sum)
                 });
-                assert_eq!(
-                    total,
-                    ACCOUNTS as u64 * INITIAL,
-                    "torn snapshot under {mode:?}"
-                );
+                assert_eq!(total, ACCOUNTS as u64 * INITIAL, "torn snapshot");
             }
         })
     };
@@ -82,7 +77,6 @@ fn run_bank(mode: Mode) {
 
     let final_total: u64 = accounts.iter().map(|a| a.naked_load()).sum();
     let stats = domain.stats();
-    println!("--- {mode:?} ---");
     println!(
         "final total  : {final_total} (expected {})",
         ACCOUNTS as u64 * INITIAL
@@ -97,25 +91,19 @@ fn run_bank(mode: Mode) {
 }
 
 fn main() {
-    println!("Bank transfer invariants under both STM commit strategies\n");
-    run_bank(Mode::WriteBack);
-    run_bank(Mode::WriteThrough);
+    println!("Bank transfer invariants under the write-back STM\n");
+    run_bank();
 
-    // Weak isolation demo: under write-through, naked readers can observe
-    // tentative (later rolled back) data — the hazard the Leap-List's
-    // marked-pointer protocol exists to handle.
-    let domain = StmDomain::with_config(Mode::WriteThrough, 10);
+    // Isolation demo: writes are buffered until commit, so a naked reader
+    // never sees a tentative value, and an abandoned transaction leaves
+    // no trace.
+    let domain = StmDomain::with_orec_bits(10);
     let v = TVar::new(1u64);
     let mut tx = leap_stm::Txn::begin(&domain);
     tx.write(&v, 999).unwrap();
-    println!(
-        "\nwrite-through, naked read mid-transaction: {}",
-        v.naked_load()
-    );
-    drop(tx); // roll back
-    println!(
-        "after rollback                            : {}",
-        v.naked_load()
-    );
+    println!("\nnaked read mid-transaction: {}", v.naked_load());
+    assert_eq!(v.naked_load(), 1);
+    drop(tx); // abandon: the buffered write is discarded
+    println!("after abandoning it       : {}", v.naked_load());
     assert_eq!(v.naked_load(), 1);
 }
