@@ -1,10 +1,9 @@
 //! Paired leap-trace overhead measurement: alternates small batches
 //! between a traced store (default head sampling) and an untraced one,
 //! flipping the order every round, so slow host drift — which swamps a
-//! few-percent delta in back-to-back criterion groups on a busy box —
+//! few-percent delta between two back-to-back runs on a busy box —
 //! cancels out of the comparison. This is the measurement the ≤5%
-//! tracing budget is checked against when the `leapstore_trace`
-//! criterion group is too noisy to resolve it.
+//! tracing budget is checked against.
 //!
 //! ```sh
 //! cargo run --release -p leap-bench --example trace_overhead_paired

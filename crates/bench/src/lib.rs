@@ -11,11 +11,12 @@
 //! see [`scale::Scale`].
 //!
 //! That is the whole of this crate's measurement surface: the paper's own
-//! panels plus the criterion benches under `benches/` (`micro`, `ablation`,
-//! `store`, `memdb`). Numbers of record for the store and the memdb table
-//! under load come from the separate `benchmark/` package
-//! (`BENCHMARK.json`), not from here. [`rng`] and [`zipf`] are shared with
-//! the `chaos` bin and the workspace examples.
+//! panels plus the paired trace-cost example
+//! (`examples/trace_overhead_paired.rs`). Numbers of record for the store
+//! and the memdb table under load, per-op costs included, come from the
+//! separate `benchmark/` package (`BENCHMARK.json`), not from here.
+//! [`rng`] and [`zipf`] are shared with the `chaos` bin and the workspace
+//! examples.
 
 #![deny(missing_docs)]
 

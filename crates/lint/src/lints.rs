@@ -274,9 +274,9 @@ fn allowed(lex: &LexFile, line: u32, lint: &str) -> bool {
 // ---------------------------------------------------------------------------
 
 /// Token-index ranges covered by `#[cfg(test)]` modules, `#[test]`/`#[bench]`
-/// functions, or an inner `#![cfg(test)]`. Conservative: an attribute whose
-/// tokens include `test`/`bench` *not* under a `not(...)` marks the next
-/// braced item.
+/// functions, or an inner `#![cfg(test)]`, each from the attribute's `#` to
+/// the item's closing brace. Conservative: an attribute whose tokens include
+/// `test`/`bench` *not* under a `not(...)` marks the next braced item.
 fn test_regions(lex: &LexFile) -> Vec<(usize, usize)> {
     let t = &lex.tokens;
     let mut out = Vec::new();
@@ -320,8 +320,8 @@ fn test_regions(lex: &LexFile) -> Vec<(usize, usize)> {
             if inner {
                 // `#![cfg(test)]`: the whole file is test code.
                 out.push((0, t.len()));
-            } else if let Some(region) = braced_item_after(t, end + 1) {
-                out.push(region);
+            } else if let Some((_, close)) = braced_item_after(t, end + 1) {
+                out.push((i, close));
             }
         }
         i = end + 1;
@@ -355,7 +355,8 @@ fn attr_is_test(attr: &[Token]) -> bool {
 
 /// Find the braced body of the item starting at token `from` (skipping any
 /// further attributes): the token range `(open_brace, close_brace)`.
-/// Returns None for brace-less items (`mod tests;`).
+/// Returns None for brace-less items (`mod tests;`, or a struct field or
+/// initializer that the enclosing `}` ends).
 fn braced_item_after(t: &[Token], mut from: usize) -> Option<(usize, usize)> {
     // Skip stacked attributes.
     while is_punct(t, from, "#") && is_punct(t, from + 1, "[") {
@@ -379,13 +380,13 @@ fn braced_item_after(t: &[Token], mut from: usize) -> Option<(usize, usize)> {
         }
         from = k + 1;
     }
-    // First `{` before a top-level `;` opens the body.
+    // First `{` before a top-level `;` or the enclosing `}` opens the body.
     let mut k = from;
     loop {
         let tok = t.get(k)?;
         if tok.kind == TokKind::Punct {
             match tok.text.as_str() {
-                ";" => return None,
+                ";" | "}" => return None,
                 "{" => break,
                 _ => {}
             }
@@ -419,6 +420,28 @@ fn is_punct(t: &[Token], i: usize, s: &str) -> bool {
 fn is_ident(t: &[Token], i: usize, s: &str) -> bool {
     t.get(i)
         .is_some_and(|tok| tok.kind == TokKind::Ident && tok.text == s)
+}
+
+/// Lines of a `total_lines`-line file that lie outside every test region
+/// (blank and comment lines included). A test region covers whole lines,
+/// from its attribute to its closing brace, wherever it sits in the file.
+pub fn non_test_lines(lex: &LexFile, total_lines: usize) -> usize {
+    let line_of = |i: usize| {
+        lex.tokens
+            .get(i)
+            .map_or(total_lines, |tok| tok.line as usize)
+    };
+    let mut test = vec![false; total_lines + 1];
+    for (a, b) in test_regions(lex) {
+        // A region from token 0 (an inner `#![cfg(test)]`) also takes the
+        // header comments above the first token.
+        let first = if a == 0 { 1 } else { line_of(a) };
+        let last = line_of(b).min(total_lines);
+        for flag in &mut test[first..=last] {
+            *flag = true;
+        }
+    }
+    test[1..].iter().filter(|&&t| !t).count()
 }
 
 // ---------------------------------------------------------------------------

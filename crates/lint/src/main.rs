@@ -11,8 +11,12 @@
 //! skipped unless requested via `--lint registry-drift`, since its doc
 //! input lives at the root).
 //!
+//! Both outputs also report the non-test lines of each `crates/<name>/src`
+//! that was linted: every line outside a `#[cfg(test)]` / `#[test]` item.
+//!
 //! Exit codes: 0 clean, 1 findings, 2 usage/IO error.
 
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -105,6 +109,12 @@ fn rel_path(root: &Path, path: &Path) -> String {
     rel.to_string_lossy().replace('\\', "/")
 }
 
+/// The crate directory name of a file under `crates/<name>/src/`.
+fn crate_src(path: &str) -> Option<&str> {
+    let (name, rest) = path.strip_prefix("crates/")?.split_once('/')?;
+    rest.starts_with("src/").then_some(name)
+}
+
 fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     for c in s.chars() {
@@ -120,7 +130,14 @@ fn json_escape(s: &str) -> String {
     out
 }
 
-fn emit(findings: &[Finding], suppressed: usize, files: usize, json: bool) {
+fn emit(
+    findings: &[Finding],
+    suppressed: usize,
+    files: usize,
+    loc: &BTreeMap<String, usize>,
+    json: bool,
+) {
+    let loc_total: usize = loc.values().sum();
     if json {
         let mut s = String::from("{\"findings\":[");
         for (i, f) in findings.iter().enumerate() {
@@ -149,7 +166,10 @@ fn emit(findings: &[Finding], suppressed: usize, files: usize, json: bool) {
                 s.push_str(&format!("\"{name}\":{n}"));
             }
         }
-        s.push_str("}}");
+        s.push_str("},\"non_test_lines\":{");
+        let per_crate: Vec<String> = loc.iter().map(|(c, n)| format!("\"{c}\":{n}")).collect();
+        s.push_str(&per_crate.join(","));
+        s.push_str(&format!("}},\"non_test_lines_total\":{loc_total}}}"));
         println!("{s}");
         return;
     }
@@ -172,6 +192,13 @@ fn emit(findings: &[Finding], suppressed: usize, files: usize, json: bool) {
             by.join(", "),
             suppressed,
             files
+        );
+    }
+    if !loc.is_empty() {
+        let per_crate: Vec<String> = loc.iter().map(|(c, n)| format!("{c} {n}")).collect();
+        println!(
+            "leap-lint: non-test lines in crates/*/src: {} (total {loc_total})",
+            per_crate.join(", ")
         );
     }
 }
@@ -282,12 +309,18 @@ fn run() -> Result<bool, String> {
     }
 
     let mut files = Vec::new();
+    let mut loc: BTreeMap<String, usize> = BTreeMap::new();
     for p in &paths {
         let src = std::fs::read_to_string(p).map_err(|e| format!("{}: {e}", p.display()))?;
-        files.push(SourceFile {
+        let file = SourceFile {
             path: rel_path(&root, p),
             lex: lexer::lex(&src),
-        });
+        };
+        if let Some(name) = crate_src(&file.path) {
+            *loc.entry(name.to_string()).or_default() +=
+                lints::non_test_lines(&file.lex, src.lines().count());
+        }
+        files.push(file);
     }
 
     let mut findings = Vec::new();
@@ -314,7 +347,7 @@ fn run() -> Result<bool, String> {
     }
 
     findings.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
-    emit(&findings, suppressed, files.len(), args.json);
+    emit(&findings, suppressed, files.len(), &loc, args.json);
     Ok(findings.is_empty())
 }
 

@@ -4,7 +4,9 @@
 //! files on disk) so the workspace walk in `main.rs` can't see them.
 
 use leap_lint::lexer::lex;
-use leap_lint::lints::{lint_file, registry_drift, Enabled, FileReport, RegistryDocs, SourceFile};
+use leap_lint::lints::{
+    lint_file, non_test_lines, registry_drift, Enabled, FileReport, RegistryDocs, SourceFile,
+};
 
 /// Lint `src` as if it lived at `path` (path picks scoping rules).
 fn run(path: &str, src: &str) -> FileReport {
@@ -176,6 +178,18 @@ fn panic_path_accepts_invariant_and_skips_tests() {
     assert_clean(P, "fn f(x: Option<u8>) -> u8 {\n    x.unwrap_or(0)\n}\n");
 }
 
+/// A `#[cfg(test)]` struct field is not a braced item: the test region
+/// must end with the struct, not swallow the next item's body.
+#[test]
+fn panic_path_fires_after_a_cfg_test_field() {
+    assert_fires(
+        P,
+        "struct S {\n    #[cfg(test)]\n    n: u32,\n}\nfn f(x: Option<u8>) -> u8 {\n    x.unwrap()\n}\n",
+        "panic-path",
+        6,
+    );
+}
+
 #[test]
 fn panic_path_suppressible() {
     assert_suppressed(P, "fn f(x: Option<u8>) -> u8 {\n    // lint:allow(panic-path): demo fixture.\n    x.unwrap()\n}\n");
@@ -255,4 +269,50 @@ fn registry_drift_catches_undocumented_metric() {
         drift(&[(P, src)], "metrics: `store_op_get_ns` only"),
         vec!["registry-drift"]
     );
+}
+
+// -- non-test line count ----------------------------------------------------
+
+fn loc(src: &str) -> usize {
+    non_test_lines(&lex(src), src.lines().count())
+}
+
+/// Every line outside a test item counts: past a mid-file test item, past
+/// an indented one, and past a doc comment that only mentions
+/// `#[cfg(test)]`.
+#[test]
+fn non_test_lines_skip_only_test_items() {
+    let src = "\
+//! Unit tests sit under `#[cfg(test)]`, as usual.
+pub fn a() {}
+
+#[cfg(test)]
+fn helper() {}
+
+pub struct S;
+
+impl S {
+    #[cfg(test)]
+    fn probe(&self) {}
+
+    pub fn b(&self) {}
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn t() {}
+}
+";
+    // 20 lines; test items on 4-5, 10-11 and 16-20.
+    assert_eq!(src.lines().count(), 20);
+    assert_eq!(loc(src), 11);
+    // A field-level `#[cfg(test)]` ends with its struct.
+    assert_eq!(
+        loc("struct S {\n    #[cfg(test)]\n    n: u32,\n}\nfn f() {\n    g();\n}\n"),
+        7
+    );
+    // An inner `#![cfg(test)]` makes the whole file test code.
+    assert_eq!(loc("//! Test helpers.\n#![cfg(test)]\npub fn h() {}\n"), 0);
+    assert_eq!(loc("pub fn a() {}\n\npub fn b() {}\n"), 3);
 }

@@ -187,14 +187,10 @@ impl OpOutcome {
 }
 
 /// Construction parameters for a [`Tracer`] (the store threads this
-/// through its own config).
+/// through its own config). Head sampling uses the embedding layer's
+/// period (the store's `sample_period`), passed to [`Tracer::from_config`].
 #[derive(Debug, Clone)]
 pub struct TraceConfig {
-    /// Head-sampling period: trace 1 in `sample_period` ops per thread
-    /// (`1` = every op, `0` = head sampling off — tail capture still
-    /// applies). `None` inherits the embedding layer's sampling knob
-    /// (the store's `sample_period`).
-    pub sample_period: Option<u32>,
     /// Tail-capture SLO threshold: any op slower than this many
     /// nanoseconds is always retained, sampled or not.
     pub slo_ns: u64,
@@ -202,20 +198,11 @@ pub struct TraceConfig {
 
 impl Default for TraceConfig {
     fn default() -> Self {
-        TraceConfig {
-            sample_period: None,
-            slo_ns: 1_000_000,
-        }
+        TraceConfig { slo_ns: 1_000_000 }
     }
 }
 
 impl TraceConfig {
-    /// Sets the head-sampling period (see [`TraceConfig::sample_period`]).
-    pub fn with_sample_period(mut self, period: u32) -> Self {
-        self.sample_period = Some(period);
-        self
-    }
-
     /// Sets the tail-capture SLO threshold in nanoseconds.
     pub fn with_slo_ns(mut self, slo_ns: u64) -> Self {
         self.slo_ns = slo_ns;
@@ -489,15 +476,11 @@ impl Tracer {
         }
     }
 
-    /// Builds from a [`TraceConfig`], inheriting `default_period` when
-    /// the config leaves the sampling period unset, retaining the last
+    /// Builds from a [`TraceConfig`] and the embedding layer's
+    /// head-sampling period, retaining the last
     /// [`DEFAULT_SPAN_RING_CAPACITY`] spans.
-    pub fn from_config(cfg: &TraceConfig, default_period: u32) -> Self {
-        Tracer::new(
-            cfg.sample_period.unwrap_or(default_period),
-            cfg.slo_ns,
-            DEFAULT_SPAN_RING_CAPACITY,
-        )
+    pub fn from_config(cfg: &TraceConfig, sample_period: u32) -> Self {
+        Tracer::new(sample_period, cfg.slo_ns, DEFAULT_SPAN_RING_CAPACITY)
     }
 
     /// The tail-capture SLO threshold in nanoseconds.

@@ -64,9 +64,8 @@ pub struct StoreConfig {
     /// Arms leap-trace per-op spans ([`leap_obs::TraceConfig`]): phase
     /// breakdowns, STM abort causes per attempt and
     /// migration-interference marks, head-sampled at `sample_period`
-    /// (unless the config overrides it) plus tail capture above the SLO
-    /// threshold. `None` (the default) keeps tracing entirely off the hot
-    /// paths.
+    /// plus tail capture above the SLO threshold. `None` (the default)
+    /// keeps tracing entirely off the hot paths.
     pub trace: Option<leap_obs::TraceConfig>,
     /// Deterministic fault-injection schedule ([`leap_fault::FaultPlan`]),
     /// `None` in production. When set, the store builds one

@@ -385,11 +385,8 @@ fn typed_failures_are_always_retained_as_spans() {
             StoreConfig::new(2, Partitioning::Range)
                 .with_key_space(KEY_SPACE)
                 .with_faults(plan)
-                .with_tracing(
-                    TraceConfig::default()
-                        .with_slo_ns(u64::MAX)
-                        .with_sample_period(0),
-                ),
+                .with_sample_period(0)
+                .with_tracing(TraceConfig::default().with_slo_ns(u64::MAX)),
         ));
         // Timeout: the first four commits in the store's life are failed
         // by injection, exhausting the bounded put's attempt budget.

@@ -29,7 +29,8 @@ fn retry_storm_put_is_tail_captured_with_full_phase_breakdown() {
             // SLO 0: every finished op is over-threshold, so retention
             // needs no sampling luck. Head sampling off proves the tail
             // path alone captured it.
-            .with_tracing(TraceConfig::default().with_slo_ns(0).with_sample_period(0)),
+            .with_sample_period(0)
+            .with_tracing(TraceConfig::default().with_slo_ns(0)),
     );
     // Live overlay over [100, 511], never stepped: key 200 stays in the
     // migrating range for the whole test.
@@ -134,11 +135,8 @@ fn timed_out_op_is_retained_despite_sampling_and_slo() {
         StoreConfig::new(2, Partitioning::Range)
             .with_key_space(KEY_SPACE)
             .with_faults(FaultPlan::new(7).always(FaultPoint::StmCommit))
-            .with_tracing(
-                TraceConfig::default()
-                    .with_slo_ns(u64::MAX)
-                    .with_sample_period(0),
-            ),
+            .with_sample_period(0)
+            .with_tracing(TraceConfig::default().with_slo_ns(u64::MAX)),
     );
     match store.bounded(RetryPolicy::default().max_attempts(4), || store.put(5, 50)) {
         Err(StoreError::Timeout { attempts }) => assert!(attempts >= 4),
