@@ -130,11 +130,10 @@ fn run(seed: u64, ops: u64, shards: usize) -> Result<(), String> {
     }
     let stats = store.stats();
     println!(
-        "chaos: converged — {} keys, epoch {}, {} migrations completed, {} aborted",
+        "chaos: converged — {} keys, epoch {}, {} migrations completed",
         store.len(),
         stats.epoch,
-        stats.migrations_completed,
-        stats.aborted_migrations
+        stats.migrations_completed
     );
     println!("chaos: driver-observed shed={shed} timeouts={timeouts}");
     if let Some(inj) = store.faults() {

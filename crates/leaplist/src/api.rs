@@ -3,8 +3,8 @@
 
 use crate::{LeapListCop, LeapListLt, LeapListRwlock, LeapListTm};
 
-/// One component of a mixed multi-list batch
-/// ([`LeapListLt::apply_batch`]).
+/// One op of a mixed multi-list batch
+/// ([`LeapListLt::apply_batch_grouped`]).
 ///
 /// # Example
 ///
@@ -14,11 +14,11 @@ use crate::{LeapListCop, LeapListLt, LeapListRwlock, LeapListTm};
 /// let refs: Vec<&_> = lists.iter().collect();
 /// lists[0].update(5, 50);
 /// // Atomically: remove key 5 from list 0 AND insert key 6 into list 1.
-/// let old = LeapListLt::apply_batch(
+/// let old = LeapListLt::apply_batch_grouped(
 ///     &refs,
-///     &[BatchOp::Remove(5), BatchOp::Update(6, 60)],
+///     &[&[BatchOp::Remove(5)], &[BatchOp::Update(6, 60)]],
 /// );
-/// assert_eq!(old, vec![Some(50), None]);
+/// assert_eq!(old, vec![vec![Some(50)], vec![None]]);
 /// ```
 #[derive(Debug, Clone)]
 pub enum BatchOp<V> {
@@ -155,36 +155,5 @@ mod tests {
         // Later duplicates win.
         let l2: LeapListRwlock<u64> = [(1, 1), (1, 9)].into_iter().collect();
         assert_eq!(l2.lookup(1), Some(9));
-    }
-
-    #[test]
-    fn extremes_and_counts() {
-        let l: LeapListLt<u64> = LeapListLt::new(Params {
-            node_size: 3,
-            max_level: 4,
-        });
-        assert_eq!(l.first_key_value(), None);
-        assert_eq!(l.last_key_value(), None);
-        assert_eq!(l.count_range(0, 100), 0);
-        for k in [5u64, 50, 20, 80, 35] {
-            l.update(k, k + 1);
-        }
-        assert_eq!(l.first_key_value(), Some((5, 6)));
-        assert_eq!(l.last_key_value(), Some((80, 81)));
-        assert_eq!(l.count_range(10, 60), 3);
-        assert_eq!(l.count_range(81, 100), 0);
-        assert!(l.contains_key(35));
-        assert!(!l.contains_key(36));
-        // Remove the extremes; the answers must follow.
-        l.remove(5);
-        l.remove(80);
-        assert_eq!(l.first_key_value(), Some((20, 21)));
-        assert_eq!(l.last_key_value(), Some((50, 51)));
-        // Empty the list entirely: the trailing-empty-node fallback path.
-        for k in [20u64, 35, 50] {
-            l.remove(k);
-        }
-        assert_eq!(l.last_key_value(), None);
-        assert_eq!(l.first_key_value(), None);
     }
 }

@@ -97,7 +97,7 @@ impl<V: Clone + Send + Sync + 'static> LeapListLt<V> {
     ///
     /// Panics if `key == u64::MAX` (reserved for the tail sentinel).
     pub fn update(&self, key: u64, value: V) -> Option<V> {
-        self.apply_owned(&[self], vec![vec![BatchOp::Update(key, value)]])
+        Self::apply_owned(&[self], vec![vec![BatchOp::Update(key, value)]])
             .pop()
             // INVARIANT: one input list/op produces exactly one result entry.
             .expect("one list yields one result")
@@ -112,7 +112,7 @@ impl<V: Clone + Send + Sync + 'static> LeapListLt<V> {
     ///
     /// Panics if `key == u64::MAX`.
     pub fn remove(&self, key: u64) -> Option<V> {
-        self.apply_owned(&[self], vec![vec![BatchOp::Remove(key)]])
+        Self::apply_owned(&[self], vec![vec![BatchOp::Remove(key)]])
             .pop()
             // INVARIANT: one input list/op produces exactly one result entry.
             .expect("one list yields one result")
@@ -125,62 +125,37 @@ impl<V: Clone + Send + Sync + 'static> LeapListLt<V> {
     /// `lists[j].update(keys[j], values[j])` for all `j` as **one**
     /// linearizable action. Returns the previous values.
     ///
-    /// Delegates to [`LeapListLt::apply_batch`].
-    ///
     /// # Panics
     ///
-    /// Panics if the slices differ in length, any key is `u64::MAX`, lists
-    /// do not share one domain, or the same list appears twice.
+    /// Panics if the slices differ in length, the batch is empty, any key
+    /// is `u64::MAX`, lists do not share one domain, or the same list
+    /// appears twice.
     pub fn update_batch(lists: &[&Self], keys: &[u64], values: &[V]) -> Vec<Option<V>> {
         assert_eq!(keys.len(), values.len());
-        let ops: Vec<BatchOp<V>> = keys
+        let ops = keys
             .iter()
-            .zip(values.iter())
-            .map(|(k, v)| BatchOp::Update(*k, v.clone()))
+            .zip(values)
+            .map(|(k, v)| vec![BatchOp::Update(*k, v.clone())])
             .collect();
-        Self::apply_one_per_list(lists, ops)
+        // One op per group, so one result per group.
+        Self::apply_owned(lists, ops)
+            .into_iter()
+            .flatten()
+            .collect()
     }
 
     /// The paper's composite `Remove(ll, k, s)`: removes `keys[j]` from
     /// `lists[j]` for all `j` as one linearizable action.
     ///
-    /// Delegates to [`LeapListLt::apply_batch`].
-    ///
     /// # Panics
     ///
     /// As for [`LeapListLt::update_batch`].
     pub fn remove_batch(lists: &[&Self], keys: &[u64]) -> Vec<Option<V>> {
-        let ops: Vec<BatchOp<V>> = keys.iter().map(|k| BatchOp::Remove(*k)).collect();
-        Self::apply_one_per_list(lists, ops)
-    }
-
-    /// Applies a **mixed** batch — updates and removes interleaved — to the
-    /// given lists as one linearizable action, one op per list. This
-    /// generalizes the paper's homogeneous `Update`/`Remove` composites
-    /// (§2) and is what an in-memory database needs to move a row between
-    /// secondary-index buckets atomically (the paper's future-work
-    /// application, §4).
-    ///
-    /// Delegates to [`LeapListLt::apply_batch_grouped`] with one-op
-    /// groups. Returns the previous value per component.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slices differ in length, any key is `u64::MAX`,
-    /// lists do not share one domain, or the same list appears twice.
-    pub fn apply_batch(lists: &[&Self], ops: &[BatchOp<V>]) -> Vec<Option<V>> {
-        Self::apply_one_per_list(lists, ops.to_vec())
-    }
-
-    fn apply_one_per_list(lists: &[&Self], ops: Vec<BatchOp<V>>) -> Vec<Option<V>> {
-        assert_eq!(lists.len(), ops.len());
-        // INVARIANT: documented panic — an empty batch is a caller bug.
-        let first = lists.first().expect("batch must be non-empty");
-        first
-            .apply_owned(lists, ops.into_iter().map(|op| vec![op]).collect())
+        let ops = keys.iter().map(|k| vec![BatchOp::Remove(*k)]).collect();
+        // One op per group, so one result per group.
+        Self::apply_owned(lists, ops)
             .into_iter()
-            // INVARIANT: each group holds exactly one op.
-            .map(|mut r| r.pop().expect("one op per list yields one result"))
+            .flatten()
             .collect()
     }
 
@@ -208,17 +183,17 @@ impl<V: Clone + Send + Sync + 'static> LeapListLt<V> {
     /// is `u64::MAX`, lists do not share one domain, or the same list
     /// appears twice.
     pub fn apply_batch_grouped(lists: &[&Self], ops: &[&[BatchOp<V>]]) -> Vec<Vec<Option<V>>> {
-        // INVARIANT: documented panic — an empty batch is a caller bug.
-        let first = lists.first().expect("batch must be non-empty");
-        first.apply_owned(lists, ops.iter().map(|g| g.to_vec()).collect())
+        Self::apply_owned(lists, ops.iter().map(|g| g.to_vec()).collect())
     }
 
     /// The one write path: `ops[j]` is moved into list `j`'s group. Each
     /// update's value belongs to the batch until the commit, which hands it
     /// to the list ([`settle`]); every attempt only copies it bitwise. A
     /// batch abandoned by a retry budget drops it ([`Unsettled`]).
-    fn apply_owned(&self, lists: &[&Self], ops: Vec<Vec<BatchOp<V>>>) -> Vec<Vec<Option<V>>> {
+    fn apply_owned(lists: &[&Self], ops: Vec<Vec<BatchOp<V>>>) -> Vec<Vec<Option<V>>> {
         assert_eq!(lists.len(), ops.len());
+        // INVARIANT: documented panic — an empty batch is a caller bug.
+        let domain = &lists.first().expect("batch must be non-empty").domain;
         let groups: Vec<Unsettled<V>> = ops
             .into_iter()
             .map(|g| {
@@ -250,7 +225,7 @@ impl<V: Clone + Send + Sync + 'static> LeapListLt<V> {
             // dying node of one segment can be another's level-i
             // predecessor): a validation reading a pointer the previous
             // segment already marked would abort forever.
-            let mut tx = Txn::begin(&self.domain);
+            let mut tx = Txn::begin(domain);
             let acquired: TxResult<()> = (|| {
                 for seg in plans.iter_mut().flat_map(|p| &mut p.segments) {
                     // SAFETY: plan pointers are protected by `guard`.
@@ -269,13 +244,13 @@ impl<V: Clone + Send + Sync + 'static> LeapListLt<V> {
             // at-or-past this commit's `wv`, so the post-commit pointer
             // surgery and bundle stamping below are invisible to every
             // pinnable snapshot. The ticket drops on every exit path.
-            let ticket = self.domain.begin_wiring();
+            let ticket = domain.begin_wiring();
             if acquired.is_ok() {
                 if let Ok(wv) = tx.commit_stamped() {
                     let groups: Vec<Vec<ListOp<V>>> =
                         groups.into_iter().map(Unsettled::committed).collect();
-                    record_commit(&self.domain, &backoff);
-                    let bound = self.domain.prune_bound();
+                    record_commit(domain, &backoff);
+                    let bound = domain.prune_bound();
                     // Release-and-update: wire every chain and stamp
                     // version bundles.
                     let mut out = Vec::with_capacity(plans.len());
@@ -311,7 +286,7 @@ impl<V: Clone + Send + Sync + 'static> LeapListLt<V> {
                     // `ts < wv` may still resolve bundles onto them, so
                     // they park in the limbo until the prune bound passes
                     // `wv`, and only then enter the EBR queue.
-                    let drain_bound = self.domain.prune_bound();
+                    let drain_bound = domain.prune_bound();
                     for (plan, list) in plans.iter().zip(lists.iter()) {
                         let dying = plan.segments.iter().flat_map(|s| s.old.iter().copied());
                         // SAFETY: the dying nodes were unlinked by the
@@ -606,140 +581,6 @@ impl<V: Clone + Send + Sync + 'static> LeapListLt<V> {
         self.bundle_depth.load(std::sync::atomic::Ordering::Relaxed)
     }
 
-    /// Whether `key` is present (linearizable, transaction-free).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `key == u64::MAX`.
-    pub fn contains_key(&self, key: u64) -> bool {
-        self.lookup(key).is_some()
-    }
-
-    /// Number of keys in `[lo, hi]` from one consistent snapshot, without
-    /// cloning any values.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `hi == u64::MAX`.
-    pub fn count_range(&self, lo: u64, hi: u64) -> usize {
-        Self::count_range_group(&[self], &[(lo, hi)])
-            .pop()
-            // INVARIANT: one input list/op produces exactly one result entry.
-            .expect("one list yields one result")
-    }
-
-    /// The smallest key and its value, from a consistent snapshot.
-    pub fn first_key_value(&self) -> Option<(u64, V)> {
-        // Smallest possible range start: collect nodes from the first one
-        // until a non-empty node appears, all inside one transaction.
-        let _guard = pin();
-        let mut backoff = Backoff::new();
-        loop {
-            // SAFETY: `_guard` pins the epoch for the whole iteration.
-            let w = unsafe { self.raw.search_predecessors(1) };
-            let mut tx = Txn::begin(&self.domain);
-            let found: leap_stm::TxResult<Option<(u64, V)>> = (|| {
-                let mut n = w.target();
-                loop {
-                    // SAFETY: reached under guard via validated reads.
-                    let node = unsafe { &*n };
-                    if !tx.read(&node.live)? {
-                        return Err(tx.explicit_abort());
-                    }
-                    if let Some((k, v)) = node.data.first() {
-                        return Ok(Some((crate::node::public_key(*k), v.clone())));
-                    }
-                    if node.high == u64::MAX {
-                        return Ok(None);
-                    }
-                    let s = tx.read(&node.next[0])?;
-                    n = s.unmarked().as_ptr();
-                }
-            })();
-            if let Ok(r) = found {
-                if tx.commit().is_ok() {
-                    record_commit(&self.domain, &backoff);
-                    return r;
-                }
-            } else {
-                drop(tx);
-            }
-            backoff.snooze();
-        }
-    }
-
-    /// The largest key and its value, from a consistent snapshot.
-    ///
-    /// Walks the bottom level from the predecessor of +inf, so it is O(1)
-    /// expected (the last node), falling back to a scan when trailing
-    /// nodes are empty.
-    pub fn last_key_value(&self) -> Option<(u64, V)> {
-        // Simplest consistent implementation: snapshot the full range and
-        // take the maximum of the trailing non-empty node. The collect
-        // walks from the node containing the largest real key.
-        let _guard = pin();
-        let mut backoff = Backoff::new();
-        loop {
-            // Predecessor window of the +inf sentinel: pa[0] is the last
-            // node with high < MAX. Its keys (or an earlier node's, if
-            // it is empty) are the largest — but emptiness forces a
-            // restart from the head for simplicity.
-            // SAFETY: `_guard` pins the epoch for the whole iteration.
-            let w = unsafe { self.raw.search_predecessors(u64::MAX) };
-            let mut tx = Txn::begin(&self.domain);
-            let found: leap_stm::TxResult<Option<(u64, V)>> = (|| {
-                // The tail (high == +inf) holds the largest keys when it
-                // is non-empty; otherwise its predecessor does. Validate
-                // both nodes and their adjacency so the answer is a
-                // consistent snapshot.
-                // SAFETY: search result under `_guard`; liveness is
-                // validated transactionally right below.
-                let tail = unsafe { &*w.target() };
-                if !tx.read(&tail.live)? {
-                    return Err(tx.explicit_abort());
-                }
-                if let Some((k, v)) = tail.data.last() {
-                    return Ok(Some((crate::node::public_key(*k), v.clone())));
-                }
-                // SAFETY: predecessor-window node under `_guard`.
-                let prev = unsafe { &*w.pa[0] };
-                if !tx.read(&prev.live)? {
-                    return Err(tx.explicit_abort());
-                }
-                let link = tx.read(&prev.next[0])?;
-                if link.is_marked() || link.as_ptr() != w.target() {
-                    return Err(tx.explicit_abort());
-                }
-                if let Some((k, v)) = prev.data.last() {
-                    return Ok(Some((crate::node::public_key(*k), v.clone())));
-                }
-                // Both trailing nodes empty: fall back to a full snapshot
-                // scan (rare — only after removals emptied the tail region).
-                // SAFETY: fallback search under `_guard`.
-                let head_w = unsafe { self.raw.search_predecessors(1) };
-                // SAFETY: validated collect, also under `_guard`.
-                let nodes = unsafe { common::collect_range(&mut tx, head_w.target(), u64::MAX) }?;
-                for &n in nodes.iter().rev() {
-                    // SAFETY: node captured by the validated collect above,
-                    // still under `_guard`; `data` is immutable.
-                    if let Some((k, v)) = unsafe { &*n }.data.last() {
-                        return Ok(Some((crate::node::public_key(*k), v.clone())));
-                    }
-                }
-                Ok(None)
-            })();
-            if let Ok(r) = found {
-                if tx.commit().is_ok() {
-                    record_commit(&self.domain, &backoff);
-                    return r;
-                }
-            } else {
-                drop(tx);
-            }
-            backoff.snooze();
-        }
-    }
-
     /// Approximate number of keys (naked walk; exact when quiescent).
     pub fn len(&self) -> usize {
         let _guard = pin();
@@ -813,7 +654,7 @@ unsafe fn collect_range_bounded<'t, V: 'static>(
 
 /// Counts the pairs with internal keys in `[ilo, ihi]` inside the
 /// transactional walk itself: no node buffer, no value clones — the
-/// count-only path under `count_range` / `len`.
+/// count-only path under [`LeapListLt::count_range_group`].
 ///
 /// # Safety
 ///
@@ -1018,16 +859,33 @@ mod tests {
     #[test]
     fn group_count_matches_group_range() {
         let lists = LeapListLt::<u64>::group(2, small());
+        let refs: Vec<&LeapListLt<u64>> = lists.iter().collect();
+        let counts = LeapListLt::count_range_group(&refs, &[(0, 100), (0, 100)]);
+        assert_eq!(counts, vec![0, 0], "empty lists count zero");
         for k in 0..30u64 {
             lists[0].update(k, k);
             lists[1].update(k * 2, k);
         }
-        let refs: Vec<&LeapListLt<u64>> = lists.iter().collect();
-        let ranges = [(5, 20), (40, 10)];
-        let pairs = LeapListLt::range_query_group(&refs, &ranges);
-        let counts = LeapListLt::count_range_group(&refs, &ranges);
-        assert_eq!(counts, vec![pairs[0].len(), pairs[1].len()]);
-        assert_eq!(counts, vec![16, 0], "inverted range counts zero");
+        let check = |ranges: &[(u64, u64)]| {
+            let pairs = LeapListLt::range_query_group(&refs, ranges);
+            let counts = LeapListLt::count_range_group(&refs, ranges);
+            assert_eq!(counts, pairs.iter().map(Vec::len).collect::<Vec<_>>());
+            counts
+        };
+        assert_eq!(
+            check(&[(5, 20), (40, 10)]),
+            vec![16, 0],
+            "inverted range counts zero"
+        );
+        assert_eq!(
+            check(&[(30, 100), (10, 60)]),
+            vec![0, 25],
+            "past the largest key, and a sparse sub-range"
+        );
+        // Counts follow removals.
+        lists[0].remove(20);
+        lists[1].remove(58);
+        assert_eq!(check(&[(5, 20), (10, 60)]), vec![15, 24]);
     }
 
     #[test]

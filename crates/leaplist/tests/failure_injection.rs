@@ -186,8 +186,9 @@ fn split_merge_storm_with_batches() {
     }
 }
 
-/// Mixed apply_batch under contention: a "move" workload (remove from one
-/// list, insert into another) that must never lose or duplicate the token.
+/// Mixed one-op-per-list `apply_batch_grouped` under contention: a "move"
+/// workload (remove from one list, insert into another) that must never
+/// lose or duplicate the token.
 #[test]
 fn apply_batch_token_passing() {
     use leaplist::BatchOp;
@@ -203,16 +204,16 @@ fn apply_batch_token_passing() {
                     // Thread 0 moves 0 -> 1, thread 1 moves 1 -> 0. Exactly
                     // one of the two component ops finds the token; the
                     // batch is atomic either way.
-                    let ops = if dir == 0 {
-                        [BatchOp::Remove(7), BatchOp::Update(7, 1)]
+                    let ops: [&[BatchOp<u64>]; 2] = if dir == 0 {
+                        [&[BatchOp::Remove(7)], &[BatchOp::Update(7, 1)]]
                     } else {
-                        [BatchOp::Update(7, 1), BatchOp::Remove(7)]
+                        [&[BatchOp::Update(7, 1)], &[BatchOp::Remove(7)]]
                     };
                     // Only move if the source currently holds the token;
                     // otherwise this batch would mint a duplicate.
                     let src = if dir == 0 { 0 } else { 1 };
                     if lists[src].lookup(7).is_some() {
-                        LeapListLt::apply_batch(&refs, &ops);
+                        LeapListLt::apply_batch_grouped(&refs, &ops);
                         moved += 1;
                     }
                 }

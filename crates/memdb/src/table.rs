@@ -143,13 +143,6 @@ impl Table {
         MAX_INDEXED_VALUE
     }
 
-    /// The row-id mask — an **exclusive** bound on allocatable ids: the
-    /// last id allocated before the table panics with "row id space
-    /// exhausted" is `max_row_id() - 1`.
-    pub fn max_row_id(&self) -> u64 {
-        ID_MASK
-    }
-
     /// The backing [`LeapStore`] — the handle for driving `split_shard` /
     /// `rebalance_step` / a `Rebalancer`, and for store statistics.
     ///
@@ -463,16 +456,6 @@ impl Table {
     /// Starts building a [`Query`](crate::Query) over this table.
     pub fn query(&self) -> crate::Query<'_> {
         crate::Query::new(self)
-    }
-
-    /// Inserts several rows; each insert is individually atomic across all
-    /// indexes. Returns the new row ids.
-    ///
-    /// # Errors
-    ///
-    /// Fails fast on the first invalid row; earlier rows remain inserted.
-    pub fn insert_many(&self, rows: &[&[u64]]) -> Result<Vec<RowId>, DbError> {
-        rows.iter().map(|r| self.insert(r)).collect()
     }
 
     /// All rows, ordered by row id (consistent snapshot).

@@ -598,8 +598,9 @@ pub struct Span {
     /// Total measured latency in nanoseconds.
     pub total_ns: u64,
     /// Commit phase: the cross-list transaction (retries included) of a
-    /// `put` / `delete` on a migrating key, run under the overlay lock.
-    /// Every other op leaves it 0.
+    /// write run under a migration overlay's lock — a `put`, `delete` or
+    /// `apply` on a migrating key, or an `apply` that also writes the
+    /// migration's destination shard. Every other op leaves it 0.
     pub commit_ns: u64,
     /// Aborted STM attempts under this span.
     pub retries: u32,

@@ -606,7 +606,22 @@ impl<V: Clone + Send + Sync + 'static> LeapStore<V> {
     pub fn put(&self, key: u64, value: V) -> Option<V> {
         let mut view = self.router.pin();
         let _span = self.span_keyed(leap_obs::OpClass::Put, key, &view);
-        self.timed(OpKind::Put, || self.put_inner(&mut view, key, value))
+        self.timed(OpKind::Put, || {
+            self.write_key(&mut view, BatchOp::Update(key, value), false)
+        })
+    }
+
+    /// Removes `key`; returns its value if present.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `key == u64::MAX`.
+    pub fn delete(&self, key: u64) -> Option<V> {
+        let mut view = self.router.pin();
+        let _span = self.span_keyed(leap_obs::OpClass::Delete, key, &view);
+        self.timed(OpKind::Delete, || {
+            self.write_key(&mut view, BatchOp::Remove(key), false)
+        })
     }
 
     /// Enters the writer gate and re-loads `view` under it: until the
@@ -618,10 +633,11 @@ impl<V: Clone + Send + Sync + 'static> LeapStore<V> {
         gate
     }
 
-    /// Runs the cross-list transaction `f` of a write to a migrating key
-    /// under overlay `m`'s write lock — which the chunk mover also holds,
-    /// so it cannot clobber this write with a stale value — noting lock
-    /// wait/hold and commit time on the active trace span.
+    /// Runs the cross-list transaction `f` of a write that touches
+    /// overlay `m`'s migration under its write lock — which the chunk
+    /// mover also holds, so it cannot clobber this write with a stale
+    /// value — noting lock wait/hold and commit time on the active trace
+    /// span. The store's one acquisition site of that lock.
     fn under_overlay_lock<T>(m: &MigrationState, f: impl FnOnce() -> T) -> T {
         let traced = leap_obs::trace::in_span();
         let lock_requested = traced.then(Instant::now);
@@ -638,75 +654,50 @@ impl<V: Clone + Send + Sync + 'static> LeapStore<V> {
         r
     }
 
-    fn put_inner(&self, view: &mut View<'_, V>, key: u64, value: V) -> Option<V> {
+    /// The one single-key write, behind [`LeapStore::put`],
+    /// [`LeapStore::delete`] and a one-op [`LeapStore::apply`]. A settled
+    /// key's op moves straight into its shard's list. A migrating key's
+    /// source copy is removed and its op applied on the destination in one
+    /// cross-list transaction under the overlay lock, so the key has a
+    /// single home from then on. The previous value is whichever list held
+    /// the key (at most one does, by the migration invariant).
+    ///
+    /// Counts the op as its shard's `puts` or `deletes` (the source's,
+    /// mid-migration), or, as a batch part (`part`), in `batch_parts` of
+    /// every shard it touches, as the grouping path counts a batch.
+    fn write_key(&self, view: &mut View<'_, V>, op: BatchOp<V>, part: bool) -> Option<V> {
+        let key = Self::key_of(&op);
         assert!(key < u64::MAX, "key u64::MAX is reserved");
+        let pick: fn(&CounterRow) -> &AtomicU64 = match (part, &op) {
+            (true, _) => |r| &r.batch_parts,
+            (false, BatchOp::Update(..)) => |r| &r.puts,
+            (false, BatchOp::Remove(_)) => |r| &r.deletes,
+        };
         let _w = self.enter_write(view);
         let slots = view.slots();
         match view.overlay_for(key) {
             None => {
-                // No commit_phase here: a direct put is one transaction
+                // No commit_phase here: a direct write is one transaction
                 // with no lock around it, so the phase would re-measure
                 // what the span total already says — two clock reads on
                 // the hottest write path for nothing. The phase is timed
                 // where it genuinely diverges: migrating writes, under
                 // the overlay lock.
                 let slot = &slots[view.owner_of(key)];
-                CounterRow::bump(&slot.counters.row().puts);
-                slot.list.update(key, value)
+                CounterRow::bump(pick(slot.counters.row()));
+                match op {
+                    BatchOp::Update(k, v) => slot.list.update(k, v),
+                    BatchOp::Remove(k) => slot.list.remove(k),
+                }
             }
             Some(m) => {
-                CounterRow::bump(&slots[m.src].counters.row().puts);
+                CounterRow::bump(pick(slots[m.src].counters.row()));
+                if part {
+                    CounterRow::bump(pick(slots[m.dst].counters.row()));
+                }
                 let (src, dst) = (&*slots[m.src].list, &*slots[m.dst].list);
-                // One cross-list transaction removes the source copy and
-                // writes the destination: the key has a single home from
-                // here on.
-                let rm = [BatchOp::Remove(key)];
-                let up = [BatchOp::Update(key, value)];
                 let mut res = Self::under_overlay_lock(m, || {
-                    LeapListLt::apply_batch_grouped(&[src, dst], &[&rm, &up])
-                });
-                // INVARIANT: each group above holds exactly one op, and
-                // apply_batch_grouped returns one result per op.
-                let dst_prev = res[1].pop().expect("one op in dst group");
-                // INVARIANT: as above — one op, one result.
-                let src_prev = res[0].pop().expect("one op in src group");
-                src_prev.or(dst_prev)
-            }
-        }
-    }
-
-    /// Removes `key`; returns its value if present.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `key == u64::MAX`.
-    pub fn delete(&self, key: u64) -> Option<V> {
-        let mut view = self.router.pin();
-        let _span = self.span_keyed(leap_obs::OpClass::Delete, key, &view);
-        self.timed(OpKind::Delete, || self.delete_inner(&mut view, key))
-    }
-
-    fn delete_inner(&self, view: &mut View<'_, V>, key: u64) -> Option<V> {
-        assert!(key < u64::MAX, "key u64::MAX is reserved");
-        let _w = self.enter_write(view);
-        let slots = view.slots();
-        match view.overlay_for(key) {
-            None => {
-                // Unphased for the same reason as the direct put arm.
-                let slot = &slots[view.owner_of(key)];
-                CounterRow::bump(&slot.counters.row().deletes);
-                slot.list.remove(key)
-            }
-            Some(m) => {
-                CounterRow::bump(&slots[m.src].counters.row().deletes);
-                // Remove the key from both lists in one transaction (at
-                // most one holds it, by the migration invariant).
-                let rm = [BatchOp::Remove(key)];
-                let mut res = Self::under_overlay_lock(m, || {
-                    LeapListLt::apply_batch_grouped(
-                        &[&*slots[m.src].list, &*slots[m.dst].list],
-                        &[&rm, &rm],
-                    )
+                    LeapListLt::apply_batch_grouped(&[src, dst], &[&[BatchOp::Remove(key)], &[op]])
                 });
                 // INVARIANT: each group above holds exactly one op, and
                 // apply_batch_grouped returns one result per op.
@@ -760,7 +751,12 @@ impl<V: Clone + Send + Sync + 'static> LeapStore<V> {
             ops.first().map(Self::key_of).unwrap_or(0),
             &view,
         );
-        self.timed(OpKind::Apply, || self.apply_inner(&mut view, ops))
+        self.timed(OpKind::Apply, || match ops {
+            [] => Vec::new(),
+            // A one-op batch is a single-key write: no grouping vectors.
+            [op] => vec![self.write_key(&mut view, op.clone(), true)],
+            _ => self.apply_inner(&mut view, ops),
+        })
     }
 
     fn key_of(op: &BatchOp<V>) -> u64 {
@@ -771,9 +767,6 @@ impl<V: Clone + Send + Sync + 'static> LeapStore<V> {
     }
 
     fn apply_inner(&self, view: &mut View<'_, V>, ops: &[BatchOp<V>]) -> Vec<Option<V>> {
-        if ops.is_empty() {
-            return Vec::new();
-        }
         // Validate every key before touching any shard, so a documented
         // caller error cannot panic with part of the batch planned.
         for op in ops {
@@ -781,19 +774,6 @@ impl<V: Clone + Send + Sync + 'static> LeapStore<V> {
         }
         let _w = self.enter_write(view);
         let slots = view.slots();
-        // Single-op batches route straight to their shard: no grouping
-        // vectors.
-        if let [op] = ops {
-            let k = Self::key_of(op);
-            if view.overlay_for(k).is_none() {
-                let slot = &slots[view.owner_of(k)];
-                CounterRow::bump(&slot.counters.row().batch_parts);
-                return vec![match op {
-                    BatchOp::Update(k, v) => slot.list.update(*k, v.clone()),
-                    BatchOp::Remove(k) => slot.list.remove(*k),
-                }];
-            }
-        }
         // Group ops per shard slot, preserving input order within each
         // group. A migrating key contributes a Remove to the overlay's
         // source group and its op to the destination group: the batch
@@ -830,15 +810,6 @@ impl<V: Clone + Send + Sync + 'static> LeapStore<V> {
                 });
             }
         }
-        // One multi-list transaction over every touched shard, regardless
-        // of key -> shard collisions. A batch that touches the migrating
-        // range, or writes the overlay's destination directly
-        // (conservatively), serializes against the chunk mover (see `put`)
-        // by taking the overlay's one write lock.
-        let _lock = view
-            .overlay()
-            .filter(|m| sources.iter().any(|s| s.src.is_some() || s.slot == m.dst))
-            .map(|m| m.write_lock.lock().unwrap_or_else(PoisonError::into_inner));
         if groups.iter().any(|g| g.len() >= 2) {
             // ORDERING: monotonic stat counter; no publication rides on it.
             self.collision_batches.fetch_add(1, Ordering::Relaxed);
@@ -860,7 +831,19 @@ impl<V: Clone + Send + Sync + 'static> LeapStore<V> {
                 shard_ops.push(g);
             }
         }
-        let results = LeapListLt::apply_batch_grouped(&lists, &shard_ops);
+        // One multi-list transaction over every touched shard, regardless
+        // of key -> shard collisions. A batch that touches the migrating
+        // range, or writes the overlay's destination directly
+        // (conservatively), serializes against the chunk mover by taking
+        // the overlay's write lock.
+        let commit = || LeapListLt::apply_batch_grouped(&lists, &shard_ops);
+        let results = match view
+            .overlay()
+            .filter(|m| sources.iter().any(|s| s.src.is_some() || s.slot == m.dst))
+        {
+            Some(m) => Self::under_overlay_lock(m, commit),
+            None => commit(),
+        };
         sources
             .iter()
             .map(|src| {

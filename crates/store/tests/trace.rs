@@ -7,7 +7,7 @@
 
 use leap_obs::{AbortCause, TraceConfig};
 use leap_store::{
-    FaultPlan, FaultPoint, LeapStore, Partitioning, RetryPolicy, StoreConfig, StoreError,
+    BatchOp, FaultPlan, FaultPoint, LeapStore, Partitioning, RetryPolicy, StoreConfig, StoreError,
 };
 
 const KEY_SPACE: u64 = 1_024;
@@ -87,6 +87,46 @@ fn retry_storm_put_is_tail_captured_with_full_phase_breakdown() {
         "\"dur\":",
     ] {
         assert!(chrome.contains(needle), "chrome trace missing {needle}");
+    }
+}
+
+/// An `apply` on a migrating key — one op, or several — commits under
+/// the overlay lock, so its span names the overlay, measures the lock
+/// hold and times a commit phase, as a migrating put's does.
+#[test]
+fn migrating_apply_span_carries_overlay_lock_and_commit_phase() {
+    let store: LeapStore<u64> = LeapStore::new(
+        StoreConfig::new(2, Partitioning::Range)
+            .with_key_space(KEY_SPACE)
+            .with_sample_period(0)
+            .with_tracing(TraceConfig::default().with_slo_ns(0)),
+    );
+    // Live overlay over [100, 511], never stepped.
+    store.split_shard(0, 100).expect("split");
+    let m = store.router().migration().expect("overlay is live");
+
+    let batches: [&[BatchOp<u64>]; 2] = [
+        &[BatchOp::Update(200, 7)],
+        &[BatchOp::Update(300, 8), BatchOp::Remove(50)],
+    ];
+    for ops in batches {
+        store.apply(ops);
+    }
+    assert_eq!(store.get(200), Some(7));
+    assert_eq!(store.get(300), Some(8));
+
+    let snap = store.tracer().expect("tracing armed").snapshot();
+    for key in [200, 300] {
+        let span = snap
+            .spans
+            .iter()
+            .find(|s| s.kind == "apply" && s.key == key)
+            .expect("apply span retained");
+        assert_eq!(span.outcome, "ok");
+        assert_eq!(span.overlay, m.id, "overlay id recorded (key {key})");
+        assert!(span.lock_hold_ns > 0, "lock hold measured (key {key})");
+        assert!(span.commit_ns > 0, "commit phase timed (key {key})");
+        assert_eq!(span.commit_ns + span.other_ns(), span.total_ns);
     }
 }
 
