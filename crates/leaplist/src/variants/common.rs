@@ -1,7 +1,7 @@
 //! What the paper's four variants share beyond the plan itself: the
 //! segment validation and LT's marking pass, the retirement of a committed
-//! plan, the batch argument checks, and the COP-style lookup and range
-//! query (paper Figs. 4 and 5).
+//! plan, the batch argument checks, and the COP-style lookup and
+//! transactional range read that COP and LT share (paper Figs. 4 and 5).
 //!
 //! The validation is the transactional re-check of Figs. 9 and 12: the
 //! read-only prefix (search + node construction) ran without any
@@ -11,10 +11,11 @@
 //! LT then marks the window ([`mark_segment`]) and wires after commit; COP
 //! and TM wire inside the transaction (`wire::wire_segment_tx`).
 
-use crate::node::Node;
+use crate::node::{internal_key, Node};
 use crate::plan::{ChainSegment, OneOp, ShortVec};
 use crate::raw::RawLeapList;
-use leap_stm::{StmDomain, TaggedPtr, TxResult, Txn};
+use leap_ebr::pin;
+use leap_stm::{Backoff, StmDomain, TaggedPtr, TxResult, Txn};
 use std::sync::Arc;
 
 /// Panics unless `lists` is non-empty, every list sits on one domain
@@ -236,20 +237,31 @@ pub(crate) unsafe fn cop_lookup<V: Clone>(raw: &RawLeapList<V>, ik: u64) -> Opti
     n.index_of(ik).map(|i| n.data[i].1.clone())
 }
 
-/// COP range query (paper Fig. 5): search uninstrumented, then collect the
-/// node chain inside a transaction that checks liveness of each node and
-/// reads each level-0 pointer transactionally. Returns the collected node
-/// pointers (the caller extracts pairs from their immutable arrays).
+/// Reports one committed retry loop (attempts = snoozes + the successful
+/// try) to the domain's recorder, if one is attached. The disabled path is
+/// a single relaxed load.
+#[inline]
+pub(crate) fn record_commit(domain: &StmDomain, backoff: &Backoff) {
+    if let Some(rec) = domain.recorder() {
+        rec.record_attempts(u64::from(backoff.attempts()) + 1);
+    }
+}
+
+/// The instrumented half of the paper's range query (Fig. 5): walks the
+/// level-0 chain from `start` inside `tx`, checking each node's liveness
+/// and reading each `next[0]` transactionally. `visit` sees every live
+/// node and returns whether to go on; the walk also stops at the first
+/// node whose `high` reaches `ihi`.
 ///
 /// # Safety
 ///
-/// Caller holds an epoch guard; returned pointers are valid under it.
-pub(crate) unsafe fn collect_range<'t, V: 'static>(
+/// Caller holds an epoch guard under which `start` was observed.
+unsafe fn walk_chain<'t, V: 'static>(
     tx: &mut Txn<'t>,
     start: *mut Node<V>,
     ihi: u64,
-) -> TxResult<Vec<*mut Node<V>>> {
-    let mut nodes = Vec::new();
+    mut visit: impl FnMut(&Node<V>) -> bool,
+) -> TxResult<()> {
     let mut n = start;
     loop {
         // SAFETY: start observed by the search under the guard; successors
@@ -258,17 +270,152 @@ pub(crate) unsafe fn collect_range<'t, V: 'static>(
         if !tx.read(&node.live)? {
             return Err(tx.explicit_abort());
         }
-        nodes.push(n);
-        if node.high >= ihi {
-            return Ok(nodes);
+        if !visit(node) || node.high >= ihi {
+            return Ok(());
         }
         let s = tx.read(&node.next[0])?;
         // Paper line 41: traverse through a partially released pointer by
         // stripping the mark; the liveness check above decides validity.
-        let next = s.unmarked().as_ptr();
-        debug_assert!(!next.is_null(), "tail.high = +inf terminates the walk");
-        n = next;
+        n = s.unmarked().as_ptr();
+        debug_assert!(!n.is_null(), "tail.high = +inf terminates the walk");
     }
+}
+
+/// Number of pairs in `node` with internal keys in `[ilo, ihi]` — safe to
+/// compute mid-transaction because node contents are immutable once
+/// published; the commit validates that the node belonged to the snapshot.
+fn pairs_in<V>(node: &Node<V>, ilo: u64, ihi: u64) -> usize {
+    let start = node.data.partition_point(|(k, _)| *k < ilo);
+    node.data[start..]
+        .iter()
+        .take_while(|(k, _)| *k <= ihi)
+        .count()
+}
+
+/// The one transactional range read (paper Fig. 5) over a group of lists
+/// on one domain: `ranges[j]` over `lists[j]` (`parts` names a list's
+/// chain and domain). Per list an uninstrumented predecessor search, then
+/// **one** transaction walks every list's chain, folding each node into
+/// that list's `S` with `visit(state, node, ilo, ihi)`; its commit is the
+/// snapshot's linearization point, and `finish(state, ilo, ihi)` then
+/// turns each state into the list's result, still under the epoch guard.
+/// Keys are internal. An inverted range yields `R::default()`; a list
+/// may appear more than once (the read writes nothing).
+///
+/// # Panics
+///
+/// Panics if the slices differ in length, the group is empty, any
+/// `hi == u64::MAX`, or the lists do not share one domain.
+fn group_read<L, V: 'static, S: Default, R: Default>(
+    lists: &[&L],
+    ranges: &[(u64, u64)],
+    parts: impl Fn(&L) -> (&RawLeapList<V>, &Arc<StmDomain>),
+    visit: impl Fn(&mut S, &Node<V>, u64, u64) -> bool,
+    finish: impl Fn(S, u64, u64) -> R,
+) -> Vec<R> {
+    assert_eq!(lists.len(), ranges.len());
+    // INVARIANT: documented panic — an empty group is a caller bug.
+    let domain = parts(lists.first().expect("group must be non-empty")).1;
+    for l in lists {
+        assert!(
+            Arc::ptr_eq(parts(l).1, domain),
+            "grouped lists must share one StmDomain"
+        );
+    }
+    for (_, hi) in ranges {
+        assert!(*hi < u64::MAX, "key u64::MAX is reserved");
+    }
+    let _guard = pin();
+    let mut backoff = Backoff::new();
+    loop {
+        // COP prefix: an uninstrumented predecessor search per list.
+        let starts: Vec<Option<(*mut Node<V>, u64, u64)>> = lists
+            .iter()
+            .zip(ranges)
+            .map(|(l, &(lo, hi))| {
+                let (ilo, ihi) = (lo <= hi).then(|| (internal_key(lo), internal_key(hi)))?;
+                // SAFETY: `_guard` pins the epoch for the whole loop.
+                let w = unsafe { parts(l).0.search_predecessors(ilo) };
+                Some((w.target(), ilo, ihi))
+            })
+            .collect();
+        let mut tx = Txn::begin(domain);
+        let walked: TxResult<Vec<Option<(S, u64, u64)>>> = starts
+            .into_iter()
+            .map(|s| {
+                let Some((start, ilo, ihi)) = s else {
+                    return Ok(None);
+                };
+                let mut state = S::default();
+                // SAFETY: `start` was observed under `_guard`.
+                unsafe { walk_chain(&mut tx, start, ihi, |n| visit(&mut state, n, ilo, ihi)) }?;
+                Ok(Some((state, ilo, ihi)))
+            })
+            .collect();
+        if let Ok(per_list) = walked {
+            if tx.commit().is_ok() {
+                record_commit(domain, &backoff);
+                return per_list
+                    .into_iter()
+                    .map(|w| w.map_or_else(R::default, |(s, ilo, ihi)| finish(s, ilo, ihi)))
+                    .collect();
+            }
+        } else {
+            drop(tx);
+        }
+        backoff.snooze();
+    }
+}
+
+/// Up to `limit` pairs per list from one [`group_read`] snapshot. A page
+/// stops each walk once its nodes hold `limit` pairs, so it costs
+/// `O(limit / K)` instrumented accesses per list whatever the range's
+/// width; `limit == usize::MAX` reads the whole ranges without counting.
+pub(crate) fn group_pairs<L, V: Clone + 'static>(
+    lists: &[&L],
+    ranges: &[(u64, u64)],
+    parts: impl Fn(&L) -> (&RawLeapList<V>, &Arc<StmDomain>),
+    limit: usize,
+) -> Vec<Vec<(u64, V)>> {
+    group_read(
+        lists,
+        ranges,
+        parts,
+        |(nodes, pairs): &mut (Vec<*mut Node<V>>, usize), n, ilo, ihi| {
+            nodes.push(std::ptr::from_ref(n).cast_mut());
+            limit == usize::MAX || {
+                *pairs += pairs_in(n, ilo, ihi);
+                *pairs < limit
+            }
+        },
+        |(nodes, _), ilo, ihi| {
+            // SAFETY: `group_read` calls `finish` under the guard its
+            // walks ran under, with nodes its committed walk visited.
+            let mut out = unsafe { extract_pairs(&nodes, ilo, ihi) };
+            out.truncate(limit);
+            out
+        },
+    )
+}
+
+/// The number of pairs per list from one [`group_read`] snapshot: the
+/// walk adds each node's in-range pairs, with no node buffer and no value
+/// clones.
+pub(crate) fn group_count<L, V: 'static>(
+    lists: &[&L],
+    ranges: &[(u64, u64)],
+    parts: impl Fn(&L) -> (&RawLeapList<V>, &Arc<StmDomain>),
+) -> Vec<usize> {
+    group_read(
+        lists,
+        ranges,
+        parts,
+        |count: &mut usize, n, ilo, ihi| {
+            *count += pairs_in(n, ilo, ihi);
+            true
+        },
+        |count, _, _| count,
+    )
 }
 
 /// Extracts the pairs with internal keys in `[ilo, ihi]` from a collected

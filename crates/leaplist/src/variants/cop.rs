@@ -166,36 +166,16 @@ impl<V: Clone + Send + Sync + 'static> LeapListCop<V> {
         unsafe { common::cop_lookup(&self.raw, internal_key(key)) }
     }
 
-    /// Linearizable range query (identical structure to LT's).
+    /// Linearizable range query (the one transactional read LT uses too).
     ///
     /// # Panics
     ///
     /// Panics if `hi == u64::MAX`.
     pub fn range_query(&self, lo: u64, hi: u64) -> Vec<(u64, V)> {
-        assert!(hi < u64::MAX, "key u64::MAX is reserved");
-        if lo > hi {
-            return Vec::new();
-        }
-        let (ilo, ihi) = (internal_key(lo), internal_key(hi));
-        let _guard = pin();
-        let mut backoff = Backoff::new();
-        loop {
-            // SAFETY: `_guard` pins the epoch for the whole attempt.
-            let w = unsafe { self.raw.search_predecessors(ilo) };
-            let mut tx = Txn::begin(&self.domain);
-            // SAFETY: validated collect under `_guard`.
-            let nodes = unsafe { common::collect_range(&mut tx, w.target(), ihi) };
-            if let Ok(nodes) = nodes {
-                if tx.commit().is_ok() {
-                    // SAFETY: nodes captured by validated reads, still under
-                    // `_guard`; `data` is immutable.
-                    return unsafe { common::extract_pairs(&nodes, ilo, ihi) };
-                }
-            } else {
-                drop(tx);
-            }
-            backoff.snooze();
-        }
+        common::group_pairs(&[self], &[(lo, hi)], |l| (&l.raw, &l.domain), usize::MAX)
+            .pop()
+            // INVARIANT: one input list produces exactly one result entry.
+            .expect("one list yields one result")
     }
 
     /// Approximate number of keys (naked walk; exact when quiescent).

@@ -15,16 +15,6 @@ use leap_ebr::pin;
 use leap_stm::{Backoff, StmDomain, TxResult, Txn};
 use std::sync::Arc;
 
-/// Reports one committed retry loop (attempts = snoozes + the successful
-/// try) to the domain's recorder, if one is attached. The disabled path is
-/// a single relaxed load.
-#[inline]
-fn record_commit(domain: &StmDomain, backoff: &Backoff) {
-    if let Some(rec) = domain.recorder() {
-        rec.record_attempts(u64::from(backoff.attempts()) + 1);
-    }
-}
-
 /// A Leap-List synchronized with the paper's Locking-Transactions scheme.
 ///
 /// This is the headline structure: linearizable `update` / `remove` /
@@ -249,7 +239,7 @@ impl<V: Clone + Send + Sync + 'static> LeapListLt<V> {
                 if let Ok(wv) = tx.commit_stamped() {
                     let groups: Vec<Vec<ListOp<V>>> =
                         groups.into_iter().map(Unsettled::committed).collect();
-                    record_commit(domain, &backoff);
+                    common::record_commit(domain, &backoff);
                     let bound = domain.prune_bound();
                     // Release-and-update: wire every chain and stamp
                     // version bundles.
@@ -328,19 +318,24 @@ impl<V: Clone + Send + Sync + 'static> LeapListLt<V> {
     ///
     /// Panics if `hi == u64::MAX`.
     pub fn range_query(&self, lo: u64, hi: u64) -> Vec<(u64, V)> {
-        Self::range_query_group(&[self], &[(lo, hi)])
-            .pop()
-            // INVARIANT: one input list/op produces exactly one result entry.
-            .expect("one list yields one result")
+        self.range_page(lo, hi, usize::MAX)
     }
 
-    /// Linearizable **multi-list** range query: collects `ranges[j]` over
-    /// `lists[j]` with every node-chain walk inside **one** transaction on
-    /// the shared domain, so the combined result is a single consistent
-    /// snapshot across all lists. This is the group-snapshot primitive a
-    /// sharded store needs: a cross-shard range assembled from per-shard
-    /// snapshots taken at one linearization point can never observe half
-    /// of a committed multi-list batch.
+    /// Linearizable **multi-list** range read, one bounded page per list:
+    /// `ranges[j]` over `lists[j]`, at most `limit` pairs each, with every
+    /// node-chain walk inside **one** transaction on the shared domain, so
+    /// the combined result is a single consistent snapshot across all
+    /// lists. This is the group-snapshot primitive a sharded store needs:
+    /// a cross-shard range assembled from per-shard snapshots taken at one
+    /// linearization point can never observe half of a committed
+    /// multi-list batch.
+    ///
+    /// A page's walk stops as soon as it holds `limit` pairs, so a page
+    /// over a million-key range costs `O(limit / K)` instrumented node
+    /// accesses per list, not `O(range / K)`; `limit = usize::MAX` reads
+    /// the whole ranges. The caller resumes from `last_key + 1`; each page
+    /// is its own consistent snapshot (the cursor contract a store scan
+    /// needs).
     ///
     /// `ranges[j] = (lo, hi)` is inclusive; an inverted range yields an
     /// empty vector for that list. The same list may appear more than once
@@ -349,50 +344,15 @@ impl<V: Clone + Send + Sync + 'static> LeapListLt<V> {
     /// # Panics
     ///
     /// Panics if the slices differ in length, the group is empty, any
-    /// `hi == u64::MAX`, or the lists do not share one domain.
-    pub fn range_query_group(lists: &[&Self], ranges: &[(u64, u64)]) -> Vec<Vec<(u64, V)>> {
-        Self::group_snapshot(
-            lists,
-            ranges,
-            // SAFETY: node pointers are guard-protected by `group_snapshot`
-            // for the closure's whole call.
-            |tx, start, _ilo, ihi| unsafe { common::collect_range(tx, start, ihi) },
-            // SAFETY: as above; `extract` only sees nodes `collect` captured.
-            |nodes, ilo, ihi| unsafe { common::extract_pairs(&nodes, ilo, ihi) },
-        )
-    }
-
-    /// A bounded **page** of a linearizable multi-list range query: like
-    /// [`LeapListLt::range_query_group`] but each list yields at most
-    /// `limit` pairs, and the transactional walk stops as soon as the page
-    /// is full — a page over a million-key range costs `O(limit / K)`
-    /// instrumented node accesses per list, not `O(range / K)`. The caller
-    /// resumes from `last_key + 1`; each page is its own consistent
-    /// snapshot (the cursor contract a store scan needs).
-    ///
-    /// # Panics
-    ///
-    /// As for [`LeapListLt::range_query_group`], plus if `limit` is zero
-    /// (an empty page cannot carry a resume key).
+    /// `hi == u64::MAX`, the lists do not share one domain, or `limit` is
+    /// zero (an empty page cannot carry a resume key).
     pub fn range_page_group(
         lists: &[&Self],
         ranges: &[(u64, u64)],
         limit: usize,
     ) -> Vec<Vec<(u64, V)>> {
         assert!(limit > 0, "a page must hold at least one pair");
-        Self::group_snapshot(
-            lists,
-            ranges,
-            // SAFETY: node pointers are guard-protected by `group_snapshot`
-            // for the closure's whole call.
-            |tx, start, ilo, ihi| unsafe { collect_range_bounded(tx, start, ilo, ihi, limit) },
-            |nodes, ilo, ihi| {
-                // SAFETY: as above; only nodes `collect` captured.
-                let mut pairs = unsafe { common::extract_pairs(&nodes, ilo, ihi) };
-                pairs.truncate(limit);
-                pairs
-            },
-        )
+        common::group_pairs(lists, ranges, |l| (&l.raw, &l.domain), limit)
     }
 
     /// Single-list page: up to `limit` pairs with keys in `[lo, hi]`,
@@ -409,93 +369,15 @@ impl<V: Clone + Send + Sync + 'static> LeapListLt<V> {
             .expect("one list yields one result")
     }
 
-    /// Like [`LeapListLt::range_query_group`] but returns only the number
-    /// of pairs per list: the count accumulates inside the transactional
-    /// walk itself — no value clones and no node buffer.
+    /// Like [`LeapListLt::range_page_group`] with no limit, but returns
+    /// only the number of pairs per list: the count accumulates inside the
+    /// transactional walk itself — no value clones and no node buffer.
     ///
     /// # Panics
     ///
-    /// As for [`LeapListLt::range_query_group`].
+    /// As for [`LeapListLt::range_page_group`], bar its `limit` check.
     pub fn count_range_group(lists: &[&Self], ranges: &[(u64, u64)]) -> Vec<usize> {
-        Self::group_snapshot(
-            lists,
-            ranges,
-            // SAFETY: node pointers are guard-protected by `group_snapshot`
-            // for the closure's whole call.
-            |tx, start, ilo, ihi| unsafe { count_range_tx(tx, start, ilo, ihi) },
-            |count, _, _| count,
-        )
-    }
-
-    /// Shared engine of the group queries: run `collect` over every list
-    /// inside one transaction (its commit is the snapshot's linearization
-    /// point), then map each list's collected state through `extract`,
-    /// still under the epoch guard. Arguments after the transaction /
-    /// start node are `(ilo, ihi)` in internal-key space; `collect` must
-    /// only traverse validated pointers and `extract` must only
-    /// dereference nodes `collect` captured.
-    fn group_snapshot<C, R: Default>(
-        lists: &[&Self],
-        ranges: &[(u64, u64)],
-        collect: impl for<'t> Fn(&mut Txn<'t>, *mut Node<V>, u64, u64) -> TxResult<C>,
-        extract: impl Fn(C, u64, u64) -> R,
-    ) -> Vec<R> {
-        assert_eq!(lists.len(), ranges.len());
-        // INVARIANT: documented panic — an empty group is a caller bug.
-        let first = lists.first().expect("group must be non-empty");
-        for l in lists {
-            assert!(
-                Arc::ptr_eq(&l.domain, &first.domain),
-                "grouped lists must share one StmDomain"
-            );
-        }
-        for (_, hi) in ranges {
-            assert!(*hi < u64::MAX, "key u64::MAX is reserved");
-        }
-        let _guard = pin();
-        let mut backoff = Backoff::new();
-        loop {
-            // COP prefix: uninstrumented predecessor search per list.
-            let starts: Vec<Option<(*mut Node<V>, u64, u64)>> = lists
-                .iter()
-                .zip(ranges.iter())
-                .map(|(l, &(lo, hi))| {
-                    if lo > hi {
-                        return None;
-                    }
-                    let (ilo, ihi) = (internal_key(lo), internal_key(hi));
-                    // SAFETY: `_guard` pins the epoch for the whole loop.
-                    let w = unsafe { l.raw.search_predecessors(ilo) };
-                    Some((w.target(), ilo, ihi))
-                })
-                .collect();
-            // One transaction validates every list's node chain; its commit
-            // is the snapshot's linearization point.
-            let mut tx = Txn::begin(&first.domain);
-            let collected: TxResult<Vec<Option<C>>> = starts
-                .iter()
-                .map(|s| match s {
-                    None => Ok(None),
-                    Some((start, ilo, ihi)) => collect(&mut tx, *start, *ilo, *ihi).map(Some),
-                })
-                .collect();
-            if let Ok(per_list) = collected {
-                if tx.commit().is_ok() {
-                    record_commit(&first.domain, &backoff);
-                    return per_list
-                        .into_iter()
-                        .zip(starts.iter())
-                        .map(|(c, s)| match (c, s) {
-                            (Some(c), Some((_, ilo, ihi))) => extract(c, *ilo, *ihi),
-                            _ => R::default(),
-                        })
-                        .collect();
-                }
-            } else {
-                drop(tx);
-            }
-            backoff.snooze();
-        }
+        common::group_count(lists, ranges, |l| (&l.raw, &l.domain))
     }
 
     /// Pins a snapshot of every list sharing this list's domain: the
@@ -601,86 +483,6 @@ impl<V: Clone + Send + Sync + 'static> LeapListLt<V> {
             self.raw.for_each_node(|n| sizes.push(n.count()));
         }
         sizes
-    }
-}
-
-/// Number of pairs in `node` with internal keys in `[ilo, ihi]` — safe to
-/// compute mid-transaction because node contents are immutable once
-/// published; the commit validates that the node belonged to the snapshot.
-fn pairs_in<V>(node: &Node<V>, ilo: u64, ihi: u64) -> usize {
-    let start = node.data.partition_point(|(k, _)| *k < ilo);
-    node.data[start..]
-        .iter()
-        .take_while(|(k, _)| *k <= ihi)
-        .count()
-}
-
-/// Like [`common::collect_range`] but stops as soon as the collected nodes
-/// hold at least `limit` pairs in `[ilo, ihi]` — the engine of the paged
-/// range query: a bounded page never walks (or validates) more nodes than it
-/// needs, so page cost is `O(limit / K)` regardless of the range's width.
-///
-/// # Safety
-///
-/// As for [`common::collect_range`].
-unsafe fn collect_range_bounded<'t, V: 'static>(
-    tx: &mut Txn<'t>,
-    start: *mut Node<V>,
-    ilo: u64,
-    ihi: u64,
-    limit: usize,
-) -> TxResult<Vec<*mut Node<V>>> {
-    let mut nodes = Vec::new();
-    let mut pairs = 0usize;
-    let mut n = start;
-    loop {
-        // SAFETY: start observed by the search under the guard; successors
-        // reached through validated transactional reads.
-        let node = unsafe { &*n };
-        if !tx.read(&node.live)? {
-            return Err(tx.explicit_abort());
-        }
-        nodes.push(n);
-        pairs += pairs_in(node, ilo, ihi);
-        if node.high >= ihi || pairs >= limit {
-            return Ok(nodes);
-        }
-        let s = tx.read(&node.next[0])?;
-        let next = s.unmarked().as_ptr();
-        debug_assert!(!next.is_null(), "tail.high = +inf terminates the walk");
-        n = next;
-    }
-}
-
-/// Counts the pairs with internal keys in `[ilo, ihi]` inside the
-/// transactional walk itself: no node buffer, no value clones — the
-/// count-only path under [`LeapListLt::count_range_group`].
-///
-/// # Safety
-///
-/// As for [`common::collect_range`].
-unsafe fn count_range_tx<'t, V: 'static>(
-    tx: &mut Txn<'t>,
-    start: *mut Node<V>,
-    ilo: u64,
-    ihi: u64,
-) -> TxResult<usize> {
-    let mut count = 0usize;
-    let mut n = start;
-    loop {
-        // SAFETY: as for `collect_range_bounded`.
-        let node = unsafe { &*n };
-        if !tx.read(&node.live)? {
-            return Err(tx.explicit_abort());
-        }
-        count += pairs_in(node, ilo, ihi);
-        if node.high >= ihi {
-            return Ok(count);
-        }
-        let s = tx.read(&node.next[0])?;
-        let next = s.unmarked().as_ptr();
-        debug_assert!(!next.is_null(), "tail.high = +inf terminates the walk");
-        n = next;
     }
 }
 
@@ -845,14 +647,15 @@ mod tests {
             }
         }
         let refs: Vec<&LeapListLt<u64>> = lists.iter().collect();
-        let out = LeapListLt::range_query_group(&refs, &[(0, 5), (100, 105), (300, 400)]);
+        let all = usize::MAX;
+        let out = LeapListLt::range_page_group(&refs, &[(0, 5), (100, 105), (300, 400)], all);
         assert_eq!(out[0], (0..=5).map(|k| (k, k)).collect::<Vec<_>>());
         assert_eq!(out[1].len(), 6);
         assert!(out[2].is_empty(), "list 2 holds 200..209 only");
         // Inverted ranges are empty; duplicates of one list are allowed.
-        let out = LeapListLt::range_query_group(&refs[..2], &[(5, 0), (201, 200)]);
+        let out = LeapListLt::range_page_group(&refs[..2], &[(5, 0), (201, 200)], all);
         assert!(out[0].is_empty() && out[1].is_empty());
-        let dup = LeapListLt::range_query_group(&[&lists[0], &lists[0]], &[(0, 2), (3, 5)]);
+        let dup = LeapListLt::range_page_group(&[&lists[0], &lists[0]], &[(0, 2), (3, 5)], all);
         assert_eq!(dup[0].len() + dup[1].len(), 6);
     }
 
@@ -867,7 +670,7 @@ mod tests {
             lists[1].update(k * 2, k);
         }
         let check = |ranges: &[(u64, u64)]| {
-            let pairs = LeapListLt::range_query_group(&refs, ranges);
+            let pairs = LeapListLt::range_page_group(&refs, ranges, usize::MAX);
             let counts = LeapListLt::count_range_group(&refs, ranges);
             assert_eq!(counts, pairs.iter().map(Vec::len).collect::<Vec<_>>());
             counts
@@ -1027,7 +830,7 @@ mod tests {
     fn group_range_rejects_foreign_domains() {
         let a: LeapListLt<u64> = LeapListLt::new(small());
         let b: LeapListLt<u64> = LeapListLt::new(small());
-        LeapListLt::range_query_group(&[&a, &b], &[(0, 1), (0, 1)]);
+        LeapListLt::range_page_group(&[&a, &b], &[(0, 1), (0, 1)], usize::MAX);
     }
 
     #[test]

@@ -25,12 +25,22 @@
 //!   (drop it promptly). The handle embeds a thread-local epoch guard,
 //!   so it is neither `Send` nor `Sync`.
 
-use crate::store::{LeapStore, VisitPlan};
+use crate::store::{merge_page, LeapStore, VisitPlan};
 use leaplist::{LeapListLt, ListSnapshot};
 use std::sync::Arc;
 
 /// Default pairs per page for [`LeapStore::scan`].
 pub const DEFAULT_PAGE_SIZE: usize = 256;
+
+/// Where a scan of `[.., hi]` resumes after `page`: a full page may have
+/// more behind it, so past its last key; a short page proves every
+/// visited shard was exhausted.
+fn resume_after<V>(page: &[(u64, V)], page_size: usize, hi: u64) -> Option<u64> {
+    match page.last() {
+        Some(&(last, _)) if page.len() == page_size && last < hi => Some(last + 1),
+        _ => None,
+    }
+}
 
 /// A resumable, paged scan over `[lo, hi]` of a [`LeapStore`], in the
 /// per-page linearizable mode.
@@ -86,12 +96,7 @@ impl<'a, V: Clone + Send + Sync + 'static> Cursor<'a, V> {
     pub fn next_page(&mut self) -> Option<Vec<(u64, V)>> {
         let lo = self.next?;
         let page = self.store.range_page_merged(lo, self.hi, self.page_size);
-        self.next = match page.last() {
-            // A full page may have more behind it; resume past its last
-            // key. A short page proves every visited shard was exhausted.
-            Some(&(last, _)) if page.len() == self.page_size && last < self.hi => Some(last + 1),
-            _ => None,
-        };
+        self.next = resume_after(&page, self.page_size, self.hi);
         (!page.is_empty()).then_some(page)
     }
 
@@ -100,11 +105,6 @@ impl<'a, V: Clone + Send + Sync + 'static> Cursor<'a, V> {
     /// `[resume_key, hi]`.
     pub fn resume_key(&self) -> Option<u64> {
         self.next
-    }
-
-    /// The page size bound.
-    pub fn page_size(&self) -> usize {
-        self.page_size
     }
 }
 
@@ -208,20 +208,13 @@ impl<'a, V: Clone + Send + Sync + 'static> SnapshotCursor<'a, V> {
                 // globally first `page_size` are all among them.
                 list.snapshot_page_into(&self.snap, from, chi, self.page_size, &mut merged);
             }
-            if self.sort {
-                merged.sort_unstable_by_key(|(k, _)| *k);
-            }
-            merged.truncate(self.page_size);
-            merged
+            merge_page(merged, self.sort, self.page_size)
         });
-        self.next = match page.last() {
-            // The resume key comes from the snapshot-visible page: a
-            // boundary key deleted (or its node replaced) after the pin
-            // is still the correct place to resume from, because every
-            // later page reads at the same timestamp.
-            Some(&(last, _)) if page.len() == self.page_size && last < self.hi => Some(last + 1),
-            _ => None,
-        };
+        // The resume key comes from the snapshot-visible page: a boundary
+        // key deleted (or its node replaced) after the pin is still the
+        // correct place to resume from, because every later page reads at
+        // the same timestamp.
+        self.next = resume_after(&page, self.page_size, self.hi);
         (!page.is_empty()).then_some(page)
     }
 
@@ -231,11 +224,6 @@ impl<'a, V: Clone + Send + Sync + 'static> SnapshotCursor<'a, V> {
     /// timestamp.
     pub fn resume_key(&self) -> Option<u64> {
         self.next
-    }
-
-    /// The page size bound.
-    pub fn page_size(&self) -> usize {
-        self.page_size
     }
 }
 

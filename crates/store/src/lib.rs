@@ -16,7 +16,7 @@
 //!   no serialized slow path.
 //! * **Linearizable cross-shard range queries** — [`LeapStore::range`]
 //!   assembles per-shard snapshots *inside one transaction*
-//!   ([`leaplist::LeapListLt::range_query_group`]): the merged result is a
+//!   ([`leaplist::LeapListLt::range_page_group`]): the merged result is a
 //!   single consistent snapshot of the whole keyspace.
 //! * **Contiguous placement** — [`Router`] gives each shard a contiguous
 //!   key interval, so a range query visits only the overlapping shards.

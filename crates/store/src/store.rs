@@ -154,6 +154,22 @@ impl StoreConfig {
 /// merged result needs sorting.
 pub(crate) type VisitPlan<V> = (Vec<Arc<LeapListLt<V>>>, Vec<(u64, u64)>, bool);
 
+/// The first `limit` pairs of a multi-shard page: contiguous shards
+/// concatenate in key order, and only a migration overlay's destination
+/// interleaves and needs the sort.
+pub(crate) fn merge_page<V>(
+    pairs: impl IntoIterator<Item = (u64, V)>,
+    sort: bool,
+    limit: usize,
+) -> Vec<(u64, V)> {
+    let mut page: Vec<(u64, V)> = pairs.into_iter().collect();
+    if sort {
+        page.sort_unstable_by_key(|(k, _)| *k);
+    }
+    page.truncate(limit);
+    page
+}
+
 /// One shard slot — the Leap-List and its op counters — as carried by
 /// the router's published view ([`LeapStore::router`]'s slot payload).
 /// Opaque: reach the list through [`LeapStore::shard`] and the counters
@@ -194,7 +210,7 @@ type View<'a, V> = Pinned<'a, ShardSlot<V>>;
 ///   applied as **one linearizable action**.
 /// * [`LeapStore::range`] — a cross-shard range query assembled from
 ///   per-shard snapshots taken inside **one** transaction
-///   ([`LeapListLt::range_query_group`]), so the combined result is a
+///   ([`LeapListLt::range_page_group`]), so the combined result is a
 ///   single consistent snapshot: it can never observe part of a batch —
 ///   or half of a shard migration.
 /// * [`LeapStore::scan`] — a paged cursor over a range: each page is one
@@ -723,17 +739,6 @@ impl<V: Clone + Send + Sync + 'static> LeapStore<V> {
         self.apply(&ops)
     }
 
-    /// Removes all `keys` as one linearizable action; returns the removed
-    /// values in input order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any key is `u64::MAX`.
-    pub fn multi_delete(&self, keys: &[u64]) -> Vec<Option<V>> {
-        let ops: Vec<BatchOp<V>> = keys.iter().map(|k| BatchOp::Remove(*k)).collect();
-        self.apply(&ops)
-    }
-
     /// Applies a mixed put/delete batch as one linearizable action;
     /// returns previous values in input order. Ops sharing a shard apply
     /// in input order within the single commit (so a batch may put and
@@ -917,77 +922,33 @@ impl<V: Clone + Send + Sync + 'static> LeapStore<V> {
         let mut view = self.router.pin();
         let _span = self.span_keyed(leap_obs::OpClass::Range, lo, &view);
         self.timed(OpKind::Range, || {
-            let (per_shard, sort) =
-                self.stamped_read(&mut view, lo, hi, LeapListLt::range_query_group);
-            Self::merged(per_shard, sort)
+            self.read_page(&mut view, lo, hi, usize::MAX)
         })
-    }
-
-    /// One linearizable multi-shard read of `[lo, hi]`: plans the lists
-    /// to visit off `view` (the table's, plus both sides of the in-flight
-    /// migration when it overlaps the range — bumping each visited shard's
-    /// range counter), runs `read` over them — one snapshot transaction —
-    /// and re-plans until the view it planned against is still the
-    /// published one afterwards, i.e. until the visited list set was
-    /// exhaustive for the whole read. Also returns whether the merged
-    /// result needs sorting. An inverted range reads nothing.
-    fn stamped_read<T: Default>(
-        &self,
-        view: &mut View<'_, V>,
-        lo: u64,
-        hi: u64,
-        read: impl Fn(&[&LeapListLt<V>], &[(u64, u64)]) -> T,
-    ) -> (T, bool) {
-        assert!(hi < u64::MAX, "key u64::MAX is reserved");
-        if lo > hi {
-            return (T::default(), false);
-        }
-        loop {
-            let (plan, sort) = view.visit_plan(lo, hi);
-            let slots = view.slots();
-            let (lists, ranges): (Vec<&LeapListLt<V>>, Vec<(u64, u64)>) = plan
-                .iter()
-                .map(|&(s, l, h)| {
-                    CounterRow::bump(&slots[s].counters.row().ranges);
-                    (&*slots[s].list, (l, h))
-                })
-                .unzip();
-            let out = read(&lists, &ranges);
-            if view.is_current() {
-                return (out, sort);
-            }
-            self.note_stamp_retry(0);
-            view.refresh();
-        }
-    }
-
-    /// Concatenates per-shard results; contiguous shards concatenate in
-    /// key order, and only a migration overlay's destination interleaves
-    /// and needs the sort.
-    fn merged(per_shard: Vec<Vec<(u64, V)>>, sort: bool) -> Vec<(u64, V)> {
-        let mut merged: Vec<(u64, V)> = per_shard.into_iter().flatten().collect();
-        if sort {
-            merged.sort_unstable_by_key(|(k, _)| *k);
-        }
-        merged
     }
 
     /// One bounded page of `[lo, hi]`: the first at-most-`limit` pairs, in
     /// one linearizable transaction. The engine under [`LeapStore::scan`].
     pub(crate) fn range_page_merged(&self, lo: u64, hi: u64, limit: usize) -> Vec<(u64, V)> {
-        assert!(limit > 0, "a page must hold at least one pair");
         let mut view = self.router.pin();
         let _span = self.span_keyed(leap_obs::OpClass::ScanPage, lo, &view);
         self.timed(OpKind::ScanPage, || {
-            let (per_shard, sort) = self.stamped_read(&mut view, lo, hi, |lists, ranges| {
-                LeapListLt::range_page_group(lists, ranges, limit)
-            });
-            // Each list returned its first `limit` pairs, so the globally
-            // first `limit` pairs are all present in the merge.
-            let mut page = Self::merged(per_shard, sort);
-            page.truncate(limit);
-            page
+            self.read_page(&mut view, lo, hi, limit)
         })
+    }
+
+    /// The first at-most-`limit` pairs of `[lo, hi]` from one
+    /// linearizable cross-shard transaction ([`LeapListLt::range_page_group`]);
+    /// `usize::MAX` reads the whole range.
+    fn read_page(&self, view: &mut View<'_, V>, lo: u64, hi: u64, limit: usize) -> Vec<(u64, V)> {
+        if lo > hi {
+            return Vec::new();
+        }
+        let (per_shard, _, sort) = self.planned(view, lo, hi, |lists, ranges| {
+            LeapListLt::range_page_group(lists, ranges, limit)
+        });
+        // Each list returned its first `limit` pairs, so the globally
+        // first `limit` pairs are all present in the merge.
+        merge_page(per_shard.into_iter().flatten(), sort, limit)
     }
 
     /// Number of keys in `[lo, hi]` from one consistent cross-shard
@@ -1001,9 +962,51 @@ impl<V: Clone + Send + Sync + 'static> LeapStore<V> {
         let mut view = self.router.pin();
         let _span = self.span_keyed(leap_obs::OpClass::Len, lo, &view);
         self.timed(OpKind::Len, || {
-            let (counts, _) = self.stamped_read(&mut view, lo, hi, LeapListLt::count_range_group);
+            if lo > hi {
+                return 0;
+            }
+            let (counts, _, _) = self.planned(&mut view, lo, hi, LeapListLt::count_range_group);
             counts.iter().sum()
         })
+    }
+
+    /// The one re-plan loop of a multi-shard read of `[lo, hi]`: plans the
+    /// lists to visit off `view` (the table's, plus both sides of the
+    /// in-flight migration when it overlaps the range — bumping each
+    /// visited shard's range counter), runs `read` over them, and re-plans
+    /// until the view it planned against is still the published one
+    /// afterwards, i.e. until the visited list set was exhaustive for the
+    /// whole read. Returns the read's result, the plan it ran against and
+    /// whether the merged result needs sorting.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `hi == u64::MAX`.
+    fn planned<T>(
+        &self,
+        view: &mut View<'_, V>,
+        lo: u64,
+        hi: u64,
+        read: impl Fn(&[&LeapListLt<V>], &[(u64, u64)]) -> T,
+    ) -> (T, Vec<(usize, u64, u64)>, bool) {
+        assert!(hi < u64::MAX, "key u64::MAX is reserved");
+        loop {
+            let (plan, sort) = view.visit_plan(lo, hi);
+            let slots = view.slots();
+            let (lists, ranges): (Vec<&LeapListLt<V>>, Vec<(u64, u64)>) = plan
+                .iter()
+                .map(|&(s, l, h)| {
+                    CounterRow::bump(&slots[s].counters.row().ranges);
+                    (&*slots[s].list, (l, h))
+                })
+                .unzip();
+            let out = read(&lists, &ranges);
+            if view.is_current() {
+                return (out, plan, sort);
+            }
+            self.note_stamp_retry(0);
+            view.refresh();
+        }
     }
 
     /// Pins a snapshot timestamp and captures the `[lo, hi]` visit plan
@@ -1017,9 +1020,11 @@ impl<V: Clone + Send + Sync + 'static> LeapStore<V> {
     /// overlapping `[lo, hi]` that begins and moves keys between the view
     /// load and the pin leaves a plan that routes the migrating range
     /// only to its source, while those moves — committed *before* the
-    /// pinned timestamp — are visible only on the destination side. A
-    /// view still current after the pin proves no migration began or
-    /// completed inside the bracket, which rules that out:
+    /// pinned timestamp — are visible only on the destination side. The
+    /// pin is the read of [`LeapStore::planned`]'s loop, so it falls
+    /// between the view load and the `is_current` re-check; a view still
+    /// current after the pin proves no migration began or completed
+    /// inside the bracket, which rules that out:
     ///
     /// * completed before the bracket — every move's wiring finished
     ///   before the pin, so the moved keys are visible in the destination
@@ -1035,25 +1040,17 @@ impl<V: Clone + Send + Sync + 'static> LeapStore<V> {
         hi: u64,
     ) -> (leaplist::ListSnapshot, VisitPlan<V>) {
         let mut view = self.router.pin();
-        loop {
-            let snap = leaplist::ListSnapshot::pin(&self.domain);
-            if view.is_current() {
-                // ORDERING: monotonic stat counter; no publication rides on it.
-                self.snapshot_scans.fetch_add(1, Ordering::Relaxed);
-                let (plan, sort) = view.visit_plan(lo, hi);
-                let slots = view.slots();
-                let (lists, clips) = plan
-                    .iter()
-                    .map(|&(s, l, h)| {
-                        CounterRow::bump(&slots[s].counters.row().ranges);
-                        (slots[s].list.clone(), (l, h))
-                    })
-                    .unzip();
-                return (snap, (lists, clips, sort));
-            }
-            self.note_stamp_retry(0);
-            view.refresh();
-        }
+        let (snap, plan, sort) = self.planned(&mut view, lo, hi, |_, _| {
+            leaplist::ListSnapshot::pin(&self.domain)
+        });
+        // ORDERING: monotonic stat counter; no publication rides on it.
+        self.snapshot_scans.fetch_add(1, Ordering::Relaxed);
+        let slots = view.slots();
+        let (lists, clips) = plan
+            .into_iter()
+            .map(|(s, l, h)| (slots[s].list.clone(), (l, h)))
+            .unzip();
+        (snap, (lists, clips, sort))
     }
 
     /// Times one snapshot page into the `snapshot_page` histogram (the
@@ -1236,7 +1233,11 @@ pub(crate) mod tests {
             0,
             "distinct shards → no collision"
         );
-        let old = store.multi_delete(&[10, 260, 999]);
+        let old = store.apply(&[
+            BatchOp::Remove(10),
+            BatchOp::Remove(260),
+            BatchOp::Remove(999),
+        ]);
         assert_eq!(old, vec![Some(1), Some(2), None]);
     }
 

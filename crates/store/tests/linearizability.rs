@@ -1,11 +1,11 @@
 //! Concurrency and linearizability tests for LeapStore: concurrent
-//! cross-shard batch writers versus cross-shard range readers must never
-//! expose a torn batch — whether the batch maps one key per shard or
+//! cross-shard batch writers versus cross-shard range, count and page
+//! readers must never expose a torn batch — whether the batch maps one key per shard or
 //! piles several keys onto one shard (the multi-op chain-rebuild path,
 //! which commits in a single transaction; the seed's seqlock rounds are
 //! gone).
 
-use leap_store::{Batcher, LeapStore, Partitioning, StoreConfig};
+use leap_store::{BatchOp, Batcher, LeapStore, Partitioning, StoreConfig};
 use leaplist::Params;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -91,6 +91,69 @@ fn cross_shard_batches_are_never_torn_fast_path() {
         parts.iter().all(|&n| n > 0),
         "every batch spans all {shards} shards: {parts:?}"
     );
+}
+
+/// Counts and cursor pages read through the same one-transaction snapshot
+/// as `range`: a writer alternates a `multi_put` of one key per shard,
+/// tagged with a version, and an `apply` removing them all. A count must
+/// see all of a batch or none of it, and the present keys of any one page
+/// (two keys, so a page spans shards) must share a version.
+#[test]
+fn counts_and_pages_never_see_a_torn_batch() {
+    let shards = 4;
+    let store = Arc::new(LeapStore::<u64>::new(cfg(shards, 1_000)));
+    // One key per shard (stride 250).
+    let keys: Vec<u64> = (0..shards as u64).map(|s| s * 250 + 7).collect();
+    let stop = Arc::new(AtomicBool::new(false));
+
+    let writer = {
+        let (store, keys, stop) = (store.clone(), keys.clone(), stop.clone());
+        std::thread::spawn(move || {
+            let removes: Vec<BatchOp<u64>> = keys.iter().map(|&k| BatchOp::Remove(k)).collect();
+            let mut version = 1u64;
+            while !stop.load(Ordering::Relaxed) {
+                let entries: Vec<(u64, u64)> = keys.iter().map(|&k| (k, version)).collect();
+                store.multi_put(&entries);
+                store.apply(&removes);
+                version += 1;
+            }
+            version
+        })
+    };
+
+    let readers: Vec<_> = (0..2)
+        .map(|_| {
+            let (store, stop) = (store.clone(), stop.clone());
+            std::thread::spawn(move || {
+                let mut reads = 0u64;
+                while !stop.load(Ordering::Relaxed) {
+                    let n = store.count_range(0, 999);
+                    assert!(n == 0 || n == shards, "torn batch counted: {n} keys");
+                    for page in store.scan_pages(0, 999, 2) {
+                        assert!(
+                            page.windows(2).all(|w| w[0].1 == w[1].1),
+                            "torn batch paged: {page:?}"
+                        );
+                    }
+                    reads += 1;
+                }
+                reads
+            })
+        })
+        .collect();
+
+    std::thread::sleep(std::time::Duration::from_millis(400));
+    stop.store(true, Ordering::Relaxed);
+    let rounds = writer.join().unwrap();
+    let mut total_reads = 0;
+    for r in readers {
+        total_reads += r.join().unwrap();
+    }
+    assert!(rounds > 1, "writer made progress");
+    assert!(total_reads > 0, "readers made progress");
+    // Quiescent check: the writer's last action removed every key.
+    assert_eq!(store.count_range(0, 999), 0);
+    assert_eq!(store.scan_pages(0, 999, 2).count(), 0);
 }
 
 /// Collision path: every batch deliberately maps several keys to ONE
