@@ -32,7 +32,7 @@
 //!
 //! # Snapshot isolation
 //!
-//! The stack's pinned-timestamp scans (`LeapStore::scan_snapshot`,
+//! The stack's pinned-timestamp scans (`LeapStore::scan_snapshot_pages`,
 //! `Table::scan_by_snapshot`) claim more than per-page consistency: the
 //! **whole multi-page scan** observes one instant. [`check_snapshot_isolation`]
 //! verifies that claim from a recorded run. Each scan is recorded as ONE

@@ -1,5 +1,8 @@
 //! A uniform object-safe interface over the four synchronization variants,
-//! used by the benchmark harness and examples to swap algorithms.
+//! used by the test suites (model, concurrency, value ownership,
+//! integration) and the quickstart example to swap algorithms. The
+//! `figures` harness drives the variants through
+//! `leap_bench::target::BenchTarget` instead.
 
 use crate::{LeapListCop, LeapListLt, LeapListRwlock, LeapListTm};
 
@@ -88,36 +91,6 @@ impl_range_map!(LeapListCop);
 impl_range_map!(LeapListTm);
 impl_range_map!(LeapListRwlock);
 
-macro_rules! impl_collect {
-    ($ty:ident) => {
-        impl<V: Clone + Send + Sync + 'static> FromIterator<(u64, V)> for $ty<V> {
-            /// Builds a list with default [`Params`](crate::Params) from
-            /// `(key, value)` pairs (later duplicates win, as with
-            /// `update`).
-            fn from_iter<I: IntoIterator<Item = (u64, V)>>(iter: I) -> Self {
-                let list = $ty::new(crate::Params::default());
-                for (k, v) in iter {
-                    list.update(k, v);
-                }
-                list
-            }
-        }
-
-        impl<V: Clone + Send + Sync + 'static> Extend<(u64, V)> for $ty<V> {
-            fn extend<I: IntoIterator<Item = (u64, V)>>(&mut self, iter: I) {
-                for (k, v) in iter {
-                    self.update(k, v);
-                }
-            }
-        }
-    };
-}
-
-impl_collect!(LeapListLt);
-impl_collect!(LeapListCop);
-impl_collect!(LeapListTm);
-impl_collect!(LeapListRwlock);
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -143,17 +116,5 @@ mod tests {
         exercise(&LeapListCop::<u64>::new(p.clone()));
         exercise(&LeapListTm::<u64>::new(p.clone()));
         exercise(&LeapListRwlock::<u64>::new(p));
-    }
-
-    #[test]
-    fn from_iterator_and_extend() {
-        let mut l: LeapListLt<u64> = (0..10u64).map(|k| (k, k * 2)).collect();
-        assert_eq!(l.len(), 10);
-        assert_eq!(l.lookup(4), Some(8));
-        l.extend([(20, 1), (21, 2)]);
-        assert_eq!(l.len(), 12);
-        // Later duplicates win.
-        let l2: LeapListRwlock<u64> = [(1, 1), (1, 9)].into_iter().collect();
-        assert_eq!(l2.lookup(1), Some(9));
     }
 }

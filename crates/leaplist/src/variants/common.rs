@@ -326,6 +326,7 @@ fn group_read<L, V: 'static, S: Default, R: Default>(
         assert!(*hi < u64::MAX, "key u64::MAX is reserved");
     }
     let _guard = pin();
+    // Hand-rolled: the searches precede `Txn::begin`, so the read version is as fresh as their windows.
     let mut backoff = Backoff::new();
     loop {
         // COP prefix: an uninstrumented predecessor search per list.

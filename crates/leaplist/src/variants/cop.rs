@@ -111,6 +111,7 @@ impl<V: Clone + Send + Sync + 'static> LeapListCop<V> {
         common::check_group(lists, |l| &l.domain);
         let ops = Unsettled(ops);
         let guard = pin();
+        // Hand-rolled: planning precedes `Txn::begin`, so the read version is as fresh as the plan.
         let mut backoff = Backoff::new();
         loop {
             let plans: Vec<OneOp<V>> = lists

@@ -199,6 +199,7 @@ impl<V: Clone + Send + Sync + 'static> LeapListLt<V> {
             .collect();
         common::check_group(lists, |l| &l.domain);
         let guard = pin();
+        // Hand-rolled: the wiring ticket is taken between body and commit, which is stamped.
         let mut backoff = Backoff::new();
         loop {
             // Setup: per-list chain rebuild (COP searches + replacement

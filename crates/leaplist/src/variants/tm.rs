@@ -11,7 +11,7 @@ use crate::variants::common;
 use crate::wire::wire_segment_tx;
 use crate::Params;
 use leap_ebr::pin;
-use leap_stm::{Backoff, StmDomain, TaggedPtr, TxResult, Txn};
+use leap_stm::{atomically, StmDomain, TaggedPtr, TxResult, Txn};
 use std::sync::Arc;
 
 /// A Leap-List in which every operation is one STM transaction.
@@ -135,63 +135,55 @@ impl<V: Clone + Send + Sync + 'static> LeapListTm<V> {
     /// transaction. Each op searches transactionally, builds its one-op
     /// segment from that window, then validates and wires it with
     /// transactional writes. A `Put` value goes to its list with the
-    /// commit; every attempt only copies it bitwise (see `node.rs`).
+    /// commit; every attempt only copies it bitwise (see `node.rs`), and
+    /// an attempt that does not commit drops its plans, which frees their
+    /// unpublished chains.
     fn write(lists: &[&Self], ops: Vec<ListOp<V>>) -> Vec<Option<V>> {
         assert_eq!(lists.len(), ops.len());
         common::check_group(lists, |l| &l.domain);
         let ops = Unsettled(ops);
         let guard = pin();
-        let mut backoff = Backoff::new();
-        loop {
-            let mut tx = Txn::begin(&lists[0].domain);
+        let plans = atomically(&lists[0].domain, |tx| {
             let mut plans: Vec<OneOp<V>> = Vec::with_capacity(lists.len());
-            let body: TxResult<()> = (|| {
-                for (l, op) in lists.iter().zip(&ops.0) {
-                    // SAFETY: `guard` pins the epoch for the whole attempt.
-                    let w = unsafe { Self::search_tx(&l.raw, &mut tx, op.ik()) }?;
-                    // SAFETY: reached through validated reads, under guard.
-                    let n = unsafe { &*w.target() };
-                    let succ = match op {
-                        ListOp::Del(ik) if n.index_of(*ik).is_some() => {
-                            tx.read(&n.next[0])?.as_ptr()
-                        }
-                        _ => std::ptr::null_mut(),
-                    };
-                    // SAFETY: window and successor read by `tx` under guard.
-                    let plan = unsafe { one_op_plan(&l.raw.params, w, succ, op) };
-                    if let Some(seg) = &plan.0 {
-                        // SAFETY: plan pointers are protected by `guard`.
-                        let v = unsafe { common::validate_segment(&mut tx, seg) }?;
-                        // SAFETY: `v` validated `seg` in `tx`; its chain is
-                        // unpublished (exclusive).
-                        unsafe { wire_segment_tx(&mut tx, seg, &v) }?;
-                    }
-                    plans.push(plan);
+            for (l, op) in lists.iter().zip(&ops.0) {
+                // SAFETY: `guard` pins the epoch for the whole attempt.
+                let w = unsafe { Self::search_tx(&l.raw, tx, op.ik()) }?;
+                // SAFETY: reached through validated reads, under guard.
+                let n = unsafe { &*w.target() };
+                let succ = match op {
+                    ListOp::Del(ik) if n.index_of(*ik).is_some() => tx.read(&n.next[0])?.as_ptr(),
+                    _ => std::ptr::null_mut(),
+                };
+                // SAFETY: window and successor read by `tx` under guard.
+                let plan = unsafe { one_op_plan(&l.raw.params, w, succ, op) };
+                if let Some(seg) = &plan.0 {
+                    // SAFETY: plan pointers are protected by `guard`.
+                    let v = unsafe { common::validate_segment(tx, seg) }?;
+                    // SAFETY: `v` validated `seg` in `tx`; its chain is
+                    // unpublished (exclusive).
+                    unsafe { wire_segment_tx(tx, seg, &v) }?;
                 }
-                Ok(())
-            })();
-            if body.is_ok() && tx.commit().is_ok() {
-                // The values went to the nodes that carry them.
-                ops.committed();
-                return plans
-                    .into_iter()
-                    // SAFETY: the committed swings unlinked every dying
-                    // node, which this commit alone retires (with its
-                    // departures); the grace period covers in-flight readers.
-                    .map(|plan| unsafe {
-                        common::retire_plan(plan, |o| {
-                            // lint:allow(reclamation-discipline): the TM variant has no version
-                            // bundles and no snapshot pins — every reader reaches nodes through
-                            // the live transactional structure only, so the plain EBR grace
-                            // period is the full safety argument.
-                            guard.defer_drop_box(o)
-                        })
-                    })
-                    .collect();
+                plans.push(plan);
             }
-            drop(plans); // frees unpublished nodes from the failed attempt
-            backoff.snooze();
-        }
+            Ok(plans)
+        });
+        // The values went to the nodes that carry them.
+        ops.committed();
+        plans
+            .into_iter()
+            // SAFETY: the committed swings unlinked every dying node, which
+            // this commit alone retires (with its departures); the grace
+            // period covers in-flight readers.
+            .map(|plan| unsafe {
+                common::retire_plan(plan, |o| {
+                    // lint:allow(reclamation-discipline): the TM variant has no version
+                    // bundles and no snapshot pins — every reader reaches nodes through
+                    // the live transactional structure only, so the plain EBR grace
+                    // period is the full safety argument.
+                    guard.defer_drop_box(o)
+                })
+            })
+            .collect()
     }
 
     /// Transactional lookup (instrumented traversal).
@@ -203,25 +195,13 @@ impl<V: Clone + Send + Sync + 'static> LeapListTm<V> {
         assert!(key < u64::MAX, "key u64::MAX is reserved");
         let ik = internal_key(key);
         let _guard = pin();
-        let mut backoff = Backoff::new();
-        loop {
-            let mut tx = Txn::begin(&self.domain);
-            let body: TxResult<Option<V>> = (|| {
-                // SAFETY: `_guard` pins the epoch for the whole attempt.
-                let w = unsafe { Self::search_tx(&self.raw, &mut tx, ik) }?;
-                // SAFETY: under guard; data immutable.
-                let n = unsafe { &*w.target() };
-                Ok(n.index_of(ik).map(|i| n.data[i].1.clone()))
-            })();
-            if let Ok(v) = body {
-                if tx.commit().is_ok() {
-                    return v;
-                }
-            } else {
-                drop(tx);
-            }
-            backoff.snooze();
-        }
+        atomically(&self.domain, |tx| {
+            // SAFETY: `_guard` pins the epoch for the whole attempt.
+            let w = unsafe { Self::search_tx(&self.raw, tx, ik) }?;
+            // SAFETY: under guard; data immutable.
+            let n = unsafe { &*w.target() };
+            Ok(n.index_of(ik).map(|i| n.data[i].1.clone()))
+        })
     }
 
     /// Transactional range query: instrumented search plus instrumented
@@ -237,36 +217,25 @@ impl<V: Clone + Send + Sync + 'static> LeapListTm<V> {
         }
         let (ilo, ihi) = (internal_key(lo), internal_key(hi));
         let _guard = pin();
-        let mut backoff = Backoff::new();
-        loop {
-            let mut tx = Txn::begin(&self.domain);
-            let body: TxResult<Vec<*mut Node<V>>> = (|| {
-                // SAFETY: `_guard` pins the epoch for the whole attempt.
-                let w = unsafe { Self::search_tx(&self.raw, &mut tx, ilo) }?;
-                let mut nodes = Vec::new();
-                let mut n = w.target();
-                loop {
-                    // SAFETY: validated transactional reads under guard.
-                    let node = unsafe { &*n };
-                    nodes.push(n);
-                    if node.high >= ihi {
-                        return Ok(nodes);
-                    }
-                    let s: TaggedPtr<Node<V>> = tx.read(&node.next[0])?;
-                    n = s.as_ptr();
+        let nodes = atomically(&self.domain, |tx| {
+            // SAFETY: `_guard` pins the epoch for the whole attempt.
+            let w = unsafe { Self::search_tx(&self.raw, tx, ilo) }?;
+            let mut nodes = Vec::new();
+            let mut n = w.target();
+            loop {
+                // SAFETY: validated transactional reads under guard.
+                let node = unsafe { &*n };
+                nodes.push(n);
+                if node.high >= ihi {
+                    return Ok(nodes);
                 }
-            })();
-            if let Ok(nodes) = body {
-                if tx.commit().is_ok() {
-                    // SAFETY: nodes captured by validated reads, still under
-                    // `_guard`; `data` is immutable.
-                    return unsafe { common::extract_pairs(&nodes, ilo, ihi) };
-                }
-            } else {
-                drop(tx);
+                let s: TaggedPtr<Node<V>> = tx.read(&node.next[0])?;
+                n = s.as_ptr();
             }
-            backoff.snooze();
-        }
+        });
+        // SAFETY: nodes captured by validated reads, still under `_guard`;
+        // `data` is immutable.
+        unsafe { common::extract_pairs(&nodes, ilo, ihi) }
     }
 
     /// Approximate number of keys (naked walk; exact when quiescent).

@@ -938,7 +938,7 @@ mod tests {
         let files = vec![
             file(
                 "crates/obs/src/events.rs",
-                r#"impl EventKind { fn name(&self) -> &str { match self { EventKind::EpochFlip { .. } => "epoch_flip", EventKind::Shed { .. } => "shed" } } }"#,
+                r#"impl EventKind { fn name(&self) -> &str { match self { EventKind::PolicySplit { .. } => "policy_split", EventKind::Shed { .. } => "shed" } } }"#,
             ),
             file(
                 "crates/store/src/obs.rs",
@@ -947,14 +947,14 @@ mod tests {
         ];
         let docs = RegistryDocs {
             readme: Some(
-                "events: `epoch_flip`, `shed`; series `store_op_{get,put}_ns`, `store_view_swaps`"
+                "events: `policy_split`, `shed`; series `store_op_{get,put}_ns`, `store_view_swaps`"
                     .to_string(),
             ),
         };
         assert!(registry_drift(&files, &docs).is_empty());
 
         let stale = RegistryDocs {
-            readme: Some("events: `epoch_flip`; series `store_op_get_ns`".to_string()),
+            readme: Some("events: `policy_split`; series `store_op_get_ns`".to_string()),
         };
         let f = registry_drift(&files, &stale);
         assert_eq!(f.len(), 3, "{f:?}");

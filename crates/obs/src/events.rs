@@ -27,11 +27,10 @@ const SLOT_WORDS: usize = 2 + WORDS;
 
 /// Payload field names per kind tag (see [`EventKind::encode`]), in
 /// declaration order.
-const FIELDS: [&[&str]; 9] = [
+const FIELDS: [&[&str]; 8] = [
     &["id", "src", "dst", "lo", "hi"],
     &["id", "moved"],
     &["id", "epoch"],
-    &["epoch"],
     &["shard", "load"],
     &["left", "right"],
     &["attempts"],
@@ -69,11 +68,6 @@ pub enum EventKind {
         /// Migration id that completed.
         id: u64,
         /// Routing epoch installed by the completion.
-        epoch: u64,
-    },
-    /// The routing epoch advanced to `epoch`.
-    EpochFlip {
-        /// The new routing epoch.
         epoch: u64,
     },
     /// The rebalance policy decided to split shard `shard` (its weighted
@@ -122,7 +116,6 @@ impl EventKind {
             EventKind::MigrationBegin { .. } => "migration_begin",
             EventKind::MigrationChunk { .. } => "migration_chunk",
             EventKind::MigrationComplete { .. } => "migration_complete",
-            EventKind::EpochFlip { .. } => "epoch_flip",
             EventKind::PolicySplit { .. } => "policy_split",
             EventKind::PolicyMerge { .. } => "policy_merge",
             EventKind::TxnDeadline { .. } => "txn_deadline",
@@ -162,32 +155,28 @@ impl EventKind {
                 w[1] = epoch;
                 2
             }
-            EventKind::EpochFlip { epoch } => {
-                w[0] = epoch;
-                3
-            }
             EventKind::PolicySplit { shard, load } => {
                 w[0] = shard;
                 w[1] = load;
-                4
+                3
             }
             EventKind::PolicyMerge { left, right } => {
                 w[0] = left;
                 w[1] = right;
-                5
+                4
             }
             EventKind::TxnDeadline { attempts } => {
                 w[0] = attempts;
-                6
+                5
             }
             EventKind::Shed { ops, queued } => {
                 w[0] = ops;
                 w[1] = queued;
-                7
+                6
             }
             EventKind::RebalancerPanic { panics } => {
                 w[0] = panics;
-                8
+                7
             }
         };
         (tag, w)
@@ -210,21 +199,20 @@ impl EventKind {
                 id: w[0],
                 epoch: w[1],
             },
-            3 => EventKind::EpochFlip { epoch: w[0] },
-            4 => EventKind::PolicySplit {
+            3 => EventKind::PolicySplit {
                 shard: w[0],
                 load: w[1],
             },
-            5 => EventKind::PolicyMerge {
+            4 => EventKind::PolicyMerge {
                 left: w[0],
                 right: w[1],
             },
-            6 => EventKind::TxnDeadline { attempts: w[0] },
-            7 => EventKind::Shed {
+            5 => EventKind::TxnDeadline { attempts: w[0] },
+            6 => EventKind::Shed {
                 ops: w[0],
                 queued: w[1],
             },
-            8 => EventKind::RebalancerPanic { panics: w[0] },
+            7 => EventKind::RebalancerPanic { panics: w[0] },
             _ => return None,
         })
     }
@@ -365,7 +353,6 @@ mod tests {
             },
             EventKind::MigrationChunk { id: 1, moved: 128 },
             EventKind::MigrationComplete { id: 1, epoch: 9 },
-            EventKind::EpochFlip { epoch: 9 },
             EventKind::PolicySplit { shard: 0, load: 77 },
             EventKind::PolicyMerge { left: 1, right: 2 },
             EventKind::TxnDeadline { attempts: 64 },

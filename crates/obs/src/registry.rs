@@ -225,13 +225,13 @@ mod tests {
             h.record(v);
         }
         r.ring("timeline", 8)
-            .push(EventKind::EpochFlip { epoch: 3 });
+            .push(EventKind::Shed { ops: 1, queued: 3 });
         let json = r.snapshot_json().render();
         assert!(json.contains("\"store.gets\":5"), "{json}");
         assert!(json.contains("\"inflight\":-2"), "{json}");
         assert!(json.contains("\"p999_ns\":"), "{json}");
         assert!(json.contains("\"max_ns\":30"), "{json}");
-        assert!(json.contains("\"kind\":\"epoch_flip\""), "{json}");
+        assert!(json.contains("\"kind\":\"shed\""), "{json}");
         assert!(json.contains("\"dropped\":0"), "{json}");
     }
 
@@ -245,7 +245,7 @@ mod tests {
             h.record(v);
         }
         r.ring("timeline", 8)
-            .push(EventKind::EpochFlip { epoch: 1 });
+            .push(EventKind::Shed { ops: 1, queued: 1 });
         let text = r.to_prometheus();
         assert!(text.contains("# TYPE store_gets counter\nstore_gets 5\n"));
         assert!(text.contains("# TYPE inflight gauge\ninflight 7\n"));

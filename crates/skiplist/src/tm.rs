@@ -6,7 +6,7 @@
 
 use crate::level::{random_level, MAX_LEVEL};
 use leap_ebr::pin;
-use leap_stm::{Backoff, StmDomain, TVar, TaggedPtr, TxResult, Txn};
+use leap_stm::{atomically, StmDomain, TVar, TaggedPtr, TxResult, Txn};
 
 struct Node {
     key: u64,
@@ -44,12 +44,17 @@ pub struct TmSkipList {
     max_level: usize,
 }
 
-/// What happened inside one transactional attempt of `insert`.
-enum InsertOutcome {
-    Updated,
-    /// Node was wired in; the raw pointer must be leaked on commit or
-    /// reclaimed on abort.
-    Linked(*mut Node),
+/// A node an `insert` attempt has wired in but not yet published: it is
+/// freed if the attempt is dropped (a body error, a failed commit or a
+/// retry-budget unwind) and forgotten once the commit publishes it.
+struct Unlinked(*mut Node);
+
+impl Drop for Unlinked {
+    fn drop(&mut self) {
+        // SAFETY: the attempt that made the node did not commit, so it was
+        // never visible; this thread still owns it exclusively.
+        drop(unsafe { Box::from_raw(self.0) });
+    }
 }
 
 impl TmSkipList {
@@ -123,62 +128,28 @@ impl TmSkipList {
         let top = random_level(self.max_level, &mut rand::thread_rng());
         let mut preds = [std::ptr::null(); MAX_LEVEL];
         let mut succs = [TaggedPtr::null(); MAX_LEVEL];
-        let mut backoff = Backoff::new();
-        loop {
-            let mut tx = Txn::begin(&self.domain);
-            let body: TxResult<InsertOutcome> = (|| {
-                // SAFETY: `_guard` pins the epoch for the whole attempt.
-                match unsafe { self.search(&mut tx, key, &mut preds, &mut succs) }? {
-                    Some(n) => {
-                        // SAFETY: node alive under guard.
-                        tx.write(unsafe { &(*n).value }, value)?;
-                        Ok(InsertOutcome::Updated)
-                    }
-                    None => {
-                        let node = Node::new(key, value, top);
-                        // Pre-publication stores: the node is private until
-                        // the predecessor writes commit.
-                        for (l, nxt) in node.next.iter().enumerate() {
-                            nxt.naked_store(succs[l]);
-                        }
-                        let node_ptr = Box::into_raw(node);
-                        // `l` indexes preds and the node's levels in
-                        // lock-step; an iterator rewrite obscures that.
-                        #[allow(clippy::needless_range_loop)]
-                        for l in 0..top {
-                            // SAFETY: `preds[l]` was filled by the search
-                            // under the guard.
-                            let slot = unsafe { &(*preds[l]).next[l] };
-                            if let Err(e) = tx.write(slot, TaggedPtr::new(node_ptr)) {
-                                // SAFETY: the write failed pre-commit, so
-                                // the node was never published; this thread
-                                // still owns it exclusively.
-                                drop(unsafe { Box::from_raw(node_ptr) });
-                                return Err(e);
-                            }
-                        }
-                        Ok(InsertOutcome::Linked(node_ptr))
-                    }
-                }
-            })();
-            match body {
-                Ok(outcome) => {
-                    let committed = tx.commit().is_ok();
-                    match (committed, outcome) {
-                        (true, InsertOutcome::Updated) => return false,
-                        (true, InsertOutcome::Linked(_)) => return true,
-                        (false, InsertOutcome::Linked(p)) => {
-                            // SAFETY: commit failed, so the node was never
-                            // visible; this thread still owns it.
-                            drop(unsafe { Box::from_raw(p) });
-                        }
-                        (false, InsertOutcome::Updated) => {}
-                    }
-                }
-                Err(_) => drop(tx),
+        let linked = atomically(&self.domain, |tx| {
+            // SAFETY: `_guard` pins the epoch for the whole attempt.
+            if let Some(n) = unsafe { self.search(tx, key, &mut preds, &mut succs) }? {
+                // SAFETY: node alive under guard.
+                tx.write(unsafe { &(*n).value }, value)?;
+                return Ok(None);
             }
-            backoff.snooze();
-        }
+            let node = Node::new(key, value, top);
+            // Pre-publication stores: the node is private until the
+            // predecessor writes commit.
+            for (l, nxt) in node.next.iter().enumerate() {
+                nxt.naked_store(succs[l]);
+            }
+            let node = Unlinked(Box::into_raw(node));
+            for (l, pred) in preds.iter().enumerate().take(top) {
+                // SAFETY: `pred` was filled by the search under the guard.
+                tx.write(unsafe { &(**pred).next[l] }, TaggedPtr::new(node.0))?;
+            }
+            Ok(Some(node))
+        });
+        // The commit published the node: the list owns it now.
+        linked.map(std::mem::forget).is_some()
     }
 
     /// Removes `key` atomically, returning its value.
@@ -186,43 +157,27 @@ impl TmSkipList {
         let guard = pin();
         let mut preds = [std::ptr::null(); MAX_LEVEL];
         let mut succs = [TaggedPtr::null(); MAX_LEVEL];
-        let mut backoff = Backoff::new();
-        loop {
-            let mut tx = Txn::begin(&self.domain);
-            let body: TxResult<Option<(u64, *mut Node)>> = (|| {
-                // SAFETY: `guard` pins the epoch for the whole attempt.
-                match unsafe { self.search(&mut tx, key, &mut preds, &mut succs) }? {
-                    None => Ok(None),
-                    Some(n) => {
-                        // SAFETY: node alive under guard.
-                        let node = unsafe { &*n };
-                        let value = tx.read(&node.value)?;
-                        for l in 0..node.next.len() {
-                            debug_assert_eq!(succs[l].as_ptr(), n, "tm list links all levels");
-                            let after = tx.read(&node.next[l])?;
-                            // SAFETY: `preds[l]` was filled by the search
-                            // under the guard.
-                            tx.write(unsafe { &(*preds[l]).next[l] }, after)?;
-                        }
-                        Ok(Some((value, n)))
-                    }
-                }
-            })();
-            match body {
-                Ok(res) => {
-                    if tx.commit().is_ok() {
-                        return res.map(|(value, n)| {
-                            // SAFETY: the committed writes unlinked `n` at
-                            // every level; the grace period covers readers.
-                            unsafe { guard.defer_drop_box(n) };
-                            value
-                        });
-                    }
-                }
-                Err(_) => drop(tx),
+        let (value, n) = atomically(&self.domain, |tx| {
+            // SAFETY: `guard` pins the epoch for the whole attempt.
+            let Some(n) = unsafe { self.search(tx, key, &mut preds, &mut succs) }? else {
+                return Ok(None);
+            };
+            // SAFETY: node alive under guard.
+            let node = unsafe { &*n };
+            let value = tx.read(&node.value)?;
+            for l in 0..node.next.len() {
+                debug_assert_eq!(succs[l].as_ptr(), n, "tm list links all levels");
+                let after = tx.read(&node.next[l])?;
+                // SAFETY: `preds[l]` was filled by the search under the
+                // guard.
+                tx.write(unsafe { &(*preds[l]).next[l] }, after)?;
             }
-            backoff.snooze();
-        }
+            Ok(Some((value, n)))
+        })?;
+        // SAFETY: the committed writes unlinked `n` at every level; the
+        // grace period covers readers.
+        unsafe { guard.defer_drop_box(n) };
+        Some(value)
     }
 
     /// Transactional lookup (consistent but fully instrumented).
@@ -230,25 +185,14 @@ impl TmSkipList {
         let _guard = pin();
         let mut preds = [std::ptr::null(); MAX_LEVEL];
         let mut succs = [TaggedPtr::null(); MAX_LEVEL];
-        let mut backoff = Backoff::new();
-        loop {
-            let mut tx = Txn::begin(&self.domain);
-            let body: TxResult<Option<u64>> =
-                // SAFETY: `_guard` pins the epoch for the whole attempt.
-                (|| match unsafe { self.search(&mut tx, key, &mut preds, &mut succs) }? {
-                    None => Ok(None),
-                    // SAFETY: found node alive under the guard.
-                    Some(n) => Ok(Some(tx.read(unsafe { &(*n).value })?)),
-                })();
-            if let Ok(v) = body {
-                if tx.commit().is_ok() {
-                    return v;
-                }
-            } else {
-                drop(tx);
+        atomically(&self.domain, |tx| {
+            // SAFETY: `_guard` pins the epoch for the whole attempt.
+            match unsafe { self.search(tx, key, &mut preds, &mut succs) }? {
+                None => Ok(None),
+                // SAFETY: found node alive under the guard.
+                Some(n) => Ok(Some(tx.read(unsafe { &(*n).value })?)),
             }
-            backoff.snooze();
-        }
+        })
     }
 
     /// Linearizable range query: one transaction spanning every key in
@@ -258,34 +202,22 @@ impl TmSkipList {
         let _guard = pin();
         let mut preds = [std::ptr::null(); MAX_LEVEL];
         let mut succs = [TaggedPtr::null(); MAX_LEVEL];
-        let mut backoff = Backoff::new();
-        loop {
-            let mut tx = Txn::begin(&self.domain);
-            let body: TxResult<Vec<(u64, u64)>> = (|| {
-                // SAFETY: `_guard` pins the epoch for the whole attempt.
-                unsafe { self.search(&mut tx, lo, &mut preds, &mut succs) }?;
-                let mut out = Vec::new();
-                let mut curr = succs[0];
-                while !curr.is_null() {
-                    // SAFETY: nodes alive under guard; reads validated.
-                    let c = unsafe { &*curr.as_ptr() };
-                    if c.key > hi {
-                        break;
-                    }
-                    out.push((c.key, tx.read(&c.value)?));
-                    curr = tx.read(&c.next[0])?;
+        atomically(&self.domain, |tx| {
+            // SAFETY: `_guard` pins the epoch for the whole attempt.
+            unsafe { self.search(tx, lo, &mut preds, &mut succs) }?;
+            let mut out = Vec::new();
+            let mut curr = succs[0];
+            while !curr.is_null() {
+                // SAFETY: nodes alive under guard; reads validated.
+                let c = unsafe { &*curr.as_ptr() };
+                if c.key > hi {
+                    break;
                 }
-                Ok(out)
-            })();
-            if let Ok(v) = body {
-                if tx.commit().is_ok() {
-                    return v;
-                }
-            } else {
-                drop(tx);
+                out.push((c.key, tx.read(&c.value)?));
+                curr = tx.read(&c.next[0])?;
             }
-            backoff.snooze();
-        }
+            Ok(out)
+        })
     }
 
     /// Number of keys (O(n); test/diagnostic helper).
@@ -330,6 +262,23 @@ impl std::fmt::Debug for TmSkipList {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use leap_stm::{with_retry_budget, RetryPolicy, StmFaultPoint, Timeout};
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
+
+    /// Attaches a fault hook to `m`'s domain that fails the next `n`
+    /// commits, where `n` is the returned counter's value.
+    fn failing_commits(m: &TmSkipList) -> Arc<AtomicU64> {
+        let left = Arc::new(AtomicU64::new(0));
+        let hook_left = left.clone();
+        assert!(m.domain().set_fault_hook(Arc::new(move |p| {
+            p == StmFaultPoint::Commit
+                && hook_left
+                    .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
+                    .is_ok()
+        })));
+        left
+    }
 
     #[test]
     fn insert_lookup_remove_roundtrip() {
@@ -373,5 +322,42 @@ mod tests {
         m.lookup(1);
         let s = m.domain().stats();
         assert!(s.total_commits() >= 2);
+    }
+
+    #[test]
+    fn failed_commits_retry_and_take_effect_once() {
+        let m = TmSkipList::new();
+        let fail = failing_commits(&m);
+        // The first attempt's node is freed with its failed commit; the
+        // retry publishes a fresh one.
+        fail.store(1, Ordering::SeqCst);
+        assert!(m.insert(7, 70));
+        fail.store(1, Ordering::SeqCst);
+        assert_eq!(m.remove(3), None);
+        fail.store(1, Ordering::SeqCst);
+        assert!(m.insert(3, 30));
+        assert_eq!(m.range_query(0, 100), vec![(3, 30), (7, 70)]);
+        fail.store(1, Ordering::SeqCst);
+        assert_eq!(m.remove(7), Some(70));
+        assert_eq!(m.remove(7), None);
+        assert_eq!(m.range_query(0, 100), vec![(3, 30)]);
+        assert_eq!(fail.load(Ordering::SeqCst), 0, "every armed fault fired");
+        assert_eq!(m.domain().stats().conflict_commit_aborts, 4);
+    }
+
+    #[test]
+    fn timed_out_inserts_leave_the_list_empty() {
+        let m = TmSkipList::new();
+        let fail = failing_commits(&m);
+        fail.store(u64::MAX, Ordering::SeqCst);
+        for k in 0..4 {
+            let policy = RetryPolicy::default().max_attempts(3);
+            let out = with_retry_budget(policy, || m.insert(k, k * 10));
+            assert_eq!(out, Err(Timeout { attempts: 3 }), "key {k}");
+        }
+        fail.store(0, Ordering::SeqCst);
+        assert!(m.is_empty());
+        assert!(m.insert(1, 10), "the list stays usable");
+        assert_eq!(m.range_query(0, 10), vec![(1, 10)]);
     }
 }

@@ -21,7 +21,12 @@
 //!   marked-pointer protocol is still what makes a naked traversal
 //!   consistent, but it never has to step around another transaction's
 //!   uncommitted store.
-//! * [`atomically`] — a retry loop with bounded exponential backoff.
+//! * [`atomically`] — a retry loop with bounded exponential backoff: the
+//!   whole-operation transactions of Leap-tm and Skip-tm run through it.
+//!   Three Leap-List loops stay hand-rolled with [`Txn::begin`]: COP's
+//!   write and the shared range read, whose uninstrumented prefix must
+//!   run before each transaction begins, and LT's write, which takes a
+//!   wiring ticket before its stamped commit.
 //! * [`with_retry_budget`] — bounds every retry loop inside a call
 //!   (including hand-rolled ones) by a [`RetryPolicy`] (deadline and/or
 //!   attempt budget), surfacing a typed [`Timeout`] instead of spinning

@@ -185,6 +185,9 @@ impl<'d> Txn<'d> {
     /// [`Abort::Conflict`] if `var`'s ownership record is locked by another
     /// transaction or has advanced past this transaction's (extensible)
     /// read snapshot.
+    // Inlined so the per-access barrier stays inline in the caller's
+    // body whichever codegen unit rustc places the instantiation in.
+    #[inline]
     pub fn read<T: Word>(&mut self, var: &'d TVar<T>) -> TxResult<T> {
         if self.poisoned {
             return Err(Abort::Conflict);

@@ -2,7 +2,7 @@
 //! so a million-key scan never materializes in one transaction and never
 //! holds a transaction open between pages. Two consistency modes:
 //!
-//! * **Per-page linearizable** ([`Cursor`], via [`LeapStore::scan`]):
+//! * **Per-page linearizable** ([`Cursor`], via [`LeapStore::scan_pages`]):
 //!   each page is one linearizable cross-shard transaction
 //!   ([`leaplist::LeapListLt::range_page_group`]). Pages are individually
 //!   consistent but the scan as a whole is not one snapshot — a writer
@@ -14,7 +14,7 @@
 //!   the migration driver itself pages with.
 //!
 //! * **Pinned snapshot** ([`SnapshotCursor`], via
-//!   [`LeapStore::scan_snapshot`]): the first cursor operation pins the
+//!   [`LeapStore::scan_snapshot_pages`]): the first cursor operation pins the
 //!   global commit timestamp once; **every** page then reads the version
 //!   bundles at that timestamp. The whole multi-page scan is one
 //!   consistent snapshot — across pages, across concurrent batches, and
@@ -28,9 +28,6 @@
 use crate::store::{merge_page, LeapStore, VisitPlan};
 use leaplist::{LeapListLt, ListSnapshot};
 use std::sync::Arc;
-
-/// Default pairs per page for [`LeapStore::scan`].
-pub const DEFAULT_PAGE_SIZE: usize = 256;
 
 /// Where a scan of `[.., hi]` resumes after `page`: a full page may have
 /// more behind it, so past its last key; a short page proves every
@@ -50,7 +47,7 @@ fn resume_after<V>(page: &[(u64, V)], page_size: usize, hi: u64) -> Option<u64> 
 /// concurrent writer may change keys the cursor has not reached yet (the
 /// usual cursor contract — each page is internally consistent, the scan as
 /// a whole is not one snapshot). When the whole scan must be one
-/// snapshot, use [`LeapStore::scan_snapshot`] instead.
+/// snapshot, use [`LeapStore::scan_snapshot_pages`] instead.
 ///
 /// # Example
 ///
@@ -236,16 +233,6 @@ impl<V: Clone + Send + Sync + 'static> Iterator for SnapshotCursor<'_, V> {
 }
 
 impl<V: Clone + Send + Sync + 'static> LeapStore<V> {
-    /// A paged scan of `[lo, hi]` with the default page size
-    /// ([`DEFAULT_PAGE_SIZE`]). See [`Cursor`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `hi == u64::MAX`.
-    pub fn scan(&self, lo: u64, hi: u64) -> Cursor<'_, V> {
-        Cursor::new(self, lo, hi, DEFAULT_PAGE_SIZE)
-    }
-
     /// A paged scan of `[lo, hi]` yielding at most `page_size` pairs per
     /// page. See [`Cursor`].
     ///
@@ -254,17 +241,6 @@ impl<V: Clone + Send + Sync + 'static> LeapStore<V> {
     /// Panics if `hi == u64::MAX` or `page_size` is zero.
     pub fn scan_pages(&self, lo: u64, hi: u64, page_size: usize) -> Cursor<'_, V> {
         Cursor::new(self, lo, hi, page_size)
-    }
-
-    /// A snapshot-isolated paged scan of `[lo, hi]` with the default page
-    /// size: every page reads at one timestamp pinned now. See
-    /// [`SnapshotCursor`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `hi == u64::MAX`.
-    pub fn scan_snapshot(&self, lo: u64, hi: u64) -> SnapshotCursor<'_, V> {
-        SnapshotCursor::new(self, lo, hi, DEFAULT_PAGE_SIZE)
     }
 
     /// A snapshot-isolated paged scan of `[lo, hi]` yielding at most
@@ -331,9 +307,9 @@ mod tests {
         assert_eq!(c.next_page(), None);
         assert_eq!(c.resume_key(), None);
         // Empty and inverted ranges yield no pages.
-        assert_eq!(s.scan(600, 999).next(), None);
-        assert_eq!(s.scan(30, 10).next(), None);
-        assert_eq!(s.scan(30, 10).resume_key(), None);
+        assert_eq!(s.scan_pages(600, 999, 256).next(), None);
+        assert_eq!(s.scan_pages(30, 10, 256).next(), None);
+        assert_eq!(s.scan_pages(30, 10, 256).resume_key(), None);
     }
 
     #[test]
@@ -389,7 +365,7 @@ mod tests {
             }
             assert_eq!(seen, expected, "{mode:?}: the pin froze the view");
             // A fresh snapshot sees the new state.
-            let now: Vec<_> = s.scan_snapshot(0, 999).flatten().collect();
+            let now: Vec<_> = s.scan_snapshot_pages(0, 999, 256).flatten().collect();
             assert_eq!(now.len(), 100, "100 keys - 1 deleted + 1 inserted");
             assert!(now.iter().any(|&(k, v)| k == 0 && v == 1_000));
             assert!(!now.iter().any(|&(k, _)| k == 17));
@@ -465,10 +441,14 @@ mod tests {
     fn snapshot_cursor_reports_ts_and_empty_ranges() {
         let s = store();
         s.put(3, 30);
-        let scan = s.scan_snapshot(10, 20);
+        let scan = s.scan_snapshot_pages(10, 20, 256);
         assert!(scan.ts() > 0, "commits moved the clock before the pin");
         assert_eq!(scan.count(), 0, "no pages in an empty sub-range");
-        assert_eq!(s.scan_snapshot(30, 10).next(), None, "inverted range");
+        assert_eq!(
+            s.scan_snapshot_pages(30, 10, 256).next(),
+            None,
+            "inverted range"
+        );
         let depth = s.stats().bundle_depth;
         assert!(depth >= 1, "bundle depth gauge starts at 1, got {depth}");
     }

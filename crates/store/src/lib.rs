@@ -26,10 +26,10 @@
 //!   bounded single-transaction chunks while reads and writes proceed,
 //!   driven deterministically ([`LeapStore::rebalance_step`]) or by a
 //!   background [`Rebalancer`] acting on a [`RebalancePolicy`].
-//! * **Paged scans** — [`LeapStore::scan`] returns a [`Cursor`] yielding
+//! * **Paged scans** — [`LeapStore::scan_pages`] returns a [`Cursor`] yielding
 //!   bounded pages, each one linearizable transaction with a resume key:
 //!   huge scans without huge transactions, stable across resharding.
-//! * **Snapshot-isolated scans** — [`LeapStore::scan_snapshot`] returns a
+//! * **Snapshot-isolated scans** — [`LeapStore::scan_snapshot_pages`] returns a
 //!   [`SnapshotCursor`] that pins the global commit timestamp once and
 //!   serves **every** page from the shards' version bundles at that
 //!   timestamp: the whole multi-page scan is one consistent snapshot,
@@ -83,7 +83,7 @@ mod store;
 mod subspace;
 
 pub use batch::{Batcher, BatcherStats};
-pub use cursor::{Cursor, SnapshotCursor, DEFAULT_PAGE_SIZE};
+pub use cursor::{Cursor, SnapshotCursor};
 pub use error::StoreError;
 pub use obs::{ObsSnapshot, StoreObs, GET_SAMPLE_PERIOD};
 pub use rebalance::{RebalanceAction, RebalanceError, RebalancePolicy, Rebalancer, RebalancerDied};

@@ -429,11 +429,10 @@ impl<V: Clone + Send + Sync + 'static> LeapStore<V> {
             recent.push_front((pair, done));
             recent.truncate(8);
         }
-        // Both events while still under the step lock, so every
-        // migration's timeline reads begin -> chunks -> complete with
-        // the epoch flip adjacent to its completion.
+        // Still under the step lock, so every migration's timeline reads
+        // begin -> chunks -> complete, and the completion carries the
+        // routing epoch it installed.
         self.emit(EventKind::MigrationComplete { id: m.id, epoch });
-        self.emit(EventKind::EpochFlip { epoch });
         RebalanceAction::Completed { epoch }
     }
 

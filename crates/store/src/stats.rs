@@ -145,7 +145,7 @@ pub struct StoreStats {
     /// by an injected `admission` fault; each surfaced to its caller as
     /// [`crate::StoreError::Overloaded`].
     pub shed_ops: u64,
-    /// Snapshot-isolated scans started ([`crate::LeapStore::scan_snapshot`]
+    /// Snapshot-isolated scans started ([`crate::LeapStore::scan_snapshot_pages`]
     /// cursors pinned) since construction.
     pub snapshot_scans: u64,
     /// High-water mark of any shard's level-0 version-bundle depth: 1 when

@@ -213,10 +213,10 @@ type View<'a, V> = Pinned<'a, ShardSlot<V>>;
 ///   ([`LeapListLt::range_page_group`]), so the combined result is a
 ///   single consistent snapshot: it can never observe part of a batch —
 ///   or half of a shard migration.
-/// * [`LeapStore::scan`] — a paged cursor over a range: each page is one
+/// * [`LeapStore::scan_pages`] — a paged cursor over a range: each page is one
 ///   bounded linearizable transaction with a resume key, so scanning a
 ///   million keys never materializes them in one transaction.
-/// * [`LeapStore::scan_snapshot`] — a paged cursor whose every page reads
+/// * [`LeapStore::scan_snapshot_pages`] — a paged cursor whose every page reads
 ///   at **one** pinned commit timestamp via the shards' version bundles:
 ///   the whole scan is one consistent snapshot, and pages never retry
 ///   against concurrent commits or migrations.
@@ -278,7 +278,7 @@ pub struct LeapStore<V> {
     /// by an injected `admission` fault (each one surfaced to its caller
     /// as [`StoreError::Overloaded`], never silently).
     pub(crate) shed_ops: AtomicU64,
-    /// Snapshot-isolated scans started ([`LeapStore::scan_snapshot`]
+    /// Snapshot-isolated scans started ([`LeapStore::scan_snapshot_pages`]
     /// cursors pinned).
     pub(crate) snapshot_scans: AtomicU64,
     /// Deterministic fault injector shared by every injection point;
@@ -927,7 +927,7 @@ impl<V: Clone + Send + Sync + 'static> LeapStore<V> {
     }
 
     /// One bounded page of `[lo, hi]`: the first at-most-`limit` pairs, in
-    /// one linearizable transaction. The engine under [`LeapStore::scan`].
+    /// one linearizable transaction. The engine under [`LeapStore::scan_pages`].
     pub(crate) fn range_page_merged(&self, lo: u64, hi: u64, limit: usize) -> Vec<(u64, V)> {
         let mut view = self.router.pin();
         let _span = self.span_keyed(leap_obs::OpClass::ScanPage, lo, &view);
@@ -1011,7 +1011,7 @@ impl<V: Clone + Send + Sync + 'static> LeapStore<V> {
 
     /// Pins a snapshot timestamp and captures the `[lo, hi]` visit plan
     /// that goes with it — the one-time setup behind
-    /// [`LeapStore::scan_snapshot`]. Every later page reads the captured
+    /// [`LeapStore::scan_snapshot_pages`]. Every later page reads the captured
     /// lists at the pinned timestamp with **no** stamp checks: commits
     /// and migrations after the pin carry larger write versions and are
     /// invisible by construction.

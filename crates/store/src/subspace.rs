@@ -108,7 +108,7 @@ impl Subspace {
 
     /// The key interval for payloads in `[lo, hi]`, clipped to the
     /// subspace — the arguments a range scan over this subspace passes to
-    /// [`crate::LeapStore::range`] / [`crate::LeapStore::scan`].
+    /// [`crate::LeapStore::range`] / [`crate::LeapStore::scan_pages`].
     pub fn range(&self, lo: u64, hi: u64) -> (u64, u64) {
         (self.key(lo.min(MAX_PAYLOAD)), self.key(hi.min(MAX_PAYLOAD)))
     }

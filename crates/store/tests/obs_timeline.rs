@@ -105,19 +105,18 @@ fn migration_timeline_orders_begin_chunks_complete() {
             "each split moved the upper half of its 200-key shard"
         );
     }
-    // Each completion is chased by its epoch flip.
-    let completes = snap
+    // Each completion carries the routing epoch it installed: one step
+    // per migration, ending at the router's current epoch.
+    let epochs: Vec<u64> = snap
         .events
         .iter()
-        .filter(|e| matches!(e.kind, EventKind::MigrationComplete { .. }))
-        .count();
-    let flips = snap
-        .events
-        .iter()
-        .filter(|e| matches!(e.kind, EventKind::EpochFlip { .. }))
-        .count();
-    assert_eq!(completes, 2);
-    assert_eq!(flips, 2);
+        .filter_map(|e| match e.kind {
+            EventKind::MigrationComplete { epoch, .. } => Some(epoch),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(epochs, vec![1, 2]);
+    assert_eq!(store.router().epoch(), 2);
     // The same timeline arrives through the stats JSON.
     let json = store.stats().to_json();
     assert!(json.contains("\"kind\":\"migration_begin\""), "{json}");

@@ -86,7 +86,10 @@ fn stats_json_and_prometheus_carry_every_schema_key() {
     assert_eq!(store.range(0, 999).len(), 200);
     store.split_shard(0, 100).expect("split shard 0");
     store.rebalance_until_idle();
-    let scanned: usize = store.scan_snapshot(0, 999).map(|page| page.len()).sum();
+    let scanned: usize = store
+        .scan_snapshot_pages(0, 999, 256)
+        .map(|page| page.len())
+        .sum();
     assert_eq!(scanned, 200);
 
     let stats = store.stats();

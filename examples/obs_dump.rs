@@ -32,7 +32,8 @@ fn main() {
     store.multi_put(&batch);
 
     // ...and a live split writes `migration_begin` -> `migration_chunk`*
-    // -> `migration_complete` -> `epoch_flip` onto the same timeline.
+    // -> `migration_complete` (with the new routing epoch) onto the same
+    // timeline.
     store.split_shard(0, 1_000).expect("split shard 0");
     store.rebalance_until_idle();
 
