@@ -118,19 +118,19 @@ impl<V> ListOp<V> {
 /// Dropped before a commit took the values over — a retry budget unwinding
 /// out of the loop — it drops each of them, so every value is dropped once
 /// whether or not its batch committed.
-pub(crate) struct Unsettled<V>(pub Vec<ListOp<V>>);
+pub(crate) struct Unsettled<V>(pub Few<ListOp<V>>);
 
 impl<V> Unsettled<V> {
     /// The batch committed: its values now belong to the nodes that carry
     /// them, or to [`settle`].
-    pub fn committed(mut self) -> Vec<ListOp<V>> {
+    pub fn committed(mut self) -> Few<ListOp<V>> {
         std::mem::take(&mut self.0)
     }
 }
 
 impl<V> Drop for Unsettled<V> {
     fn drop(&mut self) {
-        for op in &mut self.0 {
+        for op in self.0.iter_mut() {
             if let ListOp::Put(_, v) = op {
                 // SAFETY: no commit took this value over (`committed`
                 // empties the vector first), so the batch still owns it,
@@ -145,7 +145,7 @@ impl<V> Drop for Unsettled<V> {
 /// later op of the group touches left its value in a published node, which
 /// now owns it; any other `Put` value was overwritten or removed within the
 /// group, never reached a node, and is dropped here.
-pub(crate) fn settle<V>(mut ops: Vec<ListOp<V>>) {
+pub(crate) fn settle<V>(mut ops: Few<ListOp<V>>) {
     if !std::mem::needs_drop::<V>() || ops.len() < 2 {
         return;
     }
@@ -221,6 +221,104 @@ impl<T: Copy, const N: usize> std::ops::Deref for ShortVec<T, N> {
     }
 }
 
+/// At most one item inline and more on the heap, for items that need not
+/// be `Copy`: the groups, plans, segments and results of a one-list,
+/// one-op write cost no allocation.
+pub(crate) enum Few<T> {
+    Inline(Option<T>),
+    Heap(Vec<T>),
+}
+
+impl<T> Few<T> {
+    /// A list holding `item` inline.
+    pub fn one(item: T) -> Self {
+        Few::Inline(Some(item))
+    }
+
+    /// An empty list with room for `n` items, on the heap only past one.
+    pub fn with_capacity(n: usize) -> Self {
+        if n > 1 {
+            Few::Heap(Vec::with_capacity(n))
+        } else {
+            Few::default()
+        }
+    }
+
+    /// Appends `item`, moving the list to the heap once one is inline.
+    pub fn push(&mut self, item: T) {
+        match self {
+            Few::Inline(None) => *self = Few::one(item),
+            Few::Inline(first) => {
+                *self = Few::Heap(first.take().into_iter().chain([item]).collect())
+            }
+            Few::Heap(v) => v.push(item),
+        }
+    }
+
+    /// The items as a `Vec`, reusing the heap buffer when there is one.
+    pub fn into_vec(self) -> Vec<T> {
+        match self {
+            Few::Inline(item) => item.into_iter().collect(),
+            Few::Heap(v) => v,
+        }
+    }
+}
+
+impl<T> Default for Few<T> {
+    fn default() -> Self {
+        Few::Inline(None)
+    }
+}
+
+impl<T> From<Vec<T>> for Few<T> {
+    fn from(v: Vec<T>) -> Self {
+        Few::Heap(v)
+    }
+}
+
+impl<T> FromIterator<T> for Few<T> {
+    /// Collects inline when the iterator yields at most one item.
+    fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Self {
+        let iter = iter.into_iter();
+        let mut few = Few::with_capacity(iter.size_hint().0);
+        iter.for_each(|item| few.push(item));
+        few
+    }
+}
+
+impl<T> IntoIterator for Few<T> {
+    type Item = T;
+    type IntoIter = std::iter::Chain<std::option::IntoIter<T>, std::vec::IntoIter<T>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        let (inline, heap) = match self {
+            Few::Inline(item) => (item, Vec::new()),
+            Few::Heap(v) => (None, v),
+        };
+        inline.into_iter().chain(heap)
+    }
+}
+
+impl<T> std::ops::Deref for Few<T> {
+    type Target = [T];
+
+    fn deref(&self) -> &[T] {
+        match self {
+            Few::Inline(item) => item.as_slice(),
+            Few::Heap(v) => v,
+        }
+    }
+}
+
+impl<T> std::ops::DerefMut for Few<T> {
+    fn deref_mut(&mut self) -> &mut [T] {
+        match self {
+            Few::Inline(item) => item.as_mut_slice(),
+            Few::Heap(v) => v,
+        }
+    }
+}
+
 /// A run of node pointers; a one-op plan's fits inline.
 pub(crate) type NodeRun<V> = ShortVec<*mut Node<V>, 2>;
 
@@ -288,9 +386,9 @@ impl<V> Drop for ChainSegment<V> {
 /// wire: the segments to replace plus the per-op previous values.
 pub(crate) struct ListPlan<V> {
     /// Segments in key order; empty when every op was an absent-key remove.
-    pub segments: Vec<ChainSegment<V>>,
+    pub segments: Few<ChainSegment<V>>,
     /// Previous value per op, in batch input order.
-    pub results: Vec<Option<V>>,
+    pub results: Few<Option<V>>,
 }
 
 /// A one-op plan: the segment replacing the op's node (none for an
@@ -500,7 +598,7 @@ pub(crate) unsafe fn plan_multi<V: Clone>(raw: &RawLeapList<V>, ops: &[ListOp<V>
         let (seg, result) = unsafe { plan_single(raw, op) };
         return ListPlan {
             segments: seg.into_iter().collect(),
-            results: vec![result],
+            results: Few::one(result),
         };
     }
     let mut retries = 0u32;
@@ -794,7 +892,10 @@ pub(crate) unsafe fn plan_multi<V: Clone>(raw: &RawLeapList<V>, ops: &[ListOp<V>
                 }
             }
         }
-        return ListPlan { segments, results };
+        return ListPlan {
+            segments: segments.into(),
+            results: results.into(),
+        };
     }
 }
 
@@ -852,6 +953,18 @@ mod tests {
             assert_eq!(*v, (1..=x).collect::<Vec<_>>()[..]);
         }
         assert!(matches!(v, ShortVec::Heap(_)));
+    }
+
+    #[test]
+    fn few_keeps_one_item_inline_and_spills_past_it() {
+        let mut f: Few<String> = std::iter::once("0".to_string()).collect();
+        assert!(matches!(f, Few::Inline(Some(_))));
+        f.push("1".to_string());
+        f.push("2".to_string());
+        assert!(matches!(f, Few::Heap(_)));
+        assert_eq!(*f, ["0", "1", "2"]);
+        assert_eq!(f.into_iter().collect::<Vec<_>>(), ["0", "1", "2"]);
+        assert!(Few::<String>::default().is_empty());
     }
 
     #[test]
@@ -962,7 +1075,7 @@ mod tests {
         let l = raw();
         let ops = [put(10, 1u64), put(30, 3), put(20, 2)];
         let p = plan_multi_t(&l, &ops);
-        assert_eq!(p.results, vec![None, None, None]);
+        assert_eq!(*p.results, [None, None, None]);
         assert_eq!(p.segments.len(), 1, "empty list: everything hits the tail");
         let seg = &p.segments[0];
         assert_eq!(seg.old.len(), 1);
@@ -982,7 +1095,7 @@ mod tests {
         let l = raw();
         let ops = [put(5, 7u64), put(5, 8), ListOp::Del(5), put(5, 9)];
         let p = plan_multi_t(&l, &ops);
-        assert_eq!(p.results, vec![None, Some(7), Some(8), None]);
+        assert_eq!(*p.results, [None, Some(7), Some(8), None]);
         let n = nref(p.segments[0].new[0]);
         assert_eq!(n.data.to_vec(), vec![(5, 9)], "last op wins");
     }
@@ -993,7 +1106,7 @@ mod tests {
         let ops: [ListOp<u64>; 2] = [ListOp::Del(4), ListOp::Del(9)];
         let p = plan_multi_t(&l, &ops);
         assert!(p.segments.is_empty(), "no change, no replacement");
-        assert_eq!(p.results, vec![None, None]);
+        assert_eq!(*p.results, [None, None]);
     }
 
     #[test]

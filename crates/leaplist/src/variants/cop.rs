@@ -109,14 +109,14 @@ impl<V: Clone + Send + Sync + 'static> LeapListCop<V> {
     fn write(lists: &[&Self], ops: Vec<ListOp<V>>) -> Vec<Option<V>> {
         assert_eq!(lists.len(), ops.len());
         common::check_group(lists, |l| &l.domain);
-        let ops = Unsettled(ops);
+        let ops = Unsettled(ops.into());
         let guard = pin();
         // Hand-rolled: planning precedes `Txn::begin`, so the read version is as fresh as the plan.
         let mut backoff = Backoff::new();
         loop {
             let plans: Vec<OneOp<V>> = lists
                 .iter()
-                .zip(&ops.0)
+                .zip(ops.0.iter())
                 // SAFETY: `guard` pins the epoch for the whole attempt.
                 .map(|(l, op)| unsafe { plan_single(&l.raw, op) })
                 .collect();

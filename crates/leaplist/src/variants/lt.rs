@@ -7,7 +7,7 @@
 //! `K` keys.
 
 use crate::node::{internal_key, Node};
-use crate::plan::{plan_multi, settle, ListOp, ListPlan, Unsettled};
+use crate::plan::{plan_multi, settle, Few, ListOp, ListPlan, Unsettled};
 use crate::raw::RawLeapList;
 use crate::variants::common;
 use crate::{BatchOp, Params};
@@ -87,13 +87,7 @@ impl<V: Clone + Send + Sync + 'static> LeapListLt<V> {
     ///
     /// Panics if `key == u64::MAX` (reserved for the tail sentinel).
     pub fn update(&self, key: u64, value: V) -> Option<V> {
-        Self::apply_owned(&[self], vec![vec![BatchOp::Update(key, value)]])
-            .pop()
-            // INVARIANT: one input list/op produces exactly one result entry.
-            .expect("one list yields one result")
-            .pop()
-            // INVARIANT: one input list/op produces exactly one result entry.
-            .expect("one op yields one result")
+        self.apply_one(ListOp::put(key, value))
     }
 
     /// Removes `key`, returning its value if present.
@@ -102,11 +96,16 @@ impl<V: Clone + Send + Sync + 'static> LeapListLt<V> {
     ///
     /// Panics if `key == u64::MAX`.
     pub fn remove(&self, key: u64) -> Option<V> {
-        Self::apply_owned(&[self], vec![vec![BatchOp::Remove(key)]])
-            .pop()
-            // INVARIANT: one input list/op produces exactly one result entry.
-            .expect("one list yields one result")
-            .pop()
+        self.apply_one(ListOp::del(key))
+    }
+
+    /// One op on this list, through [`LeapListLt::apply_owned`] with its
+    /// group, plan and result inline: it allocates only its data.
+    fn apply_one(&self, op: ListOp<V>) -> Option<V> {
+        Self::apply_owned(&[self], Few::one(Unsettled(Few::one(op))))
+            .into_iter()
+            .flatten()
+            .next()
             // INVARIANT: one input list/op produces exactly one result entry.
             .expect("one op yields one result")
     }
@@ -125,7 +124,7 @@ impl<V: Clone + Send + Sync + 'static> LeapListLt<V> {
         let ops = keys
             .iter()
             .zip(values)
-            .map(|(k, v)| vec![BatchOp::Update(*k, v.clone())])
+            .map(|(&k, v)| Unsettled(Few::one(ListOp::put(k, v.clone()))))
             .collect();
         // One op per group, so one result per group.
         Self::apply_owned(lists, ops)
@@ -141,7 +140,10 @@ impl<V: Clone + Send + Sync + 'static> LeapListLt<V> {
     ///
     /// As for [`LeapListLt::update_batch`].
     pub fn remove_batch(lists: &[&Self], keys: &[u64]) -> Vec<Option<V>> {
-        let ops = keys.iter().map(|k| vec![BatchOp::Remove(*k)]).collect();
+        let ops = keys
+            .iter()
+            .map(|&k| Unsettled(Few::one(ListOp::del(k))))
+            .collect();
         // One op per group, so one result per group.
         Self::apply_owned(lists, ops)
             .into_iter()
@@ -173,30 +175,35 @@ impl<V: Clone + Send + Sync + 'static> LeapListLt<V> {
     /// is `u64::MAX`, lists do not share one domain, or the same list
     /// appears twice.
     pub fn apply_batch_grouped(lists: &[&Self], ops: &[&[BatchOp<V>]]) -> Vec<Vec<Option<V>>> {
-        Self::apply_owned(lists, ops.iter().map(|g| g.to_vec()).collect())
-    }
-
-    /// The one write path: `ops[j]` is moved into list `j`'s group. Each
-    /// update's value belongs to the batch until the commit, which hands it
-    /// to the list ([`settle`]); every attempt only copies it bitwise. A
-    /// batch abandoned by a retry budget drops it ([`Unsettled`]).
-    fn apply_owned(lists: &[&Self], ops: Vec<Vec<BatchOp<V>>>) -> Vec<Vec<Option<V>>> {
-        assert_eq!(lists.len(), ops.len());
-        // INVARIANT: documented panic — an empty batch is a caller bug.
-        let domain = &lists.first().expect("batch must be non-empty").domain;
-        let groups: Vec<Unsettled<V>> = ops
-            .into_iter()
+        let groups = ops
+            .iter()
             .map(|g| {
                 Unsettled(
-                    g.into_iter()
+                    g.iter()
                         .map(|op| match op {
-                            BatchOp::Update(k, v) => ListOp::put(k, v),
-                            BatchOp::Remove(k) => ListOp::del(k),
+                            BatchOp::Update(k, v) => ListOp::put(*k, v.clone()),
+                            BatchOp::Remove(k) => ListOp::del(*k),
                         })
                         .collect(),
                 )
             })
             .collect();
+        Self::apply_owned(lists, groups)
+            .into_iter()
+            .map(Few::into_vec)
+            .collect()
+    }
+
+    /// The one write path: `groups[j]` is list `j`'s op group, and the
+    /// result holds its previous values in group order. Each update's
+    /// value belongs to the batch until the commit, which hands it to the
+    /// list ([`settle`]); every attempt only copies it bitwise. A batch
+    /// abandoned by a retry budget drops it ([`Unsettled`]). One list's
+    /// groups, plans and results are inline ([`Few`]).
+    fn apply_owned(lists: &[&Self], groups: Few<Unsettled<V>>) -> Few<Few<Option<V>>> {
+        assert_eq!(lists.len(), groups.len());
+        // INVARIANT: documented panic — an empty batch is a caller bug.
+        let domain = &lists.first().expect("batch must be non-empty").domain;
         common::check_group(lists, |l| &l.domain);
         let guard = pin();
         // Hand-rolled: the wiring ticket is taken between body and commit, which is stamped.
@@ -204,7 +211,7 @@ impl<V: Clone + Send + Sync + 'static> LeapListLt<V> {
         loop {
             // Setup: per-list chain rebuild (COP searches + replacement
             // chain construction), entirely outside the transaction.
-            let mut plans: Vec<ListPlan<V>> = lists
+            let mut plans: Few<ListPlan<V>> = lists
                 .iter()
                 .zip(groups.iter())
                 // SAFETY: `guard` pins the epoch for this whole loop body.
@@ -218,11 +225,11 @@ impl<V: Clone + Send + Sync + 'static> LeapListLt<V> {
             // segment already marked would abort forever.
             let mut tx = Txn::begin(domain);
             let acquired: TxResult<()> = (|| {
-                for seg in plans.iter_mut().flat_map(|p| &mut p.segments) {
+                for seg in plans.iter_mut().flat_map(|p| p.segments.iter_mut()) {
                     // SAFETY: plan pointers are protected by `guard`.
                     seg.validated = Some(unsafe { common::validate_segment(&mut tx, seg) }?);
                 }
-                for seg in plans.iter().flat_map(|p| &p.segments) {
+                for seg in plans.iter().flat_map(|p| p.segments.iter()) {
                     // INVARIANT: the first pass validated every segment.
                     let vs = seg.validated.as_ref().expect("validated above");
                     // SAFETY: plan pointers are protected by `guard`.
@@ -238,13 +245,13 @@ impl<V: Clone + Send + Sync + 'static> LeapListLt<V> {
             let ticket = domain.begin_wiring();
             if acquired.is_ok() {
                 if let Ok(wv) = tx.commit_stamped() {
-                    let groups: Vec<Vec<ListOp<V>>> =
+                    let groups: Few<Few<ListOp<V>>> =
                         groups.into_iter().map(Unsettled::committed).collect();
                     common::record_commit(domain, &backoff);
                     let bound = domain.prune_bound();
                     // Release-and-update: wire every chain and stamp
                     // version bundles.
-                    let mut out = Vec::with_capacity(plans.len());
+                    let mut out = Few::with_capacity(plans.len());
                     for (plan, list) in plans.iter_mut().zip(lists.iter()) {
                         let mut depth = 0u64;
                         for seg in plan.segments.iter_mut() {

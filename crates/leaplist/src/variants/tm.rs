@@ -141,11 +141,11 @@ impl<V: Clone + Send + Sync + 'static> LeapListTm<V> {
     fn write(lists: &[&Self], ops: Vec<ListOp<V>>) -> Vec<Option<V>> {
         assert_eq!(lists.len(), ops.len());
         common::check_group(lists, |l| &l.domain);
-        let ops = Unsettled(ops);
+        let ops = Unsettled(ops.into());
         let guard = pin();
         let plans = atomically(&lists[0].domain, |tx| {
             let mut plans: Vec<OneOp<V>> = Vec::with_capacity(lists.len());
-            for (l, op) in lists.iter().zip(&ops.0) {
+            for (l, op) in lists.iter().zip(ops.0.iter()) {
                 // SAFETY: `guard` pins the epoch for the whole attempt.
                 let w = unsafe { Self::search_tx(&l.raw, tx, op.ik()) }?;
                 // SAFETY: reached through validated reads, under guard.

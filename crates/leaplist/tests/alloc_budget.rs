@@ -1,10 +1,10 @@
 //! Allocation budget of the write path's bookkeeping.
 //!
-//! A write allocates its data — the replacement node, its `next` array,
-//! its pair buffer and two bundle entries — plus its plan and result
-//! vectors, and no bookkeeping: the STM's read, write and lock sets come
-//! from a per-thread pool, a node deferral stores a bare pointer, and LT
-//! keeps no per-commit scratch vectors.
+//! A single-key write allocates only its data — the replacement node, its
+//! `next` array, its pair buffer and two bundle entries — and no
+//! bookkeeping: the STM's read, write and lock sets come from a
+//! per-thread pool, a node deferral stores a bare pointer, and LT keeps a
+//! one-list, one-op write's op group, plan, segment and result inline.
 //! This binary swaps in a global allocator that counts every allocation
 //! and reallocation into a thread-local, so tests running in parallel on
 //! other threads do not skew each other's counts.
@@ -139,9 +139,10 @@ fn update_overwrite_stays_within_budget() {
         }
     });
     let per_update = total as f64 / N as f64;
+    // Measured 5.0 (release and debug alike) plus half an allocation.
     assert!(
-        per_update <= 12.0,
-        "update allocates {per_update:.1} times per overwrite (budget 12)"
+        per_update <= 5.5,
+        "update allocates {per_update:.1} times per overwrite (budget 5.5)"
     );
     assert_eq!(list.lookup(15), Some(N - 1));
 }

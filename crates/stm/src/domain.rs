@@ -3,7 +3,7 @@
 use crate::recorder::StmRecorder;
 use crate::stats::Stats;
 use crate::StatsSnapshot;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// Default log2 of the ownership-record table size (2^16 orecs = 512 KiB).
@@ -13,27 +13,49 @@ pub const DEFAULT_OREC_BITS: u32 = 16;
 /// number of threads concurrently inside post-commit wiring (or holding a
 /// snapshot pin), so a fixed array sized well past any realistic thread
 /// count never blocks in practice; a full registry spins until a slot
-/// frees.
+/// frees. Each slot has a cache line of its own, so a registry uses
+/// 8 KiB; a scan costs one load per slot in use (below the registry's
+/// high-water mark), not one per slot.
 const REGISTRY_SLOTS: usize = 128;
 
 /// Registry slot value meaning "free".
 const SLOT_FREE: u64 = u64::MAX;
+
+/// One registry slot on a cache line of its own.
+#[repr(align(64))]
+struct Slot(AtomicU64);
 
 /// A fixed array of timestamp slots with CAS acquisition. Used twice: the
 /// *wiring* registry (writers publish the clock value they sampled before
 /// commit, for the duration of their post-commit wiring) and the
 /// *snapshot-pin* registry (readers publish their pinned timestamp for the
 /// duration of a snapshot scan).
+///
+/// `used` is a monotone high-water mark: every slot ever claimed lies
+/// below it, because a claim loads or raises it (SeqCst) to cover the
+/// slot *before* its CAS. A scan
+/// loads `used` and then reads only `slots[..used]`, so it costs the
+/// slots in use, not the capacity. A claim tries the slots in use first,
+/// starting from the calling thread's home slot ([`leap_obs::stripe_of`]
+/// folded into them), so `used` grows only when every slot in use is
+/// held at once, and two writers mostly keep to different lines.
 struct SlotRegistry {
-    slots: Box<[AtomicU64]>,
+    slots: Box<[Slot]>,
+    used: AtomicUsize,
+    /// Slots every scan has read (tests: the O(slots in use) bound).
+    #[cfg(test)]
+    examined: AtomicUsize,
 }
 
 impl SlotRegistry {
     fn new() -> Self {
         SlotRegistry {
             slots: (0..REGISTRY_SLOTS)
-                .map(|_| AtomicU64::new(SLOT_FREE))
+                .map(|_| Slot(AtomicU64::new(SLOT_FREE)))
                 .collect(),
+            used: AtomicUsize::new(0),
+            #[cfg(test)]
+            examined: AtomicUsize::new(0),
         }
     }
 
@@ -42,8 +64,22 @@ impl SlotRegistry {
     /// full.
     fn acquire(&self, value: u64) -> usize {
         debug_assert_ne!(value, SLOT_FREE, "SLOT_FREE is reserved");
+        let home = leap_obs::stripe_of();
         loop {
-            for (i, s) in self.slots.iter().enumerate() {
+            // ORDERING: SeqCst, so a claim below this value is ordered
+            // after the raise that made `used` cover it (snapshot_ts proof).
+            let used = self.used.load(Ordering::SeqCst);
+            for k in 0..REGISTRY_SLOTS {
+                // The slots in use, from the home slot on; then the next
+                // slot above them.
+                let i = if k < used { (home + k) % used } else { k };
+                if i >= used {
+                    // ORDERING: the SeqCst raise precedes the claim below
+                    // in the total order (snapshot_ts proof). Claims below
+                    // `used`, the steady state, write nothing here.
+                    self.used.fetch_max(i + 1, Ordering::SeqCst);
+                }
+                let s = &self.slots[i].0;
                 // ORDERING: the Relaxed load is an optimistic filter and the
                 // CAS failure value is discarded; the SeqCst success is the
                 // claim the snapshot_ts proof relies on.
@@ -62,19 +98,27 @@ impl SlotRegistry {
     /// Overwrites an owned slot's value.
     fn set(&self, idx: usize, value: u64) {
         debug_assert_ne!(value, SLOT_FREE, "SLOT_FREE is reserved");
-        self.slots[idx].store(value, Ordering::SeqCst);
+        self.slots[idx].0.store(value, Ordering::SeqCst);
     }
 
     fn release(&self, idx: usize) {
-        self.slots[idx].store(SLOT_FREE, Ordering::SeqCst);
+        self.slots[idx].0.store(SLOT_FREE, Ordering::SeqCst);
     }
 
-    /// The smallest occupied slot value, if any slot is occupied.
+    /// The smallest occupied slot value, if any slot is occupied. Reads
+    /// `used` first (SeqCst, after whatever the caller loaded before), then
+    /// the slots below it.
     fn min_occupied(&self) -> Option<u64> {
-        let mut min = SLOT_FREE;
-        for s in &self.slots {
-            min = min.min(s.load(Ordering::SeqCst));
-        }
+        // ORDERING: SeqCst, after the caller's clock load (snapshot_ts proof).
+        let used = self.used.load(Ordering::SeqCst);
+        #[cfg(test)]
+        // ORDERING: test-only tally read after the scans it counts.
+        self.examined.fetch_add(used, Ordering::Relaxed);
+        let min = self.slots[..used]
+            .iter()
+            .map(|s| s.0.load(Ordering::SeqCst))
+            .min()
+            .unwrap_or(SLOT_FREE);
         (min != SLOT_FREE).then_some(min)
     }
 }
@@ -256,14 +300,18 @@ impl StmDomain {
     /// clock, held back below the commit timestamp of any writer still
     /// inside its post-commit wiring window.
     ///
-    /// Correctness hinges on the load order — clock **first**, wiring
-    /// slots second, all SeqCst. Suppose a writer W with commit timestamp
-    /// `wv ≤ ts` were still wiring when this returned `ts`. W stored its
-    /// slot (holding `c`, the clock it sampled before commit, so
-    /// `c < wv`) before bumping the clock; the bump precedes our clock
-    /// load (we observed `wv`); the clock load precedes our slot scan. In
-    /// the SeqCst total order W's slot store therefore precedes our scan,
-    /// so we saw the slot occupied and returned `ts ≤ c < wv` — a
+    /// Correctness hinges on the load order — clock **first**, then the
+    /// registry's high-water mark `used`, then the wiring slots below it,
+    /// all SeqCst. Suppose a writer W with commit timestamp `wv ≤ ts` were
+    /// still wiring when this returned `ts`. W claimed its slot `i`
+    /// (holding `c`, the clock it sampled before commit, so `c < wv`)
+    /// before bumping the clock, and before that claim it loaded or raised
+    /// `used` to at least `i + 1`; the bump precedes our clock load (we
+    /// observed `wv`), which precedes our load of `used`, which precedes
+    /// our slot scan. In the SeqCst total order W's raise therefore
+    /// precedes our load of `used` — which, being monotone, reads at least
+    /// `i + 1`, so the scan covers slot `i` — and W's claim precedes the
+    /// scan, so we saw the slot occupied and returned `ts ≤ c < wv` — a
     /// contradiction. (The reverse order — slots first — admits a racing
     /// writer that registers and commits between the two loads and is
     /// unsound.) The returned value is monotone non-decreasing.
@@ -281,7 +329,11 @@ impl StmDomain {
     /// drops. The timestamp is [`StmDomain::snapshot_ts`], sampled after
     /// the pin is registered so a concurrent pruner can never slip past
     /// it (the slot transiently holds 0 — maximally conservative — until
-    /// the real timestamp replaces it).
+    /// the real timestamp replaces it). A pruner that loads the pin
+    /// registry's `used` before the claim raised it to cover the slot
+    /// ordered its own [`StmDomain::snapshot_ts`] before the pin's, so the
+    /// pin's timestamp is at least that pruner's bound; otherwise its scan
+    /// covers the slot, exactly as in the `snapshot_ts` proof.
     pub fn pin_snapshot(self: &Arc<Self>) -> SnapshotPin {
         let idx = self.pins.acquire(0);
         let ts = self.snapshot_ts();
@@ -433,6 +485,7 @@ impl std::fmt::Debug for StmDomain {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{TVar, Txn};
 
     #[test]
     fn orec_encoding() {
@@ -556,6 +609,148 @@ mod tests {
         assert_eq!(pin2.ts(), wv);
         // prune_bound respects the older pin.
         assert_eq!(d.prune_bound(), pin.ts());
+    }
+
+    /// Slots the scans of both registries have read so far.
+    fn examined(d: &StmDomain) -> usize {
+        // ORDERING: test-only tallies; this thread's own scans precede it.
+        d.wiring.examined.load(Ordering::Relaxed) + d.pins.examined.load(Ordering::Relaxed)
+    }
+
+    #[test]
+    fn prune_bound_scans_only_the_slots_in_use() {
+        let d = Arc::new(StmDomain::new());
+        let both_wired = Arc::new(std::sync::Barrier::new(2));
+        let wirers: Vec<_> = (0..2)
+            .map(|_| {
+                let (d, both_wired) = (d.clone(), both_wired.clone());
+                std::thread::spawn(move || {
+                    let ticket = d.begin_wiring();
+                    d.clock_bump();
+                    both_wired.wait();
+                    drop(ticket);
+                })
+            })
+            .collect();
+        for w in wirers {
+            w.join().unwrap();
+        }
+        let before = examined(&d);
+        assert_eq!(d.prune_bound(), 2);
+        let scanned = examined(&d) - before;
+        assert!(scanned <= 4, "one prune_bound read {scanned} slots");
+    }
+
+    #[test]
+    fn a_claim_at_slot_100_is_seen() {
+        let d = StmDomain::new();
+        for _ in 0..50 {
+            d.clock_bump();
+        }
+        let held: Vec<_> = (0..100)
+            .map(|_| (d.wiring.acquire(40), d.pins.acquire(40)))
+            .collect();
+        let (w, p) = (d.wiring.acquire(7), d.pins.acquire(7));
+        assert_eq!((w, p), (100, 100), "every slot below is held");
+        assert_eq!(d.snapshot_ts(), 7);
+        assert_eq!(d.oldest_pinned(), Some(7));
+        d.wiring.release(w);
+        d.pins.release(p);
+        assert_eq!(d.snapshot_ts(), 40);
+        assert_eq!(d.oldest_pinned(), Some(40));
+        for (w, p) in held {
+            d.wiring.release(w);
+            d.pins.release(p);
+        }
+        assert_eq!(d.snapshot_ts(), 50);
+        assert_eq!(d.oldest_pinned(), None);
+    }
+
+    /// Writers commit under wiring tickets while a helper parks tickets
+    /// and a pin on the low slots and releases them, so later claims land
+    /// above gaps and `used` grows mid-run. The watermark never passes a
+    /// commit whose wiring is unfinished, and a live pin holds every
+    /// prune bound at or below its timestamp.
+    #[test]
+    fn watermark_and_pins_hold_while_the_registries_grow() {
+        use std::sync::atomic::AtomicBool;
+        let (writers, iters) = if cfg!(miri) { (1, 300) } else { (2, 100_000) };
+        let d = Arc::new(StmDomain::new());
+        // The largest commit timestamp whose wiring finished.
+        let done = Arc::new(AtomicU64::new(0));
+        // The helper's parked pin: `seq` is odd while it is live, and
+        // `held` is its timestamp.
+        let seq = Arc::new(AtomicU64::new(0));
+        let held = Arc::new(AtomicU64::new(0));
+        let running = Arc::new(AtomicBool::new(true));
+        let helper = {
+            let (d, seq, held, running) = (d.clone(), seq.clone(), held.clone(), running.clone());
+            std::thread::spawn(move || {
+                while running.load(Ordering::SeqCst) {
+                    let tickets: Vec<_> = (0..3).map(|_| d.begin_wiring()).collect();
+                    let pin = d.pin_snapshot();
+                    held.store(pin.ts(), Ordering::SeqCst);
+                    seq.fetch_add(1, Ordering::SeqCst);
+                    for _ in 0..20 {
+                        std::thread::yield_now();
+                    }
+                    drop(tickets);
+                    seq.fetch_add(1, Ordering::SeqCst);
+                    drop(pin);
+                    std::thread::yield_now();
+                }
+            })
+        };
+        let writers: Vec<_> = (0..writers)
+            .map(|_| {
+                let (d, done) = (d.clone(), done.clone());
+                std::thread::spawn(move || {
+                    let var = TVar::new(0u64);
+                    for i in 0..iters {
+                        let ticket = d.begin_wiring();
+                        let mut tx = Txn::begin(&d);
+                        tx.write(&var, i).unwrap();
+                        if let Ok(wv) = tx.commit_stamped() {
+                            done.fetch_max(wv, Ordering::SeqCst);
+                        }
+                        drop(ticket);
+                    }
+                })
+            })
+            .collect();
+        let mut checks = 0u64;
+        while writers.iter().any(|w| !w.is_finished()) || checks == 0 {
+            let ts = d.snapshot_ts();
+            let finished = done.load(Ordering::SeqCst);
+            assert!(
+                ts <= finished,
+                "snapshot_ts {ts} passed unfinished wiring ({finished})"
+            );
+            let own = d.pin_snapshot();
+            let s1 = seq.load(Ordering::SeqCst);
+            let parked = held.load(Ordering::SeqCst);
+            let bound = d.prune_bound();
+            if s1 % 2 == 1 && seq.load(Ordering::SeqCst) == s1 {
+                assert!(
+                    bound <= parked,
+                    "prune_bound {bound} passed a live pin at {parked}"
+                );
+            }
+            assert!(
+                bound <= own.ts(),
+                "prune_bound {bound} passed a live pin at {}",
+                own.ts()
+            );
+            drop(own);
+            checks += 1;
+        }
+        running.store(false, Ordering::SeqCst);
+        for w in writers {
+            w.join().unwrap();
+        }
+        helper.join().unwrap();
+        assert_eq!(d.snapshot_ts(), d.clock());
+        assert_eq!(d.oldest_pinned(), None);
     }
 
     #[test]
