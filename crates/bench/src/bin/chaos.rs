@@ -1,8 +1,8 @@
 //! Deterministic chaos driver: one seeded run of a mixed workload against
 //! a [`leap_store::LeapStore`] with **every fault point armed** —
-//! injected stm commit/validation aborts, failing migration chunks, shed
-//! batcher admissions and rebalancer-tick panics — then a convergence and
-//! model-equivalence check.
+//! injected stm commit/validation aborts, failing migration chunks and
+//! shed batcher admissions — then a convergence and model-equivalence
+//! check.
 //!
 //! ```text
 //! chaos [--seed N] [--ops N] [--shards N]

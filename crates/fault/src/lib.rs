@@ -19,7 +19,6 @@
 //! | `stm_validate` | commit-time read validation — validation reports failure |
 //! | `migration_chunk` | a migration chunk transaction — the chunk is dropped, its frontier stays put, and the next rebalance step retries it |
 //! | `admission` | the `Batcher`'s admission gate — the op is refused with `Overloaded` before it runs |
-//! | `rebalancer_tick` | a background rebalancer step — the step panics (recovery is caught) |
 //!
 //! (`Txn::commit` is `leap_stm::Txn::commit`; this crate only names the
 //! points, the components owning each site decide what a fire means.)
@@ -64,12 +63,10 @@ pub enum FaultPoint {
     MigrationChunk = 2,
     /// The `Batcher`'s admission gate: the op is refused before it runs.
     Admission = 3,
-    /// One background rebalancer step: the step panics.
-    RebalancerTick = 4,
 }
 
 /// Number of distinct injection points.
-pub const POINTS: usize = 5;
+pub const POINTS: usize = 4;
 
 impl FaultPoint {
     /// Every injection point, in tag order.
@@ -78,7 +75,6 @@ impl FaultPoint {
         FaultPoint::StmValidate,
         FaultPoint::MigrationChunk,
         FaultPoint::Admission,
-        FaultPoint::RebalancerTick,
     ];
 
     /// The point's stable snake_case name (used in docs, stats, and CI
@@ -89,7 +85,6 @@ impl FaultPoint {
             FaultPoint::StmValidate => "stm_validate",
             FaultPoint::MigrationChunk => "migration_chunk",
             FaultPoint::Admission => "admission",
-            FaultPoint::RebalancerTick => "rebalancer_tick",
         }
     }
 }
@@ -343,10 +338,10 @@ mod tests {
     #[test]
     fn rate_is_roughly_respected() {
         let inj = FaultInjector::new(
-            FaultPlan::new(1234).with_rate(FaultPoint::RebalancerTick, 100_000), // 10 %
+            FaultPlan::new(1234).with_rate(FaultPoint::MigrationChunk, 100_000), // 10 %
         );
         let fired = (0..20_000)
-            .filter(|_| inj.should_fire(FaultPoint::RebalancerTick))
+            .filter(|_| inj.should_fire(FaultPoint::MigrationChunk))
             .count();
         // 10 % of 20k = 2000; allow a wide deterministic band.
         assert!((1500..2500).contains(&fired), "fired {fired} of 20000");
@@ -378,13 +373,7 @@ mod tests {
         let names: Vec<_> = FaultPoint::ALL.iter().map(|p| p.name()).collect();
         assert_eq!(
             names,
-            vec![
-                "stm_commit",
-                "stm_validate",
-                "migration_chunk",
-                "admission",
-                "rebalancer_tick"
-            ]
+            vec!["stm_commit", "stm_validate", "migration_chunk", "admission"]
         );
         assert_eq!(format!("{}", FaultPoint::StmCommit), "stm_commit");
     }

@@ -19,9 +19,9 @@
 //! range-partitioned `leap_store::LeapStore` ([`TableConfig`] sets its
 //! Leap-List parameters, shard count and rebalancing policy): index
 //! maintenance is a single cross-shard `LeapStore::apply` transaction,
-//! index scans page through the store's `Cursor`, and a
-//! `leap_store::Rebalancer` can split index-heavy shards while the table
-//! serves traffic.
+//! index scans page through the store's `Cursor`, and
+//! `LeapStore::rebalance_step` calls can split index-heavy shards while the
+//! table serves traffic.
 //!
 //! Long scans that must stay coherent across pages use
 //! [`Table::scan_by_snapshot`]: the scan pins the commit timestamp once

@@ -18,8 +18,8 @@
 //! and the row id into the low 28 ([`MAX_INDEXED_VALUE`]). The store is
 //! range-partitioned, one shard per subspace to start with, so every index
 //! is one contiguous key interval: scans page through the store's cursors,
-//! and a `Rebalancer` on [`Table::store`] can split index-heavy shards
-//! while the table serves traffic.
+//! and `rebalance_step` calls on [`Table::store`] can split index-heavy
+//! shards while the table serves traffic.
 //!
 //! # Atomicity
 //!
@@ -144,7 +144,7 @@ impl Table {
     }
 
     /// The backing [`LeapStore`] — the handle for driving `split_shard` /
-    /// `rebalance_step` / a `Rebalancer`, and for store statistics.
+    /// `rebalance_step`, and for store statistics.
     ///
     /// Always `Some`. The `Option` stays only because the `benchmark/`
     /// package unwraps it; drop it together with those calls.

@@ -271,13 +271,14 @@ fn history_sharded_table_under_manual_reshard() {
     });
 }
 
-/// Workload 3: a background [`leap_store::Rebalancer`] with an aggressive
-/// policy races the recorded traffic end to end.
+/// Workload 3: a thread stepping the rebalancer with an aggressive policy
+/// races the recorded traffic end to end.
 #[test]
 fn history_sharded_table_with_background_rebalancer() {
     use leap_memdb::TableConfig;
-    use leap_store::{RebalancePolicy, Rebalancer};
+    use leap_store::{RebalanceAction, RebalancePolicy};
     use leaplist::Params;
+    use std::sync::atomic::{AtomicBool, Ordering};
     let table = Arc::new(Table::with_config(
         schema(),
         TableConfig {
@@ -295,9 +296,22 @@ fn history_sharded_table_with_background_rebalancer() {
         },
     ));
     let store = table.store().expect("every table has a store").clone();
-    let rebalancer = Rebalancer::spawn(store.clone(), Duration::from_millis(1));
+    let stop = Arc::new(AtomicBool::new(false));
+    let stepper = {
+        let (s, st) = (store.clone(), stop.clone());
+        // Stops only at an idle step, so no migration is left in flight.
+        std::thread::spawn(move || loop {
+            if s.rebalance_step() == RebalanceAction::Idle {
+                if st.load(Ordering::Relaxed) {
+                    break;
+                }
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        })
+    };
     run_workload(table.clone(), 3, 120, 80, |_| {});
-    rebalancer.stop().expect("rebalancer survived the run");
+    stop.store(true, Ordering::Relaxed);
+    stepper.join().unwrap();
     assert!(
         store.router().migration().is_none(),
         "rebalancer stopped cleanly"

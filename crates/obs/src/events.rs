@@ -27,7 +27,7 @@ const SLOT_WORDS: usize = 2 + WORDS;
 
 /// Payload field names per kind tag (see [`EventKind::encode`]), in
 /// declaration order.
-const FIELDS: [&[&str]; 8] = [
+const FIELDS: [&[&str]; 7] = [
     &["id", "src", "dst", "lo", "hi"],
     &["id", "moved"],
     &["id", "epoch"],
@@ -35,7 +35,6 @@ const FIELDS: [&[&str]; 8] = [
     &["left", "right"],
     &["attempts"],
     &["ops", "queued"],
-    &["panics"],
 ];
 
 /// What happened — the structured payload of one [`Event`].
@@ -101,12 +100,6 @@ pub enum EventKind {
         /// Ops in flight at the gate when shedding.
         queued: u64,
     },
-    /// A background rebalancer step panicked and was contained; `panics`
-    /// is the worker's running panic count.
-    RebalancerPanic {
-        /// Total contained panics in this worker so far.
-        panics: u64,
-    },
 }
 
 impl EventKind {
@@ -120,7 +113,6 @@ impl EventKind {
             EventKind::PolicyMerge { .. } => "policy_merge",
             EventKind::TxnDeadline { .. } => "txn_deadline",
             EventKind::Shed { .. } => "shed",
-            EventKind::RebalancerPanic { .. } => "rebalancer_panic",
         }
     }
 
@@ -174,10 +166,6 @@ impl EventKind {
                 w[1] = queued;
                 6
             }
-            EventKind::RebalancerPanic { panics } => {
-                w[0] = panics;
-                7
-            }
         };
         (tag, w)
     }
@@ -212,7 +200,6 @@ impl EventKind {
                 ops: w[0],
                 queued: w[1],
             },
-            7 => EventKind::RebalancerPanic { panics: w[0] },
             _ => return None,
         })
     }
@@ -357,7 +344,6 @@ mod tests {
             EventKind::PolicyMerge { left: 1, right: 2 },
             EventKind::TxnDeadline { attempts: 64 },
             EventKind::Shed { ops: 5, queued: 33 },
-            EventKind::RebalancerPanic { panics: 2 },
         ];
         let ring = EventRing::new(16);
         for k in kinds {

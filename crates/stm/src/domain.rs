@@ -21,6 +21,16 @@ const REGISTRY_SLOTS: usize = 128;
 /// Registry slot value meaning "free".
 const SLOT_FREE: u64 = u64::MAX;
 
+/// Registry slot value meaning "claimed, value not yet stored": a writer
+/// in [`StmDomain::begin_wiring`] between its claim and its clock sample.
+/// A scan that meets it waits for the value (see
+/// [`SlotRegistry::min_occupied`]). Above every clock value a domain can
+/// reach, so it never shadows a real timestamp.
+const SLOT_PENDING: u64 = u64::MAX - 1;
+
+/// Spins a scan makes on a pending slot before it starts yielding.
+const PENDING_SPINS: u32 = 64;
+
 /// One registry slot on a cache line of its own.
 #[repr(align(64))]
 struct Slot(AtomicU64);
@@ -45,6 +55,9 @@ struct SlotRegistry {
     /// Slots every scan has read (tests: the O(slots in use) bound).
     #[cfg(test)]
     examined: AtomicUsize,
+    /// Pending slots scans have met (tests: a scan really waited).
+    #[cfg(test)]
+    pending_seen: AtomicUsize,
 }
 
 impl SlotRegistry {
@@ -56,6 +69,8 @@ impl SlotRegistry {
             used: AtomicUsize::new(0),
             #[cfg(test)]
             examined: AtomicUsize::new(0),
+            #[cfg(test)]
+            pending_seen: AtomicUsize::new(0),
         }
     }
 
@@ -97,7 +112,10 @@ impl SlotRegistry {
 
     /// Overwrites an owned slot's value.
     fn set(&self, idx: usize, value: u64) {
-        debug_assert_ne!(value, SLOT_FREE, "SLOT_FREE is reserved");
+        debug_assert!(
+            value < SLOT_PENDING,
+            "SLOT_FREE and SLOT_PENDING are reserved"
+        );
         self.slots[idx].0.store(value, Ordering::SeqCst);
     }
 
@@ -107,19 +125,49 @@ impl SlotRegistry {
 
     /// The smallest occupied slot value, if any slot is occupied. Reads
     /// `used` first (SeqCst, after whatever the caller loaded before), then
-    /// the slots below it.
+    /// the slots below it, waiting out any `SLOT_PENDING` one.
     fn min_occupied(&self) -> Option<u64> {
         // ORDERING: SeqCst, after the caller's clock load (snapshot_ts proof).
         let used = self.used.load(Ordering::SeqCst);
         #[cfg(test)]
         // ORDERING: test-only tally read after the scans it counts.
         self.examined.fetch_add(used, Ordering::Relaxed);
-        let min = self.slots[..used]
-            .iter()
-            .map(|s| s.0.load(Ordering::SeqCst))
-            .min()
-            .unwrap_or(SLOT_FREE);
+        let mut min = SLOT_FREE;
+        for s in &self.slots[..used] {
+            // ORDERING: SeqCst, so the value this scan settles on is placed
+            // in the total order the snapshot_ts proof argues over.
+            let mut v = s.0.load(Ordering::SeqCst);
+            if v == SLOT_PENDING {
+                v = self.wait_out_pending(&s.0);
+            }
+            min = min.min(v);
+        }
         (min != SLOT_FREE).then_some(min)
+    }
+
+    /// Re-reads a `SLOT_PENDING` slot until its owner stores the value
+    /// (spin, then yield); returns that value, or whatever replaced it.
+    #[cold]
+    #[inline(never)]
+    fn wait_out_pending(&self, slot: &AtomicU64) -> u64 {
+        #[cfg(test)]
+        // ORDERING: test-only tally read after the scans it counts.
+        self.pending_seen.fetch_add(1, Ordering::Relaxed);
+        let mut spins = 0u32;
+        loop {
+            if spins < PENDING_SPINS {
+                spins += 1;
+                std::hint::spin_loop();
+            } else {
+                std::thread::yield_now();
+            }
+            // ORDERING: SeqCst, as the scan's load; the owner stores its
+            // sample with SeqCst (`set`).
+            let v = slot.load(Ordering::SeqCst);
+            if v != SLOT_PENDING {
+                return v;
+            }
+        }
     }
 }
 
@@ -185,10 +233,15 @@ pub struct StmDomain {
     fault_hook: OnceLock<StmFaultHook>,
     /// Writers mid-wiring: each slot holds the clock value the writer
     /// sampled *before* its commit bumped the clock, so every occupied
-    /// slot is strictly below that writer's commit timestamp.
+    /// slot is strictly below that writer's commit timestamp (or
+    /// `SLOT_PENDING` between the claim and the sample).
     wiring: SlotRegistry,
     /// Active snapshot pins: each slot holds a reader's pinned timestamp.
     pins: SlotRegistry,
+    /// Runs inside [`StmDomain::begin_wiring`] between the claim and the
+    /// clock sample (tests: hold a writer inside that window).
+    #[cfg(test)]
+    wiring_pause: OnceLock<Box<dyn Fn() + Send + Sync>>,
 }
 
 impl StmDomain {
@@ -216,6 +269,8 @@ impl StmDomain {
             fault_hook: OnceLock::new(),
             wiring: SlotRegistry::new(),
             pins: SlotRegistry::new(),
+            #[cfg(test)]
+            wiring_pause: OnceLock::new(),
         }
     }
 
@@ -291,8 +346,22 @@ impl StmDomain {
     /// every post-commit store is done. While the ticket is live,
     /// [`StmDomain::snapshot_ts`] stays below the commit's timestamp, so
     /// no snapshot reader can observe the half-wired state.
+    ///
+    /// The slot is claimed first, as `SLOT_PENDING`, and the clock is
+    /// sampled into it after: the order [`StmDomain::snapshot_ts`]'s
+    /// monotonicity rests on.
     pub fn begin_wiring(&self) -> WiringTicket<'_> {
-        let idx = self.wiring.acquire(self.clock());
+        // ORDERING: the marker's SeqCst claim precedes the SeqCst clock
+        // load below, which precedes the SeqCst `set` of the sample. A scan
+        // ordered before the claim loaded a clock no newer than the sample;
+        // a scan ordered after it finds the marker and waits for the `set`
+        // (snapshot_ts proof).
+        let idx = self.wiring.acquire(SLOT_PENDING);
+        #[cfg(test)]
+        if let Some(pause) = self.wiring_pause.get() {
+            pause();
+        }
+        self.wiring.set(idx, self.clock());
         WiringTicket { domain: self, idx }
     }
 
@@ -300,21 +369,38 @@ impl StmDomain {
     /// clock, held back below the commit timestamp of any writer still
     /// inside its post-commit wiring window.
     ///
-    /// Correctness hinges on the load order — clock **first**, then the
-    /// registry's high-water mark `used`, then the wiring slots below it,
-    /// all SeqCst. Suppose a writer W with commit timestamp `wv ≤ ts` were
-    /// still wiring when this returned `ts`. W claimed its slot `i`
-    /// (holding `c`, the clock it sampled before commit, so `c < wv`)
-    /// before bumping the clock, and before that claim it loaded or raised
-    /// `used` to at least `i + 1`; the bump precedes our clock load (we
-    /// observed `wv`), which precedes our load of `used`, which precedes
-    /// our slot scan. In the SeqCst total order W's raise therefore
-    /// precedes our load of `used` — which, being monotone, reads at least
-    /// `i + 1`, so the scan covers slot `i` — and W's claim precedes the
-    /// scan, so we saw the slot occupied and returned `ts ≤ c < wv` — a
-    /// contradiction. (The reverse order — slots first — admits a racing
-    /// writer that registers and commits between the two loads and is
-    /// unsound.) The returned value is monotone non-decreasing.
+    /// Correctness hinges on two orders, all SeqCst. A writer raises or
+    /// loads `used` to cover its slot, claims the slot as
+    /// `SLOT_PENDING`, then samples the clock into it, then commits. A
+    /// reader loads the clock **first**, then `used`, then the slots below
+    /// it, and waits out a pending slot until its value is stored.
+    ///
+    /// *Nothing unwired at or below the result.* Suppose a writer W with
+    /// commit timestamp `wv ≤ ts` were still wiring when this returned
+    /// `ts`. W raised `used` to at least `i + 1`, claimed its slot `i`,
+    /// stored `c`, the clock it sampled, and only then bumped the clock
+    /// (so `c < wv`). The bump precedes our clock load (we observed `wv`),
+    /// which precedes our load of `used`, which precedes our slot scan. In
+    /// the total order W's raise therefore precedes our load of `used` —
+    /// which, being monotone, reads at least `i + 1`, so the scan covers
+    /// slot `i` — and W's claim precedes the scan, so the scan found the
+    /// slot pending or holding `c`. It waits out pending, so it read `c`
+    /// and returned `ts ≤ c < wv` — a contradiction. (Slots before the
+    /// clock would admit a writer that registers and commits between the
+    /// two loads.)
+    ///
+    /// *Monotone non-decreasing.* Let one call load clock `k1` and return
+    /// `t1 ≤ k1`, and a later call (after it in the total order) read `c`
+    /// from slot `i`, stored there by W. Either the earlier call's scan
+    /// settled on `c` in slot `i`, and `t1 ≤ c`; or its load of `used` or
+    /// of slot `i` came before W's claim, so W's clock sample, which
+    /// follows the claim, read at least `k1 ≥ t1`. (It cannot have settled
+    /// on a value after `c`: then W had released the slot before the later
+    /// scan.) So every slot the later call reads holds at least `t1`, as
+    /// does its clock. Sampling before claiming breaks this: a call
+    /// between the two steps returns the newer clock, the next call the
+    /// older sample, and a pin taken then sits below a prune bound already
+    /// handed out.
     pub fn snapshot_ts(&self) -> u64 {
         let clk = self.clock();
         match self.wiring.min_occupied() {
@@ -328,12 +414,18 @@ impl StmDomain {
     /// everything visible at the pin's timestamp (and newer) until the pin
     /// drops. The timestamp is [`StmDomain::snapshot_ts`], sampled after
     /// the pin is registered so a concurrent pruner can never slip past
-    /// it (the slot transiently holds 0 — maximally conservative — until
-    /// the real timestamp replaces it). A pruner that loads the pin
-    /// registry's `used` before the claim raised it to cover the slot
-    /// ordered its own [`StmDomain::snapshot_ts`] before the pin's, so the
-    /// pin's timestamp is at least that pruner's bound; otherwise its scan
-    /// covers the slot, exactly as in the `snapshot_ts` proof.
+    /// it. A pruner that loads the pin registry's `used` (or the slot)
+    /// before the claim ordered its own [`StmDomain::snapshot_ts`] before
+    /// the pin's, so by monotonicity the pin's timestamp is at least that
+    /// pruner's bound; otherwise its scan covers the slot, exactly as in
+    /// the `snapshot_ts` proof.
+    ///
+    /// Between the claim and the sample the slot holds the placeholder 0,
+    /// not `SLOT_PENDING`, and no scan waits on it: 0 is below every
+    /// timestamp, so a pruner that reads it only lowers
+    /// [`StmDomain::prune_bound`] and keeps more versions than it must,
+    /// never fewer. A wiring slot cannot do the same: it also bounds
+    /// [`StmDomain::snapshot_ts`], which must not go backwards.
     pub fn pin_snapshot(self: &Arc<Self>) -> SnapshotPin {
         let idx = self.pins.acquire(0);
         let ts = self.snapshot_ts();
@@ -719,6 +811,8 @@ mod tests {
             })
             .collect();
         let mut checks = 0u64;
+        // This reader's newest watermark: no later one may be below it.
+        let mut last = 0;
         while writers.iter().any(|w| !w.is_finished()) || checks == 0 {
             let ts = d.snapshot_ts();
             let finished = done.load(Ordering::SeqCst);
@@ -726,7 +820,14 @@ mod tests {
                 ts <= finished,
                 "snapshot_ts {ts} passed unfinished wiring ({finished})"
             );
+            assert!(ts >= last, "snapshot_ts went from {last} back to {ts}");
             let own = d.pin_snapshot();
+            assert!(
+                own.ts() >= ts,
+                "pin ts {} below an earlier snapshot_ts {ts}",
+                own.ts()
+            );
+            last = own.ts();
             let s1 = seq.load(Ordering::SeqCst);
             let parked = held.load(Ordering::SeqCst);
             let bound = d.prune_bound();
@@ -751,6 +852,73 @@ mod tests {
         helper.join().unwrap();
         assert_eq!(d.snapshot_ts(), d.clock());
         assert_eq!(d.oldest_pinned(), None);
+    }
+
+    /// The registration window, replayed: a writer is held inside
+    /// `begin_wiring` while two commits bump the clock and a pruner takes
+    /// its bound. A pin taken once the writer has registered must not sit
+    /// below that bound, and the watermark must not go backwards. The
+    /// writer is released once the pruner has returned or is waiting on
+    /// the writer's pending slot, so every step order is fixed.
+    #[test]
+    fn a_registration_in_flight_never_pulls_the_watermark_back() {
+        use std::sync::atomic::AtomicBool;
+        let d = Arc::new(StmDomain::new());
+        let in_window = Arc::new(AtomicBool::new(false));
+        let release = Arc::new(AtomicBool::new(false));
+        let pause = {
+            let (in_window, release) = (in_window.clone(), release.clone());
+            move || {
+                in_window.store(true, Ordering::SeqCst);
+                while !release.load(Ordering::SeqCst) {
+                    std::thread::yield_now();
+                }
+            }
+        };
+        assert!(d.wiring_pause.set(Box::new(pause)).is_ok());
+        let (pruned, registered, finished) = (
+            AtomicBool::new(false),
+            AtomicBool::new(false),
+            AtomicBool::new(false),
+        );
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let ticket = d.begin_wiring();
+                registered.store(true, Ordering::SeqCst);
+                while !finished.load(Ordering::SeqCst) {
+                    std::thread::yield_now();
+                }
+                drop(ticket);
+            });
+            s.spawn(|| {
+                while !pruned.load(Ordering::SeqCst)
+                    && d.wiring.pending_seen.load(Ordering::SeqCst) == 0
+                {
+                    std::thread::yield_now();
+                }
+                release.store(true, Ordering::SeqCst);
+            });
+            while !in_window.load(Ordering::SeqCst) {
+                std::thread::yield_now();
+            }
+            d.clock_bump();
+            d.clock_bump();
+            let bound = d.prune_bound();
+            pruned.store(true, Ordering::SeqCst);
+            while !registered.load(Ordering::SeqCst) {
+                std::thread::yield_now();
+            }
+            let ts = d.snapshot_ts();
+            let pin = d.pin_snapshot();
+            finished.store(true, Ordering::SeqCst);
+            assert!(
+                pin.ts() >= bound,
+                "pin ts {} below earlier prune bound {bound}",
+                pin.ts()
+            );
+            assert!(ts >= bound, "snapshot_ts went from {bound} back to {ts}");
+        });
+        assert_eq!(d.snapshot_ts(), 2);
     }
 
     #[test]

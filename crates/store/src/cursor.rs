@@ -7,7 +7,7 @@
 //!   ([`leaplist::LeapListLt::range_page_group`]). Pages are individually
 //!   consistent but the scan as a whole is not one snapshot — a writer
 //!   landing between pages is seen by later pages only. Pages keep
-//!   working while a [`crate::Rebalancer`] moves the very keys being
+//!   working while migration steps move the very keys being
 //!   scanned — each page's plan includes both sides of the overlay when
 //!   it overlaps, and it retries only when a migration begins or
 //!   completes mid-page, never per chunk moved. This is also the primitive

@@ -24,8 +24,9 @@
 //!   routing table ([`RoutingEpoch`]): [`LeapStore::split_shard`] /
 //!   [`LeapStore::merge_shards`] migrate key sub-ranges between shards in
 //!   bounded single-transaction chunks while reads and writes proceed,
-//!   driven deterministically ([`LeapStore::rebalance_step`]) or by a
-//!   background [`Rebalancer`] acting on a [`RebalancePolicy`].
+//!   moved one step per [`LeapStore::rebalance_step`] call, which also
+//!   starts the splits and merges a [`RebalancePolicy`] asks for. Nothing
+//!   moves unless the caller steps it.
 //! * **Paged scans** — [`LeapStore::scan_pages`] returns a [`Cursor`] yielding
 //!   bounded pages, each one linearizable transaction with a resume key:
 //!   huge scans without huge transactions, stable across resharding.
@@ -44,8 +45,7 @@
 //!   frontier in place for the next [`LeapStore::rebalance_step`] to
 //!   retry, any op run through [`LeapStore::bounded`] returns a typed
 //!   [`StoreError::Timeout`] once its [`RetryPolicy`] is spent instead of
-//!   livelocking, and a [`Rebalancer`] that records worker panics and
-//!   reports its own death ([`RebalancerDied`]) instead of swallowing it.
+//!   livelocking.
 //! * **Observability** — [`LeapStore::stats`] exposes per-shard op and
 //!   key counters, routing epoch and migration progress, the shared
 //!   domain's commit/abort counters with **abort-cause attribution**
@@ -86,7 +86,7 @@ pub use batch::{Batcher, BatcherStats};
 pub use cursor::{Cursor, SnapshotCursor};
 pub use error::StoreError;
 pub use obs::{ObsSnapshot, StoreObs, GET_SAMPLE_PERIOD};
-pub use rebalance::{RebalanceAction, RebalanceError, RebalancePolicy, Rebalancer, RebalancerDied};
+pub use rebalance::{RebalanceAction, RebalanceError, RebalancePolicy};
 pub use router::{MigrationView, Partitioning, Router, RoutingEpoch};
 pub use stats::{ShardStats, StoreStats};
 pub use store::{LeapStore, ShardSlot, StoreConfig};

@@ -86,7 +86,7 @@ type OpTable = OpLatency<{ OP_KINDS.len() }>;
 
 /// The store's instrument set (see the module docs for the series names).
 /// Held behind `Arc` by the store; the [`crate::Batcher`]'s sheds and the
-/// background [`crate::Rebalancer`] record through the same instance.
+/// migration steps record through the same instance.
 #[derive(Debug)]
 pub struct StoreObs {
     registry: Arc<Registry>,

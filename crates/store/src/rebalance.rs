@@ -46,10 +46,8 @@ use crate::store::LeapStore;
 use leap_fault::FaultPoint;
 use leap_obs::EventKind;
 use leaplist::{BatchOp, LeapListLt};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, PoisonError};
-use std::time::Duration;
 
 /// Why a split, merge or rebalance step could not proceed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -526,8 +524,9 @@ impl<V: Clone + Send + Sync + 'static> LeapStore<V> {
 
     /// Drives [`LeapStore::rebalance_step`] until it reports
     /// [`RebalanceAction::Idle`]; returns the number of migrations
-    /// completed. Intended for deterministic tests and quiesce points —
-    /// a live system runs a [`Rebalancer`] instead.
+    /// completed. For deterministic tests and quiesce points; a caller
+    /// that serves traffic meanwhile calls [`LeapStore::rebalance_step`]
+    /// from a loop of its own instead.
     pub fn rebalance_until_idle(&self) -> u64 {
         let mut completed = 0;
         loop {
@@ -540,187 +539,13 @@ impl<V: Clone + Send + Sync + 'static> LeapStore<V> {
     }
 }
 
-/// The [`Rebalancer`] worker thread died: it recorded
-/// [`RebalancerDied::panics`] panics and gave up after too many in a row
-/// (or the thread could not be joined). The store itself is intact —
-/// rebalancing simply stopped being driven; spawn a fresh rebalancer or
-/// drive [`LeapStore::rebalance_step`] directly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RebalancerDied {
-    /// Worker panics recorded before the thread gave up.
-    pub panics: u64,
-}
-
-impl std::fmt::Display for RebalancerDied {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "rebalancer worker died after {} recorded panic(s)",
-            self.panics
-        )
-    }
-}
-
-impl std::error::Error for RebalancerDied {}
-
-/// A background thread driving [`LeapStore::rebalance_step`]: sleeps
-/// `interval` whenever the store reports [`RebalanceAction::Idle`],
-/// otherwise steps again immediately. Stopped (and joined) explicitly via
-/// [`Rebalancer::stop`] or implicitly on drop.
-///
-/// Each step runs under `catch_unwind`: a panicking step is **recorded**
-/// (an [`EventKind::RebalancerPanic`] event plus the [`Rebalancer::panics`]
-/// counter) rather than silently killing the thread, and the worker keeps
-/// driving. Only after [`Rebalancer::MAX_CONSECUTIVE_PANICS`] panics with
-/// no successful step in between does the worker declare itself dead —
-/// surfaced as `Err(RebalancerDied)` from [`Rebalancer::stop`] and by
-/// [`Rebalancer::is_dead`], never swallowed.
-///
-/// # Example
-///
-/// ```
-/// use leap_store::{LeapStore, Partitioning, Rebalancer, StoreConfig};
-/// use std::sync::Arc;
-/// use std::time::Duration;
-///
-/// let store = Arc::new(LeapStore::<u64>::new(
-///     StoreConfig::new(2, Partitioning::Range).with_key_space(1_000),
-/// ));
-/// let rebalancer = Rebalancer::spawn(store.clone(), Duration::from_millis(1));
-/// store.put(5, 50);
-/// let steps = rebalancer.stop().expect("worker healthy");
-/// assert_eq!(store.get(5), Some(50));
-/// assert!(steps < u64::MAX);
-/// ```
-pub struct Rebalancer {
-    stop: Arc<AtomicBool>,
-    died: Arc<AtomicBool>,
-    panics: Arc<AtomicU64>,
-    handle: Option<std::thread::JoinHandle<u64>>,
-}
-
-/// Quiet unwind payload for injected `RebalancerTick` faults: thrown with
-/// `resume_unwind` so the panic hook (and its stderr backtrace) is
-/// bypassed — deterministic chaos runs stay readable.
-struct InjectedTickFault;
-
-impl Rebalancer {
-    /// Consecutive panicking steps after which the worker stops retrying
-    /// and declares itself dead. Deliberately small: a step that panics
-    /// this many times in a row is deterministic breakage, not a race.
-    pub const MAX_CONSECUTIVE_PANICS: u32 = 8;
-
-    /// Spawns the driver thread over `store`.
-    pub fn spawn<V: Clone + Send + Sync + 'static>(
-        store: Arc<LeapStore<V>>,
-        interval: Duration,
-    ) -> Self {
-        let stop = Arc::new(AtomicBool::new(false));
-        let died = Arc::new(AtomicBool::new(false));
-        let panics = Arc::new(AtomicU64::new(0));
-        let (flag, dead, count) = (stop.clone(), died.clone(), panics.clone());
-        let handle = std::thread::spawn(move || {
-            let mut actions = 0u64;
-            let mut consecutive = 0u32;
-            // ORDERING: stop flag; the join in `stop`/`drop` is the sync point.
-            while !flag.load(Ordering::Relaxed) {
-                let step = catch_unwind(AssertUnwindSafe(|| {
-                    if let Some(f) = store.faults.as_deref() {
-                        if f.should_fire(FaultPoint::RebalancerTick) {
-                            std::panic::resume_unwind(Box::new(InjectedTickFault));
-                        }
-                    }
-                    store.rebalance_step()
-                }));
-                match step {
-                    Ok(RebalanceAction::Idle) => {
-                        consecutive = 0;
-                        std::thread::sleep(interval);
-                    }
-                    Ok(_) => {
-                        consecutive = 0;
-                        actions += 1;
-                    }
-                    Err(_) => {
-                        // ORDERING: monotonic stat counter; no publication rides on it.
-                        let total = count.fetch_add(1, Ordering::Relaxed) + 1;
-                        store.emit(EventKind::RebalancerPanic { panics: total });
-                        consecutive += 1;
-                        if consecutive >= Rebalancer::MAX_CONSECUTIVE_PANICS {
-                            dead.store(true, Ordering::Release);
-                            break;
-                        }
-                    }
-                }
-            }
-            actions
-        });
-        Rebalancer {
-            stop,
-            died,
-            panics,
-            handle: Some(handle),
-        }
-    }
-
-    /// Worker panics recorded so far (injected tick faults plus real
-    /// panics out of `rebalance_step`).
-    pub fn panics(&self) -> u64 {
-        // ORDERING: monotonic stat counter; no publication rides on it.
-        self.panics.load(Ordering::Relaxed)
-    }
-
-    /// Whether the worker has given up after
-    /// [`Rebalancer::MAX_CONSECUTIVE_PANICS`] consecutive panics.
-    pub fn is_dead(&self) -> bool {
-        self.died.load(Ordering::Acquire)
-    }
-
-    /// Signals the thread and joins it; returns how many non-idle actions
-    /// (chunks moved or dropped, splits/merges started, completions) it
-    /// performed.
-    ///
-    /// # Errors
-    ///
-    /// [`RebalancerDied`] if the worker declared itself dead (too many
-    /// consecutive panics) or could not be joined cleanly — a worker
-    /// death is never swallowed into a fake action count.
-    pub fn stop(mut self) -> Result<u64, RebalancerDied> {
-        // ORDERING: the worker only polls this flag; `join` below is the
-        // synchronization point for everything it did.
-        self.stop.store(true, Ordering::Relaxed);
-        let joined = self
-            .handle
-            .take()
-            // INVARIANT: only `stop` (consuming self) and `drop` take the
-            // handle, and `stop` cannot run after either.
-            .expect("handle present until stop/drop")
-            .join();
-        // ORDERING: monotonic stat counter; no publication rides on it.
-        let panics = self.panics.load(Ordering::Relaxed);
-        if self.died.load(Ordering::Acquire) {
-            return Err(RebalancerDied { panics });
-        }
-        joined.map_err(|_| RebalancerDied { panics })
-    }
-}
-
-impl Drop for Rebalancer {
-    fn drop(&mut self) {
-        // ORDERING: stop flag; `join` below synchronizes with the worker.
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::router::Partitioning;
     use crate::store::StoreConfig;
     use leaplist::Params;
+    use std::sync::atomic::AtomicBool;
 
     fn cfg(shards: usize) -> StoreConfig {
         StoreConfig::new(shards, Partitioning::Range)
@@ -1039,40 +864,6 @@ mod tests {
         for k in 0..80u64 {
             assert_eq!(store.get(k), Some(k + 1), "key {k}");
         }
-    }
-
-    /// Worker-death containment: a rebalancer whose every tick panics
-    /// (injected) records the panics, declares itself dead after the
-    /// consecutive-panic cap, and surfaces that out of `stop()` as a
-    /// typed error — while the store itself stays fully usable.
-    #[test]
-    fn rebalancer_reports_its_own_death() {
-        let plan = leap_fault::FaultPlan::new(7).always(FaultPoint::RebalancerTick);
-        let store: Arc<LeapStore<u64>> = Arc::new(LeapStore::new(cfg(2).with_faults(plan)));
-        let reb = Rebalancer::spawn(store.clone(), Duration::from_millis(1));
-        let deadline = std::time::Instant::now() + Duration::from_secs(30);
-        while !reb.is_dead() && std::time::Instant::now() < deadline {
-            std::thread::yield_now();
-        }
-        assert!(reb.is_dead(), "the worker must declare its own death");
-        assert!(reb.panics() >= u64::from(Rebalancer::MAX_CONSECUTIVE_PANICS));
-        let err = reb.stop().expect_err("death must surface out of stop()");
-        assert!(err.panics >= u64::from(Rebalancer::MAX_CONSECUTIVE_PANICS));
-        assert!(err.to_string().contains("died"), "{err}");
-        // The store outlives its dead driver: ops and manual rebalancing
-        // still work (the tick fault only arms the worker thread's path).
-        store.put(10, 1);
-        assert_eq!(store.get(10), Some(1));
-        let panics_seen = store
-            .obs()
-            .expect("obs on by default")
-            .snapshot()
-            .events
-            .events
-            .iter()
-            .filter(|e| matches!(e.kind, EventKind::RebalancerPanic { .. }))
-            .count();
-        assert!(panics_seen > 0, "panics must land on the event timeline");
     }
 
     /// The published-view contract under churn: readers `get` preloaded

@@ -15,9 +15,10 @@
 //! Every batch — including one mapping several keys to a single shard —
 //! commits through **one** multi-list transaction
 //! (`LeapListLt::apply_batch_grouped`), and the shard set itself can
-//! change online: a [`crate::Rebalancer`] migrates key sub-ranges between
-//! shards in bounded cross-list transactions while readers and writers
-//! proceed (see `rebalance.rs` for the protocol).
+//! change online: each [`LeapStore::rebalance_step`] call migrates one
+//! bounded chunk of a key sub-range between shards in a cross-list
+//! transaction while readers and writers proceed (see `rebalance.rs` for
+//! the protocol).
 
 use crate::error::StoreError;
 use crate::obs::{OpKind, StoreObs};
@@ -113,8 +114,7 @@ impl StoreConfig {
     }
 
     /// Sets the rebalancing policy (see [`RebalancePolicy`]). The policy
-    /// only acts when [`LeapStore::rebalance_step`] is driven — explicitly
-    /// or by a [`crate::Rebalancer`] thread.
+    /// only acts when the caller drives [`LeapStore::rebalance_step`].
     pub fn with_rebalancing(mut self, rebalance: RebalancePolicy) -> Self {
         self.rebalance = rebalance;
         self
@@ -221,8 +221,8 @@ type View<'a, V> = Pinned<'a, ShardSlot<V>>;
 ///   the whole scan is one consistent snapshot, and pages never retry
 ///   against concurrent commits or migrations.
 /// * [`LeapStore::split_shard`] / [`LeapStore::merge_shards`] /
-///   [`LeapStore::rebalance_step`] — online shard migration, driven
-///   deterministically or by a background [`crate::Rebalancer`].
+///   [`LeapStore::rebalance_step`] — online shard migration, one bounded
+///   chunk per step, driven by the caller.
 ///
 /// # Batch atomicity
 ///

@@ -14,7 +14,7 @@
 use leap_obs::{AbortCause, TraceConfig};
 use leap_store::{
     Batcher, FaultPlan, FaultPoint, LeapStore, Partitioning, RebalanceAction, RebalancePolicy,
-    Rebalancer, RetryPolicy, StoreConfig, StoreError,
+    RetryPolicy, StoreConfig, StoreError,
 };
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -323,48 +323,6 @@ fn bounded_ops_time_out_when_commits_never_succeed() {
                 .any(|e| e.kind.name() == "txn_deadline"),
             "seed {seed}: no txn_deadline event"
         );
-    }
-}
-
-/// A rebalancer whose every tick panics (injected) dies loudly: `stop()`
-/// returns the typed error instead of a fake action count — and the
-/// store converges anyway once a healthy driver takes over.
-#[test]
-fn dead_rebalancer_is_reported_and_manual_convergence_still_works() {
-    for seed in seeds() {
-        let plan = FaultPlan::new(seed).always(FaultPoint::RebalancerTick);
-        let store: Arc<LeapStore<u64>> = Arc::new(LeapStore::new(
-            StoreConfig::new(2, Partitioning::Range)
-                .with_key_space(KEY_SPACE)
-                .with_rebalancing(RebalancePolicy {
-                    chunk: 32,
-                    ..RebalancePolicy::default()
-                })
-                .with_faults(plan),
-        ));
-        for k in 0..512u64 {
-            store.put(k, k + 1);
-        }
-        let reb = Rebalancer::spawn(store.clone(), Duration::from_millis(1));
-        let deadline = std::time::Instant::now() + Duration::from_secs(30);
-        while !reb.is_dead() && std::time::Instant::now() < deadline {
-            std::thread::yield_now();
-        }
-        let err = reb
-            .stop()
-            .expect_err(&format!("seed {seed}: worker death must surface"));
-        assert!(err.panics > 0, "seed {seed}: no panic recorded");
-        // Manual convergence with the dead driver out of the way: the
-        // tick fault only arms the worker-thread path.
-        store.split_shard(0, 256).expect("split after worker death");
-        store.rebalance_until_idle();
-        assert!(
-            store.router().migration().is_none(),
-            "seed {seed}: manual convergence failed"
-        );
-        for k in 0..512u64 {
-            assert_eq!(store.get(k), Some(k + 1), "seed {seed}: key {k}");
-        }
     }
 }
 

@@ -6,10 +6,11 @@
 use leap_obs::EventKind;
 use leap_stm::{TVar, Txn};
 use leap_store::{
-    Batcher, FaultPlan, FaultPoint, LeapStore, Partitioning, RebalancePolicy, Rebalancer,
+    Batcher, FaultPlan, FaultPoint, LeapStore, Partitioning, RebalanceAction, RebalancePolicy,
     StoreConfig, StoreError,
 };
 use leaplist::Params;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -124,10 +125,10 @@ fn migration_timeline_orders_begin_chunks_complete() {
     assert!(json.contains("\"dropped\":0"), "{json}");
 }
 
-/// The store's fixed 1 024-slot ring under a background [`Rebalancer`]
-/// plus more than 1 024 admission sheds overflows: old events are dropped
-/// oldest-first, the `dropped` counter is monotone and exact, and the ring
-/// never exceeds its capacity.
+/// The store's fixed 1 024-slot ring under a thread stepping the
+/// rebalancer plus more than 1 024 admission sheds overflows: old events
+/// are dropped oldest-first, the `dropped` counter is monotone and exact,
+/// and the ring never exceeds its capacity.
 #[test]
 fn tiny_ring_drops_oldest_with_monotone_counter() {
     const CAP: usize = leap_obs::DEFAULT_RING_CAPACITY;
@@ -135,10 +136,20 @@ fn tiny_ring_drops_oldest_with_monotone_counter() {
     let store: Arc<LeapStore<u64>> = Arc::new(LeapStore::new(cfg(2).with_faults(plan)));
     let obs = store.obs().expect("obs on by default").clone();
     assert_eq!(obs.events().capacity(), CAP);
-    let rebalancer = Rebalancer::spawn(store.clone(), Duration::from_micros(100));
+    let stop = Arc::new(AtomicBool::new(false));
+    let stepper = {
+        let (s, st) = (store.clone(), stop.clone());
+        std::thread::spawn(move || {
+            while !st.load(Ordering::Relaxed) {
+                if s.rebalance_step() == RebalanceAction::Idle {
+                    std::thread::sleep(Duration::from_micros(100));
+                }
+            }
+        })
+    };
     let batcher = Batcher::new(store.clone());
     // Hammer: every refused batcher put is one shed event, while direct
-    // puts shift the key mass the background rebalancer splits/merges.
+    // puts shift the key mass the stepper splits/merges.
     let mut last_dropped = 0u64;
     for round in 0..6u64 {
         for k in 0..200u64 {
@@ -159,7 +170,8 @@ fn tiny_ring_drops_oldest_with_monotone_counter() {
         );
         last_dropped = snap.dropped;
     }
-    rebalancer.stop().expect("rebalancer survived the run");
+    stop.store(true, Ordering::Relaxed);
+    stepper.join().unwrap();
     let snap = obs.events().snapshot();
     assert!(
         snap.dropped > 0,

@@ -26,8 +26,7 @@
 
 use leap_history::{check, check_snapshot_isolation, Op, Recorder, Ret, Session};
 use leap_store::{
-    LeapStore, Partitioning, RebalanceAction, RebalanceError, RebalancePolicy, Rebalancer,
-    StoreConfig,
+    LeapStore, Partitioning, RebalanceAction, RebalanceError, RebalancePolicy, StoreConfig,
 };
 use leaplist::Params;
 use std::collections::BTreeMap;
@@ -56,7 +55,7 @@ fn xorshift(state: &mut u64) -> u64 {
 /// populated (the hot pile), the rest sparse. Returns the initial model.
 ///
 /// `auto` selects the rebalance policy: `true` lets it self-start splits
-/// and merges (the background-`Rebalancer` scenario); `false` raises the
+/// and merges (the policy-driven scenario); `false` raises the
 /// thresholds out of reach, so the only migrations are the ones the test
 /// drives explicitly — keeping its structural assertions exact.
 fn build_store(chunk: usize, auto: bool) -> (Arc<LeapStore<u64>>, BTreeMap<u64, u64>) {
@@ -433,17 +432,26 @@ fn successive_migrations_vs_straddling_cursor() {
     assert!(st.migration.is_none());
 }
 
-/// The background [`Rebalancer`] under skewed load: policy-driven splits
-/// must fire on their own while every recorded read and write stays
-/// strictly serializable.
+/// A thread stepping the rebalancer under skewed load: policy-driven
+/// splits must fire on their own while every recorded read and write
+/// stays strictly serializable.
 #[test]
 fn background_rebalancer_balances_skewed_load() {
     let (store, initial) = build_store(128, true);
     let spread_before = store.stats().key_spread();
     let rec = Recorder::new();
     let stop = Arc::new(AtomicBool::new(false));
-    let rebalancer = Rebalancer::spawn(store.clone(), Duration::from_millis(1));
     let mut workers = Vec::new();
+    {
+        let (s, st) = (store.clone(), stop.clone());
+        workers.push(std::thread::spawn(move || {
+            while !st.load(Ordering::Relaxed) {
+                if s.rebalance_step() == RebalanceAction::Idle {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+            }
+        }));
+    }
     for t in 0..2u64 {
         let (s, ses, st) = (store.clone(), rec.session(), stop.clone());
         workers.push(std::thread::spawn(move || writer(s, ses, st, t, 40, 150)));
@@ -454,7 +462,7 @@ fn background_rebalancer_balances_skewed_load() {
             range_reader(s, ses, st, 7, 10, 40)
         }));
     }
-    // Give the rebalancer time to split the hot shard at least once.
+    // Give the stepper time to split the hot shard at least once.
     let deadline = std::time::Instant::now() + Duration::from_secs(5);
     while store.stats().migrations_completed == 0 && std::time::Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(5));
@@ -463,21 +471,20 @@ fn background_rebalancer_balances_skewed_load() {
     for w in workers {
         w.join().unwrap();
     }
-    let actions = rebalancer.stop().expect("rebalancer survived the run");
     let history = rec.history();
     check(&history, &initial)
         .unwrap_or_else(|v| panic!("rebalancer history is not serializable:\n{v}"));
     let st = store.stats();
     assert!(
         st.migrations_completed >= 1,
-        "policy never split the hot shard (actions: {actions})"
+        "policy never split the hot shard"
     );
     assert!(st.key_spread() < spread_before);
 }
 
 /// Tentpole acceptance: whole multi-page `scan_snapshot`s race
-/// put/delete/batch writers AND a background [`Rebalancer`]'s
-/// policy-driven migrations. The recorded history must satisfy snapshot
+/// put/delete/batch writers AND the policy-driven migrations of a thread
+/// stepping the rebalancer. The recorded history must satisfy snapshot
 /// isolation — every scan one atomic read of its pinned instant,
 /// timestamps never running backwards, equal-timestamp scans agreeing —
 /// while the writers themselves stay strictly serializable.
@@ -486,8 +493,17 @@ fn snapshot_scans_race_writers_and_background_rebalancer() {
     let (store, initial) = build_store(128, true);
     let rec = Recorder::new();
     let stop = Arc::new(AtomicBool::new(false));
-    let rebalancer = Rebalancer::spawn(store.clone(), Duration::from_millis(1));
     let mut workers = Vec::new();
+    {
+        let (s, st) = (store.clone(), stop.clone());
+        workers.push(std::thread::spawn(move || {
+            while !st.load(Ordering::Relaxed) {
+                if s.rebalance_step() == RebalanceAction::Idle {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+            }
+        }));
+    }
     for t in 0..2u64 {
         let (s, ses, st) = (store.clone(), rec.session(), stop.clone());
         workers.push(std::thread::spawn(move || writer(s, ses, st, t, 40, 150)));
@@ -498,7 +514,7 @@ fn snapshot_scans_race_writers_and_background_rebalancer() {
             snapshot_reader(s, ses, st, t, 6, 30)
         }));
     }
-    // Give the rebalancer time to split the hot shard at least once, so
+    // Give the stepper time to split the hot shard at least once, so
     // scans demonstrably span policy-driven migrations.
     let deadline = std::time::Instant::now() + Duration::from_secs(5);
     while store.stats().migrations_completed == 0 && std::time::Instant::now() < deadline {
@@ -508,7 +524,6 @@ fn snapshot_scans_race_writers_and_background_rebalancer() {
     for w in workers {
         w.join().unwrap();
     }
-    rebalancer.stop().expect("rebalancer survived the run");
     let history = rec.history();
     check_snapshot_isolation(&history, &initial)
         .unwrap_or_else(|v| panic!("snapshot-scan history violates snapshot isolation:\n{v}"));

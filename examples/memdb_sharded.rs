@@ -1,15 +1,17 @@
 //! The paper's in-memory database riding LeapStore: a table whose
 //! primary and secondary indexes live in prefix-tagged subspaces of one
 //! sharded store, so index maintenance is a single cross-shard
-//! transaction and a background rebalancer can split index-heavy shards
-//! while queries run.
+//! transaction and a thread stepping the rebalancer can split index-heavy
+//! shards while queries run.
 //!
 //! ```text
 //! cargo run --release --example memdb_sharded
 //! ```
 
 use leap_memdb::{Schema, Table, TableConfig};
-use leap_store::{RebalancePolicy, Rebalancer};
+use leap_store::{RebalanceAction, RebalancePolicy};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 fn main() {
@@ -54,10 +56,23 @@ fn main() {
         );
     }
 
-    // A background rebalancer splits the key-heavy shards (median-key
-    // splits) while the table keeps answering queries.
+    // A thread stepping the rebalancer splits the key-heavy shards
+    // (median-key splits) while the table keeps answering queries.
     let store = table.store().expect("every table has a store").clone();
-    let rebalancer = Rebalancer::spawn(store.clone(), Duration::from_millis(1));
+    let stop = Arc::new(AtomicBool::new(false));
+    let stepper = {
+        let (store, stop) = (store.clone(), stop.clone());
+        std::thread::spawn(move || {
+            let mut actions = 0u64;
+            while !stop.load(Ordering::Relaxed) {
+                match store.rebalance_step() {
+                    RebalanceAction::Idle => std::thread::sleep(Duration::from_millis(1)),
+                    _ => actions += 1,
+                }
+            }
+            actions
+        })
+    };
     let expect_thirties = (0..30_000u64)
         .filter(|i| (30..=39).contains(&(i % 90)))
         .count();
@@ -74,7 +89,8 @@ fn main() {
         assert_eq!(thirties, expect_thirties, "scan racing the rebalancer");
         snapshots += 1;
     }
-    let actions = rebalancer.stop().expect("rebalancer survived the run");
+    stop.store(true, Ordering::Relaxed);
+    let actions = stepper.join().expect("stepper thread panicked");
     println!("\nrebalancer: {actions} actions, {snapshots} racing snapshots checked");
 
     println!("\nper-subspace placement after rebalancing:");
